@@ -342,12 +342,17 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     Starts from the empty cavity with all atoms in the ground state unless
     ``initial`` is given.  The Hermitian-basis parametrization keeps rho
     exactly Hermitian; a trace drift beyond 1e-6 aborts with
-    IntegrationError.
+    IntegrationError.  Without ``sample_times`` the samples are 0, dt, ...,
+    t_end, so ``t_end`` must be a whole multiple of ``dt``.
     """
     if sample_times is None:
         if t_end <= 0:
             raise ValueError("t_end must be > 0")
+        if dt <= 0:
+            raise ValueError("dt must be > 0")
         nsteps = int(round(t_end / dt))
+        if abs(nsteps * dt - t_end) > 1e-9 * t_end:
+            raise ValueError(f"t_end={t_end:g} is not a whole multiple of dt={dt:g}")
         sample_times = np.linspace(0.0, nsteps * dt, nsteps + 1)
     else:
         sample_times = np.asarray(sample_times, dtype=float)

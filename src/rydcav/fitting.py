@@ -11,14 +11,13 @@ from the residual-variance-scaled inverse of J^T J.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import bubble, linear, meanfield
 from .errors import ConfigError, IntegrationError, SingularParameterError, SolverError
 from .params import PhysicalParams, get_path, set_paths
-from .util import parallel_map
 
 MODELS = ("linear_eit", "meanfield", "bubble_transient")
 
@@ -298,14 +297,7 @@ def fit_multi_start(problem: FitProblem, starts) -> FitResult:
     """Run the fit from several initial vectors, keep the best outcome."""
     best = None
     for start in starts:
-        trial = FitProblem(
-            x=problem.x, y=problem.y, model=problem.model,
-            base_params=problem.base_params, free=problem.free,
-            weights=problem.weights, initial=np.asarray(start, dtype=float),
-            lower=problem.lower, upper=problem.upper,
-            model_options=problem.model_options,
-        )
-        res = fit(trial)
+        res = fit(replace(problem, initial=np.asarray(start, dtype=float)))
         if best is None or res.residual_norm < best.residual_norm:
             best = res
     return best
@@ -346,4 +338,4 @@ def fit_xi_series(entries, params_by_n, model_options: dict | None = None,
             return XiEstimate(n, float("nan"), float("nan"), False,
                               float("nan"))
 
-    return [est for est in parallel_map(run, list(entries))]
+    return [run(entry) for entry in entries]

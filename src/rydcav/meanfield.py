@@ -13,9 +13,12 @@ closes the system into a scalar fixed-point problem F(x) = x, where F is
 cavity transmission is T = gamma_c^2 |<a>|^2 / alpha^2, which reduces to
 the linear formula for kappa = 0 or alpha -> 0.
 
-Roots are located by a bracketing sign scan refined with Brent's method;
-scans follow one branch by continuation (the previous point's x seeds the
-next) and report the root multiplicity when several fixed points coexist.
+Since F(x) = K^2 / |A + B x|^2 for complex constants A, B and real K, the
+fixed points are the real roots of a cubic in x, at most three.  They are
+taken in closed form (Cardano or the trigonometric form, by the sign of the
+discriminant) and polished with one Newton step, so every coexisting branch
+is found.  Scans follow one branch by continuation (the previous point's x
+seeds the next) and report how many fixed points coexist.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import interactions
 from .errors import SingularParameterError, SolverError
@@ -32,8 +34,6 @@ from .linear import eit_factors
 from .params import PhysicalParams, ScanSpec, params_to_dict
 
 _DRX_FLOOR = 1e-300
-_SCAN_POINTS = 256
-_MAX_EXPANSIONS = 8
 
 
 def photon_rate_to_alpha(rate: float, gamma_c: float) -> float:
@@ -131,57 +131,72 @@ class MeanFieldSolution:
             raise ValueError("|c|^2 and x disagree")
 
 
+def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
+    """Real roots of a x^3 + b x^2 + c x + d (a > 0), in increasing order.
+
+    The sign of the depressed cubic's discriminant decides between one root
+    (Cardano, in its cancellation-free form) and three (trigonometric form).
+    """
+    b, c, d = b / a, c / a, d / a
+    shift = b / 3.0
+    p = c - b * shift
+    q = (2.0 * shift * shift - c) * shift + d
+    disc = (0.5 * q) ** 2 + (p / 3.0) ** 3
+    if disc < 0.0:  # three distinct real roots, p < 0
+        r = 2.0 * math.sqrt(-p / 3.0)
+        phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * r))))
+        return sorted(r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift
+                      for k in range(3))
+    w = float(np.cbrt(-0.5 * q - math.copysign(math.sqrt(disc), q)))
+    t = w - p / (3.0 * w) if w != 0.0 else 0.0
+    return [t - shift]
+
+
+def _newton_polish(coeffs, x: float) -> float:
+    """One Newton step on the cubic, kept only if it lowers the residual."""
+    a, b, c, d = coeffs
+    g = ((a * x + b) * x + c) * x + d
+    dg = (3.0 * a * x + 2.0 * b) * x + c
+    if dg == 0.0:
+        return x
+    x_new = x - g / dg
+    g_new = ((a * x_new + b) * x_new + c) * x_new + d
+    return x_new if abs(g_new) < abs(g) else x
+
+
 def _find_roots(pt: _Point) -> list[float]:
-    """All fixed points of F on [0, x_max], by sign scan plus Brent refine."""
+    """All fixed points of F, in increasing order.
+
+    With m = D_e D_c - coop_term the chain gives F(x) = K^2 / |A + B x|^2,
+    A = D_r m - Omega^2 D_c / 4, B = -kappa m, K^2 = (Omega/2)^2 coop_term
+    alpha^2, so x = F(x) is the real cubic
+
+        |B|^2 x^3 + 2 Re(A B*) x^2 + |A|^2 x - K^2 = 0.
+
+    The cubic equals x |A + B x|^2 - K^2 <= -K^2 for x <= 0, so every real
+    root is positive.
+    """
     f0 = float(_excitation(pt, 0.0))
     if f0 == 0.0:
         return [0.0]
     if pt.kappa == 0:
         return [f0]  # F is x-independent: closed-form root
-
-    def residual(x: float) -> float:
-        return float(_excitation(pt, x)) - x
-
-    x_max = 10.0 * f0
-    for _ in range(_MAX_EXPANSIONS):
-        grid = np.linspace(0.0, x_max, _SCAN_POINTS + 1)
-        res = _excitation(pt, grid) - grid
-        sign = np.sign(res)
-        brackets = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        exact = np.nonzero(sign == 0)[0]
-        if brackets.size or exact.size:
-            break
-        if res[-1] < 0:  # residual already negative without a crossing seen
-            break
-        x_max *= 4.0
-    else:
-        raise SolverError(
-            f"no steady-state root found in [0, {x_max:g}] "
-            f"(residual at endpoints: {res[0]:g}, {res[-1]:g})")
-
-    roots = [float(grid[i]) for i in exact]
-    for i in brackets:
-        roots.append(brentq(residual, grid[i], grid[i + 1],
-                            xtol=1e-15 * max(1.0, x_max), rtol=8.9e-16))
-    if not roots:
-        raise SolverError(
-            f"sign scan over [0, {x_max:g}] found no bracket "
-            f"(residual at endpoints: {res[0]:g}, {res[-1]:g})")
-    roots.sort()
-    dedup = [roots[0]]
-    for r in roots[1:]:
-        if r - dedup[-1] > 1e-10 * max(1.0, x_max):
-            dedup.append(r)
-    return dedup
+    m = pt.D_e * pt.D_c - pt.coop_term
+    A = pt.D_r * m - pt.omega * pt.omega * pt.D_c / 4.0
+    B = -pt.kappa * m
+    K2 = (0.5 * pt.omega) ** 2 * pt.coop_term * pt.alpha ** 2
+    coeffs = (float(abs(B) ** 2), float(2.0 * (A * B.conjugate()).real),
+              float(abs(A) ** 2), -K2)
+    return [_newton_polish(coeffs, x) for x in _cubic_roots(*coeffs)]
 
 
 def solve_self_consistent(params: PhysicalParams, x_seed: float = 0.0,
                           delta_p=None) -> MeanFieldSolution:
     """Self-consistent steady state, following the branch nearest x_seed.
 
-    When the bracketing scan finds several fixed points (bistability) the
-    one closest to the seed is returned and root_count reports how many
-    were seen; the choice mirrors an adiabatic experimental sweep.
+    When the steady-state cubic has three real roots (bistability) the one
+    closest to the seed is returned and root_count reports how many there
+    are; the choice mirrors an adiabatic experimental sweep.
     """
     pt = _point(params, delta_p)
     roots = _find_roots(pt)
@@ -232,19 +247,39 @@ def dynamical_residual(params: PhysicalParams, sol: MeanFieldSolution,
     return math.sqrt(abs(r1) ** 2 + abs(r2) ** 2 + abs(r3) ** 2)
 
 
+def _follow_branch(points, flag_failures: bool):
+    """Solutions and transmissions along ordered (params, delta_p) points.
+
+    Continuation in x: each solve is seeded with the last solved x, starting
+    from the dark (x = 0) solution.  A failed solve raises, or, with
+    ``flag_failures``, leaves None and NaN at its point and keeps the seed.
+    """
+    seed = 0.0
+    sols = []
+    t = np.full(len(points), np.nan)
+    for i, (p, dp) in enumerate(points):
+        try:
+            sol = solve_self_consistent(p, x_seed=seed, delta_p=dp)
+        except (SolverError, SingularParameterError):
+            if not flag_failures:
+                raise
+            sols.append(None)
+            continue
+        t[i] = transmission_from_solution(p, sol, delta_p=dp)
+        sols.append(sol)
+        seed = sol.x
+    return sols, t
+
+
 def transmission_curve(params: PhysicalParams, delta_ps) -> np.ndarray:
     """Mean-field transmission at each detuning of an ordered grid.
 
     Continuation in x along the grid, seeded at the dark (x = 0) solution;
     used by the fitting module, which needs arbitrary (non-uniform) grids.
     """
-    seed = 0.0
-    out = np.empty(len(delta_ps))
-    for i, dp in enumerate(delta_ps):
-        sol = solve_self_consistent(params, x_seed=seed, delta_p=float(dp))
-        out[i] = transmission_from_solution(params, sol, delta_p=float(dp))
-        seed = sol.x
-    return out
+    _, t = _follow_branch([(params, float(dp)) for dp in delta_ps],
+                          flag_failures=False)
+    return t
 
 
 @dataclass
@@ -289,31 +324,20 @@ def scan_meanfield(params: PhysicalParams, scan: ScanSpec | None = None,
     if scan is None:
         raise ValueError("no scan specified")
     grid = scan.values()
-    n = grid.size
-    t = np.full(n, np.nan)
-    xs = np.full(n, np.nan)
-    counts = np.zeros(n, dtype=int)
-    failed = np.zeros(n, dtype=bool)
-
-    seed = 0.0
-    for i, v in enumerate(grid):
-        if variable == "delta_p":
-            p_i, dp = params, float(v)
-        else:
-            if v < 0:
-                raise ValueError("photon rate must be >= 0")
-            alpha = photon_rate_to_alpha(float(v), params.cavity.gamma_c)
-            p_i = replace(params, drive=replace(params.drive, alpha=alpha))
-            dp = None
-        try:
-            sol = solve_self_consistent(p_i, x_seed=seed, delta_p=dp)
-        except (SolverError, SingularParameterError):
-            failed[i] = True
-            continue
-        t[i] = transmission_from_solution(p_i, sol, delta_p=dp)
-        xs[i] = sol.x
-        counts[i] = sol.root_count
-        seed = sol.x
+    if variable == "delta_p":
+        points = [(params, float(v)) for v in grid]
+    else:
+        if np.any(grid < 0):
+            raise ValueError("photon rate must be >= 0")
+        gc = params.cavity.gamma_c
+        points = [(replace(params, drive=replace(
+            params.drive, alpha=photon_rate_to_alpha(float(v), gc))), None)
+            for v in grid]
+    sols, t = _follow_branch(points, flag_failures=True)
+    failed = np.array([sol is None for sol in sols], dtype=bool)
+    xs = np.array([np.nan if sol is None else sol.x for sol in sols])
+    counts = np.array([0 if sol is None else sol.root_count for sol in sols],
+                      dtype=int)
 
     axis_name = "delta_p_mhz" if variable == "delta_p" else "photon_rate_per_us"
     return NonlinearSpectrum(grid, t, xs, counts, failed, axis_name=axis_name,

@@ -10,8 +10,8 @@ import numpy as np
 from conftest import make_params
 
 
-def oracle_excitation(params, delta_p, x):
-    """|<c>|^2 as a function of x, via the linear-in-x polynomial form."""
+def _oracle_chain(params, delta_p):
+    """(A, B, K^2) with |<c>|^2 = K^2 / |A + B x|^2, from the eliminated chain."""
     from rydcav.interactions import blockade_volume, c6_coefficient, kappa
 
     ge = params.ensemble.gamma_e
@@ -29,11 +29,30 @@ def oracle_excitation(params, delta_p, x):
     else:
         v_b = blockade_volume(D_e, D_r, om, c6)
         kap = kappa(D_e, D_r, om, v_b, params.ensemble.cloud_volume)
-    drx = D_r - kap * np.asarray(x)
     coop2 = 2 * gc * ge * coop
-    poly = drx * (D_e * D_c - coop2) - om**2 * D_c / 4.0
+    m = D_e * D_c - coop2
     k_const = (om / 2.0) * np.sqrt(coop2) * alpha
-    return k_const**2 / np.abs(poly) ** 2
+    return D_r * m - om**2 * D_c / 4.0, -kap * m, k_const**2
+
+
+def oracle_excitation(params, delta_p, x):
+    """|<c>|^2 as a function of x, via the linear-in-x polynomial form."""
+    A, B, k2 = _oracle_chain(params, delta_p)
+    return k2 / np.abs(A + B * np.asarray(x)) ** 2
+
+
+def oracle_cubic(params, delta_p):
+    """Steady-state cubic and its number of distinct real roots.
+
+    x = |<c>|^2 is the cubic |B|^2 x^3 + 2 Re(A B*) x^2 + |A|^2 x - K^2 = 0;
+    returns its coefficients (a, b, c, d) and the root count from the sign
+    of the discriminant.
+    """
+    A, B, k2 = _oracle_chain(params, delta_p)
+    a, b, c, d = abs(B) ** 2, 2.0 * (A * B.conjugate()).real, abs(A) ** 2, -k2
+    disc = (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3
+            - 27 * a * a * d * d)
+    return (a, b, c, d), (3 if disc > 0 else 1)
 
 
 def oracle_roots(params, delta_p, npoints=100_000, bisect_iters=90):

@@ -185,6 +185,17 @@ class TestEvolve:
         series = evolve(p, t_end=9.0, nmax=2, sample_times=times)
         np.testing.assert_allclose(series.t, times)
 
+    def test_t_end_off_the_dt_grid_rejected(self):
+        p = weak_drive_params()
+        with pytest.raises(ValueError, match="multiple"):
+            evolve(p, t_end=10.0, dt=3.0, nmax=2)
+
+    def test_nonpositive_dt_rejected(self):
+        p = weak_drive_params()
+        for dt in (0.0, -1.0):
+            with pytest.raises(ValueError, match="dt must be > 0"):
+                evolve(p, t_end=10.0, dt=dt, nmax=2)
+
     def test_metadata_snapshot(self):
         p = weak_drive_params()
         series = evolve(p, t_end=2.0, dt=1.0, nmax=2)

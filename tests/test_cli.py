@@ -154,6 +154,14 @@ class TestBubbleCommands:
         rows = [l for l in lines if l and not l.startswith("#")][1:]
         assert len(rows) == 5
 
+    def test_evolve_t_end_off_the_dt_grid(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        rc = main(["bubble-evolve", "--config", str(cfg),
+                   "--out", str(tmp_path / "evolve.csv"),
+                   "--t-end", "10", "--dt", "3", "--nmax", "2"])
+        assert rc == 1
+        assert "multiple of dt" in capsys.readouterr().err
+
     def test_steady_json(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "steady.json"

@@ -133,6 +133,23 @@ class TestEngineProperties:
                                      np.array([10.5, 4.8, 4.2, 0.22])])
         np.testing.assert_allclose(res.best_fit, EIT_TRUTH, rtol=1e-5)
 
+    def test_multi_start_keeps_diff_step(self, clean_spectrum, monkeypatch):
+        from dataclasses import replace
+
+        _, y = clean_spectrum
+        prob = replace(eit_problem(y), diff_step=1e-2)
+        seen = []
+        real = fitting.fit
+
+        def recording(problem, **kwargs):
+            seen.append(problem.diff_step)
+            return real(problem, **kwargs)
+
+        monkeypatch.setattr(fitting, "fit", recording)
+        fit_multi_start(prob, [np.array([11.0, 4.5, 4.5, 0.25]),
+                               np.array([10.5, 4.8, 4.2, 0.22])])
+        assert seen == [1e-2, 1e-2]
+
     def test_nan_data_rejected_fast(self, clean_spectrum):
         _, y = clean_spectrum
         bad = y.copy()

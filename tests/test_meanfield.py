@@ -16,7 +16,12 @@ from rydcav.meanfield import (
 from rydcav.params import ScanSpec
 
 from conftest import make_params
-from oracles import oracle_excitation, oracle_roots, random_paper_scale_params
+from oracles import (
+    oracle_cubic,
+    oracle_excitation,
+    oracle_roots,
+    random_paper_scale_params,
+)
 
 
 class TestResidual:
@@ -90,6 +95,24 @@ class TestSolver:
         assert abs(abs(sol.c) ** 2 - sol.x) <= 1e-9 * max(1.0, sol.x)
         assert sol.residual <= 1e-10 * max(1.0, sol.x)
         assert sol.blockaded_fraction >= 0.0
+
+
+class TestBistableWindow:
+    """S n=60, Omega 8 MHz, delta_cf -10 MHz, delta_p +10 MHz: close to each
+    turning point of the bistable window two of the three roots nearly meet."""
+
+    @pytest.mark.parametrize("rate", [98.17, 101.2898])
+    def test_all_three_roots_found(self, rate):
+        p = make_params(n=60, omega_cf=8.0, delta_cf=-10.0, delta_p=10.0,
+                        alpha=photon_rate_to_alpha(rate, 10.0))
+        (a, b, c, d), count = oracle_cubic(p, 10.0)
+        assert count == 3
+        assert solve_self_consistent(p).root_count == 3
+        roots = meanfield._find_roots(meanfield._point(p))
+        assert len(roots) == 3
+        for x in roots:
+            terms = (a * x**3, b * x**2, c * x, d)
+            assert abs(sum(terms)) < 1e-10 * max(abs(t) for t in terms)
 
 
 class TestTransmission:
@@ -179,6 +202,35 @@ class TestScan:
         assert spec.failed.sum() == 1
         assert np.isnan(spec.transmission[2])
         assert np.isfinite(spec.transmission[[0, 1, 3, 4]]).all()
+
+    def test_curve_raises_on_failed_point(self, paper_params, monkeypatch):
+        calls = {"n": 0}
+        real = meanfield.solve_self_consistent
+
+        def flaky(params, x_seed=0.0, delta_p=None):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise SolverError("injected failure")
+            return real(params, x_seed=x_seed, delta_p=delta_p)
+
+        monkeypatch.setattr(meanfield, "solve_self_consistent", flaky)
+        with pytest.raises(SolverError, match="injected"):
+            transmission_curve(paper_params, np.linspace(-5.0, 5.0, 5))
+        assert calls["n"] == 2
+
+    def test_negative_rate_rejected_before_any_solve(self, paper_params,
+                                                     monkeypatch):
+        calls = {"n": 0}
+        real = meanfield.solve_self_consistent
+
+        def counting(params, x_seed=0.0, delta_p=None):
+            calls["n"] += 1
+            return real(params, x_seed=x_seed, delta_p=delta_p)
+
+        monkeypatch.setattr(meanfield, "solve_self_consistent", counting)
+        with pytest.raises(ValueError, match="photon rate"):
+            scan_meanfield(paper_params, ScanSpec(5.0, -1.0, 7), variable="rate")
+        assert calls["n"] == 0
 
     def test_csv_header(self, paper_params):
         from dataclasses import replace

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -12,34 +11,6 @@ from rydcav.datafiles import (
     write_csv,
     write_json,
 )
-from rydcav.util import parallel_map, worker_count
-
-
-class TestWorkerCount:
-    def test_default_single(self, monkeypatch):
-        monkeypatch.delenv("RYDCAV_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("RYDCAV_THREADS", "4")
-        assert worker_count() == 4
-
-    def test_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("RYDCAV_THREADS", "lots")
-        assert worker_count() == 1
-        monkeypatch.setenv("RYDCAV_THREADS", "-2")
-        assert worker_count() == 1
-
-
-class TestParallelMap:
-    def test_order_preserved_serial(self, monkeypatch):
-        monkeypatch.delenv("RYDCAV_THREADS", raising=False)
-        assert parallel_map(lambda v: v * v, range(6)) == [0, 1, 4, 9, 16, 25]
-
-    def test_order_preserved_threaded(self, monkeypatch):
-        monkeypatch.setenv("RYDCAV_THREADS", "3")
-        out = parallel_map(lambda v: math.sqrt(v), range(20))
-        np.testing.assert_allclose(out, np.sqrt(np.arange(20)))
 
 
 class TestDataFiles:
