@@ -12,7 +12,6 @@ from .bubble import (
     TimeSeries,
     build_operators,
     evolve,
-    rhs,
     steady_transmission_bubble,
 )
 from .errors import ConfigError, IntegrationError, SingularParameterError, SolverError
@@ -36,7 +35,6 @@ from .meanfield import (
 )
 from .params import (
     CavityParams,
-    ComplexDetuning,
     DriveParams,
     EnsembleParams,
     PhysicalParams,
@@ -54,7 +52,7 @@ from .params import (
 __all__ = [
     "__version__",
     "BubbleOperators", "BubbleState", "TimeSeries", "build_operators",
-    "evolve", "rhs", "steady_transmission_bubble",
+    "evolve", "steady_transmission_bubble",
     "ConfigError", "IntegrationError", "SingularParameterError", "SolverError",
     "FitProblem", "FitResult", "XiEstimate", "fit", "fit_xi_series",
     "InteractionSummary", "atoms_per_bubble", "blockade_volume", "c6_d",
@@ -62,8 +60,8 @@ __all__ = [
     "Spectrum", "scan_linear", "transmission_linear",
     "MeanFieldSolution", "NonlinearSpectrum", "scan_meanfield",
     "solve_self_consistent", "steady_residual", "transmission_meanfield",
-    "CavityParams", "ComplexDetuning", "DriveParams", "EnsembleParams",
-    "PhysicalParams", "RydbergLevel", "ScanSpec", "cloud_volume_gaussian",
+    "CavityParams", "DriveParams", "EnsembleParams", "PhysicalParams",
+    "RydbergLevel", "ScanSpec", "cloud_volume_gaussian",
     "linewidth_from_geometry", "load_config", "params_from_dict",
     "params_to_dict", "to_angular", "validate",
 ]

@@ -30,7 +30,6 @@ the Hermitian subspace) and halves the integration cost.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -113,9 +112,6 @@ class BubbleState:
     @property
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min())
-
-    def population(self, projector: np.ndarray) -> float:
-        return float(np.trace(projector @ self.rho).real)
 
 
 # --- superoperators over row-major vec(rho) --------------------------------
@@ -289,23 +285,6 @@ class BubbleModel:
                            t=t)
 
 
-@functools.lru_cache(maxsize=16)
-def _cached_model(params: PhysicalParams, nmax: int, n_b) -> BubbleModel:
-    return BubbleModel(params, nmax=nmax, n_b=n_b)
-
-
-def rhs(state: BubbleState, params: PhysicalParams,
-        n_b: float | None = None) -> tuple[np.ndarray, complex]:
-    """(drho/dt, d<a>/dt) for one bubble state; pure evaluation."""
-    nmax = state.rho.shape[0] // 3 - 1
-    model = _cached_model(params, nmax, n_b)
-    y = model.initial_flat(rho0=state.rho, a0=state.a)
-    dy = model.rhs_flat(state.t, y)
-    drho = model.rho_matrix(dy)
-    da = complex(dy[model.nsq], dy[model.nsq + 1])
-    return drho, da
-
-
 @dataclass
 class TimeSeries:
     """Sampled bubble evolution: transmission plus state diagnostics."""
@@ -335,15 +314,15 @@ _TRACE_ABORT = 1e-6
 def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
            nmax: int = DEFAULT_NMAX, rtol: float = 1e-8, atol: float = 1e-10,
            n_b: float | None = None, sample_times=None,
-           keep_states: bool = False, initial: BubbleState | None = None,
-           t0: float = 0.0) -> TimeSeries:
+           keep_states: bool = False) -> TimeSeries:
     """Integrate the bubble model and sample transmission and populations.
 
-    Starts from the empty cavity with all atoms in the ground state unless
-    ``initial`` is given.  The Hermitian-basis parametrization keeps rho
-    exactly Hermitian; a trace drift beyond 1e-6 aborts with
-    IntegrationError.  Without ``sample_times`` the samples are 0, dt, ...,
-    t_end, so ``t_end`` must be a whole multiple of ``dt``.
+    Starts at t = 0 from the empty cavity with all atoms in the ground
+    state.  The Hermitian-basis parametrization keeps rho exactly
+    Hermitian; a trace drift beyond 1e-6 at a sample aborts with
+    IntegrationError.  Samples are hit exactly by the Dormand-Prince
+    integrator of :mod:`rydcav.ode`.  Without ``sample_times`` the samples
+    are 0, dt, ..., t_end, so ``t_end`` must be a whole multiple of ``dt``.
     """
     if sample_times is None:
         if t_end <= 0:
@@ -358,10 +337,6 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
         sample_times = np.asarray(sample_times, dtype=float)
 
     model = BubbleModel(params, nmax=nmax, n_b=n_b)
-    if initial is None:
-        y0 = model.initial_flat()
-    else:
-        y0 = model.initial_flat(rho0=initial.rho, a0=initial.a)
 
     def check_trace(t, y):
         drift = abs(y[: model.dim].sum() - 1.0)
@@ -369,8 +344,8 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
             raise IntegrationError(
                 f"trace drift {drift:g} exceeds {_TRACE_ABORT:g} at t={t:g} us")
 
-    samples = integrate(model.rhs_flat, t0, y0, sample_times, rtol=rtol,
-                        atol=atol, sample_callback=check_trace)
+    samples = integrate(model.rhs_flat, 0.0, model.initial_flat(), sample_times,
+                        rtol=rtol, atol=atol, sample_callback=check_trace)
 
     npts = sample_times.size
     trans = np.empty(npts)

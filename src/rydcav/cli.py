@@ -16,7 +16,7 @@ import numpy as np
 from . import bubble, fitting, interactions, linear, meanfield
 from .datafiles import config_hash, read_xy_csv, write_csv, write_json
 from .errors import ConfigError, IntegrationError, SingularParameterError, SolverError
-from .params import load_config, params_to_dict, set_path, validate
+from .params import RydbergLevel, load_config, params_to_dict, set_path, validate
 
 _DEFAULT_FREE_EIT = "cavity.gamma_c,ensemble.cooperativity,drive.omega_cf,rydberg.gamma_r"
 
@@ -149,10 +149,7 @@ def _cmd_fit_transient(args):
 
 
 def _cmd_c6(args):
-    if args.series == "S":
-        value = interactions.c6_s(args.n)
-    else:
-        value = interactions.c6_d(args.n)
+    value = interactions.c6_coefficient(RydbergLevel(n=args.n, series=args.series))
     print(f"{value:g} GHz.um6")
     return 0
 

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
+
+import numpy as np
 
 from ._version import __version__
 
@@ -39,8 +42,6 @@ def meta_lines(meta: dict) -> list[str]:
 
 def _emit(path, text: str) -> None:
     if path is None:
-        import sys
-
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
@@ -86,6 +87,4 @@ def read_xy_csv(path):
         raise ValueError(f"no data rows found in {path}")
     if ws and len(ws) != len(xs):
         raise ValueError(f"inconsistent weight column in {path}")
-    import numpy as np
-
     return (np.array(xs), np.array(ys), np.array(ws) if ws else None)

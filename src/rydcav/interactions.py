@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SingularParameterError
-from .params import PhysicalParams, RydbergLevel, as_complex
+from .params import PhysicalParams, RydbergLevel
 
 #: prefactor sqrt(2) pi^2 / 3 of the blockade volume
 _VB_PREFACTOR = math.sqrt(2.0) * math.pi**2 / 3.0
@@ -63,7 +63,7 @@ def blockade_volume(D_e, D_r, omega_cf: float, c6: float) -> complex:
     two-photon shift; the square root is taken on the principal branch, so
     Re(V_b) >= 0.  The physical blockade size is |V_b|.
     """
-    D_e, D_r = as_complex(D_e), as_complex(D_r)
+    D_e, D_r = complex(D_e), complex(D_r)
     if c6 == 0:
         return 0j
     shifted = D_e - _dressed_shift(D_e, D_r, omega_cf)
@@ -84,7 +84,7 @@ def kappa(D_e, D_r, omega_cf: float, v_b: complex, volume: float,
 
     ``large_volume=True`` replaces V_b/(V - V_b) by V_b/V (valid V >> V_b).
     """
-    D_e, D_r = as_complex(D_e), as_complex(D_r)
+    D_e, D_r = complex(D_e), complex(D_r)
     if v_b == 0:
         return 0j
     if large_volume:

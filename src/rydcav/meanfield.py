@@ -61,6 +61,7 @@ class _Point:
     gamma_c: float
     coop_term: float   # 2 gamma_c gamma_e C
     g_root_n: float
+    v_b: complex       # blockade volume, 0 without interactions
     kappa: complex
 
 
@@ -73,12 +74,12 @@ def _point(params: PhysicalParams, delta_p=None) -> _Point:
     coop = 2.0 * gc * params.ensemble.gamma_e * params.ensemble.cooperativity
     c6 = interactions.c6_coefficient(params.rydberg)
     if c6 == 0:
-        kap = 0j
+        v_b, kap = 0j, 0j
     else:
         v_b = interactions.blockade_volume(D_e, D_r, omega, c6)
         kap = interactions.kappa(D_e, D_r, omega, v_b, params.ensemble.cloud_volume)
     return _Point(D_e, D_r, D_c, omega, params.drive.alpha, gc, coop,
-                  params.g_root_n, kap)
+                  params.g_root_n, v_b, kap)
 
 
 def _amplitudes(pt: _Point, x):
@@ -125,6 +126,7 @@ class MeanFieldSolution:
     branch_id: int
     root_count: int = 1
     blockaded_fraction: float = 0.0  # x |V_b| / V diagnostic
+    transmission: float = math.nan   # gamma_c^2 |<a>|^2 / alpha^2
 
     def __post_init__(self):
         if abs(abs(self.c) ** 2 - self.x) > 1e-9 * max(1.0, self.x):
@@ -190,13 +192,18 @@ def _find_roots(pt: _Point) -> list[float]:
     return [_newton_polish(coeffs, x) for x in _cubic_roots(*coeffs)]
 
 
+def _transmission(pt: _Point, branch, denom) -> float:
+    return float(np.abs(pt.gamma_c * branch / denom) ** 2)
+
+
 def solve_self_consistent(params: PhysicalParams, x_seed: float = 0.0,
                           delta_p=None) -> MeanFieldSolution:
     """Self-consistent steady state, following the branch nearest x_seed.
 
     When the steady-state cubic has three real roots (bistability) the one
     closest to the seed is returned and root_count reports how many there
-    are; the choice mirrors an adiabatic experimental sweep.
+    are; the choice mirrors an adiabatic experimental sweep.  The solution
+    carries its transmission, as :func:`transmission_from_solution` gives it.
     """
     pt = _point(params, delta_p)
     roots = _find_roots(pt)
@@ -205,16 +212,12 @@ def solve_self_consistent(params: PhysicalParams, x_seed: float = 0.0,
     residual = abs(float(_excitation(pt, x)) - x)
     if residual > 1e-10 * max(1.0, x):
         raise SolverError(f"root refinement stalled: residual {residual:g} at x={x:g}")
-    a, b, c, _, _ = _amplitudes(pt, x)
-    c6 = interactions.c6_coefficient(params.rydberg)
-    if c6 == 0:
-        frac = 0.0
-    else:
-        v_b = interactions.blockade_volume(pt.D_e, pt.D_r, pt.omega, c6)
-        frac = x * abs(v_b) / params.ensemble.cloud_volume
-    return MeanFieldSolution(complex(a), complex(b), complex(c), x, residual,
-                             branch_id, root_count=len(roots),
-                             blockaded_fraction=frac)
+    a, b, c, branch, denom = _amplitudes(pt, x)
+    return MeanFieldSolution(
+        complex(a), complex(b), complex(c), x, residual, branch_id,
+        root_count=len(roots),
+        blockaded_fraction=x * abs(pt.v_b) / params.ensemble.cloud_volume,
+        transmission=_transmission(pt, branch, denom))
 
 
 def transmission_from_solution(params: PhysicalParams, sol: MeanFieldSolution,
@@ -227,13 +230,12 @@ def transmission_from_solution(params: PhysicalParams, sol: MeanFieldSolution,
     """
     pt = _point(params, delta_p)
     _, _, _, branch, denom = _amplitudes(pt, sol.x)
-    return float(np.abs(pt.gamma_c * branch / denom) ** 2)
+    return _transmission(pt, branch, denom)
 
 
 def transmission_meanfield(params: PhysicalParams, delta_p=None,
                            x_seed: float = 0.0) -> float:
-    sol = solve_self_consistent(params, x_seed=x_seed, delta_p=delta_p)
-    return transmission_from_solution(params, sol, delta_p=delta_p)
+    return solve_self_consistent(params, x_seed=x_seed, delta_p=delta_p).transmission
 
 
 def dynamical_residual(params: PhysicalParams, sol: MeanFieldSolution,
@@ -265,7 +267,7 @@ def _follow_branch(points, flag_failures: bool):
                 raise
             sols.append(None)
             continue
-        t[i] = transmission_from_solution(p, sol, delta_p=dp)
+        t[i] = sol.transmission
         sols.append(sol)
         seed = sol.x
     return sols, t

@@ -3,8 +3,9 @@
 A compact embedded-pair integrator for complex-valued ODE systems.  The
 5th-order solution propagates; the difference to the embedded 4th-order
 solution drives standard step-size control.  Sample times are hit exactly
-by capping the step, and an optional ``post_step`` hook is applied to the
-state after every accepted step (used for density-matrix Hermitization).
+by capping the step.  The pair is first-same-as-last: the 7th stage is
+evaluated at the accepted step's end point, so it is reused as the next
+step's first stage and an accepted step costs six evaluations of f.
 """
 
 from __future__ import annotations
@@ -58,15 +59,15 @@ def _initial_step(f, t0, y0, f0, rtol, atol):
 
 
 def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
-              atol: float = 1e-10, post_step=None, max_step: float = np.inf,
-              sample_callback=None) -> np.ndarray:
+              atol: float = 1e-10, sample_callback=None) -> np.ndarray:
     """Integrate dy/dt = f(t, y) and return the state at each sample time.
 
     ``t_samples`` must be strictly increasing and >= t0; a sample exactly at
-    t0 returns the initial state.  ``post_step(y) -> y`` is applied after
-    every accepted step.  ``sample_callback(t, y)`` is invoked as each
-    sample is recorded and may raise to abort.  Raises IntegrationError on
-    step-size underflow.
+    t0 returns the initial state.  ``sample_callback(t, y)`` is invoked as
+    each sample is recorded and may raise to abort.  f is evaluated at most
+    once per distinct (t, y): the last stage of an accepted step is the
+    first stage of the next.  Raises IntegrationError on step-size
+    underflow.
     """
     t_samples = np.asarray(t_samples, dtype=float)
     if t_samples.ndim != 1 or t_samples.size == 0:
@@ -94,27 +95,27 @@ def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
     if isample >= n:
         return out
 
-    k0 = f(t, y)
-    h = min(_initial_step(f, t, y, k0, rtol, atol), max_step,
-            t_samples[-1] - t)
+    k[0] = f(t, y)
+    h = min(_initial_step(f, t, y, k[0], rtol, atol), t_samples[-1] - t)
 
     while isample < n:
-        h_try = min(h, max_step, t_samples[isample] - t)
+        h_try = min(h, t_samples[isample] - t)
         if h_try < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t:g}")
 
-        k[0] = k0
         for i in range(1, 7):
             yi = y + h_try * (_A[i] @ k[:i])
             k[i] = f(t + _C[i] * h_try, yi)
-        y_new = y + h_try * (_B5 @ k)
+        # _A[6] is the 5th-order weight row: the last stage's input is the
+        # step's result, and k[6] = f(t + h, y_new)
+        y_new = yi
         err = _error_norm(h_try * (_E @ k), y, y_new, rtol, atol)
 
         if err <= 1.0:
             t += h_try
-            y = y_new if post_step is None else post_step(y_new)
+            y = y_new
             record_due()
-            k0 = f(t, y) if isample < n else k0
+            k[0] = k[6]  # row copy: a rejected next step must not overwrite it
             factor = _MAX_FACTOR if err == 0 else min(
                 _MAX_FACTOR, _SAFETY * err ** -_ORDER_EXP)
             h = h_try * factor

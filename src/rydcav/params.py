@@ -103,27 +103,6 @@ class ScanSpec:
 
 
 @dataclass(frozen=True)
-class ComplexDetuning:
-    """The recurring complex quantity delta + i*gamma (MHz)."""
-
-    delta: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0 for physical damping")
-
-    @property
-    def value(self) -> complex:
-        return complex(self.delta, self.gamma)
-
-
-def as_complex(d) -> complex:
-    """Accept a ComplexDetuning or a plain complex number."""
-    return d.value if isinstance(d, ComplexDetuning) else complex(d)
-
-
-@dataclass(frozen=True)
 class PhysicalParams:
     """Validated bundle of every physical input the models need."""
 

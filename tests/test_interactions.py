@@ -205,15 +205,3 @@ class TestSummary:
         assert s.v_b == 0j
         assert s.kappa == 0j
         assert s.n_b == 1.0
-
-
-def test_complex_detuning_objects_accepted():
-    from rydcav.params import ComplexDetuning
-
-    d_e = ComplexDetuning(delta=0.0, gamma=3.0)
-    d_r = ComplexDetuning(delta=0.0, gamma=0.2)
-    via_objects = blockade_volume(d_e, d_r, 4.0, -140.0)
-    via_complex = blockade_volume(3j, 0.2j, 4.0, -140.0)
-    assert via_objects == via_complex
-    assert kappa(d_e, d_r, 4.0, via_objects, 6.8e5) == \
-        kappa(3j, 0.2j, 4.0, via_complex, 6.8e5)

@@ -71,10 +71,11 @@ class TestSolver:
     def test_dynamical_equations_satisfied(self, rng):
         for _ in range(10):
             p = random_paper_scale_params(rng)
-            sol = solve_self_consistent(p, delta_p=float(rng.uniform(-10, 10)))
-            res = meanfield.dynamical_residual(p, sol,
-                                               delta_p=None)  # default drive dp
-        # and at an explicit detuning
+            dp = float(rng.uniform(-10, 10))
+            sol = solve_self_consistent(p, delta_p=dp)
+            assert meanfield.dynamical_residual(p, sol, delta_p=dp) \
+                < 1e-9 * (p.drive.alpha + 1.0)
+        # and on the paper-scale set
         p = make_params(alpha=4.0)
         sol = solve_self_consistent(p, delta_p=2.0)
         assert meanfield.dynamical_residual(p, sol, delta_p=2.0) \
@@ -113,6 +114,24 @@ class TestBistableWindow:
         for x in roots:
             terms = (a * x**3, b * x**2, c * x, d)
             assert abs(sum(terms)) < 1e-10 * max(abs(t) for t in terms)
+
+
+    def test_rate_scan_hysteresis(self):
+        # up and down sweeps stay on different branches exactly where the
+        # cubic has three roots, and coincide where the root is unique
+        p = make_params(n=60, omega_cf=8.0, delta_cf=-10.0, delta_p=10.0)
+        up = scan_meanfield(p, ScanSpec(97.0, 102.0, 51), variable="rate")
+        down = scan_meanfield(p, ScanSpec(102.0, 97.0, 51), variable="rate")
+        assert not up.failed.any() and not down.failed.any()
+        x_down = down.x[::-1]
+        counts = up.root_count
+        np.testing.assert_array_equal(down.root_count[::-1], counts)
+        bistable = counts == 3
+        assert bistable.sum() == 31
+        assert np.all(np.abs(up.x - x_down)[bistable]
+                      > 1e-3 * np.maximum(up.x, x_down)[bistable])
+        np.testing.assert_allclose(up.x[~bistable], x_down[~bistable],
+                                   rtol=1e-9)
 
 
 class TestTransmission:
@@ -157,16 +176,17 @@ class TestScan:
 
         p = replace(paper_params, scan=ScanSpec(-15.0, 15.0, 61))
         fwd = scan_meanfield(p)
-        rev_params = replace(paper_params, scan=ScanSpec(-15.0, 15.0, 61))
-        rev = scan_meanfield(rev_params)
+        rev = scan_meanfield(replace(paper_params, scan=ScanSpec(15.0, -15.0, 61)))
         # reverse by scanning the mirrored grid (kappa depends on detuning)
         grid = p.scan.values()
         t_rev = transmission_curve(paper_params, grid[::-1])[::-1]
         unique = (fwd.root_count == 1)
         np.testing.assert_allclose(fwd.transmission[unique],
                                    t_rev[unique], rtol=1e-6)
-        assert fwd.failed.sum() == 0
-        np.testing.assert_allclose(rev.transmission, fwd.transmission, rtol=1e-12)
+        np.testing.assert_allclose(fwd.transmission[unique],
+                                   rev.transmission[::-1][unique], rtol=1e-6)
+        np.testing.assert_array_equal(rev.root_count[::-1], fwd.root_count)
+        assert fwd.failed.sum() == 0 and rev.failed.sum() == 0
 
     def test_rate_scan_mapping(self, paper_params):
         from dataclasses import replace

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rydcav.errors import ConfigError
 from rydcav.params import (
     CavityParams,
-    ComplexDetuning,
     PhysicalParams,
     RydbergLevel,
     ScanSpec,
@@ -122,13 +121,6 @@ def test_cloud_volume_gaussian():
     assert v == pytest.approx((2 * math.pi) ** 1.5 * 35.0**3, rel=1e-12)
     with pytest.raises(ValueError):
         cloud_volume_gaussian(0.0, 1.0)
-
-
-def test_complex_detuning():
-    d = ComplexDetuning(delta=-3.0, gamma=0.5)
-    assert d.value == complex(-3.0, 0.5)
-    with pytest.raises(ValueError):
-        ComplexDetuning(delta=0.0, gamma=-0.1)
 
 
 def test_gamma_s_defaults_to_gamma_r():
