@@ -165,14 +165,8 @@ class BubbleModel:
         ens, ryd, drv, cav = (params.ensemble, params.rydberg,
                               params.drive, params.cavity)
         if n_b is None:
-            c6 = interactions.c6_coefficient(ryd)
-            if c6 == 0:
-                n_b = 1.0
-            else:
-                D_e, D_r, _ = params.complex_detunings()
-                v_b = interactions.blockade_volume(D_e, D_r, drv.omega_cf, c6)
-                n_b = interactions.atoms_per_bubble(ens.atom_number, v_b,
-                                                    ens.cloud_volume)
+            n_b = interactions.atoms_per_bubble(
+                ens.atom_number, interactions.blockade(params)[0], ens.cloud_volume)
         self.n_b = float(n_b)
 
         ge_a = to_angular(ens.gamma_e)
@@ -387,6 +381,10 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
     """
     if convergence <= 0:
         raise ValueError("convergence threshold must be > 0")
+    if window <= 0:
+        raise ValueError("window must be > 0")
+    if t_max <= 0:
+        raise ValueError("t_max must be > 0")
     model = BubbleModel(params, nmax=nmax, n_b=n_b)
     y = model.initial_flat()
     t = 0.0

@@ -29,7 +29,7 @@ def config_hash(tree: dict) -> str:
 
 
 def format_number(v) -> str:
-    if isinstance(v, (int,)) and not isinstance(v, bool):
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
         return str(v)
     return repr(float(v))
 
@@ -64,13 +64,14 @@ def write_json(path, payload: dict, meta: dict | None = None) -> None:
 def read_xy_csv(path):
     """Read data columns x, y and optional weights from a CSV file.
 
-    Comment lines (#) and a single non-numeric header line are skipped.
+    Comment lines (#) and a single non-numeric header line are skipped; a
+    numeric row without a y column is an error naming its line.
     A third column is interpreted as per-point weights only when rows have
     exactly three columns (wider files carry diagnostics, not weights).
     """
     xs, ys, ws = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -79,6 +80,8 @@ def read_xy_csv(path):
                 vals = [float(p) for p in parts]
             except ValueError:
                 continue  # header line
+            if len(vals) < 2:
+                raise ValueError(f"{path}:{lineno}: need x and y columns, got one")
             xs.append(vals[0])
             ys.append(vals[1])
             if len(vals) == 3:

@@ -11,7 +11,7 @@ from the residual-variance-scaled inverse of J^T J.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,9 @@ _DEFAULT_BOUNDS = {
 }
 _UNFITTABLE = {"n", "series", "atom_number"}
 
+#: relative central-difference step for the closed-form models
+_EPS_CBRT = float(np.finfo(float).eps ** (1 / 3))
+
 
 def default_bounds(path: str) -> tuple[float, float]:
     name = path.partition(".")[2]
@@ -51,7 +54,12 @@ def poisson_weights(y, floor: float = 1e-6) -> np.ndarray:
 
 @dataclass
 class FitProblem:
-    """Data, model selector and free-parameter description for one fit."""
+    """Data, model selector and free-parameter description for one fit.
+
+    The box constraints ``lower``/``upper`` come from :func:`default_bounds`
+    and must contain the initial guess.  ``model_options`` passes ``nmax``,
+    ``rtol`` and ``atol`` to the bubble transient.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -60,12 +68,7 @@ class FitProblem:
     free: tuple[str, ...]
     weights: np.ndarray | None = None
     initial: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
     model_options: dict = field(default_factory=dict)
-    #: relative finite-difference step; ODE-backed models need a step well
-    #: above the integrator noise floor
-    diff_step: float | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -94,20 +97,18 @@ class FitProblem:
                                      for p in self.free])
         else:
             self.initial = np.asarray(self.initial, dtype=float)
-        bounds = [default_bounds(p) for p in self.free]
-        if self.lower is None:
-            self.lower = np.array([b[0] for b in bounds])
-        else:
-            self.lower = np.asarray(self.lower, dtype=float)
-        if self.upper is None:
-            self.upper = np.array([b[1] for b in bounds])
-        else:
-            self.upper = np.asarray(self.upper, dtype=float)
+        self.lower, self.upper = np.array([default_bounds(p) for p in self.free]).T
         if np.any(self.initial < self.lower) or np.any(self.initial > self.upper):
             raise ValueError("bounds must contain the initial guess")
-        if self.diff_step is None:
-            self.diff_step = (1e-3 if self.model == "bubble_transient"
-                              else float(np.finfo(float).eps ** (1 / 3)))
+
+    @property
+    def diff_step(self) -> float:
+        """Relative finite-difference step of the Jacobian.
+
+        The ODE-backed transient needs a step well above the integrator
+        noise floor; the closed-form models use eps^(1/3).
+        """
+        return 1e-3 if self.model == "bubble_transient" else _EPS_CBRT
 
     def params_at(self, theta) -> PhysicalParams:
         return set_paths(self.base_params, dict(zip(self.free, theta)))
@@ -125,7 +126,6 @@ class FitProblem:
             nmax=opts.get("nmax", bubble.DEFAULT_NMAX),
             rtol=opts.get("rtol", 1e-6),
             atol=opts.get("atol", 1e-9),
-            n_b=opts.get("n_b"),
             sample_times=self.x,
         )
         return series.transmission
@@ -155,20 +155,14 @@ class FitResult:
         }
 
 
-def jacobian(fun, theta, h=None, rel_step=None) -> np.ndarray:
+def jacobian(fun, theta, rel_step: float) -> np.ndarray:
     """Central-difference Jacobian of fun(theta) -> vector.
 
     The step adapts to each parameter's magnitude,
-    h_j = rel_step * max(|theta_j|, 1e-2) (rel_step defaults to eps^(1/3));
-    pass ``h`` (scalar or vector) to override, e.g. for step-halving
-    accuracy checks.
+    h_j = rel_step * max(|theta_j|, 1e-2).
     """
     theta = np.asarray(theta, dtype=float)
-    if h is None:
-        rel = float(np.finfo(float).eps ** (1 / 3)) if rel_step is None else rel_step
-        h = rel * np.maximum(np.abs(theta), 1e-2)
-    else:
-        h = np.broadcast_to(np.asarray(h, dtype=float), theta.shape).copy()
+    h = rel_step * np.maximum(np.abs(theta), 1e-2)
     cols = []
     for j in range(theta.size):
         tp, tm = theta.copy(), theta.copy()
@@ -291,16 +285,6 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
         message=message,
         objective_history=history,
     )
-
-
-def fit_multi_start(problem: FitProblem, starts) -> FitResult:
-    """Run the fit from several initial vectors, keep the best outcome."""
-    best = None
-    for start in starts:
-        res = fit(replace(problem, initial=np.asarray(start, dtype=float)))
-        if best is None or res.residual_norm < best.residual_norm:
-            best = res
-    return best
 
 
 @dataclass

@@ -3,7 +3,8 @@
 The S- and D-series C6 coefficients follow the standard rubidium
 parametrizations (GHz.um^6, for the pair potential written as -C6/r^6).
 The complex blockade volume V_b and the mean-field interaction constant
-kappa are evaluated from the complex detunings D_e, D_r of the EIT ladder;
+kappa are evaluated from the complex detunings D_e, D_r of the EIT ladder
+(:func:`blockade` derives both from a parameter bundle, for every model);
 kappa enters the Rydberg coherence as an intensity-dependent complex shift
 D_r -> D_r - kappa * |<c>|^2.
 """
@@ -72,8 +73,7 @@ def blockade_volume(D_e, D_r, omega_cf: float, c6: float) -> complex:
     return _VB_PREFACTOR * cmath.sqrt(c6 * _GHZ_TO_MHZ / shifted)
 
 
-def kappa(D_e, D_r, omega_cf: float, v_b: complex, volume: float,
-          large_volume: bool = False) -> complex:
+def kappa(D_e, D_r, omega_cf: float, v_b: complex, volume: float) -> complex:
     """Mean-field interaction constant (complex, MHz).
 
     kappa = 2 (V_b / (V - V_b)) (s - D_r) with s the dressed two-photon
@@ -81,19 +81,29 @@ def kappa(D_e, D_r, omega_cf: float, v_b: complex, volume: float,
     the principal-branch V_b, Im(kappa) <= 0: the interaction then acts on
     the Rydberg coherence as saturable extra damping plus a line shift,
     never as gain, which is what a blockade must do.
-
-    ``large_volume=True`` replaces V_b/(V - V_b) by V_b/V (valid V >> V_b).
     """
     D_e, D_r = complex(D_e), complex(D_r)
     if v_b == 0:
         return 0j
-    if large_volume:
-        ratio = v_b / volume
-    else:
-        if abs(volume - v_b) < _CHAIN_FLOOR:
-            raise SingularParameterError("cloud volume equals blockade volume")
-        ratio = v_b / (volume - v_b)
-    return 2.0 * ratio * (_dressed_shift(D_e, D_r, omega_cf) - D_r)
+    if abs(volume - v_b) < _CHAIN_FLOOR:
+        raise SingularParameterError("cloud volume equals blockade volume")
+    return 2.0 * (v_b / (volume - v_b)) * (_dressed_shift(D_e, D_r, omega_cf) - D_r)
+
+
+def blockade(params: PhysicalParams,
+             delta_p: float | None = None) -> tuple[complex, complex]:
+    """(V_b, kappa) at the given probe detuning; (0, 0) without interactions.
+
+    The one derivation C6 -> V_b -> kappa from a parameter bundle, shared by
+    the mean-field model (kappa) and the bubble model (n_b from V_b).
+    """
+    c6 = c6_coefficient(params.rydberg)
+    if c6 == 0:
+        return 0j, 0j
+    D_e, D_r, _ = params.complex_detunings(delta_p)
+    omega = params.drive.omega_cf
+    v_b = blockade_volume(D_e, D_r, omega, c6)
+    return v_b, kappa(D_e, D_r, omega, v_b, params.ensemble.cloud_volume)
 
 
 def atoms_per_bubble(atom_number: int, v_b: complex, volume: float) -> float:
@@ -113,17 +123,10 @@ class InteractionSummary:
     bubble_count: float    # N / n_b
 
 
-def summarize(params: PhysicalParams, delta_p: float | None = None,
-              large_volume: bool = False) -> InteractionSummary:
-    """Interaction quantities at the given probe detuning."""
-    D_e, D_r, _ = params.complex_detunings(delta_p)
-    omega = params.drive.omega_cf
-    c6 = c6_coefficient(params.rydberg)
-    v_b = blockade_volume(D_e, D_r, omega, c6)
-    vol = params.ensemble.cloud_volume
-    kap = kappa(D_e, D_r, omega, v_b, vol, large_volume=large_volume)
-    n_b = atoms_per_bubble(params.ensemble.atom_number, v_b, vol)
-    return InteractionSummary(
-        c6=c6, v_b=v_b, kappa=kap, n_b=n_b,
-        bubble_count=params.ensemble.atom_number / n_b,
-    )
+def summarize(params: PhysicalParams, delta_p: float | None = None) -> InteractionSummary:
+    """Interaction quantities at the given probe detuning, from :func:`blockade`."""
+    v_b, kap = blockade(params, delta_p)
+    n = params.ensemble.atom_number
+    n_b = atoms_per_bubble(n, v_b, params.ensemble.cloud_volume)
+    return InteractionSummary(c6=c6_coefficient(params.rydberg), v_b=v_b,
+                              kappa=kap, n_b=n_b, bubble_count=n / n_b)

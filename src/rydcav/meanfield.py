@@ -72,12 +72,7 @@ def _point(params: PhysicalParams, delta_p=None) -> _Point:
     omega = params.drive.omega_cf
     gc = params.cavity.gamma_c
     coop = 2.0 * gc * params.ensemble.gamma_e * params.ensemble.cooperativity
-    c6 = interactions.c6_coefficient(params.rydberg)
-    if c6 == 0:
-        v_b, kap = 0j, 0j
-    else:
-        v_b = interactions.blockade_volume(D_e, D_r, omega, c6)
-        kap = interactions.kappa(D_e, D_r, omega, v_b, params.ensemble.cloud_volume)
+    v_b, kap = interactions.blockade(params, delta_p)
     return _Point(D_e, D_r, D_c, omega, params.drive.alpha, gc, coop,
                   params.g_root_n, v_b, kap)
 

@@ -22,11 +22,12 @@ from dataclasses import dataclass, fields, replace
 from typing import Any
 
 import numpy as np
-from scipy.constants import c as _SPEED_OF_LIGHT  # m/s
 
 from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
+
+_SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact in the SI
 
 
 def to_angular(f: float) -> float:

@@ -237,8 +237,10 @@ class TestSteady:
         assert t_on.transmission <= t_off.transmission
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            steady_transmission_bubble(weak_drive_params(), convergence=0.0)
+        for bad in ({"convergence": 0.0}, {"window": 0.0}, {"window": -1.0},
+                    {"t_max": 0.0}, {"t_max": -5.0}):
+            with pytest.raises(ValueError):
+                steady_transmission_bubble(weak_drive_params(), nmax=1, **bad)
 
 
 class TestTimeSeries:
@@ -274,8 +276,12 @@ def test_collective_coupling_constants():
 
 
 def test_n_b_computed_from_interactions_when_not_given():
-    from rydcav.interactions import summarize
+    from rydcav.interactions import atoms_per_bubble, blockade_volume, c6_d
 
     p = make_params(n=85, series="D", gamma_r=0.05)
     model = BubbleModel(p, nmax=1)
-    assert model.n_b == pytest.approx(summarize(p).n_b, rel=1e-12)
+    D_e, D_r, _ = p.complex_detunings()
+    v_b = blockade_volume(D_e, D_r, p.drive.omega_cf, c6_d(85))
+    want = atoms_per_bubble(p.ensemble.atom_number, v_b, p.ensemble.cloud_volume)
+    assert want > 1.0
+    assert model.n_b == pytest.approx(want, rel=1e-12)

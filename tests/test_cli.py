@@ -172,6 +172,17 @@ class TestBubbleCommands:
         assert doc["converged"] is True
         assert 0.0 <= doc["transmission"] <= 1.0
 
+    def test_steady_nonpositive_window_or_t_max(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        for flag, value in (("--window", "0"), ("--window", "-1"),
+                            ("--t-max", "0")):
+            rc = main(["bubble-steady", "--config", str(cfg),
+                       "--out", str(tmp_path / "steady.json"), "--nmax", "1",
+                       flag, value])
+            assert rc == 1
+            assert "must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "steady.json").exists()
+
     def test_solver_failure_exit_code(self, tmp_path):
         # control dressing tuned to the singular point of the blockade chain
         cfg = write_config(tmp_path, gamma_e=0.0, gamma_r=0.0, delta_p=2.0,
@@ -221,6 +232,16 @@ class TestFitCommands:
         bad.write_text("# nothing\n")
         rc = main(["fit-eit", "--config", str(cfg), "--data", str(bad)])
         assert rc == 1
+
+    def test_fit_eit_one_column_data_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        bad = tmp_path / "one_column.csv"
+        bad.write_text("# x only\nx\n1.0\n2.0\n")
+        rc = main(["fit-eit", "--config", str(cfg), "--data", str(bad)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{bad}:3" in err
 
 
 def test_read_xy_csv_with_weights(tmp_path):

@@ -7,7 +7,6 @@ from rydcav.fitting import (
     FitProblem,
     XiEstimate,
     fit,
-    fit_multi_start,
     fit_xi_series,
     jacobian,
     poisson_weights,
@@ -84,10 +83,9 @@ class TestEngineProperties:
             return transmission_linear(p, grid)
 
         theta = EIT_TRUTH.copy()
-        h0 = 1e-3 * np.maximum(np.abs(theta), 1e-2)
-        j1 = jacobian(model, theta, h=h0)
-        j2 = jacobian(model, theta, h=h0 / 2)
-        j4 = jacobian(model, theta, h=h0 / 4)
+        j1 = jacobian(model, theta, rel_step=1e-3)
+        j2 = jacobian(model, theta, rel_step=5e-4)
+        j4 = jacobian(model, theta, rel_step=2.5e-4)
         num = np.linalg.norm(j1 - j2)
         den = np.linalg.norm(j2 - j4)
         assert 3.5 <= num / den <= 4.5
@@ -125,30 +123,6 @@ class TestEngineProperties:
         assert np.isnan(res.ci95[1])
         assert np.isfinite(res.ci95[0])
         assert res.best_fit[0] == pytest.approx(10.0, rel=1e-6)
-
-    def test_multi_start_picks_best(self, clean_spectrum):
-        _, y = clean_spectrum
-        prob = eit_problem(y)
-        res = fit_multi_start(prob, [np.array([20.0, 1.0, 8.0, 1.0]),
-                                     np.array([10.5, 4.8, 4.2, 0.22])])
-        np.testing.assert_allclose(res.best_fit, EIT_TRUTH, rtol=1e-5)
-
-    def test_multi_start_keeps_diff_step(self, clean_spectrum, monkeypatch):
-        from dataclasses import replace
-
-        _, y = clean_spectrum
-        prob = replace(eit_problem(y), diff_step=1e-2)
-        seen = []
-        real = fitting.fit
-
-        def recording(problem, **kwargs):
-            seen.append(problem.diff_step)
-            return real(problem, **kwargs)
-
-        monkeypatch.setattr(fitting, "fit", recording)
-        fit_multi_start(prob, [np.array([11.0, 4.5, 4.5, 0.25]),
-                               np.array([10.5, 4.8, 4.2, 0.22])])
-        assert seen == [1e-2, 1e-2]
 
     def test_nan_data_rejected_fast(self, clean_spectrum):
         _, y = clean_spectrum

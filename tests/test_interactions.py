@@ -143,17 +143,6 @@ class TestKappa:
         assert got == pytest.approx(0.0050080119052119389 - 0.0049849464740147616j,
                                     rel=1e-9)
 
-    def test_large_volume_first_order(self):
-        v_b = self._vb()
-        for scale in (1.0, 3.0, 10.0, 25.0):
-            vol = abs(v_b) / 0.002 / scale  # |v_b|/V from 0.002 to 0.05
-            exact = kappa(self.D_E, self.D_R, self.OMEGA, v_b, vol)
-            approx = kappa(self.D_E, self.D_R, self.OMEGA, v_b, vol,
-                           large_volume=True)
-            ratio = abs(v_b) / vol
-            assert ratio <= 0.0501
-            assert abs(exact - approx) / abs(exact) <= 2 * ratio
-
     def test_damping_sign_on_resonance(self):
         # composite sign convention: on two-photon resonance the interaction
         # removes transparency, never adds it

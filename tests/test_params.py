@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -24,6 +28,7 @@ from rydcav.params import (
     validate,
 )
 
+import rydcav
 from conftest import make_params
 
 
@@ -114,6 +119,19 @@ class TestLinewidth:
             linewidth_from_geometry(0.0, 120.0)
         with pytest.raises(ValueError):
             linewidth_from_geometry(0.066, -1.0)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency: importing the package must not
+    # pull scipy in (it costs import time and resident memory on every run)
+    src = str(Path(rydcav.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, rydcav; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cloud_volume_gaussian():

@@ -28,7 +28,7 @@ class TestDataFiles:
                 assert float(s) == v
             else:
                 assert s == "nan"
-        assert format_number(7) == "7"
+        assert format_number(7) == format_number(np.int64(7)) == "7"
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "out.csv"
