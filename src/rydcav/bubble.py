@@ -26,6 +26,11 @@ Internally rho is propagated as its coefficient vector in a real
 orthonormal basis of Hermitian matrices, which enforces the Hermitization
 rho <- (rho + rho+)/2 exactly at every step (the state simply cannot leave
 the Hermitian subspace) and halves the integration cost.
+
+On request the forward sensitivity s = dy/dxi of that state vector is
+integrated next to it (ds/dt = J s + df/dxi, J the exact Jacobian of the
+right-hand side, built from the same generator blocks), which gives the
+exact derivative dT/dxi of the sampled transmission from one run.
 """
 
 from __future__ import annotations
@@ -151,10 +156,12 @@ class BubbleModel:
     Hermitian basis; each evaluation is then a single stacked real
     matrix-vector product, with the cavity-coupling blocks scaled by
     Re<a>, Im<a> and the nonlinear dark-state block by xi <sigma_RR>.
+    The dark-state block is built when xi != 0 or when ``xi_sensitivity``
+    asks for :meth:`rhs_sensitivity`, whose df/dxi needs it even at xi = 0.
     """
 
     def __init__(self, params: PhysicalParams, nmax: int = DEFAULT_NMAX,
-                 n_b: float | None = None):
+                 n_b: float | None = None, xi_sensitivity: bool = False):
         self.params = params
         self.nmax = nmax
         self.ops = build_operators(nmax)
@@ -201,7 +208,7 @@ class BubbleModel:
         blocks_c = [l_const,
                     -1j * _sop_commutator(h_re, eye),
                     -1j * _sop_commutator(h_im, eye)]
-        if self.xi_a != 0.0:
+        if self.xi_a != 0.0 or xi_sensitivity:
             blocks_c.append(_sop_dissipator(ops.sigma_SR, eye))
 
         # project onto the real Hermitian basis (exact for generators that
@@ -225,6 +232,10 @@ class BubbleModel:
             (ops.sigma_RR.T.reshape(-1) @ self._basis).real)
         self._w_ss = np.ascontiguousarray(
             (ops.sigma_SS.T.reshape(-1) @ self._basis).real)
+        if xi_sensitivity:
+            # rows w_RR, Im<beta>, -Re<beta>; the linear cavity map of (Re, Im)<a>
+            self._w_sens = np.vstack((self._w_rr, self._w_beta_im, -self._w_beta_re))
+            self._cavity_map = np.array([[-gc_a, -dc_a], [dc_a, -gc_a]])
 
     # --- state layout: y[:d*d] = Hermitian-basis coefficients of rho,
     #     y[d*d] = Re<a>, y[d*d+1] = Im<a> ----------------------------------
@@ -259,6 +270,35 @@ class BubbleModel:
                              - self.prefactor_a * beta_re - self.alpha_a)
         return out
 
+    def rhs_sensitivity(self, t, z):
+        """Right-hand side of the stacked state z = [y, s], s = dy/dxi.
+
+        ds/dt = J s + df/dxi, where J s collects the block products of s_r,
+        the cavity columns s_ar L1 r and s_ai L2 r, the rank-1 term
+        xi (w_RR . s_r) L3 r and the cavity rows applied to s, and
+        df/dxi = 2 pi (w_RR . r) L3 r (xi in MHz).  One product of the
+        stacked blocks with [r, s_r] serves both halves.  Needs a model
+        built with ``xi_sensitivity=True``.
+        """
+        n, nsq = self.nsq + 2, self.nsq
+        zz = z.reshape(2, n)
+        rs = zz[:, :nsq]                                 # rows r, s_r
+        # rows L0 r, L1 r, L2 r, L3 r, then the same blocks applied to s_r
+        prods = (rs @ self._stacked.T).reshape(2 * self._nblocks, nsq)
+        (rr, beta_im, mbeta_re), (rr_s, sbeta_im, msbeta_re) = rs @ self._w_sens.T
+        ar, ai, s_ar, s_ai = zz[0, nsq], zz[0, nsq + 1], zz[1, nsq], zz[1, nsq + 1]
+        w = self.xi_a * rr
+        coef = np.array([[1.0, ar, ai, w, 0.0, 0.0, 0.0, 0.0],
+                         [0.0, s_ar, s_ai, self.xi_a * rr_s + 2.0 * math.pi * rr,
+                          1.0, ar, ai, w]])
+        out = np.empty((2, n))
+        out[:, :nsq] = coef @ prods
+        out[:, nsq:] = (zz[:, nsq:] @ self._cavity_map.T
+                        + self.prefactor_a * np.array([[beta_im, mbeta_re],
+                                                       [sbeta_im, msbeta_re]]))
+        out[0, nsq + 1] -= self.alpha_a   # the drive does not depend on xi
+        return out.reshape(-1)
+
     def cavity_amplitude(self, y) -> complex:
         return complex(y[self.nsq], y[self.nsq + 1])
 
@@ -290,6 +330,7 @@ class TimeSeries:
     trace_error: np.ndarray
     metadata: dict = field(default_factory=dict)
     states: list[BubbleState] | None = None
+    dT_dxi: np.ndarray | None = None     # per MHz; evolve(xi_sensitivity=True)
 
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0):
@@ -308,7 +349,8 @@ _TRACE_ABORT = 1e-6
 def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
            nmax: int = DEFAULT_NMAX, rtol: float = 1e-8, atol: float = 1e-10,
            n_b: float | None = None, sample_times=None,
-           keep_states: bool = False) -> TimeSeries:
+           keep_states: bool = False,
+           xi_sensitivity: bool = False) -> TimeSeries:
     """Integrate the bubble model and sample transmission and populations.
 
     Starts at t = 0 from the empty cavity with all atoms in the ground
@@ -317,6 +359,11 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     IntegrationError.  Samples are hit exactly by the Dormand-Prince
     integrator of :mod:`rydcav.ode`.  Without ``sample_times`` the samples
     are 0, dt, ..., t_end, so ``t_end`` must be a whole multiple of ``dt``.
+
+    With ``xi_sensitivity`` the forward sensitivity s = dy/dxi (zero at
+    t = 0) is integrated in the same run, under the same error control,
+    and ``dT_dxi`` holds dT/dxi = 2 gamma_c^2 (Re<a> s_ar + Im<a> s_ai) /
+    alpha^2 at each sample.
     """
     if sample_times is None:
         if t_end <= 0:
@@ -330,7 +377,7 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     else:
         sample_times = np.asarray(sample_times, dtype=float)
 
-    model = BubbleModel(params, nmax=nmax, n_b=n_b)
+    model = BubbleModel(params, nmax=nmax, n_b=n_b, xi_sensitivity=xi_sensitivity)
 
     def check_trace(t, y):
         drift = abs(y[: model.dim].sum() - 1.0)
@@ -338,8 +385,11 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
             raise IntegrationError(
                 f"trace drift {drift:g} exceeds {_TRACE_ABORT:g} at t={t:g} us")
 
-    samples = integrate(model.rhs_flat, 0.0, model.initial_flat(), sample_times,
-                        rtol=rtol, atol=atol, sample_callback=check_trace)
+    rhs, y0 = model.rhs_flat, model.initial_flat()
+    if xi_sensitivity:   # samples are [y, s]; y leads, so check_trace holds
+        rhs, y0 = model.rhs_sensitivity, np.concatenate((y0, np.zeros_like(y0)))
+    samples = integrate(rhs, 0.0, y0, sample_times, rtol=rtol, atol=atol,
+                        sample_callback=check_trace)
 
     npts = sample_times.size
     trans = np.empty(npts)
@@ -357,10 +407,19 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
         if keep_states:
             states.append(model.state_from_flat(y, float(sample_times[i])))
 
+    dT_dxi = None
+    if xi_sensitivity:
+        # T = 0 without drive (BubbleModel.transmission), so is dT/dxi
+        gain = (0.0 if model.alpha_a == 0.0
+                else 2.0 * model.gamma_c_a**2 / model.alpha_a**2)
+        a_re_im = samples[:, model.nsq:model.nsq + 2]
+        s_re_im = samples[:, -2:]
+        dT_dxi = gain * np.sum(a_re_im * s_re_im, axis=1)
+
     meta = {"params": params_to_dict(params), "nmax": nmax, "rtol": rtol,
             "n_b": model.n_b}
     return TimeSeries(sample_times, trans, pop_r, pop_s, terr,
-                      metadata=meta, states=states)
+                      metadata=meta, states=states, dT_dxi=dT_dxi)
 
 
 @dataclass

@@ -64,22 +64,27 @@ def write_json(path, payload: dict, meta: dict | None = None) -> None:
 def read_xy_csv(path):
     """Read data columns x, y and optional weights from a CSV file.
 
-    Comment lines (#) and a single non-numeric header line are skipped; a
-    numeric row without a y column is an error naming its line.
+    Comment lines (#) are skipped, and so is the first other line when it
+    is not numeric (the header); any later non-numeric row, or a numeric
+    row without a y column, is an error naming its line.
     A third column is interpreted as per-point weights only when rows have
     exactly three columns (wider files carry diagnostics, not weights).
     """
     xs, ys, ws = [], [], []
+    first = True
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
+            header_allowed, first = first, False
             try:
-                vals = [float(p) for p in parts]
+                vals = [float(p) for p in line.split(",")]
             except ValueError:
-                continue  # header line
+                if header_allowed:
+                    continue
+                raise ValueError(f"{path}:{lineno}: non-numeric data row "
+                                 f"{line!r}") from None
             if len(vals) < 2:
                 raise ValueError(f"{path}:{lineno}: need x and y columns, got one")
             xs.append(vals[0])

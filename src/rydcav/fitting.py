@@ -4,7 +4,9 @@ Fits any of the three forward models (closed-form linear spectrum,
 mean-field nonlinear spectrum, bubble-model transient) to measured data by
 minimizing sum_i w_i (y_i - model(x_i; theta))^2 over a chosen subset of
 the physical parameters.  The minimizer is a Levenberg-Marquardt trust
-region with a central-difference Jacobian; 95% confidence intervals come
+region.  Its Jacobian is exact where the model run yields one (the bubble
+transient with xi as the only free parameter integrates dT/dxi next to the
+state) and a central difference otherwise; 95% confidence intervals come
 from the residual-variance-scaled inverse of J^T J.
 """
 
@@ -58,7 +60,9 @@ class FitProblem:
 
     The box constraints ``lower``/``upper`` come from :func:`default_bounds`
     and must contain the initial guess.  ``model_options`` passes ``nmax``,
-    ``rtol`` and ``atol`` to the bubble transient.
+    ``rtol`` and ``atol`` to the bubble transient.  A bubble transient with
+    ``free == ("rydberg.xi",)`` is run with its forward sensitivity, and the
+    problem keeps the dT/dxi column of its last run (:meth:`exact_jacobian`).
     """
 
     x: np.ndarray
@@ -100,13 +104,23 @@ class FitProblem:
         self.lower, self.upper = np.array([default_bounds(p) for p in self.free]).T
         if np.any(self.initial < self.lower) or np.any(self.initial > self.upper):
             raise ValueError("bounds must contain the initial guess")
+        self._last_run = None   # (theta, dT/dxi column) of the last sensitivity run
+
+    @property
+    def jacobian_source(self) -> str:
+        """"forward-sensitivity" where the model run yields the Jacobian,
+        else "central-difference"."""
+        if self.model == "bubble_transient" and self.free == ("rydberg.xi",):
+            return "forward-sensitivity"
+        return "central-difference"
 
     @property
     def diff_step(self) -> float:
-        """Relative finite-difference step of the Jacobian.
+        """Relative step of the central-difference Jacobian.
 
-        The ODE-backed transient needs a step well above the integrator
-        noise floor; the closed-form models use eps^(1/3).
+        Used only where the model run yields no sensitivity.  The
+        ODE-backed transient needs a step well above the integrator noise
+        floor; the closed-form models use eps^(1/3).
         """
         return 1e-3 if self.model == "bubble_transient" else _EPS_CBRT
 
@@ -120,6 +134,7 @@ class FitProblem:
         if self.model == "meanfield":
             return meanfield.transmission_curve(p, self.x)
         opts = self.model_options
+        sensitivity = self.jacobian_source == "forward-sensitivity"
         series = bubble.evolve(
             p,
             t_end=float(self.x[-1]),
@@ -127,8 +142,23 @@ class FitProblem:
             rtol=opts.get("rtol", 1e-6),
             atol=opts.get("atol", 1e-9),
             sample_times=self.x,
+            xi_sensitivity=sensitivity,
         )
+        if sensitivity:
+            self._last_run = (np.array(theta, dtype=float),
+                              series.dT_dxi[:, None])
         return series.transmission
+
+    def exact_jacobian(self, theta) -> np.ndarray:
+        """Model Jacobian at theta from the sensitivity run at theta.
+
+        Takes the column kept by the last :meth:`model_curve` call when it
+        ran at theta, so a residual and its Jacobian cost one run; runs the
+        model otherwise.  Only for ``jacobian_source == "forward-sensitivity"``.
+        """
+        if self._last_run is None or not np.array_equal(self._last_run[0], theta):
+            self.model_curve(theta)
+        return self._last_run[1]
 
 
 @dataclass
@@ -142,6 +172,8 @@ class FitResult:
     iterations: int
     message: str = ""
     objective_history: list[float] = field(default_factory=list)
+    model_evals: int = 0
+    jacobian_source: str = "central-difference"
 
     def as_dict(self) -> dict:
         return {
@@ -152,6 +184,8 @@ class FitResult:
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
             "message": self.message,
+            "model_evals": int(self.model_evals),
+            "jacobian_source": self.jacobian_source,
         }
 
 
@@ -204,18 +238,31 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
     The damping parameter follows Nielsen's gain-ratio update; trial steps
     are projected onto the parameter box.  The objective over accepted
     steps is recorded in ``objective_history`` (monotonically decreasing by
-    construction).
+    construction).  The Jacobian at an accepted point comes from the
+    problem's forward sensitivity when it has one, with no model run beyond
+    the residual's; ``model_evals`` counts every model run.
     """
     w = problem.weights if problem.weights is not None else np.ones_like(problem.y)
     sqrt_w = np.sqrt(w)
     lo, hi = problem.lower, problem.upper
+    source = problem.jacobian_source
+    evals = 0
+
+    def model(theta):
+        nonlocal evals
+        evals += 1
+        return problem.model_curve(theta)
 
     def residuals(theta):
-        return sqrt_w * (problem.y - problem.model_curve(theta))
+        return sqrt_w * (problem.y - model(theta))
 
     def weighted_jacobian(theta):
-        return -jacobian(problem.model_curve, theta,
-                         rel_step=problem.diff_step) * sqrt_w[:, None]
+        # always evaluated at the point of the last residual
+        if source == "forward-sensitivity":
+            jac = problem.exact_jacobian(theta)
+        else:
+            jac = jacobian(model, theta, rel_step=problem.diff_step)
+        return -jac * sqrt_w[:, None]
 
     theta = np.clip(problem.initial, lo, hi).astype(float)
     r = residuals(theta)
@@ -284,6 +331,8 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
         iterations=iterations,
         message=message,
         objective_history=history,
+        model_evals=evals,
+        jacobian_source=source,
     )
 
 

@@ -9,6 +9,7 @@ from rydcav.bubble import (
     steady_transmission_bubble,
 )
 from rydcav.linear import transmission_linear
+from rydcav.ode import integrate
 
 from conftest import make_params
 
@@ -207,6 +208,84 @@ class TestEvolve:
         assert series.metadata["nmax"] == 2
         assert series.metadata["n_b"] > 1.0
         assert series.metadata["params"]["rydberg"]["n"] == 85
+
+
+class TestXiSensitivity:
+    """dT/dxi from the forward sensitivity against finite differences."""
+
+    TIGHT = dict(t_end=16.0, dt=1.0, nmax=2, rtol=1e-10, atol=1e-12)
+
+    def transmission(self, xi):
+        return evolve(transient_params(xi=xi), **self.TIGHT).transmission
+
+    @pytest.mark.parametrize("xi", [1.1, 2.3])
+    def test_matches_step_halved_central_difference(self, xi):
+        exact = evolve(transient_params(xi=xi), xi_sensitivity=True,
+                       **self.TIGHT).dT_dxi
+        scale = np.abs(exact).max()
+
+        def central(h):
+            return (self.transmission(xi + h) - self.transmission(xi - h)) / (2 * h)
+
+        wide, narrow = central(0.04), central(0.02)
+        err_wide = np.abs(wide - exact).max()
+        err_narrow = np.abs(narrow - exact).max()
+        # second-order convergence onto the sensitivity, not onto a nearby value
+        assert 3.6 < err_wide / err_narrow < 4.4
+        richardson = (4.0 * narrow - wide) / 3.0
+        assert np.abs(richardson - exact).max() < 1e-5 * scale
+
+    def test_one_sided_difference_at_xi_zero(self):
+        # df/dxi needs the dark-state block that xi = 0 alone would omit
+        exact = evolve(transient_params(xi=0.0), xi_sensitivity=True,
+                       **self.TIGHT).dT_dxi
+        scale = np.abs(exact).max()
+        assert scale > 0.0
+        base = self.transmission(0.0)
+
+        def forward(h):
+            return (self.transmission(h) - base) / h
+
+        wide, narrow = forward(0.01), forward(0.005)
+        err_wide = np.abs(wide - exact).max()
+        err_narrow = np.abs(narrow - exact).max()
+        assert 1.8 < err_wide / err_narrow < 2.2
+        assert np.abs(2.0 * narrow - wide - exact).max() < 5e-4 * scale
+
+    def test_sensitivity_is_traceless(self):
+        model = BubbleModel(transient_params(xi=1.1), nmax=2, xi_sensitivity=True)
+        y0 = model.initial_flat()
+        z = integrate(model.rhs_sensitivity, 0.0,
+                      np.concatenate((y0, np.zeros_like(y0))),
+                      np.arange(1.0, 17.0), rtol=1e-10, atol=1e-12)
+        s_r = z[:, model.nsq + 2:2 * model.nsq + 2]
+        assert np.abs(s_r).max() > 1e-3
+        assert np.abs(s_r[:, :model.dim].sum(axis=1)).max() < 1e-12
+
+    def test_rhs_state_half_equals_rhs_flat(self, rng):
+        model = BubbleModel(transient_params(xi=1.1), nmax=2, xi_sensitivity=True)
+        z = rng.standard_normal(2 * (model.nsq + 2))
+        out = model.rhs_sensitivity(0.0, z)
+        want = model.rhs_flat(0.0, z[:model.nsq + 2])
+        np.testing.assert_allclose(out[:model.nsq + 2], want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("xi", [0.0, 1.1, 2.3])
+    def test_augmented_run_keeps_the_plain_accuracy(self, xi):
+        # the two runs take different steps, so they agree to their own
+        # global error (6-25 rtol of the peak here), not to rtol
+        p = transient_params(xi=xi)
+        kw = dict(t_end=16.0, dt=1.0, nmax=2, rtol=1e-6, atol=1e-8)
+        ref = evolve(p, t_end=16.0, dt=1.0, nmax=2, rtol=1e-12,
+                     atol=1e-14).transmission
+        plain = evolve(p, **kw)
+        augmented = evolve(p, xi_sensitivity=True, **kw)
+        assert plain.dT_dxi is None
+        peak = ref.max()
+        assert np.abs(augmented.transmission - plain.transmission).max() \
+            < 50 * kw["rtol"] * peak
+        assert np.abs(augmented.transmission - ref).max() \
+            < 2.0 * max(np.abs(plain.transmission - ref).max(), kw["rtol"] * peak)
 
 
 class TestSteady:

@@ -206,6 +206,8 @@ class TestFitCommands:
         assert rc == 0
         doc = json.loads(report.read_text())
         assert doc["converged"] is True
+        assert doc["jacobian_source"] == "central-difference"
+        assert doc["model_evals"] > doc["iterations"]
         best = doc["best_fit"]
         assert best["cavity.gamma_c"] == pytest.approx(10.0, rel=0.05)
         assert best["ensemble.cooperativity"] == pytest.approx(5.0, rel=0.05)
@@ -225,6 +227,8 @@ class TestFitCommands:
         assert rc == 0
         doc = json.loads(report.read_text())
         assert doc["best_fit"]["rydberg.xi"] == pytest.approx(2.0, rel=0.10)
+        assert doc["jacobian_source"] == "forward-sensitivity"
+        assert 1 <= doc["model_evals"] <= doc["iterations"] + 1
 
     def test_fit_eit_bad_data_file(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -242,6 +246,19 @@ class TestFitCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"{bad}:3" in err
+
+
+    def test_fit_eit_malformed_data_row(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        bad = tmp_path / "malformed.csv"
+        bad.write_text("x,y\n1.0,2.0\n2.0,abc\n3.0,4.0\n")
+        rc = main(["fit-eit", "--config", str(cfg), "--data", str(bad),
+                   "--out", str(tmp_path / "fit.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{bad}:3" in err
+        assert not (tmp_path / "fit.json").exists()
 
 
 def test_read_xy_csv_with_weights(tmp_path):

@@ -39,6 +39,11 @@ class TestLinearRoundTrip:
         res = fit(eit_problem(y, initial=np.array([12.0, 4.0, 5.0, 0.35])))
         assert res.converged
         np.testing.assert_allclose(res.best_fit, EIT_TRUTH, rtol=1e-6)
+        assert res.jacobian_source == "central-difference"
+        # a Jacobian (2 runs per parameter) at the start and at each accepted
+        # step, and one run per residual, rejected trial steps included
+        residual_runs = res.model_evals - 2 * 4 * len(res.objective_history)
+        assert len(res.objective_history) <= residual_runs <= res.iterations + 1
 
     def test_noisy_recovery_and_coverage(self, clean_spectrum, rng):
         # 1% relative noise with a small floor, fitted with matched
@@ -182,6 +187,56 @@ class TestBubbleTransient:
         res = fit(prob, xtol=1e-5, ftol=1e-8)
         assert res.converged
         assert res.best_fit[0] == pytest.approx(2.0, rel=0.10)
+
+    def test_xi_fit_takes_the_jacobian_from_the_model_run(self, monkeypatch):
+        p = transient_params(xi=2.0)
+        gen = evolve(p, t_end=15.0, dt=1.0, nmax=2, rtol=1e-7)
+        prob = FitProblem(x=gen.t, y=gen.transmission, model="bubble_transient",
+                          base_params=p, free=("rydberg.xi",),
+                          initial=np.array([1.4]),
+                          model_options={"nmax": 2, "rtol": 1e-6})
+        calls = []
+        model_curve = FitProblem.model_curve
+
+        def counted(self, theta):
+            calls.append(float(theta[0]))
+            return model_curve(self, theta)
+
+        def no_differences(*args, **kwargs):
+            raise AssertionError("central-difference Jacobian used")
+
+        monkeypatch.setattr(FitProblem, "model_curve", counted)
+        monkeypatch.setattr(fitting, "jacobian", no_differences)
+        res = fit(prob, xtol=1e-5, ftol=1e-8)
+        assert res.converged
+        assert res.best_fit[0] == pytest.approx(2.0, rel=0.10)
+        assert res.jacobian_source == "forward-sensitivity"
+        assert res.model_evals == len(calls) <= res.iterations + 1
+        report = res.as_dict()
+        assert report["jacobian_source"] == "forward-sensitivity"
+        assert report["model_evals"] == len(calls)
+
+    def test_exact_jacobian_reuses_the_last_run(self):
+        p = transient_params(xi=2.0)
+        gen = evolve(p, t_end=6.0, dt=1.0, nmax=2, rtol=1e-7)
+        prob = FitProblem(x=gen.t, y=gen.transmission, model="bubble_transient",
+                          base_params=p, free=("rydberg.xi",),
+                          model_options={"nmax": 2, "rtol": 1e-6})
+        prob.model_curve(np.array([2.0]))
+        kept = prob.exact_jacobian(np.array([2.0]))
+        assert kept is prob.exact_jacobian(np.array([2.0]))
+        moved = prob.exact_jacobian(np.array([1.5]))
+        assert moved.shape == (gen.t.size, 1)
+        assert not np.array_equal(moved, kept)
+
+    def test_other_problems_keep_central_differences(self):
+        p = transient_params(xi=2.0)
+        gen = evolve(p, t_end=6.0, dt=1.0, nmax=2, rtol=1e-7)
+        prob = FitProblem(x=gen.t, y=gen.transmission, model="bubble_transient",
+                          base_params=p, free=("rydberg.xi", "drive.alpha"),
+                          model_options={"nmax": 2, "rtol": 1e-6})
+        assert prob.jacobian_source == "central-difference"
+        assert eit_problem(np.zeros(201)).jacobian_source == "central-difference"
 
     def test_meanfield_model_selector(self):
         p = make_params(alpha=2.0)

@@ -55,3 +55,18 @@ class TestDataFiles:
         path.write_text("# only comments\n")
         with pytest.raises(ValueError):
             read_xy_csv(path)
+
+    def test_malformed_data_row_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n1.0,2.0\n2.0,abc\n3.0,4.0\n")
+        with pytest.raises(ValueError, match=f"{path}:3"):
+            read_xy_csv(path)
+
+    def test_only_the_first_line_may_be_a_header(self, tmp_path):
+        path = tmp_path / "two_headers.csv"
+        path.write_text("# c\nx,y\nx_unit,y_unit\n1.0,2.0\n")
+        with pytest.raises(ValueError, match=f"{path}:3"):
+            read_xy_csv(path)
+        path.write_text("# c\n\n1.0,2.0\nx,y\n")
+        with pytest.raises(ValueError, match=f"{path}:4"):
+            read_xy_csv(path)
