@@ -27,23 +27,26 @@ orthonormal basis of Hermitian matrices, which enforces the Hermitization
 rho <- (rho + rho+)/2 exactly at every step (the state simply cannot leave
 the Hermitian subspace) and halves the integration cost.
 
-On request the forward sensitivity s = dy/dxi of that state vector is
-integrated next to it (ds/dt = J s + df/dxi, J the exact Jacobian of the
-right-hand side, built from the same generator blocks), which gives the
-exact derivative dT/dxi of the sampled transmission from one run.
+On request the forward sensitivities s_k = dy/dtheta_k of that state
+vector with respect to named parameters theta_k are integrated next to it
+(ds_k/dt = J s_k + df/dtheta_k, J the exact Jacobian of the right-hand
+side, built from the same generator blocks), which gives the exact
+derivatives dT/dtheta_k of the sampled transmission from one run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import interactions
 from .errors import IntegrationError
 from .ode import integrate
-from .params import PhysicalParams, params_to_dict, to_angular
+from .params import (PhysicalParams, get_path, params_to_dict, require_positive,
+                     set_path, to_angular)
 
 _G, _R, _S = 0, 1, 2
 DEFAULT_NMAX = 4
@@ -149,6 +152,91 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return v
 
 
+class _Scalars(NamedTuple):
+    """Every number the bubble right-hand side depends on, in rad/us.
+
+    The generator L0 is linear in its first six fields
+    (:func:`_assemble_l0`); the cavity-coupling blocks L1, L2 are fixed
+    matrices times ``g_nb`` and the dark-state block L3 is multiplied by
+    ``xi``; the cavity rows and the transmission gain gamma_c^2 / alpha^2
+    are scalars too.  ``n_b`` is the number of atoms per bubble.
+    """
+
+    delta_r: float
+    delta_e: float
+    omega: float
+    gamma_e: float
+    gamma_r: float
+    gamma_s: float
+    g_nb: float
+    xi: float
+    gamma_c: float
+    delta_c: float
+    prefactor: float
+    alpha: float
+    gain: float
+    n_b: float
+
+
+def _scalars(params: PhysicalParams, n_b: float | None) -> _Scalars:
+    """The model's scalars; n_b comes from the blockade volume unless given."""
+    ens, ryd, drv, cav = (params.ensemble, params.rydberg, params.drive,
+                          params.cavity)
+    if n_b is None:
+        n_b = interactions.atoms_per_bubble(
+            ens.atom_number, interactions.blockade(params)[0], ens.cloud_volume)
+    n_b = require_positive("n_b", n_b)
+    ge_a = to_angular(ens.gamma_e)
+    gc_a = to_angular(cav.gamma_c)
+    de_a, dr_a, dc_a = (to_angular(v) for v in params.detunings())
+    alpha_a = to_angular(drv.alpha)
+    # collective couplings: one bubble feels g sqrt(n_b); the cavity
+    # sums the polarization of all N/n_b bubbles
+    g_nb_a = math.sqrt(2.0 * ge_a * gc_a * ens.cooperativity
+                       * n_b / ens.atom_number)
+    return _Scalars(
+        delta_r=dr_a, delta_e=de_a, omega=to_angular(drv.omega_cf),
+        gamma_e=ge_a, gamma_r=to_angular(ryd.gamma_r),
+        gamma_s=to_angular(ryd.gamma_s_eff), g_nb=g_nb_a,
+        xi=to_angular(ryd.xi), gamma_c=gc_a, delta_c=dc_a,
+        prefactor=(ens.atom_number / n_b) * g_nb_a, alpha=alpha_a,
+        gain=0.0 if alpha_a == 0.0 else gc_a**2 / alpha_a**2, n_b=n_b)
+
+
+#: relative step of the scalars' central difference
+_SCALAR_STEP = float(np.finfo(float).eps ** (1 / 3))
+
+
+def _scalar_derivative(params: PhysicalParams, n_b: float | None,
+                       path: str) -> _Scalars:
+    """d(model scalars)/d(parameter at ``path``), by a central difference.
+
+    The scalars are closed-form functions of the parameters (n_b through
+    the blockade volume unless given), so there is no integrator noise and
+    the O(h^2) difference can take an eps^(1/3) step.
+    """
+    theta = float(get_path(params, path))
+    h = _SCALAR_STEP * max(abs(theta), 1e-2)
+    up, down = theta + h, theta - h
+
+    def at(value):
+        return np.array(_scalars(set_path(params, path, value), n_b))
+
+    return _Scalars(*((at(up) - at(down)) / (up - down)))
+
+
+def _assemble_l0(ops: BubbleOperators, sc: _Scalars) -> np.ndarray:
+    """The drive- and decay part L0 of the generator, linear in sc[:6]."""
+    eye = np.eye(ops.dim)
+    bd = ops.beta.conj().T
+    h0 = (-sc.delta_r * ops.sigma_RR - sc.delta_e * (bd @ ops.beta)
+          + 0.5 * sc.omega * (ops.sigma_RG @ ops.beta + bd @ ops.sigma_GR))
+    l0 = -1j * _sop_commutator(h0, eye)
+    l0 = l0 + sc.gamma_e * _sop_dissipator(ops.beta, eye)
+    l0 = l0 + sc.gamma_r * _sop_dissipator(ops.sigma_GR, eye)
+    return l0 + sc.gamma_s * _sop_dissipator(ops.sigma_GS, eye)
+
+
 class BubbleModel:
     """Precompiled right-hand side for one parameter set.
 
@@ -156,73 +244,45 @@ class BubbleModel:
     Hermitian basis; each evaluation is then a single stacked real
     matrix-vector product, with the cavity-coupling blocks scaled by
     Re<a>, Im<a> and the nonlinear dark-state block by xi <sigma_RR>.
-    The dark-state block is built when xi != 0 or when ``xi_sensitivity``
-    asks for :meth:`rhs_sensitivity`, whose df/dxi needs it even at xi = 0.
+    ``sensitivity`` names the parameter paths whose forward sensitivities
+    :meth:`rhs_sensitivity` integrates; the dark-state block is built when
+    xi != 0 or when one of those parameters moves xi.
     """
 
     def __init__(self, params: PhysicalParams, nmax: int = DEFAULT_NMAX,
-                 n_b: float | None = None, xi_sensitivity: bool = False):
+                 n_b: float | None = None, sensitivity=()):
         self.params = params
         self.nmax = nmax
         self.ops = build_operators(nmax)
         d = self.ops.dim
         self.dim = d
         self.nsq = d * d
-
-        ens, ryd, drv, cav = (params.ensemble, params.rydberg,
-                              params.drive, params.cavity)
-        if n_b is None:
-            n_b = interactions.atoms_per_bubble(
-                ens.atom_number, interactions.blockade(params)[0], ens.cloud_volume)
-        self.n_b = float(n_b)
-
-        ge_a = to_angular(ens.gamma_e)
-        gr_a = to_angular(ryd.gamma_r)
-        gs_a = to_angular(ryd.gamma_s_eff)
-        gc_a = to_angular(cav.gamma_c)
-        om_a = to_angular(drv.omega_cf)
-        de_a, dr_a, dc_a = (to_angular(v) for v in params.detunings())
-        self.xi_a = to_angular(ryd.xi)
-        self.alpha_a = to_angular(drv.alpha)
-        self.gamma_c_a = gc_a
-        self.dc_a = dc_a
-
-        # collective couplings: one bubble feels g sqrt(n_b); the cavity
-        # sums the polarization of all N/n_b bubbles
-        self.g_nb_a = math.sqrt(2.0 * ge_a * gc_a * ens.cooperativity
-                                * self.n_b / ens.atom_number)
-        self.prefactor_a = (ens.atom_number / self.n_b) * self.g_nb_a
+        sc = _scalars(params, n_b)
+        self.n_b = sc.n_b
+        self.xi_a = sc.xi
+        self.alpha_a = sc.alpha
+        self.gamma_c_a = sc.gamma_c
+        self.dc_a = sc.delta_c
+        self.g_nb_a = sc.g_nb
+        self.prefactor_a = sc.prefactor
+        self.sensitivity = tuple(sensitivity)
+        derivs = [_scalar_derivative(params, n_b, path)
+                  for path in self.sensitivity]
 
         ops = self.ops
         eye = np.eye(d)
         bd = ops.beta.conj().T
-        h0 = (-dr_a * ops.sigma_RR - de_a * (bd @ ops.beta)
-              + 0.5 * om_a * (ops.sigma_RG @ ops.beta + bd @ ops.sigma_GR))
-        l_const = -1j * _sop_commutator(h0, eye)
-        l_const = l_const + ge_a * _sop_dissipator(ops.beta, eye)
-        l_const = l_const + gr_a * _sop_dissipator(ops.sigma_GR, eye)
-        l_const = l_const + gs_a * _sop_dissipator(ops.sigma_GS, eye)
         # cavity-coupling Hamiltonians multiplying Re<a> and Im<a>
         h_re = self.g_nb_a * (ops.beta + bd)
         h_im = self.g_nb_a * 1j * (bd - ops.beta)
-        blocks_c = [l_const,
+        blocks_c = [_assemble_l0(ops, sc),
                     -1j * _sop_commutator(h_re, eye),
                     -1j * _sop_commutator(h_im, eye)]
-        if self.xi_a != 0.0 or xi_sensitivity:
+        if self.xi_a != 0.0 or any(ds.xi != 0.0 for ds in derivs):
             blocks_c.append(_sop_dissipator(ops.sigma_SR, eye))
-
-        # project onto the real Hermitian basis (exact for generators that
-        # preserve Hermiticity; asserted below)
         self._basis = _hermitian_basis(d)          # columns vec(B_m)
-        u = self._basis.conj().T                   # r = Re(u @ vec(rho))
-        blocks_r = []
-        for blk in blocks_c:
-            m = u @ blk @ self._basis
-            if np.max(np.abs(m.imag)) > 1e-9 * max(np.max(np.abs(m.real)), 1.0):
-                raise AssertionError("generator block is not Hermiticity-preserving")
-            blocks_r.append(np.ascontiguousarray(m.real))
-        self._nblocks = len(blocks_r)
-        self._stacked = np.ascontiguousarray(np.vstack(blocks_r))
+        self._nblocks = len(blocks_c)
+        self._stacked = self._project(blocks_c)
 
         # Tr(X rho) = vec(X^T) . vec(rho) = (vec(X^T) @ basis) . r
         w_beta = ops.beta.T.reshape(-1) @ self._basis
@@ -232,10 +292,37 @@ class BubbleModel:
             (ops.sigma_RR.T.reshape(-1) @ self._basis).real)
         self._w_ss = np.ascontiguousarray(
             (ops.sigma_SS.T.reshape(-1) @ self._basis).real)
-        if xi_sensitivity:
-            # rows w_RR, Im<beta>, -Re<beta>; the linear cavity map of (Re, Im)<a>
-            self._w_sens = np.vstack((self._w_rr, self._w_beta_im, -self._w_beta_re))
-            self._cavity_map = np.array([[-gc_a, -dc_a], [dc_a, -gc_a]])
+        if derivs:
+            self._prepare_sensitivity(sc, derivs)
+
+    def _project(self, blocks) -> np.ndarray:
+        """Superoperators as real blocks in the Hermitian basis, stacked.
+
+        Exact for generators that preserve Hermiticity; asserted.
+        """
+        u = self._basis.conj().T                   # r = Re(u @ vec(rho))
+        blocks_r = []
+        for blk in blocks:
+            m = u @ blk @ self._basis
+            if np.max(np.abs(m.imag)) > 1e-9 * max(np.max(np.abs(m.real)), 1.0):
+                raise AssertionError("generator block is not Hermiticity-preserving")
+            blocks_r.append(np.ascontiguousarray(m.real))
+        return np.ascontiguousarray(np.vstack(blocks_r))
+
+    def _prepare_sensitivity(self, sc: _Scalars, derivs: list[_Scalars]) -> None:
+        # rows w_RR, Im<beta>, -Re<beta>
+        self._w_sens = np.vstack((self._w_rr, self._w_beta_im, -self._w_beta_re))
+        self._dscalars = derivs
+        # L1, L2 scale with g sqrt(n_b): their derivative rescales L1 r, L2 r
+        self._dg = [ds.g_nb / sc.g_nb if ds.g_nb else 0.0 for ds in derivs]
+        self._gain = sc.gain
+        self._dgain = np.array([ds.gain for ds in derivs])
+        # dL0 is L0's assembly at the differenced rates and detunings; only
+        # parameters that move one of them need its product
+        moved = [k for k, ds in enumerate(derivs) if any(ds[:6])]
+        self._dl0_rows = np.array(moved, dtype=int) + 1
+        self._dl0 = (self._project([_assemble_l0(self.ops, derivs[k])
+                                    for k in moved]) if moved else None)
 
     # --- state layout: y[:d*d] = Hermitian-basis coefficients of rho,
     #     y[d*d] = Re<a>, y[d*d+1] = Im<a> ----------------------------------
@@ -271,33 +358,58 @@ class BubbleModel:
         return out
 
     def rhs_sensitivity(self, t, z):
-        """Right-hand side of the stacked state z = [y, s], s = dy/dxi.
+        """Right-hand side of the stacked state z = [y, s_1, ..., s_p].
 
-        ds/dt = J s + df/dxi, where J s collects the block products of s_r,
-        the cavity columns s_ar L1 r and s_ai L2 r, the rank-1 term
-        xi (w_RR . s_r) L3 r and the cavity rows applied to s, and
-        df/dxi = 2 pi (w_RR . r) L3 r (xi in MHz).  One product of the
-        stacked blocks with [r, s_r] serves both halves.  Needs a model
-        built with ``xi_sensitivity=True``.
+        s_k = dy/dtheta_k for the k-th path of ``sensitivity``, and
+        ds_k/dt = J s_k + df/dtheta_k.  J s_k collects the block products
+        of s_r, the cavity columns s_ar L1 r and s_ai L2 r, the rank-1 term
+        xi (w_RR . s_r) L3 r and the cavity rows applied to s_k.  In
+        df/dtheta_k the L1, L2 and L3 parts only rescale products of r the
+        state row has anyway, dL0 r is one more product (only for a
+        parameter that moves a rate or detuning), and the cavity part is a
+        map of the state's cavity values.  One product of the stacked
+        blocks with the rows [r, s_r...] serves every row.
         """
-        n, nsq = self.nsq + 2, self.nsq
-        zz = z.reshape(2, n)
-        rs = zz[:, :nsq]                                 # rows r, s_r
-        # rows L0 r, L1 r, L2 r, L3 r, then the same blocks applied to s_r
-        prods = (rs @ self._stacked.T).reshape(2 * self._nblocks, nsq)
-        (rr, beta_im, mbeta_re), (rr_s, sbeta_im, msbeta_re) = rs @ self._w_sens.T
-        ar, ai, s_ar, s_ai = zz[0, nsq], zz[0, nsq + 1], zz[1, nsq], zz[1, nsq + 1]
-        w = self.xi_a * rr
-        coef = np.array([[1.0, ar, ai, w, 0.0, 0.0, 0.0, 0.0],
-                         [0.0, s_ar, s_ai, self.xi_a * rr_s + 2.0 * math.pi * rr,
-                          1.0, ar, ai, w]])
-        out = np.empty((2, n))
-        out[:, :nsq] = coef @ prods
-        out[:, nsq:] = (zz[:, nsq:] @ self._cavity_map.T
-                        + self.prefactor_a * np.array([[beta_im, mbeta_re],
-                                                       [sbeta_im, msbeta_re]]))
-        out[0, nsq + 1] -= self.alpha_a   # the drive does not depend on xi
+        nsq, nb, p = self.nsq, self._nblocks, len(self.sensitivity)
+        zz = z.reshape(1 + p, nsq + 2)                   # rows y, s_1 .. s_p
+        rs = zz[:, :nsq]
+        prods = (rs @ self._stacked.T).reshape(-1, nsq)  # row nb*j + i: L_i on row j
+        (ar, ai), *s_cav = zz[:, nsq:].tolist()
+        (rr, beta_im, mbeta_re), *s_w = (rs @ self._w_sens.T).tolist()
+        xi, gc, dc, pf = self.xi_a, self.gamma_c_a, self.dc_a, self.prefactor_a
+        own = [1.0, ar, ai, xi * rr][:nb]                # every row, on its own blocks
+        pad = [0.0] * nb
+        coef = [own + pad * p]
+        cavity = [[-gc * ar - dc * ai + pf * beta_im,
+                   dc * ar - gc * ai + pf * mbeta_re - self.alpha_a]]
+        for k, ((s_ar, s_ai), (s_rr, s_bim, s_mbre), dg, d) in enumerate(
+                zip(s_cav, s_w, self._dg, self._dscalars)):
+            # J's cross terms and df/dtheta_k, on the blocks of r
+            cross = [0.0, s_ar + dg * ar, s_ai + dg * ai, xi * s_rr + d.xi * rr][:nb]
+            coef.append(cross + pad * k + own + pad * (p - 1 - k))
+            cavity.append([
+                -gc * s_ar - dc * s_ai + pf * s_bim
+                - d.gamma_c * ar - d.delta_c * ai + d.prefactor * beta_im,
+                dc * s_ar - gc * s_ai + pf * s_mbre
+                + d.delta_c * ar - d.gamma_c * ai + d.prefactor * mbeta_re - d.alpha])
+        out = np.empty_like(zz)
+        out[:, :nsq] = np.array(coef) @ prods
+        if self._dl0 is not None:
+            out[self._dl0_rows, :nsq] += (self._dl0 @ rs[0]).reshape(-1, nsq)
+        out[:, nsq:] = cavity
         return out.reshape(-1)
+
+    def transmission_gradient(self, z) -> np.ndarray:
+        """dT/dtheta_k of stacked states z (one per row), shape (rows, p).
+
+        T = gain |<a>|^2 with gain = gamma_c^2 / alpha^2, so dT/dtheta_k =
+        2 gain (Re<a> s_ar + Im<a> s_ai) + |<a>|^2 dgain/dtheta_k.  Needs a
+        model built with ``sensitivity``.
+        """
+        cav = np.asarray(z).reshape(len(z), -1, self.nsq + 2)[:, :, self.nsq:]
+        a = cav[:, 0]
+        return (2.0 * self._gain * np.einsum("ik,ijk->ij", a, cav[:, 1:])
+                + np.sum(a * a, axis=1)[:, None] * self._dgain)
 
     def cavity_amplitude(self, y) -> complex:
         return complex(y[self.nsq], y[self.nsq + 1])
@@ -330,7 +442,7 @@ class TimeSeries:
     trace_error: np.ndarray
     metadata: dict = field(default_factory=dict)
     states: list[BubbleState] | None = None
-    dT_dxi: np.ndarray | None = None     # per MHz; evolve(xi_sensitivity=True)
+    dT_dtheta: np.ndarray | None = None  # (samples, p); evolve(sensitivity=paths)
 
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0):
@@ -349,8 +461,7 @@ _TRACE_ABORT = 1e-6
 def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
            nmax: int = DEFAULT_NMAX, rtol: float = 1e-8, atol: float = 1e-10,
            n_b: float | None = None, sample_times=None,
-           keep_states: bool = False,
-           xi_sensitivity: bool = False) -> TimeSeries:
+           keep_states: bool = False, sensitivity=()) -> TimeSeries:
     """Integrate the bubble model and sample transmission and populations.
 
     Starts at t = 0 from the empty cavity with all atoms in the ground
@@ -360,16 +471,15 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     integrator of :mod:`rydcav.ode`.  Without ``sample_times`` the samples
     are 0, dt, ..., t_end, so ``t_end`` must be a whole multiple of ``dt``.
 
-    With ``xi_sensitivity`` the forward sensitivity s = dy/dxi (zero at
-    t = 0) is integrated in the same run, under the same error control,
-    and ``dT_dxi`` holds dT/dxi = 2 gamma_c^2 (Re<a> s_ar + Im<a> s_ai) /
-    alpha^2 at each sample.
+    ``sensitivity`` names parameter paths theta_k (``"rydberg.xi"``,
+    ``"drive.alpha"``, ...).  Their forward sensitivities s_k = dy/dtheta_k
+    (zero at t = 0) are integrated in the same run, under the same error
+    control, and ``dT_dtheta[:, k]`` holds dT/dtheta_k at each sample, per
+    unit of the parameter.
     """
     if sample_times is None:
-        if t_end <= 0:
-            raise ValueError("t_end must be > 0")
-        if dt <= 0:
-            raise ValueError("dt must be > 0")
+        t_end = require_positive("t_end", t_end)
+        dt = require_positive("dt", dt)
         nsteps = int(round(t_end / dt))
         if abs(nsteps * dt - t_end) > 1e-9 * t_end:
             raise ValueError(f"t_end={t_end:g} is not a whole multiple of dt={dt:g}")
@@ -377,7 +487,7 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     else:
         sample_times = np.asarray(sample_times, dtype=float)
 
-    model = BubbleModel(params, nmax=nmax, n_b=n_b, xi_sensitivity=xi_sensitivity)
+    model = BubbleModel(params, nmax=nmax, n_b=n_b, sensitivity=sensitivity)
 
     def check_trace(t, y):
         drift = abs(y[: model.dim].sum() - 1.0)
@@ -386,8 +496,9 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
                 f"trace drift {drift:g} exceeds {_TRACE_ABORT:g} at t={t:g} us")
 
     rhs, y0 = model.rhs_flat, model.initial_flat()
-    if xi_sensitivity:   # samples are [y, s]; y leads, so check_trace holds
-        rhs, y0 = model.rhs_sensitivity, np.concatenate((y0, np.zeros_like(y0)))
+    if model.sensitivity:   # samples are [y, s_1..]; y leads, so check_trace holds
+        rhs = model.rhs_sensitivity
+        y0 = np.concatenate((y0, np.zeros(len(model.sensitivity) * y0.size)))
     samples = integrate(rhs, 0.0, y0, sample_times, rtol=rtol, atol=atol,
                         sample_callback=check_trace)
 
@@ -407,19 +518,11 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
         if keep_states:
             states.append(model.state_from_flat(y, float(sample_times[i])))
 
-    dT_dxi = None
-    if xi_sensitivity:
-        # T = 0 without drive (BubbleModel.transmission), so is dT/dxi
-        gain = (0.0 if model.alpha_a == 0.0
-                else 2.0 * model.gamma_c_a**2 / model.alpha_a**2)
-        a_re_im = samples[:, model.nsq:model.nsq + 2]
-        s_re_im = samples[:, -2:]
-        dT_dxi = gain * np.sum(a_re_im * s_re_im, axis=1)
-
+    dT_dtheta = model.transmission_gradient(samples) if model.sensitivity else None
     meta = {"params": params_to_dict(params), "nmax": nmax, "rtol": rtol,
             "n_b": model.n_b}
     return TimeSeries(sample_times, trans, pop_r, pop_s, terr,
-                      metadata=meta, states=states, dT_dxi=dT_dxi)
+                      metadata=meta, states=states, dT_dtheta=dT_dtheta)
 
 
 @dataclass
@@ -438,12 +541,9 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
     Compares T(t) with T(t - window); if t_max is reached first the last
     value is returned with converged=False.
     """
-    if convergence <= 0:
-        raise ValueError("convergence threshold must be > 0")
-    if window <= 0:
-        raise ValueError("window must be > 0")
-    if t_max <= 0:
-        raise ValueError("t_max must be > 0")
+    require_positive("convergence threshold", convergence)
+    require_positive("window", window)
+    require_positive("t_max", t_max)
     model = BubbleModel(params, nmax=nmax, n_b=n_b)
     y = model.initial_flat()
     t = 0.0

@@ -4,10 +4,11 @@ Fits any of the three forward models (closed-form linear spectrum,
 mean-field nonlinear spectrum, bubble-model transient) to measured data by
 minimizing sum_i w_i (y_i - model(x_i; theta))^2 over a chosen subset of
 the physical parameters.  The minimizer is a Levenberg-Marquardt trust
-region.  Its Jacobian is exact where the model run yields one (the bubble
-transient with xi as the only free parameter integrates dT/dxi next to the
-state) and a central difference otherwise; 95% confidence intervals come
-from the residual-variance-scaled inverse of J^T J.
+region.  The bubble transient's Jacobian is exact: the run that gives a
+residual integrates the forward sensitivity of every free parameter next
+to the state.  The closed-form models take a central difference.  95%
+confidence intervals come from the residual-variance-scaled inverse of
+J^T J.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ class FitProblem:
 
     The box constraints ``lower``/``upper`` come from :func:`default_bounds`
     and must contain the initial guess.  ``model_options`` passes ``nmax``,
-    ``rtol`` and ``atol`` to the bubble transient.  A bubble transient with
-    ``free == ("rydberg.xi",)`` is run with its forward sensitivity, and the
-    problem keeps the dT/dxi column of its last run (:meth:`exact_jacobian`).
+    ``rtol`` and ``atol`` to the bubble transient.  A bubble transient is
+    run with the forward sensitivities of every free parameter, and the
+    problem keeps the Jacobian of its last run (:meth:`exact_jacobian`).
     """
 
     x: np.ndarray
@@ -104,25 +105,15 @@ class FitProblem:
         self.lower, self.upper = np.array([default_bounds(p) for p in self.free]).T
         if np.any(self.initial < self.lower) or np.any(self.initial > self.upper):
             raise ValueError("bounds must contain the initial guess")
-        self._last_run = None   # (theta, dT/dxi column) of the last sensitivity run
+        self._last_run = None   # (theta, Jacobian) of the last transient run
 
     @property
     def jacobian_source(self) -> str:
-        """"forward-sensitivity" where the model run yields the Jacobian,
-        else "central-difference"."""
-        if self.model == "bubble_transient" and self.free == ("rydberg.xi",):
+        """"forward-sensitivity" where the model run yields the Jacobian
+        (the bubble transient), else "central-difference"."""
+        if self.model == "bubble_transient":
             return "forward-sensitivity"
         return "central-difference"
-
-    @property
-    def diff_step(self) -> float:
-        """Relative step of the central-difference Jacobian.
-
-        Used only where the model run yields no sensitivity.  The
-        ODE-backed transient needs a step well above the integrator noise
-        floor; the closed-form models use eps^(1/3).
-        """
-        return 1e-3 if self.model == "bubble_transient" else _EPS_CBRT
 
     def params_at(self, theta) -> PhysicalParams:
         return set_paths(self.base_params, dict(zip(self.free, theta)))
@@ -134,7 +125,6 @@ class FitProblem:
         if self.model == "meanfield":
             return meanfield.transmission_curve(p, self.x)
         opts = self.model_options
-        sensitivity = self.jacobian_source == "forward-sensitivity"
         series = bubble.evolve(
             p,
             t_end=float(self.x[-1]),
@@ -142,19 +132,17 @@ class FitProblem:
             rtol=opts.get("rtol", 1e-6),
             atol=opts.get("atol", 1e-9),
             sample_times=self.x,
-            xi_sensitivity=sensitivity,
+            sensitivity=self.free,
         )
-        if sensitivity:
-            self._last_run = (np.array(theta, dtype=float),
-                              series.dT_dxi[:, None])
+        self._last_run = (np.array(theta, dtype=float), series.dT_dtheta)
         return series.transmission
 
     def exact_jacobian(self, theta) -> np.ndarray:
         """Model Jacobian at theta from the sensitivity run at theta.
 
-        Takes the column kept by the last :meth:`model_curve` call when it
-        ran at theta, so a residual and its Jacobian cost one run; runs the
-        model otherwise.  Only for ``jacobian_source == "forward-sensitivity"``.
+        Takes the Jacobian kept by the last :meth:`model_curve` call when
+        it ran at theta, so a residual and its Jacobian cost one run; runs
+        the model otherwise.  Only for the bubble transient.
         """
         if self._last_run is None or not np.array_equal(self._last_run[0], theta):
             self.model_curve(theta)
@@ -238,9 +226,9 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
     The damping parameter follows Nielsen's gain-ratio update; trial steps
     are projected onto the parameter box.  The objective over accepted
     steps is recorded in ``objective_history`` (monotonically decreasing by
-    construction).  The Jacobian at an accepted point comes from the
-    problem's forward sensitivity when it has one, with no model run beyond
-    the residual's; ``model_evals`` counts every model run.
+    construction).  The bubble transient's Jacobian at an accepted point
+    comes from the forward sensitivities of the run that gave its residual,
+    with no further model run; ``model_evals`` counts every model run.
     """
     w = problem.weights if problem.weights is not None else np.ones_like(problem.y)
     sqrt_w = np.sqrt(w)
@@ -261,7 +249,7 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
         if source == "forward-sensitivity":
             jac = problem.exact_jacobian(theta)
         else:
-            jac = jacobian(model, theta, rel_step=problem.diff_step)
+            jac = jacobian(model, theta, rel_step=_EPS_CBRT)
         return -jac * sqrt_w[:, None]
 
     theta = np.clip(problem.initial, lo, hi).astype(float)

@@ -312,19 +312,22 @@ def scan_meanfield(params: PhysicalParams, scan: ScanSpec | None = None,
 
     ``variable="delta_p"`` scans the probe (kappa is re-evaluated at every
     point); ``variable="rate"`` scans the probe photon rate R at fixed
-    detuning, mapping R to alpha = sqrt(gamma_c R).  Points where the
-    solver fails are flagged and the scan continues.
+    detuning, mapping R to alpha = sqrt(gamma_c R).  A non-finite scan
+    range raises ValueError.  Points where the solver fails are flagged
+    and the scan continues.
     """
     if variable not in ("delta_p", "rate"):
         raise ValueError("variable must be 'delta_p' or 'rate'")
     scan = scan if scan is not None else params.scan
     if scan is None:
         raise ValueError("no scan specified")
+    if not (math.isfinite(scan.start) and math.isfinite(scan.stop)):
+        raise ValueError("scan start and stop must be finite")
     grid = scan.values()
     if variable == "delta_p":
         points = [(params, float(v)) for v in grid]
     else:
-        if np.any(grid < 0):
+        if not (grid >= 0).all():
             raise ValueError("photon rate must be >= 0")
         gc = params.cavity.gamma_c
         points = [(replace(params, drive=replace(

@@ -10,9 +10,12 @@ step's first stage and an accepted step costs six evaluations of f.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import IntegrationError
+from .params import require_positive
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -66,12 +69,17 @@ def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
     t0 returns the initial state.  ``sample_callback(t, y)`` is invoked as
     each sample is recorded and may raise to abort.  f is evaluated at most
     once per distinct (t, y): the last stage of an accepted step is the
-    first stage of the next.  Raises IntegrationError on step-size
-    underflow.
+    first stage of the next.  ``rtol`` must be finite and > 0, ``atol``
+    finite and >= 0, and every time finite (ValueError).  Raises
+    IntegrationError on a non-finite step or step-size underflow.
     """
+    rtol = require_positive("rtol", rtol)
+    atol = require_positive("atol", atol, allow_zero=True)
     t_samples = np.asarray(t_samples, dtype=float)
     if t_samples.ndim != 1 or t_samples.size == 0:
         raise ValueError("need at least one sample time")
+    if not (math.isfinite(t0) and np.isfinite(t_samples).all()):
+        raise ValueError("t0 and the sample times must be finite")
     if np.any(np.diff(t_samples) <= 0) or t_samples[0] < t0:
         raise ValueError("sample times must be strictly increasing and >= t0")
 
@@ -110,6 +118,8 @@ def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
         # step's result, and k[6] = f(t + h, y_new)
         y_new = yi
         err = _error_norm(h_try * (_E @ k), y, y_new, rtol, atol)
+        if not math.isfinite(err):   # a NaN step would be retried forever
+            raise IntegrationError(f"non-finite step from t={t:g}")
 
         if err <= 1.0:
             t += h_try

@@ -148,6 +148,19 @@ def _check(errors: list[str], cond: bool, message: str) -> None:
         errors.append(message)
 
 
+def require_positive(name: str, value, allow_zero: bool = False) -> float:
+    """``value`` as a float; ValueError unless it is finite and > 0.
+
+    ``allow_zero`` admits 0.  The comparisons are written so that NaN
+    fails them.
+    """
+    v = float(value)
+    if not (math.isfinite(v) and (v >= 0.0 if allow_zero else v > 0.0)):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValueError(f"{name} must be {bound} and finite, got {value!r}")
+    return v
+
+
 def validate(params: PhysicalParams) -> PhysicalParams:
     """Check every invariant; return the bundle unchanged if all hold.
 

@@ -10,6 +10,7 @@ from rydcav.bubble import (
 )
 from rydcav.linear import transmission_linear
 from rydcav.ode import integrate
+from rydcav.params import get_path, set_path
 
 from conftest import make_params
 
@@ -202,6 +203,27 @@ class TestEvolve:
             with pytest.raises(ValueError, match="dt must be > 0"):
                 evolve(p, t_end=10.0, dt=dt, nmax=2)
 
+    @pytest.mark.parametrize("n_b", [0.0, -3.0, float("nan")])
+    def test_nonpositive_bubble_size_rejected(self, n_b):
+        with pytest.raises(ValueError, match="n_b must be > 0"):
+            evolve(weak_drive_params(), t_end=2.0, dt=1.0, nmax=2, n_b=n_b)
+
+    def test_infinite_t_end_rejected(self):
+        with pytest.raises(ValueError, match="t_end must be > 0 and finite"):
+            evolve(weak_drive_params(), t_end=float("inf"), dt=1.0, nmax=2)
+
+    @pytest.mark.parametrize("kw", [{"rtol": float("nan")}, {"rtol": -1.0},
+                                    {"atol": float("nan")},
+                                    {"sample_times": [0.0, float("nan"), 2.0]}])
+    def test_bad_tolerance_or_sample_time_rejected_before_any_step(
+            self, kw, monkeypatch):
+        def no_rhs(*args):
+            raise AssertionError("right-hand side evaluated")
+
+        monkeypatch.setattr(BubbleModel, "rhs_flat", no_rhs)
+        with pytest.raises(ValueError):
+            evolve(weak_drive_params(), t_end=2.0, nmax=2, **kw)
+
     def test_metadata_snapshot(self):
         p = weak_drive_params()
         series = evolve(p, t_end=2.0, dt=1.0, nmax=2)
@@ -210,41 +232,52 @@ class TestEvolve:
         assert series.metadata["params"]["rydberg"]["n"] == 85
 
 
+TIGHT = dict(t_end=16.0, dt=1.0, nmax=2, rtol=1e-10, atol=1e-12)
+
+
+def tight_transmission(params, path, value):
+    return evolve(set_path(params, path, value), **TIGHT).transmission
+
+
+def assert_matches_richardson(params, path, h):
+    """dT/d(path) against central differences with steps h and h/2."""
+    exact = evolve(params, sensitivity=(path,), **TIGHT).dT_dtheta
+    assert exact.shape == (17, 1)
+    exact = exact[:, 0]
+    scale = np.abs(exact).max()
+    assert scale > 0.0
+    theta = get_path(params, path)
+
+    def central(step):
+        return (tight_transmission(params, path, theta + step)
+                - tight_transmission(params, path, theta - step)) / (2 * step)
+
+    wide, narrow = central(h), central(h / 2)
+    err_wide = np.abs(wide - exact).max()
+    err_narrow = np.abs(narrow - exact).max()
+    # second-order convergence onto the sensitivity, not onto a nearby value
+    assert 3.6 < err_wide / err_narrow < 4.4
+    richardson = (4.0 * narrow - wide) / 3.0
+    assert np.abs(richardson - exact).max() < 1e-5 * scale
+
+
 class TestXiSensitivity:
     """dT/dxi from the forward sensitivity against finite differences."""
 
-    TIGHT = dict(t_end=16.0, dt=1.0, nmax=2, rtol=1e-10, atol=1e-12)
-
-    def transmission(self, xi):
-        return evolve(transient_params(xi=xi), **self.TIGHT).transmission
-
     @pytest.mark.parametrize("xi", [1.1, 2.3])
     def test_matches_step_halved_central_difference(self, xi):
-        exact = evolve(transient_params(xi=xi), xi_sensitivity=True,
-                       **self.TIGHT).dT_dxi
-        scale = np.abs(exact).max()
-
-        def central(h):
-            return (self.transmission(xi + h) - self.transmission(xi - h)) / (2 * h)
-
-        wide, narrow = central(0.04), central(0.02)
-        err_wide = np.abs(wide - exact).max()
-        err_narrow = np.abs(narrow - exact).max()
-        # second-order convergence onto the sensitivity, not onto a nearby value
-        assert 3.6 < err_wide / err_narrow < 4.4
-        richardson = (4.0 * narrow - wide) / 3.0
-        assert np.abs(richardson - exact).max() < 1e-5 * scale
+        assert_matches_richardson(transient_params(xi=xi), "rydberg.xi", 0.04)
 
     def test_one_sided_difference_at_xi_zero(self):
         # df/dxi needs the dark-state block that xi = 0 alone would omit
-        exact = evolve(transient_params(xi=0.0), xi_sensitivity=True,
-                       **self.TIGHT).dT_dxi
+        p = transient_params(xi=0.0)
+        exact = evolve(p, sensitivity=("rydberg.xi",), **TIGHT).dT_dtheta[:, 0]
         scale = np.abs(exact).max()
         assert scale > 0.0
-        base = self.transmission(0.0)
+        base = tight_transmission(p, "rydberg.xi", 0.0)
 
         def forward(h):
-            return (self.transmission(h) - base) / h
+            return (tight_transmission(p, "rydberg.xi", h) - base) / h
 
         wide, narrow = forward(0.01), forward(0.005)
         err_wide = np.abs(wide - exact).max()
@@ -253,18 +286,22 @@ class TestXiSensitivity:
         assert np.abs(2.0 * narrow - wide - exact).max() < 5e-4 * scale
 
     def test_sensitivity_is_traceless(self):
-        model = BubbleModel(transient_params(xi=1.1), nmax=2, xi_sensitivity=True)
+        paths = ("rydberg.xi", "rydberg.gamma_r", "drive.alpha")
+        model = BubbleModel(transient_params(xi=1.1), nmax=2, sensitivity=paths)
+        n = model.nsq + 2
         y0 = model.initial_flat()
         z = integrate(model.rhs_sensitivity, 0.0,
-                      np.concatenate((y0, np.zeros_like(y0))),
+                      np.concatenate((y0, np.zeros(3 * n))),
                       np.arange(1.0, 17.0), rtol=1e-10, atol=1e-12)
-        s_r = z[:, model.nsq + 2:2 * model.nsq + 2]
-        assert np.abs(s_r).max() > 1e-3
-        assert np.abs(s_r[:, :model.dim].sum(axis=1)).max() < 1e-12
+        for k in range(1, 4):
+            s_r = z[:, k * n:k * n + model.nsq]
+            assert np.abs(s_r).max() > 1e-3
+            assert np.abs(s_r[:, :model.dim].sum(axis=1)).max() < 1e-12
 
     def test_rhs_state_half_equals_rhs_flat(self, rng):
-        model = BubbleModel(transient_params(xi=1.1), nmax=2, xi_sensitivity=True)
-        z = rng.standard_normal(2 * (model.nsq + 2))
+        paths = ("rydberg.xi", "drive.omega_cf")
+        model = BubbleModel(transient_params(xi=1.1), nmax=2, sensitivity=paths)
+        z = rng.standard_normal(3 * (model.nsq + 2))
         out = model.rhs_sensitivity(0.0, z)
         want = model.rhs_flat(0.0, z[:model.nsq + 2])
         np.testing.assert_allclose(out[:model.nsq + 2], want, rtol=1e-12,
@@ -279,13 +316,43 @@ class TestXiSensitivity:
         ref = evolve(p, t_end=16.0, dt=1.0, nmax=2, rtol=1e-12,
                      atol=1e-14).transmission
         plain = evolve(p, **kw)
-        augmented = evolve(p, xi_sensitivity=True, **kw)
-        assert plain.dT_dxi is None
+        augmented = evolve(p, sensitivity=("rydberg.xi",), **kw)
+        assert plain.dT_dtheta is None
         peak = ref.max()
         assert np.abs(augmented.transmission - plain.transmission).max() \
             < 50 * kw["rtol"] * peak
         assert np.abs(augmented.transmission - ref).max() \
             < 2.0 * max(np.abs(plain.transmission - ref).max(), kw["rtol"] * peak)
+
+
+class TestParameterSensitivity:
+    """dT/dtheta for the other free parameters of a transient fit."""
+
+    @pytest.mark.parametrize("path, h", [
+        ("drive.alpha", 0.06),
+        ("cavity.gamma_c", 0.2),
+        ("ensemble.cooperativity", 0.1),
+        ("drive.omega_cf", 0.08),
+        ("rydberg.gamma_r", 0.002),
+    ])
+    def test_column_matches_step_halved_central_difference(self, path, h):
+        assert_matches_richardson(transient_params(xi=1.1), path, h)
+
+    def test_probe_detuning_column_off_resonance(self):
+        # at delta_p = 0 the column vanishes by symmetry; off resonance it
+        # also carries n_b(delta_p) through the blockade volume
+        assert_matches_richardson(transient_params(xi=1.1, delta_p=1.5),
+                                  "drive.delta_p", 0.01)
+
+    def test_columns_do_not_depend_on_their_company(self):
+        p = transient_params(xi=1.1)
+        paths = ("drive.omega_cf", "rydberg.xi", "drive.alpha")
+        together = evolve(p, sensitivity=paths, **TIGHT).dT_dtheta
+        assert together.shape == (17, 3)
+        for k, path in enumerate(paths):
+            alone = evolve(p, sensitivity=(path,), **TIGHT).dT_dtheta[:, 0]
+            np.testing.assert_allclose(together[:, k], alone, rtol=0,
+                                       atol=1e-7 * np.abs(alone).max())
 
 
 class TestSteady:
@@ -318,6 +385,13 @@ class TestSteady:
     def test_threshold_validation(self):
         for bad in ({"convergence": 0.0}, {"window": 0.0}, {"window": -1.0},
                     {"t_max": 0.0}, {"t_max": -5.0}):
+            with pytest.raises(ValueError):
+                steady_transmission_bubble(weak_drive_params(), nmax=1, **bad)
+
+    def test_nan_threshold_rejected(self):
+        # NaN compares false with everything, so a `<= 0` check lets it pass
+        for bad in ({"convergence": float("nan")}, {"window": float("nan")},
+                    {"t_max": float("nan")}, {"t_max": float("inf")}):
             with pytest.raises(ValueError):
                 steady_transmission_bubble(weak_drive_params(), nmax=1, **bad)
 

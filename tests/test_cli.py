@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rydcav.bubble import BubbleModel
 from rydcav.cli import main
 from rydcav.datafiles import read_xy_csv
 from rydcav.params import params_to_dict
@@ -161,6 +162,22 @@ class TestBubbleCommands:
                    "--t-end", "10", "--dt", "3", "--nmax", "2"])
         assert rc == 1
         assert "multiple of dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--rtol", "nan"), ("--rtol", "-1"),
+                                             ("--t-end", "inf")])
+    def test_evolve_bad_value_exits_1_without_integrating(
+            self, tmp_path, capsys, monkeypatch, flag, value):
+        def no_rhs(*args):
+            raise AssertionError("right-hand side evaluated")
+
+        monkeypatch.setattr(BubbleModel, "rhs_flat", no_rhs)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "evolve.csv"
+        rc = main(["bubble-evolve", "--config", str(cfg), "--out", str(out),
+                   "--t-end", "4", "--dt", "1", "--nmax", "2", flag, value])
+        assert rc == 1
+        assert "must be > 0 and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_steady_json(self, tmp_path):
         cfg = write_config(tmp_path)

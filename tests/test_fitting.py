@@ -229,14 +229,46 @@ class TestBubbleTransient:
         assert moved.shape == (gen.t.size, 1)
         assert not np.array_equal(moved, kept)
 
-    def test_other_problems_keep_central_differences(self):
+    def test_every_free_set_takes_the_jacobian_from_the_model_run(
+            self, monkeypatch):
+        def no_differences(*args, **kwargs):
+            raise AssertionError("central-difference Jacobian used")
+
+        monkeypatch.setattr(fitting, "jacobian", no_differences)
         p = transient_params(xi=2.0)
         gen = evolve(p, t_end=6.0, dt=1.0, nmax=2, rtol=1e-7)
+        for free, start, truth in (
+                (("rydberg.xi",), [1.6], [2.0]),
+                (("rydberg.xi", "drive.alpha"), [1.6, 3.2], [2.0, 3.0]),
+                (("rydberg.xi", "rydberg.gamma_r"), [1.6, 0.06], [2.0, 0.05])):
+            prob = FitProblem(x=gen.t, y=gen.transmission,
+                              model="bubble_transient", base_params=p,
+                              free=free, initial=np.array(start),
+                              model_options={"nmax": 2, "rtol": 1e-6})
+            assert prob.jacobian_source == "forward-sensitivity"
+            assert prob.exact_jacobian(prob.initial).shape == (gen.t.size,
+                                                               len(free))
+            res = fit(prob, xtol=1e-5, ftol=1e-8)
+            assert res.converged
+            assert res.jacobian_source == "forward-sensitivity"
+            assert res.model_evals <= res.iterations + 1
+            np.testing.assert_allclose(res.best_fit, truth, rtol=0.10)
+        assert eit_problem(np.zeros(201)).jacobian_source == "central-difference"
+
+    def test_joint_xi_alpha_fit_covers_the_truth(self):
+        # noise-free data; a central-difference Jacobian (relative step 1e-3)
+        # at the same rtol ends 6 CI half-widths from the generating values
+        truth = np.array([2.0, 3.0])
+        p = transient_params(xi=2.0)
+        gen = evolve(p, t_end=8.0, dt=1.0, nmax=2, rtol=1e-6)
         prob = FitProblem(x=gen.t, y=gen.transmission, model="bubble_transient",
                           base_params=p, free=("rydberg.xi", "drive.alpha"),
+                          initial=np.array([1.5, 3.0]),
                           model_options={"nmax": 2, "rtol": 1e-6})
-        assert prob.jacobian_source == "central-difference"
-        assert eit_problem(np.zeros(201)).jacobian_source == "central-difference"
+        res = fit(prob)
+        assert res.converged
+        assert np.all(np.abs(res.best_fit - truth) <= res.ci95)
+        assert res.model_evals < 101
 
     def test_meanfield_model_selector(self):
         p = make_params(alpha=2.0)

@@ -252,6 +252,14 @@ class TestScan:
             scan_meanfield(paper_params, ScanSpec(5.0, -1.0, 7), variable="rate")
         assert calls["n"] == 0
 
+    @pytest.mark.parametrize("variable", ["rate", "delta_p"])
+    @pytest.mark.parametrize("spec", [ScanSpec(float("nan"), 1.0, 3),
+                                      ScanSpec(0.0, float("inf"), 3)])
+    def test_non_finite_range_rejected(self, paper_params, spec, variable):
+        # a NaN range would give NaN transmissions flagged as solved
+        with pytest.raises(ValueError, match="finite"):
+            scan_meanfield(paper_params, spec, variable=variable)
+
     def test_csv_header(self, paper_params):
         from dataclasses import replace
 

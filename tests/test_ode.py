@@ -120,3 +120,39 @@ def test_invalid_sample_times():
         integrate(f, 0.0, np.array([1.0 + 0j]), [-1.0], rtol=1e-8)
     with pytest.raises(ValueError):
         integrate(f, 0.0, np.array([1.0 + 0j]), [], rtol=1e-8)
+
+
+@pytest.mark.parametrize("kw", [
+    {"rtol": float("nan")}, {"rtol": 0.0}, {"rtol": -1.0}, {"rtol": float("inf")},
+    {"atol": float("nan")}, {"atol": -1e-12}, {"atol": float("inf")},
+])
+def test_invalid_tolerances_rejected_before_any_evaluation(kw):
+    def f(t, y):
+        raise AssertionError("f evaluated")
+
+    with pytest.raises(ValueError, match="tol must be"):
+        integrate(f, 0.0, np.array([1.0]), [1.0], **{"rtol": 1e-8, **kw})
+
+
+@pytest.mark.parametrize("times", [[0.0, float("nan"), 2.0], [1.0, float("inf")]])
+def test_non_finite_sample_times_rejected(times):
+    def f(t, y):
+        raise AssertionError("f evaluated")
+
+    with pytest.raises(ValueError, match="finite"):
+        integrate(f, 0.0, np.array([1.0]), times, rtol=1e-8)
+
+
+def test_non_finite_step_raises():
+    # reported as what it is, not as a step-size underflow after the
+    # integrator has shrunk the step to nothing
+    def f(t, y):
+        return -y if t < 0.5 else np.full_like(y, np.nan)
+
+    with pytest.raises(IntegrationError, match="non-finite"):
+        integrate(f, 0.0, np.array([1.0]), [2.0], rtol=1e-8)
+
+
+def test_non_finite_initial_state_raises():
+    with pytest.raises(IntegrationError, match="non-finite"):
+        integrate(lambda t, y: -y, 0.0, np.array([np.nan]), [1.0], rtol=1e-8)
