@@ -3,7 +3,12 @@
 Linear intracavity EIT spectra, mean-field Rydberg-blockade nonlinearity,
 semi-classical bubble dynamics with dark-state decay, and least-squares
 spectroscopy fitting.
+
+The package logs to ``logging.getLogger("rydcav")`` (one DEBUG record per
+steady solve); it is silent unless the application configures logging.
 """
+
+import logging
 
 from ._version import __version__
 from .bubble import (
@@ -48,6 +53,8 @@ from .params import (
     to_angular,
     validate,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "__version__",

@@ -36,6 +36,7 @@ derivatives dT/dtheta_k of the sampled transmission from one run.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -47,6 +48,8 @@ from .errors import IntegrationError
 from .ode import integrate
 from .params import (PhysicalParams, get_path, params_to_dict, require_positive,
                      set_path, to_angular)
+
+_log = logging.getLogger(__name__)
 
 _G, _R, _S = 0, 1, 2
 DEFAULT_NMAX = 4
@@ -399,6 +402,30 @@ class BubbleModel:
         out[:, nsq:] = cavity
         return out.reshape(-1)
 
+    def jacobian(self, y) -> np.ndarray:
+        """Exact Jacobian df/dy of :meth:`rhs_flat` at y, (nsq + 2) square.
+
+        J_rr = L0 + Re<a> L1 + Im<a> L2 + xi (w_RR . r) L3 + xi (L3 r) w_RR^T,
+        the columns L1 r and L2 r for (Re, Im)<a>, the cavity rows
+        +-prefactor w_beta and the 2 x 2 cavity map.
+        """
+        nsq = self.nsq
+        r, ar, ai = y[:nsq], y[nsq], y[nsq + 1]
+        blocks = self._stacked.reshape(self._nblocks, nsq, nsq)
+        prods = (self._stacked @ r).reshape(self._nblocks, nsq)
+        jac = np.empty((nsq + 2, nsq + 2))
+        jac[:nsq, :nsq] = blocks[0] + ar * blocks[1] + ai * blocks[2]
+        if self.xi_a != 0.0:
+            jac[:nsq, :nsq] += (self.xi_a * (self._w_rr @ r)) * blocks[3]
+            jac[:nsq, :nsq] += np.outer(self.xi_a * prods[3], self._w_rr)
+        jac[:nsq, nsq] = prods[1]
+        jac[:nsq, nsq + 1] = prods[2]
+        jac[nsq, :nsq] = self.prefactor_a * self._w_beta_im
+        jac[nsq + 1, :nsq] = -self.prefactor_a * self._w_beta_re
+        jac[nsq:, nsq:] = [[-self.gamma_c_a, -self.dc_a],
+                           [self.dc_a, -self.gamma_c_a]]
+        return jac
+
     def transmission_gradient(self, z) -> np.ndarray:
         """dT/dtheta_k of stacked states z (one per row), shape (rows, p).
 
@@ -527,35 +554,205 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
 
 @dataclass
 class SteadyBubbleResult:
+    """Steady bubble-model transmission and how the solve ended.
+
+    ``newton_iterations`` counts the Newton iterations of every attempt;
+    ``residual`` is the max-norm of the bordered residual (f(y) with its
+    first row replaced by Tr rho - 1) at the state whose transmission is
+    reported.
+    """
+
     transmission: float
     converged: bool
     t_final: float
+    newton_iterations: int
+    residual: float
+
+
+#: absolute tolerance of the steady solve's evolution and Newton steps
+_STEADY_ATOL = 1e-10
+#: Newton iterations of one attempt before it counts as failed
+_NEWTON_MAXITER = 20
+#: halvings of one Newton step before the attempt counts as failed
+_NEWTON_HALVINGS = 10
+#: a root whose rho has an eigenvalue below -_PSD_TOL is not a state
+_PSD_TOL = 1e-8
+#: a non-trace eigenvalue with |Re| below this (rad/us) leaves the linear
+#: stability test inconclusive
+_MARGINAL = 1e-9
+
+
+def _live_coordinates(model: BubbleModel) -> np.ndarray:
+    """Indices of the state coordinates the evolution from the empty
+    cavity can make nonzero.
+
+    A coordinate is live when a chain of nonzero generator entries leads to
+    it from the population of |G, m=0>; the cavity-coupling blocks count
+    only when the cavity is driven.  No entry leads from a live coordinate
+    to one that is not, so those stay zero along the evolution.  Left in, a
+    sector nothing enters (S when xi = 0) would add conserved populations
+    or zero modes beside Tr rho and make the bordered Newton matrix
+    singular.  The live populations lead and the two cavity coordinates
+    close the list, as in the state vector.
+    """
+    nsq, nb = model.nsq, model._nblocks
+    blocks = np.abs(model._stacked).reshape(nb, nsq, nsq)
+    if model.alpha_a == 0.0:
+        blocks[1:3] = 0.0                  # <a> stays 0: L1, L2 never act
+    flow = blocks.sum(axis=0) > 0.0        # flow[i, k]: r_k moves r_i
+    live = np.zeros(nsq, dtype=bool)
+    live[0] = True
+    while True:
+        grown = live | flow[:, live].any(axis=1)
+        if np.array_equal(grown, live):
+            return np.concatenate((np.flatnonzero(live), [nsq, nsq + 1]))
+        live = grown
+
+
+def _bordered_residual(model: BubbleModel, y) -> np.ndarray:
+    """f(y) with its first row replaced by Tr rho - 1.
+
+    The population rows of f sum to zero (the trace is conserved), so one
+    of them is redundant; the trace condition takes its place and makes the
+    fixed point isolated on the live coordinates.
+    """
+    f = model.rhs_flat(0.0, y)
+    f[0] = model.trace(y) - 1.0
+    return f
+
+
+def _newton(model: BubbleModel, y, live: np.ndarray, rtol: float):
+    """Damped Newton on the bordered residual from y, with the exact Jacobian.
+
+    Solves on the ``live`` coordinates and holds the others at zero.  A
+    step is halved until the residual's 2-norm falls, so every iterate is
+    closer to a root than the last.  Returns (y*, iterations) once a step
+    is below _STEADY_ATOL + rtol |y| in every component, or
+    (None, iterations) on a singular matrix, a non-finite step, a step that
+    _NEWTON_HALVINGS halvings do not make descend, or no convergence within
+    _NEWTON_MAXITER iterations.
+    """
+    start, y = y, np.zeros_like(y)
+    y[live] = start[live]
+    npop = int(np.searchsorted(live, model.dim))   # live populations lead
+    res = _bordered_residual(model, y)[live]
+    for it in range(1, _NEWTON_MAXITER + 1):
+        jac = model.jacobian(y)[np.ix_(live, live)]
+        jac[0] = 0.0
+        jac[0, :npop] = 1.0
+        try:
+            step = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            return None, it
+        if not np.isfinite(step).all():
+            return None, it
+        moved = y[live] + step
+        if np.all(np.abs(step) <= _STEADY_ATOL + rtol * np.abs(moved)):
+            y[live] = moved
+            return y, it
+        norm = np.linalg.norm(res)
+        for _ in range(_NEWTON_HALVINGS + 1):
+            trial = y.copy()
+            trial[live] += step
+            trial_res = _bordered_residual(model, trial)[live]
+            if np.linalg.norm(trial_res) < norm:
+                break
+            step = 0.5 * step
+        else:
+            return None, it
+        y, res = trial, trial_res
+    return None, _NEWTON_MAXITER
+
+
+def _verdict(model: BubbleModel, y, live: np.ndarray, t: float, window: float,
+             convergence: float, rtol: float) -> tuple[bool, str]:
+    """(accepted, verdict) for the Newton root y.
+
+    The root must be a state (no eigenvalue of rho below -_PSD_TOL) and
+    stable.  On the live coordinates the trace functional u (ones on the
+    populations) is a left null vector of J, so the hyperplane u . v = 0
+    is invariant and carries every other eigenvalue.  In the coordinates
+    after the first, with v_0 = -sum of the other populations, J
+    restricted to it is J[1:, 1:] - J[1:, 0] u[1:]^T.  When its spectrum
+    sits within _MARGINAL of the imaginary axis, a one-window evolve from y
+    decides: T must move by less than ``convergence``.
+    """
+    lowest = float(np.linalg.eigvalsh(model.rho_matrix(y)).min())
+    if lowest < -_PSD_TOL:
+        return False, f"not a state (min eigenvalue of rho = {lowest:.3g})"
+    jac = model.jacobian(y)[np.ix_(live, live)]
+    restricted = jac[1:, 1:]
+    restricted[:, :int(np.searchsorted(live, model.dim)) - 1] -= jac[1:, :1]
+    growth = float(np.linalg.eigvals(restricted).real.max())
+    if growth < -_MARGINAL:
+        return True, "stable"
+    if growth > _MARGINAL:
+        return False, f"unstable (max Re = {growth:.3g} rad/us)"
+    moved = integrate(model.rhs_flat, t, y, [t + window], rtol=rtol,
+                      atol=_STEADY_ATOL)[-1].real
+    t_star, t_moved = model.transmission(y), model.transmission(moved)
+    settled = abs(t_moved - t_star) / max(t_star, 1e-12) < convergence
+    return settled, f"marginal, {'settled' if settled else 'drifting'} over a window"
 
 
 def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3,
                                window: float = 5.0, t_max: float = 500.0,
                                nmax: int = DEFAULT_NMAX, rtol: float = 1e-8,
                                n_b: float | None = None) -> SteadyBubbleResult:
-    """Evolve until the transmission change over one window is below threshold.
+    """Steady transmission: a fixed point of the model near the state the
+    dynamics reach, solved directly.
 
-    Compares T(t) with T(t - window); if t_max is reached first the last
-    value is returned with converged=False.
+    The model is evolved for one ``window`` (us) from the empty cavity with
+    all atoms in the ground state.  Damped Newton steps from that state
+    then solve f(y) = 0, with the first row replaced by Tr rho = 1 and the
+    exact Jacobian, to the evolution's tolerance (``rtol``).  Coordinates
+    the dynamics never populate (the dark state S when xi = 0) are held at
+    zero, which leaves Tr rho as the one conserved quantity.  Every step
+    lowers the residual, but nothing proves that the root is the fixed
+    point the evolution would settle on if the model had several; the
+    tests compare it with long evolutions at weak and strong drive.
+
+    The result is ``converged`` only when Newton converges to a density
+    matrix (no eigenvalue below -1e-8) that is stable: every eigenvalue
+    of the Jacobian except the trace mode has Re < 0.  If one lies within
+    1e-9 rad/us of the imaginary axis, a one-window evolve from the fixed
+    point must change T by less than ``convergence`` (relative) instead;
+    this is the only use of ``convergence``.  Otherwise the model is
+    evolved one more window and Newton retried, up to ``t_max``; then the
+    transmission of the last evolved state is returned with
+    converged=False.
+
+    ``t_final`` is the evolved time the accepted Newton solve started from,
+    or t_max when the solve is exhausted.
     """
     require_positive("convergence threshold", convergence)
     require_positive("window", window)
     require_positive("t_max", t_max)
     model = BubbleModel(params, nmax=nmax, n_b=n_b)
+    live = _live_coordinates(model)
     y = model.initial_flat()
     t = 0.0
-    t_prev = model.transmission(y)
-    while t < t_max:
+    windows = iterations = 0
+    converged = False
+    while t < t_max and not converged:
         chunk_end = min(t + window, t_max)
-        samples = integrate(model.rhs_flat, t, y, [chunk_end], rtol=rtol,
-                            atol=1e-10)
-        y = samples[-1].real
+        y = integrate(model.rhs_flat, t, y, [chunk_end], rtol=rtol,
+                      atol=_STEADY_ATOL)[-1].real
         t = chunk_end
-        t_now = model.transmission(y)
-        if abs(t_now - t_prev) / max(t_now, 1e-12) < convergence:
-            return SteadyBubbleResult(t_now, True, t)
-        t_prev = t_now
-    return SteadyBubbleResult(t_prev, False, t)
+        windows += 1
+        y_star, its = _newton(model, y, live, rtol)
+        iterations += its
+        if y_star is None:
+            verdict = "Newton failed"
+            continue
+        converged, verdict = _verdict(model, y_star, live, t, window,
+                                      convergence, rtol)
+        if converged:
+            y = y_star
+    result = SteadyBubbleResult(model.transmission(y), converged, t, iterations,
+                                float(np.abs(_bordered_residual(model, y)).max()))
+    _log.debug("bubble steady solve (nmax %d): %d window(s) to t = %g us, "
+               "%d Newton iteration(s), residual %.3g, %s, converged=%s",
+               nmax, windows, t, iterations, result.residual, verdict,
+               result.converged)
+    return result

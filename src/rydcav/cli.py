@@ -114,8 +114,13 @@ def _cmd_bubble_steady(args):
         params, convergence=args.threshold, window=args.window,
         t_max=args.t_max, nmax=args.nmax, rtol=args.rtol)
     payload = {"transmission": result.transmission,
-               "converged": result.converged, "t_final_us": result.t_final}
-    write_json(args.out, payload, _meta(args, params))
+               "converged": result.converged, "t_final_us": result.t_final,
+               "newton_iterations": result.newton_iterations}
+    meta = _meta(args, params, {"nmax": args.nmax, "rtol": args.rtol,
+                                "window": args.window,
+                                "threshold": args.threshold,
+                                "t_max": args.t_max})
+    write_json(args.out, payload, meta)
     return 0
 
 
@@ -186,11 +191,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0)
     p.set_defaults(func=_cmd_bubble_evolve)
 
-    p = subs.add_parser("bubble-steady", help="converged bubble-model transmission")
+    p = subs.add_parser("bubble-steady",
+                         help="steady bubble-model transmission (Newton on the fixed point)")
     _add_common(p)
-    p.add_argument("--threshold", type=float, default=1e-3)
-    p.add_argument("--window", type=float, default=5.0)
-    p.add_argument("--t-max", type=float, default=500.0)
+    p.add_argument("--threshold", type=float, default=1e-3,
+                   help="largest relative change of T over one window from a "
+                        "fixed point whose linear stability is marginal")
+    p.add_argument("--window", type=float, default=5.0,
+                   help="evolution (us) from the empty cavity before each "
+                        "Newton solve for the fixed point")
+    p.add_argument("--t-max", type=float, default=500.0,
+                   help="evolution (us) after which an unsolved steady state "
+                        "is reported with converged=false")
     p.add_argument("--nmax", type=int, default=bubble.DEFAULT_NMAX)
     p.add_argument("--rtol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_bubble_steady)

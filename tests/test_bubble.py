@@ -1,3 +1,9 @@
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -122,6 +128,29 @@ class TestRhs:
         # rate 2 xi <sRR> rho_RR, in angular units
         expect = 2.0 * (2 * np.pi * 2.0) * 0.4 * 0.4
         assert ds_dt == pytest.approx(expect, rel=1e-12)
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("xi", [0.0, 2.0])
+    def test_matches_central_differences(self, xi, rng):
+        model = BubbleModel(transient_params(xi=xi), nmax=2)
+        y = model.initial_flat(rho0=random_density_matrix(model.dim, rng),
+                               a0=0.3 - 0.2j)
+        jac = model.jacobian(y)
+        # f is quadratic in y, so the central difference is exact up to
+        # rounding
+        h = 1e-4
+        fd = np.empty_like(jac)
+        for k in range(y.size):
+            e = np.zeros_like(y)
+            e[k] = h
+            fd[:, k] = (model.rhs_flat(0.0, y + e)
+                        - model.rhs_flat(0.0, y - e)) / (2 * h)
+        scale = np.abs(jac).max()
+        np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-9 * scale)
+        # Tr rho is conserved: the trace functional is a left null vector
+        np.testing.assert_allclose(jac[: model.dim].sum(axis=0), 0.0,
+                                   atol=1e-12 * scale)
 
 
 class TestEvolve:
@@ -382,6 +411,114 @@ class TestSteady:
                                           t_max=120.0)
         assert t_on.transmission <= t_off.transmission
 
+    @pytest.mark.parametrize("kw", [
+        # the slowest mode (tau ~ 19 us) outlasts the 5 us window, which
+        # stopped a window-to-window convergence test at T = 0.201107
+        {},
+        dict(alpha=10.0),
+        dict(alpha=30.0),
+        # with xi = 0 nothing enters S, and with no decay out of it either
+        # its population would be conserved beside Tr rho
+        dict(xi=0.0, gamma_s=0.0),
+        dict(xi=0.0, gamma_r=0.0, gamma_s=None),
+        dict(xi=0.0, gamma_s=0.0, omega_cf=0.0),
+    ], ids=["slow-mode", "alpha-10", "alpha-30", "closed-dark-sector",
+            "closed-dark-sector-gamma_r-0", "closed-dark-sector-omega-0"])
+    def test_fixed_point_matches_long_evolve(self, kw):
+        p = transient_params(**kw)
+        result = steady_transmission_bubble(p, nmax=2)
+        series = evolve(p, t_end=600.0, dt=600.0, nmax=2)
+        assert result.converged
+        assert result.t_final == 5.0
+        assert 1 <= result.newton_iterations <= 10
+        assert result.residual < 1e-12
+        assert result.transmission == pytest.approx(series.transmission[-1],
+                                                    rel=1e-5)
+
+    def test_singular_jacobian_evolves_to_t_max(self, monkeypatch):
+        import rydcav.bubble as bubble
+
+        def singular(model, y):
+            return np.zeros((model.nsq + 2, model.nsq + 2))
+
+        windows = []
+
+        def counting(*args, **kwargs):
+            windows.append(args[3])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(BubbleModel, "jacobian", singular)
+        monkeypatch.setattr(bubble, "integrate", counting)
+        result = steady_transmission_bubble(weak_drive_params(), window=2.0,
+                                            t_max=6.0, nmax=1)
+        assert not result.converged
+        assert result.t_final == 6.0
+        assert windows == [[2.0], [4.0], [6.0]]
+        assert result.newton_iterations == 3
+        assert np.isfinite(result.transmission)
+
+    def test_overshooting_steps_are_halved(self, monkeypatch):
+        exact = steady_transmission_bubble(transient_params(), nmax=2)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: 8.0 * solve(a, b))
+        damped = steady_transmission_bubble(transient_params(), nmax=2)
+        assert damped.converged
+        assert damped.t_final == 5.0
+        assert damped.transmission == pytest.approx(exact.transmission,
+                                                    rel=1e-6)
+
+    def test_root_that_is_not_a_state_is_rejected(self, monkeypatch, caplog):
+        import rydcav.bubble as bubble
+
+        def negative_population(model, y, live, rtol):
+            rho = np.zeros((model.dim, model.dim))
+            rho[0, 0], rho[1, 1] = 1.5, -0.5
+            return model.initial_flat(rho0=rho), 1
+
+        monkeypatch.setattr(bubble, "_newton", negative_population)
+        caplog.set_level(logging.DEBUG, logger="rydcav")
+        result = steady_transmission_bubble(weak_drive_params(), window=2.0,
+                                            t_max=6.0, nmax=1)
+        assert not result.converged
+        assert result.t_final == 6.0
+        assert "not a state (min eigenvalue of rho = -0.5)" in caplog.text
+
+    def test_marginal_spectrum_accepts_a_root_that_stays(self, monkeypatch,
+                                                         caplog):
+        import rydcav.bubble as bubble
+
+        exact = steady_transmission_bubble(transient_params(), nmax=2)
+        monkeypatch.setattr(bubble, "_MARGINAL", np.inf)
+        caplog.set_level(logging.DEBUG, logger="rydcav")
+        result = steady_transmission_bubble(transient_params(), nmax=2)
+        assert result.converged
+        assert result.t_final == 5.0
+        assert result.transmission == exact.transmission
+        assert "marginal, settled over a window" in caplog.text
+
+    def test_marginal_spectrum_rejects_a_root_that_drifts(self, monkeypatch,
+                                                          caplog):
+        # with the evolved state standing in for the root, the marginal
+        # test is a window-to-window convergence test on T
+        import rydcav.bubble as bubble
+
+        monkeypatch.setattr(bubble, "_MARGINAL", np.inf)
+        monkeypatch.setattr(bubble, "_newton", lambda model, y, live, rtol: (y, 1))
+        caplog.set_level(logging.DEBUG, logger="rydcav")
+        p = transient_params()
+        loose = steady_transmission_bubble(p, convergence=1e9, nmax=2)
+        assert loose.converged
+        assert loose.t_final == 5.0
+        settled = steady_transmission_bubble(p, convergence=1e-2, nmax=2)
+        assert settled.converged
+        assert 5.0 < settled.t_final < 500.0
+        drifting = steady_transmission_bubble(p, convergence=1e-9, nmax=2,
+                                              t_max=20.0)
+        assert not drifting.converged
+        assert drifting.t_final == 20.0
+        assert caplog.records[-1].getMessage().endswith(
+            "marginal, drifting over a window, converged=False")
+
     def test_threshold_validation(self):
         for bad in ({"convergence": 0.0}, {"window": 0.0}, {"window": -1.0},
                     {"t_max": 0.0}, {"t_max": -5.0}):
@@ -394,6 +531,36 @@ class TestSteady:
                     {"t_max": float("nan")}, {"t_max": float("inf")}):
             with pytest.raises(ValueError):
                 steady_transmission_bubble(weak_drive_params(), nmax=1, **bad)
+
+
+class TestLogging:
+    def test_silent_by_default(self):
+        code = ("from rydcav import steady_transmission_bubble\n"
+                "from conftest import make_params\n"
+                "steady_transmission_bubble(make_params(n=85, series='D', "
+                "alpha=0.05), nmax=1, window=1.0)\n"
+                "import logging\n"
+                "logging.getLogger('rydcav.bubble').warning('reached stderr')\n")
+        tests_dir = Path(__file__).resolve().parent
+        src_dir = tests_dir.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src_dir), str(tests_dir), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+    def test_one_debug_record_per_steady_solve(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="rydcav")
+        result = steady_transmission_bubble(weak_drive_params(), nmax=1,
+                                            window=1.0)
+        records = [r for r in caplog.records if r.name.startswith("rydcav")]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        message = records[0].getMessage()
+        assert "1 window(s) to t = 1 us" in message
+        assert f"{result.newton_iterations} Newton iteration(s)" in message
+        assert message.endswith(", stable, converged=True")
 
 
 class TestTimeSeries:

@@ -188,6 +188,11 @@ class TestBubbleCommands:
         doc = json.loads(out.read_text())
         assert doc["converged"] is True
         assert 0.0 <= doc["transmission"] <= 1.0
+        assert doc["newton_iterations"] >= 1
+        assert {k: doc["_meta"][k] for k in
+                ("nmax", "rtol", "window", "threshold", "t_max")} == {
+            "nmax": 2, "rtol": 1e-8, "window": 2.0, "threshold": 1e-2,
+            "t_max": 500.0}
 
     def test_steady_nonpositive_window_or_t_max(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
