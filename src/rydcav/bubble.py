@@ -25,7 +25,13 @@ T = gamma_c^2 |<a>|^2 / alpha^2.
 Internally rho is propagated as its coefficient vector in a real
 orthonormal basis of Hermitian matrices, which enforces the Hermitization
 rho <- (rho + rho+)/2 exactly at every step (the state simply cannot leave
-the Hermitian subspace) and halves the integration cost.
+the Hermitian subspace) and halves the integration cost.  Only the basis
+elements the dynamics can reach from the initial state are kept (see
+:class:`BubbleModel`): from the empty cavity with all atoms in |G, 0> the
+dark state S never gains a coherence with G or R, and with xi = 0 it stays
+empty, so at nmax = 6 the state vector y = [r, Re<a>, Im<a>] has 247
+coordinates (198 at xi = 0) instead of 21^2 + 2 = 443.  The populations
+lead r, so Tr rho is the sum of its first entries.
 
 On request the forward sensitivities s_k = dy/dtheta_k of that state
 vector with respect to named parameters theta_k are integrated next to it
@@ -240,8 +246,34 @@ def _assemble_l0(ops: BubbleOperators, sc: _Scalars) -> np.ndarray:
     return l0 + sc.gamma_s * _sop_dissipator(ops.sigma_GS, eye)
 
 
+def _project(basis: np.ndarray, blocks) -> list[np.ndarray]:
+    """Superoperators as real matrices in the Hermitian basis.
+
+    Exact for generators that preserve Hermiticity; asserted.
+    """
+    u = basis.conj().T                             # r = Re(u @ vec(rho))
+    out = []
+    for blk in blocks:
+        m = u @ blk @ basis
+        if np.max(np.abs(m.imag)) > 1e-9 * max(np.max(np.abs(m.real)), 1.0):
+            raise AssertionError("generator block is not Hermiticity-preserving")
+        out.append(m.real.copy())              # frees the complex product
+    return out
+
+
+def _closure(flow: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Smallest superset of the mask ``seed`` that flow[i, k] (k moves i)
+    does not leave."""
+    live = seed.copy()
+    while True:
+        grown = live | flow[:, live].any(axis=1)
+        if np.array_equal(grown, live):
+            return live
+        live = grown
+
+
 class BubbleModel:
-    """Precompiled right-hand side for one parameter set.
+    """Precompiled right-hand side for one parameter set and initial state.
 
     The Lindblad generator is assembled once as dense blocks in the real
     Hermitian basis; each evaluation is then a single stacked real
@@ -250,16 +282,28 @@ class BubbleModel:
     ``sensitivity`` names the parameter paths whose forward sensitivities
     :meth:`rhs_sensitivity` integrates; the dark-state block is built when
     xi != 0 or when one of those parameters moves xi.
+
+    The model lives on the coordinates the run can reach from its initial
+    state (``rho0``, default |G, m=0><G, m=0|, and ``a0``): those a chain
+    of nonzero generator entries leads to from the initial state's support.
+    The chain may pass through every block the run can switch on: L0, the
+    dark-state block when it is built, the derivative of L0 for every
+    sensitivity, and the cavity-coupling blocks unless <a> stays 0 (alpha
+    = 0, a0 = 0, no sensitivity moves alpha and <beta> vanishes on what
+    the rest reaches).  No entry leads out of that set, so every other
+    coordinate stays zero along the run and is dropped; from the empty
+    cavity the dark state S has no coherence with G or R, and with xi = 0
+    it stays empty.
     """
 
     def __init__(self, params: PhysicalParams, nmax: int = DEFAULT_NMAX,
-                 n_b: float | None = None, sensitivity=()):
+                 n_b: float | None = None, sensitivity=(),
+                 rho0: np.ndarray | None = None, a0: complex = 0.0):
         self.params = params
         self.nmax = nmax
         self.ops = build_operators(nmax)
         d = self.ops.dim
         self.dim = d
-        self.nsq = d * d
         sc = _scalars(params, n_b)
         self.n_b = sc.n_b
         self.xi_a = sc.xi
@@ -283,81 +327,87 @@ class BubbleModel:
                     -1j * _sop_commutator(h_im, eye)]
         if self.xi_a != 0.0 or any(ds.xi != 0.0 for ds in derivs):
             blocks_c.append(_sop_dissipator(ops.sigma_SR, eye))
-        self._basis = _hermitian_basis(d)          # columns vec(B_m)
-        self._nblocks = len(blocks_c)
-        self._stacked = self._project(blocks_c)
-
-        # Tr(X rho) = vec(X^T) . vec(rho) = (vec(X^T) @ basis) . r
-        w_beta = ops.beta.T.reshape(-1) @ self._basis
-        self._w_beta_re = np.ascontiguousarray(w_beta.real)
-        self._w_beta_im = np.ascontiguousarray(w_beta.imag)
-        self._w_rr = np.ascontiguousarray(
-            (ops.sigma_RR.T.reshape(-1) @ self._basis).real)
-        self._w_ss = np.ascontiguousarray(
-            (ops.sigma_SS.T.reshape(-1) @ self._basis).real)
-        if derivs:
-            self._prepare_sensitivity(sc, derivs)
-
-    def _project(self, blocks) -> np.ndarray:
-        """Superoperators as real blocks in the Hermitian basis, stacked.
-
-        Exact for generators that preserve Hermiticity; asserted.
-        """
-        u = self._basis.conj().T                   # r = Re(u @ vec(rho))
-        blocks_r = []
-        for blk in blocks:
-            m = u @ blk @ self._basis
-            if np.max(np.abs(m.imag)) > 1e-9 * max(np.max(np.abs(m.real)), 1.0):
-                raise AssertionError("generator block is not Hermiticity-preserving")
-            blocks_r.append(np.ascontiguousarray(m.real))
-        return np.ascontiguousarray(np.vstack(blocks_r))
-
-    def _prepare_sensitivity(self, sc: _Scalars, derivs: list[_Scalars]) -> None:
-        # rows w_RR, Im<beta>, -Re<beta>
-        self._w_sens = np.vstack((self._w_rr, self._w_beta_im, -self._w_beta_re))
-        self._dscalars = derivs
-        # L1, L2 scale with g sqrt(n_b): their derivative rescales L1 r, L2 r
-        self._dg = [ds.g_nb / sc.g_nb if ds.g_nb else 0.0 for ds in derivs]
-        self._gain = sc.gain
-        self._dgain = np.array([ds.gain for ds in derivs])
+        nb = self._nblocks = len(blocks_c)
         # dL0 is L0's assembly at the differenced rates and detunings; only
         # parameters that move one of them need its product
         moved = [k for k, ds in enumerate(derivs) if any(ds[:6])]
-        self._dl0_rows = np.array(moved, dtype=int) + 1
-        self._dl0 = (self._project([_assemble_l0(self.ops, derivs[k])
-                                    for k in moved]) if moved else None)
+        blocks_c += [_assemble_l0(ops, derivs[k]) for k in moved]
+        basis = _hermitian_basis(d)                # columns vec(B_m)
+        blocks = _project(basis, blocks_c)
 
-    # --- state layout: y[:d*d] = Hermitian-basis coefficients of rho,
-    #     y[d*d] = Re<a>, y[d*d+1] = Im<a> ----------------------------------
+        # Tr(X rho) = vec(X^T) . vec(rho) = (vec(X^T) @ basis) . r
+        def row(op):
+            return op.T.reshape(-1) @ basis
 
-    def initial_flat(self, rho0: np.ndarray | None = None,
-                     a0: complex = 0.0) -> np.ndarray:
-        y = np.zeros(self.nsq + 2)
+        w_beta = row(ops.beta)
+        w_rows = np.vstack((row(ops.sigma_RR).real, w_beta.real, w_beta.imag))
+        w_ss = row(ops.sigma_SS).real
+
         if rho0 is None:
-            y[0] = 1.0  # |G, m=0>
+            r0 = np.zeros(d * d)
+            r0[0] = 1.0                            # |G, m=0>
         else:
-            coeffs = self._basis.conj().T @ np.asarray(rho0, complex).reshape(-1)
-            y[: self.nsq] = coeffs.real
-        y[self.nsq] = complex(a0).real
-        y[self.nsq + 1] = complex(a0).imag
+            r0 = (basis.conj().T @ np.asarray(rho0, complex).reshape(-1)).real
+        a0 = complex(a0)
+        moves = [blk != 0.0 for blk in blocks]     # moves[i][j, k]: r_k moves r_j
+        flow = np.logical_or.reduce(moves[:1] + moves[3:])
+        live = _closure(flow, r0 != 0.0)
+        if (self.alpha_a != 0.0 or a0 != 0.0 or any(ds.alpha for ds in derivs)
+                or np.any(w_beta[live] != 0.0)):   # <a> can leave 0
+            live = _closure(flow | moves[1] | moves[2], live)
+
+        keep = np.flatnonzero(live)
+        sub = np.ix_(keep, keep)
+        n = self.nrho = keep.size                  # rho coordinates
+        self.npop = int(np.count_nonzero(live[:d]))  # populations lead
+        self.size = n + 2                          # state-vector length
+        self._basis = basis[:, keep]
+        # the rows w_RR, Re w_beta, Im w_beta close the stack, so one product
+        # gives every block's product and the three scalars rhs_flat needs
+        self._stacked = np.vstack([blk[sub] for blk in blocks[:nb]]
+                                  + [w_rows[:, keep]])
+        self._w_rr = self._stacked[-3]
+        self._w_ss = w_ss[keep]
+        self._y0 = np.concatenate((r0[keep], [a0.real, a0.imag]))
+        if derivs:
+            self._dscalars = derivs
+            # L1, L2 scale with g sqrt(n_b): their derivative rescales L1 r, L2 r
+            self._dg = [ds.g_nb / sc.g_nb if ds.g_nb else 0.0 for ds in derivs]
+            self._gain = sc.gain
+            self._dgain = np.array([ds.gain for ds in derivs])
+            self._dl0_rows = np.array(moved, dtype=int) + 1
+            self._dl0 = (np.vstack([blk[sub] for blk in blocks[nb:]])
+                         if moved else None)
+
+    # --- state layout: y[:nrho] = coefficients of rho on the model's
+    #     Hermitian basis elements (its npop populations first),
+    #     y[nrho] = Re<a>, y[nrho+1] = Im<a> --------------------------------
+
+    def initial_flat(self, rho0: np.ndarray | None = None) -> np.ndarray:
+        """The model's initial state vector, or with ``rho0`` that density
+        matrix and the initial <a>.  Raises ValueError if rho0 has weight
+        outside the model's coordinates."""
+        y = self._y0.copy()
+        if rho0 is not None:
+            rho0 = np.asarray(rho0, complex).reshape(-1)
+            coeffs = (self._basis.conj().T @ rho0).real
+            outside = np.linalg.norm(rho0 - self._basis @ coeffs)
+            if outside > 1e-12 * max(np.linalg.norm(rho0), 1.0):
+                raise ValueError(f"rho0 has weight {outside:.3g} outside the "
+                                 "coordinates the model was built on")
+            y[: self.nrho] = coeffs
         return y
 
     def rhs_flat(self, t, y):
-        r = y[: self.nsq]
-        ar = y[self.nsq]
-        ai = y[self.nsq + 1]
-        prods = (self._stacked @ r).reshape(self._nblocks, self.nsq)
-        dr = prods[0] + ar * prods[1] + ai * prods[2]
-        if self.xi_a != 0.0:
-            dr += (self.xi_a * (self._w_rr @ r)) * prods[3]
-        beta_re = self._w_beta_re @ r
-        beta_im = self._w_beta_im @ r
-        out = np.empty_like(y)
-        out[: self.nsq] = dr
-        out[self.nsq] = (-self.gamma_c_a * ar - self.dc_a * ai
-                         + self.prefactor_a * beta_im)
-        out[self.nsq + 1] = (self.dc_a * ar - self.gamma_c_a * ai
-                             - self.prefactor_a * beta_re - self.alpha_a)
+        n, nb = self.nrho, self._nblocks
+        prods = self._stacked @ y[:n]
+        ar, ai = y[n:].tolist()
+        rr, beta_re, beta_im = prods[nb * n:].tolist()
+        out = np.empty(n + 2)
+        out[:n] = [1.0, ar, ai, self.xi_a * rr][:nb] @ prods[:nb * n].reshape(nb, n)
+        out[n] = -self.gamma_c_a * ar - self.dc_a * ai + self.prefactor_a * beta_im
+        out[n + 1] = (self.dc_a * ar - self.gamma_c_a * ai
+                      - self.prefactor_a * beta_re - self.alpha_a)
         return out
 
     def rhs_sensitivity(self, t, z):
@@ -373,19 +423,20 @@ class BubbleModel:
         map of the state's cavity values.  One product of the stacked
         blocks with the rows [r, s_r...] serves every row.
         """
-        nsq, nb, p = self.nsq, self._nblocks, len(self.sensitivity)
-        zz = z.reshape(1 + p, nsq + 2)                   # rows y, s_1 .. s_p
-        rs = zz[:, :nsq]
-        prods = (rs @ self._stacked.T).reshape(-1, nsq)  # row nb*j + i: L_i on row j
-        (ar, ai), *s_cav = zz[:, nsq:].tolist()
-        (rr, beta_im, mbeta_re), *s_w = (rs @ self._w_sens.T).tolist()
+        n, nb, p = self.nrho, self._nblocks, len(self.sensitivity)
+        zz = z.reshape(1 + p, n + 2)                     # rows y, s_1 .. s_p
+        rs = zz[:, :n]
+        allprods = rs @ self._stacked.T
+        prods = allprods[:, :nb * n].reshape(-1, n)      # row nb*j + i: L_i on row j
+        (ar, ai), *s_cav = zz[:, n:].tolist()
+        (rr, beta_re, beta_im), *s_w = allprods[:, nb * n:].tolist()
         xi, gc, dc, pf = self.xi_a, self.gamma_c_a, self.dc_a, self.prefactor_a
         own = [1.0, ar, ai, xi * rr][:nb]                # every row, on its own blocks
         pad = [0.0] * nb
         coef = [own + pad * p]
         cavity = [[-gc * ar - dc * ai + pf * beta_im,
-                   dc * ar - gc * ai + pf * mbeta_re - self.alpha_a]]
-        for k, ((s_ar, s_ai), (s_rr, s_bim, s_mbre), dg, d) in enumerate(
+                   dc * ar - gc * ai - pf * beta_re - self.alpha_a]]
+        for k, ((s_ar, s_ai), (s_rr, s_bre, s_bim), dg, d) in enumerate(
                 zip(s_cav, s_w, self._dg, self._dscalars)):
             # J's cross terms and df/dtheta_k, on the blocks of r
             cross = [0.0, s_ar + dg * ar, s_ai + dg * ai, xi * s_rr + d.xi * rr][:nb]
@@ -393,37 +444,38 @@ class BubbleModel:
             cavity.append([
                 -gc * s_ar - dc * s_ai + pf * s_bim
                 - d.gamma_c * ar - d.delta_c * ai + d.prefactor * beta_im,
-                dc * s_ar - gc * s_ai + pf * s_mbre
-                + d.delta_c * ar - d.gamma_c * ai + d.prefactor * mbeta_re - d.alpha])
+                dc * s_ar - gc * s_ai - pf * s_bre
+                + d.delta_c * ar - d.gamma_c * ai - d.prefactor * beta_re - d.alpha])
         out = np.empty_like(zz)
-        out[:, :nsq] = np.array(coef) @ prods
+        out[:, :n] = np.array(coef) @ prods
         if self._dl0 is not None:
-            out[self._dl0_rows, :nsq] += (self._dl0 @ rs[0]).reshape(-1, nsq)
-        out[:, nsq:] = cavity
+            out[self._dl0_rows, :n] += (self._dl0 @ rs[0]).reshape(-1, n)
+        out[:, n:] = cavity
         return out.reshape(-1)
 
     def jacobian(self, y) -> np.ndarray:
-        """Exact Jacobian df/dy of :meth:`rhs_flat` at y, (nsq + 2) square.
+        """Exact Jacobian df/dy of :meth:`rhs_flat` at y, ``size`` square.
 
         J_rr = L0 + Re<a> L1 + Im<a> L2 + xi (w_RR . r) L3 + xi (L3 r) w_RR^T,
         the columns L1 r and L2 r for (Re, Im)<a>, the cavity rows
         +-prefactor w_beta and the 2 x 2 cavity map.
         """
-        nsq = self.nsq
-        r, ar, ai = y[:nsq], y[nsq], y[nsq + 1]
-        blocks = self._stacked.reshape(self._nblocks, nsq, nsq)
-        prods = (self._stacked @ r).reshape(self._nblocks, nsq)
-        jac = np.empty((nsq + 2, nsq + 2))
-        jac[:nsq, :nsq] = blocks[0] + ar * blocks[1] + ai * blocks[2]
+        n, nb = self.nrho, self._nblocks
+        r, ar, ai = y[:n], y[n], y[n + 1]
+        blocks = self._stacked[:nb * n].reshape(nb, n, n)
+        w_rr, w_beta_re, w_beta_im = self._stacked[nb * n:]
+        prods = (self._stacked[:nb * n] @ r).reshape(nb, n)
+        jac = np.empty((n + 2, n + 2))
+        jac[:n, :n] = blocks[0] + ar * blocks[1] + ai * blocks[2]
         if self.xi_a != 0.0:
-            jac[:nsq, :nsq] += (self.xi_a * (self._w_rr @ r)) * blocks[3]
-            jac[:nsq, :nsq] += np.outer(self.xi_a * prods[3], self._w_rr)
-        jac[:nsq, nsq] = prods[1]
-        jac[:nsq, nsq + 1] = prods[2]
-        jac[nsq, :nsq] = self.prefactor_a * self._w_beta_im
-        jac[nsq + 1, :nsq] = -self.prefactor_a * self._w_beta_re
-        jac[nsq:, nsq:] = [[-self.gamma_c_a, -self.dc_a],
-                           [self.dc_a, -self.gamma_c_a]]
+            jac[:n, :n] += (self.xi_a * (w_rr @ r)) * blocks[3]
+            jac[:n, :n] += np.outer(self.xi_a * prods[3], w_rr)
+        jac[:n, n] = prods[1]
+        jac[:n, n + 1] = prods[2]
+        jac[n, :n] = self.prefactor_a * w_beta_im
+        jac[n + 1, :n] = -self.prefactor_a * w_beta_re
+        jac[n:, n:] = [[-self.gamma_c_a, -self.dc_a],
+                       [self.dc_a, -self.gamma_c_a]]
         return jac
 
     def transmission_gradient(self, z) -> np.ndarray:
@@ -433,13 +485,13 @@ class BubbleModel:
         2 gain (Re<a> s_ar + Im<a> s_ai) + |<a>|^2 dgain/dtheta_k.  Needs a
         model built with ``sensitivity``.
         """
-        cav = np.asarray(z).reshape(len(z), -1, self.nsq + 2)[:, :, self.nsq:]
+        cav = np.asarray(z).reshape(len(z), -1, self.size)[:, :, self.nrho:]
         a = cav[:, 0]
         return (2.0 * self._gain * np.einsum("ik,ijk->ij", a, cav[:, 1:])
                 + np.sum(a * a, axis=1)[:, None] * self._dgain)
 
     def cavity_amplitude(self, y) -> complex:
-        return complex(y[self.nsq], y[self.nsq + 1])
+        return complex(y[self.nrho], y[self.nrho + 1])
 
     def transmission(self, y) -> float:
         if self.alpha_a == 0.0:
@@ -448,10 +500,10 @@ class BubbleModel:
         return self.gamma_c_a**2 * abs(a) ** 2 / self.alpha_a**2
 
     def trace(self, y) -> float:
-        return float(y[: self.dim].sum())  # diagonal basis elements lead
+        return float(y[: self.npop].sum())  # the populations lead
 
     def rho_matrix(self, y) -> np.ndarray:
-        return (self._basis @ y[: self.nsq]).reshape(self.dim, self.dim)
+        return (self._basis @ y[: self.nrho]).reshape(self.dim, self.dim)
 
     def state_from_flat(self, y, t: float) -> BubbleState:
         return BubbleState(rho=self.rho_matrix(y), a=self.cavity_amplitude(y),
@@ -502,7 +554,14 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     ``"drive.alpha"``, ...).  Their forward sensitivities s_k = dy/dtheta_k
     (zero at t = 0) are integrated in the same run, under the same error
     control, and ``dT_dtheta[:, k]`` holds dT/dtheta_k at each sample, per
-    unit of the parameter.
+    unit of the parameter.  The step's error is the larger of the state's
+    and each sensitivity's own RMS norm, so the sensitivities never loosen
+    the control of the state.
+
+    ``metadata["solver"]`` records the run's work: the model's
+    ``coordinates`` (the length of y), the right-hand-side evaluations
+    ``nfev`` and the ``accepted_steps`` and ``rejected_steps``.  Each call
+    logs them in one DEBUG record on the ``rydcav`` logger.
     """
     if sample_times is None:
         t_end = require_positive("t_end", t_end)
@@ -517,7 +576,7 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     model = BubbleModel(params, nmax=nmax, n_b=n_b, sensitivity=sensitivity)
 
     def check_trace(t, y):
-        drift = abs(y[: model.dim].sum() - 1.0)
+        drift = abs(model.trace(y) - 1.0)
         if drift > _TRACE_ABORT:
             raise IntegrationError(
                 f"trace drift {drift:g} exceeds {_TRACE_ABORT:g} at t={t:g} us")
@@ -526,8 +585,9 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     if model.sensitivity:   # samples are [y, s_1..]; y leads, so check_trace holds
         rhs = model.rhs_sensitivity
         y0 = np.concatenate((y0, np.zeros(len(model.sensitivity) * y0.size)))
-    samples = integrate(rhs, 0.0, y0, sample_times, rtol=rtol, atol=atol,
-                        sample_callback=check_trace)
+    samples, stats = integrate(rhs, 0.0, y0, sample_times, rtol=rtol,
+                               atol=atol, sample_callback=check_trace,
+                               parts=1 + len(model.sensitivity))
 
     npts = sample_times.size
     trans = np.empty(npts)
@@ -537,7 +597,7 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     states = [] if keep_states else None
     for i in range(npts):
         y = samples[i].real
-        r = y[: model.nsq]
+        r = y[: model.nrho]
         trans[i] = model.transmission(y)
         pop_r[i] = model._w_rr @ r
         pop_s[i] = model._w_ss @ r
@@ -546,8 +606,14 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
             states.append(model.state_from_flat(y, float(sample_times[i])))
 
     dT_dtheta = model.transmission_gradient(samples) if model.sensitivity else None
+    solver = {"coordinates": model.size, "nfev": stats.nfev,
+              "accepted_steps": stats.accepted, "rejected_steps": stats.rejected}
+    _log.debug("bubble evolve (nmax %d, %d coordinates) to t = %g us: "
+               "%d rhs evaluations, %d accepted and %d rejected steps",
+               nmax, model.size, sample_times[-1], stats.nfev, stats.accepted,
+               stats.rejected)
     meta = {"params": params_to_dict(params), "nmax": nmax, "rtol": rtol,
-            "n_b": model.n_b}
+            "n_b": model.n_b, "solver": solver}
     return TimeSeries(sample_times, trans, pop_r, pop_s, terr,
                       metadata=meta, states=states, dT_dtheta=dT_dtheta)
 
@@ -582,80 +648,51 @@ _PSD_TOL = 1e-8
 _MARGINAL = 1e-9
 
 
-def _live_coordinates(model: BubbleModel) -> np.ndarray:
-    """Indices of the state coordinates the evolution from the empty
-    cavity can make nonzero.
-
-    A coordinate is live when a chain of nonzero generator entries leads to
-    it from the population of |G, m=0>; the cavity-coupling blocks count
-    only when the cavity is driven.  No entry leads from a live coordinate
-    to one that is not, so those stay zero along the evolution.  Left in, a
-    sector nothing enters (S when xi = 0) would add conserved populations
-    or zero modes beside Tr rho and make the bordered Newton matrix
-    singular.  The live populations lead and the two cavity coordinates
-    close the list, as in the state vector.
-    """
-    nsq, nb = model.nsq, model._nblocks
-    blocks = np.abs(model._stacked).reshape(nb, nsq, nsq)
-    if model.alpha_a == 0.0:
-        blocks[1:3] = 0.0                  # <a> stays 0: L1, L2 never act
-    flow = blocks.sum(axis=0) > 0.0        # flow[i, k]: r_k moves r_i
-    live = np.zeros(nsq, dtype=bool)
-    live[0] = True
-    while True:
-        grown = live | flow[:, live].any(axis=1)
-        if np.array_equal(grown, live):
-            return np.concatenate((np.flatnonzero(live), [nsq, nsq + 1]))
-        live = grown
-
-
 def _bordered_residual(model: BubbleModel, y) -> np.ndarray:
     """f(y) with its first row replaced by Tr rho - 1.
 
     The population rows of f sum to zero (the trace is conserved), so one
-    of them is redundant; the trace condition takes its place and makes the
-    fixed point isolated on the live coordinates.
+    of them is redundant; the trace condition takes its place.  On the
+    model's coordinates, which leave out any sector nothing enters (S when
+    xi = 0), Tr rho is the one conserved quantity, so the fixed point is
+    isolated.
     """
     f = model.rhs_flat(0.0, y)
     f[0] = model.trace(y) - 1.0
     return f
 
 
-def _newton(model: BubbleModel, y, live: np.ndarray, rtol: float):
+def _newton(model: BubbleModel, y, rtol: float):
     """Damped Newton on the bordered residual from y, with the exact Jacobian.
 
-    Solves on the ``live`` coordinates and holds the others at zero.  A
-    step is halved until the residual's 2-norm falls, so every iterate is
-    closer to a root than the last.  Returns (y*, iterations) once a step
-    is below _STEADY_ATOL + rtol |y| in every component, or
-    (None, iterations) on a singular matrix, a non-finite step, a step that
-    _NEWTON_HALVINGS halvings do not make descend, or no convergence within
+    Each Newton correction dy = -J^-1 F(y) is scaled by 1, 1/2, 1/4, ...
+    until the scaled step passes Deuflhard's natural monotonicity test: the
+    simplified correction -J^-1 F(y + step), with the same J, is shorter
+    than dy.  Returns (y*, iterations) once a correction is below
+    _STEADY_ATOL + rtol |y| in every component, or (None, iterations) on a
+    singular matrix, a non-finite correction, a correction that
+    _NEWTON_HALVINGS halvings do not make pass, or no convergence within
     _NEWTON_MAXITER iterations.
     """
-    start, y = y, np.zeros_like(y)
-    y[live] = start[live]
-    npop = int(np.searchsorted(live, model.dim))   # live populations lead
-    res = _bordered_residual(model, y)[live]
+    res = _bordered_residual(model, y)
     for it in range(1, _NEWTON_MAXITER + 1):
-        jac = model.jacobian(y)[np.ix_(live, live)]
+        jac = model.jacobian(y)
         jac[0] = 0.0
-        jac[0, :npop] = 1.0
+        jac[0, :model.npop] = 1.0
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
             return None, it
         if not np.isfinite(step).all():
             return None, it
-        moved = y[live] + step
+        moved = y + step
         if np.all(np.abs(step) <= _STEADY_ATOL + rtol * np.abs(moved)):
-            y[live] = moved
-            return y, it
-        norm = np.linalg.norm(res)
+            return moved, it
+        norm = np.linalg.norm(step)
         for _ in range(_NEWTON_HALVINGS + 1):
-            trial = y.copy()
-            trial[live] += step
-            trial_res = _bordered_residual(model, trial)[live]
-            if np.linalg.norm(trial_res) < norm:
+            trial = y + step
+            trial_res = _bordered_residual(model, trial)
+            if np.linalg.norm(np.linalg.solve(jac, -trial_res)) < norm:
                 break
             step = 0.5 * step
         else:
@@ -664,13 +701,13 @@ def _newton(model: BubbleModel, y, live: np.ndarray, rtol: float):
     return None, _NEWTON_MAXITER
 
 
-def _verdict(model: BubbleModel, y, live: np.ndarray, t: float, window: float,
+def _verdict(model: BubbleModel, y, t: float, window: float,
              convergence: float, rtol: float) -> tuple[bool, str]:
     """(accepted, verdict) for the Newton root y.
 
     The root must be a state (no eigenvalue of rho below -_PSD_TOL) and
-    stable.  On the live coordinates the trace functional u (ones on the
-    populations) is a left null vector of J, so the hyperplane u . v = 0
+    stable.  The trace functional u (ones on the populations) is a left
+    null vector of J, so the hyperplane u . v = 0
     is invariant and carries every other eigenvalue.  In the coordinates
     after the first, with v_0 = -sum of the other populations, J
     restricted to it is J[1:, 1:] - J[1:, 0] u[1:]^T.  When its spectrum
@@ -680,16 +717,16 @@ def _verdict(model: BubbleModel, y, live: np.ndarray, t: float, window: float,
     lowest = float(np.linalg.eigvalsh(model.rho_matrix(y)).min())
     if lowest < -_PSD_TOL:
         return False, f"not a state (min eigenvalue of rho = {lowest:.3g})"
-    jac = model.jacobian(y)[np.ix_(live, live)]
+    jac = model.jacobian(y)
     restricted = jac[1:, 1:]
-    restricted[:, :int(np.searchsorted(live, model.dim)) - 1] -= jac[1:, :1]
+    restricted[:, :model.npop - 1] -= jac[1:, :1]
     growth = float(np.linalg.eigvals(restricted).real.max())
     if growth < -_MARGINAL:
         return True, "stable"
     if growth > _MARGINAL:
         return False, f"unstable (max Re = {growth:.3g} rad/us)"
     moved = integrate(model.rhs_flat, t, y, [t + window], rtol=rtol,
-                      atol=_STEADY_ATOL)[-1].real
+                      atol=_STEADY_ATOL)[0][-1]
     t_star, t_moved = model.transmission(y), model.transmission(moved)
     settled = abs(t_moved - t_star) / max(t_star, 1e-12) < convergence
     return settled, f"marginal, {'settled' if settled else 'drifting'} over a window"
@@ -705,10 +742,10 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
     The model is evolved for one ``window`` (us) from the empty cavity with
     all atoms in the ground state.  Damped Newton steps from that state
     then solve f(y) = 0, with the first row replaced by Tr rho = 1 and the
-    exact Jacobian, to the evolution's tolerance (``rtol``).  Coordinates
-    the dynamics never populate (the dark state S when xi = 0) are held at
-    zero, which leaves Tr rho as the one conserved quantity.  Every step
-    lowers the residual, but nothing proves that the root is the fixed
+    exact Jacobian, to the evolution's tolerance (``rtol``), on the
+    coordinates the model keeps (the dark state S is dropped when xi = 0),
+    which leaves Tr rho as the one conserved quantity.  Each step passes a
+    monotonicity test, but nothing proves that the root is the fixed
     point the evolution would settle on if the model had several; the
     tests compare it with long evolutions at weak and strong drive.
 
@@ -729,7 +766,6 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
     require_positive("window", window)
     require_positive("t_max", t_max)
     model = BubbleModel(params, nmax=nmax, n_b=n_b)
-    live = _live_coordinates(model)
     y = model.initial_flat()
     t = 0.0
     windows = iterations = 0
@@ -737,15 +773,15 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
     while t < t_max and not converged:
         chunk_end = min(t + window, t_max)
         y = integrate(model.rhs_flat, t, y, [chunk_end], rtol=rtol,
-                      atol=_STEADY_ATOL)[-1].real
+                      atol=_STEADY_ATOL)[0][-1]
         t = chunk_end
         windows += 1
-        y_star, its = _newton(model, y, live, rtol)
+        y_star, its = _newton(model, y, rtol)
         iterations += its
         if y_star is None:
             verdict = "Newton failed"
             continue
-        converged, verdict = _verdict(model, y_star, live, t, window,
+        converged, verdict = _verdict(model, y_star, t, window,
                                       convergence, rtol)
         if converged:
             y = y_star

@@ -98,7 +98,9 @@ def _cmd_bubble_evolve(args):
     series = bubble.evolve(params, t_end=args.t_end, dt=args.dt,
                            nmax=args.nmax, rtol=args.rtol)
     trans = _noise(args, series.transmission)
+    # the solver's counts, never its times, keep the output deterministic
     meta = _meta(args, params, {"nmax": args.nmax, "rtol": args.rtol,
+                                **series.metadata["solver"],
                                 **({"noise": args.noise} if args.noise else {})})
     rows = zip(series.t, trans, series.pop_R, series.pop_S, series.trace_error)
     payload = {"t_us": list(series.t), "transmission": list(trans),

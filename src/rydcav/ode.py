@@ -6,11 +6,13 @@ solution drives standard step-size control.  Sample times are hit exactly
 by capping the step.  The pair is first-same-as-last: the 7th stage is
 evaluated at the accepted step's end point, so it is reused as the next
 step's first stage and an accepted step costs six evaluations of f.
+Every run reports its work: evaluations of f, accepted and rejected steps.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +42,18 @@ _ORDER_EXP = 0.2  # 1/5
 _SNAP = 1e-12
 
 
-def _error_norm(err, y_old, y_new, rtol, atol):
+class IntegrationStats(NamedTuple):
+    """The work of one :func:`integrate` run."""
+
+    nfev: int
+    accepted: int
+    rejected: int
+
+
+def _error_norm(err, y_old, y_new, rtol, atol, parts):
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+    squares = np.abs(err / scale) ** 2
+    return math.sqrt(squares.reshape(parts, -1).mean(axis=1).max())
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol):
@@ -62,8 +73,10 @@ def _initial_step(f, t0, y0, f0, rtol, atol):
 
 
 def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
-              atol: float = 1e-10, sample_callback=None) -> np.ndarray:
-    """Integrate dy/dt = f(t, y) and return the state at each sample time.
+              atol: float = 1e-10, sample_callback=None,
+              parts: int = 1) -> tuple[np.ndarray, IntegrationStats]:
+    """Integrate dy/dt = f(t, y); return the state at each sample time and
+    the run's :class:`IntegrationStats`.
 
     ``t_samples`` must be strictly increasing and >= t0; a sample exactly at
     t0 returns the initial state.  ``sample_callback(t, y)`` is invoked as
@@ -72,6 +85,11 @@ def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
     first stage of the next.  ``rtol`` must be finite and > 0, ``atol``
     finite and >= 0, and every time finite (ValueError).  Raises
     IntegrationError on a non-finite step or step-size underflow.
+
+    The error of a step is the RMS of err / (atol + rtol |y|).  When y is
+    ``parts`` equal parts, such as a state followed by its sensitivities,
+    it is the largest of the parts' RMS norms (as in CVODES), so adding
+    parts never loosens the control of the first.
     """
     rtol = require_positive("rtol", rtol)
     atol = require_positive("atol", atol, allow_zero=True)
@@ -99,9 +117,10 @@ def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
             isample += 1
 
     isample = 0
+    accepted = rejected = 0
     record_due()
     if isample >= n:
-        return out
+        return out, IntegrationStats(0, 0, 0)
 
     k[0] = f(t, y)
     h = min(_initial_step(f, t, y, k[0], rtol, atol), t_samples[-1] - t)
@@ -117,11 +136,12 @@ def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
         # _A[6] is the 5th-order weight row: the last stage's input is the
         # step's result, and k[6] = f(t + h, y_new)
         y_new = yi
-        err = _error_norm(h_try * (_E @ k), y, y_new, rtol, atol)
+        err = _error_norm(h_try * (_E @ k), y, y_new, rtol, atol, parts)
         if not math.isfinite(err):   # a NaN step would be retried forever
             raise IntegrationError(f"non-finite step from t={t:g}")
 
         if err <= 1.0:
+            accepted += 1
             t += h_try
             y = y_new
             record_due()
@@ -130,6 +150,9 @@ def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
                 _MAX_FACTOR, _SAFETY * err ** -_ORDER_EXP)
             h = h_try * factor
         else:
+            rejected += 1
             h = h_try * max(_MIN_FACTOR, _SAFETY * err ** -_ORDER_EXP)
 
-    return out
+    # the first stage and the initial-step probe, then six stages per step
+    nfev = 2 + 6 * (accepted + rejected)
+    return out, IntegrationStats(nfev, accepted, rejected)

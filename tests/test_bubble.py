@@ -10,6 +10,7 @@ import pytest
 from rydcav.bubble import (
     BubbleModel,
     TimeSeries,
+    _scalars,
     build_operators,
     evolve,
     steady_transmission_bubble,
@@ -83,8 +84,8 @@ class TestOperators:
 
 def rhs(params, rho, a, nmax):
     """(drho/dt, d<a>/dt) of one bubble state through the flat rhs."""
-    model = BubbleModel(params, nmax=nmax)
-    dy = model.rhs_flat(0.0, model.initial_flat(rho0=rho, a0=a))
+    model = BubbleModel(params, nmax=nmax, rho0=rho, a0=a)
+    dy = model.rhs_flat(0.0, model.initial_flat())
     return model.rho_matrix(dy), model.cavity_amplitude(dy)
 
 
@@ -133,9 +134,11 @@ class TestRhs:
 class TestJacobian:
     @pytest.mark.parametrize("xi", [0.0, 2.0])
     def test_matches_central_differences(self, xi, rng):
-        model = BubbleModel(transient_params(xi=xi), nmax=2)
-        y = model.initial_flat(rho0=random_density_matrix(model.dim, rng),
-                               a0=0.3 - 0.2j)
+        rho = random_density_matrix(build_operators(2).dim, rng)
+        model = BubbleModel(transient_params(xi=xi), nmax=2, rho0=rho,
+                            a0=0.3 - 0.2j)
+        y = model.initial_flat()
+        assert y.size == model.dim**2 + 2    # a full-rank rho reaches everything
         jac = model.jacobian(y)
         # f is quadratic in y, so the central difference is exact up to
         # rounding
@@ -149,8 +152,106 @@ class TestJacobian:
         scale = np.abs(jac).max()
         np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-9 * scale)
         # Tr rho is conserved: the trace functional is a left null vector
-        np.testing.assert_allclose(jac[: model.dim].sum(axis=0), 0.0,
+        np.testing.assert_allclose(jac[: model.npop].sum(axis=0), 0.0,
                                    atol=1e-12 * scale)
+
+
+def full_space_reference(params, nmax, times, a0=0.0):
+    """(rho, <a>) at ``times`` from the dense complex Lindblad generator on
+    all d^2 entries of row-major vec(rho), started from |G, 0> and a0."""
+    ops = build_operators(nmax)
+    d = ops.dim
+    sc = _scalars(params, None)
+    eye = np.eye(d)
+
+    def commutator(h):
+        return np.kron(h, eye) - np.kron(eye, h.T)
+
+    def dissipator(op):
+        n = op.conj().T @ op
+        return 2.0 * np.kron(op, op.conj()) - np.kron(n, eye) - np.kron(eye, n.T)
+
+    b, bd = ops.beta, ops.beta.T
+    h0 = (-sc.delta_r * ops.sigma_RR - sc.delta_e * bd @ b
+          + 0.5 * sc.omega * (ops.sigma_RG @ b + bd @ ops.sigma_GR))
+    l0 = (-1j * commutator(h0) + sc.gamma_e * dissipator(b)
+          + sc.gamma_r * dissipator(ops.sigma_GR)
+          + sc.gamma_s * dissipator(ops.sigma_GS))
+    # -i [g sqrt(n_b) (<a>* beta + <a> beta+), rho]
+    l_b, l_bd = -1j * sc.g_nb * commutator(b), -1j * sc.g_nb * commutator(bd)
+    l_dark = dissipator(ops.sigma_SR)
+    # Tr(X rho) = vec(X^T) . vec(rho)
+    v_rr, v_beta = ops.sigma_RR.T.reshape(-1), b.T.reshape(-1)
+
+    def f(t, y):
+        r, a = y[:-1], y[-1]
+        dr = (l0 + np.conj(a) * l_b + a * l_bd) @ r
+        dr += sc.xi * (v_rr @ r).real * (l_dark @ r)
+        da = (1j * (sc.delta_c + 1j * sc.gamma_c) * a
+              - 1j * sc.prefactor * (v_beta @ r) - 1j * sc.alpha)
+        return np.append(dr, da)
+
+    y0 = np.zeros(d * d + 1, dtype=complex)
+    y0[0], y0[-1] = 1.0, a0
+    out, _ = integrate(f, 0.0, y0, times, rtol=1e-12, atol=1e-14)
+    return out[:, :-1].reshape(-1, d, d), out[:, -1]
+
+
+class TestReduction:
+    """The model on its reachable coordinates against the full space."""
+
+    TIMES = np.arange(0.0, 9.0)
+
+    def assert_matches(self, params, nmax, rho, a, transmission):
+        ref_rho, ref_a = full_space_reference(params, nmax, self.TIMES,
+                                              a0=a[0])
+        np.testing.assert_allclose(rho, ref_rho, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(a, ref_a, rtol=0, atol=1e-9)
+        gain = 0.0 if params.drive.alpha == 0.0 else (
+            params.cavity.gamma_c / params.drive.alpha) ** 2
+        np.testing.assert_allclose(transmission, gain * np.abs(ref_a) ** 2,
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("nmax", [2, 3])
+    @pytest.mark.parametrize("kw", [dict(xi=0.0), dict(xi=2.0), dict(alpha=0.0)],
+                             ids=["xi-0", "xi-2", "alpha-0"])
+    def test_evolve_matches_full_space(self, nmax, kw):
+        p = transient_params(**kw)
+        series = evolve(p, t_end=8.0, dt=1.0, nmax=nmax, rtol=1e-12,
+                        atol=1e-14, keep_states=True)
+        d = build_operators(nmax).dim
+        assert series.metadata["solver"]["coordinates"] < d * d + 2
+        rho = np.array([st.rho for st in series.states])
+        a = np.array([st.a for st in series.states])
+        self.assert_matches(p, nmax, rho, a, series.transmission)
+
+    @pytest.mark.parametrize("nmax, kw", [(2, dict(alpha=0.0)), (3, dict(xi=2.0))],
+                             ids=["nmax2-alpha-0", "nmax3-xi-2"])
+    def test_cavity_started_nonzero_matches_full_space(self, nmax, kw):
+        p = transient_params(**kw)
+        model = BubbleModel(p, nmax=nmax, a0=0.4 - 0.3j)
+        assert model.size < model.dim**2 + 2
+        y, _ = integrate(model.rhs_flat, 0.0, model.initial_flat(), self.TIMES,
+                         rtol=1e-12, atol=1e-14)
+        rho = np.array([model.rho_matrix(row) for row in y])
+        a = np.array([model.cavity_amplitude(row) for row in y])
+        self.assert_matches(p, nmax, rho, a, [model.transmission(row) for row in y])
+
+    @pytest.mark.parametrize("nmax, xi, size", [(2, 2.0, 47), (2, 0.0, 38),
+                                                (4, 2.0, 127), (4, 0.0, 102),
+                                                (6, 2.0, 247), (6, 0.0, 198)])
+    def test_reachable_coordinate_count(self, nmax, xi, size):
+        assert BubbleModel(transient_params(xi=xi), nmax=nmax).size == size
+
+    def test_state_outside_the_model_rejected(self):
+        model = BubbleModel(transient_params(xi=0.0), nmax=2)
+        rho = np.zeros((model.dim, model.dim))
+        rho[0, 0], rho[1, 1] = 0.5, 0.5          # |0, G> and |0, R>
+        np.testing.assert_allclose(model.rho_matrix(model.initial_flat(rho0=rho)),
+                                   rho, atol=1e-15)
+        rho[1, 1], rho[2, 2] = 0.0, 0.5          # |0, S>: never reached at xi = 0
+        with pytest.raises(ValueError, match="outside"):
+            model.initial_flat(rho0=rho)
 
 
 class TestEvolve:
@@ -260,6 +361,24 @@ class TestEvolve:
         assert series.metadata["n_b"] > 1.0
         assert series.metadata["params"]["rydberg"]["n"] == 85
 
+    def test_solver_stats_count_the_work(self, monkeypatch):
+        calls = 0
+        rhs_flat = BubbleModel.rhs_flat
+
+        def counting(model, t, y):
+            nonlocal calls
+            calls += 1
+            return rhs_flat(model, t, y)
+
+        monkeypatch.setattr(BubbleModel, "rhs_flat", counting)
+        series = evolve(transient_params(), t_end=8.0, dt=1.0, nmax=2)
+        solver = series.metadata["solver"]
+        assert calls > 100
+        assert solver["nfev"] == calls
+        assert solver["nfev"] == 2 + 6 * (solver["accepted_steps"]
+                                          + solver["rejected_steps"])
+        assert solver["coordinates"] == 47
+
 
 TIGHT = dict(t_end=16.0, dt=1.0, nmax=2, rtol=1e-10, atol=1e-12)
 
@@ -297,6 +416,10 @@ class TestXiSensitivity:
     def test_matches_step_halved_central_difference(self, xi):
         assert_matches_richardson(transient_params(xi=xi), "rydberg.xi", 0.04)
 
+    def test_central_difference_at_xi_zero(self):
+        # the xi column needs the dark sector, which xi = 0 alone never enters
+        assert_matches_richardson(transient_params(xi=0.0), "rydberg.xi", 0.04)
+
     def test_one_sided_difference_at_xi_zero(self):
         # df/dxi needs the dark-state block that xi = 0 alone would omit
         p = transient_params(xi=0.0)
@@ -317,23 +440,23 @@ class TestXiSensitivity:
     def test_sensitivity_is_traceless(self):
         paths = ("rydberg.xi", "rydberg.gamma_r", "drive.alpha")
         model = BubbleModel(transient_params(xi=1.1), nmax=2, sensitivity=paths)
-        n = model.nsq + 2
+        n = model.size
         y0 = model.initial_flat()
-        z = integrate(model.rhs_sensitivity, 0.0,
-                      np.concatenate((y0, np.zeros(3 * n))),
-                      np.arange(1.0, 17.0), rtol=1e-10, atol=1e-12)
+        z, _ = integrate(model.rhs_sensitivity, 0.0,
+                         np.concatenate((y0, np.zeros(3 * n))),
+                         np.arange(1.0, 17.0), rtol=1e-10, atol=1e-12)
         for k in range(1, 4):
-            s_r = z[:, k * n:k * n + model.nsq]
+            s_r = z[:, k * n:k * n + model.nrho]
             assert np.abs(s_r).max() > 1e-3
-            assert np.abs(s_r[:, :model.dim].sum(axis=1)).max() < 1e-12
+            assert np.abs(s_r[:, :model.npop].sum(axis=1)).max() < 1e-12
 
     def test_rhs_state_half_equals_rhs_flat(self, rng):
         paths = ("rydberg.xi", "drive.omega_cf")
         model = BubbleModel(transient_params(xi=1.1), nmax=2, sensitivity=paths)
-        z = rng.standard_normal(3 * (model.nsq + 2))
+        z = rng.standard_normal(3 * model.size)
         out = model.rhs_sensitivity(0.0, z)
-        want = model.rhs_flat(0.0, z[:model.nsq + 2])
-        np.testing.assert_allclose(out[:model.nsq + 2], want, rtol=1e-12,
+        want = model.rhs_flat(0.0, z[:model.size])
+        np.testing.assert_allclose(out[:model.size], want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("xi", [0.0, 1.1, 2.3])
@@ -366,6 +489,34 @@ class TestParameterSensitivity:
     ])
     def test_column_matches_step_halved_central_difference(self, path, h):
         assert_matches_richardson(transient_params(xi=1.1), path, h)
+
+    def test_dark_decay_column_at_zero_dark_decay(self):
+        # dL0/dgamma_s is nonzero where L0's gamma_s term vanishes
+        assert_matches_richardson(transient_params(xi=1.1, gamma_s=0.0),
+                                  "rydberg.gamma_s", 0.002)
+
+    def test_state_sensitivity_at_zero_control(self):
+        # at omega_cf = 0 only dL0/domega_cf leads into the R sector; T is
+        # even in omega_cf, so the state, not dT, shows whether it is kept
+        p = transient_params(xi=1.1, omega_cf=0.0)
+        model = BubbleModel(p, nmax=2, sensitivity=("drive.omega_cf",))
+        z, _ = integrate(model.rhs_sensitivity, 0.0,
+                         np.concatenate((model.initial_flat(),
+                                         np.zeros(model.size))),
+                         TestReduction.TIMES, rtol=1e-10, atol=1e-12)
+        exact = np.array([model.rho_matrix(row[model.size:]) for row in z])
+
+        def rho(omega):
+            series = evolve(set_path(p, "drive.omega_cf", omega), t_end=8.0,
+                            dt=1.0, nmax=2, rtol=1e-10, atol=1e-12,
+                            keep_states=True)
+            return np.array([st.rho for st in series.states])
+
+        h = 1e-3
+        central = (rho(h) - rho(-h)) / (2 * h)
+        scale = np.abs(exact).max()
+        assert scale > 1e-2
+        np.testing.assert_allclose(exact, central, rtol=0, atol=1e-5 * scale)
 
     def test_probe_detuning_column_off_resonance(self):
         # at delta_p = 0 the column vanishes by symmetry; off resonance it
@@ -439,7 +590,7 @@ class TestSteady:
         import rydcav.bubble as bubble
 
         def singular(model, y):
-            return np.zeros((model.nsq + 2, model.nsq + 2))
+            return np.zeros((model.size, model.size))
 
         windows = []
 
@@ -457,6 +608,14 @@ class TestSteady:
         assert result.newton_iterations == 3
         assert np.isfinite(result.transmission)
 
+    def test_natural_monotonicity_keeps_full_steps(self):
+        # a residual-norm descent test cut the first three full steps here
+        # and needed 8 iterations
+        result = steady_transmission_bubble(transient_params(), nmax=2)
+        assert result.converged
+        assert result.newton_iterations <= 6
+        assert result.transmission == pytest.approx(0.2005955, abs=1e-7)
+
     def test_overshooting_steps_are_halved(self, monkeypatch):
         exact = steady_transmission_bubble(transient_params(), nmax=2)
         solve = np.linalg.solve
@@ -470,7 +629,7 @@ class TestSteady:
     def test_root_that_is_not_a_state_is_rejected(self, monkeypatch, caplog):
         import rydcav.bubble as bubble
 
-        def negative_population(model, y, live, rtol):
+        def negative_population(model, y, rtol):
             rho = np.zeros((model.dim, model.dim))
             rho[0, 0], rho[1, 1] = 1.5, -0.5
             return model.initial_flat(rho0=rho), 1
@@ -503,7 +662,7 @@ class TestSteady:
         import rydcav.bubble as bubble
 
         monkeypatch.setattr(bubble, "_MARGINAL", np.inf)
-        monkeypatch.setattr(bubble, "_newton", lambda model, y, live, rtol: (y, 1))
+        monkeypatch.setattr(bubble, "_newton", lambda model, y, rtol: (y, 1))
         caplog.set_level(logging.DEBUG, logger="rydcav")
         p = transient_params()
         loose = steady_transmission_bubble(p, convergence=1e9, nmax=2)
@@ -539,6 +698,8 @@ class TestLogging:
                 "from conftest import make_params\n"
                 "steady_transmission_bubble(make_params(n=85, series='D', "
                 "alpha=0.05), nmax=1, window=1.0)\n"
+                "from rydcav import evolve\n"
+                "evolve(make_params(n=85, series='D'), t_end=1.0, nmax=1)\n"
                 "import logging\n"
                 "logging.getLogger('rydcav.bubble').warning('reached stderr')\n")
         tests_dir = Path(__file__).resolve().parent
@@ -563,6 +724,19 @@ class TestLogging:
         assert message.endswith(", stable, converged=True")
 
 
+    def test_one_debug_record_per_evolve(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="rydcav")
+        series = evolve(transient_params(), t_end=4.0, dt=1.0, nmax=2)
+        records = [r for r in caplog.records if r.name.startswith("rydcav")]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        solver = series.metadata["solver"]
+        assert records[0].getMessage() == (
+            f"bubble evolve (nmax 2, 47 coordinates) to t = 4 us: "
+            f"{solver['nfev']} rhs evaluations, {solver['accepted_steps']} "
+            f"accepted and {solver['rejected_steps']} rejected steps")
+
+
 class TestTimeSeries:
     def test_header(self):
         assert TimeSeries.header == "t_us,transmission,pop_R,pop_S,trace_error"
@@ -575,9 +749,9 @@ class TestTimeSeries:
 
 def test_model_reconstruction_round_trip(rng):
     p = transient_params()
-    model = BubbleModel(p, nmax=2)
-    rho = random_density_matrix(model.dim, rng)
-    y = model.initial_flat(rho0=rho, a0=0.2 + 0.5j)
+    rho = random_density_matrix(build_operators(2).dim, rng)
+    model = BubbleModel(p, nmax=2, rho0=rho, a0=0.2 + 0.5j)
+    y = model.initial_flat()
     back = model.rho_matrix(y)
     np.testing.assert_allclose(back, rho, atol=1e-12)
     assert model.cavity_amplitude(y) == pytest.approx(0.2 + 0.5j)

@@ -155,6 +155,20 @@ class TestBubbleCommands:
         rows = [l for l in lines if l and not l.startswith("#")][1:]
         assert len(rows) == 5
 
+    def test_evolve_meta_has_solver_counts_and_is_deterministic(self, tmp_path):
+        cfg = write_config(tmp_path)
+        texts = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            assert main(["bubble-evolve", "--config", str(cfg), "--out", str(out),
+                         "--t-end", "4", "--dt", "1", "--nmax", "2"]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        meta = dict(line[2:].split("=", 1) for line in texts[0].splitlines()
+                    if line.startswith("# ") and "=" in line)
+        for key in ("coordinates", "nfev", "accepted_steps", "rejected_steps"):
+            assert int(meta[key]) > 0
+
     def test_evolve_t_end_off_the_dt_grid(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         rc = main(["bubble-evolve", "--config", str(cfg),

@@ -10,7 +10,7 @@ def test_exponential_decay_accuracy():
         return -y
 
     ts = np.linspace(0.0, 5.0, 11)
-    out = integrate(f, 0.0, np.array([1.0 + 0j]), ts, rtol=1e-10, atol=1e-14)
+    out, _ = integrate(f, 0.0, np.array([1.0 + 0j]), ts, rtol=1e-10, atol=1e-14)
     np.testing.assert_allclose(out[:, 0].real, np.exp(-ts), rtol=1e-8)
 
 
@@ -21,7 +21,7 @@ def test_complex_rotation_preserves_modulus():
         return 1j * omega * y
 
     ts = np.linspace(0.0, 20.0, 21)
-    out = integrate(f, 0.0, np.array([1.0 + 0j]), ts, rtol=1e-9, atol=1e-12)
+    out, _ = integrate(f, 0.0, np.array([1.0 + 0j]), ts, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(np.abs(out[:, 0]), 1.0, rtol=1e-6)
     np.testing.assert_allclose(out[-1, 0], np.exp(1j * omega * 20.0), rtol=1e-5)
 
@@ -30,7 +30,7 @@ def test_real_dtype_preserved():
     def f(t, y):
         return -2.0 * y
 
-    out = integrate(f, 0.0, np.array([1.0, 0.5]), [1.0], rtol=1e-9, atol=1e-12)
+    out, _ = integrate(f, 0.0, np.array([1.0, 0.5]), [1.0], rtol=1e-9, atol=1e-12)
     assert out.dtype == np.float64
     np.testing.assert_allclose(out[0], np.array([1.0, 0.5]) * np.exp(-2.0),
                                rtol=1e-7)
@@ -45,10 +45,10 @@ def test_tolerance_halving_self_consistency():
         return a @ y
 
     ts = [2.0]
-    ref = integrate(f, 0.0, np.array([1.0, 0.0]), ts, rtol=1e-12, atol=1e-14)
+    ref, _ = integrate(f, 0.0, np.array([1.0, 0.0]), ts, rtol=1e-12, atol=1e-14)
     for rtol in (1e-6, 1e-8):
-        coarse = integrate(f, 0.0, np.array([1.0, 0.0]), ts, rtol=rtol, atol=1e-12)
-        fine = integrate(f, 0.0, np.array([1.0, 0.0]), ts, rtol=rtol / 2,
+        coarse, _ = integrate(f, 0.0, np.array([1.0, 0.0]), ts, rtol=rtol, atol=1e-12)
+        fine, _ = integrate(f, 0.0, np.array([1.0, 0.0]), ts, rtol=rtol / 2,
                          atol=1e-12)
         err_coarse = np.abs(coarse - ref).max()
         err_fine = np.abs(fine - ref).max()
@@ -69,10 +69,12 @@ def test_no_repeated_evaluations():
         seen.add((t, y.tobytes()))
         return a @ y
 
-    integrate(f, 0.0, np.array([1.0, 0.0]), [0.5, 1.0, 2.0], rtol=1e-8,
-              atol=1e-12)
+    _, stats = integrate(f, 0.0, np.array([1.0, 0.0]), [0.5, 1.0, 2.0],
+                         rtol=1e-8, atol=1e-12)
     assert calls > 100
     assert len(seen) == calls
+    assert stats.nfev == calls
+    assert stats.accepted > 0 and stats.rejected >= 0
 
 
 def test_sample_times_hit_exactly():
@@ -80,7 +82,7 @@ def test_sample_times_hit_exactly():
         return y * 0.0 + 1.0  # dy/dt = 1
 
     ts = np.array([0.0, 0.3, 1.0, 2.5])
-    out = integrate(f, 0.0, np.array([0.0 + 0j]), ts, rtol=1e-10)
+    out, _ = integrate(f, 0.0, np.array([0.0 + 0j]), ts, rtol=1e-10)
     np.testing.assert_allclose(out[:, 0].real, ts, atol=1e-12)
 
 
