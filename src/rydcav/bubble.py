@@ -249,15 +249,32 @@ def _assemble_l0(ops: BubbleOperators, sc: _Scalars) -> np.ndarray:
 def _project(basis: np.ndarray, blocks) -> list[np.ndarray]:
     """Superoperators as real matrices in the Hermitian basis.
 
-    Exact for generators that preserve Hermiticity; asserted.
+    basis^H @ blk @ basis by gathering: each basis column c has at most two
+    entries, a_c at row P_c and b_c at row Q_c (b_c = 0 on the diagonal
+    elements, where P_c = Q_c).  Rows go in chunks, so no complex d^2 x d^2
+    temporary (3.1 MB at nmax 6) is made.  Exact for generators that
+    preserve Hermiticity; asserted.
     """
-    u = basis.conj().T                             # r = Re(u @ vec(rho))
+    nonzero = basis != 0.0
+    cols = np.arange(basis.shape[1])
+    p = np.argmax(nonzero, axis=0)                         # first entry
+    q = basis.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)  # last entry
+    a = basis[p, cols]
+    b = np.where(p == q, 0.0, basis[q, cols])
+    chunks = np.array_split(cols, max(1, cols.size // 64))
     out = []
     for blk in blocks:
-        m = u @ blk @ basis
-        if np.max(np.abs(m.imag)) > 1e-9 * max(np.max(np.abs(m.real)), 1.0):
+        m = np.empty(blk.shape)
+        imag = 0.0
+        for rows in chunks:
+            left = (a[rows, None].conj() * blk[p[rows]]    # basis^H @ blk
+                    + b[rows, None].conj() * blk[q[rows]])
+            chunk = left[:, p] * a + left[:, q] * b
+            m[rows] = chunk.real
+            imag = max(imag, float(np.abs(chunk.imag).max()))
+        if imag > 1e-9 * max(np.max(np.abs(m)), 1.0):
             raise AssertionError("generator block is not Hermiticity-preserving")
-        out.append(m.real.copy())              # frees the complex product
+        out.append(m)
     return out
 
 
@@ -535,6 +552,12 @@ class TimeSeries:
 
 
 _TRACE_ABORT = 1e-6
+#: evolve integrates at this fraction of its rtol and atol.  At the full
+#: tolerances the stiff run's global error in T is 2-4 rtol of the peak
+#: (nmax 2, rtol 1e-6, xi 0-2.3; scipy's BDF gives the same), so two runs
+#: with different step sequences differ by as much; at a quarter it is
+#: 0.8-1.6 rtol of the peak
+_STIFF_TOL_SCALE = 0.25
 
 
 def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
@@ -546,9 +569,15 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     Starts at t = 0 from the empty cavity with all atoms in the ground
     state.  The Hermitian-basis parametrization keeps rho exactly
     Hermitian; a trace drift beyond 1e-6 at a sample aborts with
-    IntegrationError.  Samples are hit exactly by the Dormand-Prince
-    integrator of :mod:`rydcav.ode`.  Without ``sample_times`` the samples
-    are 0, dt, ..., t_end, so ``t_end`` must be a whole multiple of ``dt``.
+    IntegrationError.  The model is stiff once its fast oscillating start
+    has passed, so :func:`rydcav.ode.integrate` gets the exact Jacobian
+    (:meth:`BubbleModel.jacobian`): the explicit pair takes the start and
+    the NDF/BDF the stiff rest (it hands back where its steps stay short),
+    at a quarter of ``rtol`` and ``atol`` (``_STIFF_TOL_SCALE``).  NDF
+    samples are interpolated from its backward-difference polynomial, which
+    keeps Tr rho at every sample as the steps do.  Without ``sample_times``
+    the samples are 0, dt, ..., t_end, so ``t_end`` must be a whole
+    multiple of ``dt``.
 
     ``sensitivity`` names parameter paths theta_k (``"rydberg.xi"``,
     ``"drive.alpha"``, ...).  Their forward sensitivities s_k = dy/dtheta_k
@@ -556,12 +585,15 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     control, and ``dT_dtheta[:, k]`` holds dT/dtheta_k at each sample, per
     unit of the parameter.  The step's error is the larger of the state's
     and each sensitivity's own RMS norm, so the sensitivities never loosen
-    the control of the state.
+    the control of the state.  One inverse of W = I - c J, J of the state
+    alone, serves the state and every sensitivity (the simultaneous
+    corrector of CVODES).
 
     ``metadata["solver"]`` records the run's work: the model's
     ``coordinates`` (the length of y), the right-hand-side evaluations
-    ``nfev`` and the ``accepted_steps`` and ``rejected_steps``.  Each call
-    logs them in one DEBUG record on the ``rydcav`` logger.
+    ``nfev``, the ``accepted_steps`` and ``rejected_steps``, and the
+    ``jacobian_evals`` and ``inversions`` of W.  Each call logs them in one
+    DEBUG record on the ``rydcav`` logger.
     """
     if sample_times is None:
         t_end = require_positive("t_end", t_end)
@@ -585,9 +617,12 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     if model.sensitivity:   # samples are [y, s_1..]; y leads, so check_trace holds
         rhs = model.rhs_sensitivity
         y0 = np.concatenate((y0, np.zeros(len(model.sensitivity) * y0.size)))
-    samples, stats = integrate(rhs, 0.0, y0, sample_times, rtol=rtol,
-                               atol=atol, sample_callback=check_trace,
-                               parts=1 + len(model.sensitivity))
+    samples, stats = integrate(rhs, 0.0, y0, sample_times,
+                               rtol=_STIFF_TOL_SCALE * rtol,
+                               atol=_STIFF_TOL_SCALE * atol,
+                               sample_callback=check_trace,
+                               parts=1 + len(model.sensitivity),
+                               jac=lambda t, y: model.jacobian(y))
 
     npts = sample_times.size
     trans = np.empty(npts)
@@ -607,11 +642,14 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
 
     dT_dtheta = model.transmission_gradient(samples) if model.sensitivity else None
     solver = {"coordinates": model.size, "nfev": stats.nfev,
-              "accepted_steps": stats.accepted, "rejected_steps": stats.rejected}
+              "accepted_steps": stats.accepted, "rejected_steps": stats.rejected,
+              "jacobian_evals": stats.jacobian_evals,
+              "inversions": stats.inversions}
     _log.debug("bubble evolve (nmax %d, %d coordinates) to t = %g us: "
-               "%d rhs evaluations, %d accepted and %d rejected steps",
+               "%d rhs evaluations, %d accepted and %d rejected steps, "
+               "%d Jacobian evaluations, %d inversions",
                nmax, model.size, sample_times[-1], stats.nfev, stats.accepted,
-               stats.rejected)
+               stats.rejected, stats.jacobian_evals, stats.inversions)
     meta = {"params": params_to_dict(params), "nmax": nmax, "rtol": rtol,
             "n_b": model.n_b, "solver": solver}
     return TimeSeries(sample_times, trans, pop_r, pop_s, terr,
@@ -772,6 +810,9 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
     converged = False
     while t < t_max and not converged:
         chunk_end = min(t + window, t_max)
+        # the explicit pair: a window this short does not pay back the
+        # stiff integrator's start-up and inversions (README, "Time
+        # integration")
         y = integrate(model.rhs_flat, t, y, [chunk_end], rtol=rtol,
                       atol=_STEADY_ATOL)[0][-1]
         t = chunk_end

@@ -1,12 +1,42 @@
-"""Adaptive explicit Runge-Kutta integration (Dormand-Prince 5(4)).
+"""Adaptive integration of dy/dt = f(t, y): explicit Dormand-Prince 5(4),
+handing over to a stiff variable-order NDF/BDF when the Jacobian is given.
 
-A compact embedded-pair integrator for complex-valued ODE systems.  The
-5th-order solution propagates; the difference to the embedded 4th-order
-solution drives standard step-size control.  Sample times are hit exactly
-by capping the step.  The pair is first-same-as-last: the 7th stage is
-evaluated at the accepted step's end point, so it is reused as the next
-step's first stage and an accepted step costs six evaluations of f.
-Every run reports its work: evaluations of f, accepted and rejected steps.
+:func:`integrate` is the one entry point.  Both integrators share its
+boundary checks, the error norm (the RMS of err / (atol + rtol |y|), per
+part when y is a state followed by its sensitivities), the sample
+callback and the :class:`IntegrationStats` of a run.
+
+The explicit step is an embedded Dormand-Prince 5(4) pair: the 5th-order
+solution propagates, the difference to the embedded 4th-order solution
+drives the step size, and sample times are hit exactly by capping the
+step.  The pair is first-same-as-last: the 7th stage is evaluated at the
+accepted step's end point and reused as the next step's first stage, so
+an accepted step costs six evaluations of f.  It needs no linear algebra,
+which makes it the cheaper choice while accuracy, not stability, limits
+the step: over a short window, or in a fast oscillating start.
+
+With ``jac`` the pair runs until its steps are held at the edge of its
+stability region by the stiffest mode of J at the start (its spectral
+radius, by power iteration), and a numerical differentiation formula
+(NDF) of order 1-5 in backward-difference form, after Shampine &
+Reichelt, "The MATLAB ODE Suite", SIAM J. Sci. Comput. 18 (1997), takes
+over (LSODA switches from Adams to BDF in the same way).  Where the NDF's
+own steps then stay below half the pair's bound, as when a slowly damped
+oscillation must be resolved, it hands the rest of the run back.
+
+An NDF step is a prediction from the backward differences, then
+simplified Newton iterations with W = I - h/alpha_k J.  numpy has no LU
+factorisation, so W is inverted with ``np.linalg.inv`` and the inverse
+kept across Newton iterations and steps: it is renewed only when the step
+size or the order changes, and J only when a Newton iteration fails to
+converge.  Samples are interpolated from the
+backward-difference polynomial of the step that passed them; the
+interpolant is affine in the stored values, so a linear functional that
+f conserves (such as a trace) holds at every sample.  For a state
+followed by ``parts - 1`` sensitivities, the corrector applies the
+state's W to every part (the block-diagonal simultaneous corrector of
+CVODES, Hindmarsh et al., ACM TOMS 31, 2005), so ``jac`` receives only
+the state part.
 """
 
 from __future__ import annotations
@@ -38,26 +68,66 @@ _E = _B5 - _B4
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_ORDER_EXP = 0.2  # 1/5
+_DP5_ORDER = 4
 _SNAP = 1e-12
+# the pair's stability region reaches about -3.3 on the real axis
+_STIFF_H_LAMBDA = 3.25
+# DOPRI5's counts: steps at the bound that hand over, and steps below it
+# that restart the count
+_STIFF_STEPS = 15
+_CALM_STEPS = 6
+# the NDF hands the rest of a run back to the pair when its mean step over
+# this many accepted steps stays below half the pair's stability bound.
+# An NDF step costs 2-3 evaluations of f and each change of h an inversion
+# of W; a pair's step 6 evaluations.  Measured: on the dark-state transients
+# the NDF's first 100 steps average h |lambda|max = 1.9-5, and it takes
+# 1/5-1/10 of the pair's evaluations; on weak-drive evolves detuned by 4-20
+# MHz, where a slowly damped oscillation must be resolved, they average
+# 1.1-1.3, and the NDF took 1-2.7 times the pair's wall time
+_HANDBACK_STEPS = 100
+
+# NDF of orders 1..5: kappa from Shampine & Reichelt's Table 1 (order 5
+# is the plain BDF), gamma_k = sum_{j<=k} 1/j, alpha_k = (1 - kappa_k)
+# gamma_k, and the local error is _NDF_ERROR[k] times the (k+1)-th
+# backward difference
+_MAX_ORDER = 5
+_KAPPA = np.array([0.0, -0.1850, -1 / 9, -0.0823, -0.0415, 0.0])
+_GAMMA = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, _MAX_ORDER + 1))))
+_NDF_ALPHA = (1.0 - _KAPPA) * _GAMMA
+_NDF_ERROR = _KAPPA * _GAMMA + 1.0 / np.arange(1, _MAX_ORDER + 2)
+_NEWTON_MAXITER = 4
+_NDF_MAX_FACTOR = 10.0
+# a growth of h below this is not taken while the order stays (CVODE's
+# threshold): each change of h costs an inversion of W, and on the nmax-6
+# bubble transient this takes a third fewer for 5% more evaluations of f
+_NDF_KEEP_GROWTH = 1.5
 
 
 class IntegrationStats(NamedTuple):
-    """The work of one :func:`integrate` run."""
+    """The work of one :func:`integrate` run; the Jacobian evaluations and
+    inversions of W are 0 without ``jac``."""
 
     nfev: int
     accepted: int
     rejected: int
+    jacobian_evals: int = 0
+    inversions: int = 0
+
+
+def _norm(scaled, parts):
+    """Largest of the parts' RMS norms of an already scaled vector."""
+    squares = np.abs(scaled) ** 2
+    return math.sqrt(squares.reshape(parts, -1).mean(axis=1).max())
 
 
 def _error_norm(err, y_old, y_new, rtol, atol, parts):
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    squares = np.abs(err / scale) ** 2
-    return math.sqrt(squares.reshape(parts, -1).mean(axis=1).max())
+    return _norm(err / scale, parts)
 
 
-def _initial_step(f, t0, y0, f0, rtol, atol):
-    # Hairer-style h0 guess from the size of y and dy/dt
+def _initial_step(f, t0, y0, f0, rtol, atol, order):
+    # Hairer-style h0 guess from the size of y and dy/dt for a method of
+    # the given order
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean(np.abs(y0 / scale) ** 2))
     d1 = np.sqrt(np.mean(np.abs(f0 / scale) ** 2))
@@ -68,28 +138,34 @@ def _initial_step(f, t0, y0, f0, rtol, atol):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** _ORDER_EXP
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / (order + 1))
     return min(100 * h0, h1)
 
 
 def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
-              atol: float = 1e-10, sample_callback=None,
-              parts: int = 1) -> tuple[np.ndarray, IntegrationStats]:
+              atol: float = 1e-10, sample_callback=None, parts: int = 1,
+              jac=None) -> tuple[np.ndarray, IntegrationStats]:
     """Integrate dy/dt = f(t, y); return the state at each sample time and
     the run's :class:`IntegrationStats`.
 
     ``t_samples`` must be strictly increasing and >= t0; a sample exactly at
     t0 returns the initial state.  ``sample_callback(t, y)`` is invoked as
-    each sample is recorded and may raise to abort.  f is evaluated at most
-    once per distinct (t, y): the last stage of an accepted step is the
-    first stage of the next.  ``rtol`` must be finite and > 0, ``atol``
-    finite and >= 0, and every time finite (ValueError).  Raises
-    IntegrationError on a non-finite step or step-size underflow.
+    each sample is recorded and may raise to abort.  ``rtol`` must be
+    finite and > 0, ``atol`` finite and >= 0, and every time finite
+    (ValueError).  Raises IntegrationError on a non-finite step or
+    step-size underflow.
 
     The error of a step is the RMS of err / (atol + rtol |y|).  When y is
     ``parts`` equal parts, such as a state followed by its sensitivities,
     it is the largest of the parts' RMS norms (as in CVODES), so adding
     parts never loosens the control of the first.
+
+    Without ``jac`` the explicit Dormand-Prince pair runs; it hits every
+    sample exactly and evaluates f at most once per distinct (t, y).
+    ``jac(t, y_state)``, the Jacobian of the first part's f with respect
+    to that part, lets the run hand over to the stiff NDF/BDF once the
+    pair's steps are held by stability; the NDF interpolates its samples
+    (see the module docstring).
     """
     rtol = require_positive("rtol", rtol)
     atol = require_positive("atol", atol, allow_zero=True)
@@ -103,27 +179,63 @@ def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
 
     dtype = np.result_type(np.asarray(y0).dtype, np.float64)
     y = np.array(y0, dtype=dtype)
-    t = float(t0)
-    n = t_samples.size
-    out = np.empty((n, y.size), dtype=dtype)
-    k = np.empty((7, y.size), dtype=dtype)
-
-    def record_due():
-        nonlocal isample
-        while isample < n and t_samples[isample] - t <= _SNAP * max(1.0, abs(t_samples[isample])):
-            out[isample] = y
-            if sample_callback is not None:
-                sample_callback(t_samples[isample], y)
-            isample += 1
-
-    isample = 0
-    accepted = rejected = 0
-    record_due()
-    if isample >= n:
+    out = np.empty((t_samples.size, y.size), dtype=dtype)
+    isample = _record_due(float(t0), y, t_samples, 0, out, sample_callback)
+    if isample == t_samples.size:
         return out, IntegrationStats(0, 0, 0)
+    radius = None
+    if jac is not None:
+        radius = _spectral_radius(jac(t0, y[:y.size // parts]))
+    stats, t, y, isample = _dopri5(f, float(t0), y, t_samples, isample, out,
+                                   rtol, atol, sample_callback, parts, radius)
+    stats = stats._replace(jacobian_evals=int(jac is not None))
+    if isample < t_samples.size:      # stability holds the pair's step
+        stiff, t, y, isample = _ndf(f, jac, t, y, t_samples, isample, out,
+                                    rtol, atol, sample_callback, parts, radius)
+        stats = IntegrationStats(*(a + b for a, b in zip(stats, stiff)))
+    if isample < t_samples.size:      # the NDF's steps stayed short
+        rest, t, y, isample = _dopri5(f, t, y, t_samples, isample, out, rtol,
+                                      atol, sample_callback, parts, None)
+        stats = IntegrationStats(*(a + b for a, b in zip(stats, rest)))
+    return out, stats
 
+
+def _due(t_sample, t):
+    """Whether integration to t has reached t_sample."""
+    return t_sample - t <= _SNAP * max(1.0, abs(t_sample))
+
+
+def _record_due(t, y, t_samples, isample, out, sample_callback):
+    """Record y at every sample from ``isample`` on that t has reached;
+    return the index of the next sample."""
+    while isample < t_samples.size and _due(t_samples[isample], t):
+        out[isample] = y
+        if sample_callback is not None:
+            sample_callback(t_samples[isample], y)
+        isample += 1
+    return isample
+
+
+def _dopri5(f, t, y, t_samples, isample, out, rtol, atol, sample_callback,
+            parts, radius):
+    """Dormand-Prince steps to the last sample, or, given the spectral
+    ``radius`` of the Jacobian, until stability holds the step; returns
+    (stats, t, y, index of the next sample).
+
+    The step is held when h radius passes _STIFF_H_LAMBDA, the pair's
+    stability bound on the negative axis.  _STIFF_STEPS such accepted
+    steps, with no _CALM_STEPS in a row below the bound between them, end
+    the run: the counts of Hairer & Wanner's stiffness test in DOPRI5
+    (Solving ODEs II, IV.2).
+    """
+    n = t_samples.size
+    k = np.empty((7, y.size), dtype=y.dtype)
+    accepted = rejected = 0
+    stiff_steps = calm_steps = 0
     k[0] = f(t, y)
-    h = min(_initial_step(f, t, y, k[0], rtol, atol), t_samples[-1] - t)
+    h = min(_initial_step(f, t, y, k[0], rtol, atol, _DP5_ORDER),
+            t_samples[-1] - t)
+    exponent = 1.0 / (_DP5_ORDER + 1)
 
     while isample < n:
         h_try = min(h, t_samples[isample] - t)
@@ -144,15 +256,211 @@ def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
             accepted += 1
             t += h_try
             y = y_new
-            record_due()
+            isample = _record_due(t, y, t_samples, isample, out,
+                                  sample_callback)
             k[0] = k[6]  # row copy: a rejected next step must not overwrite it
             factor = _MAX_FACTOR if err == 0 else min(
-                _MAX_FACTOR, _SAFETY * err ** -_ORDER_EXP)
+                _MAX_FACTOR, _SAFETY * err ** -exponent)
             h = h_try * factor
+            if radius is not None:
+                if h_try * radius > _STIFF_H_LAMBDA:
+                    stiff_steps, calm_steps = stiff_steps + 1, 0
+                    if stiff_steps == _STIFF_STEPS:
+                        break
+                else:
+                    calm_steps += 1
+                    if calm_steps == _CALM_STEPS:
+                        stiff_steps = 0
         else:
             rejected += 1
-            h = h_try * max(_MIN_FACTOR, _SAFETY * err ** -_ORDER_EXP)
+            h = h_try * max(_MIN_FACTOR, _SAFETY * err ** -exponent)
 
     # the first stage and the initial-step probe, then six stages per step
-    nfev = 2 + 6 * (accepted + rejected)
-    return out, IntegrationStats(nfev, accepted, rejected)
+    stats = IntegrationStats(2 + 6 * (accepted + rejected), accepted, rejected)
+    return stats, t, y, isample
+
+
+def _spectral_radius(jac_matrix, iterations=40):
+    """max |lambda| of a matrix by power iteration: the geometric mean of
+    the growth per product, which converges for a complex dominant pair
+    too.  The start vector is random (with a fixed seed), as a structured
+    one can miss the dominant mode."""
+    v = np.random.default_rng(0).standard_normal(jac_matrix.shape[0])
+    log_growth = 0.0
+    for _ in range(iterations):
+        w = jac_matrix @ v
+        norm = np.linalg.norm(w)
+        if norm == 0.0 or not math.isfinite(norm):
+            return norm
+        log_growth += math.log(norm / np.linalg.norm(v))
+        v = w / norm
+    return math.exp(log_growth / iterations)
+
+
+def _rescaled(diffs, order, factor):
+    """Backward differences of the same interpolant on a step ``factor``
+    times as long.
+
+    w(x)[i, j] = prod_{m=1..i} (m - 1 - x j) / m weighs the i-th difference
+    in the interpolant at j steps of x h back; the new differences are
+    (w(factor) w(1))^T diffs, w(1) taking values back to differences.
+    """
+    j = np.arange(order + 1)
+
+    def weights(x):
+        w = np.ones((order + 1, order + 1))
+        for i in range(1, order + 1):
+            w[i] = w[i - 1] * (i - 1 - x * j) / i
+        return w
+    return (weights(factor) @ weights(1.0)).T @ diffs[:order + 1]
+
+
+def _ndf(f, jac, t, y, t_samples, isample, out, rtol, atol, sample_callback,
+         parts, radius):
+    """NDF steps to the last sample, or until _HANDBACK_STEPS accepted steps
+    average less than half the pair's stability bound _STIFF_H_LAMBDA /
+    radius; returns (stats, t, y, index of the next sample)."""
+    n, size = t_samples.size, y.size
+    nstate = size // parts
+    t_end = t_samples[-1]
+    eye = np.eye(nstate, dtype=y.dtype)
+    newton_tol = max(10 * np.finfo(float).eps / rtol, min(0.03, rtol ** 0.5))
+
+    f0 = f(t, y)
+    nfev = 2   # f0 and the initial-step probe
+    h = min(_initial_step(f, t, y, f0, rtol, atol, 1), t_end - t)
+    # diffs[0] = y, diffs[j] = the j-th backward difference; the two rows
+    # beyond the order hold the next differences for the order choice
+    diffs = np.zeros((_MAX_ORDER + 3, size), dtype=y.dtype)
+    diffs[0] = y
+    diffs[1] = h * f0
+    order, equal_steps = 1, 0
+    J = jac(t, y[:nstate])
+    accepted = rejected = 0
+    jacobian_evals, inversions = 1, 0
+    w_inv = None
+    window_start, window_steps = t, 0
+
+    def change_step(factor):
+        nonlocal h, w_inv, equal_steps
+        diffs[:order + 1] = _rescaled(diffs, order, factor)
+        h *= factor
+        w_inv, equal_steps = None, 0
+
+    while isample < n:
+        if h < 1e-14 * max(1.0, abs(t)):
+            raise IntegrationError(f"step size underflow at t={t:g}")
+        if t + h >= t_end - _SNAP * max(1.0, abs(t_end)):
+            if t + h != t_end:
+                change_step((t_end - t) / h)
+            t_new = t_end
+        else:
+            t_new = t + h
+        y_pred = diffs[:order + 1].sum(axis=0)
+        scale = atol + rtol * np.abs(y_pred)
+        psi = (_GAMMA[1:order + 1] @ diffs[1:order + 1]) / _NDF_ALPHA[order]
+        c = h / _NDF_ALPHA[order]
+
+        fresh_jac = False
+        while True:
+            if w_inv is None:
+                w_inv = np.linalg.inv(eye - c * J)
+                inversions += 1
+            converged, iters, y_new, d = _correct(
+                f, t_new, y_pred, psi, c, w_inv, scale, parts, newton_tol)
+            nfev += iters
+            if converged or fresh_jac:
+                break
+            J = jac(t_new, y_pred[:nstate])
+            jacobian_evals += 1
+            fresh_jac, w_inv = True, None
+        if not converged:
+            rejected += 1
+            change_step(0.5)
+            continue
+
+        safety = _SAFETY * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + iters)
+        err = _error_norm(_NDF_ERROR[order] * d, y, y_new, rtol, atol, parts)
+        if not math.isfinite(err):
+            raise IntegrationError(f"non-finite step from t={t:g}")
+        if err > 1.0:
+            rejected += 1
+            change_step(max(_MIN_FACTOR, safety * err ** (-1.0 / (order + 1))))
+            continue
+
+        accepted += 1
+        equal_steps += 1
+        t, y = t_new, y_new
+        diffs[order + 2] = d - diffs[order + 1]
+        diffs[order + 1] = d
+        for i in range(order, -1, -1):
+            diffs[i] += diffs[i + 1]
+        while isample < n and _due(t_samples[isample], t):
+            ts = t_samples[isample]
+            if t - ts <= _SNAP * max(1.0, abs(ts)):
+                out[isample] = y
+            else:
+                s = (ts - t) / h + np.arange(order)
+                out[isample] = y + np.cumprod(s / np.arange(1, order + 1)) \
+                    @ diffs[1:order + 1]
+            if sample_callback is not None:
+                sample_callback(ts, out[isample])
+            isample += 1
+        window_steps += 1
+        if window_steps == _HANDBACK_STEPS:
+            if (t - window_start) * radius < _HANDBACK_STEPS * _STIFF_H_LAMBDA / 2:
+                break
+            window_start, window_steps = t, 0
+
+        if equal_steps < order + 1:
+            continue
+        # order k-1, k, k+1: the step factor each allows; take the largest
+        with np.errstate(divide="ignore"):
+            factors = np.array([
+                _error_norm(_NDF_ERROR[order - 1] * diffs[order], y, y, rtol,
+                            atol, parts) if order > 1 else np.inf,
+                err,
+                _error_norm(_NDF_ERROR[order + 1] * diffs[order + 2], y, y,
+                            rtol, atol, parts) if order < _MAX_ORDER else np.inf,
+            ]) ** (-1.0 / (order + np.arange(3)))
+        best = int(np.argmax(factors))
+        factor = min(_NDF_MAX_FACTOR, safety * factors[best])
+        if best == 1 and 1.0 <= factor < _NDF_KEEP_GROWTH:
+            equal_steps = 0     # keep h, the order and the inverse of W
+            continue
+        order += best - 1
+        change_step(factor)
+
+    stats = IntegrationStats(nfev, accepted, rejected, jacobian_evals, inversions)
+    return stats, t, y, isample
+
+
+def _correct(f, t_new, y_pred, psi, c, w_inv, scale, parts, tol):
+    """Simplified Newton iterations for y_new = y_pred + d with
+    d - c f(t_new, y_new) + psi = 0 and the fixed inverse of W.
+
+    Returns (converged, iterations, y_new, d).  The iteration stops when
+    the estimated remaining error, rate / (1 - rate) times the last
+    correction's norm, is below ``tol``, and fails when the rate reaches 1
+    or the remaining iterations cannot get below ``tol``.
+    """
+    d = np.zeros_like(y_pred)
+    y = y_pred
+    last = None
+    for k in range(_NEWTON_MAXITER):
+        rhs = c * f(t_new, y) - psi - d
+        dy = (rhs.reshape(parts, -1) @ w_inv.T).reshape(-1)
+        norm = _norm(dy / scale, parts)
+        if not math.isfinite(norm):
+            raise IntegrationError(f"non-finite step to t={t_new:g}")
+        rate = None if last is None else norm / last
+        if rate is not None and (
+                rate >= 1.0
+                or rate ** (_NEWTON_MAXITER - k) / (1.0 - rate) * norm > tol):
+            return False, k + 1, y, d
+        d = d + dy
+        y = y_pred + d
+        if norm == 0.0 or (rate is not None and rate / (1.0 - rate) * norm < tol):
+            return True, k + 1, y, d
+        last = norm
+    return False, _NEWTON_MAXITER, y, d

@@ -166,8 +166,10 @@ class TestBubbleCommands:
         assert texts[0] == texts[1]
         meta = dict(line[2:].split("=", 1) for line in texts[0].splitlines()
                     if line.startswith("# ") and "=" in line)
-        for key in ("coordinates", "nfev", "accepted_steps", "rejected_steps"):
+        for key in ("coordinates", "nfev", "accepted_steps", "jacobian_evals",
+                    "inversions"):
             assert int(meta[key]) > 0
+        assert int(meta["rejected_steps"]) >= 0   # a stiff run may reject none
 
     def test_evolve_t_end_off_the_dt_grid(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

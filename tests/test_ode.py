@@ -1,8 +1,24 @@
 import numpy as np
 import pytest
 
+from rydcav import ode
 from rydcav.errors import IntegrationError
 from rydcav.ode import integrate
+
+
+def decay_jac(t, y):
+    return -np.eye(y.size)
+
+
+def both_paths(jac=decay_jac):
+    """Keyword sets for the explicit pair alone and for the NDF, which here
+    takes over after the pair's first accepted step whatever the
+    Jacobian (the loop body runs inside that setting)."""
+    yield {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ode, "_STIFF_H_LAMBDA", -1.0)
+        mp.setattr(ode, "_STIFF_STEPS", 1)
+        yield {"jac": jac}
 
 
 def test_exponential_decay_accuracy():
@@ -75,6 +91,9 @@ def test_no_repeated_evaluations():
     assert len(seen) == calls
     assert stats.nfev == calls
     assert stats.accepted > 0 and stats.rejected >= 0
+    # the first stage and the initial-step probe, then six stages a step
+    assert stats.nfev == 2 + 6 * (stats.accepted + stats.rejected)
+    assert stats.jacobian_evals == stats.inversions == 0
 
 
 def test_sample_times_hit_exactly():
@@ -82,13 +101,13 @@ def test_sample_times_hit_exactly():
         return y * 0.0 + 1.0  # dy/dt = 1
 
     ts = np.array([0.0, 0.3, 1.0, 2.5])
-    out, _ = integrate(f, 0.0, np.array([0.0 + 0j]), ts, rtol=1e-10)
-    np.testing.assert_allclose(out[:, 0].real, ts, atol=1e-12)
+    # the stiff path interpolates, exactly for a polynomial solution
+    for kw in both_paths(lambda t, y: np.zeros((1, 1))):
+        out, _ = integrate(f, 0.0, np.array([0.0 + 0j]), ts, rtol=1e-10, **kw)
+        np.testing.assert_allclose(out[:, 0].real, ts, atol=1e-12)
 
 
 def test_sample_callback_invoked_and_aborts():
-    seen = []
-
     def f(t, y):
         return -y
 
@@ -97,10 +116,12 @@ def test_sample_callback_invoked_and_aborts():
         if t > 0.5:
             raise IntegrationError("abort requested")
 
-    with pytest.raises(IntegrationError):
-        integrate(f, 0.0, np.array([1.0 + 0j]), [0.2, 0.4, 1.0, 2.0], rtol=1e-8,
-                  sample_callback=cb)
-    assert seen == [0.2, 0.4, 1.0]
+    for kw in both_paths():
+        seen = []
+        with pytest.raises(IntegrationError, match="abort requested"):
+            integrate(f, 0.0, np.array([1.0 + 0j]), [0.2, 0.4, 1.0, 2.0],
+                      rtol=1e-8, sample_callback=cb, **kw)
+        assert seen == [0.2, 0.4, 1.0]
 
 
 def test_step_underflow_raises():
@@ -108,20 +129,22 @@ def test_step_underflow_raises():
     def f(t, y):
         return y * y
 
-    with pytest.raises(IntegrationError):
-        integrate(f, 0.0, np.array([1.0 + 0j]), [2.0], rtol=1e-8)
+    for kw in both_paths(lambda t, y: np.diag(2.0 * y)):
+        with pytest.raises(IntegrationError):
+            integrate(f, 0.0, np.array([1.0 + 0j]), [2.0], rtol=1e-8, **kw)
 
 
 def test_invalid_sample_times():
     def f(t, y):
         return -y
 
-    with pytest.raises(ValueError):
-        integrate(f, 0.0, np.array([1.0 + 0j]), [1.0, 0.5], rtol=1e-8)
-    with pytest.raises(ValueError):
-        integrate(f, 0.0, np.array([1.0 + 0j]), [-1.0], rtol=1e-8)
-    with pytest.raises(ValueError):
-        integrate(f, 0.0, np.array([1.0 + 0j]), [], rtol=1e-8)
+    for kw in both_paths():
+        with pytest.raises(ValueError):
+            integrate(f, 0.0, np.array([1.0 + 0j]), [1.0, 0.5], rtol=1e-8, **kw)
+        with pytest.raises(ValueError):
+            integrate(f, 0.0, np.array([1.0 + 0j]), [-1.0], rtol=1e-8, **kw)
+        with pytest.raises(ValueError):
+            integrate(f, 0.0, np.array([1.0 + 0j]), [], rtol=1e-8, **kw)
 
 
 @pytest.mark.parametrize("kw", [
@@ -132,8 +155,10 @@ def test_invalid_tolerances_rejected_before_any_evaluation(kw):
     def f(t, y):
         raise AssertionError("f evaluated")
 
-    with pytest.raises(ValueError, match="tol must be"):
-        integrate(f, 0.0, np.array([1.0]), [1.0], **{"rtol": 1e-8, **kw})
+    for path in both_paths(f):
+        with pytest.raises(ValueError, match="tol must be"):
+            integrate(f, 0.0, np.array([1.0]), [1.0], **{"rtol": 1e-8, **kw},
+                      **path)
 
 
 @pytest.mark.parametrize("times", [[0.0, float("nan"), 2.0], [1.0, float("inf")]])
@@ -141,8 +166,9 @@ def test_non_finite_sample_times_rejected(times):
     def f(t, y):
         raise AssertionError("f evaluated")
 
-    with pytest.raises(ValueError, match="finite"):
-        integrate(f, 0.0, np.array([1.0]), times, rtol=1e-8)
+    for kw in both_paths(f):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(f, 0.0, np.array([1.0]), times, rtol=1e-8, **kw)
 
 
 def test_non_finite_step_raises():
@@ -151,10 +177,126 @@ def test_non_finite_step_raises():
     def f(t, y):
         return -y if t < 0.5 else np.full_like(y, np.nan)
 
-    with pytest.raises(IntegrationError, match="non-finite"):
-        integrate(f, 0.0, np.array([1.0]), [2.0], rtol=1e-8)
+    for kw in both_paths():
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate(f, 0.0, np.array([1.0]), [2.0], rtol=1e-8, **kw)
 
 
 def test_non_finite_initial_state_raises():
-    with pytest.raises(IntegrationError, match="non-finite"):
-        integrate(lambda t, y: -y, 0.0, np.array([np.nan]), [1.0], rtol=1e-8)
+    for kw in both_paths():
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate(lambda t, y: -y, 0.0, np.array([np.nan]), [1.0],
+                      rtol=1e-8, **kw)
+
+
+# --- the stiff path -----------------------------------------------------------
+
+# eigenvalues -1 and -1e4: the explicit pair is held to steps of ~3e-4 by
+# stability long after the fast mode has decayed
+STIFF_V = np.array([[1.0, 1.0], [1.0, -2.0]])
+STIFF_LAMBDA = np.array([-1.0, -1e4])
+STIFF_A = STIFF_V @ np.diag(STIFF_LAMBDA) @ np.linalg.inv(STIFF_V)
+
+
+def stiff_exact(ts, y0):
+    c = np.linalg.solve(STIFF_V, y0)
+    return np.array([STIFF_V @ (np.exp(STIFF_LAMBDA * t) * c) for t in ts])
+
+
+@pytest.mark.parametrize("rtol", [1e-6, 1e-8])
+def test_stiff_linear_system_matches_exact_solution(rtol):
+    y0 = np.array([1.0, 0.5])
+    ts = np.linspace(0.0, 4.0, 9)
+
+    def f(t, y):
+        return STIFF_A @ y
+
+    out, stats = integrate(f, 0.0, y0, ts, rtol=rtol, atol=1e-3 * rtol,
+                           jac=lambda t, y: STIFF_A)
+    _, explicit = integrate(f, 0.0, y0, ts, rtol=rtol, atol=1e-3 * rtol)
+    assert np.abs(out - stiff_exact(ts, y0)).max() < 5 * rtol
+    assert stats.nfev < explicit.nfev / 10
+    assert stats.jacobian_evals >= 1 and stats.inversions >= 1
+
+
+def test_non_stiff_run_stays_on_the_explicit_pair():
+    # the decay never holds the pair's step at its stability bound: the
+    # Jacobian only sizes the stiffest mode, and the run is the plain one
+    ts = np.linspace(0.0, 5.0, 11)
+    plain, explicit = integrate(lambda t, y: -y, 0.0, np.array([1.0, 2.0]), ts,
+                                rtol=1e-8)
+    out, stats = integrate(lambda t, y: -y, 0.0, np.array([1.0, 2.0]), ts,
+                           rtol=1e-8, jac=decay_jac)
+    assert np.array_equal(out, plain)
+    assert stats == explicit._replace(jacobian_evals=1)
+    assert stats.inversions == 0
+
+
+def test_short_ndf_steps_hand_the_run_back(monkeypatch):
+    # a fast decay holds the pair's step at its stability bound, so the NDF
+    # takes over; a lightly damped oscillation then keeps the NDF's steps
+    # below half that bound, and the pair takes the rest of the run
+    a = np.zeros((3, 3))
+    a[0, 0] = -1e3
+    a[1:, 1:] = [[-0.5, -30.0], [30.0, -0.5]]
+    y0 = np.array([1.0, 1.0, 0.0])
+    ts = np.linspace(0.0, 10.0, 11)
+    spans = []
+    ndf = ode._ndf
+
+    def spy(*args):
+        stats, t, y, isample = ndf(*args)
+        spans.append((args[2], t, stats.accepted))
+        return stats, t, y, isample
+
+    monkeypatch.setattr(ode, "_ndf", spy)
+    out, stats = integrate(lambda t, y: a @ y, 0.0, y0, ts, rtol=1e-8,
+                           atol=1e-10, jac=lambda t, y: a)
+    ((start, end, steps),) = spans
+    assert steps == ode._HANDBACK_STEPS and start < end < ts[-1]
+    assert stats.inversions >= 1
+    decay = np.exp(-0.5 * ts)
+    exact = np.column_stack((np.exp(-1e3 * ts), decay * np.cos(30.0 * ts),
+                             decay * np.sin(30.0 * ts)))
+    assert np.abs(out - exact).max() < 1e-6
+
+
+def test_conserved_functional_holds_at_interpolated_samples():
+    # a stiff rate matrix whose columns sum to zero: the total is conserved,
+    # and the interpolated samples keep it as the steps do
+    rates = np.array([[-1e3, 2.0, 0.5],
+                      [1e3, -3.0, 0.0],
+                      [0.0, 1.0, -0.5]])
+    y0 = np.array([0.7, 0.2, 0.1])
+    ts = np.arange(0.0, 20.0, 0.0137)
+    out, stats = integrate(lambda t, y: rates @ y, 0.0, y0, ts, rtol=1e-8,
+                           atol=1e-12, jac=lambda t, y: rates)
+    assert stats.accepted < ts.size / 2   # most samples fall inside a step
+    assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-13
+
+
+def test_sensitivity_part_never_loosens_the_state_control():
+    # y' = A(theta) y with A = theta * STIFF_A, s = dy/dtheta:
+    # s' = A s + STIFF_A y, and the exact pair at theta = 1
+    y0 = np.array([1.0, 0.5])
+    ts = np.linspace(0.0, 4.0, 9)
+
+    def f(t, z):
+        y, s = z[:2], z[2:]
+        return np.concatenate((STIFF_A @ y, STIFF_A @ s + STIFF_A @ y))
+
+    def jac(t, y):
+        assert y.shape == (2,)   # the state part only
+        return STIFF_A
+
+    kw = dict(rtol=1e-6, atol=1e-9, jac=jac)
+    plain, plain_stats = integrate(lambda t, y: STIFF_A @ y, 0.0, y0, ts, **kw)
+    z, stats = integrate(f, 0.0, np.concatenate((y0, [0.0, 0.0])), ts,
+                         parts=2, **kw)
+    exact = stiff_exact(ts, y0)
+    c = np.linalg.solve(STIFF_V, y0)
+    s_exact = np.array([STIFF_V @ (STIFF_LAMBDA * t * np.exp(STIFF_LAMBDA * t) * c)
+                        for t in ts])
+    assert stats.accepted >= plain_stats.accepted
+    assert np.abs(z[:, :2] - exact).max() <= np.abs(plain - exact).max()
+    assert np.abs(z[:, 2:] - s_exact).max() < 5 * kw["rtol"]

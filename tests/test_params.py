@@ -122,12 +122,19 @@ class TestLinewidth:
 
 
 def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency: importing the package must not
-    # pull scipy in (it costs import time and resident memory on every run)
+    # numpy is the only runtime dependency: neither importing the package
+    # nor running both integrators (a plain and a sensitivity evolve, a
+    # steady solve) may pull scipy in, which would cost import time and
+    # resident memory on every run
     src = str(Path(rydcav.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, rydcav; "
+    code = ("import sys, rydcav\n"
+            "from rydcav import PhysicalParams\n"
+            "p = PhysicalParams()\n"
+            "rydcav.evolve(p, t_end=1.0, nmax=1)\n"
+            "rydcav.evolve(p, t_end=1.0, nmax=1, sensitivity=('rydberg.xi',))\n"
+            "rydcav.steady_transmission_bubble(p, nmax=1, window=1.0)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
