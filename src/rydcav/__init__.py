@@ -5,8 +5,8 @@ semi-classical bubble dynamics with dark-state decay, and least-squares
 spectroscopy fitting.
 
 The package logs to ``logging.getLogger("rydcav")`` (one DEBUG record per
-steady solve and per ``evolve``); it is silent unless the application
-configures logging.
+steady solve, ``evolve``, mean-field scan and fit); it is silent unless the
+application configures logging.
 """
 
 import logging

@@ -81,7 +81,11 @@ def _cmd_linear_scan(args):
 def _cmd_meanfield_scan(args):
     params = _load_params(args)
     spec = meanfield.scan_meanfield(params, variable=args.variable)
-    meta = _meta(args, params, {"variable": args.variable})
+    # counts and deterministic floats only, so the output stays byte-identical
+    meta = _meta(args, params, {"variable": args.variable,
+                                "failed_points": int(spec.failed.sum()),
+                                "worst_residual": spec.metadata["worst_residual"],
+                                "root_counts": spec.metadata["root_counts"]})
     payload = {
         spec.axis_name: list(spec.axis),
         "transmission": list(spec.transmission),

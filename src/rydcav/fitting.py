@@ -13,6 +13,7 @@ J^T J.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -40,6 +41,8 @@ _DEFAULT_BOUNDS = {
     "cloud_volume": (1e-12, np.inf),
 }
 _UNFITTABLE = {"n", "series", "atom_number"}
+
+_log = logging.getLogger(__name__)
 
 #: relative central-difference step for the closed-form models
 _EPS_CBRT = float(np.finfo(float).eps ** (1 / 3))
@@ -229,6 +232,7 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
     construction).  The bubble transient's Jacobian at an accepted point
     comes from the forward sensitivities of the run that gave its residual,
     with no further model run; ``model_evals`` counts every model run.
+    Each fit logs one DEBUG record on ``rydcav.fitting``.
     """
     w = problem.weights if problem.weights is not None else np.ones_like(problem.y)
     sqrt_w = np.sqrt(w)
@@ -309,6 +313,9 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
                 break
 
     cov, ci = _covariance(jac_r, ssr, dof)
+    _log.debug("%s fit of %d parameter(s): %d iteration(s), %d model evaluations, "
+               "%s, %s Jacobian", problem.model, theta.size, iterations, evals,
+               message, source)
     return FitResult(
         names=problem.free,
         best_fit=theta,

@@ -4,8 +4,11 @@ The S- and D-series C6 coefficients follow the standard rubidium
 parametrizations (GHz.um^6, for the pair potential written as -C6/r^6).
 The complex blockade volume V_b and the mean-field interaction constant
 kappa are evaluated from the complex detunings D_e, D_r of the EIT ladder
-(:func:`blockade` derives both from a parameter bundle, for every model);
-kappa enters the Rydberg coherence as an intensity-dependent complex shift
+(:func:`blockade` derives both from a parameter bundle, for every model).
+Scalar detunings go through Python complex arithmetic; arrays of them, as a
+mean-field grid passes, through numpy, elementwise, with NaN where the
+chain is singular so that such a point fails alone.  kappa enters the
+Rydberg coherence as an intensity-dependent complex shift
 D_r -> D_r - kappa * |<c>|^2.
 """
 
@@ -14,6 +17,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import SingularParameterError
 from .params import PhysicalParams, RydbergLevel
@@ -45,36 +50,53 @@ def c6_coefficient(level: RydbergLevel) -> float:
     return c6_s(level.n) if level.series == "S" else c6_d(level.n)
 
 
-def _dressed_shift(D_e: complex, D_r: complex, omega_cf: float) -> complex:
+def _complex(z):
+    """A Python complex for a scalar, a complex array for an array."""
+    return complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
+
+
+def _nonzero(z, message: str):
+    """``z`` where |z| reaches the chain floor.
+
+    Below it a scalar raises SingularParameterError and an array element
+    becomes NaN.
+    """
+    small = np.abs(z) < _CHAIN_FLOOR
+    if np.ndim(z) == 0:
+        if small:
+            raise SingularParameterError(message)
+        return z
+    return np.where(small, np.nan, z)
+
+
+def _dressed_shift(D_e, D_r, omega_cf: float):
     """Control-dressed two-photon shift Omega^2 / (4 (D_e + D_r - Omega^2/(4 D_e)))."""
     if omega_cf == 0:
         return 0j
-    if abs(D_e) < _CHAIN_FLOOR:
-        raise SingularParameterError("D_e vanishes inside the dressed-shift chain")
-    inner = D_e + D_r - omega_cf * omega_cf / (4.0 * D_e)
-    if abs(inner) < _CHAIN_FLOOR:
-        raise SingularParameterError("dressed two-photon denominator vanishes")
+    D_e = _nonzero(D_e, "D_e vanishes inside the dressed-shift chain")
+    inner = _nonzero(D_e + D_r - omega_cf * omega_cf / (4.0 * D_e),
+                     "dressed two-photon denominator vanishes")
     return omega_cf * omega_cf / (4.0 * inner)
 
 
-def blockade_volume(D_e, D_r, omega_cf: float, c6: float) -> complex:
-    """Complex blockade volume in um^3.
+def blockade_volume(D_e, D_r, omega_cf: float, c6: float):
+    """Complex blockade volume in um^3 (elementwise for arrays of detunings).
 
     V_b = (sqrt(2) pi^2 / 3) sqrt(C6 / (D_e - s)) with s the dressed
     two-photon shift; the square root is taken on the principal branch, so
     Re(V_b) >= 0.  The physical blockade size is |V_b|.
     """
-    D_e, D_r = complex(D_e), complex(D_r)
+    D_e, D_r = _complex(D_e), _complex(D_r)
     if c6 == 0:
         return 0j
-    shifted = D_e - _dressed_shift(D_e, D_r, omega_cf)
-    if abs(shifted) < _CHAIN_FLOOR:
-        raise SingularParameterError("blockade-volume denominator vanishes")
-    return _VB_PREFACTOR * cmath.sqrt(c6 * _GHZ_TO_MHZ / shifted)
+    shifted = _nonzero(D_e - _dressed_shift(D_e, D_r, omega_cf),
+                       "blockade-volume denominator vanishes")
+    ratio = c6 * _GHZ_TO_MHZ / shifted
+    return _VB_PREFACTOR * (cmath.sqrt(ratio) if np.ndim(ratio) == 0 else np.sqrt(ratio))
 
 
-def kappa(D_e, D_r, omega_cf: float, v_b: complex, volume: float) -> complex:
-    """Mean-field interaction constant (complex, MHz).
+def kappa(D_e, D_r, omega_cf: float, v_b, volume: float):
+    """Mean-field interaction constant (complex, MHz; elementwise for arrays).
 
     kappa = 2 (V_b / (V - V_b)) (s - D_r) with s the dressed two-photon
     shift.  The overall sign is fixed so that on two-photon resonance, with
@@ -82,28 +104,28 @@ def kappa(D_e, D_r, omega_cf: float, v_b: complex, volume: float) -> complex:
     the Rydberg coherence as saturable extra damping plus a line shift,
     never as gain, which is what a blockade must do.
     """
-    D_e, D_r = complex(D_e), complex(D_r)
-    if v_b == 0:
+    D_e, D_r = _complex(D_e), _complex(D_r)
+    if np.ndim(v_b) == 0 and v_b == 0:
         return 0j
-    if abs(volume - v_b) < _CHAIN_FLOOR:
-        raise SingularParameterError("cloud volume equals blockade volume")
-    return 2.0 * (v_b / (volume - v_b)) * (_dressed_shift(D_e, D_r, omega_cf) - D_r)
+    rest = _nonzero(volume - v_b, "cloud volume equals blockade volume")
+    return 2.0 * (v_b / rest) * (_dressed_shift(D_e, D_r, omega_cf) - D_r)
 
 
-def blockade(params: PhysicalParams,
-             delta_p: float | None = None) -> tuple[complex, complex]:
+def blockade(params: PhysicalParams, delta_p=None):
     """(V_b, kappa) at the given probe detuning; (0, 0) without interactions.
 
     The one derivation C6 -> V_b -> kappa from a parameter bundle, shared by
-    the mean-field model (kappa) and the bubble model (n_b from V_b).
+    the mean-field model (kappa) and the bubble model (n_b from V_b).  An
+    array of detunings gives arrays, NaN where the chain is singular.
     """
     c6 = c6_coefficient(params.rydberg)
     if c6 == 0:
         return 0j, 0j
     D_e, D_r, _ = params.complex_detunings(delta_p)
     omega = params.drive.omega_cf
-    v_b = blockade_volume(D_e, D_r, omega, c6)
-    return v_b, kappa(D_e, D_r, omega, v_b, params.ensemble.cloud_volume)
+    with np.errstate(invalid="ignore"):  # arithmetic on the NaN of a singular point
+        v_b = blockade_volume(D_e, D_r, omega, c6)
+        return v_b, kappa(D_e, D_r, omega, v_b, params.ensemble.cloud_volume)
 
 
 def atoms_per_bubble(atom_number: int, v_b: complex, volume: float) -> float:

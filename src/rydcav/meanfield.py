@@ -14,17 +14,23 @@ cavity transmission is T = gamma_c^2 |<a>|^2 / alpha^2, which reduces to
 the linear formula for kappa = 0 or alpha -> 0.
 
 Since F(x) = K^2 / |A + B x|^2 for complex constants A, B and real K, the
-fixed points are the real roots of a cubic in x, at most three.  They are
-taken in closed form (Cardano or the trigonometric form, by the sign of the
-discriminant) and polished with one Newton step, so every coexisting branch
-is found.  Scans follow one branch by continuation (the previous point's x
-seeds the next) and report how many fixed points coexist.
+fixed points are the real roots of a cubic in x, at most three.  Every
+solve runs on a grid of (delta_p, alpha) points at once, as arrays: the
+constants of the chain, the cubic's coefficients, all its real roots in
+closed form (Cardano or the trigonometric form, by the sign of the
+discriminant, NaN-padded to three per point), one Newton polish of each,
+and each root's residual and singular-denominator test.  So every
+coexisting branch is found.  The one sequential step is the continuation
+along the grid: each point takes the root nearest the x of the last point
+solved, O(1) work per point, and reports how many fixed points coexist.
+A single solve is a grid of one point.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,14 +41,24 @@ from .params import PhysicalParams, ScanSpec, params_to_dict
 
 _DRX_FLOOR = 1e-300
 
+#: a root is accepted when |F(x) - x| <= _RESIDUAL_TOL * max(1, x)
+_RESIDUAL_TOL = 1e-10
 
-def photon_rate_to_alpha(rate: float, gamma_c: float) -> float:
-    """Feeding amplitude for a probe photon rate R (photons/us).
+_log = logging.getLogger(__name__)
+
+
+def photon_rate_to_alpha(rate, gamma_c: float):
+    """Feeding amplitude for a probe photon rate R (photons/us), or an array.
 
     The rate axis is normalized to the empty-cavity resonant output under
-    this package's conventions, R = alpha^2 / gamma_c.
+    this package's conventions, R = alpha^2 / gamma_c.  A negative or NaN
+    rate raises ValueError.
     """
-    return math.sqrt(gamma_c * rate)
+    rate = np.asarray(rate, dtype=float)
+    if not (rate >= 0).all():
+        raise ValueError("photon rate must be >= 0")
+    alpha = np.sqrt(gamma_c * rate)
+    return float(alpha) if alpha.ndim == 0 else alpha
 
 
 def alpha_to_photon_rate(alpha: float, gamma_c: float) -> float:
@@ -50,54 +66,71 @@ def alpha_to_photon_rate(alpha: float, gamma_c: float) -> float:
 
 
 @dataclass(frozen=True)
-class _Point:
-    """Scalar context for one (params, delta_p) evaluation point."""
+class _Grid:
+    """Constants of the chain on a grid of n points.
 
-    D_e: complex
-    D_r: complex
-    D_c: complex
+    A constant that varies over the grid is an (n, 1) column, one the grid
+    holds fixed a numpy scalar, computed once.  Numpy arithmetic keeps the
+    kappa = 0 path bit-for-bit identical to the linear module.
+    """
+
+    n: int
+    D_e: np.ndarray | np.complex128
+    D_r: np.ndarray | np.complex128
+    D_c: np.ndarray | np.complex128
+    kappa: np.ndarray | np.complex128
+    v_b: np.ndarray | np.complex128   # blockade volume, 0 without interactions
+    alpha: np.ndarray | np.float64
     omega: float
-    alpha: float
     gamma_c: float
-    coop_term: float   # 2 gamma_c gamma_e C
+    coop_term: float       # 2 gamma_c gamma_e C
     g_root_n: float
-    v_b: complex       # blockade volume, 0 without interactions
-    kappa: complex
 
 
-def _point(params: PhysicalParams, delta_p=None) -> _Point:
-    # numpy scalars keep the kappa = 0 path bit-for-bit identical to the
-    # linear module, which evaluates through numpy as well
-    D_e, D_r, D_c = (np.complex128(z) for z in params.complex_detunings(delta_p))
-    omega = params.drive.omega_cf
+def _grid(params: PhysicalParams, delta_p=None, alpha=None) -> _Grid:
+    """The chain's constants at probe detunings ``delta_p`` and amplitudes ``alpha``.
+
+    Each is a scalar or a 1-d array (the two broadcast against each other)
+    and defaults to the value in ``params``.  A non-finite value raises
+    ValueError.  Where the blockade chain is singular kappa is NaN, which
+    fails the point.
+    """
+    dp = params.drive.delta_p if delta_p is None else delta_p
+    alpha = params.drive.alpha if alpha is None else alpha
+    if not np.isfinite(dp).all():
+        raise ValueError("probe detuning must be finite")
+    if not np.isfinite(alpha).all():
+        raise ValueError("feeding amplitude alpha must be finite")
+    D_e, D_r, D_c = params.complex_detunings(dp)
+    try:
+        v_b, kap = interactions.blockade(params, dp)
+    except SingularParameterError:  # at the one detuning of the grid
+        v_b = kap = complex("nan")
+    cols = [np.asarray(v) for v in (D_e, D_r, D_c, kap, v_b, alpha)]
+    n = max((v.size for v in cols if v.ndim), default=1)
+    cols = [v[()] if v.ndim == 0 else v.reshape(-1, 1) for v in cols]
     gc = params.cavity.gamma_c
     coop = 2.0 * gc * params.ensemble.gamma_e * params.ensemble.cooperativity
-    v_b, kap = interactions.blockade(params, delta_p)
-    return _Point(D_e, D_r, D_c, omega, params.drive.alpha, gc, coop,
-                  params.g_root_n, v_b, kap)
+    return _Grid(n, *cols, params.drive.omega_cf, gc, coop, params.g_root_n)
 
 
-def _amplitudes(pt: _Point, x):
-    """(a, b, c, branch, denom) at Rydberg population parameter x."""
-    Drx = pt.D_r - pt.kappa * x
-    branch, denom = eit_factors(pt.D_e, Drx, pt.D_c, pt.omega, pt.coop_term)
-    if np.any(np.abs(denom) < _DRX_FLOOR):
-        raise SingularParameterError("steady-state denominator vanished")
-    a = pt.alpha * branch / denom
-    b = pt.g_root_n * pt.alpha / denom
-    if pt.omega == 0:
+def _amplitudes(g: _Grid, x):
+    """(a, b, c, branch, denom, singular) at population x, broadcast on the grid.
+
+    ``singular`` marks where a denominator of the chain vanishes; the
+    values there are not finite.
+    """
+    Drx = g.D_r - g.kappa * x
+    branch, denom = eit_factors(g.D_e, Drx, g.D_c, g.omega, g.coop_term)
+    singular = (np.abs(denom) < _DRX_FLOOR) | np.isnan(g.kappa)
+    a = g.alpha * branch / denom
+    b = g.g_root_n * g.alpha / denom
+    if g.omega == 0:
         c = np.zeros_like(b)
     else:
-        if np.any(np.abs(Drx) < _DRX_FLOOR):
-            raise SingularParameterError("shifted Rydberg detuning vanished")
-        c = 0.5 * pt.omega * b / Drx
-    return a, b, c, branch, denom
-
-
-def _excitation(pt: _Point, x):
-    """F(x) = |<c>(x)|^2."""
-    _, _, c, _, _ = _amplitudes(pt, x)
-    return np.abs(c) ** 2
+        singular |= np.abs(Drx) < _DRX_FLOOR
+        c = 0.5 * g.omega * b / Drx
+    return a, b, c, branch, denom, singular
 
 
 def steady_residual(params: PhysicalParams, x, delta_p=None):
@@ -105,9 +138,12 @@ def steady_residual(params: PhysicalParams, x, delta_p=None):
 
     Accepts a scalar or an array of x values (x >= 0).
     """
-    pt = _point(params, delta_p)
     x = np.asarray(x, dtype=float)
-    res = _excitation(pt, x) - x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        *_, c, _, _, singular = _amplitudes(_grid(params, delta_p), x)
+    if singular.any():
+        raise SingularParameterError("singular denominator in the steady-state chain")
+    res = (np.abs(c) ** 2 - x).reshape(x.shape)
     return float(res) if res.ndim == 0 else res
 
 
@@ -128,41 +164,43 @@ class MeanFieldSolution:
             raise ValueError("|c|^2 and x disagree")
 
 
-def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
-    """Real roots of a x^3 + b x^2 + c x + d (a > 0), in increasing order.
+_FIRST = np.arange(3) == 0
 
-    The sign of the depressed cubic's discriminant decides between one root
-    (Cardano, in its cancellation-free form) and three (trigonometric form).
+
+def _cubic_roots(a, b, c, d):
+    """Real roots of a x^3 + b x^2 + c x + d (a > 0) at each point.
+
+    Coefficients are scalars or (n, 1) columns; the roots come back with a
+    last axis of three, in increasing order and NaN-padded.  The sign of
+    the depressed cubic's discriminant decides between one root (Cardano,
+    in its cancellation-free form) and three (trigonometric form).
     """
     b, c, d = b / a, c / a, d / a
     shift = b / 3.0
     p = c - b * shift
     q = (2.0 * shift * shift - c) * shift + d
     disc = (0.5 * q) ** 2 + (p / 3.0) ** 3
-    if disc < 0.0:  # three distinct real roots, p < 0
-        r = 2.0 * math.sqrt(-p / 3.0)
-        phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * r))))
-        return sorted(r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift
-                      for k in range(3))
-    w = float(np.cbrt(-0.5 * q - math.copysign(math.sqrt(disc), q)))
-    t = w - p / (3.0 * w) if w != 0.0 else 0.0
-    return [t - shift]
+    r = 2.0 * np.sqrt(-p / 3.0)
+    phi = np.arccos(np.clip(3.0 * q / (p * r), -1.0, 1.0))
+    three = np.sort(r * np.cos((phi - 2.0 * np.pi * np.arange(3)) / 3.0) - shift,
+                    axis=-1)
+    w = np.cbrt(-0.5 * q - np.copysign(np.sqrt(disc), q))
+    t = np.where(w != 0.0, w - p / (3.0 * w), 0.0)
+    return np.where(disc < 0.0, three, np.where(_FIRST, t - shift, np.nan))
 
 
-def _newton_polish(coeffs, x: float) -> float:
-    """One Newton step on the cubic, kept only if it lowers the residual."""
+def _newton_polish(coeffs, x):
+    """One Newton step on the cubic from each root, kept where it lowers the residual."""
     a, b, c, d = coeffs
     g = ((a * x + b) * x + c) * x + d
     dg = (3.0 * a * x + 2.0 * b) * x + c
-    if dg == 0.0:
-        return x
     x_new = x - g / dg
     g_new = ((a * x_new + b) * x_new + c) * x_new + d
-    return x_new if abs(g_new) < abs(g) else x
+    return np.where(np.abs(g_new) < np.abs(g), x_new, x)
 
 
-def _find_roots(pt: _Point) -> list[float]:
-    """All fixed points of F, in increasing order.
+def _fixed_points(g: _Grid, f0):
+    """All fixed points of F at each point, (n, 3), increasing, NaN-padded.
 
     With m = D_e D_c - coop_term the chain gives F(x) = K^2 / |A + B x|^2,
     A = D_r m - Omega^2 D_c / 4, B = -kappa m, K^2 = (Omega/2)^2 coop_term
@@ -171,24 +209,99 @@ def _find_roots(pt: _Point) -> list[float]:
         |B|^2 x^3 + 2 Re(A B*) x^2 + |A|^2 x - K^2 = 0.
 
     The cubic equals x |A + B x|^2 - K^2 <= -K^2 for x <= 0, so every real
-    root is positive.
+    root is positive.  Where F vanishes or does not depend on x (kappa = 0)
+    its one fixed point is f0 = F(0).
     """
-    f0 = float(_excitation(pt, 0.0))
-    if f0 == 0.0:
-        return [0.0]
-    if pt.kappa == 0:
-        return [f0]  # F is x-independent: closed-form root
-    m = pt.D_e * pt.D_c - pt.coop_term
-    A = pt.D_r * m - pt.omega * pt.omega * pt.D_c / 4.0
-    B = -pt.kappa * m
-    K2 = (0.5 * pt.omega) ** 2 * pt.coop_term * pt.alpha ** 2
-    coeffs = (float(abs(B) ** 2), float(2.0 * (A * B.conjugate()).real),
-              float(abs(A) ** 2), -K2)
-    return [_newton_polish(coeffs, x) for x in _cubic_roots(*coeffs)]
+    m = g.D_e * g.D_c - g.coop_term
+    A = g.D_r * m - g.omega * g.omega * g.D_c / 4.0
+    B = -g.kappa * m
+    K2 = (0.5 * g.omega) ** 2 * g.coop_term * g.alpha ** 2
+    # abs() of a numpy scalar is its hypot, which the np.abs ufunc can miss
+    # by an ulp; near a fold the roots amplify that about a thousandfold
+    coeffs = (abs(B) ** 2, 2.0 * (A * B.conjugate()).real, abs(A) ** 2, -K2)
+    # both forms are evaluated everywhere, and kappa = 0 leaves no cubic
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = _newton_polish(coeffs, _cubic_roots(*coeffs))
+    closed = (f0 == 0.0) | (g.kappa == 0)
+    return np.broadcast_to(np.where(closed, np.where(_FIRST, f0, np.nan), roots),
+                           (g.n, 3))
 
 
-def _transmission(pt: _Point, branch, denom) -> float:
-    return float(np.abs(pt.gamma_c * branch / denom) ** 2)
+def _pick(roots, residual, singular, seed: float) -> int:
+    """Index of the root nearest ``seed`` among one point's candidates.
+
+    Raises SingularParameterError or SolverError when that root does not
+    solve x = F(x); the residual test fails on NaN.
+    """
+    j = 0
+    if roots[1] == roots[1]:  # three roots; the padding is NaN
+        dist = [abs(r - seed) for r in roots]
+        j = dist.index(min(dist))
+    if singular[j]:
+        raise SingularParameterError("singular denominator in the steady-state chain")
+    if not residual[j] <= _RESIDUAL_TOL * max(1.0, roots[j]):
+        raise SolverError(f"root refinement stalled: residual {residual[j]:g} "
+                          f"at x={roots[j]:g}")
+    return j
+
+
+def _follow_branch(roots, residual, singular, x_seed: float,
+                   flag_failures: bool) -> np.ndarray:
+    """Index of the root each point of the grid takes, in grid order.
+
+    Continuation in x: each point takes the root nearest the last solved
+    x, starting from ``x_seed``.  A failed point raises, or, with
+    ``flag_failures``, gets index -1 and keeps the seed.
+    """
+    seed = x_seed
+    picks = []
+    for r, res, sing in zip(roots.tolist(), residual.tolist(), singular.tolist()):
+        try:
+            j = _pick(r, res, sing, seed)
+        except (SolverError, SingularParameterError):
+            if not flag_failures:
+                raise
+            picks.append(-1)
+            continue
+        picks.append(j)
+        seed = r[j]
+    return np.array(picks, dtype=int)
+
+
+@dataclass
+class _Solved:
+    """Per-point steady state of a grid; NaN (counts 0) where a point failed."""
+
+    x: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    transmission: np.ndarray
+    residual: np.ndarray
+    branch_id: np.ndarray
+    root_count: np.ndarray
+    failed: np.ndarray
+
+
+def _solve(g: _Grid, x_seed: float = 0.0, flag_failures: bool = False) -> _Solved:
+    """Steady state at every point of the grid, one branch by continuation."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        *_, c0, _, _, singular0 = _amplitudes(g, 0.0)
+        roots = _fixed_points(g, np.abs(c0) ** 2)
+        a, b, c, branch, denom, singular = _amplitudes(g, roots)
+        residual = np.abs(np.abs(c) ** 2 - roots)
+        t = np.abs(g.gamma_c * branch / denom) ** 2
+    singular |= singular0
+    picks = _follow_branch(roots, residual, singular, x_seed, flag_failures)
+    failed = picks < 0
+    at = (np.arange(picks.size), np.maximum(picks, 0))
+
+    def take(v):
+        return np.where(failed, np.nan, v[at])
+
+    return _Solved(take(roots), take(a), take(b), take(c), take(t), take(residual),
+                   picks, np.where(failed, 0, np.count_nonzero(~np.isnan(roots), axis=1)),
+                   failed)
 
 
 def solve_self_consistent(params: PhysicalParams, x_seed: float = 0.0,
@@ -199,20 +312,17 @@ def solve_self_consistent(params: PhysicalParams, x_seed: float = 0.0,
     closest to the seed is returned and root_count reports how many there
     are; the choice mirrors an adiabatic experimental sweep.  The solution
     carries its transmission, as :func:`transmission_from_solution` gives it.
+    A non-finite detuning raises ValueError.
     """
-    pt = _point(params, delta_p)
-    roots = _find_roots(pt)
-    branch_id = int(np.argmin([abs(r - x_seed) for r in roots]))
-    x = roots[branch_id]
-    residual = abs(float(_excitation(pt, x)) - x)
-    if residual > 1e-10 * max(1.0, x):
-        raise SolverError(f"root refinement stalled: residual {residual:g} at x={x:g}")
-    a, b, c, branch, denom = _amplitudes(pt, x)
+    g = _grid(params, delta_p)
+    s = _solve(g, x_seed)
+    x = float(s.x[0])
     return MeanFieldSolution(
-        complex(a), complex(b), complex(c), x, residual, branch_id,
-        root_count=len(roots),
-        blockaded_fraction=x * abs(pt.v_b) / params.ensemble.cloud_volume,
-        transmission=_transmission(pt, branch, denom))
+        complex(s.a[0]), complex(s.b[0]), complex(s.c[0]), x,
+        float(s.residual[0]), int(s.branch_id[0]),
+        root_count=int(s.root_count[0]),
+        blockaded_fraction=x * abs(g.v_b) / params.ensemble.cloud_volume,
+        transmission=float(s.transmission[0]))
 
 
 def transmission_from_solution(params: PhysicalParams, sol: MeanFieldSolution,
@@ -223,9 +333,12 @@ def transmission_from_solution(params: PhysicalParams, sol: MeanFieldSolution,
     x, which equals the ratio above for alpha > 0 and is its alpha -> 0
     limit otherwise (the linear formula at x = 0).
     """
-    pt = _point(params, delta_p)
-    _, _, _, branch, denom = _amplitudes(pt, sol.x)
-    return _transmission(pt, branch, denom)
+    g = _grid(params, delta_p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, _, branch, denom, singular = _amplitudes(g, sol.x)
+    if singular.any():
+        raise SingularParameterError("singular denominator in the steady-state chain")
+    return float(np.abs(g.gamma_c * branch / denom) ** 2)
 
 
 def transmission_meanfield(params: PhysicalParams, delta_p=None,
@@ -236,36 +349,12 @@ def transmission_meanfield(params: PhysicalParams, delta_p=None,
 def dynamical_residual(params: PhysicalParams, sol: MeanFieldSolution,
                        delta_p=None) -> float:
     """Norm of the three zeroed dynamical equations at a solution."""
-    pt = _point(params, delta_p)
-    a, b, c, x = sol.a, sol.b, sol.c, sol.x
-    r1 = pt.D_c * a - pt.g_root_n * b - pt.alpha
-    r2 = pt.D_e * b - pt.g_root_n * a - 0.5 * pt.omega * c
-    r3 = pt.D_r * c - 0.5 * pt.omega * b - pt.kappa * (abs(c) ** 2) * c
+    g = _grid(params, delta_p)
+    a, b, c = sol.a, sol.b, sol.c
+    r1 = g.D_c * a - g.g_root_n * b - g.alpha
+    r2 = g.D_e * b - g.g_root_n * a - 0.5 * g.omega * c
+    r3 = g.D_r * c - 0.5 * g.omega * b - g.kappa * (abs(c) ** 2) * c
     return math.sqrt(abs(r1) ** 2 + abs(r2) ** 2 + abs(r3) ** 2)
-
-
-def _follow_branch(points, flag_failures: bool):
-    """Solutions and transmissions along ordered (params, delta_p) points.
-
-    Continuation in x: each solve is seeded with the last solved x, starting
-    from the dark (x = 0) solution.  A failed solve raises, or, with
-    ``flag_failures``, leaves None and NaN at its point and keeps the seed.
-    """
-    seed = 0.0
-    sols = []
-    t = np.full(len(points), np.nan)
-    for i, (p, dp) in enumerate(points):
-        try:
-            sol = solve_self_consistent(p, x_seed=seed, delta_p=dp)
-        except (SolverError, SingularParameterError):
-            if not flag_failures:
-                raise
-            sols.append(None)
-            continue
-        t[i] = sol.transmission
-        sols.append(sol)
-        seed = sol.x
-    return sols, t
 
 
 def transmission_curve(params: PhysicalParams, delta_ps) -> np.ndarray:
@@ -273,10 +362,9 @@ def transmission_curve(params: PhysicalParams, delta_ps) -> np.ndarray:
 
     Continuation in x along the grid, seeded at the dark (x = 0) solution;
     used by the fitting module, which needs arbitrary (non-uniform) grids.
+    A failed point raises; a non-finite detuning raises ValueError.
     """
-    _, t = _follow_branch([(params, float(dp)) for dp in delta_ps],
-                          flag_failures=False)
-    return t
+    return _solve(_grid(params, np.asarray(delta_ps, dtype=float))).transmission
 
 
 @dataclass
@@ -314,7 +402,10 @@ def scan_meanfield(params: PhysicalParams, scan: ScanSpec | None = None,
     point); ``variable="rate"`` scans the probe photon rate R at fixed
     detuning, mapping R to alpha = sqrt(gamma_c R).  A non-finite scan
     range raises ValueError.  Points where the solver fails are flagged
-    and the scan continues.
+    and the scan continues.  ``metadata`` records the largest residual
+    |F(x) - x| of the solved points (``worst_residual``) and how many of
+    them had each number of coexisting roots (``root_counts``), and the
+    scan logs both in one DEBUG record on ``rydcav.meanfield``.
     """
     if variable not in ("delta_p", "rate"):
         raise ValueError("variable must be 'delta_p' or 'rate'")
@@ -325,20 +416,21 @@ def scan_meanfield(params: PhysicalParams, scan: ScanSpec | None = None,
         raise ValueError("scan start and stop must be finite")
     grid = scan.values()
     if variable == "delta_p":
-        points = [(params, float(v)) for v in grid]
+        g = _grid(params, delta_p=grid)
     else:
-        if not (grid >= 0).all():
-            raise ValueError("photon rate must be >= 0")
-        gc = params.cavity.gamma_c
-        points = [(replace(params, drive=replace(
-            params.drive, alpha=photon_rate_to_alpha(float(v), gc))), None)
-            for v in grid]
-    sols, t = _follow_branch(points, flag_failures=True)
-    failed = np.array([sol is None for sol in sols], dtype=bool)
-    xs = np.array([np.nan if sol is None else sol.x for sol in sols])
-    counts = np.array([0 if sol is None else sol.root_count for sol in sols],
-                      dtype=int)
+        g = _grid(params, alpha=photon_rate_to_alpha(grid, params.cavity.gamma_c))
+    s = _solve(g, flag_failures=True)
 
+    solved = ~s.failed
+    counts, freq = np.unique(s.root_count[solved], return_counts=True)
+    root_counts = {str(k): int(f) for k, f in zip(counts, freq)}
+    worst = float(np.max(s.residual[solved], initial=0.0))
+    _log.debug("mean-field %s scan, %d points: %d failed, root counts %s, "
+               "worst residual %.3g", variable, grid.size, int(s.failed.sum()),
+               root_counts, worst)
     axis_name = "delta_p_mhz" if variable == "delta_p" else "photon_rate_per_us"
-    return NonlinearSpectrum(grid, t, xs, counts, failed, axis_name=axis_name,
-                             metadata={"params": params_to_dict(params)})
+    return NonlinearSpectrum(grid, s.transmission, s.x, s.root_count, s.failed,
+                             axis_name=axis_name,
+                             metadata={"params": params_to_dict(params),
+                                       "worst_residual": worst,
+                                       "root_counts": root_counts})

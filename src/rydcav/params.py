@@ -129,14 +129,17 @@ class PhysicalParams:
         dp = self.drive.delta_p if delta_p is None else delta_p
         return dp, dp + self.drive.delta_cf, dp - self.cavity.delta_bg
 
-    def complex_detunings(self, delta_p: float | None = None) -> tuple[complex, complex, complex]:
-        """(D_e, D_r, D_c) with D_k = Delta_k + i gamma_k, in MHz."""
+    def complex_detunings(self, delta_p=None):
+        """(D_e, D_r, D_c) with D_k = Delta_k + i gamma_k, in MHz.
+
+        Complex numbers for one probe detuning; complex arrays, elementwise,
+        for an array of them.
+        """
         de, dr, dc = self.detunings(delta_p)
-        return (
-            complex(de, self.ensemble.gamma_e),
-            complex(dr, self.rydberg.gamma_r),
-            complex(dc, self.cavity.gamma_c),
-        )
+        gammas = (self.ensemble.gamma_e, self.rydberg.gamma_r, self.cavity.gamma_c)
+        if np.ndim(de):
+            return tuple(d + 1j * g for d, g in zip((de, dr, dc), gammas))
+        return tuple(complex(d, g) for d, g in zip((de, dr, dc), gammas))
 
 
 def _finite(x) -> bool:

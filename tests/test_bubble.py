@@ -736,6 +736,14 @@ class TestLogging:
                 "alpha=0.05), nmax=1, window=1.0)\n"
                 "from rydcav import evolve\n"
                 "evolve(make_params(n=85, series='D'), t_end=1.0, nmax=1)\n"
+                "from rydcav import ScanSpec, scan_meanfield\n"
+                "scan_meanfield(make_params(), ScanSpec(-5.0, 5.0, 11))\n"
+                "import numpy as np\n"
+                "from rydcav import FitProblem, fit, transmission_linear\n"
+                "x = np.linspace(-20.0, 20.0, 21)\n"
+                "fit(FitProblem(x=x, y=transmission_linear(make_params(), x), "
+                "model='linear_eit', base_params=make_params(cooperativity=5.5), "
+                "free=('ensemble.cooperativity',)))\n"
                 "import logging\n"
                 "logging.getLogger('rydcav.bubble').warning('reached stderr')\n")
         tests_dir = Path(__file__).resolve().parent

@@ -130,6 +130,22 @@ class TestMeanfieldScan:
         x, y, _ = read_xy_csv(out)
         assert y[0] > y[-1]  # blockade reduces transparency with rate
 
+    def test_meta_has_scan_counts(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "mf.json"
+        assert main(["meanfield-scan", "--config", str(cfg), "--out", str(out),
+                     "--format", "json", "--override", "scan.npoints=21"]) == 0
+        meta = json.loads(out.read_text())["_meta"]
+        assert meta["failed_points"] == 0
+        assert meta["root_counts"] == {"1": 21}
+        assert 0.0 <= meta["worst_residual"] < 1e-10
+        csv = tmp_path / "mf.csv"
+        main(["meanfield-scan", "--config", str(cfg), "--out", str(csv),
+              "--override", "scan.npoints=21"])
+        lines = csv.read_text().splitlines()
+        assert "# failed_points=0" in lines
+        assert "# root_counts={'1': 21}" in lines
+
     def test_detuning_scan_matches_linear_at_zero_c6(self, tmp_path):
         cfg = write_config(tmp_path, c6_override=0.0)
         out_mf = tmp_path / "mf.csv"

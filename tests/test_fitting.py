@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,19 @@ class TestLinearRoundTrip:
         # step, and one run per residual, rejected trial steps included
         residual_runs = res.model_evals - 2 * 4 * len(res.objective_history)
         assert len(res.objective_history) <= residual_runs <= res.iterations + 1
+
+    def test_one_debug_record_per_fit(self, clean_spectrum, caplog):
+        caplog.set_level(logging.DEBUG, logger="rydcav")
+        _, y = clean_spectrum
+        res = fit(eit_problem(y, initial=np.array([12.0, 4.0, 5.0, 0.35])))
+        records = [r for r in caplog.records if r.name.startswith("rydcav")]
+        assert len(records) == 1
+        assert records[0].name == "rydcav.fitting"
+        assert records[0].levelno == logging.DEBUG
+        assert records[0].getMessage() == (
+            f"linear_eit fit of 4 parameter(s): {res.iterations} iteration(s), "
+            f"{res.model_evals} model evaluations, {res.message}, "
+            f"central-difference Jacobian")
 
     def test_noisy_recovery_and_coverage(self, clean_spectrum, rng):
         # 1% relative noise with a small floor, fitted with matched

@@ -7,6 +7,7 @@ import pytest
 from rydcav.errors import SingularParameterError
 from rydcav.interactions import (
     atoms_per_bubble,
+    blockade,
     blockade_volume,
     c6_coefficient,
     c6_d,
@@ -194,3 +195,24 @@ class TestSummary:
         assert s.v_b == 0j
         assert s.kappa == 0j
         assert s.n_b == 1.0
+
+
+class TestBlockadeGrid:
+    def test_array_matches_scalar(self):
+        p = make_params(n=70)
+        grid = np.linspace(-30.0, 30.0, 61)
+        v_b, kap = blockade(p, grid)
+        for dp, v, k in zip(grid, v_b, kap):
+            v1, k1 = blockade(p, float(dp))
+            assert v == pytest.approx(v1, rel=1e-14)
+            assert k == pytest.approx(k1, rel=1e-14)
+
+    def test_singular_point_is_nan_alone(self):
+        # undamped, with the control tuned so that the dressed two-photon
+        # denominator vanishes at delta_p = 2 only
+        p = make_params(gamma_e=0.0, gamma_r=0.0, omega_cf=np.sqrt(32.0))
+        with pytest.raises(SingularParameterError):
+            blockade(p, 2.0)
+        v_b, kap = blockade(p, np.array([1.0, 2.0, 3.0]))
+        assert np.isnan(v_b[1]) and np.isnan(kap[1])
+        assert np.isfinite(v_b[[0, 2]]).all() and np.isfinite(kap[[0, 2]]).all()

@@ -1,8 +1,11 @@
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rydcav import meanfield
-from rydcav.errors import SolverError
+from rydcav.errors import SingularParameterError, SolverError
 from rydcav.linear import transmission_linear
 from rydcav.meanfield import (
     alpha_to_photon_rate,
@@ -91,6 +94,38 @@ class TestSolver:
             seed = sol.x
         assert all(b > a for a, b in zip(xs, xs[1:]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_detuning_rejected(self, paper_params, bad):
+        # rejected at the boundary, not solved into an all-NaN "solution"
+        with pytest.raises(ValueError, match="finite"):
+            solve_self_consistent(paper_params, delta_p=bad)
+        with pytest.raises(ValueError, match="finite"):
+            transmission_curve(paper_params, [0.0, bad, 1.0])
+
+    def test_non_finite_alpha_rejected(self, paper_params):
+        p = replace(paper_params, drive=replace(paper_params.drive, alpha=float("nan")))
+        with pytest.raises(ValueError, match="finite"):
+            solve_self_consistent(p)
+
+    def test_nan_residual_fails_the_point(self, paper_params, monkeypatch):
+        nan3 = [float("nan")] * 3
+        with pytest.raises(SolverError, match="residual nan"):
+            meanfield._pick(nan3, nan3, [False] * 3, 0.0)
+
+        real = meanfield._fixed_points
+
+        def nan_at_2(g, f0):
+            roots = np.array(real(g, f0))
+            roots[2] = np.nan
+            return roots
+
+        monkeypatch.setattr(meanfield, "_fixed_points", nan_at_2)
+        spec = scan_meanfield(paper_params, ScanSpec(-5.0, 5.0, 5))
+        np.testing.assert_array_equal(spec.failed, [False, False, True, False, False])
+        assert np.isnan(spec.transmission[2]) and np.isnan(spec.x[2])
+        with pytest.raises(SolverError, match="residual nan"):
+            transmission_curve(paper_params, np.linspace(-5.0, 5.0, 5))
+
     def test_solution_consistency_flag(self, paper_params):
         sol = solve_self_consistent(paper_params, delta_p=0.0)
         assert abs(abs(sol.c) ** 2 - sol.x) <= 1e-9 * max(1.0, sol.x)
@@ -109,7 +144,9 @@ class TestBistableWindow:
         (a, b, c, d), count = oracle_cubic(p, 10.0)
         assert count == 3
         assert solve_self_consistent(p).root_count == 3
-        roots = meanfield._find_roots(meanfield._point(p))
+        # the grid kernel's candidates at this one point (F(0) is the residual at 0)
+        roots = meanfield._fixed_points(meanfield._grid(p), steady_residual(p, 0.0))[0]
+        roots = roots[~np.isnan(roots)]
         assert len(roots) == 3
         for x in roots:
             terms = (a * x**3, b * x**2, c * x, d)
@@ -132,6 +169,88 @@ class TestBistableWindow:
                       > 1e-3 * np.maximum(up.x, x_down)[bistable])
         np.testing.assert_allclose(up.x[~bistable], x_down[~bistable],
                                    rtol=1e-9)
+
+
+def _assert_oracle_roots(cases, x, counts):
+    """Each x is a root of the oracle cubic at its (params, delta_p) case,
+    to 1e-10 of the cubic's largest term, and the root counts agree."""
+    for (p, dp), xi, count in zip(cases, x, counts):
+        (a, b, c, d), want = oracle_cubic(p, dp)
+        assert count == want, (dp, p.drive.alpha)
+        terms = (a * xi**3, b * xi**2, c * xi, d)
+        assert abs(sum(terms)) <= 1e-10 * max(abs(t) for t in terms)
+
+
+def _with_rate(p, rate):
+    return replace(p, drive=replace(p.drive, alpha=photon_rate_to_alpha(rate, 10.0)))
+
+
+class TestGridKernel:
+    """The whole-grid solve against the independent cubic of the oracle."""
+
+    BISTABLE = dict(n=60, omega_cf=8.0, delta_cf=-10.0, delta_p=10.0)
+
+    def test_random_detuning_grids(self, rng):
+        three = 0
+        for draw in range(12):
+            if draw < 10:
+                p = random_paper_scale_params(rng)
+                grid = np.sort(rng.uniform(-40.0, 40.0, 60))
+            else:  # bistable for delta_p from about 10.0 to 10.57
+                p = make_params(**self.BISTABLE, alpha=float(rng.uniform(31.4, 31.8)))
+                grid = np.sort(rng.uniform(9.5, 11.0, 60))
+            s = meanfield._solve(meanfield._grid(p, delta_p=grid))
+            _assert_oracle_roots([(p, dp) for dp in grid], s.x, s.root_count)
+            three += np.count_nonzero(s.root_count == 3)
+        assert three > 0
+
+    def test_rate_grid_from_zero(self):
+        for n in (56, 60, 70, 79):
+            p = make_params(n=n)
+            spec = scan_meanfield(p, ScanSpec(0.0, 30.0, 31), variable="rate")
+            assert spec.x[0] == 0.0 and not spec.failed.any()
+            _assert_oracle_roots([(_with_rate(p, r), 0.0) for r in spec.axis],
+                                 spec.x, spec.root_count)
+
+    @pytest.mark.parametrize("window", [(98.165, 98.175), (101.285, 101.295)])
+    def test_turning_point_windows(self, window):
+        # each window straddles one end of the bistable range; the up sweep
+        # starts on the low branch (dark seed), the down sweep above every root
+        p = make_params(**self.BISTABLE)
+        rates = np.linspace(*window, 101)
+        up = meanfield._solve(meanfield._grid(p, alpha=photon_rate_to_alpha(rates, 10.0)))
+        down = meanfield._solve(
+            meanfield._grid(p, alpha=photon_rate_to_alpha(rates[::-1], 10.0)),
+            x_seed=1e6)
+        _assert_oracle_roots([(_with_rate(p, r), 10.0) for r in rates],
+                             up.x, up.root_count)
+        _assert_oracle_roots([(_with_rate(p, r), 10.0) for r in rates[::-1]],
+                             down.x, down.root_count)
+        x_down = down.x[::-1]
+        three = up.root_count == 3
+        assert three.any() and not three.all()
+        np.testing.assert_array_equal(down.root_count[::-1], up.root_count)
+        assert np.all(np.abs(up.x - x_down)[three]
+                      > 1e-3 * np.maximum(up.x, x_down)[three])
+        np.testing.assert_array_equal(up.x[~three], x_down[~three])
+
+    def test_kappa_zero_is_linear_bit_for_bit(self, rng):
+        p = make_params(c6_override=0.0, alpha=2.0, scan=ScanSpec(-30.0, 30.0, 201))
+        grid = np.sort(rng.uniform(-30.0, 30.0, 57))
+        np.testing.assert_array_equal(transmission_curve(p, grid),
+                                      transmission_linear(p, grid))
+        np.testing.assert_array_equal(scan_meanfield(p).transmission,
+                                      transmission_linear(p, p.scan.values()))
+
+    def test_single_solve_is_a_grid_of_one(self, rng):
+        p = make_params(**self.BISTABLE)
+        rates = np.linspace(97.0, 102.0, 51)
+        spec = scan_meanfield(p, ScanSpec(97.0, 102.0, 51), variable="rate")
+        seed = 0.0
+        for rate, x, t in zip(rates, spec.x, spec.transmission):
+            sol = solve_self_consistent(_with_rate(p, rate), x_seed=seed)
+            np.testing.assert_allclose([sol.x, sol.transmission], [x, t], rtol=1e-12)
+            seed = sol.x
 
 
 class TestTransmission:
@@ -204,36 +323,39 @@ class TestScan:
         assert alpha_to_photon_rate(photon_rate_to_alpha(7.3, 10.0), 10.0) \
             == pytest.approx(7.3, rel=1e-12)
 
-    def test_failed_points_flagged_and_isolated(self, paper_params, monkeypatch):
+    def test_failed_points_flagged_and_isolated(self, paper_params):
         from dataclasses import replace
 
-        calls = {"n": 0}
-        real = meanfield.solve_self_consistent
-
-        def flaky(params, x_seed=0.0, delta_p=None):
-            calls["n"] += 1
-            if calls["n"] == 3:
-                raise SolverError("injected failure")
-            return real(params, x_seed=x_seed, delta_p=delta_p)
-
-        monkeypatch.setattr(meanfield, "solve_self_consistent", flaky)
-        p = replace(paper_params, scan=ScanSpec(-5.0, 5.0, 5))
+        # with gamma_r = 0 the Rydberg detuning D_r vanishes on two-photon
+        # resonance, the middle point (delta_p = 0), and only there
+        p = replace(paper_params, scan=ScanSpec(-5.0, 5.0, 5),
+                    rydberg=replace(paper_params.rydberg, gamma_r=0.0))
         spec = scan_meanfield(p)
         assert spec.failed.sum() == 1
         assert np.isnan(spec.transmission[2])
         assert np.isfinite(spec.transmission[[0, 1, 3, 4]]).all()
 
+    def test_rate_scan_at_a_singular_detuning_flags_every_point(self):
+        # undamped, with the control tuned so that the blockade chain is
+        # singular at the scan's one detuning (delta_p = 2)
+        p = make_params(gamma_e=0.0, gamma_r=0.0, omega_cf=np.sqrt(32.0),
+                        delta_p=2.0)
+        spec = scan_meanfield(p, ScanSpec(0.0, 10.0, 5), variable="rate")
+        assert spec.failed.all() and np.isnan(spec.transmission).all()
+        with pytest.raises(SingularParameterError):
+            solve_self_consistent(p)
+
     def test_curve_raises_on_failed_point(self, paper_params, monkeypatch):
         calls = {"n": 0}
-        real = meanfield.solve_self_consistent
+        real = meanfield._pick  # the kernel's per-point continuation step
 
-        def flaky(params, x_seed=0.0, delta_p=None):
+        def flaky(*args):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise SolverError("injected failure")
-            return real(params, x_seed=x_seed, delta_p=delta_p)
+            return real(*args)
 
-        monkeypatch.setattr(meanfield, "solve_self_consistent", flaky)
+        monkeypatch.setattr(meanfield, "_pick", flaky)
         with pytest.raises(SolverError, match="injected"):
             transmission_curve(paper_params, np.linspace(-5.0, 5.0, 5))
         assert calls["n"] == 2
@@ -241,13 +363,13 @@ class TestScan:
     def test_negative_rate_rejected_before_any_solve(self, paper_params,
                                                      monkeypatch):
         calls = {"n": 0}
-        real = meanfield.solve_self_consistent
+        real = meanfield._solve  # the grid kernel
 
-        def counting(params, x_seed=0.0, delta_p=None):
+        def counting(*args, **kwargs):
             calls["n"] += 1
-            return real(params, x_seed=x_seed, delta_p=delta_p)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(meanfield, "solve_self_consistent", counting)
+        monkeypatch.setattr(meanfield, "_solve", counting)
         with pytest.raises(ValueError, match="photon rate"):
             scan_meanfield(paper_params, ScanSpec(5.0, -1.0, 7), variable="rate")
         assert calls["n"] == 0
@@ -259,6 +381,22 @@ class TestScan:
         # a NaN range would give NaN transmissions flagged as solved
         with pytest.raises(ValueError, match="finite"):
             scan_meanfield(paper_params, spec, variable=variable)
+
+    def test_metadata_and_one_debug_record(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="rydcav")
+        p = make_params(**TestGridKernel.BISTABLE)
+        spec = scan_meanfield(p, ScanSpec(97.0, 102.0, 51), variable="rate")
+        counts = spec.metadata["root_counts"]
+        assert counts == {"1": 20, "3": 31}
+        worst = spec.metadata["worst_residual"]
+        assert 0.0 <= worst <= 1e-10 * max(1.0, spec.x.max())
+        records = [r for r in caplog.records if r.name.startswith("rydcav")]
+        assert len(records) == 1
+        assert records[0].name == "rydcav.meanfield"
+        assert records[0].levelno == logging.DEBUG
+        assert records[0].getMessage() == (
+            f"mean-field rate scan, 51 points: 0 failed, root counts {counts}, "
+            f"worst residual {worst:.3g}")
 
     def test_csv_header(self, paper_params):
         from dataclasses import replace
