@@ -660,10 +660,11 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
 class SteadyBubbleResult:
     """Steady bubble-model transmission and how the solve ended.
 
-    ``newton_iterations`` counts the Newton iterations of every attempt;
-    ``residual`` is the max-norm of the bordered residual (f(y) with its
-    first row replaced by Tr rho - 1) at the state whose transmission is
-    reported.
+    ``t_final`` is the pseudo-time (us) the continuation reached, at most
+    ``t_max``; ``newton_iterations`` counts its iterations; ``residual`` is
+    the max-norm of the bordered residual (f(y) with its first row replaced
+    by Tr rho - 1) at the state whose transmission is reported; ``verdict``
+    says how the solve ended (``"stable"`` for an accepted root).
     """
 
     transmission: float
@@ -671,14 +672,17 @@ class SteadyBubbleResult:
     t_final: float
     newton_iterations: int
     residual: float
+    verdict: str
 
 
-#: absolute tolerance of the steady solve's evolution and Newton steps
+#: absolute tolerance of the steady solve's steps and marginal evolve
 _STEADY_ATOL = 1e-10
-#: Newton iterations of one attempt before it counts as failed
-_NEWTON_MAXITER = 20
-#: halvings of one Newton step before the attempt counts as failed
-_NEWTON_HALVINGS = 10
+#: first pseudo-time step (us) of the continuation
+_PTC_DT0 = 0.05
+#: largest growth of the pseudo-time step in one iteration
+_PTC_GROWTH = 10.0
+#: iterations after which the continuation counts as failed
+_PTC_MAXITER = 100
 #: a root whose rho has an eigenvalue below -_PSD_TOL is not a state
 _PSD_TOL = 1e-8
 #: a non-trace eigenvalue with |Re| below this (rad/us) leaves the linear
@@ -700,48 +704,28 @@ def _bordered_residual(model: BubbleModel, y) -> np.ndarray:
     return f
 
 
-def _newton(model: BubbleModel, y, rtol: float):
-    """Damped Newton on the bordered residual from y, with the exact Jacobian.
+def _ptc_step(model: BubbleModel, y, res, shift: float):
+    """The step d of (shift I - J) d = f(y) on the bordered system, or None
+    if its matrix is singular.
 
-    Each Newton correction dy = -J^-1 F(y) is scaled by 1, 1/2, 1/4, ...
-    until the scaled step passes Deuflhard's natural monotonicity test: the
-    simplified correction -J^-1 F(y + step), with the same J, is shorter
-    than dy.  Returns (y*, iterations) once a correction is below
-    _STEADY_ATOL + rtol |y| in every component, or (None, iterations) on a
-    singular matrix, a non-finite correction, a correction that
-    _NEWTON_HALVINGS halvings do not make pass, or no convergence within
-    _NEWTON_MAXITER iterations.
+    Row 0 is the trace condition Tr(rho + d) = 1 instead (``res`` is the
+    bordered residual at y); J is the exact Jacobian.  shift = 1/dt makes
+    the step one implicit-Euler step of length dt, shift = 0 a Newton step.
     """
-    res = _bordered_residual(model, y)
-    for it in range(1, _NEWTON_MAXITER + 1):
-        jac = model.jacobian(y)
-        jac[0] = 0.0
-        jac[0, :model.npop] = 1.0
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return None, it
-        if not np.isfinite(step).all():
-            return None, it
-        moved = y + step
-        if np.all(np.abs(step) <= _STEADY_ATOL + rtol * np.abs(moved)):
-            return moved, it
-        norm = np.linalg.norm(step)
-        for _ in range(_NEWTON_HALVINGS + 1):
-            trial = y + step
-            trial_res = _bordered_residual(model, trial)
-            if np.linalg.norm(np.linalg.solve(jac, -trial_res)) < norm:
-                break
-            step = 0.5 * step
-        else:
-            return None, it
-        y, res = trial, trial_res
-    return None, _NEWTON_MAXITER
+    mat = model.jacobian(y)
+    mat[0] = 0.0
+    mat[0, :model.npop] = 1.0
+    diag = np.arange(1, model.size)
+    mat[diag, diag] -= shift
+    try:
+        return np.linalg.solve(mat, -res)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _verdict(model: BubbleModel, y, t: float, window: float,
              convergence: float, rtol: float) -> tuple[bool, str]:
-    """(accepted, verdict) for the Newton root y.
+    """(accepted, verdict) for the root y.
 
     The root must be a state (no eigenvalue of rho below -_PSD_TOL) and
     stable.  The trace functional u (ones on the populations) is a left
@@ -774,62 +758,61 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
                                window: float = 5.0, t_max: float = 500.0,
                                nmax: int = DEFAULT_NMAX, rtol: float = 1e-8,
                                n_b: float | None = None) -> SteadyBubbleResult:
-    """Steady transmission: a fixed point of the model near the state the
-    dynamics reach, solved directly.
+    """Steady transmission: the fixed point of the model that pseudo-transient
+    continuation reaches from the empty cavity with all atoms in the ground
+    state.
 
-    The model is evolved for one ``window`` (us) from the empty cavity with
-    all atoms in the ground state.  Damped Newton steps from that state
-    then solve f(y) = 0, with the first row replaced by Tr rho = 1 and the
-    exact Jacobian, to the evolution's tolerance (``rtol``), on the
-    coordinates the model keeps (the dark state S is dropped when xi = 0),
-    which leaves Tr rho as the one conserved quantity.  Each step passes a
-    monotonicity test, but nothing proves that the root is the fixed
-    point the evolution would settle on if the model had several; the
-    tests compare it with long evolutions at weak and strong drive.
+    Each iteration solves (I/dt - J) d = f(y), with the first row replaced
+    by Tr rho = 1 and J the exact Jacobian, on the coordinates the model
+    keeps (the dark state S is dropped when xi = 0), which leaves Tr rho as
+    the one conserved quantity (Kelley & Keyes, SIAM J. Numer. Anal. 35,
+    508, 1998).  dt starts at 0.05 us and grows by switched evolution
+    relaxation, dt <- dt |f_old| / |f_new| on the rows after the first, at
+    most tenfold per step, so the first steps follow an implicit-Euler
+    trajectory of the dynamics and the last ones are Newton steps.  Once the
+    summed pseudo-time reaches ``t_max`` (us) the I/dt term is dropped:
+    the remaining iterations are plain Newton.  The solve stops at a step
+    below 1e-10 + ``rtol`` |y| in every component.  Nothing proves that
+    the root is the fixed point the evolution would settle on if the model
+    had several; the tests compare it with long evolutions at weak and
+    strong drive.
 
-    The result is ``converged`` only when Newton converges to a density
-    matrix (no eigenvalue below -1e-8) that is stable: every eigenvalue
-    of the Jacobian except the trace mode has Re < 0.  If one lies within
-    1e-9 rad/us of the imaginary axis, a one-window evolve from the fixed
-    point must change T by less than ``convergence`` (relative) instead;
-    this is the only use of ``convergence``.  Otherwise the model is
-    evolved one more window and Newton retried, up to ``t_max``; then the
-    transmission of the last evolved state is returned with
-    converged=False.
-
-    ``t_final`` is the evolved time the accepted Newton solve started from,
-    or t_max when the solve is exhausted.
+    The result is ``converged`` only when that root is a density matrix
+    (no eigenvalue below -1e-8) and stable: every eigenvalue of the
+    Jacobian except the trace mode has Re < 0.  If one lies within 1e-9
+    rad/us of the imaginary axis, a one-``window`` (us) evolve from the
+    root must change T by less than ``convergence`` (relative) instead;
+    this is the only use of ``window`` and ``convergence``.  A rejected
+    root, a singular matrix, a non-finite step or 100 iterations without
+    convergence end the solve with converged=False and the transmission of
+    the last finite iterate; the loop is deterministic and a root is a
+    fixed point of every later step, so there is nothing to retry.
     """
     require_positive("convergence threshold", convergence)
     require_positive("window", window)
     require_positive("t_max", t_max)
     model = BubbleModel(params, nmax=nmax, n_b=n_b)
     y = model.initial_flat()
-    t = 0.0
-    windows = iterations = 0
+    res = _bordered_residual(model, y)
+    t, dt = 0.0, _PTC_DT0
     converged = False
-    while t < t_max and not converged:
-        chunk_end = min(t + window, t_max)
-        # the explicit pair: a window this short does not pay back the
-        # stiff integrator's start-up and inversions (README, "Time
-        # integration")
-        y = integrate(model.rhs_flat, t, y, [chunk_end], rtol=rtol,
-                      atol=_STEADY_ATOL)[0][-1]
-        t = chunk_end
-        windows += 1
-        y_star, its = _newton(model, y, rtol)
-        iterations += its
-        if y_star is None:
-            verdict = "Newton failed"
-            continue
-        converged, verdict = _verdict(model, y_star, t, window,
-                                      convergence, rtol)
-        if converged:
-            y = y_star
-    result = SteadyBubbleResult(model.transmission(y), converged, t, iterations,
-                                float(np.abs(_bordered_residual(model, y)).max()))
-    _log.debug("bubble steady solve (nmax %d): %d window(s) to t = %g us, "
-               "%d Newton iteration(s), residual %.3g, %s, converged=%s",
-               nmax, windows, t, iterations, result.residual, verdict,
-               result.converged)
+    verdict = f"no root in {_PTC_MAXITER} iterations"
+    for iterations in range(1, _PTC_MAXITER + 1):
+        step = _ptc_step(model, y, res, 1.0 / dt if t < t_max else 0.0)
+        if step is None or not np.isfinite(step).all():
+            verdict = "singular matrix" if step is None else "non-finite step"
+            break
+        t = min(t + dt, t_max)
+        y = y + step
+        old, res = np.linalg.norm(res[1:]), _bordered_residual(model, y)
+        if np.all(np.abs(step) <= _STEADY_ATOL + rtol * np.abs(y)):
+            converged, verdict = _verdict(model, y, t, window, convergence, rtol)
+            break
+        new = np.linalg.norm(res[1:])
+        dt *= _PTC_GROWTH if _PTC_GROWTH * new <= old else old / new
+    result = SteadyBubbleResult(model.transmission(y), converged, float(t),
+                                iterations, float(np.abs(res).max()), verdict)
+    _log.debug("bubble steady solve (nmax %d): %d iteration(s) to pseudo-time "
+               "%g us, residual %.3g, %s, converged=%s", nmax, iterations, t,
+               result.residual, verdict, converged)
     return result

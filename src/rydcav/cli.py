@@ -121,7 +121,8 @@ def _cmd_bubble_steady(args):
         t_max=args.t_max, nmax=args.nmax, rtol=args.rtol)
     payload = {"transmission": result.transmission,
                "converged": result.converged, "t_final_us": result.t_final,
-               "newton_iterations": result.newton_iterations}
+               "newton_iterations": result.newton_iterations,
+               "residual": result.residual, "verdict": result.verdict}
     meta = _meta(args, params, {"nmax": args.nmax, "rtol": args.rtol,
                                 "window": args.window,
                                 "threshold": args.threshold,
@@ -198,17 +199,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bubble_evolve)
 
     p = subs.add_parser("bubble-steady",
-                         help="steady bubble-model transmission (Newton on the fixed point)")
+                         help="steady bubble-model transmission (pseudo-transient "
+                              "continuation to the fixed point)")
     _add_common(p)
     p.add_argument("--threshold", type=float, default=1e-3,
                    help="largest relative change of T over one window from a "
                         "fixed point whose linear stability is marginal")
     p.add_argument("--window", type=float, default=5.0,
-                   help="evolution (us) from the empty cavity before each "
-                        "Newton solve for the fixed point")
+                   help="evolution (us) from a fixed point whose linear "
+                        "stability is marginal, over which --threshold is "
+                        "checked")
     p.add_argument("--t-max", type=float, default=500.0,
-                   help="evolution (us) after which an unsolved steady state "
-                        "is reported with converged=false")
+                   help="pseudo-time (us) after which the continuation "
+                        "takes plain Newton steps")
     p.add_argument("--nmax", type=int, default=bubble.DEFAULT_NMAX)
     p.add_argument("--rtol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_bubble_steady)

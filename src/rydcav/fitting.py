@@ -85,6 +85,8 @@ class FitProblem:
             raise ValueError(f"unknown model '{self.model}'")
         if self.x.shape != self.y.shape or self.x.ndim != 1:
             raise ValueError("x and y must be 1-d arrays of equal length")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise ValueError("x and y must be finite")
         self.free = tuple(self.free)
         if not self.free:
             raise ValueError("at least one free parameter required")

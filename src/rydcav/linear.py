@@ -41,11 +41,14 @@ def transmission_linear(params: PhysicalParams, delta_p=None):
     """Linear cavity transmission at one probe detuning (or an array).
 
     Raises SingularParameterError if the denominator vanishes, which is
-    only reachable with zero damping everywhere.
+    only reachable with zero damping everywhere, and ValueError for a
+    non-finite detuning.
     """
     D_e, D_r, D_c = params.complex_detunings(0.0)
     dp = params.drive.delta_p if delta_p is None else delta_p
     dp = np.asarray(dp, dtype=float)
+    if not np.isfinite(dp).all():
+        raise ValueError("probe detuning must be finite")
     D_e, D_r, D_c = D_e + dp, D_r + dp, D_c + dp
 
     gc = params.cavity.gamma_c

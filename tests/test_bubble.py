@@ -586,7 +586,10 @@ class TestSteady:
         result = steady_transmission_bubble(p, convergence=1e9, window=2.0,
                                             nmax=2)
         assert result.converged
-        assert result.t_final <= 4.0
+        assert result.t_final <= 500.0
+        # the threshold only judges a marginal root, and this one is stable
+        assert result.transmission == steady_transmission_bubble(
+            p, nmax=2).transmission
 
     def test_dark_decay_only_removes_transmission(self):
         base = dict(gamma_r=0.05, gamma_s=0.002, alpha=2.0)
@@ -616,66 +619,51 @@ class TestSteady:
         result = steady_transmission_bubble(p, nmax=2)
         series = evolve(p, t_end=600.0, dt=600.0, nmax=2)
         assert result.converged
-        assert result.t_final == 5.0
+        assert result.t_final <= 500.0
         assert 1 <= result.newton_iterations <= 10
         assert result.residual < 1e-12
         assert result.transmission == pytest.approx(series.transmission[-1],
                                                     rel=1e-5)
 
     def test_singular_jacobian_evolves_to_t_max(self, monkeypatch):
-        import rydcav.bubble as bubble
-
+        # with J = 0 every continuation step is an explicit-Euler step, which
+        # crawls (0.44 us of pseudo-time in 100 iterations here), so t_max
+        # is one the steps reach; the Newton matrix after it is singular
         def singular(model, y):
             return np.zeros((model.size, model.size))
 
-        windows = []
-
-        def counting(*args, **kwargs):
-            windows.append(args[3])
-            return integrate(*args, **kwargs)
-
         monkeypatch.setattr(BubbleModel, "jacobian", singular)
-        monkeypatch.setattr(bubble, "integrate", counting)
         result = steady_transmission_bubble(weak_drive_params(), window=2.0,
-                                            t_max=6.0, nmax=1)
+                                            t_max=0.1, nmax=1)
         assert not result.converged
-        assert result.t_final == 6.0
-        assert windows == [[2.0], [4.0], [6.0]]
-        assert result.newton_iterations == 3
+        assert result.t_final == 0.1
+        assert result.verdict == "singular matrix"
         assert np.isfinite(result.transmission)
 
-    def test_natural_monotonicity_keeps_full_steps(self):
-        # a residual-norm descent test cut the first three full steps here
-        # and needed 8 iterations
-        result = steady_transmission_bubble(transient_params(), nmax=2)
-        assert result.converged
-        assert result.newton_iterations <= 6
-        assert result.transmission == pytest.approx(0.2005955, abs=1e-7)
+    def test_absorbing_dark_state_fails_within_the_iteration_cap(self):
+        # with no decay out of S the root (everything in S) is degenerate
+        # and the dynamics reach it only as a power law
+        import rydcav.bubble as bubble
 
-    def test_overshooting_steps_are_halved(self, monkeypatch):
-        exact = steady_transmission_bubble(transient_params(), nmax=2)
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: 8.0 * solve(a, b))
-        damped = steady_transmission_bubble(transient_params(), nmax=2)
-        assert damped.converged
-        assert damped.t_final == 5.0
-        assert damped.transmission == pytest.approx(exact.transmission,
-                                                    rel=1e-6)
+        result = steady_transmission_bubble(transient_params(gamma_s=0.0),
+                                            nmax=2)
+        assert not result.converged
+        assert result.newton_iterations <= bubble._PTC_MAXITER
 
     def test_root_that_is_not_a_state_is_rejected(self, monkeypatch, caplog):
         import rydcav.bubble as bubble
 
-        def negative_population(model, y, rtol):
+        def to_negative_population(model, y, res, shift):
             rho = np.zeros((model.dim, model.dim))
             rho[0, 0], rho[1, 1] = 1.5, -0.5
-            return model.initial_flat(rho0=rho), 1
+            return model.initial_flat(rho0=rho) - y
 
-        monkeypatch.setattr(bubble, "_newton", negative_population)
+        monkeypatch.setattr(bubble, "_ptc_step", to_negative_population)
         caplog.set_level(logging.DEBUG, logger="rydcav")
         result = steady_transmission_bubble(weak_drive_params(), window=2.0,
                                             t_max=6.0, nmax=1)
         assert not result.converged
-        assert result.t_final == 6.0
+        assert result.t_final <= 6.0
         assert "not a state (min eigenvalue of rho = -0.5)" in caplog.text
 
     def test_marginal_spectrum_accepts_a_root_that_stays(self, monkeypatch,
@@ -683,34 +671,39 @@ class TestSteady:
         import rydcav.bubble as bubble
 
         exact = steady_transmission_bubble(transient_params(), nmax=2)
+        assert exact.transmission == pytest.approx(0.2005955, abs=1e-7)
         monkeypatch.setattr(bubble, "_MARGINAL", np.inf)
         caplog.set_level(logging.DEBUG, logger="rydcav")
         result = steady_transmission_bubble(transient_params(), nmax=2)
         assert result.converged
-        assert result.t_final == 5.0
+        assert result.t_final <= 500.0
         assert result.transmission == exact.transmission
         assert "marginal, settled over a window" in caplog.text
 
     def test_marginal_spectrum_rejects_a_root_that_drifts(self, monkeypatch,
                                                           caplog):
-        # with the evolved state standing in for the root, the marginal
-        # test is a window-to-window convergence test on T
+        # with the state one window from the empty cavity standing in for
+        # the root, the marginal test is a window-to-window convergence
+        # test on T
         import rydcav.bubble as bubble
 
+        def to_evolved(model, y, res, shift):
+            evolved = integrate(model.rhs_flat, 0.0, model.initial_flat(),
+                                [5.0], rtol=1e-8, atol=1e-10)[0][-1]
+            return evolved - y
+
         monkeypatch.setattr(bubble, "_MARGINAL", np.inf)
-        monkeypatch.setattr(bubble, "_newton", lambda model, y, rtol: (y, 1))
+        monkeypatch.setattr(bubble, "_ptc_step", to_evolved)
         caplog.set_level(logging.DEBUG, logger="rydcav")
         p = transient_params()
         loose = steady_transmission_bubble(p, convergence=1e9, nmax=2)
         assert loose.converged
-        assert loose.t_final == 5.0
-        settled = steady_transmission_bubble(p, convergence=1e-2, nmax=2)
-        assert settled.converged
-        assert 5.0 < settled.t_final < 500.0
+        assert loose.t_final <= 500.0
         drifting = steady_transmission_bubble(p, convergence=1e-9, nmax=2,
                                               t_max=20.0)
         assert not drifting.converged
-        assert drifting.t_final == 20.0
+        assert drifting.t_final <= 20.0
+        assert drifting.verdict == "marginal, drifting over a window"
         assert caplog.records[-1].getMessage().endswith(
             "marginal, drifting over a window, converged=False")
 
@@ -763,8 +756,9 @@ class TestLogging:
         assert len(records) == 1
         assert records[0].levelno == logging.DEBUG
         message = records[0].getMessage()
-        assert "1 window(s) to t = 1 us" in message
-        assert f"{result.newton_iterations} Newton iteration(s)" in message
+        assert (f"{result.newton_iterations} iteration(s) to pseudo-time "
+                f"{result.t_final:g} us, residual {result.residual:.3g}"
+                in message)
         assert message.endswith(", stable, converged=True")
 
 

@@ -221,6 +221,8 @@ class TestBubbleCommands:
         assert doc["converged"] is True
         assert 0.0 <= doc["transmission"] <= 1.0
         assert doc["newton_iterations"] >= 1
+        assert doc["residual"] < 1e-12
+        assert doc["verdict"] == "stable"
         assert {k: doc["_meta"][k] for k in
                 ("nmax", "rtol", "window", "threshold", "t_max")} == {
             "nmax": 2, "rtol": 1e-8, "window": 2.0, "threshold": 1e-2,

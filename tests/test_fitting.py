@@ -179,6 +179,15 @@ class TestValidation:
             FitProblem(x=np.arange(10.0), y=np.ones(10), model="linear_eit",
                        base_params=make_params(), free=("drive.bogus",))
 
+    @pytest.mark.parametrize("field", ["x", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, field, bad):
+        data = {"x": np.arange(10.0), "y": np.ones(10)}
+        data[field][4] = bad
+        with pytest.raises(ValueError, match="x and y must be finite"):
+            FitProblem(model="linear_eit", base_params=make_params(),
+                       free=("cavity.gamma_c",), **data)
+
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
             FitProblem(x=np.arange(10.0), y=np.ones(10), model="linear_eit",

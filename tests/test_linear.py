@@ -129,6 +129,12 @@ class TestSpectrumType:
         assert spec.delta_p.size == 21
 
 
+@pytest.mark.parametrize("delta_p", [np.nan, np.inf, [0.0, np.nan, 1.0]])
+def test_non_finite_detuning_rejected(delta_p):
+    with pytest.raises(ValueError, match="probe detuning must be finite"):
+        transmission_linear(make_params(), delta_p)
+
+
 def test_singular_parameters_raise():
     p = make_params(gamma_c=1e-320, gamma_e=0.0, gamma_r=0.0,
                     cooperativity=0.0, omega_cf=0.0)
