@@ -33,6 +33,15 @@ empty, so at nmax = 6 the state vector y = [r, Re<a>, Im<a>] has 247
 coordinates (198 at xi = 0) instead of 21^2 + 2 = 443.  The populations
 lead r, so Tr rho is the sum of its first entries.
 
+Everything but six rates and detunings, g sqrt(n_b) and xi is the same
+for every model at one nmax: the operators, the Hermitian basis, the
+trace rows and the generator's nine unit blocks in that basis (L0 per
+unit of each rate and detuning, the cavity-coupling blocks per unit of
+g sqrt(n_b), the dark-state block).  :func:`_structure` builds them once
+per nmax, keeps the blocks as sparse (rows, cols, values) triplets and
+marks every array read-only; a model build then only weights and
+scatters the entries it keeps, with no superoperator algebra.
+
 On request the forward sensitivities s_k = dy/dtheta_k of that state
 vector with respect to named parameters theta_k are integrated next to it
 (ds_k/dt = J s_k + df/dtheta_k, J the exact Jacobian of the right-hand
@@ -42,6 +51,7 @@ derivatives dT/dtheta_k of the sampled transmission from one run.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -78,11 +88,16 @@ class BubbleOperators:
     sigma_RS: np.ndarray
 
 
+def _check_nmax(nmax) -> int:
+    """``nmax`` itself if it is an int >= 1 (not a bool), else ValueError."""
+    if isinstance(nmax, bool) or not isinstance(nmax, int) or nmax < 1:
+        raise ValueError(f"nmax must be an int >= 1, got {nmax!r}")
+    return nmax
+
+
 def build_operators(nmax: int) -> BubbleOperators:
     """Operator matrices of dimension 3 (nmax + 1), basis |m> x |s>."""
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
-    nb = nmax + 1
+    nb = _check_nmax(nmax) + 1
     lower = np.zeros((nb, nb))
     for m in range(1, nb):
         lower[m - 1, m] = math.sqrt(m)
@@ -142,33 +157,51 @@ def _sop_dissipator(L, eye):
     return 2.0 * np.kron(L, L.conj()) - np.kron(LdL, eye) - np.kron(eye, LdL.T)
 
 
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Columns: vec of an orthonormal Hermitian basis (diagonals first)."""
-    v = np.zeros((d * d, d * d), dtype=complex)
-    col = 0
-    for k in range(d):
-        v[k * d + k, col] = 1.0
-        col += 1
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            v[i * d + j, col] = inv_sqrt2
-            v[j * d + i, col] = inv_sqrt2
-            col += 1
-            v[i * d + j, col] = 1j * inv_sqrt2
-            v[j * d + i, col] = -1j * inv_sqrt2
-            col += 1
-    return v
+class _Basis(NamedTuple):
+    """An orthonormal Hermitian basis of d x d matrices, by its entries.
+
+    Column c of the basis (as vec of a matrix) holds a[c] at row p[c] of
+    vec(rho) and b[c] at row q[c]; b[c] = 0 on the d diagonal elements,
+    which come first and where p[c] = q[c].  Each off-diagonal pair i < j
+    gives (E_ij + E_ji)/sqrt 2 and then i (E_ij - E_ji)/sqrt 2.
+    """
+
+    p: np.ndarray
+    q: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
+def _hermitian_basis(d: int) -> _Basis:
+    """The Hermitian basis of d x d matrices (diagonals first)."""
+    i, j = np.triu_indices(d, 1)
+    diag = np.arange(d) * (d + 1)
+    s = 1.0 / math.sqrt(2.0)
+    return _Basis(
+        p=np.concatenate((diag, np.repeat(i * d + j, 2))),
+        q=np.concatenate((diag, np.repeat(j * d + i, 2))),
+        a=np.concatenate((np.ones(d), np.tile([s, 1j * s], i.size))),
+        b=np.concatenate((np.zeros(d), np.tile([s, -1j * s], i.size))))
+
+
+def _basis_columns(basis: _Basis, cols: np.ndarray) -> np.ndarray:
+    """The basis columns ``cols`` as a dense d^2 x len(cols) array."""
+    out = np.zeros((basis.p.size, cols.size), dtype=complex)
+    k = np.arange(cols.size)
+    out[basis.p[cols], k] = basis.a[cols]
+    out[basis.q[cols], k] += basis.b[cols]
+    return out
 
 
 class _Scalars(NamedTuple):
     """Every number the bubble right-hand side depends on, in rad/us.
 
-    The generator L0 is linear in its first six fields
-    (:func:`_assemble_l0`); the cavity-coupling blocks L1, L2 are fixed
-    matrices times ``g_nb`` and the dark-state block L3 is multiplied by
-    ``xi``; the cavity rows and the transmission gain gamma_c^2 / alpha^2
-    are scalars too.  ``n_b`` is the number of atoms per bubble.
+    The generator L0 is linear in its first six fields (the weights of its
+    unit blocks, :func:`_unit_blocks`); the cavity-coupling blocks L1, L2
+    are fixed matrices times ``g_nb`` and the dark-state block L3 is
+    multiplied by ``xi``; the cavity rows and the transmission gain
+    gamma_c^2 / alpha^2 are scalars too.  ``n_b`` is the number of atoms
+    per bubble.
     """
 
     delta_r: float
@@ -234,56 +267,106 @@ def _scalar_derivative(params: PhysicalParams, n_b: float | None,
     return _Scalars(*((at(up) - at(down)) / (up - down)))
 
 
-def _assemble_l0(ops: BubbleOperators, sc: _Scalars) -> np.ndarray:
-    """The drive- and decay part L0 of the generator, linear in sc[:6]."""
+def _unit_blocks(ops: BubbleOperators):
+    """The generator's nine unit blocks as dense superoperators, one at a
+    time: L0 at a unit value of each of delta_r, delta_e, omega, gamma_e,
+    gamma_r and gamma_s in turn, L1 and L2 (multiplying Re<a> and Im<a>) at
+    g sqrt(n_b) = 1, and the dark-state block L3."""
     eye = np.eye(ops.dim)
-    bd = ops.beta.conj().T
-    h0 = (-sc.delta_r * ops.sigma_RR - sc.delta_e * (bd @ ops.beta)
-          + 0.5 * sc.omega * (ops.sigma_RG @ ops.beta + bd @ ops.sigma_GR))
-    l0 = -1j * _sop_commutator(h0, eye)
-    l0 = l0 + sc.gamma_e * _sop_dissipator(ops.beta, eye)
-    l0 = l0 + sc.gamma_r * _sop_dissipator(ops.sigma_GR, eye)
-    return l0 + sc.gamma_s * _sop_dissipator(ops.sigma_GS, eye)
+    b, bd = ops.beta, ops.beta.conj().T
+    yield -1j * _sop_commutator(-ops.sigma_RR, eye)
+    yield -1j * _sop_commutator(-(bd @ b), eye)
+    yield -1j * _sop_commutator(0.5 * (ops.sigma_RG @ b + bd @ ops.sigma_GR), eye)
+    yield _sop_dissipator(b, eye)
+    yield _sop_dissipator(ops.sigma_GR, eye)
+    yield _sop_dissipator(ops.sigma_GS, eye)
+    yield -1j * _sop_commutator(b + bd, eye)
+    yield -1j * _sop_commutator(1j * (bd - b), eye)
+    yield _sop_dissipator(ops.sigma_SR, eye)
 
 
-def _project(basis: np.ndarray, blocks) -> list[np.ndarray]:
-    """Superoperators as real matrices in the Hermitian basis.
+#: indices of L1, L2 and L3 among the unit blocks; L0's six come first
+_L1, _L2, _L3 = 6, 7, 8
 
-    basis^H @ blk @ basis by gathering: each basis column c has at most two
-    entries, a_c at row P_c and b_c at row Q_c (b_c = 0 on the diagonal
-    elements, where P_c = Q_c).  Rows go in chunks, so no complex d^2 x d^2
-    temporary (3.1 MB at nmax 6) is made.  Exact for generators that
-    preserve Hermiticity; asserted.
+
+def _project(basis: _Basis, blk: np.ndarray):
+    """A superoperator as a real matrix in the Hermitian basis, as its
+    nonzero entries (rows, cols, values).
+
+    basis^H @ blk @ basis by gathering the two entries of each basis
+    column.  Rows go in chunks, so no complex d^2 x d^2 temporary (3.1 MB
+    at nmax 6) is made.  Exact for generators that preserve Hermiticity;
+    asserted.
     """
-    nonzero = basis != 0.0
-    cols = np.arange(basis.shape[1])
-    p = np.argmax(nonzero, axis=0)                         # first entry
-    q = basis.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)  # last entry
-    a = basis[p, cols]
-    b = np.where(p == q, 0.0, basis[q, cols])
-    chunks = np.array_split(cols, max(1, cols.size // 64))
-    out = []
-    for blk in blocks:
-        m = np.empty(blk.shape)
-        imag = 0.0
-        for rows in chunks:
-            left = (a[rows, None].conj() * blk[p[rows]]    # basis^H @ blk
-                    + b[rows, None].conj() * blk[q[rows]])
-            chunk = left[:, p] * a + left[:, q] * b
-            m[rows] = chunk.real
-            imag = max(imag, float(np.abs(chunk.imag).max()))
-        if imag > 1e-9 * max(np.max(np.abs(m)), 1.0):
-            raise AssertionError("generator block is not Hermiticity-preserving")
-        out.append(m)
-    return out
+    p, q, a, b = basis
+    cols = np.arange(p.size)
+    m = np.empty(blk.shape)
+    imag = 0.0
+    for rows in np.array_split(cols, max(1, cols.size // 64)):
+        left = (a[rows, None].conj() * blk[p[rows]]        # basis^H @ blk
+                + b[rows, None].conj() * blk[q[rows]])
+        chunk = left[:, p] * a + left[:, q] * b
+        m[rows] = chunk.real
+        imag = max(imag, float(np.abs(chunk.imag).max()))
+    if imag > 1e-9 * max(np.max(np.abs(m)), 1.0):
+        raise AssertionError("generator block is not Hermiticity-preserving")
+    rows, cols = np.nonzero(m)
+    return rows, cols, m[rows, cols]
 
 
-def _closure(flow: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Smallest superset of the mask ``seed`` that flow[i, k] (k moves i)
-    does not leave."""
-    live = seed.copy()
+class _Structure(NamedTuple):
+    """What every bubble model at one nmax shares; see :func:`_structure`.
+
+    ``w_rows`` holds the rows w_RR, Re w_beta and Im w_beta with
+    Tr(X rho) = w_X . r for the basis coefficients r of rho, ``w_ss`` the
+    row of sigma_SS, and ``units`` the nine unit blocks of
+    :func:`_unit_blocks` in the Hermitian basis as (rows, cols, values).
+    """
+
+    ops: BubbleOperators
+    basis: _Basis
+    w_rows: np.ndarray
+    w_ss: np.ndarray
+    units: tuple
+
+
+@functools.cache
+def _structure(nmax: int) -> _Structure:
+    """The operator algebra of every bubble model at ``nmax``, built once.
+
+    Each unit block is made dense, projected and reduced to its nonzero
+    entries before the next is made, so the dense superoperators never
+    pile up; at nmax 6 the cache takes 0.2 MB.  Every array is read-only.
+    """
+    ops = build_operators(nmax)
+    basis = _hermitian_basis(ops.dim)
+
+    # Tr(X rho) = vec(X^T) . vec(rho) = (vec(X^T) @ basis) . r
+    def row(op):
+        v = op.T.reshape(-1)
+        return v[basis.p] * basis.a + v[basis.q] * basis.b
+
+    w_beta = row(ops.beta)
+    st = _Structure(
+        ops=ops, basis=basis,
+        w_rows=np.vstack((row(ops.sigma_RR).real, w_beta.real, w_beta.imag)),
+        w_ss=row(ops.sigma_SS).real,
+        units=tuple(_project(basis, blk) for blk in _unit_blocks(ops)))
+    operators = [v for v in vars(ops).values() if isinstance(v, np.ndarray)]
+    triplets = [arr for unit in st.units for arr in unit]
+    for arr in operators + [*basis, st.w_rows, st.w_ss] + triplets:
+        arr.setflags(write=False)
+    return st
+
+
+def _closure(units, live: np.ndarray) -> np.ndarray:
+    """Smallest superset of the mask ``live`` that no entry of the blocks
+    ``units`` leads out of (an entry at (i, k) moves coordinate k into i)."""
+    rows = np.concatenate([u[0] for u in units])
+    cols = np.concatenate([u[1] for u in units])
     while True:
-        grown = live | flow[:, live].any(axis=1)
+        grown = live.copy()
+        grown[rows[live[cols]]] = True
         if np.array_equal(grown, live):
             return live
         live = grown
@@ -292,22 +375,26 @@ def _closure(flow: np.ndarray, seed: np.ndarray) -> np.ndarray:
 class BubbleModel:
     """Precompiled right-hand side for one parameter set and initial state.
 
-    The Lindblad generator is assembled once as dense blocks in the real
-    Hermitian basis; each evaluation is then a single stacked real
-    matrix-vector product, with the cavity-coupling blocks scaled by
-    Re<a>, Im<a> and the nonlinear dark-state block by xi <sigma_RR>.
+    The Lindblad generator is a set of dense blocks in the real Hermitian
+    basis; each evaluation is a single stacked real matrix-vector product,
+    with the cavity-coupling blocks scaled by Re<a>, Im<a> and the
+    nonlinear dark-state block by xi <sigma_RR>.  The blocks are scattered
+    from the sparse unit blocks that :func:`_structure` caches once per
+    nmax: L0 is the sum of its six units weighted by the rates and
+    detunings, L1 and L2 are theirs times g sqrt(n_b), and L3 is its own.
     ``sensitivity`` names the parameter paths whose forward sensitivities
-    :meth:`rhs_sensitivity` integrates; the dark-state block is built when
+    :meth:`rhs_sensitivity` integrates; the dark-state block is kept when
     xi != 0 or when one of those parameters moves xi.
 
     The model lives on the coordinates the run can reach from its initial
     state (``rho0``, default |G, m=0><G, m=0|, and ``a0``): those a chain
     of nonzero generator entries leads to from the initial state's support.
-    The chain may pass through every block the run can switch on: L0, the
-    dark-state block when it is built, the derivative of L0 for every
-    sensitivity, and the cavity-coupling blocks unless <a> stays 0 (alpha
-    = 0, a0 = 0, no sensitivity moves alpha and <beta> vanishes on what
-    the rest reaches).  No entry leads out of that set, so every other
+    The chain may pass through every unit block the run can switch on: the
+    units of L0 with a nonzero rate or detuning, the dark-state block when
+    it is kept, the units that the derivative of L0 for a sensitivity
+    weights, and the cavity-coupling blocks unless <a> stays 0 (alpha = 0,
+    a0 = 0, no sensitivity moves alpha and <beta> vanishes on what the
+    rest reaches).  No entry leads out of that set, so every other
     coordinate stays zero along the run and is dropped; from the empty
     cavity the dark state S has no coherence with G or R, and with xi = 0
     it stays empty.
@@ -316,11 +403,11 @@ class BubbleModel:
     def __init__(self, params: PhysicalParams, nmax: int = DEFAULT_NMAX,
                  n_b: float | None = None, sensitivity=(),
                  rho0: np.ndarray | None = None, a0: complex = 0.0):
+        st = _structure(_check_nmax(nmax))
         self.params = params
         self.nmax = nmax
-        self.ops = build_operators(nmax)
-        d = self.ops.dim
-        self.dim = d
+        self.ops = st.ops
+        d = self.dim = st.ops.dim
         sc = _scalars(params, n_b)
         self.n_b = sc.n_b
         self.xi_a = sc.xi
@@ -333,58 +420,60 @@ class BubbleModel:
         derivs = [_scalar_derivative(params, n_b, path)
                   for path in self.sensitivity]
 
-        ops = self.ops
-        eye = np.eye(d)
-        bd = ops.beta.conj().T
-        # cavity-coupling Hamiltonians multiplying Re<a> and Im<a>
-        h_re = self.g_nb_a * (ops.beta + bd)
-        h_im = self.g_nb_a * 1j * (bd - ops.beta)
-        blocks_c = [_assemble_l0(ops, sc),
-                    -1j * _sop_commutator(h_re, eye),
-                    -1j * _sop_commutator(h_im, eye)]
+        # (block of the stack, unit, coefficient); dL0 is L0 at the
+        # differenced rates and detunings, so only parameters that move one
+        # of them need its product
+        terms = [(0, k, sc[k]) for k in range(6)]
+        terms += [(1, _L1, sc.g_nb), (2, _L2, sc.g_nb)]
         if self.xi_a != 0.0 or any(ds.xi != 0.0 for ds in derivs):
-            blocks_c.append(_sop_dissipator(ops.sigma_SR, eye))
-        nb = self._nblocks = len(blocks_c)
-        # dL0 is L0's assembly at the differenced rates and detunings; only
-        # parameters that move one of them need its product
+            terms.append((3, _L3, 1.0))
+        nb = self._nblocks = terms[-1][0] + 1
         moved = [k for k, ds in enumerate(derivs) if any(ds[:6])]
-        blocks_c += [_assemble_l0(ops, derivs[k]) for k in moved]
-        basis = _hermitian_basis(d)                # columns vec(B_m)
-        blocks = _project(basis, blocks_c)
+        dl0_terms = [(j, k, derivs[m][k]) for j, m in enumerate(moved)
+                     for k in range(6)]
 
-        # Tr(X rho) = vec(X^T) . vec(rho) = (vec(X^T) @ basis) . r
-        def row(op):
-            return op.T.reshape(-1) @ basis
-
-        w_beta = row(ops.beta)
-        w_rows = np.vstack((row(ops.sigma_RR).real, w_beta.real, w_beta.imag))
-        w_ss = row(ops.sigma_SS).real
-
+        basis = st.basis
         if rho0 is None:
             r0 = np.zeros(d * d)
             r0[0] = 1.0                            # |G, m=0>
         else:
-            r0 = (basis.conj().T @ np.asarray(rho0, complex).reshape(-1)).real
+            rho0 = np.asarray(rho0, complex).reshape(-1)
+            r0 = (basis.a.conj() * rho0[basis.p]
+                  + basis.b.conj() * rho0[basis.q]).real
         a0 = complex(a0)
-        moves = [blk != 0.0 for blk in blocks]     # moves[i][j, k]: r_k moves r_j
-        flow = np.logical_or.reduce(moves[:1] + moves[3:])
-        live = _closure(flow, r0 != 0.0)
+        switched = {k for _, k, c in terms + dl0_terms if c != 0.0}
+        live = _closure([st.units[k] for k in sorted(switched - {_L1, _L2})],
+                        r0 != 0.0)
         if (self.alpha_a != 0.0 or a0 != 0.0 or any(ds.alpha for ds in derivs)
-                or np.any(w_beta[live] != 0.0)):   # <a> can leave 0
-            live = _closure(flow | moves[1] | moves[2], live)
+                or np.any(st.w_rows[1:, live] != 0.0)):   # <a> can leave 0
+            live = _closure([st.units[k] for k in sorted(switched)], live)
 
         keep = np.flatnonzero(live)
-        sub = np.ix_(keep, keep)
         n = self.nrho = keep.size                  # rho coordinates
         self.npop = int(np.count_nonzero(live[:d]))  # populations lead
         self.size = n + 2                          # state-vector length
-        self._basis = basis[:, keep]
+        self._basis = _basis_columns(basis, keep)
+        pos = np.zeros(d * d, dtype=int)
+        pos[keep] = np.arange(n)
+
+        def scatter(terms, nrows):
+            """Dense (nrows, n) sum of coefficient times unit block, each
+            term's kept n x n part at row offset block * n."""
+            flat, vals = [], []
+            for block, k, c in terms:
+                rows, cols, v = st.units[k]
+                sel = live[rows] & live[cols]
+                flat.append((block * n + pos[rows[sel]]) * n + pos[cols[sel]])
+                vals.append(c * v[sel])
+            return np.bincount(np.concatenate(flat), np.concatenate(vals),
+                               minlength=nrows * n).reshape(nrows, n)
+
         # the rows w_RR, Re w_beta, Im w_beta close the stack, so one product
         # gives every block's product and the three scalars rhs_flat needs
-        self._stacked = np.vstack([blk[sub] for blk in blocks[:nb]]
-                                  + [w_rows[:, keep]])
+        self._stacked = scatter(terms, nb * n + 3)
+        self._stacked[nb * n:] = st.w_rows[:, keep]
         self._w_rr = self._stacked[-3]
-        self._w_ss = w_ss[keep]
+        self._w_ss = st.w_ss[keep]
         self._y0 = np.concatenate((r0[keep], [a0.real, a0.imag]))
         if derivs:
             self._dscalars = derivs
@@ -393,8 +482,7 @@ class BubbleModel:
             self._gain = sc.gain
             self._dgain = np.array([ds.gain for ds in derivs])
             self._dl0_rows = np.array(moved, dtype=int) + 1
-            self._dl0 = (np.vstack([blk[sub] for blk in blocks[nb:]])
-                         if moved else None)
+            self._dl0 = scatter(dl0_terms, len(moved) * n) if moved else None
 
     # --- state layout: y[:nrho] = coefficients of rho on the model's
     #     Hermitian basis elements (its npop populations first),

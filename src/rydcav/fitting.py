@@ -44,6 +44,11 @@ _UNFITTABLE = {"n", "series", "atom_number"}
 
 _log = logging.getLogger(__name__)
 
+#: the integrator counts of ``evolve(...).metadata["solver"]`` that a
+#: bubble-transient fit sums over its model runs
+_SOLVER_COUNTS = ("nfev", "accepted_steps", "rejected_steps",
+                  "jacobian_evals", "inversions")
+
 #: relative central-difference step for the closed-form models
 _EPS_CBRT = float(np.finfo(float).eps ** (1 / 3))
 
@@ -66,7 +71,8 @@ class FitProblem:
     and must contain the initial guess.  ``model_options`` passes ``nmax``,
     ``rtol`` and ``atol`` to the bubble transient.  A bubble transient is
     run with the forward sensitivities of every free parameter, and the
-    problem keeps the Jacobian of its last run (:meth:`exact_jacobian`).
+    problem keeps the Jacobian and the integrator counts
+    (``metadata["solver"]``) of its last run.
     """
 
     x: np.ndarray
@@ -110,7 +116,7 @@ class FitProblem:
         self.lower, self.upper = np.array([default_bounds(p) for p in self.free]).T
         if np.any(self.initial < self.lower) or np.any(self.initial > self.upper):
             raise ValueError("bounds must contain the initial guess")
-        self._last_run = None   # (theta, Jacobian) of the last transient run
+        self._last_run = None   # (theta, Jacobian, solver counts) of the last run
 
     @property
     def jacobian_source(self) -> str:
@@ -139,7 +145,8 @@ class FitProblem:
             sample_times=self.x,
             sensitivity=self.free,
         )
-        self._last_run = (np.array(theta, dtype=float), series.dT_dtheta)
+        self._last_run = (np.array(theta, dtype=float), series.dT_dtheta,
+                          series.metadata["solver"])
         return series.transmission
 
     def exact_jacobian(self, theta) -> np.ndarray:
@@ -167,9 +174,11 @@ class FitResult:
     objective_history: list[float] = field(default_factory=list)
     model_evals: int = 0
     jacobian_source: str = "central-difference"
+    #: integrator counts summed over a bubble-transient fit's model runs
+    solver: dict | None = None
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "best_fit": {n: float(v) for n, v in zip(self.names, self.best_fit)},
             "ci95": {n: (float(v) if np.isfinite(v) else None)
                      for n, v in zip(self.names, self.ci95)},
@@ -180,6 +189,9 @@ class FitResult:
             "model_evals": int(self.model_evals),
             "jacobian_source": self.jacobian_source,
         }
+        if self.solver is not None:
+            out["solver"] = dict(self.solver)
+        return out
 
 
 def jacobian(fun, theta, rel_step: float) -> np.ndarray:
@@ -233,19 +245,29 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
     steps is recorded in ``objective_history`` (monotonically decreasing by
     construction).  The bubble transient's Jacobian at an accepted point
     comes from the forward sensitivities of the run that gave its residual,
-    with no further model run; ``model_evals`` counts every model run.
-    Each fit logs one DEBUG record on ``rydcav.fitting``.
+    with no further model run; ``model_evals`` counts every model run.  A
+    bubble-transient fit's ``solver`` sums the integrator counts of those
+    runs (``nfev``, ``accepted_steps``, ``rejected_steps``,
+    ``jacobian_evals``, ``inversions``); it stays None for the other
+    models.  Each fit logs one DEBUG record on ``rydcav.fitting``.
     """
     w = problem.weights if problem.weights is not None else np.ones_like(problem.y)
     sqrt_w = np.sqrt(w)
     lo, hi = problem.lower, problem.upper
     source = problem.jacobian_source
     evals = 0
+    solver = (dict.fromkeys(_SOLVER_COUNTS, 0)
+              if problem.model == "bubble_transient" else None)
 
     def model(theta):
         nonlocal evals
         evals += 1
-        return problem.model_curve(theta)
+        curve = problem.model_curve(theta)
+        if solver is not None:
+            run = problem._last_run[2]
+            for key in _SOLVER_COUNTS:
+                solver[key] += run[key]
+        return curve
 
     def residuals(theta):
         return sqrt_w * (problem.y - model(theta))
@@ -330,6 +352,7 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
         objective_history=history,
         model_evals=evals,
         jacobian_source=source,
+        solver=solver,
     )
 
 

@@ -286,6 +286,39 @@ class TestFitCommands:
         assert doc["jacobian_source"] == "forward-sensitivity"
         assert 1 <= doc["model_evals"] <= doc["iterations"] + 1
 
+    def test_fit_eit_report_has_no_solver_counts(self, tmp_path):
+        cfg = write_config(tmp_path)
+        data = tmp_path / "spectrum.csv"
+        main(["linear-scan", "--config", str(cfg), "--out", str(data)])
+        texts = []
+        for name in ("a.json", "b.json"):
+            report = tmp_path / name
+            assert main(["fit-eit", "--config", str(cfg), "--data", str(data),
+                         "--out", str(report),
+                         "--override", "drive.omega_cf=4.4"]) == 0
+            texts.append(report.read_text())
+        assert texts[0] == texts[1]
+        assert sorted(json.loads(texts[0])) == [
+            "_meta", "best_fit", "ci95", "converged", "iterations",
+            "jacobian_source", "message", "model", "model_evals",
+            "residual_norm"]
+
+    def test_fit_transient_report_sums_the_solver_counts(self, tmp_path):
+        cfg = write_config(tmp_path, n=85, series="D", gamma_r=0.05,
+                           gamma_s=0.002, xi=2.0, alpha=3.0)
+        data = tmp_path / "transient.csv"
+        main(["bubble-evolve", "--config", str(cfg), "--out", str(data),
+              "--t-end", "6", "--dt", "1", "--nmax", "2", "--rtol", "1e-7"])
+        report = tmp_path / "fit.json"
+        assert main(["fit-transient", "--config", str(cfg), "--data", str(data),
+                     "--out", str(report), "--nmax", "2", "--rtol", "1e-6",
+                     "--override", "rydberg.xi=1.6"]) == 0
+        solver = json.loads(report.read_text())["solver"]
+        assert sorted(solver) == ["accepted_steps", "inversions",
+                                  "jacobian_evals", "nfev", "rejected_steps"]
+        assert solver["nfev"] > solver["accepted_steps"] > 0
+        assert solver["inversions"] >= solver["jacobian_evals"] > 0
+
     def test_fit_eit_bad_data_file(self, tmp_path):
         cfg = write_config(tmp_path)
         bad = tmp_path / "bad.csv"

@@ -240,6 +240,33 @@ class TestBubbleTransient:
         assert report["jacobian_source"] == "forward-sensitivity"
         assert report["model_evals"] == len(calls)
 
+    def test_solver_counts_sum_over_the_model_runs(self, monkeypatch):
+        p = transient_params(xi=2.0)
+        gen = evolve(p, t_end=6.0, dt=1.0, nmax=2, rtol=1e-7)
+        prob = FitProblem(x=gen.t, y=gen.transmission, model="bubble_transient",
+                          base_params=p, free=("rydberg.xi",),
+                          initial=np.array([1.6]),
+                          model_options={"nmax": 2, "rtol": 1e-6})
+        runs = []
+        evolve_run = fitting.bubble.evolve
+
+        def recorded(*args, **kwargs):
+            series = evolve_run(*args, **kwargs)
+            runs.append(series.metadata["solver"])
+            return series
+
+        monkeypatch.setattr(fitting.bubble, "evolve", recorded)
+        res = fit(prob, xtol=1e-5, ftol=1e-8)
+        assert res.model_evals == len(runs) >= 2
+        keys = ("nfev", "accepted_steps", "rejected_steps", "jacobian_evals",
+                "inversions")
+        assert res.solver == {k: sum(run[k] for run in runs) for k in keys}
+        assert res.as_dict()["solver"] == res.solver
+        # the closed-form models run no integrator
+        grid = np.linspace(-50.0, 50.0, 201)
+        eit = fit(eit_problem(transmission_linear(make_params(), grid)))
+        assert eit.solver is None and "solver" not in eit.as_dict()
+
     def test_exact_jacobian_reuses_the_last_run(self):
         p = transient_params(xi=2.0)
         gen = evolve(p, t_end=6.0, dt=1.0, nmax=2, rtol=1e-7)
