@@ -61,7 +61,7 @@ import numpy as np
 
 from . import interactions
 from .errors import IntegrationError
-from .ode import integrate
+from .ode import IntegrationStats, integrate
 from .params import (PhysicalParams, get_path, params_to_dict, require_positive,
                      set_path, to_angular)
 
@@ -680,8 +680,9 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     ``metadata["solver"]`` records the run's work: the model's
     ``coordinates`` (the length of y), the right-hand-side evaluations
     ``nfev``, the ``accepted_steps`` and ``rejected_steps``, and the
-    ``jacobian_evals`` and ``inversions`` of W.  Each call logs them in one
-    DEBUG record on the ``rydcav`` logger.
+    ``jacobian_evals`` and ``inversions`` of W; and how well it kept the
+    trace, ``max_trace_drift``, the largest |Tr rho - 1| over the samples.
+    Each call logs the counts in one DEBUG record on the ``rydcav`` logger.
     """
     if sample_times is None:
         t_end = require_positive("t_end", t_end)
@@ -729,10 +730,8 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
             states.append(model.state_from_flat(y, float(sample_times[i])))
 
     dT_dtheta = model.transmission_gradient(samples) if model.sensitivity else None
-    solver = {"coordinates": model.size, "nfev": stats.nfev,
-              "accepted_steps": stats.accepted, "rejected_steps": stats.rejected,
-              "jacobian_evals": stats.jacobian_evals,
-              "inversions": stats.inversions}
+    solver = {"coordinates": model.size, **_counts(stats),
+              "max_trace_drift": float(terr.max())}
     _log.debug("bubble evolve (nmax %d, %d coordinates) to t = %g us: "
                "%d rhs evaluations, %d accepted and %d rejected steps, "
                "%d Jacobian evaluations, %d inversions",
@@ -744,6 +743,18 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
                       metadata=meta, states=states, dT_dtheta=dT_dtheta)
 
 
+#: the counts of an integration that did not run
+_NO_RUN = IntegrationStats(0, 0, 0)
+
+
+def _counts(stats: IntegrationStats) -> dict:
+    """An integration's counts under the names ``metadata["solver"]`` uses."""
+    return {"nfev": stats.nfev, "accepted_steps": stats.accepted,
+            "rejected_steps": stats.rejected,
+            "jacobian_evals": stats.jacobian_evals,
+            "inversions": stats.inversions}
+
+
 @dataclass
 class SteadyBubbleResult:
     """Steady bubble-model transmission and how the solve ended.
@@ -752,7 +763,10 @@ class SteadyBubbleResult:
     ``t_max``; ``newton_iterations`` counts its iterations; ``residual`` is
     the max-norm of the bordered residual (f(y) with its first row replaced
     by Tr rho - 1) at the state whose transmission is reported; ``verdict``
-    says how the solve ended (``"stable"`` for an accepted root).
+    says how the solve ended (``"stable"`` for an accepted root);
+    ``marginal_solver`` holds the integrator counts (as in
+    ``evolve(...).metadata["solver"]``) of the one-window evolve that
+    judges a marginally stable root, all zero when none ran.
     """
 
     transmission: float
@@ -761,6 +775,7 @@ class SteadyBubbleResult:
     newton_iterations: int
     residual: float
     verdict: str
+    marginal_solver: dict
 
 
 #: absolute tolerance of the steady solve's steps and marginal evolve
@@ -812,8 +827,8 @@ def _ptc_step(model: BubbleModel, y, res, shift: float):
 
 
 def _verdict(model: BubbleModel, y, t: float, window: float,
-             convergence: float, rtol: float) -> tuple[bool, str]:
-    """(accepted, verdict) for the root y.
+             convergence: float, rtol: float) -> tuple[bool, str, IntegrationStats]:
+    """(accepted, verdict, stats of the marginal evolve) for the root y.
 
     The root must be a state (no eigenvalue of rho below -_PSD_TOL) and
     stable.  The trace functional u (ones on the populations) is a left
@@ -826,20 +841,21 @@ def _verdict(model: BubbleModel, y, t: float, window: float,
     """
     lowest = float(np.linalg.eigvalsh(model.rho_matrix(y)).min())
     if lowest < -_PSD_TOL:
-        return False, f"not a state (min eigenvalue of rho = {lowest:.3g})"
+        return False, f"not a state (min eigenvalue of rho = {lowest:.3g})", _NO_RUN
     jac = model.jacobian(y)
     restricted = jac[1:, 1:]
     restricted[:, :model.npop - 1] -= jac[1:, :1]
     growth = float(np.linalg.eigvals(restricted).real.max())
     if growth < -_MARGINAL:
-        return True, "stable"
+        return True, "stable", _NO_RUN
     if growth > _MARGINAL:
-        return False, f"unstable (max Re = {growth:.3g} rad/us)"
-    moved = integrate(model.rhs_flat, t, y, [t + window], rtol=rtol,
-                      atol=_STEADY_ATOL)[0][-1]
-    t_star, t_moved = model.transmission(y), model.transmission(moved)
+        return False, f"unstable (max Re = {growth:.3g} rad/us)", _NO_RUN
+    samples, stats = integrate(model.rhs_flat, t, y, [t + window], rtol=rtol,
+                               atol=_STEADY_ATOL)
+    t_star, t_moved = model.transmission(y), model.transmission(samples[-1])
     settled = abs(t_moved - t_star) / max(t_star, 1e-12) < convergence
-    return settled, f"marginal, {'settled' if settled else 'drifting'} over a window"
+    return (settled, f"marginal, {'settled' if settled else 'drifting'} over a window",
+            stats)
 
 
 def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3,
@@ -885,6 +901,7 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
     t, dt = 0.0, _PTC_DT0
     converged = False
     verdict = f"no root in {_PTC_MAXITER} iterations"
+    marginal = _NO_RUN
     for iterations in range(1, _PTC_MAXITER + 1):
         step = _ptc_step(model, y, res, 1.0 / dt if t < t_max else 0.0)
         if step is None or not np.isfinite(step).all():
@@ -894,12 +911,14 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
         y = y + step
         old, res = np.linalg.norm(res[1:]), _bordered_residual(model, y)
         if np.all(np.abs(step) <= _STEADY_ATOL + rtol * np.abs(y)):
-            converged, verdict = _verdict(model, y, t, window, convergence, rtol)
+            converged, verdict, marginal = _verdict(model, y, t, window,
+                                                    convergence, rtol)
             break
         new = np.linalg.norm(res[1:])
         dt *= _PTC_GROWTH if _PTC_GROWTH * new <= old else old / new
     result = SteadyBubbleResult(model.transmission(y), converged, float(t),
-                                iterations, float(np.abs(res).max()), verdict)
+                                iterations, float(np.abs(res).max()), verdict,
+                                _counts(marginal))
     _log.debug("bubble steady solve (nmax %d): %d iteration(s) to pseudo-time "
                "%g us, residual %.3g, %s, converged=%s", nmax, iterations, t,
                result.residual, verdict, converged)

@@ -102,7 +102,8 @@ def _cmd_bubble_evolve(args):
     series = bubble.evolve(params, t_end=args.t_end, dt=args.dt,
                            nmax=args.nmax, rtol=args.rtol)
     trans = _noise(args, series.transmission)
-    # the solver's counts, never its times, keep the output deterministic
+    # the solver's counts and trace drift, never its times, keep the
+    # output deterministic
     meta = _meta(args, params, {"nmax": args.nmax, "rtol": args.rtol,
                                 **series.metadata["solver"],
                                 **({"noise": args.noise} if args.noise else {})})
@@ -122,7 +123,8 @@ def _cmd_bubble_steady(args):
     payload = {"transmission": result.transmission,
                "converged": result.converged, "t_final_us": result.t_final,
                "newton_iterations": result.newton_iterations,
-               "residual": result.residual, "verdict": result.verdict}
+               "residual": result.residual, "verdict": result.verdict,
+               "marginal_solver": result.marginal_solver}
     meta = _meta(args, params, {"nmax": args.nmax, "rtol": args.rtol,
                                 "window": args.window,
                                 "threshold": args.threshold,

@@ -4,11 +4,13 @@ Fits any of the three forward models (closed-form linear spectrum,
 mean-field nonlinear spectrum, bubble-model transient) to measured data by
 minimizing sum_i w_i (y_i - model(x_i; theta))^2 over a chosen subset of
 the physical parameters.  The minimizer is a Levenberg-Marquardt trust
-region.  The bubble transient's Jacobian is exact: the run that gives a
-residual integrates the forward sensitivity of every free parameter next
-to the state.  The closed-form models take a central difference.  95%
-confidence intervals come from the residual-variance-scaled inverse of
-J^T J.
+region.  Every model's Jacobian comes from its own evaluation, with no
+further model run: the bubble transient integrates the forward
+sensitivity of every free parameter next to the state, in the run that
+gives the residual; the mean-field curve moves its solved root by
+implicit differentiation of the steady-state cubic; the linear spectrum
+is the same chain with no root to move.  95% confidence intervals come
+from the residual-variance-scaled inverse of J^T J.
 """
 
 from __future__ import annotations
@@ -49,8 +51,10 @@ _log = logging.getLogger(__name__)
 _SOLVER_COUNTS = ("nfev", "accepted_steps", "rejected_steps",
                   "jacobian_evals", "inversions")
 
-#: relative central-difference step for the closed-form models
-_EPS_CBRT = float(np.finfo(float).eps ** (1 / 3))
+#: where each model's Jacobian comes from
+_JACOBIAN_SOURCES = {"linear_eit": "closed-form",
+                     "meanfield": "implicit-differentiation",
+                     "bubble_transient": "forward-sensitivity"}
 
 
 def default_bounds(path: str) -> tuple[float, float]:
@@ -69,10 +73,13 @@ class FitProblem:
 
     The box constraints ``lower``/``upper`` come from :func:`default_bounds`
     and must contain the initial guess.  ``model_options`` passes ``nmax``,
-    ``rtol`` and ``atol`` to the bubble transient.  A bubble transient is
-    run with the forward sensitivities of every free parameter, and the
-    problem keeps the Jacobian and the integrator counts
-    (``metadata["solver"]``) of its last run.
+    ``rtol`` and ``atol`` to the bubble transient.  The mean-field curve is
+    solved by continuation in data order, so its ``x`` must be strictly
+    increasing or strictly decreasing (a down-sweep).  The problem keeps
+    what the Jacobian at its last evaluation needs: the parameters, the
+    solved populations of a mean-field curve, and the Jacobian and
+    integrator counts (``metadata["solver"]``) of a bubble transient, which
+    is run with the forward sensitivities of every free parameter.
     """
 
     x: np.ndarray
@@ -104,6 +111,15 @@ class FitProblem:
                 raise ValueError(f"parameter '{path}' has no base value")
         if self.x.size < 2 * len(self.free):
             raise ValueError("need at least 2 data points per free parameter")
+        if self.model == "meanfield":
+            steps = np.sign(np.diff(self.x))
+            bad = np.flatnonzero((steps == 0) | (steps != steps[0]))
+            if bad.size:
+                k = int(bad[0]) + 1
+                raise ValueError(
+                    f"mean-field data must be strictly monotonic in x (the "
+                    f"continuation follows the data order): row {k} "
+                    f"(x = {self.x[k]:g}) breaks the order of the rows before it")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != self.y.shape or np.any(self.weights <= 0):
@@ -116,49 +132,59 @@ class FitProblem:
         self.lower, self.upper = np.array([default_bounds(p) for p in self.free]).T
         if np.any(self.initial < self.lower) or np.any(self.initial > self.upper):
             raise ValueError("bounds must contain the initial guess")
-        self._last_run = None   # (theta, Jacobian, solver counts) of the last run
+        # (theta, parameters, what the Jacobian needs, solver counts) of
+        # the last evaluation
+        self._last_run = None
 
     @property
     def jacobian_source(self) -> str:
-        """"forward-sensitivity" where the model run yields the Jacobian
-        (the bubble transient), else "central-difference"."""
-        if self.model == "bubble_transient":
-            return "forward-sensitivity"
-        return "central-difference"
+        """How the model's evaluation yields its Jacobian: "closed-form"
+        (linear spectrum), "implicit-differentiation" (mean-field curve)
+        or "forward-sensitivity" (bubble transient)."""
+        return _JACOBIAN_SOURCES[self.model]
 
     def params_at(self, theta) -> PhysicalParams:
         return set_paths(self.base_params, dict(zip(self.free, theta)))
 
     def model_curve(self, theta) -> np.ndarray:
         p = self.params_at(theta)
+        kept, solver = None, None
         if self.model == "linear_eit":
-            return np.asarray(linear.transmission_linear(p, self.x))
-        if self.model == "meanfield":
-            return meanfield.transmission_curve(p, self.x)
-        opts = self.model_options
-        series = bubble.evolve(
-            p,
-            t_end=float(self.x[-1]),
-            nmax=opts.get("nmax", bubble.DEFAULT_NMAX),
-            rtol=opts.get("rtol", 1e-6),
-            atol=opts.get("atol", 1e-9),
-            sample_times=self.x,
-            sensitivity=self.free,
-        )
-        self._last_run = (np.array(theta, dtype=float), series.dT_dtheta,
-                          series.metadata["solver"])
-        return series.transmission
+            curve = np.asarray(linear.transmission_linear(p, self.x))
+        elif self.model == "meanfield":
+            curve, kept = meanfield.transmission_curve(p, self.x, return_x=True)
+        else:
+            opts = self.model_options
+            series = bubble.evolve(
+                p,
+                t_end=float(self.x[-1]),
+                nmax=opts.get("nmax", bubble.DEFAULT_NMAX),
+                rtol=opts.get("rtol", 1e-6),
+                atol=opts.get("atol", 1e-9),
+                sample_times=self.x,
+                sensitivity=self.free,
+            )
+            curve, kept, solver = (series.transmission, series.dT_dtheta,
+                                   series.metadata["solver"])
+        self._last_run = (np.array(theta, dtype=float), p, kept, solver)
+        return curve
 
     def exact_jacobian(self, theta) -> np.ndarray:
-        """Model Jacobian at theta from the sensitivity run at theta.
+        """Model Jacobian at theta from the evaluation at theta.
 
-        Takes the Jacobian kept by the last :meth:`model_curve` call when
-        it ran at theta, so a residual and its Jacobian cost one run; runs
-        the model otherwise.  Only for the bubble transient.
+        Uses what the last :meth:`model_curve` call kept when it ran at
+        theta, so a residual and its Jacobian cost one model run; runs the
+        model otherwise.  The bubble transient's Jacobian is the one its
+        run integrated; the closed-form models' is computed here, from the
+        parameters and, for the mean field, the solved populations
+        (:func:`rydcav.meanfield.transmission_jacobian`).
         """
         if self._last_run is None or not np.array_equal(self._last_run[0], theta):
             self.model_curve(theta)
-        return self._last_run[1]
+        _, params, kept, _ = self._last_run
+        if self.model == "bubble_transient":
+            return kept
+        return meanfield.transmission_jacobian(params, self.x, self.free, x=kept)
 
 
 @dataclass
@@ -173,7 +199,8 @@ class FitResult:
     message: str = ""
     objective_history: list[float] = field(default_factory=list)
     model_evals: int = 0
-    jacobian_source: str = "central-difference"
+    #: "closed-form", "implicit-differentiation" or "forward-sensitivity"
+    jacobian_source: str = ""
     #: integrator counts summed over a bubble-transient fit's model runs
     solver: dict | None = None
 
@@ -198,7 +225,8 @@ def jacobian(fun, theta, rel_step: float) -> np.ndarray:
     """Central-difference Jacobian of fun(theta) -> vector.
 
     The step adapts to each parameter's magnitude,
-    h_j = rel_step * max(|theta_j|, 1e-2).
+    h_j = rel_step * max(|theta_j|, 1e-2).  :func:`fit` does not use it;
+    it is a reference to check the models' own Jacobians against.
     """
     theta = np.asarray(theta, dtype=float)
     h = rel_step * np.maximum(np.abs(theta), 1e-2)
@@ -243,13 +271,18 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
     The damping parameter follows Nielsen's gain-ratio update; trial steps
     are projected onto the parameter box.  The objective over accepted
     steps is recorded in ``objective_history`` (monotonically decreasing by
-    construction).  The bubble transient's Jacobian at an accepted point
-    comes from the forward sensitivities of the run that gave its residual,
-    with no further model run; ``model_evals`` counts every model run.  A
-    bubble-transient fit's ``solver`` sums the integrator counts of those
-    runs (``nfev``, ``accepted_steps``, ``rejected_steps``,
-    ``jacobian_evals``, ``inversions``); it stays None for the other
-    models.  Each fit logs one DEBUG record on ``rydcav.fitting``.
+    construction).  The fit stops when a step is below ``xtol``, when the
+    objective of an accepted or a rejected trial changes by less than
+    ``ftol`` relative, or when the gradient is below ``gtol``.  Each model
+    run gives one residual; the Jacobian at an accepted point comes from
+    the run that gave its residual (:meth:`FitProblem.exact_jacobian`),
+    with no further run, so ``model_evals`` counts the residuals and a
+    rejected trial costs one run.  ``jacobian_source`` names where the
+    Jacobian came from.  A bubble-transient fit's ``solver`` sums the
+    integrator counts of its runs (``nfev``, ``accepted_steps``,
+    ``rejected_steps``, ``jacobian_evals``, ``inversions``); it stays None
+    for the other models.  Each fit logs one DEBUG record on
+    ``rydcav.fitting``.
     """
     w = problem.weights if problem.weights is not None else np.ones_like(problem.y)
     sqrt_w = np.sqrt(w)
@@ -264,7 +297,7 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
         evals += 1
         curve = problem.model_curve(theta)
         if solver is not None:
-            run = problem._last_run[2]
+            run = problem._last_run[3]
             for key in _SOLVER_COUNTS:
                 solver[key] += run[key]
         return curve
@@ -273,12 +306,8 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
         return sqrt_w * (problem.y - model(theta))
 
     def weighted_jacobian(theta):
-        # always evaluated at the point of the last residual
-        if source == "forward-sensitivity":
-            jac = problem.exact_jacobian(theta)
-        else:
-            jac = jacobian(model, theta, rel_step=_EPS_CBRT)
-        return -jac * sqrt_w[:, None]
+        # always at the point of the last residual, so no model run
+        return -problem.exact_jacobian(theta) * sqrt_w[:, None]
 
     theta = np.clip(problem.initial, lo, hi).astype(float)
     r = residuals(theta)
@@ -313,15 +342,14 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
         ssr_trial = float(r_trial @ r_trial)
         predicted = float(step @ (mu * step - g))
         gain = (ssr - ssr_trial) / predicted if predicted > 0 else -1.0
+        rel_change = abs(ssr - ssr_trial) / max(ssr, 1e-300)
         if ssr_trial < ssr:
-            rel_drop = (ssr - ssr_trial) / max(ssr, 1e-300)
             theta, r, ssr = trial, r_trial, ssr_trial
             history.append(ssr)
-            if rel_drop < ftol:
-                converged, message = True, "objective tolerance reached"
-                jac_r = weighted_jacobian(theta)
-                break
             jac_r = weighted_jacobian(theta)
+            if rel_change < ftol:
+                converged, message = True, "objective tolerance reached"
+                break
             a = jac_r.T @ jac_r
             g = jac_r.T @ r
             if float(np.max(np.abs(g))) < gtol:
@@ -329,6 +357,10 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
                 break
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu = 2.0
+        elif rel_change < ftol:
+            # a rejected trial at the noise floor: no step can do better
+            converged, message = True, "objective tolerance reached"
+            break
         else:
             mu *= nu
             nu *= 2.0

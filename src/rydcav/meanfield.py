@@ -24,25 +24,37 @@ coexisting branch is found.  The one sequential step is the continuation
 along the grid: each point takes the root nearest the x of the last point
 solved, O(1) work per point, and reports how many fixed points coexist.
 A single solve is a grid of one point.
+
+The derivative of a curve with respect to the parameters reuses the solve:
+the picked root x* of P(x) = |B|^2 x^3 + 2 Re(A B*) x^2 + |A|^2 x - K^2
+moves by dx* = -dP/dtheta / dP/dx, and T follows by the chain rule at the
+shifted detuning D_r - kappa x*.  At kappa = 0 and x = 0 the same chain is
+the linear spectrum's derivative.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import interactions
 from .errors import SingularParameterError, SolverError
 from .linear import eit_factors
-from .params import PhysicalParams, ScanSpec, params_to_dict
+from .params import PhysicalParams, ScanSpec, get_path, params_to_dict, set_path
 
 _DRX_FLOOR = 1e-300
 
 #: a root is accepted when |F(x) - x| <= _RESIDUAL_TOL * max(1, x)
 _RESIDUAL_TOL = 1e-10
+
+_EPS = float(np.finfo(float).eps)
+#: relative central-difference step of the chain's constants
+_STEP = _EPS ** (1 / 3)
+#: dP/dx at a root within this many ulps of the sum of its terms is 0
+_FOLD_ULPS = 8.0
 
 _log = logging.getLogger(__name__)
 
@@ -111,7 +123,36 @@ def _grid(params: PhysicalParams, delta_p=None, alpha=None) -> _Grid:
     cols = [v[()] if v.ndim == 0 else v.reshape(-1, 1) for v in cols]
     gc = params.cavity.gamma_c
     coop = 2.0 * gc * params.ensemble.gamma_e * params.ensemble.cooperativity
-    return _Grid(n, *cols, params.drive.omega_cf, gc, coop, params.g_root_n)
+    # g sqrt(N) = sqrt(coop), bit for bit; a difference step below a zero
+    # cooperativity or gamma_e leaves the physical range, where it is NaN
+    g_root_n = math.sqrt(coop) if coop >= 0.0 else math.nan
+    return _Grid(n, *cols, params.drive.omega_cf, gc, coop, g_root_n)
+
+
+def _grid_derivative(params: PhysicalParams, paths, delta_p) -> _Grid:
+    """d(constant)/d(parameter) of every constant of the grid at ``delta_p``.
+
+    Each constant becomes an (n, p) array, or a (p,) row where the grid
+    holds it fixed, whose column k is its derivative per unit of the
+    parameter at ``paths[k]``.  The constants are closed-form maps of the
+    parameters with no noise, so a central difference of :func:`_grid` at
+    theta +- h, h = eps^(1/3) max(|theta|, 1e-2), is accurate to about
+    eps^(2/3).
+    """
+    names = [f.name for f in fields(_Grid)][1:]
+    columns = []
+    for path in paths:
+        theta = float(get_path(params, path))
+        h = _STEP * max(abs(theta), 1e-2)
+        up, down = theta + h, theta - h
+        g_up = _grid(set_path(params, path, up), delta_p)
+        g_down = _grid(set_path(params, path, down), delta_p)
+        columns.append([(getattr(g_up, k) - getattr(g_down, k)) / (up - down)
+                        for k in names])
+    # a constant the grid holds fixed stays a (p,) row
+    return _Grid(g_up.n, *(np.array(d) if all(np.ndim(c) == 0 for c in d)
+                           else np.hstack(np.broadcast_arrays(*d))
+                           for d in zip(*columns)))
 
 
 def _amplitudes(g: _Grid, x):
@@ -199,6 +240,18 @@ def _newton_polish(coeffs, x):
     return np.where(np.abs(g_new) < np.abs(g), x_new, x)
 
 
+def _cubic(g: _Grid):
+    """(m, A, B, coefficients) of the steady-state cubic on the grid; see
+    :func:`_fixed_points`."""
+    m = g.D_e * g.D_c - g.coop_term
+    A = g.D_r * m - g.omega * g.omega * g.D_c / 4.0
+    B = -g.kappa * m
+    K2 = (0.5 * g.omega) ** 2 * g.coop_term * g.alpha ** 2
+    # abs() of a numpy scalar is its hypot, which the np.abs ufunc can miss
+    # by an ulp; near a fold the roots amplify that about a thousandfold
+    return m, A, B, (abs(B) ** 2, 2.0 * (A * B.conjugate()).real, abs(A) ** 2, -K2)
+
+
 def _fixed_points(g: _Grid, f0):
     """All fixed points of F at each point, (n, 3), increasing, NaN-padded.
 
@@ -212,13 +265,7 @@ def _fixed_points(g: _Grid, f0):
     root is positive.  Where F vanishes or does not depend on x (kappa = 0)
     its one fixed point is f0 = F(0).
     """
-    m = g.D_e * g.D_c - g.coop_term
-    A = g.D_r * m - g.omega * g.omega * g.D_c / 4.0
-    B = -g.kappa * m
-    K2 = (0.5 * g.omega) ** 2 * g.coop_term * g.alpha ** 2
-    # abs() of a numpy scalar is its hypot, which the np.abs ufunc can miss
-    # by an ulp; near a fold the roots amplify that about a thousandfold
-    coeffs = (abs(B) ** 2, 2.0 * (A * B.conjugate()).real, abs(A) ** 2, -K2)
+    *_, coeffs = _cubic(g)
     # both forms are evaluated everywhere, and kappa = 0 leaves no cubic
     with np.errstate(divide="ignore", invalid="ignore"):
         roots = _newton_polish(coeffs, _cubic_roots(*coeffs))
@@ -357,14 +404,89 @@ def dynamical_residual(params: PhysicalParams, sol: MeanFieldSolution,
     return math.sqrt(abs(r1) ** 2 + abs(r2) ** 2 + abs(r3) ** 2)
 
 
-def transmission_curve(params: PhysicalParams, delta_ps) -> np.ndarray:
+def transmission_curve(params: PhysicalParams, delta_ps, return_x: bool = False):
     """Mean-field transmission at each detuning of an ordered grid.
 
     Continuation in x along the grid, seeded at the dark (x = 0) solution;
     used by the fitting module, which needs arbitrary (non-uniform) grids.
-    A failed point raises; a non-finite detuning raises ValueError.
+    With ``return_x`` it returns (transmission, x), the populations that
+    :func:`transmission_jacobian` differentiates.  A failed point raises; a
+    non-finite detuning raises ValueError.
     """
-    return _solve(_grid(params, np.asarray(delta_ps, dtype=float))).transmission
+    s = _solve(_grid(params, np.asarray(delta_ps, dtype=float)))
+    return (s.transmission, s.x) if return_x else s.transmission
+
+
+def _chain_derivative(g: _Grid, dg: _Grid, x) -> np.ndarray:
+    """dT/dtheta, (n, p), from the grid g and its derivative grid dg.
+
+    ``x`` is the (n, 1) column of picked roots, or None for the linear
+    chain (x = 0, no root to move).  The root moves by dx = -P_theta / P_x
+    with P(x) = x |A + B x|^2 - K^2, then T = |u|^2, u = gamma_c branch /
+    denom at D_r - kappa x, gives dT = 2 Re(conj(u) du).  At a fold P_x = 0
+    (to working precision) and the result is not finite.
+    """
+    Drx, dDrx = g.D_r, dg.D_r
+    if x is not None:
+        m, A, B, (c3, c2, c1, _) = _cubic(g)
+        dm = dg.D_e * g.D_c + g.D_e * dg.D_c - dg.coop_term
+        dA = (dg.D_r * m + g.D_r * dm
+              - g.omega * (2.0 * dg.omega * g.D_c + g.omega * dg.D_c) / 4.0)
+        dB = -(dg.kappa * m + g.kappa * dm)
+        dK2 = (0.5 * g.omega * g.coop_term * g.alpha
+               * (dg.omega * g.alpha + g.omega * dg.alpha)
+               + 0.25 * (g.omega * g.alpha) ** 2 * dg.coop_term)
+        p_theta = 2.0 * x * ((A + B * x).conjugate() * (dA + dB * x)).real - dK2
+        p_x = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        # at a double root P_x comes out as 0 or as about an ulp of its
+        # terms, by the rounding of the constants; either is a fold
+        scale = (3.0 * c3 * x + 2.0 * np.abs(c2)) * x + c1
+        dx = -p_theta / np.where(np.abs(p_x) <= _FOLD_ULPS * _EPS * scale, 0.0, p_x)
+        Drx = g.D_r - g.kappa * x
+        dDrx = dg.D_r - dg.kappa * x - g.kappa * dx
+    branch, denom = eit_factors(g.D_e, Drx, g.D_c, g.omega, g.coop_term)
+    if g.omega == 0:
+        dbranch = dg.D_e
+    else:
+        dbranch = dg.D_e - (g.omega * (2.0 * dg.omega * Drx - g.omega * dDrx)
+                            / (4.0 * Drx * Drx))
+    ddenom = dbranch * g.D_c + branch * dg.D_c - dg.coop_term
+    u = g.gamma_c * branch / denom
+    du = (dg.gamma_c * branch + g.gamma_c * dbranch - u * ddenom) / denom
+    return 2.0 * (u.conjugate() * du).real
+
+
+def transmission_jacobian(params: PhysicalParams, delta_ps, paths,
+                          x=None) -> np.ndarray:
+    """dT/dtheta_k at each detuning, (n, p), per unit of the parameter at
+    ``paths[k]``.
+
+    With ``x``, the populations ``transmission_curve(params, delta_ps,
+    return_x=True)`` picked, it is the mean-field curve's derivative along
+    the branch that solve followed: the root moves by implicit
+    differentiation of the steady-state cubic, so nothing is solved again.
+    With ``x=None`` it is the linear spectrum's derivative, the same chain
+    at kappa = 0 and x = 0 (the identity of acceptance criterion 3).  The
+    chain's constants are differenced centrally at an eps^(1/3) step, as
+    closed-form maps of the parameters.  A derivative that is not finite,
+    as at a fold of the steady state, raises SolverError naming the
+    detuning.
+    """
+    delta_ps = np.asarray(delta_ps, dtype=float)
+    if x is None:
+        params = set_path(params, "rydberg.c6_override", 0.0)
+    else:
+        x = np.asarray(x, dtype=float).reshape(-1, 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        jac = _chain_derivative(_grid(params, delta_ps),
+                                _grid_derivative(params, paths, delta_ps), x)
+    bad = ~np.isfinite(jac)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        where = "" if x is None else " (a fold of the steady state)"
+        raise SolverError(f"dT/d{paths[k]} is not finite at delta_p = "
+                          f"{delta_ps[i]:g} MHz{where}")
+    return jac
 
 
 @dataclass

@@ -517,6 +517,7 @@ class TestEvolve:
         assert solver["nfev"] == calls
         assert solver["coordinates"] == 47
         assert solver["jacobian_evals"] >= 1 and solver["inversions"] >= 1
+        assert solver["max_trace_drift"] == series.trace_error.max() < 1e-6
 
     @pytest.mark.parametrize("nmax", [4, 6])
     def test_stiff_transient_matches_a_tight_explicit_reference(self, nmax):
@@ -798,6 +799,11 @@ class TestSteady:
         assert result.t_final <= 500.0
         assert result.transmission == exact.transmission
         assert "marginal, settled over a window" in caplog.text
+        assert not any(exact.marginal_solver.values())
+        counts = result.marginal_solver
+        assert counts["nfev"] > 0 and counts["accepted_steps"] > 0
+        # the window is integrated by the explicit pair, without a Jacobian
+        assert counts["jacobian_evals"] == counts["inversions"] == 0
 
     def test_marginal_spectrum_rejects_a_root_that_drifts(self, monkeypatch,
                                                           caplog):

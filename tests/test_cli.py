@@ -186,6 +186,9 @@ class TestBubbleCommands:
                     "inversions"):
             assert int(meta[key]) > 0
         assert int(meta["rejected_steps"]) >= 0   # a stiff run may reject none
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in texts[0].splitlines()[len(meta) + 2:]])
+        assert float(meta["max_trace_drift"]) == rows[:, 4].max()
 
     def test_evolve_t_end_off_the_dt_grid(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -223,6 +226,10 @@ class TestBubbleCommands:
         assert doc["newton_iterations"] >= 1
         assert doc["residual"] < 1e-12
         assert doc["verdict"] == "stable"
+        # a stable root needs no marginal-stability evolve
+        assert doc["marginal_solver"] == {
+            "nfev": 0, "accepted_steps": 0, "rejected_steps": 0,
+            "jacobian_evals": 0, "inversions": 0}
         assert {k: doc["_meta"][k] for k in
                 ("nmax", "rtol", "window", "threshold", "t_max")} == {
             "nmax": 2, "rtol": 1e-8, "window": 2.0, "threshold": 1e-2,
@@ -262,8 +269,9 @@ class TestFitCommands:
         assert rc == 0
         doc = json.loads(report.read_text())
         assert doc["converged"] is True
-        assert doc["jacobian_source"] == "central-difference"
-        assert doc["model_evals"] > doc["iterations"]
+        assert doc["jacobian_source"] == "closed-form"
+        # one model run per residual and none per Jacobian
+        assert 1 <= doc["model_evals"] <= doc["iterations"] + 1
         best = doc["best_fit"]
         assert best["cavity.gamma_c"] == pytest.approx(10.0, rel=0.05)
         assert best["ensemble.cooperativity"] == pytest.approx(5.0, rel=0.05)

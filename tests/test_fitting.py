@@ -36,16 +36,19 @@ def clean_spectrum():
 
 
 class TestLinearRoundTrip:
-    def test_zero_noise_recovery(self, clean_spectrum):
+    def test_zero_noise_recovery(self, clean_spectrum, monkeypatch):
+        def no_differences(*args, **kwargs):
+            raise AssertionError("central-difference Jacobian used")
+
+        monkeypatch.setattr(fitting, "jacobian", no_differences)
         _, y = clean_spectrum
         res = fit(eit_problem(y, initial=np.array([12.0, 4.0, 5.0, 0.35])))
         assert res.converged
         np.testing.assert_allclose(res.best_fit, EIT_TRUTH, rtol=1e-6)
-        assert res.jacobian_source == "central-difference"
-        # a Jacobian (2 runs per parameter) at the start and at each accepted
-        # step, and one run per residual, rejected trial steps included
-        residual_runs = res.model_evals - 2 * 4 * len(res.objective_history)
-        assert len(res.objective_history) <= residual_runs <= res.iterations + 1
+        assert res.jacobian_source == "closed-form"
+        # one run per residual, rejected trial steps included, and none
+        # per Jacobian
+        assert len(res.objective_history) <= res.model_evals <= res.iterations + 1
 
     def test_one_debug_record_per_fit(self, clean_spectrum, caplog):
         caplog.set_level(logging.DEBUG, logger="rydcav")
@@ -58,7 +61,7 @@ class TestLinearRoundTrip:
         assert records[0].getMessage() == (
             f"linear_eit fit of 4 parameter(s): {res.iterations} iteration(s), "
             f"{res.model_evals} model evaluations, {res.message}, "
-            f"central-difference Jacobian")
+            f"closed-form Jacobian")
 
     def test_noisy_recovery_and_coverage(self, clean_spectrum, rng):
         # 1% relative noise with a small floor, fitted with matched
@@ -304,7 +307,7 @@ class TestBubbleTransient:
             assert res.jacobian_source == "forward-sensitivity"
             assert res.model_evals <= res.iterations + 1
             np.testing.assert_allclose(res.best_fit, truth, rtol=0.10)
-        assert eit_problem(np.zeros(201)).jacobian_source == "central-difference"
+        assert eit_problem(np.zeros(201)).jacobian_source == "closed-form"
 
     def test_joint_xi_alpha_fit_covers_the_truth(self):
         # noise-free data; a central-difference Jacobian (relative step 1e-3)
@@ -332,6 +335,124 @@ class TestBubbleTransient:
                           initial=np.array([4.0]))
         res = fit(prob)
         assert res.best_fit[0] == pytest.approx(5.0, rel=1e-4)
+        assert res.jacobian_source == "implicit-differentiation"
+
+
+def bistable_problem(x, y):
+    """Mean-field problem at S n=60, 100 photons/us: 12 of the 401
+    detunings in 0-20 MHz have three steady states."""
+    p = make_params(n=60, omega_cf=8.0, delta_cf=-10.0,
+                    alpha=float(np.sqrt(10.0 * 100.0)))
+    return FitProblem(x=x, y=y, model="meanfield", base_params=p,
+                      free=("drive.omega_cf", "ensemble.cooperativity"))
+
+
+class TestClosedFormJacobians:
+    def test_nonlinear_fit_solves_once_per_residual(self, monkeypatch):
+        from rydcav import meanfield
+
+        def no_differences(*args, **kwargs):
+            raise AssertionError("central-difference Jacobian used")
+
+        solves = []
+        solve = meanfield._solve
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        grid = np.linspace(-30.0, 30.0, 201)
+        p = make_params(alpha=float(np.sqrt(80.0)))
+        y = meanfield.transmission_curve(p, grid)
+        monkeypatch.setattr(fitting, "jacobian", no_differences)
+        monkeypatch.setattr(meanfield, "_solve", counted)
+        prob = FitProblem(x=grid, y=y, model="meanfield", base_params=p,
+                          free=("drive.omega_cf", "ensemble.cooperativity"),
+                          initial=np.array([4.4, 4.6]))
+        res = fit(prob)
+        assert res.converged
+        np.testing.assert_allclose(res.best_fit, [4.0, 5.0], rtol=1e-6)
+        assert res.jacobian_source == "implicit-differentiation"
+        assert len(solves) == res.model_evals <= res.iterations + 1
+
+    def test_exact_jacobian_reuses_the_solved_populations(self, monkeypatch):
+        from rydcav import meanfield
+
+        grid = np.linspace(0.0, 20.0, 401)
+        prob = bistable_problem(grid, np.zeros(401))
+        theta = prob.initial
+        prob.model_curve(theta)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("steady state solved again")
+
+        monkeypatch.setattr(meanfield, "_solve", no_solve)
+        jac = prob.exact_jacobian(theta)
+        assert jac.shape == (401, 2) and np.isfinite(jac).all()
+
+    def test_fit_from_the_zero_cooperativity_bound(self):
+        # the difference step below C = 0 leaves the physical range, where
+        # g sqrt(N) = sqrt(2 gamma_c gamma_e C) has no value
+        from rydcav.meanfield import transmission_curve
+
+        grid = np.linspace(-20.0, 20.0, 81)
+        y = transmission_curve(make_params(alpha=2.0), grid)
+        for model in ("meanfield", "linear_eit"):
+            if model == "linear_eit":
+                y = transmission_linear(make_params(), grid)
+            prob = FitProblem(x=grid, y=y, model=model,
+                              base_params=make_params(alpha=2.0, cooperativity=0.0),
+                              free=("ensemble.cooperativity",))
+            assert np.isfinite(prob.exact_jacobian(prob.initial)).all()
+            res = fit(prob)
+            assert res.best_fit[0] == pytest.approx(5.0, rel=1e-6)
+
+    def test_shuffled_mean_field_data_rejected(self, rng):
+        from rydcav.meanfield import transmission_curve
+
+        grid = np.linspace(0.0, 20.0, 401)
+        prob = bistable_problem(grid, np.zeros(401))
+        y = transmission_curve(prob.base_params, grid)
+        perm = rng.permutation(grid.size)
+        # continuation in the shuffled order lands on other branches
+        shuffled = np.empty_like(y)
+        shuffled[perm] = transmission_curve(prob.base_params, grid[perm])
+        assert np.max(np.abs(shuffled - y)) > 1.0
+        k = int(np.flatnonzero(np.sign(np.diff(grid[perm]))
+                               != np.sign(grid[perm][1] - grid[perm][0]))[0]) + 1
+        with pytest.raises(ValueError, match=rf"row {k} \(x = "):
+            bistable_problem(grid[perm], y[perm])
+        with pytest.raises(ValueError, match=r"row 3 \(x = 0.1\)"):
+            bistable_problem(np.r_[grid[:3], grid[2:]], np.r_[y[:3], y[2:]])
+        # a down-sweep is a sweep: its rows are in order
+        bistable_problem(grid[::-1], y[::-1])
+        # the linear spectrum has no branch to follow
+        FitProblem(x=grid[perm], y=y[perm], model="linear_eit",
+                   base_params=prob.base_params, free=("cavity.gamma_c",))
+
+    def test_rejected_trial_at_the_noise_floor_ends_the_fit(self):
+        # a model that resolves theta only to 1e-6, as an integrator at a
+        # loose tolerance does: once the fit sits on the optimum's step of
+        # that staircase no trial step changes the objective
+        x = np.linspace(0.0, 1.0, 21)
+
+        def staircase():
+            prob = FitProblem(x=x, y=(2.0 + 2e-7) * x, model="linear_eit",
+                              base_params=make_params(),
+                              free=("cavity.gamma_c",), initial=np.array([1.0]))
+            prob.model_curve = lambda theta: np.round(theta[0] * 1e6) * 1e-6 * x
+            prob.exact_jacobian = lambda theta: x[:, None]
+            return prob
+
+        res = fit(staircase())
+        assert res.converged and res.message == "objective tolerance reached"
+        assert res.best_fit[0] == pytest.approx(2.0, abs=1e-6)
+        # one rejected trial ends it; without the test on rejected trials
+        # (ftol = 0) the damping grows through a run of them
+        assert res.model_evals == len(res.objective_history) + 1
+        slow = fit(staircase(), ftol=0.0)
+        assert slow.message == "step tolerance reached"
+        assert slow.model_evals > res.model_evals + 3
 
 
 class TestXiSeries:

@@ -404,3 +404,118 @@ class TestScan:
         p = replace(paper_params, scan=ScanSpec(-2.0, 2.0, 3))
         spec = scan_meanfield(p)
         assert spec.header == "delta_p_mhz,transmission,x,root_count"
+
+
+# every fittable path of the closed-form models (fitting._UNFITTABLE left
+# out); gamma_s and c6_override are set so that they have a value to move
+_FITTABLE = ("cavity.length", "cavity.finesse", "cavity.gamma_c", "cavity.delta_bg",
+             "ensemble.cooperativity", "ensemble.gamma_e", "ensemble.cloud_volume",
+             "rydberg.gamma_r", "rydberg.gamma_s", "rydberg.xi",
+             "rydberg.c6_override", "drive.delta_p", "drive.delta_cf",
+             "drive.omega_cf", "drive.alpha")
+
+
+def _bistable_params(**updates):
+    # S n=60 at 100 photons/us: 12 of the 401 detunings have three roots
+    kw = dict(n=60, omega_cf=8.0, delta_cf=-10.0,
+              alpha=float(np.sqrt(10.0 * 100.0)))
+    kw.update(updates)
+    return make_params(**kw)
+
+
+_GRIDS = {
+    # (params, grid, relative step of the Richardson reference)
+    "plain": (make_params(alpha=2.0, gamma_s=0.1, c6_override=-300.0),
+              np.linspace(-30.0, 30.0, 201), 1e-3),
+    # near a fold the curve's higher derivatives are large, so the
+    # reference needs a smaller step
+    "bistable": (_bistable_params(gamma_s=0.1, c6_override=-140.0),
+                 np.linspace(0.0, 20.0, 401), 1e-5),
+}
+
+
+def _richardson(curve, params, path, rel):
+    """Richardson-extrapolated central difference of curve(params) in path."""
+    from rydcav.params import get_path, set_path
+
+    theta = float(get_path(params, path))
+    h = rel * max(abs(theta), 1.0)
+
+    def central(step):
+        return (curve(set_path(params, path, theta + step))
+                - curve(set_path(params, path, theta - step))) / (2.0 * step)
+
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+class TestTransmissionJacobian:
+    def test_bistable_grid_has_three_root_points(self):
+        p, grid, _ = _GRIDS["bistable"]
+        scan = scan_meanfield(p, ScanSpec(0.0, 20.0, 401))
+        assert int(np.sum(scan.root_count == 3)) == 12
+
+    @pytest.mark.parametrize("grid_name", sorted(_GRIDS))
+    @pytest.mark.parametrize("model", ["meanfield", "linear"])
+    def test_every_column_matches_richardson(self, grid_name, model):
+        p, grid, rel = _GRIDS[grid_name]
+        if model == "meanfield":
+            _, x = transmission_curve(p, grid, return_x=True)
+
+            def curve(q):
+                return transmission_curve(q, grid)
+        else:
+            x = None
+
+            def curve(q):
+                return transmission_linear(q, grid)
+        jac = meanfield.transmission_jacobian(p, grid, _FITTABLE, x=x)
+        assert jac.shape == (grid.size, len(_FITTABLE))
+        for k, path in enumerate(_FITTABLE):
+            ref = _richardson(curve, p, path, rel)
+            # a path outside the model gives a column of exact zeros
+            np.testing.assert_allclose(jac[:, k], ref, rtol=0,
+                                       atol=1e-8 * np.abs(ref).max(),
+                                       err_msg=path)
+
+    def test_zero_columns(self):
+        p, grid, _ = _GRIDS["plain"]
+        _, x = transmission_curve(p, grid, return_x=True)
+        zero = ("drive.delta_p", "rydberg.xi", "rydberg.gamma_s", "cavity.length")
+        assert not meanfield.transmission_jacobian(p, grid, zero, x=x).any()
+        linear_zero = zero + ("drive.alpha", "rydberg.c6_override",
+                              "ensemble.cloud_volume")
+        assert not meanfield.transmission_jacobian(p, grid, linear_zero).any()
+
+    def test_linear_columns_are_the_mean_field_at_kappa_zero(self):
+        p = make_params(alpha=2.0, c6_override=0.0)
+        grid = np.linspace(-20.0, 20.0, 81)
+        paths = ("cavity.gamma_c", "ensemble.cooperativity", "drive.omega_cf",
+                 "rydberg.gamma_r")
+        _, x = transmission_curve(p, grid, return_x=True)
+        np.testing.assert_allclose(
+            meanfield.transmission_jacobian(p, grid, paths, x=x),
+            meanfield.transmission_jacobian(p, grid, paths), rtol=1e-12, atol=0)
+
+    def test_fold_raises_naming_the_detuning(self):
+        # alpha chosen so that the cubic has a double root at delta_p = 10:
+        # the larger turning point x_f of x |A + B x|^2, where dP/dx = 0
+        g = meanfield._grid(_bistable_params(), 10.0)
+        _, A, B, (c3, c2, c1, _) = meanfield._cubic(g)
+        x_f = (-2.0 * c2 + np.sqrt(4.0 * c2 * c2 - 12.0 * c3 * c1)) / (6.0 * c3)
+        for _ in range(3):
+            x_f -= ((3.0 * c3 * x_f + 2.0 * c2) * x_f + c1) / (6.0 * c3 * x_f + 2.0 * c2)
+        k2 = x_f * abs(A + B * x_f) ** 2
+        p = _bistable_params(alpha=float(np.sqrt(k2 / (16.0 * g.coop_term))))
+        *_, coeffs = meanfield._cubic(meanfield._grid(p, 10.0))
+        assert abs(np.polyval(coeffs, x_f)) <= 1e-9 * abs(coeffs[3])
+        _, (x_9,) = transmission_curve(p, [9.0], return_x=True)
+        with pytest.raises(SolverError, match=r"delta_p = 10 MHz \(a fold"):
+            meanfield.transmission_jacobian(p, [9.0, 10.0], ("drive.alpha",),
+                                            x=[x_9, x_f])
+
+    def test_curve_returns_the_populations_it_solved(self):
+        p, grid, _ = _GRIDS["bistable"]
+        t, x = transmission_curve(p, grid, return_x=True)
+        np.testing.assert_array_equal(t, transmission_curve(p, grid))
+        scan = scan_meanfield(p, ScanSpec(0.0, 20.0, 401))
+        np.testing.assert_array_equal(x, scan.x)
