@@ -791,6 +791,13 @@ _PSD_TOL = 1e-8
 #: a non-trace eigenvalue with |Re| below this (rad/us) leaves the linear
 #: stability test inconclusive
 _MARGINAL = 1e-9
+#: pseudo-time (us) after which the stability certificate stops squaring
+#: its Crank-Nicolson propagator: it stops at 2^13 steps of _PTC_DT0,
+#: 410 us, within the default t_max
+_CERT_HORIZON = 400.0
+#: a certificate power with a larger 1-norm is not squared (its square
+#: could overflow)
+_CERT_BLOWUP = 1e150
 
 
 def _bordered_residual(model: BubbleModel, y) -> np.ndarray:
@@ -826,36 +833,89 @@ def _ptc_step(model: BubbleModel, y, res, shift: float):
         return None
 
 
-def _verdict(model: BubbleModel, y, t: float, window: float,
-             convergence: float, rtol: float) -> tuple[bool, str, IntegrationStats]:
-    """(accepted, verdict, stats of the marginal evolve) for the root y.
+def _restricted_jacobian(model: BubbleModel, y) -> np.ndarray:
+    """J at y restricted to the hyperplane u . v = 0 of the trace functional.
 
-    The root must be a state (no eigenvalue of rho below -_PSD_TOL) and
-    stable.  The trace functional u (ones on the populations) is a left
-    null vector of J, so the hyperplane u . v = 0
-    is invariant and carries every other eigenvalue.  In the coordinates
-    after the first, with v_0 = -sum of the other populations, J
-    restricted to it is J[1:, 1:] - J[1:, 0] u[1:]^T.  When its spectrum
-    sits within _MARGINAL of the imaginary axis, a one-window evolve from y
-    decides: T must move by less than ``convergence``.
+    u (ones on the populations) is a left null vector of J, so the
+    hyperplane is invariant and carries every eigenvalue but the trace
+    mode's.  In the coordinates after the first, with v_0 = -sum of the
+    other populations, the restriction is J[1:, 1:] - J[1:, 0] u[1:]^T.
     """
-    lowest = float(np.linalg.eigvalsh(model.rho_matrix(y)).min())
-    if lowest < -_PSD_TOL:
-        return False, f"not a state (min eigenvalue of rho = {lowest:.3g})", _NO_RUN
     jac = model.jacobian(y)
     restricted = jac[1:, 1:]
     restricted[:, :model.npop - 1] -= jac[1:, :1]
+    return restricted
+
+
+def _certify_stable(restricted) -> tuple[bool, int]:
+    """(proved, squarings): whether every eigenvalue of ``restricted`` is
+    shown to have Re < -_MARGINAL, and how many squarings that took.
+
+    C = 2 (I - (h/2) R)^-1 - I with R = restricted + _MARGINAL I and
+    h = _PTC_DT0 is the Crank-Nicolson propagator of R over one step h; it
+    maps Re mu < 0 exactly onto |c| < 1.  As rho(C)^(2^k) <= ||C^(2^k)||,
+    a power with 1-norm at most 1/2 proves rho(C) < 1.  C is squared until
+    one does, or until the powers span _CERT_HORIZON or their norm passes
+    _CERT_BLOWUP or is not finite; then nothing is proved.  So a marginal
+    or unstable mode is never certified, nor is a stable one that does not
+    halve within the horizon, and an infinite _MARGINAL proves nothing.
+    """
+    if not math.isfinite(_MARGINAL):
+        return False, 0
+    diag = np.diag_indices(len(restricted))
+    shifted = (-0.5 * _PTC_DT0) * restricted
+    shifted[diag] += 1.0 - 0.5 * _PTC_DT0 * _MARGINAL
+    try:
+        power = 2.0 * np.linalg.inv(shifted)
+    except np.linalg.LinAlgError:
+        return False, 0
+    power[diag] -= 1.0
+    squarings = 0
+    while True:
+        norm = np.abs(power).sum(axis=0).max()
+        if norm <= 0.5:
+            return True, squarings
+        if not norm <= _CERT_BLOWUP or _PTC_DT0 * 2**squarings >= _CERT_HORIZON:
+            return False, squarings
+        power = power @ power
+        squarings += 1
+
+
+def _verdict(model: BubbleModel, y, t: float, window: float, convergence: float,
+             rtol: float) -> tuple[bool, str, IntegrationStats, str]:
+    """(accepted, verdict, stats of the marginal evolve, what decided the
+    stability) for the root y.
+
+    The root must be a state (no eigenvalue of rho below -_PSD_TOL) and
+    stable: every eigenvalue of the restricted Jacobian
+    (:func:`_restricted_jacobian`) must have Re < -_MARGINAL.  The
+    certificate of :func:`_certify_stable` shows this for a stable root in
+    a few matrix products; only when it proves nothing are the eigenvalues
+    computed.  When they sit within _MARGINAL of the imaginary axis, a
+    one-window evolve from y decides: T must move by less than
+    ``convergence``.
+    """
+    lowest = float(np.linalg.eigvalsh(model.rho_matrix(y)).min())
+    if lowest < -_PSD_TOL:
+        return (False, f"not a state (min eigenvalue of rho = {lowest:.3g})",
+                _NO_RUN, "stability not tested")
+    restricted = _restricted_jacobian(model, y)
+    certified, squarings = _certify_stable(restricted)
+    if certified:
+        return (True, "stable", _NO_RUN,
+                f"stability certified in {squarings} squarings")
+    decided = f"stability from the eigenvalues after {squarings} squarings"
     growth = float(np.linalg.eigvals(restricted).real.max())
     if growth < -_MARGINAL:
-        return True, "stable", _NO_RUN
+        return True, "stable", _NO_RUN, decided
     if growth > _MARGINAL:
-        return False, f"unstable (max Re = {growth:.3g} rad/us)", _NO_RUN
+        return False, f"unstable (max Re = {growth:.3g} rad/us)", _NO_RUN, decided
     samples, stats = integrate(model.rhs_flat, t, y, [t + window], rtol=rtol,
                                atol=_STEADY_ATOL)
     t_star, t_moved = model.transmission(y), model.transmission(samples[-1])
     settled = abs(t_moved - t_star) / max(t_star, 1e-12) < convergence
     return (settled, f"marginal, {'settled' if settled else 'drifting'} over a window",
-            stats)
+            stats, decided)
 
 
 def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3,
@@ -883,18 +943,28 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
 
     The result is ``converged`` only when that root is a density matrix
     (no eigenvalue below -1e-8) and stable: every eigenvalue of the
-    Jacobian except the trace mode has Re < 0.  If one lies within 1e-9
+    Jacobian except the trace mode has Re < -1e-9 rad/us.  A stable root
+    is usually shown so by a few squarings of the Crank-Nicolson
+    propagator of that Jacobian (:func:`_certify_stable`); the eigenvalues
+    are computed only when they prove nothing.  If one lies within 1e-9
     rad/us of the imaginary axis, a one-``window`` (us) evolve from the
     root must change T by less than ``convergence`` (relative) instead;
-    this is the only use of ``window`` and ``convergence``.  A rejected
+    this is the only use of ``window`` and ``convergence``.  ``rtol``
+    must be finite and >= 0, else ValueError before any work.  A rejected
     root, a singular matrix, a non-finite step or 100 iterations without
     convergence end the solve with converged=False and the transmission of
     the last finite iterate; the loop is deterministic and a root is a
     fixed point of every later step, so there is nothing to retry.
+
+    Each call logs one DEBUG record on the ``rydcav`` logger: the
+    iterations, pseudo-time and residual, whether the certificate or the
+    eigenvalues decided the stability and after how many squarings, and
+    the verdict.
     """
     require_positive("convergence threshold", convergence)
     require_positive("window", window)
     require_positive("t_max", t_max)
+    require_positive("rtol", rtol, allow_zero=True)
     model = BubbleModel(params, nmax=nmax, n_b=n_b)
     y = model.initial_flat()
     res = _bordered_residual(model, y)
@@ -902,6 +972,7 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
     converged = False
     verdict = f"no root in {_PTC_MAXITER} iterations"
     marginal = _NO_RUN
+    decided = "stability not tested"
     for iterations in range(1, _PTC_MAXITER + 1):
         step = _ptc_step(model, y, res, 1.0 / dt if t < t_max else 0.0)
         if step is None or not np.isfinite(step).all():
@@ -911,8 +982,8 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
         y = y + step
         old, res = np.linalg.norm(res[1:]), _bordered_residual(model, y)
         if np.all(np.abs(step) <= _STEADY_ATOL + rtol * np.abs(y)):
-            converged, verdict, marginal = _verdict(model, y, t, window,
-                                                    convergence, rtol)
+            converged, verdict, marginal, decided = _verdict(
+                model, y, t, window, convergence, rtol)
             break
         new = np.linalg.norm(res[1:])
         dt *= _PTC_GROWTH if _PTC_GROWTH * new <= old else old / new
@@ -920,6 +991,6 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
                                 iterations, float(np.abs(res).max()), verdict,
                                 _counts(marginal))
     _log.debug("bubble steady solve (nmax %d): %d iteration(s) to pseudo-time "
-               "%g us, residual %.3g, %s, converged=%s", nmax, iterations, t,
-               result.residual, verdict, converged)
+               "%g us, residual %.3g, %s, %s, converged=%s", nmax, iterations,
+               t, result.residual, decided, verdict, converged)
     return result

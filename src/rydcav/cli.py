@@ -8,6 +8,7 @@ and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,7 +25,7 @@ _DEFAULT_FREE_EIT = "cavity.gamma_c,ensemble.cooperativity,drive.omega_cf,rydber
 def _add_common(sub, config_required=True):
     sub.add_argument("--config", required=config_required, help="JSON config file")
     sub.add_argument("--out", help="output file (default: stdout)")
-    sub.add_argument("--override", nargs="*", default=[], metavar="KEY=VAL",
+    sub.add_argument("--override", nargs="*", default=(), metavar="KEY=VAL",
                      help="config overrides, e.g. drive.alpha=0.5")
     sub.add_argument("--seed", type=int, default=0, help="noise seed")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -243,14 +244,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="validate a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--override", nargs="*", default=[], metavar="KEY=VAL")
+    p.add_argument("--override", nargs="*", default=(), metavar="KEY=VAL")
     p.set_defaults(func=_cmd_validate)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built once per process (about
+    1.5 ms); parsing leaves it unchanged, and the ``--override`` default is
+    an immutable empty tuple, so no call sees another's arguments."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -845,6 +845,149 @@ class TestSteady:
             with pytest.raises(ValueError):
                 steady_transmission_bubble(weak_drive_params(), nmax=1, **bad)
 
+    @pytest.mark.parametrize("rtol", [float("nan"), float("inf"),
+                                      float("-inf"), -1.0])
+    def test_bad_rtol_rejected_before_any_jacobian(self, monkeypatch, rtol):
+        def no_jacobian(model, y):
+            raise AssertionError("Jacobian evaluated")
+
+        monkeypatch.setattr(BubbleModel, "jacobian", no_jacobian)
+        with pytest.raises(ValueError, match="rtol must be >= 0 and finite"):
+            steady_transmission_bubble(weak_drive_params(), nmax=1, rtol=rtol)
+
+    def test_zero_rtol_still_converges(self):
+        result = steady_transmission_bubble(weak_drive_params(), nmax=2,
+                                            rtol=0.0)
+        assert result.converged
+        assert result.verdict == "stable"
+
+
+class SyntheticRoot:
+    """A stand-in model whose restricted Jacobian at y = 0 is ``restricted``.
+
+    Column 0 of J is zero, so the restriction is J[1:, 1:]; y = 0 is a
+    fixed point of f(y) = J y, so a marginal window-evolve settles.
+    """
+
+    npop = 2
+
+    def __init__(self, restricted):
+        self.jac = np.zeros((len(restricted) + 1,) * 2)
+        self.jac[1:, 1:] = restricted
+
+    def rho_matrix(self, y):
+        return np.eye(2) / 2
+
+    def jacobian(self, y):
+        return self.jac.copy()
+
+    def rhs_flat(self, t, y):
+        return self.jac @ y
+
+    def transmission(self, y):
+        return 0.5 + float(y @ y)
+
+
+def hidden_spectrum(eigenvalues, seed=0):
+    """A real matrix with the given spectrum (complex ones with their
+    conjugates), in a random well-conditioned basis."""
+    blocks = [np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
+              if lam.imag else np.array([[lam.real]])
+              for lam in map(complex, eigenvalues)]
+    n = sum(len(b) for b in blocks)
+    diag = np.zeros((n, n))
+    ends = np.cumsum([len(b) for b in blocks])
+    for b, end in zip(blocks, ends):
+        diag[end - len(b):end, end - len(b):end] = b
+    rng = np.random.default_rng(seed)
+    basis = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    return basis @ diag @ np.linalg.inv(basis)
+
+
+class TestStabilityCertificate:
+    @staticmethod
+    def roots(monkeypatch, cases):
+        import rydcav.bubble as bubble
+
+        found = []
+        verdict = bubble._verdict
+
+        def record(model, y, *args):
+            found.append((model, y))
+            return verdict(model, y, *args)
+
+        monkeypatch.setattr(bubble, "_verdict", record)
+        for params, kw in cases:
+            assert steady_transmission_bubble(params, **kw).converged
+        return [bubble._restricted_jacobian(m, y) for m, y in found]
+
+    def test_agrees_with_the_eigenvalues_on_the_benchmark_roots(self,
+                                                                monkeypatch):
+        import rydcav.bubble as bubble
+
+        cases = [(weak_drive_params(delta_p=dp), dict(nmax=4, n_b=1.0))
+                 for dp in (-14.0, -10.0, -6.0, -2.0, 2.0, 6.0, 10.0, 14.0)]
+        cases += [(transient_params(), dict(nmax=nmax)) for nmax in (2, 4, 6)]
+        restricted = self.roots(monkeypatch, cases)
+        assert len(restricted) == 11
+        for matrix in restricted:
+            growth = np.linalg.eigvals(matrix).real.max()
+            certified, squarings = bubble._certify_stable(matrix)
+            assert certified == (growth < -bubble._MARGINAL)
+            assert certified and 1 <= squarings <= 13
+
+    def test_stable_solve_needs_no_eigenvalues(self, monkeypatch, caplog):
+        def no_eigvals(*args, **kw):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        caplog.set_level(logging.DEBUG, logger="rydcav")
+        result = steady_transmission_bubble(weak_drive_params(delta_p=-13.5),
+                                            nmax=4, n_b=1.0)
+        assert result.converged
+        assert result.verdict == "stable"
+        assert "stability certified in " in caplog.records[-1].getMessage()
+
+    @pytest.mark.parametrize("eigenvalues, accepted, verdict", [
+        # a slowly growing mode among stiff, fast-rotating stable ones
+        ([1e-3, -1e4, -3e3 + 1e3j, -800 + 200j, -150, -40 + 30j, -2,
+          -0.5 + 5j], False, "unstable (max Re = 0.001 rad/us)"),
+        ([1j, -3.0, -40 + 2j], True, "marginal, settled over a window"),
+        # decays by only 4e-4 over the certificate's horizon
+        ([-1e-6, -2.0, -30 + 7j], True, "stable"),
+        ([0.0, -1.0, -20 + 4j], True, "marginal, settled over a window"),
+    ], ids=["hidden-unstable", "imaginary-pair", "slow-stable", "zero"])
+    def test_synthetic_spectra_fall_back_to_the_eigenvalues(
+            self, eigenvalues, accepted, verdict):
+        import rydcav.bubble as bubble
+
+        model = SyntheticRoot(hidden_spectrum(eigenvalues))
+        restricted = bubble._restricted_jacobian(model, None)
+        certified, squarings = bubble._certify_stable(restricted)
+        assert not certified
+        y = np.zeros(len(restricted) + 1)
+        ok, got, _, decided = bubble._verdict(model, y, 0.0, 1.0, 1e-3, 1e-8)
+        assert (ok, got) == (accepted, verdict)
+        assert decided == (f"stability from the eigenvalues after "
+                           f"{squarings} squarings")
+
+    def test_infinite_margin_proves_nothing(self, monkeypatch):
+        import rydcav.bubble as bubble
+
+        matrix = hidden_spectrum([-1.0, -2.0 + 1j, -5.0])
+        assert bubble._certify_stable(matrix)[0]
+        monkeypatch.setattr(bubble, "_MARGINAL", np.inf)
+        assert bubble._certify_stable(matrix) == (False, 0)
+
+    def test_squarings_stop_before_an_overflow(self):
+        import rydcav.bubble as bubble
+
+        # c = (1 + 5) / (1 - 5) per step: 2^13 squarings would overflow
+        certified, squarings = bubble._certify_stable(
+            hidden_spectrum([200.0, -1.0]))
+        assert not certified
+        assert squarings < 13
+
 
 class TestLogging:
     def test_silent_by_default(self):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rydcav import cli
 from rydcav.bubble import BubbleModel
 from rydcav.cli import main
 from rydcav.datafiles import read_xy_csv
@@ -114,6 +115,41 @@ class TestOverrides:
     def test_malformed_override(self, config_path):
         assert main(["linear-scan", "--config", str(config_path),
                      "--override", "oops"]) == 1
+
+
+class TestParserReuse:
+    def test_consecutive_calls_match_fresh_ones(self, tmp_path):
+        # the parser is built once per process; each call must still write
+        # what a call with a parser of its own writes, and the overrides
+        # of one call must not reach the next
+        cfg = write_config(tmp_path)
+        calls = [
+            ["linear-scan", "--override", "drive.omega_cf=6.0",
+             "cavity.gamma_c=8.0"],
+            ["meanfield-scan", "--override", "drive.alpha=0.5"],
+            ["linear-scan"],
+            ["meanfield-scan", "--variable", "rate", "--format", "json",
+             "--override", "scan.start=0.5", "scan.stop=30", "scan.npoints=7"],
+            ["linear-scan", "--override", "drive.omega_cf=5.0"],
+            ["bubble-steady", "--nmax", "1", "--window", "1"],
+        ]
+
+        def run(argv, out):
+            assert main([argv[0], "--config", str(cfg), "--out", str(out),
+                         *argv[1:]]) == 0
+            return out.read_bytes()
+
+        assert cli._parser() is cli._parser()
+        reused = [run(argv, tmp_path / f"reused{i}") for i, argv in
+                  enumerate(calls)]
+        fresh = []
+        for i, argv in enumerate(calls):
+            cli._parser.cache_clear()
+            fresh.append(run(argv, tmp_path / f"fresh{i}"))
+        assert reused == fresh
+        assert reused[0] != reused[2] != reused[4]
+        args = cli._parser().parse_args(["validate", "--config", str(cfg)])
+        assert args.override == ()
 
 
 class TestMeanfieldScan:
@@ -245,6 +281,21 @@ class TestBubbleCommands:
             assert rc == 1
             assert "must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "steady.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_steady_bad_rtol_exits_1_without_a_jacobian(
+            self, tmp_path, capsys, monkeypatch, value):
+        def no_jacobian(*args):
+            raise AssertionError("Jacobian evaluated")
+
+        monkeypatch.setattr(BubbleModel, "jacobian", no_jacobian)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "steady.json"
+        rc = main(["bubble-steady", "--config", str(cfg), "--out", str(out),
+                   "--nmax", "1", "--rtol", value])
+        assert rc == 1
+        assert "rtol must be >= 0 and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_solver_failure_exit_code(self, tmp_path):
         # control dressing tuned to the singular point of the blockade chain
