@@ -61,7 +61,7 @@ import numpy as np
 
 from . import interactions
 from .errors import IntegrationError
-from .ode import IntegrationStats, integrate
+from .ode import integrate
 from .params import (PhysicalParams, get_path, params_to_dict, require_positive,
                      set_path, to_angular)
 
@@ -665,7 +665,8 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     samples are interpolated from its backward-difference polynomial, which
     keeps Tr rho at every sample as the steps do.  Without ``sample_times``
     the samples are 0, dt, ..., t_end, so ``t_end`` must be a whole
-    multiple of ``dt``.
+    multiple of ``dt``.  ``rtol`` must be finite and > 0 and ``atol``
+    finite and >= 0, else ValueError with the value given.
 
     ``sensitivity`` names parameter paths theta_k (``"rydberg.xi"``,
     ``"drive.alpha"``, ...).  Their forward sensitivities s_k = dy/dtheta_k
@@ -684,6 +685,8 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     trace, ``max_trace_drift``, the largest |Tr rho - 1| over the samples.
     Each call logs the counts in one DEBUG record on the ``rydcav`` logger.
     """
+    rtol = require_positive("rtol", rtol)
+    atol = require_positive("atol", atol, allow_zero=True)
     if sample_times is None:
         t_end = require_positive("t_end", t_end)
         dt = require_positive("dt", dt)
@@ -730,8 +733,10 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
             states.append(model.state_from_flat(y, float(sample_times[i])))
 
     dT_dtheta = model.transmission_gradient(samples) if model.sensitivity else None
-    solver = {"coordinates": model.size, **_counts(stats),
-              "max_trace_drift": float(terr.max())}
+    solver = {"coordinates": model.size, "nfev": stats.nfev,
+              "accepted_steps": stats.accepted, "rejected_steps": stats.rejected,
+              "jacobian_evals": stats.jacobian_evals,
+              "inversions": stats.inversions, "max_trace_drift": float(terr.max())}
     _log.debug("bubble evolve (nmax %d, %d coordinates) to t = %g us: "
                "%d rhs evaluations, %d accepted and %d rejected steps, "
                "%d Jacobian evaluations, %d inversions",
@@ -743,18 +748,6 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
                       metadata=meta, states=states, dT_dtheta=dT_dtheta)
 
 
-#: the counts of an integration that did not run
-_NO_RUN = IntegrationStats(0, 0, 0)
-
-
-def _counts(stats: IntegrationStats) -> dict:
-    """An integration's counts under the names ``metadata["solver"]`` uses."""
-    return {"nfev": stats.nfev, "accepted_steps": stats.accepted,
-            "rejected_steps": stats.rejected,
-            "jacobian_evals": stats.jacobian_evals,
-            "inversions": stats.inversions}
-
-
 @dataclass
 class SteadyBubbleResult:
     """Steady bubble-model transmission and how the solve ended.
@@ -763,10 +756,7 @@ class SteadyBubbleResult:
     ``t_max``; ``newton_iterations`` counts its iterations; ``residual`` is
     the max-norm of the bordered residual (f(y) with its first row replaced
     by Tr rho - 1) at the state whose transmission is reported; ``verdict``
-    says how the solve ended (``"stable"`` for an accepted root);
-    ``marginal_solver`` holds the integrator counts (as in
-    ``evolve(...).metadata["solver"]``) of the one-window evolve that
-    judges a marginally stable root, all zero when none ran.
+    says how the solve ended (``"stable"`` for an accepted root).
     """
 
     transmission: float
@@ -775,10 +765,9 @@ class SteadyBubbleResult:
     newton_iterations: int
     residual: float
     verdict: str
-    marginal_solver: dict
 
 
-#: absolute tolerance of the steady solve's steps and marginal evolve
+#: absolute tolerance of the steady solve's steps
 _STEADY_ATOL = 1e-10
 #: first pseudo-time step (us) of the continuation
 _PTC_DT0 = 0.05
@@ -788,8 +777,8 @@ _PTC_GROWTH = 10.0
 _PTC_MAXITER = 100
 #: a root whose rho has an eigenvalue below -_PSD_TOL is not a state
 _PSD_TOL = 1e-8
-#: a non-trace eigenvalue with |Re| below this (rad/us) leaves the linear
-#: stability test inconclusive
+#: a root with a non-trace eigenvalue of Re >= -_MARGINAL (rad/us) is not
+#: accepted as stable
 _MARGINAL = 1e-9
 #: pseudo-time (us) after which the stability certificate stops squaring
 #: its Crank-Nicolson propagator: it stops at 2^13 steps of _PTC_DT0,
@@ -858,10 +847,8 @@ def _certify_stable(restricted) -> tuple[bool, int]:
     one does, or until the powers span _CERT_HORIZON or their norm passes
     _CERT_BLOWUP or is not finite; then nothing is proved.  So a marginal
     or unstable mode is never certified, nor is a stable one that does not
-    halve within the horizon, and an infinite _MARGINAL proves nothing.
+    halve within the horizon.
     """
-    if not math.isfinite(_MARGINAL):
-        return False, 0
     diag = np.diag_indices(len(restricted))
     shifted = (-0.5 * _PTC_DT0) * restricted
     shifted[diag] += 1.0 - 0.5 * _PTC_DT0 * _MARGINAL
@@ -881,45 +868,34 @@ def _certify_stable(restricted) -> tuple[bool, int]:
         squarings += 1
 
 
-def _verdict(model: BubbleModel, y, t: float, window: float, convergence: float,
-             rtol: float) -> tuple[bool, str, IntegrationStats, str]:
-    """(accepted, verdict, stats of the marginal evolve, what decided the
-    stability) for the root y.
+def _verdict(model: BubbleModel, y) -> tuple[bool, str, str]:
+    """(accepted, verdict, what decided the stability) for the root y.
 
     The root must be a state (no eigenvalue of rho below -_PSD_TOL) and
     stable: every eigenvalue of the restricted Jacobian
     (:func:`_restricted_jacobian`) must have Re < -_MARGINAL.  The
     certificate of :func:`_certify_stable` shows this for a stable root in
     a few matrix products; only when it proves nothing are the eigenvalues
-    computed.  When they sit within _MARGINAL of the imaginary axis, a
-    one-window evolve from y decides: T must move by less than
-    ``convergence``.
+    computed.  A root with an eigenvalue within _MARGINAL of the imaginary
+    axis or beyond it is rejected.
     """
     lowest = float(np.linalg.eigvalsh(model.rho_matrix(y)).min())
     if lowest < -_PSD_TOL:
         return (False, f"not a state (min eigenvalue of rho = {lowest:.3g})",
-                _NO_RUN, "stability not tested")
+                "stability not tested")
     restricted = _restricted_jacobian(model, y)
     certified, squarings = _certify_stable(restricted)
     if certified:
-        return (True, "stable", _NO_RUN,
-                f"stability certified in {squarings} squarings")
+        return True, "stable", f"stability certified in {squarings} squarings"
     decided = f"stability from the eigenvalues after {squarings} squarings"
     growth = float(np.linalg.eigvals(restricted).real.max())
     if growth < -_MARGINAL:
-        return True, "stable", _NO_RUN, decided
-    if growth > _MARGINAL:
-        return False, f"unstable (max Re = {growth:.3g} rad/us)", _NO_RUN, decided
-    samples, stats = integrate(model.rhs_flat, t, y, [t + window], rtol=rtol,
-                               atol=_STEADY_ATOL)
-    t_star, t_moved = model.transmission(y), model.transmission(samples[-1])
-    settled = abs(t_moved - t_star) / max(t_star, 1e-12) < convergence
-    return (settled, f"marginal, {'settled' if settled else 'drifting'} over a window",
-            stats, decided)
+        return True, "stable", decided
+    kind = "unstable" if growth > _MARGINAL else "marginal"
+    return False, f"{kind} (max Re = {growth:.3g} rad/us)", decided
 
 
-def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3,
-                               window: float = 5.0, t_max: float = 500.0,
+def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
                                nmax: int = DEFAULT_NMAX, rtol: float = 1e-8,
                                n_b: float | None = None) -> SteadyBubbleResult:
     """Steady transmission: the fixed point of the model that pseudo-transient
@@ -946,14 +922,13 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
     Jacobian except the trace mode has Re < -1e-9 rad/us.  A stable root
     is usually shown so by a few squarings of the Crank-Nicolson
     propagator of that Jacobian (:func:`_certify_stable`); the eigenvalues
-    are computed only when they prove nothing.  If one lies within 1e-9
-    rad/us of the imaginary axis, a one-``window`` (us) evolve from the
-    root must change T by less than ``convergence`` (relative) instead;
-    this is the only use of ``window`` and ``convergence``.  ``rtol``
-    must be finite and >= 0, else ValueError before any work.  A rejected
-    root, a singular matrix, a non-finite step or 100 iterations without
-    convergence end the solve with converged=False and the transmission of
-    the last finite iterate; the loop is deterministic and a root is a
+    are computed only when they prove nothing.  A root with an eigenvalue
+    within 1e-9 rad/us of the imaginary axis is rejected as marginal, one
+    beyond it as unstable; the solve never integrates the dynamics.
+    ``rtol`` must be finite and >= 0, else ValueError before any work.  A
+    rejected root, a singular matrix, a non-finite step or 100 iterations
+    without a root end the solve with converged=False and the transmission
+    of the last finite iterate; the loop is deterministic and a root is a
     fixed point of every later step, so there is nothing to retry.
 
     Each call logs one DEBUG record on the ``rydcav`` logger: the
@@ -961,8 +936,6 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
     eigenvalues decided the stability and after how many squarings, and
     the verdict.
     """
-    require_positive("convergence threshold", convergence)
-    require_positive("window", window)
     require_positive("t_max", t_max)
     require_positive("rtol", rtol, allow_zero=True)
     model = BubbleModel(params, nmax=nmax, n_b=n_b)
@@ -971,7 +944,6 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
     t, dt = 0.0, _PTC_DT0
     converged = False
     verdict = f"no root in {_PTC_MAXITER} iterations"
-    marginal = _NO_RUN
     decided = "stability not tested"
     for iterations in range(1, _PTC_MAXITER + 1):
         step = _ptc_step(model, y, res, 1.0 / dt if t < t_max else 0.0)
@@ -982,14 +954,12 @@ def steady_transmission_bubble(params: PhysicalParams, convergence: float = 1e-3
         y = y + step
         old, res = np.linalg.norm(res[1:]), _bordered_residual(model, y)
         if np.all(np.abs(step) <= _STEADY_ATOL + rtol * np.abs(y)):
-            converged, verdict, marginal, decided = _verdict(
-                model, y, t, window, convergence, rtol)
+            converged, verdict, decided = _verdict(model, y)
             break
         new = np.linalg.norm(res[1:])
         dt *= _PTC_GROWTH if _PTC_GROWTH * new <= old else old / new
     result = SteadyBubbleResult(model.transmission(y), converged, float(t),
-                                iterations, float(np.abs(res).max()), verdict,
-                                _counts(marginal))
+                                iterations, float(np.abs(res).max()), verdict)
     _log.debug("bubble steady solve (nmax %d): %d iteration(s) to pseudo-time "
                "%g us, residual %.3g, %s, %s, converged=%s", nmax, iterations,
                t, result.residual, decided, verdict, converged)

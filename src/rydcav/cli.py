@@ -119,16 +119,12 @@ def _cmd_bubble_evolve(args):
 def _cmd_bubble_steady(args):
     params = _load_params(args)
     result = bubble.steady_transmission_bubble(
-        params, convergence=args.threshold, window=args.window,
-        t_max=args.t_max, nmax=args.nmax, rtol=args.rtol)
+        params, t_max=args.t_max, nmax=args.nmax, rtol=args.rtol)
     payload = {"transmission": result.transmission,
                "converged": result.converged, "t_final_us": result.t_final,
                "newton_iterations": result.newton_iterations,
-               "residual": result.residual, "verdict": result.verdict,
-               "marginal_solver": result.marginal_solver}
+               "residual": result.residual, "verdict": result.verdict}
     meta = _meta(args, params, {"nmax": args.nmax, "rtol": args.rtol,
-                                "window": args.window,
-                                "threshold": args.threshold,
                                 "t_max": args.t_max})
     write_json(args.out, payload, meta)
     return 0
@@ -205,13 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="steady bubble-model transmission (pseudo-transient "
                               "continuation to the fixed point)")
     _add_common(p)
-    p.add_argument("--threshold", type=float, default=1e-3,
-                   help="largest relative change of T over one window from a "
-                        "fixed point whose linear stability is marginal")
-    p.add_argument("--window", type=float, default=5.0,
-                   help="evolution (us) from a fixed point whose linear "
-                        "stability is marginal, over which --threshold is "
-                        "checked")
     p.add_argument("--t-max", type=float, default=500.0,
                    help="pseudo-time (us) after which the continuation "
                         "takes plain Newton steps")

@@ -51,6 +51,9 @@ _log = logging.getLogger(__name__)
 _SOLVER_COUNTS = ("nfev", "accepted_steps", "rejected_steps",
                   "jacobian_evals", "inversions")
 
+#: the keys ``model_options`` may hold, passed on to the bubble transient
+_MODEL_OPTIONS = ("nmax", "rtol", "atol")
+
 #: where each model's Jacobian comes from
 _JACOBIAN_SOURCES = {"linear_eit": "closed-form",
                      "meanfield": "implicit-differentiation",
@@ -67,13 +70,22 @@ def poisson_weights(y, floor: float = 1e-6) -> np.ndarray:
     return 1.0 / np.maximum(np.asarray(y, dtype=float), floor)
 
 
+def _check_model_options(options: dict) -> None:
+    unknown = sorted(set(options) - set(_MODEL_OPTIONS))
+    if unknown:
+        raise ValueError(f"unknown model option(s) {unknown}; "
+                         f"expected {', '.join(_MODEL_OPTIONS)}")
+
+
 @dataclass
 class FitProblem:
     """Data, model selector and free-parameter description for one fit.
 
     The box constraints ``lower``/``upper`` come from :func:`default_bounds`
-    and must contain the initial guess.  ``model_options`` passes ``nmax``,
-    ``rtol`` and ``atol`` to the bubble transient.  The mean-field curve is
+    and must contain the initial guess, one finite value per free
+    parameter; the free paths must be distinct and the weights positive
+    and finite.  ``model_options`` passes ``nmax``, ``rtol`` and ``atol``
+    to the bubble transient and holds no other key.  The mean-field curve is
     solved by continuation in data order, so its ``x`` must be strictly
     increasing or strictly decreasing (a down-sweep).  The problem keeps
     what the Jacobian at its last evaluation needs: the parameters, the
@@ -103,6 +115,8 @@ class FitProblem:
         self.free = tuple(self.free)
         if not self.free:
             raise ValueError("at least one free parameter required")
+        if len(set(self.free)) < len(self.free):
+            raise ValueError(f"free parameters must be distinct, got {self.free}")
         for path in self.free:
             name = path.partition(".")[2]
             if name in _UNFITTABLE:
@@ -122,13 +136,21 @@ class FitProblem:
                     f"(x = {self.x[k]:g}) breaks the order of the rows before it")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != self.y.shape or np.any(self.weights <= 0):
-                raise ValueError("weights must be positive and match the data")
+            if (self.weights.shape != self.y.shape
+                    or not np.all(np.isfinite(self.weights) & (self.weights > 0))):
+                raise ValueError("weights must be positive, finite and match "
+                                 "the data")
         if self.initial is None:
             self.initial = np.array([float(get_path(self.base_params, p))
                                      for p in self.free])
         else:
             self.initial = np.asarray(self.initial, dtype=float)
+            if (self.initial.shape != (len(self.free),)
+                    or not np.isfinite(self.initial).all()):
+                raise ValueError(f"initial must hold one finite value per free "
+                                 f"parameter ({len(self.free)}), got "
+                                 f"{self.initial.tolist()}")
+        _check_model_options(self.model_options)
         self.lower, self.upper = np.array([default_bounds(p) for p in self.free]).T
         if np.any(self.initial < self.lower) or np.any(self.initial > self.upper):
             raise ValueError("bounds must contain the initial guess")
@@ -403,9 +425,11 @@ def fit_xi_series(entries, params_by_n, model_options: dict | None = None,
 
     ``entries`` is a list of (n, TimeSeries); ``params_by_n`` maps each n to
     its parameter bundle.  Entries whose fit fails are flagged
-    (converged=False, xi=NaN) without affecting the others.
+    (converged=False, xi=NaN) without affecting the others; an unknown
+    ``model_options`` key is a ValueError before any fit.
     """
     opts = dict(model_options or {})
+    _check_model_options(opts)
 
     def run(entry):
         n, series = entry

@@ -293,8 +293,7 @@ def test_criterion_12_cli_determinism(tmp_path, capsys):
             "--seed", "4"])
         assert _run_twice(tmp_path, "steady", lambda o: [
             "bubble-steady", "--config", str(cfg_d), "--out", o,
-            "--threshold", "1e-2", "--window", "1.5", "--nmax", "2",
-            "--t-max", "20"])
+            "--nmax", "2", "--t-max", "20"])
 
         data = tmp_path / "fixture.csv"
         main(["linear-scan", "--config", str(cfg), "--out", str(data),

@@ -495,6 +495,14 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(weak_drive_params(), t_end=2.0, nmax=2, **kw)
 
+    def test_bad_tolerance_names_the_value_given(self):
+        # the integrator runs at a quarter of the tolerances; the error
+        # names the caller's value, not the quartered one
+        with pytest.raises(ValueError, match="rtol must be > 0 and finite, got -1$"):
+            evolve(weak_drive_params(), t_end=2.0, nmax=2, rtol=-1)
+        with pytest.raises(ValueError, match="atol must be >= 0 and finite, got -2$"):
+            evolve(weak_drive_params(), t_end=2.0, nmax=2, atol=-2)
+
     def test_metadata_snapshot(self):
         p = weak_drive_params()
         series = evolve(p, t_end=2.0, dt=1.0, nmax=2)
@@ -694,31 +702,18 @@ class TestParameterSensitivity:
 class TestSteady:
     def test_matches_evolve_plateau_without_dark_decay(self):
         p = weak_drive_params()
-        result = steady_transmission_bubble(p, convergence=1e-4, window=5.0,
-                                            nmax=2, n_b=1.0)
+        result = steady_transmission_bubble(p, nmax=2, n_b=1.0)
         series = evolve(p, t_end=40.0, dt=10.0, nmax=2, n_b=1.0)
         assert result.converged
         assert result.transmission == pytest.approx(series.transmission[-1],
                                                     rel=1e-3)
 
-    def test_degenerate_threshold_returns_early(self):
-        p = weak_drive_params()
-        result = steady_transmission_bubble(p, convergence=1e9, window=2.0,
-                                            nmax=2)
-        assert result.converged
-        assert result.t_final <= 500.0
-        # the threshold only judges a marginal root, and this one is stable
-        assert result.transmission == steady_transmission_bubble(
-            p, nmax=2).transmission
-
     def test_dark_decay_only_removes_transmission(self):
         base = dict(gamma_r=0.05, gamma_s=0.002, alpha=2.0)
         p_off = transient_params(xi=0.0, **base)
         p_on = transient_params(xi=2.0, **base)
-        t_off = steady_transmission_bubble(p_off, convergence=1e-4, nmax=3,
-                                           t_max=120.0)
-        t_on = steady_transmission_bubble(p_on, convergence=1e-4, nmax=3,
-                                          t_max=120.0)
+        t_off = steady_transmission_bubble(p_off, nmax=3, t_max=120.0)
+        t_on = steady_transmission_bubble(p_on, nmax=3, t_max=120.0)
         assert t_on.transmission <= t_off.transmission
 
     @pytest.mark.parametrize("kw", [
@@ -753,8 +748,8 @@ class TestSteady:
             return np.zeros((model.size, model.size))
 
         monkeypatch.setattr(BubbleModel, "jacobian", singular)
-        result = steady_transmission_bubble(weak_drive_params(), window=2.0,
-                                            t_max=0.1, nmax=1)
+        result = steady_transmission_bubble(weak_drive_params(), t_max=0.1,
+                                            nmax=1)
         assert not result.converged
         assert result.t_final == 0.1
         assert result.verdict == "singular matrix"
@@ -780,68 +775,20 @@ class TestSteady:
 
         monkeypatch.setattr(bubble, "_ptc_step", to_negative_population)
         caplog.set_level(logging.DEBUG, logger="rydcav")
-        result = steady_transmission_bubble(weak_drive_params(), window=2.0,
-                                            t_max=6.0, nmax=1)
+        result = steady_transmission_bubble(weak_drive_params(), t_max=6.0,
+                                            nmax=1)
         assert not result.converged
         assert result.t_final <= 6.0
         assert "not a state (min eigenvalue of rho = -0.5)" in caplog.text
 
-    def test_marginal_spectrum_accepts_a_root_that_stays(self, monkeypatch,
-                                                         caplog):
-        import rydcav.bubble as bubble
-
-        exact = steady_transmission_bubble(transient_params(), nmax=2)
-        assert exact.transmission == pytest.approx(0.2005955, abs=1e-7)
-        monkeypatch.setattr(bubble, "_MARGINAL", np.inf)
-        caplog.set_level(logging.DEBUG, logger="rydcav")
-        result = steady_transmission_bubble(transient_params(), nmax=2)
-        assert result.converged
-        assert result.t_final <= 500.0
-        assert result.transmission == exact.transmission
-        assert "marginal, settled over a window" in caplog.text
-        assert not any(exact.marginal_solver.values())
-        counts = result.marginal_solver
-        assert counts["nfev"] > 0 and counts["accepted_steps"] > 0
-        # the window is integrated by the explicit pair, without a Jacobian
-        assert counts["jacobian_evals"] == counts["inversions"] == 0
-
-    def test_marginal_spectrum_rejects_a_root_that_drifts(self, monkeypatch,
-                                                          caplog):
-        # with the state one window from the empty cavity standing in for
-        # the root, the marginal test is a window-to-window convergence
-        # test on T
-        import rydcav.bubble as bubble
-
-        def to_evolved(model, y, res, shift):
-            evolved = integrate(model.rhs_flat, 0.0, model.initial_flat(),
-                                [5.0], rtol=1e-8, atol=1e-10)[0][-1]
-            return evolved - y
-
-        monkeypatch.setattr(bubble, "_MARGINAL", np.inf)
-        monkeypatch.setattr(bubble, "_ptc_step", to_evolved)
-        caplog.set_level(logging.DEBUG, logger="rydcav")
-        p = transient_params()
-        loose = steady_transmission_bubble(p, convergence=1e9, nmax=2)
-        assert loose.converged
-        assert loose.t_final <= 500.0
-        drifting = steady_transmission_bubble(p, convergence=1e-9, nmax=2,
-                                              t_max=20.0)
-        assert not drifting.converged
-        assert drifting.t_final <= 20.0
-        assert drifting.verdict == "marginal, drifting over a window"
-        assert caplog.records[-1].getMessage().endswith(
-            "marginal, drifting over a window, converged=False")
-
     def test_threshold_validation(self):
-        for bad in ({"convergence": 0.0}, {"window": 0.0}, {"window": -1.0},
-                    {"t_max": 0.0}, {"t_max": -5.0}):
+        for bad in ({"t_max": 0.0}, {"t_max": -5.0}):
             with pytest.raises(ValueError):
                 steady_transmission_bubble(weak_drive_params(), nmax=1, **bad)
 
     def test_nan_threshold_rejected(self):
         # NaN compares false with everything, so a `<= 0` check lets it pass
-        for bad in ({"convergence": float("nan")}, {"window": float("nan")},
-                    {"t_max": float("nan")}, {"t_max": float("inf")}):
+        for bad in ({"t_max": float("nan")}, {"t_max": float("inf")}):
             with pytest.raises(ValueError):
                 steady_transmission_bubble(weak_drive_params(), nmax=1, **bad)
 
@@ -865,8 +812,7 @@ class TestSteady:
 class SyntheticRoot:
     """A stand-in model whose restricted Jacobian at y = 0 is ``restricted``.
 
-    Column 0 of J is zero, so the restriction is J[1:, 1:]; y = 0 is a
-    fixed point of f(y) = J y, so a marginal window-evolve settles.
+    Column 0 of J is zero, so the restriction is J[1:, 1:].
     """
 
     npop = 2
@@ -880,12 +826,6 @@ class SyntheticRoot:
 
     def jacobian(self, y):
         return self.jac.copy()
-
-    def rhs_flat(self, t, y):
-        return self.jac @ y
-
-    def transmission(self, y):
-        return 0.5 + float(y @ y)
 
 
 def hidden_spectrum(eigenvalues, seed=0):
@@ -904,6 +844,14 @@ def hidden_spectrum(eigenvalues, seed=0):
     return basis @ diag @ np.linalg.inv(basis)
 
 
+def benchmark_steady_cases():
+    """(params, kwargs) of the eight weak-drive steady solves of the
+    transient-cutoff benchmark and of D n=85 at nmax 2/4/6."""
+    cases = [(weak_drive_params(delta_p=dp), dict(nmax=4, n_b=1.0))
+             for dp in (-14.0, -10.0, -6.0, -2.0, 2.0, 6.0, 10.0, 14.0)]
+    return cases + [(transient_params(), dict(nmax=nmax)) for nmax in (2, 4, 6)]
+
+
 class TestStabilityCertificate:
     @staticmethod
     def roots(monkeypatch, cases):
@@ -912,9 +860,9 @@ class TestStabilityCertificate:
         found = []
         verdict = bubble._verdict
 
-        def record(model, y, *args):
+        def record(model, y):
             found.append((model, y))
-            return verdict(model, y, *args)
+            return verdict(model, y)
 
         monkeypatch.setattr(bubble, "_verdict", record)
         for params, kw in cases:
@@ -925,10 +873,7 @@ class TestStabilityCertificate:
                                                                 monkeypatch):
         import rydcav.bubble as bubble
 
-        cases = [(weak_drive_params(delta_p=dp), dict(nmax=4, n_b=1.0))
-                 for dp in (-14.0, -10.0, -6.0, -2.0, 2.0, 6.0, 10.0, 14.0)]
-        cases += [(transient_params(), dict(nmax=nmax)) for nmax in (2, 4, 6)]
-        restricted = self.roots(monkeypatch, cases)
+        restricted = self.roots(monkeypatch, benchmark_steady_cases())
         assert len(restricted) == 11
         for matrix in restricted:
             growth = np.linalg.eigvals(matrix).real.max()
@@ -952,10 +897,10 @@ class TestStabilityCertificate:
         # a slowly growing mode among stiff, fast-rotating stable ones
         ([1e-3, -1e4, -3e3 + 1e3j, -800 + 200j, -150, -40 + 30j, -2,
           -0.5 + 5j], False, "unstable (max Re = 0.001 rad/us)"),
-        ([1j, -3.0, -40 + 2j], True, "marginal, settled over a window"),
+        ([1j, -3.0, -40 + 2j], False, "marginal (max Re = "),
         # decays by only 4e-4 over the certificate's horizon
         ([-1e-6, -2.0, -30 + 7j], True, "stable"),
-        ([0.0, -1.0, -20 + 4j], True, "marginal, settled over a window"),
+        ([0.0, -1.0, -20 + 4j], False, "marginal (max Re = "),
     ], ids=["hidden-unstable", "imaginary-pair", "slow-stable", "zero"])
     def test_synthetic_spectra_fall_back_to_the_eigenvalues(
             self, eigenvalues, accepted, verdict):
@@ -966,18 +911,24 @@ class TestStabilityCertificate:
         certified, squarings = bubble._certify_stable(restricted)
         assert not certified
         y = np.zeros(len(restricted) + 1)
-        ok, got, _, decided = bubble._verdict(model, y, 0.0, 1.0, 1e-3, 1e-8)
-        assert (ok, got) == (accepted, verdict)
+        ok, got, decided = bubble._verdict(model, y)
+        assert (ok, got[:len(verdict)]) == (accepted, verdict)
         assert decided == (f"stability from the eigenvalues after "
                            f"{squarings} squarings")
 
-    def test_infinite_margin_proves_nothing(self, monkeypatch):
+    def test_steady_solves_never_integrate(self, monkeypatch):
         import rydcav.bubble as bubble
 
-        matrix = hidden_spectrum([-1.0, -2.0 + 1j, -5.0])
-        assert bubble._certify_stable(matrix)[0]
-        monkeypatch.setattr(bubble, "_MARGINAL", np.inf)
-        assert bubble._certify_stable(matrix) == (False, 0)
+        def no_integrate(*args, **kw):
+            raise AssertionError("integrate called")
+
+        monkeypatch.setattr(bubble, "integrate", no_integrate)
+        for params, kw in benchmark_steady_cases():
+            assert steady_transmission_bubble(params, **kw).converged
+        # a marginal root is rejected, not evolved
+        model = SyntheticRoot(hidden_spectrum([1j, -3.0, -40 + 2j]))
+        ok, verdict, _ = bubble._verdict(model, np.zeros(6))
+        assert not ok and verdict.startswith("marginal (max Re = ")
 
     def test_squarings_stop_before_an_overflow(self):
         import rydcav.bubble as bubble
@@ -994,7 +945,7 @@ class TestLogging:
         code = ("from rydcav import steady_transmission_bubble\n"
                 "from conftest import make_params\n"
                 "steady_transmission_bubble(make_params(n=85, series='D', "
-                "alpha=0.05), nmax=1, window=1.0)\n"
+                "alpha=0.05), nmax=1)\n"
                 "from rydcav import evolve\n"
                 "evolve(make_params(n=85, series='D'), t_end=1.0, nmax=1)\n"
                 "from rydcav import ScanSpec, scan_meanfield\n"
@@ -1018,8 +969,7 @@ class TestLogging:
 
     def test_one_debug_record_per_steady_solve(self, caplog):
         caplog.set_level(logging.DEBUG, logger="rydcav")
-        result = steady_transmission_bubble(weak_drive_params(), nmax=1,
-                                            window=1.0)
+        result = steady_transmission_bubble(weak_drive_params(), nmax=1)
         records = [r for r in caplog.records if r.name.startswith("rydcav")]
         assert len(records) == 1
         assert records[0].levelno == logging.DEBUG

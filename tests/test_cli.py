@@ -131,7 +131,7 @@ class TestParserReuse:
             ["meanfield-scan", "--variable", "rate", "--format", "json",
              "--override", "scan.start=0.5", "scan.stop=30", "scan.npoints=7"],
             ["linear-scan", "--override", "drive.omega_cf=5.0"],
-            ["bubble-steady", "--nmax", "1", "--window", "1"],
+            ["bubble-steady", "--nmax", "1"],
         ]
 
         def run(argv, out):
@@ -254,7 +254,7 @@ class TestBubbleCommands:
         cfg = write_config(tmp_path)
         out = tmp_path / "steady.json"
         rc = main(["bubble-steady", "--config", str(cfg), "--out", str(out),
-                   "--threshold", "1e-2", "--window", "2", "--nmax", "2"])
+                   "--nmax", "2"])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["converged"] is True
@@ -262,19 +262,15 @@ class TestBubbleCommands:
         assert doc["newton_iterations"] >= 1
         assert doc["residual"] < 1e-12
         assert doc["verdict"] == "stable"
-        # a stable root needs no marginal-stability evolve
-        assert doc["marginal_solver"] == {
-            "nfev": 0, "accepted_steps": 0, "rejected_steps": 0,
-            "jacobian_evals": 0, "inversions": 0}
-        assert {k: doc["_meta"][k] for k in
-                ("nmax", "rtol", "window", "threshold", "t_max")} == {
-            "nmax": 2, "rtol": 1e-8, "window": 2.0, "threshold": 1e-2,
-            "t_max": 500.0}
+        assert set(doc) == {"transmission", "converged", "t_final_us",
+                            "newton_iterations", "residual", "verdict", "_meta"}
+        assert {k: doc["_meta"][k] for k in ("nmax", "rtol", "t_max")} == {
+            "nmax": 2, "rtol": 1e-8, "t_max": 500.0}
+        assert not {"window", "threshold"} & set(doc["_meta"])
 
     def test_steady_nonpositive_window_or_t_max(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        for flag, value in (("--window", "0"), ("--window", "-1"),
-                            ("--t-max", "0")):
+        for flag, value in (("--t-max", "0"), ("--t-max", "-1")):
             rc = main(["bubble-steady", "--config", str(cfg),
                        "--out", str(tmp_path / "steady.json"), "--nmax", "1",
                        flag, value])

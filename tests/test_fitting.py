@@ -198,6 +198,52 @@ class TestValidation:
                        weights=np.zeros(10))
 
 
+    @pytest.mark.parametrize("free, initial", [
+        # one value for two paths would broadcast onto both
+        (("ensemble.cooperativity", "drive.omega_cf"), [5.5]),
+        (("ensemble.cooperativity",), [5.5, 4.0]),
+        (("ensemble.cooperativity",), [[5.5]]),
+    ], ids=["short", "long", "2-d"])
+    def test_initial_of_the_wrong_shape_rejected(self, free, initial):
+        with pytest.raises(ValueError, match="one finite value per free parameter"):
+            FitProblem(x=np.arange(10.0), y=np.ones(10), model="linear_eit",
+                       base_params=make_params(), free=free, initial=initial)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_rejected(self, bad):
+        with pytest.raises(ValueError, match="one finite value per free parameter"):
+            FitProblem(x=np.arange(10.0), y=np.ones(10), model="linear_eit",
+                       base_params=make_params(),
+                       free=("ensemble.cooperativity", "drive.omega_cf"),
+                       initial=[5.5, bad])
+
+    def test_duplicate_free_paths_rejected(self):
+        with pytest.raises(ValueError, match="free parameters must be distinct"):
+            FitProblem(x=np.arange(10.0), y=np.ones(10), model="linear_eit",
+                       base_params=make_params(),
+                       free=("cavity.gamma_c", "drive.omega_cf", "cavity.gamma_c"))
+
+    def test_nan_weights_rejected(self):
+        # NaN compares false with everything, so a `<= 0` check lets it pass
+        weights = np.ones(10)
+        weights[4] = np.nan
+        with pytest.raises(ValueError, match="weights must be positive, finite"):
+            FitProblem(x=np.arange(10.0), y=np.ones(10), model="linear_eit",
+                       base_params=make_params(), free=("cavity.gamma_c",),
+                       weights=weights)
+
+    def test_unknown_model_option_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown model option\(s\) \['nmx'\]"):
+            FitProblem(x=np.arange(10.0), y=np.ones(10),
+                       model="bubble_transient", base_params=transient_params(),
+                       free=("rydberg.xi",), model_options={"nmx": 2})
+        # a series of fits stops before its first one instead of flagging
+        # every entry as failed
+        with pytest.raises(ValueError, match="unknown model option"):
+            fit_xi_series([(85, None)], {85: transient_params()},
+                          model_options={"nmax": 2, "nmx": 2})
+
+
 def transient_params(xi=2.0):
     return make_params(n=85, series="D", gamma_r=0.05, gamma_s=0.002,
                        xi=xi, alpha=3.0)

@@ -134,7 +134,7 @@ def test_import_loads_no_scipy():
             "p = PhysicalParams()\n"
             "rydcav.evolve(p, t_end=1.0, nmax=1)\n"
             "rydcav.evolve(p, t_end=1.0, nmax=1, sensitivity=('rydberg.xi',))\n"
-            "rydcav.steady_transmission_bubble(p, nmax=1, window=1.0)\n"
+            "rydcav.steady_transmission_bubble(p, nmax=1)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
