@@ -375,15 +375,18 @@ def _closure(units, live: np.ndarray) -> np.ndarray:
 class BubbleModel:
     """Precompiled right-hand side for one parameter set and initial state.
 
-    The Lindblad generator is a set of dense blocks in the real Hermitian
-    basis; each evaluation is a single stacked real matrix-vector product,
-    with the cavity-coupling blocks scaled by Re<a>, Im<a> and the
-    nonlinear dark-state block by xi <sigma_RR>.  The blocks are scattered
-    from the sparse unit blocks that :func:`_structure` caches once per
-    nmax: L0 is the sum of its six units weighted by the rates and
-    detunings, L1 and L2 are theirs times g sqrt(n_b), and L3 is its own.
-    ``sensitivity`` names the parameter paths whose forward sensitivities
-    :meth:`rhs_sensitivity` integrates; the dark-state block is kept when
+    The Lindblad generator is the stack [L0; L1; L2; L3] of real blocks in
+    the Hermitian basis, kept as (rows, cols, values) triplets with one
+    entry per nonzero; an evaluation is one ``np.bincount`` of the block
+    products, combined with the cavity-coupling blocks scaled by Re<a>,
+    Im<a> and the nonlinear dark-state block by xi <sigma_RR>, plus the
+    three dense trace rows.  The triplets are gathered from the sparse
+    unit blocks that :func:`_structure` caches once per nmax: L0 is the
+    sum of its six units weighted by the rates and detunings, L1 and L2
+    are theirs times g sqrt(n_b), and L3 is its own.  ``sensitivity``
+    names the parameter paths whose forward sensitivities
+    :meth:`rhs_sensitivity` integrates, from a dense copy of the stack
+    that only such a model makes; the dark-state block is kept when
     xi != 0 or when one of those parameters moves xi.
 
     The model lives on the coordinates the run can reach from its initial
@@ -456,33 +459,50 @@ class BubbleModel:
         pos = np.zeros(d * d, dtype=int)
         pos[keep] = np.arange(n)
 
-        def scatter(terms, nrows):
-            """Dense (nrows, n) sum of coefficient times unit block, each
-            term's kept n x n part at row offset block * n."""
-            flat, vals = [], []
+        def triplets(terms):
+            """(rows, cols, values) of the sum of coefficient times unit
+            block, each term's kept n x n part at row offset block * n, with
+            one entry per nonzero (row, col)."""
+            keys, vals = [], []
             for block, k, c in terms:
                 rows, cols, v = st.units[k]
                 sel = live[rows] & live[cols]
-                flat.append((block * n + pos[rows[sel]]) * n + pos[cols[sel]])
+                keys.append((block * n + pos[rows[sel]]) * n + pos[cols[sel]])
                 vals.append(c * v[sel])
-            return np.bincount(np.concatenate(flat), np.concatenate(vals),
-                               minlength=nrows * n).reshape(nrows, n)
+            keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+            vals = np.bincount(inverse, np.concatenate(vals))
+            keys, vals = keys[vals != 0.0], vals[vals != 0.0]
+            return keys // n, keys % n, vals
 
-        # the rows w_RR, Re w_beta, Im w_beta close the stack, so one product
-        # gives every block's product and the three scalars rhs_flat needs
-        self._stacked = scatter(terms, nb * n + 3)
-        self._stacked[nb * n:] = st.w_rows[:, keep]
-        self._w_rr = self._stacked[-3]
+        def dense(rows, cols, vals, nrows):
+            out = np.zeros((nrows, n))
+            out[rows, cols] = vals
+            return out
+
+        # the stacked generator [L0; L1; L2; L3] as triplets, and the rows
+        # w_RR, Re w_beta, Im w_beta that give rhs_flat its three scalars
+        self._rows, self._cols, self._vals = triplets(terms)
+        self._blocks = self._rows // n
+        # flat position of each entry in the (n + 2) x (n + 2) Jacobian
+        self._jac_index = (self._rows % n) * (n + 2) + self._cols
+        self._w_rows = st.w_rows[:, keep]
+        self._w_rr = self._w_rows[0]
+        self._rr_cols = np.flatnonzero(self._w_rr)
         self._w_ss = st.w_ss[keep]
         self._y0 = np.concatenate((r0[keep], [a0.real, a0.imag]))
         if derivs:
+            # rhs_sensitivity takes one dense product of the stack, with the
+            # w rows last, on all 1 + p rows at once
+            self._stacked = dense(self._rows, self._cols, self._vals, nb * n + 3)
+            self._stacked[nb * n:] = self._w_rows
             self._dscalars = derivs
             # L1, L2 scale with g sqrt(n_b): their derivative rescales L1 r, L2 r
             self._dg = [ds.g_nb / sc.g_nb if ds.g_nb else 0.0 for ds in derivs]
             self._gain = sc.gain
             self._dgain = np.array([ds.gain for ds in derivs])
             self._dl0_rows = np.array(moved, dtype=int) + 1
-            self._dl0 = scatter(dl0_terms, len(moved) * n) if moved else None
+            self._dl0 = (dense(*triplets(dl0_terms), len(moved) * n)
+                         if moved else None)
 
     # --- state layout: y[:nrho] = coefficients of rho on the model's
     #     Hermitian basis elements (its npop populations first),
@@ -503,13 +523,20 @@ class BubbleModel:
             y[: self.nrho] = coeffs
         return y
 
+    def _products(self, r) -> np.ndarray:
+        """The block products L_b r, shape (blocks, n), from the triplets."""
+        n = self.nrho
+        return np.bincount(self._rows, self._vals * r[self._cols],
+                           minlength=self._nblocks * n).reshape(-1, n)
+
     def rhs_flat(self, t, y):
         n, nb = self.nrho, self._nblocks
-        prods = self._stacked @ y[:n]
+        r = y[:n]
+        prods = self._products(r)
         ar, ai = y[n:].tolist()
-        rr, beta_re, beta_im = prods[nb * n:].tolist()
+        rr, beta_re, beta_im = (self._w_rows @ r).tolist()
         out = np.empty(n + 2)
-        out[:n] = [1.0, ar, ai, self.xi_a * rr][:nb] @ prods[:nb * n].reshape(nb, n)
+        out[:n] = [1.0, ar, ai, self.xi_a * rr][:nb] @ prods
         out[n] = -self.gamma_c_a * ar - self.dc_a * ai + self.prefactor_a * beta_im
         out[n + 1] = (self.dc_a * ar - self.gamma_c_a * ai
                       - self.prefactor_a * beta_re - self.alpha_a)
@@ -565,16 +592,18 @@ class BubbleModel:
         the columns L1 r and L2 r for (Re, Im)<a>, the cavity rows
         +-prefactor w_beta and the 2 x 2 cavity map.
         """
-        n, nb = self.nrho, self._nblocks
+        n, nb, size = self.nrho, self._nblocks, self.size
         r, ar, ai = y[:n], y[n], y[n + 1]
-        blocks = self._stacked[:nb * n].reshape(nb, n, n)
-        w_rr, w_beta_re, w_beta_im = self._stacked[nb * n:]
-        prods = (self._stacked[:nb * n] @ r).reshape(nb, n)
-        jac = np.empty((n + 2, n + 2))
-        jac[:n, :n] = blocks[0] + ar * blocks[1] + ai * blocks[2]
-        if self.xi_a != 0.0:
-            jac[:n, :n] += (self.xi_a * (w_rr @ r)) * blocks[3]
-            jac[:n, :n] += np.outer(self.xi_a * prods[3], w_rr)
+        w_rr, w_beta_re, w_beta_im = self._w_rows
+        coef = np.array([1.0, ar, ai, self.xi_a * (w_rr @ r)][:nb])
+        # astype: bincount counts in ints when there is no entry at all
+        jac = np.bincount(self._jac_index, coef[self._blocks] * self._vals,
+                          minlength=size * size).reshape(size, size).astype(
+                              float, copy=False)
+        prods = self._products(r)
+        if self.xi_a != 0.0:   # w_RR is nonzero on the R populations only
+            jac[:n, self._rr_cols] += np.outer(self.xi_a * prods[3],
+                                               w_rr[self._rr_cols])
         jac[:n, n] = prods[1]
         jac[:n, n + 1] = prods[2]
         jac[n, :n] = self.prefactor_a * w_beta_im

@@ -25,11 +25,13 @@ own steps then stay below half the pair's bound, as when a slowly damped
 oscillation must be resolved, it hands the rest of the run back.
 
 An NDF step is a prediction from the backward differences, then
-simplified Newton iterations with W = I - h/alpha_k J.  numpy has no LU
-factorisation, so W is inverted with ``np.linalg.inv`` and the inverse
-kept across Newton iterations and steps: it is renewed only when the step
-size or the order changes, and J only when a Newton iteration fails to
-converge.  Samples are interpolated from the
+simplified Newton iterations with W = I - c J, c = h/alpha_k.  numpy has
+no LU factorisation, so W is inverted with ``np.linalg.inv`` and the
+inverse kept across Newton iterations and steps: as in CVODE (Hindmarsh
+et al., ACM TOMS 31, 2005) it is renewed only when c has moved more than
+30% from the c_W it was built with, or J is renewed, which happens only
+when a Newton iteration fails to converge; in between, each correction is
+scaled by 2 / (1 + c/c_W).  Samples are interpolated from the
 backward-difference polynomial of the step that passed them; the
 interpolant is affine in the stored values, so a linear functional that
 f conserves (such as a trace) holds at every sample.  For a state
@@ -97,9 +99,15 @@ _NDF_ALPHA = (1.0 - _KAPPA) * _GAMMA
 _NDF_ERROR = _KAPPA * _GAMMA + 1.0 / np.arange(1, _MAX_ORDER + 2)
 _NEWTON_MAXITER = 4
 _NDF_MAX_FACTOR = 10.0
+# W^-1 is kept while c = h / alpha_k stays within this fraction of the c it
+# was built with (CVODE's dgmax)
+_W_KEEP = 0.3
 # a growth of h below this is not taken while the order stays (CVODE's
-# threshold): each change of h costs an inversion of W, and on the nmax-6
-# bubble transient this takes a third fewer for 5% more evaluations of f
+# threshold).  W^-1 is kept within 30% of its c, so only a growth of
+# 1.3-1.5 would cost an inversion; but every change of h also restarts
+# the count of equal steps before the next order change.  Measured on the
+# 35 us bubble transients: without it nmax 2/4/6 take 20/23/25 inversions
+# instead of 18/16/20, for 2-4% fewer evaluations of f
 _NDF_KEEP_GROWTH = 1.5
 
 
@@ -116,8 +124,11 @@ class IntegrationStats(NamedTuple):
 
 def _norm(scaled, parts):
     """Largest of the parts' RMS norms of an already scaled vector."""
-    squares = np.abs(scaled) ** 2
-    return math.sqrt(squares.reshape(parts, -1).mean(axis=1).max())
+    size = scaled.size // parts
+    if parts == 1:
+        return math.sqrt(np.vdot(scaled, scaled).real / size)
+    return math.sqrt(max(np.vdot(part, part).real
+                         for part in scaled.reshape(parts, size)) / size)
 
 
 def _error_norm(err, y_old, y_new, rtol, atol, parts):
@@ -297,22 +308,26 @@ def _spectral_radius(jac_matrix, iterations=40):
     return math.exp(log_growth / iterations)
 
 
+def _interpolant_weights(order, x):
+    """w(x)[i, j] = prod_{m=1..i} (m - 1 - x j) / m: the weight of the i-th
+    backward difference in the interpolant at j steps of x h back."""
+    j = np.arange(order + 1)
+    w = np.ones((order + 1, order + 1))
+    for i in range(1, order + 1):
+        w[i] = w[i - 1] * (i - 1 - x * j) / i
+    return w
+
+
+# w(1) of every order, which takes interpolant values back to differences
+_UNIT_WEIGHTS = [_interpolant_weights(k, 1.0) for k in range(_MAX_ORDER + 1)]
+
+
 def _rescaled(diffs, order, factor):
     """Backward differences of the same interpolant on a step ``factor``
-    times as long.
-
-    w(x)[i, j] = prod_{m=1..i} (m - 1 - x j) / m weighs the i-th difference
-    in the interpolant at j steps of x h back; the new differences are
-    (w(factor) w(1))^T diffs, w(1) taking values back to differences.
-    """
-    j = np.arange(order + 1)
-
-    def weights(x):
-        w = np.ones((order + 1, order + 1))
-        for i in range(1, order + 1):
-            w[i] = w[i - 1] * (i - 1 - x * j) / i
-        return w
-    return (weights(factor) @ weights(1.0)).T @ diffs[:order + 1]
+    times as long: (w(factor) w(1))^T diffs, with w of
+    :func:`_interpolant_weights`."""
+    return ((_interpolant_weights(order, factor) @ _UNIT_WEIGHTS[order]).T
+            @ diffs[:order + 1])
 
 
 def _ndf(f, jac, t, y, t_samples, isample, out, rtol, atol, sample_callback,
@@ -338,14 +353,14 @@ def _ndf(f, jac, t, y, t_samples, isample, out, rtol, atol, sample_callback,
     J = jac(t, y[:nstate])
     accepted = rejected = 0
     jacobian_evals, inversions = 1, 0
-    w_inv = None
+    w_inv, c_w = None, 0.0
     window_start, window_steps = t, 0
 
     def change_step(factor):
-        nonlocal h, w_inv, equal_steps
+        nonlocal h, equal_steps
         diffs[:order + 1] = _rescaled(diffs, order, factor)
         h *= factor
-        w_inv, equal_steps = None, 0
+        equal_steps = 0
 
     while isample < n:
         if h < 1e-14 * max(1.0, abs(t)):
@@ -363,11 +378,12 @@ def _ndf(f, jac, t, y, t_samples, isample, out, rtol, atol, sample_callback,
 
         fresh_jac = False
         while True:
-            if w_inv is None:
-                w_inv = np.linalg.inv(eye - c * J)
+            if w_inv is None or abs(c / c_w - 1.0) > _W_KEEP:
+                w_inv, c_w = np.linalg.inv(eye - c * J), c
                 inversions += 1
             converged, iters, y_new, d = _correct(
-                f, t_new, y_pred, psi, c, w_inv, scale, parts, newton_tol)
+                f, t_new, y_pred, psi, c, w_inv, 2.0 / (1.0 + c / c_w), scale,
+                parts, newton_tol)
             nfev += iters
             if converged or fresh_jac:
                 break
@@ -435,9 +451,14 @@ def _ndf(f, jac, t, y, t_samples, isample, out, rtol, atol, sample_callback,
     return stats, t, y, isample
 
 
-def _correct(f, t_new, y_pred, psi, c, w_inv, scale, parts, tol):
+def _correct(f, t_new, y_pred, psi, c, w_inv, gain, scale, parts, tol):
     """Simplified Newton iterations for y_new = y_pred + d with
     d - c f(t_new, y_new) + psi = 0 and the fixed inverse of W.
+
+    ``w_inv`` may be the inverse of I - c_W J for an earlier c_W; each
+    correction is then scaled by ``gain`` = 2 / (1 + c / c_W), as in CVODE,
+    which makes up for most of the stale c.  A stale W slows convergence
+    but does not move the fixed point.
 
     Returns (converged, iterations, y_new, d).  The iteration stops when
     the estimated remaining error, rate / (1 - rate) times the last
@@ -449,7 +470,7 @@ def _correct(f, t_new, y_pred, psi, c, w_inv, scale, parts, tol):
     last = None
     for k in range(_NEWTON_MAXITER):
         rhs = c * f(t_new, y) - psi - d
-        dy = (rhs.reshape(parts, -1) @ w_inv.T).reshape(-1)
+        dy = gain * (rhs.reshape(parts, -1) @ w_inv.T).reshape(-1)
         norm = _norm(dy / scale, parts)
         if not math.isfinite(norm):
             raise IntegrationError(f"non-finite step to t={t_new:g}")

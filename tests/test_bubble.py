@@ -129,20 +129,34 @@ class TestStructureCache:
         assert ops.beta.flags.writeable
 
     def test_models_share_no_mutable_state(self):
-        first = BubbleModel(transient_params(xi=2.0), nmax=2)
-        second = BubbleModel(transient_params(xi=1.0, alpha=1.5), nmax=2)
-        assert first.size == second.size
-        before = second._stacked.copy()
-        own = [(m._stacked, m._basis, m._w_ss, m._y0) for m in (first, second)]
-        for arr in own[0] + own[1]:
-            assert arr.flags.writeable
-            assert not any(np.shares_memory(arr, c) for c in cached_arrays(2))
-        for arr in own[0]:
-            assert not any(np.shares_memory(arr, other) for other in own[1])
-            arr[...] = 0.0
-        assert np.array_equal(second._stacked, before)
-        again = BubbleModel(transient_params(xi=1.0, alpha=1.5), nmax=2)
-        assert np.array_equal(again._stacked, before)
+        def own(model):
+            return [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+
+        for sensitivity in ((), ("rydberg.xi", "drive.omega_cf")):
+            def build(**kw):
+                return BubbleModel(transient_params(**kw), nmax=2,
+                                   sensitivity=sensitivity)
+
+            first, second = build(xi=2.0), build(xi=1.0, alpha=1.5)
+            assert first.size == second.size
+            # the generator triplets, the w rows, the basis columns, the
+            # initial state, and with a sensitivity the dense stack and dL0
+            kept = {"_rows", "_cols", "_vals", "_w_rows", "_basis", "_y0"}
+            if sensitivity:
+                kept |= {"_stacked", "_dl0"}
+            assert kept <= {k for k, v in vars(first).items()
+                            if isinstance(v, np.ndarray)}
+            before = [arr.copy() for arr in own(second)]
+            for arr in own(first) + own(second):
+                assert arr.flags.writeable
+                assert not any(np.shares_memory(arr, c) for c in cached_arrays(2))
+            for arr in own(first):
+                assert not any(np.shares_memory(arr, o) for o in own(second))
+                arr[...] = 0
+            for arrays in (own(second), own(build(xi=1.0, alpha=1.5))):
+                assert len(arrays) == len(before)
+                for arr, want in zip(arrays, before):
+                    assert np.array_equal(arr, want)
 
     def test_algebra_is_built_only_for_a_new_cache_entry(self, monkeypatch):
         import functools
@@ -251,6 +265,57 @@ class TestJacobian:
         # Tr rho is conserved: the trace functional is a left null vector
         np.testing.assert_allclose(jac[: model.npop].sum(axis=0), 0.0,
                                    atol=1e-12 * scale)
+
+
+def dense_reference(model, params, y):
+    """(f, J) at y from the cache's unit blocks, scattered dense, restricted
+    to the model's coordinates and combined as the model's docstring says."""
+    st = _structure(model.nmax)
+    sc = _scalars(params, None)
+    d, n = model.dim, model.nrho
+    # the model's basis columns among the full basis: a 0/1 selection
+    select = (dense_basis(d).conj().T @ model._basis).real
+    units = [select.T @ dense_unit(u, d) @ select for u in st.units]
+    w_rr, w_re, w_im = st.w_rows @ select
+    r, ar, ai = y[:n], y[n], y[n + 1]
+    l0 = sum(c * u for c, u in zip(sc[:6], units))
+    l1, l2, l3 = sc.g_nb * units[6], sc.g_nb * units[7], units[8]
+    gen = l0 + ar * l1 + ai * l2 + sc.xi * (w_rr @ r) * l3
+    f = np.concatenate((gen @ r, [
+        -sc.gamma_c * ar - sc.delta_c * ai + sc.prefactor * (w_im @ r),
+        sc.delta_c * ar - sc.gamma_c * ai - sc.prefactor * (w_re @ r) - sc.alpha]))
+    jac = np.zeros((n + 2, n + 2))
+    jac[:n, :n] = gen + sc.xi * np.outer(l3 @ r, w_rr)
+    jac[:n, n], jac[:n, n + 1] = l1 @ r, l2 @ r
+    jac[n, :n], jac[n + 1, :n] = sc.prefactor * w_im, -sc.prefactor * w_re
+    jac[n:, n:] = [[-sc.gamma_c, -sc.delta_c], [sc.delta_c, -sc.gamma_c]]
+    return f, jac
+
+
+@pytest.mark.parametrize("nmax", range(1, 7))
+@pytest.mark.parametrize("xi", [0.0, 2.0])
+@pytest.mark.parametrize("start", ["empty", "a0", "rho0", "undriven"])
+def test_sparse_generator_matches_the_dense_blocks(nmax, xi, start):
+    # rhs_flat and jacobian take their products from the model's triplets;
+    # a dense sum of the cached unit blocks on the same coordinates agrees.
+    # Undriven, |G, 0> is stationary and the model has no entry at all
+    p = transient_params(xi=xi, alpha=0.0 if start == "undriven" else 3.0)
+    rng = np.random.default_rng(nmax)
+    kw = {"a0": dict(a0=0.3 - 0.2j),
+          "rho0": dict(rho0=random_density_matrix(3 * (nmax + 1), rng))
+          }.get(start, {})
+    model = BubbleModel(p, nmax=nmax, **kw)
+    if start == "rho0":
+        assert model.size == model.dim**2 + 2
+    if start == "undriven":
+        assert model._vals.size == 0
+    y = rng.standard_normal(model.size)
+    f, jac = dense_reference(model, p, y)
+    got_f, got_jac = model.rhs_flat(0.0, y), model.jacobian(y)
+    assert got_f.dtype == got_jac.dtype == np.float64
+    np.testing.assert_allclose(got_f, f, rtol=0, atol=1e-13 * np.abs(f).max())
+    np.testing.assert_allclose(got_jac, jac, rtol=0,
+                               atol=1e-13 * np.abs(jac).max())
 
 
 def dense_basis(d):

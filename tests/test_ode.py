@@ -300,3 +300,36 @@ def test_sensitivity_part_never_loosens_the_state_control():
     assert stats.accepted >= plain_stats.accepted
     assert np.abs(z[:, :2] - exact).max() <= np.abs(plain - exact).max()
     assert np.abs(z[:, 2:] - s_exact).max() < 5 * kw["rtol"]
+
+
+def test_small_step_changes_keep_the_inverse_of_w(monkeypatch):
+    # a nonlinear stiff problem on the NDF alone, whose step may grow by at
+    # most 1.25 per change: W^-1 is renewed only once c = h / alpha_k has
+    # moved more than 30% from the c it was built with, so there are fewer
+    # inversions than changes of h, and the corrections scaled for the
+    # stale c still give the tight explicit reference
+    def f(t, y):
+        return np.array([-1e3 * (y[0] - y[1] ** 2), -y[1] + 0.1 * y[0]])
+
+    def jac(t, y):
+        return np.array([[-1e3, 2e3 * y[1]], [0.1, -1.0]])
+
+    y0 = np.array([0.0, 1.0])
+    ts = np.linspace(0.0, 6.0, 13)
+    ref, _ = integrate(f, 0.0, y0, ts, rtol=1e-12, atol=1e-14)
+    monkeypatch.setattr(ode, "_STIFF_H_LAMBDA", -1.0)
+    monkeypatch.setattr(ode, "_STIFF_STEPS", 1)
+    monkeypatch.setattr(ode, "_NDF_MAX_FACTOR", 1.25)
+    monkeypatch.setattr(ode, "_NDF_KEEP_GROWTH", 1.0)
+    factors = []
+    rescaled = ode._rescaled
+
+    def spy(diffs, order, factor):
+        factors.append(factor)
+        return rescaled(diffs, order, factor)
+
+    monkeypatch.setattr(ode, "_rescaled", spy)
+    out, stats = integrate(f, 0.0, y0, ts, rtol=1e-6, atol=1e-9, jac=jac)
+    assert max(factors) <= 1.25 and len(factors) > 20
+    assert 1 <= stats.inversions < len(factors)
+    assert np.abs(out - ref).max() < 1e-6
