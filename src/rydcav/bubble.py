@@ -38,9 +38,9 @@ for every model at one nmax: the operators, the Hermitian basis, the
 trace rows and the generator's nine unit blocks in that basis (L0 per
 unit of each rate and detuning, the cavity-coupling blocks per unit of
 g sqrt(n_b), the dark-state block).  :func:`_structure` builds them once
-per nmax, keeps the blocks as sparse (rows, cols, values) triplets and
-marks every array read-only; a model build then only weights and
-scatters the entries it keeps, with no superoperator algebra.
+per nmax from the operators' nonzeros, keeps the blocks as sparse (rows,
+cols, values) triplets and marks every array read-only; a model build
+then only weights and scatters the entries it keeps.
 
 On request the forward sensitivities s_k = dy/dtheta_k of that state
 vector with respect to named parameters theta_k are integrated next to it
@@ -97,22 +97,20 @@ def _check_nmax(nmax) -> int:
 
 def build_operators(nmax: int) -> BubbleOperators:
     """Operator matrices of dimension 3 (nmax + 1), basis |m> x |s>."""
-    nb = _check_nmax(nmax) + 1
-    lower = np.zeros((nb, nb))
-    for m in range(1, nb):
-        lower[m - 1, m] = math.sqrt(m)
-    eye3 = np.eye(3)
-    eyeb = np.eye(nb)
+    dim = 3 * (_check_nmax(nmax) + 1)
+    k = np.arange(dim)                         # k = 3 m + s
 
     def internal(i, j):
-        m = np.zeros((3, 3))
-        m[i, j] = 1.0
-        return np.kron(eyeb, m)
+        m = np.zeros((dim, dim))
+        m[k[i::3], k[j::3]] = 1.0
+        return m
 
+    beta = np.zeros((dim, dim))
+    beta[k[:-3], k[3:]] = np.sqrt(k[3:] // 3)  # |m-1, s> <m, s| sqrt(m)
     return BubbleOperators(
         nmax=nmax,
-        dim=3 * nb,
-        beta=np.kron(lower, eye3),
+        dim=dim,
+        beta=beta,
         sigma_GR=internal(_G, _R),
         sigma_RG=internal(_R, _G),
         sigma_RR=internal(_R, _R),
@@ -144,17 +142,6 @@ class BubbleState:
     @property
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min())
-
-
-# --- superoperators over row-major vec(rho) --------------------------------
-
-def _sop_commutator(h, eye):
-    return np.kron(h, eye) - np.kron(eye, h.T)
-
-
-def _sop_dissipator(L, eye):
-    LdL = L.conj().T @ L
-    return 2.0 * np.kron(L, L.conj()) - np.kron(LdL, eye) - np.kron(eye, LdL.T)
 
 
 class _Basis(NamedTuple):
@@ -267,51 +254,76 @@ def _scalar_derivative(params: PhysicalParams, n_b: float | None,
     return _Scalars(*((at(up) - at(down)) / (up - down)))
 
 
-def _unit_blocks(ops: BubbleOperators):
-    """The generator's nine unit blocks as dense superoperators, one at a
-    time: L0 at a unit value of each of delta_r, delta_e, omega, gamma_e,
-    gamma_r and gamma_s in turn, L1 and L2 (multiplying Re<a> and Im<a>) at
-    g sqrt(n_b) = 1, and the dark-state block L3."""
-    eye = np.eye(ops.dim)
+def _merged(keys, vals, n: int):
+    """(rows, cols, values) of the nonzero sums of ``vals`` at each key =
+    row * n + col, sorted by key; each sum adds its values in array order."""
+    keys, inverse = np.unique(keys, return_inverse=True)
+    sums = np.bincount(inverse, vals.real, keys.size)
+    if np.iscomplexobj(vals):
+        sums = sums + 1j * np.bincount(inverse, vals.imag, keys.size)
+    keep = sums != 0.0
+    return keys[keep] // n, keys[keep] % n, sums[keep]
+
+
+def _unit_blocks(ops: BubbleOperators, basis: _Basis):
+    """The generator's nine unit blocks in the Hermitian basis as their
+    nonzero entries (rows, cols, values): L0 at a unit value of each of
+    delta_r, delta_e, omega, gamma_e, gamma_r and gamma_s, L1 and L2 (of
+    Re<a> and Im<a>) at g sqrt(n_b) = 1, and the dark-state block L3.
+
+    A term w A rho B of a block is w (A x B^T) on row-major vec(rho), with
+    w A[i, k] B[l, j] at (i d + j, k d + l), so S, the sum of the terms,
+    comes from the nonzeros of A and B, and basis^H S basis from the two
+    basis entries of each vec index.  Every sum adds its terms in the
+    order of the dense products: the entries are the dense projection's
+    bit for bit, and no d^2 x d^2 array is made.
+    """
+    d = ops.dim
+    n = d * d
+    eye = np.eye(d)
     b, bd = ops.beta, ops.beta.conj().T
-    yield -1j * _sop_commutator(-ops.sigma_RR, eye)
-    yield -1j * _sop_commutator(-(bd @ b), eye)
-    yield -1j * _sop_commutator(0.5 * (ops.sigma_RG @ b + bd @ ops.sigma_GR), eye)
-    yield _sop_dissipator(b, eye)
-    yield _sop_dissipator(ops.sigma_GR, eye)
-    yield _sop_dissipator(ops.sigma_GS, eye)
-    yield -1j * _sop_commutator(b + bd, eye)
-    yield -1j * _sop_commutator(1j * (bd - b), eye)
-    yield _sop_dissipator(ops.sigma_SR, eye)
+
+    def commutator(h):                      # -i [h, rho]
+        return [(-1j, h, eye), (1j, eye, h)]
+
+    def dissipator(L):                      # 2 L rho L+ - L+L rho - rho L+L
+        ldl = L.conj().T @ L
+        return [(2.0, L, L.conj().T), (-1.0, ldl, eye), (-1.0, eye, ldl)]
+
+    # vec index x is in basis columns at[x] with coefficients coef[x]; a
+    # diagonal's second entry is its own column with coefficient 0
+    order = np.argsort(np.concatenate((basis.p, basis.q)), kind="stable")
+    at = np.tile(np.arange(n), 2)[order].reshape(n, 2)
+    coef = np.concatenate((basis.a, basis.b))[order].reshape(n, 2)
+
+    def in_basis(terms):
+        keys, vals = [], []
+        for w, A, B in terms:
+            i, k = np.nonzero(A)
+            l, j = np.nonzero(B)
+            keys.append(((i * d)[:, None] + j) * n + (k * d)[:, None] + l)
+            vals.append((w * A[i, k])[:, None] * B[l, j])
+        x, y, s = _merged(np.concatenate(keys, axis=None),
+                          np.concatenate(vals, axis=None), n)   # S, by row
+        r, y, s = _merged((at[x] * n + y[:, None]).ravel(),     # basis^H S
+                          (coef[x].conj() * s[:, None]).ravel(), n)
+        r, c, m = _merged((r[:, None] * n + at[y]).ravel(),     # ... basis
+                          (s[:, None] * coef[y]).ravel(), n)
+        if np.abs(m.imag).max() > 1e-9 * max(np.abs(m.real).max(), 1.0):
+            raise AssertionError("generator block is not Hermiticity-preserving")
+        keep = m.real != 0.0
+        return r[keep], c[keep], m.real[keep]
+
+    return tuple(in_basis(terms) for terms in (
+        commutator(-ops.sigma_RR), commutator(-(bd @ b)),
+        commutator(0.5 * (ops.sigma_RG @ b + bd @ ops.sigma_GR)),
+        dissipator(b), dissipator(ops.sigma_GR), dissipator(ops.sigma_GS),
+        commutator(b + bd), commutator(1j * (bd - b)),
+        dissipator(ops.sigma_SR)))
 
 
 #: indices of L1, L2 and L3 among the unit blocks; L0's six come first
 _L1, _L2, _L3 = 6, 7, 8
-
-
-def _project(basis: _Basis, blk: np.ndarray):
-    """A superoperator as a real matrix in the Hermitian basis, as its
-    nonzero entries (rows, cols, values).
-
-    basis^H @ blk @ basis by gathering the two entries of each basis
-    column.  Rows go in chunks, so no complex d^2 x d^2 temporary (3.1 MB
-    at nmax 6) is made.  Exact for generators that preserve Hermiticity;
-    asserted.
-    """
-    p, q, a, b = basis
-    cols = np.arange(p.size)
-    m = np.empty(blk.shape)
-    imag = 0.0
-    for rows in np.array_split(cols, max(1, cols.size // 64)):
-        left = (a[rows, None].conj() * blk[p[rows]]        # basis^H @ blk
-                + b[rows, None].conj() * blk[q[rows]])
-        chunk = left[:, p] * a + left[:, q] * b
-        m[rows] = chunk.real
-        imag = max(imag, float(np.abs(chunk.imag).max()))
-    if imag > 1e-9 * max(np.max(np.abs(m)), 1.0):
-        raise AssertionError("generator block is not Hermiticity-preserving")
-    rows, cols = np.nonzero(m)
-    return rows, cols, m[rows, cols]
 
 
 class _Structure(NamedTuple):
@@ -320,7 +332,8 @@ class _Structure(NamedTuple):
     ``w_rows`` holds the rows w_RR, Re w_beta and Im w_beta with
     Tr(X rho) = w_X . r for the basis coefficients r of rho, ``w_ss`` the
     row of sigma_SS, and ``units`` the nine unit blocks of
-    :func:`_unit_blocks` in the Hermitian basis as (rows, cols, values).
+    :func:`_unit_blocks` in the Hermitian basis as their nonzero entries
+    (rows, cols, values), sorted by row and then column.
     """
 
     ops: BubbleOperators
@@ -334,9 +347,9 @@ class _Structure(NamedTuple):
 def _structure(nmax: int) -> _Structure:
     """The operator algebra of every bubble model at ``nmax``, built once.
 
-    Each unit block is made dense, projected and reduced to its nonzero
-    entries before the next is made, so the dense superoperators never
-    pile up; at nmax 6 the cache takes 0.2 MB.  Every array is read-only.
+    Every unit block is built from the operators' nonzeros as sparse
+    triplets (:func:`_unit_blocks`), so the build never holds a d^2 x d^2
+    array; at nmax 6 the cache takes 0.2 MB.  Every array is read-only.
     """
     ops = build_operators(nmax)
     basis = _hermitian_basis(ops.dim)
@@ -351,7 +364,7 @@ def _structure(nmax: int) -> _Structure:
         ops=ops, basis=basis,
         w_rows=np.vstack((row(ops.sigma_RR).real, w_beta.real, w_beta.imag)),
         w_ss=row(ops.sigma_SS).real,
-        units=tuple(_project(basis, blk) for blk in _unit_blocks(ops)))
+        units=_unit_blocks(ops, basis))
     operators = [v for v in vars(ops).values() if isinstance(v, np.ndarray)]
     triplets = [arr for unit in st.units for arr in unit]
     for arr in operators + [*basis, st.w_rows, st.w_ss] + triplets:
@@ -409,7 +422,6 @@ class BubbleModel:
         st = _structure(_check_nmax(nmax))
         self.params = params
         self.nmax = nmax
-        self.ops = st.ops
         d = self.dim = st.ops.dim
         sc = _scalars(params, n_b)
         self.n_b = sc.n_b
@@ -469,10 +481,7 @@ class BubbleModel:
                 sel = live[rows] & live[cols]
                 keys.append((block * n + pos[rows[sel]]) * n + pos[cols[sel]])
                 vals.append(c * v[sel])
-            keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-            vals = np.bincount(inverse, np.concatenate(vals))
-            keys, vals = keys[vals != 0.0], vals[vals != 0.0]
-            return keys // n, keys % n, vals
+            return _merged(np.concatenate(keys), np.concatenate(vals), n)
 
         def dense(rows, cols, vals, nrows):
             out = np.zeros((nrows, n))
@@ -508,20 +517,9 @@ class BubbleModel:
     #     Hermitian basis elements (its npop populations first),
     #     y[nrho] = Re<a>, y[nrho+1] = Im<a> --------------------------------
 
-    def initial_flat(self, rho0: np.ndarray | None = None) -> np.ndarray:
-        """The model's initial state vector, or with ``rho0`` that density
-        matrix and the initial <a>.  Raises ValueError if rho0 has weight
-        outside the model's coordinates."""
-        y = self._y0.copy()
-        if rho0 is not None:
-            rho0 = np.asarray(rho0, complex).reshape(-1)
-            coeffs = (self._basis.conj().T @ rho0).real
-            outside = np.linalg.norm(rho0 - self._basis @ coeffs)
-            if outside > 1e-12 * max(np.linalg.norm(rho0), 1.0):
-                raise ValueError(f"rho0 has weight {outside:.3g} outside the "
-                                 "coordinates the model was built on")
-            y[: self.nrho] = coeffs
-        return y
+    def initial_flat(self) -> np.ndarray:
+        """The model's initial state vector (``rho0`` and ``a0``)."""
+        return self._y0.copy()
 
     def _products(self, r) -> np.ndarray:
         """The block products L_b r, shape (blocks, n), from the triplets."""

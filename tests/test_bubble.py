@@ -13,10 +13,7 @@ from rydcav.bubble import (
     _basis_columns,
     _hermitian_basis,
     _scalars,
-    _sop_commutator,
-    _sop_dissipator,
     _structure,
-    _unit_blocks,
     build_operators,
     evolve,
     steady_transmission_bubble,
@@ -166,7 +163,7 @@ class TestStructureCache:
         # a fresh cache, so the first build below makes its entry
         monkeypatch.setattr(bubble, "_structure",
                             functools.cache(bubble._structure.__wrapped__))
-        calls = dict.fromkeys(("kron", "_hermitian_basis", "_project"), 0)
+        calls = dict.fromkeys(("kron", "_hermitian_basis", "_unit_blocks"), 0)
 
         def count(owner, name):
             original = getattr(owner, name)
@@ -179,10 +176,10 @@ class TestStructureCache:
 
         count(np, "kron")
         count(bubble, "_hermitian_basis")
-        count(bubble, "_project")
+        count(bubble, "_unit_blocks")
         BubbleModel(transient_params(), nmax=2)
-        assert calls["kron"] > 0
-        assert (calls["_hermitian_basis"], calls["_project"]) == (1, 9)
+        # the blocks come from the operators' nonzeros: no Kronecker product
+        assert calls == {"kron": 0, "_hermitian_basis": 1, "_unit_blocks": 1}
         built = dict(calls)
         BubbleModel(transient_params(xi=0.0, alpha=1.0), nmax=2,
                     sensitivity=("rydberg.xi", "drive.omega_cf"),
@@ -191,6 +188,20 @@ class TestStructureCache:
         evolve(weak_drive_params(), t_end=1.0, dt=1.0, nmax=2)
         steady_transmission_bubble(weak_drive_params(), nmax=2)
         assert calls == built
+
+    def test_cold_build_holds_no_superoperator(self):
+        # one complex d^2 x d^2 array at nmax 6 (d = 21) is 16 d^4 bytes,
+        # 3.1 MB; the sparse build peaks well below it
+        import tracemalloc
+
+        d = build_operators(6).dim
+        tracemalloc.start()
+        try:
+            _structure.__wrapped__(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * d**4
 
 
 def rhs(params, rho, a, nmax):
@@ -329,10 +340,41 @@ def dense_unit(unit, d):
     return out
 
 
-@pytest.mark.parametrize("nmax", [2, 3])
+def commutator(h):
+    """[h, rho] as a dense superoperator on row-major vec(rho)."""
+    eye = np.eye(len(h))
+    return np.kron(h, eye) - np.kron(eye, h.T)
+
+
+def dissipator(op):
+    """2 op rho op+ - op+op rho - rho op+op as a dense superoperator on
+    row-major vec(rho)."""
+    eye = np.eye(len(op))
+    n = op.conj().T @ op
+    return 2.0 * np.kron(op, op.conj()) - np.kron(n, eye) - np.kron(eye, n.T)
+
+
+def dense_unit_blocks(ops):
+    """The cache's nine unit blocks as dense superoperators, one at a time:
+    L0 per unit of delta_r, delta_e, omega, gamma_e, gamma_r, gamma_s, the
+    cavity-coupling blocks L1, L2 at g sqrt(n_b) = 1, the dark-state L3."""
+    b, bd = ops.beta, ops.beta.conj().T
+    yield -1j * commutator(-ops.sigma_RR)
+    yield -1j * commutator(-(bd @ b))
+    yield -1j * commutator(0.5 * (ops.sigma_RG @ b + bd @ ops.sigma_GR))
+    yield dissipator(b)
+    yield dissipator(ops.sigma_GR)
+    yield dissipator(ops.sigma_GS)
+    yield -1j * commutator(b + bd)
+    yield -1j * commutator(1j * (bd - b))
+    yield dissipator(ops.sigma_SR)
+
+
+@pytest.mark.parametrize("nmax", range(1, 7))
 def test_projection_gathers_the_dense_products(nmax):
-    # each basis column has at most two entries, so gathering them gives
-    # basis^H @ blk @ basis bit for bit, and the cache keeps every nonzero
+    # each basis column has at most two entries, so the sparse build adds
+    # the terms of basis^H @ blk @ basis in the dense order, bit for bit,
+    # and the cache keeps every nonzero
     ops = build_operators(nmax)
     d = ops.dim
     basis = dense_basis(d)
@@ -342,20 +384,22 @@ def test_projection_gathers_the_dense_products(nmax):
     # the populations lead: the first d elements are the diagonal projectors
     assert np.array_equal(mats[:d], np.eye(d)[:, :, None] * np.eye(d)[:, None, :])
     units = _structure(nmax).units
-    for unit, blk in zip(units, _unit_blocks(ops), strict=True):
+    for unit, blk in zip(units, dense_unit_blocks(ops), strict=True):
         want = basis.conj().T @ blk @ basis
+        assert np.abs(want.imag).max() < 1e-15     # Hermiticity-preserving
         assert np.array_equal(dense_unit(unit, d), want.real)
         assert unit[2].size > 0 and np.all(unit[2] != 0.0)
+        # one entry per nonzero, sorted by row and then column
+        assert np.all(np.diff(unit[0] * d * d + unit[1]) > 0)
     # L0 is its six units weighted by the rates and detunings
     sc = _scalars(transient_params(), None)
-    eye = np.eye(d)
     bd = ops.beta.conj().T
     h0 = (-sc.delta_r * ops.sigma_RR - sc.delta_e * (bd @ ops.beta)
           + 0.5 * sc.omega * (ops.sigma_RG @ ops.beta + bd @ ops.sigma_GR))
-    l0 = (-1j * _sop_commutator(h0, eye)
-          + sc.gamma_e * _sop_dissipator(ops.beta, eye)
-          + sc.gamma_r * _sop_dissipator(ops.sigma_GR, eye)
-          + sc.gamma_s * _sop_dissipator(ops.sigma_GS, eye))
+    l0 = (-1j * commutator(h0)
+          + sc.gamma_e * dissipator(ops.beta)
+          + sc.gamma_r * dissipator(ops.sigma_GR)
+          + sc.gamma_s * dissipator(ops.sigma_GS))
     want = (basis.conj().T @ l0 @ basis).real
     got = sum(c * dense_unit(u, d) for c, u in zip(sc[:6], units))
     np.testing.assert_allclose(got, want, rtol=0,
@@ -368,15 +412,6 @@ def full_space_reference(params, nmax, times, a0=0.0):
     ops = build_operators(nmax)
     d = ops.dim
     sc = _scalars(params, None)
-    eye = np.eye(d)
-
-    def commutator(h):
-        return np.kron(h, eye) - np.kron(eye, h.T)
-
-    def dissipator(op):
-        n = op.conj().T @ op
-        return 2.0 * np.kron(op, op.conj()) - np.kron(n, eye) - np.kron(eye, n.T)
-
     b, bd = ops.beta, ops.beta.T
     h0 = (-sc.delta_r * ops.sigma_RR - sc.delta_e * bd @ b
           + 0.5 * sc.omega * (ops.sigma_RG @ b + bd @ ops.sigma_GR))
@@ -449,15 +484,12 @@ class TestReduction:
     def test_reachable_coordinate_count(self, nmax, xi, size):
         assert BubbleModel(transient_params(xi=xi), nmax=nmax).size == size
 
-    def test_state_outside_the_model_rejected(self):
-        model = BubbleModel(transient_params(xi=0.0), nmax=2)
-        rho = np.zeros((model.dim, model.dim))
+    def test_initial_state_round_trips(self):
+        rho = np.zeros((9, 9))
         rho[0, 0], rho[1, 1] = 0.5, 0.5          # |0, G> and |0, R>
-        np.testing.assert_allclose(model.rho_matrix(model.initial_flat(rho0=rho)),
+        model = BubbleModel(transient_params(xi=0.0), nmax=2, rho0=rho)
+        np.testing.assert_allclose(model.rho_matrix(model.initial_flat()),
                                    rho, atol=1e-15)
-        rho[1, 1], rho[2, 2] = 0.0, 0.5          # |0, S>: never reached at xi = 0
-        with pytest.raises(ValueError, match="outside"):
-            model.initial_flat(rho0=rho)
 
 
 class TestEvolve:
@@ -836,7 +868,8 @@ class TestSteady:
         def to_negative_population(model, y, res, shift):
             rho = np.zeros((model.dim, model.dim))
             rho[0, 0], rho[1, 1] = 1.5, -0.5
-            return model.initial_flat(rho0=rho) - y
+            return BubbleModel(model.params, nmax=model.nmax,
+                               rho0=rho).initial_flat() - y
 
         monkeypatch.setattr(bubble, "_ptc_step", to_negative_population)
         caplog.set_level(logging.DEBUG, logger="rydcav")
