@@ -171,15 +171,6 @@ def _hermitian_basis(d: int) -> _Basis:
         b=np.concatenate((np.zeros(d), np.tile([s, -1j * s], i.size))))
 
 
-def _basis_columns(basis: _Basis, cols: np.ndarray) -> np.ndarray:
-    """The basis columns ``cols`` as a dense d^2 x len(cols) array."""
-    out = np.zeros((basis.p.size, cols.size), dtype=complex)
-    k = np.arange(cols.size)
-    out[basis.p[cols], k] = basis.a[cols]
-    out[basis.q[cols], k] += basis.b[cols]
-    return out
-
-
 class _Scalars(NamedTuple):
     """Every number the bubble right-hand side depends on, in rad/us.
 
@@ -467,7 +458,10 @@ class BubbleModel:
         n = self.nrho = keep.size                  # rho coordinates
         self.npop = int(np.count_nonzero(live[:d]))  # populations lead
         self.size = n + 2                          # state-vector length
-        self._basis = _basis_columns(basis, keep)
+        # the kept basis columns' entries: coordinate k adds a[k] y[k] at
+        # p[k] of vec(rho) and b[k] y[k] at q[k]
+        self._rho_index = np.concatenate((basis.p[keep], basis.q[keep]))
+        self._rho_coef = np.concatenate((basis.a[keep], basis.b[keep]))
         pos = np.zeros(d * d, dtype=int)
         pos[keep] = np.arange(n)
 
@@ -635,7 +629,12 @@ class BubbleModel:
         return float(y[: self.npop].sum())  # the populations lead
 
     def rho_matrix(self, y) -> np.ndarray:
-        return (self._basis @ y[: self.nrho]).reshape(self.dim, self.dim)
+        r = self._rho_coef * np.tile(y[: self.nrho], 2)
+        d2 = self.dim * self.dim
+        rho = np.empty(d2, dtype=complex)
+        rho.real = np.bincount(self._rho_index, r.real, minlength=d2)
+        rho.imag = np.bincount(self._rho_index, r.imag, minlength=d2)
+        return rho.reshape(self.dim, self.dim)
 
     def state_from_flat(self, y, t: float) -> BubbleState:
         return BubbleState(rho=self.rho_matrix(y), a=self.cavity_amplitude(y),

@@ -29,21 +29,24 @@ The derivative of a curve with respect to the parameters reuses the solve:
 the picked root x* of P(x) = |B|^2 x^3 + 2 Re(A B*) x^2 + |A|^2 x - K^2
 moves by dx* = -dP/dtheta / dP/dx, and T follows by the chain rule at the
 shifted detuning D_r - kappa x*.  At kappa = 0 and x = 0 the same chain is
-the linear spectrum's derivative.
+the linear spectrum's derivative.  The chain's constants are differentiated
+in closed form on the grid already built: all but kappa and V_b are linear
+maps or products of single parameters, and those two follow by the chain
+rule through the dressed two-photon shift.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import interactions
 from .errors import SingularParameterError, SolverError
 from .linear import eit_factors
-from .params import PhysicalParams, ScanSpec, get_path, params_to_dict, set_path
+from .params import PhysicalParams, ScanSpec, params_to_dict
 
 _DRX_FLOOR = 1e-300
 
@@ -51,8 +54,6 @@ _DRX_FLOOR = 1e-300
 _RESIDUAL_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
-#: relative central-difference step of the chain's constants
-_STEP = _EPS ** (1 / 3)
 #: dP/dx at a root within this many ulps of the sum of its terms is 0
 _FOLD_ULPS = 8.0
 
@@ -99,13 +100,15 @@ class _Grid:
     g_root_n: float
 
 
-def _grid(params: PhysicalParams, delta_p=None, alpha=None) -> _Grid:
+def _grid(params: PhysicalParams, delta_p=None, alpha=None,
+          interacting: bool = True) -> _Grid:
     """The chain's constants at probe detunings ``delta_p`` and amplitudes ``alpha``.
 
     Each is a scalar or a 1-d array (the two broadcast against each other)
     and defaults to the value in ``params``.  A non-finite value raises
     ValueError.  Where the blockade chain is singular kappa is NaN, which
-    fails the point.
+    fails the point.  ``interacting=False`` leaves the blockade out
+    (kappa = V_b = 0): the linear chain.
     """
     dp = params.drive.delta_p if delta_p is None else delta_p
     alpha = params.drive.alpha if alpha is None else alpha
@@ -114,45 +117,95 @@ def _grid(params: PhysicalParams, delta_p=None, alpha=None) -> _Grid:
     if not np.isfinite(alpha).all():
         raise ValueError("feeding amplitude alpha must be finite")
     D_e, D_r, D_c = params.complex_detunings(dp)
-    try:
-        v_b, kap = interactions.blockade(params, dp)
-    except SingularParameterError:  # at the one detuning of the grid
-        v_b = kap = complex("nan")
+    v_b = kap = 0j
+    if interacting:
+        try:
+            v_b, kap = interactions.blockade(params, dp)
+        except SingularParameterError:  # at the one detuning of the grid
+            v_b = kap = complex("nan")
     cols = [np.asarray(v) for v in (D_e, D_r, D_c, kap, v_b, alpha)]
     n = max((v.size for v in cols if v.ndim), default=1)
     cols = [v[()] if v.ndim == 0 else v.reshape(-1, 1) for v in cols]
     gc = params.cavity.gamma_c
     coop = 2.0 * gc * params.ensemble.gamma_e * params.ensemble.cooperativity
-    # g sqrt(N) = sqrt(coop), bit for bit; a difference step below a zero
-    # cooperativity or gamma_e leaves the physical range, where it is NaN
+    # g sqrt(N) = sqrt(coop), bit for bit; NaN outside the physical range
     g_root_n = math.sqrt(coop) if coop >= 0.0 else math.nan
     return _Grid(n, *cols, params.drive.omega_cf, gc, coop, g_root_n)
 
 
-def _grid_derivative(params: PhysicalParams, paths, delta_p) -> _Grid:
-    """d(constant)/d(parameter) of every constant of the grid at ``delta_p``.
+#: the parameters the constants of a grid at given detunings depend on
+_CHAIN_INPUTS = ("ensemble.gamma_e", "rydberg.gamma_r", "cavity.gamma_c",
+                 "drive.delta_cf", "cavity.delta_bg", "ensemble.cooperativity",
+                 "drive.omega_cf", "drive.alpha", "rydberg.c6_override",
+                 "ensemble.cloud_volume")
+#: the other float parameters: no constant of such a grid depends on them
+_OUTSIDE_CHAIN = ("cavity.length", "cavity.finesse", "rydberg.gamma_s",
+                  "rydberg.xi", "drive.delta_p")
 
-    Each constant becomes an (n, p) array, or a (p,) row where the grid
-    holds it fixed, whose column k is its derivative per unit of the
-    parameter at ``paths[k]``.  The constants are closed-form maps of the
-    parameters with no noise, so a central difference of :func:`_grid` at
-    theta +- h, h = eps^(1/3) max(|theta|, 1e-2), is accurate to about
-    eps^(2/3).
+
+def _grid_derivative(params: PhysicalParams, paths, g: _Grid) -> _Grid:
+    """d(constant)/d(parameter) of every constant of the grid ``g`` of ``params``.
+
+    Each constant becomes an (n, p) array, or a (p,) row where it does not
+    vary over the grid, whose column k is its derivative per unit of the
+    parameter at ``paths[k]``, in closed form.  D_e, D_r, D_c, alpha,
+    Omega, gamma_c and coop_term = 2 gamma_c gamma_e C are linear maps or
+    products of single parameters, so their rows are unit or zero rows of
+    the chain's inputs (:data:`_CHAIN_INPUTS`); kappa and V_b follow by the
+    chain rule (:func:`_blockade_derivative`).  A path that is not a float
+    parameter raises ValueError naming it.
     """
-    names = [f.name for f in fields(_Grid)][1:]
-    columns = []
-    for path in paths:
-        theta = float(get_path(params, path))
-        h = _STEP * max(abs(theta), 1e-2)
-        up, down = theta + h, theta - h
-        g_up = _grid(set_path(params, path, up), delta_p)
-        g_down = _grid(set_path(params, path, down), delta_p)
-        columns.append([(getattr(g_up, k) - getattr(g_down, k)) / (up - down)
-                        for k in names])
-    # a constant the grid holds fixed stays a (p,) row
-    return _Grid(g_up.n, *(np.array(d) if all(np.ndim(c) == 0 for c in d)
-                           else np.hstack(np.broadcast_arrays(*d))
-                           for d in zip(*columns)))
+    unknown = [p for p in paths if p not in _CHAIN_INPUTS + _OUTSIDE_CHAIN]
+    if unknown:
+        raise ValueError(f"no derivative of the mean-field chain in "
+                         f"{', '.join(map(repr, unknown))}: not a float parameter")
+
+    def unit(name):
+        return np.array([float(path == name) for path in paths])
+
+    ens, gc = params.ensemble, params.cavity.gamma_c
+    d_gc, d_ge = unit("cavity.gamma_c"), unit("ensemble.gamma_e")
+    dD_e = 1j * d_ge
+    dD_r = unit("drive.delta_cf") + 1j * unit("rydberg.gamma_r")
+    dD_c = 1j * d_gc - unit("cavity.delta_bg")
+    d_omega = unit("drive.omega_cf")
+    d_coop = 2.0 * (ens.gamma_e * ens.cooperativity * d_gc
+                    + gc * ens.cooperativity * d_ge
+                    + gc * ens.gamma_e * unit("ensemble.cooperativity"))
+    dv_b, dkappa = _blockade_derivative(params, g, dD_e, dD_r, d_omega,
+                                        unit("rydberg.c6_override"),
+                                        unit("ensemble.cloud_volume"))
+    return _Grid(g.n, dD_e, dD_r, dD_c, dkappa, dv_b, unit("drive.alpha"),
+                 d_omega, d_gc, d_coop, 0.5 * d_coop / g.g_root_n)
+
+
+def _blockade_derivative(params: PhysicalParams, g: _Grid, dD_e, dD_r, d_omega,
+                         d_c6, d_volume):
+    """(dV_b, dkappa) of the grid ``g`` from the rows of D_e, D_r, Omega, C6, V.
+
+    With the dressed shift s = Omega^2 / (4 (D_e + D_r - Omega^2 / (4 D_e))),
+    V_b = P sqrt(1e3 C6 / (D_e - s)) and kappa = 2 V_b (s - D_r) / (V - V_b)
+    (:mod:`rydcav.interactions`), so dV_b = V_b (dC6 / C6 - d(D_e - s) /
+    (D_e - s)) / 2.  A grid without blockade (C6 = 0, or the linear chain)
+    keeps kappa = V_b = 0 under every parameter but C6, and gets zero rows;
+    at C6 = 0 kappa goes as sqrt(C6), and its derivative in C6 has no value.
+    """
+    if np.ndim(g.v_b) == 0 and g.v_b == 0:
+        return 0j * d_c6, 0j * d_c6
+    D_e, D_r, omega = g.D_e, g.D_r, g.omega
+    s = ds = 0.0
+    if omega != 0:
+        q = omega * omega / (4.0 * D_e)
+        inner = D_e + D_r - q
+        s = omega * omega / (4.0 * inner)
+        dq = (0.5 * omega * d_omega - q * dD_e) / D_e
+        ds = (0.5 * omega * d_omega - s * (dD_e + dD_r - dq)) / inner
+    c6 = interactions.c6_coefficient(params.rydberg)
+    dv_b = 0.5 * g.v_b * (d_c6 / c6 - (dD_e - ds) / (D_e - s))
+    rest = params.ensemble.cloud_volume - g.v_b
+    dkappa = (2.0 * (dv_b * (s - D_r) + g.v_b * (ds - dD_r))
+              - g.kappa * (d_volume - dv_b)) / rest
+    return dv_b, dkappa
 
 
 def _amplitudes(g: _Grid, x):
@@ -467,19 +520,21 @@ def transmission_jacobian(params: PhysicalParams, delta_ps, paths,
     differentiation of the steady-state cubic, so nothing is solved again.
     With ``x=None`` it is the linear spectrum's derivative, the same chain
     at kappa = 0 and x = 0 (the identity of acceptance criterion 3).  The
-    chain's constants are differenced centrally at an eps^(1/3) step, as
-    closed-form maps of the parameters.  A derivative that is not finite,
-    as at a fold of the steady state, raises SolverError naming the
-    detuning.
+    chain's constants are differentiated in closed form on the one grid at
+    the parameters (:func:`_grid_derivative`).  A path that is not a float
+    parameter raises ValueError; a derivative that is not finite, as at a
+    fold of the steady state, or in C6 at C6 = 0, raises SolverError.
     """
     delta_ps = np.asarray(delta_ps, dtype=float)
-    if x is None:
-        params = set_path(params, "rydberg.c6_override", 0.0)
-    else:
+    if x is not None:
         x = np.asarray(x, dtype=float).reshape(-1, 1)
+        if ("rydberg.c6_override" in paths
+                and interactions.c6_coefficient(params.rydberg) == 0):
+            raise SolverError("dT/drydberg.c6_override has no value at C6 = 0, "
+                              "where kappa goes as sqrt(C6)")
+    g = _grid(params, delta_ps, interacting=x is not None)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        jac = _chain_derivative(_grid(params, delta_ps),
-                                _grid_derivative(params, paths, delta_ps), x)
+        jac = _chain_derivative(g, _grid_derivative(params, paths, g), x)
     bad = ~np.isfinite(jac)
     if bad.any():
         i, k = np.argwhere(bad)[0]

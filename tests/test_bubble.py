@@ -10,7 +10,6 @@ import pytest
 from rydcav.bubble import (
     BubbleModel,
     TimeSeries,
-    _basis_columns,
     _hermitian_basis,
     _scalars,
     _structure,
@@ -136,9 +135,10 @@ class TestStructureCache:
 
             first, second = build(xi=2.0), build(xi=1.0, alpha=1.5)
             assert first.size == second.size
-            # the generator triplets, the w rows, the basis columns, the
-            # initial state, and with a sensitivity the dense stack and dL0
-            kept = {"_rows", "_cols", "_vals", "_w_rows", "_basis", "_y0"}
+            # the generator triplets, the w rows, the basis columns' entries,
+            # the initial state, and with a sensitivity the dense stack and dL0
+            kept = {"_rows", "_cols", "_vals", "_w_rows", "_rho_index", "_rho_coef",
+                    "_y0"}
             if sensitivity:
                 kept |= {"_stacked", "_dl0"}
             assert kept <= {k for k, v in vars(first).items()
@@ -285,7 +285,8 @@ def dense_reference(model, params, y):
     sc = _scalars(params, None)
     d, n = model.dim, model.nrho
     # the model's basis columns among the full basis: a 0/1 selection
-    select = (dense_basis(d).conj().T @ model._basis).real
+    select = (dense_basis(d).conj().T
+              @ dense_columns(model._rho_index, model._rho_coef, d)).real
     units = [select.T @ dense_unit(u, d) @ select for u in st.units]
     w_rr, w_re, w_im = st.w_rows @ select
     r, ar, ai = y[:n], y[n], y[n + 1]
@@ -329,8 +330,20 @@ def test_sparse_generator_matches_the_dense_blocks(nmax, xi, start):
                                atol=1e-13 * np.abs(jac).max())
 
 
+def dense_columns(index, coef, d):
+    """n basis columns as a dense d^2 x n array from their 2n entries: column
+    k holds coef[k] at row index[k] and coef[n + k] at row index[n + k]."""
+    n = index.size // 2
+    out = np.zeros((d * d, n), dtype=complex)
+    k = np.arange(n)
+    out[index[:n], k] = coef[:n]
+    out[index[n:], k] += coef[n:]
+    return out
+
+
 def dense_basis(d):
-    return _basis_columns(_hermitian_basis(d), np.arange(d * d))
+    b = _hermitian_basis(d)
+    return dense_columns(np.concatenate((b.p, b.q)), np.concatenate((b.a, b.b)), d)
 
 
 def dense_unit(unit, d):
@@ -483,6 +496,28 @@ class TestReduction:
                                                 (6, 2.0, 247), (6, 0.0, 198)])
     def test_reachable_coordinate_count(self, nmax, xi, size):
         assert BubbleModel(transient_params(xi=xi), nmax=nmax).size == size
+
+    @pytest.mark.parametrize("nmax", range(1, 7))
+    def test_rho_matrix_is_the_dense_basis_product(self, nmax, rng):
+        d = build_operators(nmax).dim
+        for kw in ({}, dict(rho0=random_density_matrix(d, rng), a0=0.3 - 0.2j)):
+            model = BubbleModel(transient_params(), nmax=nmax, **kw)
+            n = model.nrho
+            cols = dense_columns(model._rho_index, model._rho_coef, d)
+            if kw:   # a full-rank state reaches every coordinate
+                assert n == d * d
+                np.testing.assert_array_equal(cols, dense_basis(d))
+            y = rng.standard_normal(model.size)
+            want = (cols @ y[:n]).reshape(d, d)
+            got = model.rho_matrix(y)
+            np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
+            np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
+
+    def test_model_arrays_are_small_at_nmax_6(self):
+        model = BubbleModel(transient_params(), nmax=6)
+        total = sum(v.nbytes for v in vars(model).values()
+                    if isinstance(v, np.ndarray))
+        assert total < 0.25e6
 
     def test_initial_state_round_trips(self):
         rho = np.zeros((9, 9))

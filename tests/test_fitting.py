@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -435,6 +436,48 @@ class TestClosedFormJacobians:
         monkeypatch.setattr(meanfield, "_solve", no_solve)
         jac = prob.exact_jacobian(theta)
         assert jac.shape == (401, 2) and np.isfinite(jac).all()
+
+    @pytest.mark.parametrize("model", ["meanfield", "linear_eit"])
+    def test_jacobian_builds_one_grid_and_sets_no_parameter(self, model,
+                                                            monkeypatch):
+        from rydcav import meanfield, params
+
+        grid = np.linspace(-30.0, 30.0, 201)
+        p = make_params(alpha=float(np.sqrt(80.0)))
+        prob = FitProblem(x=grid, y=meanfield.transmission_curve(p, grid),
+                          model=model, base_params=p, free=EIT_FREE)
+        theta = prob.initial
+        prob.model_curve(theta)
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(meanfield, "_grid", counting("_grid", meanfield._grid))
+        for module in (params, meanfield, fitting):
+            for name in ("set_path", "set_paths"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counting(name, getattr(module, name)))
+        jac = prob.exact_jacobian(theta)
+        assert jac.shape == (grid.size, len(EIT_FREE)) and np.isfinite(jac).all()
+        assert calls == ["_grid"]
+
+    @pytest.mark.parametrize("path", ["ensemble.atom_number", "rydberg.n",
+                                      "drive.omega"])
+    def test_jacobian_in_a_path_that_is_no_float_parameter_raises(self, path):
+        from rydcav import meanfield
+
+        grid = np.linspace(-30.0, 30.0, 21)
+        p = make_params(alpha=2.0)
+        _, x = meanfield.transmission_curve(p, grid, return_x=True)
+        for kept in (x, None):
+            with pytest.raises(ValueError, match=re.escape(repr(path))):
+                meanfield.transmission_jacobian(p, grid, ("drive.alpha", path),
+                                                x=kept)
 
     def test_fit_from_the_zero_cooperativity_bound(self):
         # the difference step below C = 0 leaves the physical range, where

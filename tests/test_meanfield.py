@@ -486,6 +486,43 @@ class TestTransmissionJacobian:
                               "ensemble.cloud_volume")
         assert not meanfield.transmission_jacobian(p, grid, linear_zero).any()
 
+    @pytest.mark.parametrize("model", ["meanfield", "linear"])
+    def test_offset_columns_at_zero(self, model):
+        # a difference step of an offset at 0 rounds against |delta_p| up to
+        # 30 MHz; the closed form takes no step
+        p, grid, _ = _GRIDS["plain"]
+        paths = ("drive.delta_cf", "cavity.delta_bg")
+        assert p.drive.delta_cf == p.cavity.delta_bg == 0.0
+        if model == "meanfield":
+            _, x = transmission_curve(p, grid, return_x=True)
+
+            def curve(q):
+                return transmission_curve(q, grid)
+        else:
+            x = None
+
+            def curve(q):
+                return transmission_linear(q, grid)
+        jac = meanfield.transmission_jacobian(p, grid, paths, x=x)
+        for k, path in enumerate(paths):
+            ref = _richardson(curve, p, path, 1e-3)
+            np.testing.assert_allclose(jac[:, k], ref, rtol=0,
+                                       atol=2e-10 * np.abs(ref).max(),
+                                       err_msg=path)
+
+    def test_c6_column_at_c6_zero(self):
+        # kappa goes as sqrt(C6): at C6 = 0 its derivative in C6 has no value
+        p = make_params(alpha=2.0, c6_override=0.0)
+        grid = np.linspace(-20.0, 20.0, 81)
+        paths = ("drive.omega_cf", "rydberg.c6_override")
+        _, x = transmission_curve(p, grid, return_x=True)
+        with pytest.raises(SolverError, match=r"rydberg\.c6_override.*C6 = 0") as err:
+            meanfield.transmission_jacobian(p, grid, paths, x=x)
+        assert "fold" not in str(err.value)
+        # the linear spectrum does not depend on C6
+        jac = meanfield.transmission_jacobian(p, grid, paths)
+        assert jac[:, 0].any() and not jac[:, 1].any()
+
     def test_linear_columns_are_the_mean_field_at_kappa_zero(self):
         p = make_params(alpha=2.0, c6_override=0.0)
         grid = np.linspace(-20.0, 20.0, 81)
