@@ -174,7 +174,7 @@ class FitProblem:
         if self.model == "linear_eit":
             curve = np.asarray(linear.transmission_linear(p, self.x))
         elif self.model == "meanfield":
-            curve, kept = meanfield.transmission_curve(p, self.x, return_x=True)
+            curve, *kept = meanfield._curve(p, self.x)   # kept: x and the grid
         else:
             opts = self.model_options
             series = bubble.evolve(
@@ -198,7 +198,8 @@ class FitProblem:
         theta, so a residual and its Jacobian cost one model run; runs the
         model otherwise.  The bubble transient's Jacobian is the one its
         run integrated; the closed-form models' is computed here, from the
-        parameters and, for the mean field, the solved populations
+        parameters and, for the mean field, the solved populations on the
+        grid of constants the solve built
         (:func:`rydcav.meanfield.transmission_jacobian`).
         """
         if self._last_run is None or not np.array_equal(self._last_run[0], theta):
@@ -206,7 +207,10 @@ class FitProblem:
         _, params, kept, _ = self._last_run
         if self.model == "bubble_transient":
             return kept
-        return meanfield.transmission_jacobian(params, self.x, self.free, x=kept)
+        if self.model == "meanfield":
+            x, grid = kept
+            return meanfield._jacobian(params, grid, self.x, self.free, x)
+        return meanfield.transmission_jacobian(params, self.x, self.free)
 
 
 @dataclass

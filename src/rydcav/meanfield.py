@@ -350,22 +350,42 @@ def _follow_branch(roots, residual, singular, x_seed: float,
     """Index of the root each point of the grid takes, in grid order.
 
     Continuation in x: each point takes the root nearest the last solved
-    x, starting from ``x_seed``.  A failed point raises, or, with
-    ``flag_failures``, gets index -1 and keeps the seed.
+    x, starting from ``x_seed``.  A failed point raises, the first in grid
+    order, or, with ``flag_failures``, gets index -1 and keeps the seed.
+    Where the cubic has one real root there is nothing to choose, so those
+    points are checked as arrays; only the three-root points go through
+    :func:`_pick` one by one, each seeded from the root of the last solved
+    point before it.
     """
-    seed = x_seed
-    picks = []
-    for r, res, sing in zip(roots.tolist(), residual.tolist(), singular.tolist()):
+    n = roots.shape[0]
+    three = roots[:, 1] == roots[:, 1]   # the padding is NaN
+    # _pick's test on root 0; fmax, like max(1.0, x), passes over a NaN x
+    bad = ~three & (singular[:, 0] | ~(
+        residual[:, 0] <= _RESIDUAL_TOL * np.fmax(1.0, roots[:, 0])))
+    picks = np.where(bad, -1, 0)
+    stop = n
+    if bad.any() and not flag_failures:
+        stop = int(np.argmax(bad))
+    # the last solved one-root point at or before each point, -1 if none
+    last_one = np.maximum.accumulate(np.where(three | bad, -1, np.arange(n)))
+    last_three, x_three = -1, x_seed
+    for i in np.flatnonzero(three[:stop]).tolist():
+        j_one = last_one[i]
+        seed = roots[j_one, 0] if j_one > last_three else x_three
         try:
-            j = _pick(r, res, sing, seed)
+            j = _pick(roots[i].tolist(), residual[i].tolist(),
+                      singular[i].tolist(), seed)
         except (SolverError, SingularParameterError):
             if not flag_failures:
                 raise
-            picks.append(-1)
+            picks[i] = -1
             continue
-        picks.append(j)
-        seed = r[j]
-    return np.array(picks, dtype=int)
+        picks[i] = j
+        last_three, x_three = i, roots[i, j]
+    if stop < n:   # the first failed point is a one-root point
+        _pick(roots[stop].tolist(), residual[stop].tolist(),
+              singular[stop].tolist(), 0.0)
+    return picks
 
 
 @dataclass
@@ -466,8 +486,16 @@ def transmission_curve(params: PhysicalParams, delta_ps, return_x: bool = False)
     :func:`transmission_jacobian` differentiates.  A failed point raises; a
     non-finite detuning raises ValueError.
     """
-    s = _solve(_grid(params, np.asarray(delta_ps, dtype=float)))
-    return (s.transmission, s.x) if return_x else s.transmission
+    t, x, _ = _curve(params, delta_ps)
+    return (t, x) if return_x else t
+
+
+def _curve(params: PhysicalParams, delta_ps):
+    """(transmission, x, grid) of :func:`transmission_curve`: the grid is
+    the one :func:`_jacobian` takes the curve's derivative on."""
+    g = _grid(params, np.asarray(delta_ps, dtype=float))
+    s = _solve(g)
+    return s.transmission, s.x, g
 
 
 def _chain_derivative(g: _Grid, dg: _Grid, x) -> np.ndarray:
@@ -526,13 +554,19 @@ def transmission_jacobian(params: PhysicalParams, delta_ps, paths,
     fold of the steady state, or in C6 at C6 = 0, raises SolverError.
     """
     delta_ps = np.asarray(delta_ps, dtype=float)
+    return _jacobian(params, _grid(params, delta_ps, interacting=x is not None),
+                     delta_ps, paths, x)
+
+
+def _jacobian(params: PhysicalParams, g: _Grid, delta_ps, paths, x) -> np.ndarray:
+    """:func:`transmission_jacobian` on the grid ``g`` already built at
+    ``params`` and ``delta_ps`` (with the blockade where ``x`` is given)."""
     if x is not None:
         x = np.asarray(x, dtype=float).reshape(-1, 1)
         if ("rydberg.c6_override" in paths
                 and interactions.c6_coefficient(params.rydberg) == 0):
             raise SolverError("dT/drydberg.c6_override has no value at C6 = 0, "
                               "where kappa goes as sqrt(C6)")
-    g = _grid(params, delta_ps, interacting=x is not None)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         jac = _chain_derivative(g, _grid_derivative(params, paths, g), x)
     bad = ~np.isfinite(jac)

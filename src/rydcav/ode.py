@@ -24,6 +24,15 @@ over (LSODA switches from Adams to BDF in the same way).  Where the NDF's
 own steps then stay below half the pair's bound, as when a slowly damped
 oscillation must be resolved, it hands the rest of the run back.
 
+The NDF starts from what the pair computed, as LSODA keeps the method
+history when it switches (Petzold, SIAM J. Sci. Stat. Comput. 4, 1983):
+its backward differences are those, on the pair's last accepted step h,
+of the polynomial through the pair's last _MAX_ORDER + 1 accepted points,
+and it starts at the order whose error estimate from them allows the
+longest step.  h shrinks when that step is shorter and never grows, so
+the hand-over evaluates no f, probes for no initial step and does not
+climb from order 1.
+
 An NDF step is a prediction from the backward differences, then
 simplified Newton iterations with W = I - c J, c = h/alpha_k.  numpy has
 no LU factorisation, so W is inverted with ``np.linalg.inv`` and the
@@ -43,6 +52,7 @@ the state part.
 
 from __future__ import annotations
 
+import collections
 import math
 from typing import NamedTuple
 
@@ -136,9 +146,8 @@ def _error_norm(err, y_old, y_new, rtol, atol, parts):
     return _norm(err / scale, parts)
 
 
-def _initial_step(f, t0, y0, f0, rtol, atol, order):
-    # Hairer-style h0 guess from the size of y and dy/dt for a method of
-    # the given order
+def _initial_step(f, t0, y0, f0, rtol, atol):
+    # Hairer-style h0 guess for the pair from the size of y and dy/dt
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean(np.abs(y0 / scale) ** 2))
     d1 = np.sqrt(np.mean(np.abs(f0 / scale) ** 2))
@@ -149,7 +158,7 @@ def _initial_step(f, t0, y0, f0, rtol, atol, order):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / (order + 1))
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / (_DP5_ORDER + 1))
     return min(100 * h0, h1)
 
 
@@ -175,8 +184,9 @@ def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
     sample exactly and evaluates f at most once per distinct (t, y).
     ``jac(t, y_state)``, the Jacobian of the first part's f with respect
     to that part, lets the run hand over to the stiff NDF/BDF once the
-    pair's steps are held by stability; the NDF interpolates its samples
-    (see the module docstring).
+    pair's steps are held by stability; the NDF starts from the pair's
+    last accepted points and step, at no evaluation of f, and interpolates
+    its samples (see the module docstring).
     """
     rtol = require_positive("rtol", rtol)
     atol = require_positive("atol", atol, allow_zero=True)
@@ -197,17 +207,19 @@ def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
     radius = None
     if jac is not None:
         radius = _spectral_radius(jac(t0, y[:y.size // parts]))
-    stats, t, y, isample = _dopri5(f, float(t0), y, t_samples, isample, out,
-                                   rtol, atol, sample_callback, parts, radius)
+    stats, points, h, isample = _dopri5(f, float(t0), y, t_samples, isample,
+                                        out, rtol, atol, sample_callback,
+                                        parts, radius)
     stats = stats._replace(jacobian_evals=int(jac is not None))
     if isample < t_samples.size:      # stability holds the pair's step
-        stiff, t, y, isample = _ndf(f, jac, t, y, t_samples, isample, out,
+        stiff, t, y, isample = _ndf(f, jac, points, h, t_samples, isample, out,
                                     rtol, atol, sample_callback, parts, radius)
         stats = IntegrationStats(*(a + b for a, b in zip(stats, stiff)))
-    if isample < t_samples.size:      # the NDF's steps stayed short
-        rest, t, y, isample = _dopri5(f, t, y, t_samples, isample, out, rtol,
-                                      atol, sample_callback, parts, None)
-        stats = IntegrationStats(*(a + b for a, b in zip(stats, rest)))
+        if isample < t_samples.size:  # the NDF's steps stayed short
+            rest, _, _, isample = _dopri5(f, t, y, t_samples, isample, out,
+                                          rtol, atol, sample_callback, parts,
+                                          None)
+            stats = IntegrationStats(*(a + b for a, b in zip(stats, rest)))
     return out, stats
 
 
@@ -231,7 +243,9 @@ def _dopri5(f, t, y, t_samples, isample, out, rtol, atol, sample_callback,
             parts, radius):
     """Dormand-Prince steps to the last sample, or, given the spectral
     ``radius`` of the Jacobian, until stability holds the step; returns
-    (stats, t, y, index of the next sample).
+    (stats, points, h, index of the next sample): ``points`` holds the last
+    _MAX_ORDER + 1 accepted (t, y), the start included, the last of them
+    where the run stopped, and h is the last accepted step.
 
     The step is held when h radius passes _STIFF_H_LAMBDA, the pair's
     stability bound on the negative axis.  _STIFF_STEPS such accepted
@@ -243,9 +257,9 @@ def _dopri5(f, t, y, t_samples, isample, out, rtol, atol, sample_callback,
     k = np.empty((7, y.size), dtype=y.dtype)
     accepted = rejected = 0
     stiff_steps = calm_steps = 0
+    points = collections.deque([(t, y)], maxlen=_MAX_ORDER + 1)
     k[0] = f(t, y)
-    h = min(_initial_step(f, t, y, k[0], rtol, atol, _DP5_ORDER),
-            t_samples[-1] - t)
+    h = min(_initial_step(f, t, y, k[0], rtol, atol), t_samples[-1] - t)
     exponent = 1.0 / (_DP5_ORDER + 1)
 
     while isample < n:
@@ -267,12 +281,13 @@ def _dopri5(f, t, y, t_samples, isample, out, rtol, atol, sample_callback,
             accepted += 1
             t += h_try
             y = y_new
+            points.append((t, y))
             isample = _record_due(t, y, t_samples, isample, out,
                                   sample_callback)
             k[0] = k[6]  # row copy: a rejected next step must not overwrite it
             factor = _MAX_FACTOR if err == 0 else min(
                 _MAX_FACTOR, _SAFETY * err ** -exponent)
-            h = h_try * factor
+            h_taken, h = h_try, h_try * factor
             if radius is not None:
                 if h_try * radius > _STIFF_H_LAMBDA:
                     stiff_steps, calm_steps = stiff_steps + 1, 0
@@ -288,7 +303,7 @@ def _dopri5(f, t, y, t_samples, isample, out, rtol, atol, sample_callback,
 
     # the first stage and the initial-step probe, then six stages per step
     stats = IntegrationStats(2 + 6 * (accepted + rejected), accepted, rejected)
-    return stats, t, y, isample
+    return stats, points, h_taken, isample
 
 
 def _spectral_radius(jac_matrix, iterations=40):
@@ -330,26 +345,68 @@ def _rescaled(diffs, order, factor):
             @ diffs[:order + 1])
 
 
-def _ndf(f, jac, t, y, t_samples, isample, out, rtol, atol, sample_callback,
-         parts, radius):
-    """NDF steps to the last sample, or until _HANDBACK_STEPS accepted steps
-    average less than half the pair's stability bound _STIFF_H_LAMBDA /
-    radius; returns (stats, t, y, index of the next sample)."""
+def _differences(points, h):
+    """Backward differences 0..m-1 at the last of the m ``points`` (t, y),
+    on steps of h, of the polynomial through them: the Lagrange weights
+    at t - j h, then differences of the weights, then one product."""
+    t = points[-1][0]
+    m = len(points)
+    s = np.array([(ti - t) / h for ti, _ in points])
+    x = -np.arange(m)[:, None]
+    w = np.ones((m, m))      # w[j, i] = l_i(x_j)
+    for k in range(m):
+        other = np.arange(m) != k
+        w[:, other] *= (x - s[k]) / (s[other] - s[k])
+    for j in range(1, m):    # row j becomes the weights of the j-th difference
+        w[j:] = w[j - 1:-1] - w[j:]
+    return w @ np.array([y for _, y in points])
+
+
+def _warm_start(points, h, rtol, atol, parts):
+    """(diffs, order, h) for the NDF's first step from the pair's last
+    accepted ``points`` and step h.
+
+    diffs[0] = y, diffs[j] = the j-th backward difference on steps of h of
+    the polynomial through the points; the rows beyond hold the next
+    differences for the order choice.  The order is the q = 1.. whose
+    estimate |_NDF_ERROR[q] diffs[q + 1]| allows the longest step (order
+    1 from fewer than three points); h shrinks to _SAFETY times that step
+    if it is shorter, and never grows.
+    """
+    m = len(points)
+    y = points[-1][1]
+    diffs = np.zeros((_MAX_ORDER + 3, y.size), dtype=y.dtype)
+    diffs[:m] = _differences(points, h)
+    if m < 3:
+        return diffs, 1, h
+    orders = np.arange(1, m - 1)
+    with np.errstate(divide="ignore"):
+        factors = np.array([
+            _error_norm(_NDF_ERROR[q] * diffs[q + 1], y, y, rtol, atol, parts)
+            for q in orders]) ** (-1.0 / (orders + 1))
+    best = int(np.argmax(factors))
+    if factors[best] < 1.0:
+        h *= _SAFETY * factors[best]
+        diffs[:m] = _differences(points, h)
+    return diffs, int(orders[best]), h
+
+
+def _ndf(f, jac, points, h, t_samples, isample, out, rtol, atol,
+         sample_callback, parts, radius):
+    """NDF steps from the last of the pair's accepted ``points`` (t, y), on
+    at most its last step h (:func:`_warm_start`), to the last sample, or
+    until _HANDBACK_STEPS accepted steps average less than half the pair's
+    stability bound _STIFF_H_LAMBDA / radius; returns (stats, t, y, index
+    of the next sample)."""
+    t, y = points[-1]
     n, size = t_samples.size, y.size
     nstate = size // parts
     t_end = t_samples[-1]
     eye = np.eye(nstate, dtype=y.dtype)
     newton_tol = max(10 * np.finfo(float).eps / rtol, min(0.03, rtol ** 0.5))
 
-    f0 = f(t, y)
-    nfev = 2   # f0 and the initial-step probe
-    h = min(_initial_step(f, t, y, f0, rtol, atol, 1), t_end - t)
-    # diffs[0] = y, diffs[j] = the j-th backward difference; the two rows
-    # beyond the order hold the next differences for the order choice
-    diffs = np.zeros((_MAX_ORDER + 3, size), dtype=y.dtype)
-    diffs[0] = y
-    diffs[1] = h * f0
-    order, equal_steps = 1, 0
+    diffs, order, h = _warm_start(points, h, rtol, atol, parts)
+    equal_steps = nfev = 0
     J = jac(t, y[:nstate])
     accepted = rejected = 0
     jacobian_evals, inversions = 1, 0

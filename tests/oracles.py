@@ -97,3 +97,25 @@ def random_paper_scale_params(rng, series="S", **fixed):
     )
     kw.update(fixed)
     return make_params(**kw)
+
+
+def follow_branch_loop(roots, residual, singular, x_seed, flag_failures):
+    """The per-point continuation that ``meanfield._follow_branch`` replaced:
+    every point of the grid through ``meanfield._pick``, in grid order,
+    each seeded from the last solved root."""
+    from rydcav import meanfield
+    from rydcav.errors import SingularParameterError, SolverError
+
+    seed = x_seed
+    picks = []
+    for r, res, sing in zip(roots.tolist(), residual.tolist(), singular.tolist()):
+        try:
+            j = meanfield._pick(r, res, sing, seed)
+        except (SolverError, SingularParameterError):
+            if not flag_failures:
+                raise
+            picks.append(-1)
+            continue
+        picks.append(j)
+        seed = r[j]
+    return np.array(picks, dtype=int)

@@ -464,7 +464,20 @@ class TestClosedFormJacobians:
                                         counting(name, getattr(module, name)))
         jac = prob.exact_jacobian(theta)
         assert jac.shape == (grid.size, len(EIT_FREE)) and np.isfinite(jac).all()
-        assert calls == ["_grid"]
+        # the mean field differentiates on the grid its solve built
+        assert calls == ([] if model == "meanfield" else ["_grid"])
+
+    def test_jacobian_on_the_solve_grid_is_bit_identical(self):
+        from rydcav import meanfield
+
+        grid = np.linspace(0.0, 20.0, 401)
+        prob = bistable_problem(grid, np.zeros(401))
+        theta = prob.initial * 1.01
+        jac = prob.exact_jacobian(theta)
+        p = prob.params_at(theta)
+        _, x = meanfield.transmission_curve(p, grid, return_x=True)
+        np.testing.assert_array_equal(
+            jac, meanfield.transmission_jacobian(p, grid, prob.free, x=x))
 
     @pytest.mark.parametrize("path", ["ensemble.atom_number", "rydberg.n",
                                       "drive.omega"])

@@ -20,6 +20,7 @@ from rydcav.params import ScanSpec
 
 from conftest import make_params
 from oracles import (
+    follow_branch_loop,
     oracle_cubic,
     oracle_excitation,
     oracle_roots,
@@ -253,6 +254,78 @@ class TestGridKernel:
             seed = sol.x
 
 
+class TestFollowBranch:
+    """The continuation that checks one-root points as arrays against the
+    per-point loop it replaced (``oracles.follow_branch_loop``), on the
+    bistable S n=60 rate scans across both turning points."""
+
+    SCANS = [(97.0, 102.0), (98.165, 98.175), (101.285, 101.295)]
+
+    @staticmethod
+    def _inputs(monkeypatch, rates, x_seed):
+        # what _solve hands _follow_branch for an up or a down sweep
+        p = make_params(n=60, omega_cf=8.0, delta_cf=-10.0, delta_p=10.0)
+        seen = []
+        real = meanfield._follow_branch
+
+        def spy(*args):
+            seen.append(args)
+            return real(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(meanfield, "_follow_branch", spy)
+            alpha = photon_rate_to_alpha(rates, 10.0)
+            meanfield._solve(meanfield._grid(p, alpha=alpha), x_seed=x_seed)
+        ((roots, residual, singular, seed, _),) = seen
+        return roots, residual, singular, seed
+
+    @pytest.mark.parametrize("scan", SCANS)
+    @pytest.mark.parametrize("down", [False, True])
+    @pytest.mark.parametrize("flag_failures", [False, True])
+    def test_same_picks_as_the_loop(self, monkeypatch, scan, down, flag_failures):
+        rates = np.linspace(*scan, 101)
+        if down:
+            rates = rates[::-1]
+        roots, residual, singular, seed = self._inputs(monkeypatch, rates,
+                                                       1e6 if down else 0.0)
+        three = ~np.isnan(roots[:, 1])
+        assert three.any() and not three.all()
+        picks = meanfield._follow_branch(roots, residual, singular, seed,
+                                         flag_failures)
+        want = follow_branch_loop(roots, residual, singular, seed, flag_failures)
+        np.testing.assert_array_equal(picks, want)
+        assert picks.dtype == want.dtype
+        # the up sweep stays on the low branch, the down sweep on the high one
+        assert set(picks[three].tolist()) == ({2} if down else {0})
+
+    @pytest.mark.parametrize("first", ["three-root", "one-root"])
+    def test_first_failing_point_raises(self, monkeypatch, first):
+        # a three-root point whose root stalls and a singular one-root
+        # point: whichever comes first in grid order raises, as in the loop;
+        # flagged, both fail and the seed carries past them
+        roots, residual, singular, seed = self._inputs(
+            monkeypatch, np.linspace(97.0, 102.0, 101), 0.0)
+        residual, singular = residual.copy(), singular.copy()
+        three = np.flatnonzero(~np.isnan(roots[:, 1]))
+        one = np.flatnonzero(np.isnan(roots[:, 1]))
+        i3 = three[len(three) // 2]
+        i1 = one[one < i3][-3] if first == "one-root" else one[one > i3][2]
+        residual[i3] = np.inf
+        singular[i1, 0] = True
+        errors = []
+        for follow in (meanfield._follow_branch, follow_branch_loop):
+            with pytest.raises((SolverError, SingularParameterError)) as err:
+                follow(roots, residual, singular, seed, False)
+            errors.append((err.type, str(err.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] is (SolverError if first == "three-root"
+                                else SingularParameterError)
+        picks = meanfield._follow_branch(roots, residual, singular, seed, True)
+        np.testing.assert_array_equal(
+            picks, follow_branch_loop(roots, residual, singular, seed, True))
+        assert picks[i1] == picks[i3] == -1 and np.count_nonzero(picks < 0) == 2
+
+
 class TestTransmission:
     def test_alpha_to_zero_limit_equals_linear(self):
         for dp in (-8.0, 0.0, 3.0):
@@ -346,19 +419,19 @@ class TestScan:
             solve_self_consistent(p)
 
     def test_curve_raises_on_failed_point(self, paper_params, monkeypatch):
-        calls = {"n": 0}
-        real = meanfield._pick  # the kernel's per-point continuation step
+        # the first failed point in grid order raises: a root that does not
+        # solve x = F(x) at the second point, a NaN one at the fourth
+        real = meanfield._fixed_points
 
-        def flaky(*args):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise SolverError("injected failure")
-            return real(*args)
+        def broken(g, f0):
+            roots = np.array(real(g, f0))
+            roots[1] = [5.0, np.nan, np.nan]
+            roots[3] = np.nan
+            return roots
 
-        monkeypatch.setattr(meanfield, "_pick", flaky)
-        with pytest.raises(SolverError, match="injected"):
+        monkeypatch.setattr(meanfield, "_fixed_points", broken)
+        with pytest.raises(SolverError, match="at x=5$"):
             transmission_curve(paper_params, np.linspace(-5.0, 5.0, 5))
-        assert calls["n"] == 2
 
     def test_negative_rate_rejected_before_any_solve(self, paper_params,
                                                      monkeypatch):

@@ -246,7 +246,7 @@ def test_short_ndf_steps_hand_the_run_back(monkeypatch):
 
     def spy(*args):
         stats, t, y, isample = ndf(*args)
-        spans.append((args[2], t, stats.accepted))
+        spans.append((args[2][-1][0], t, stats.accepted))  # the pair's last t
         return stats, t, y, isample
 
     monkeypatch.setattr(ode, "_ndf", spy)
@@ -333,3 +333,78 @@ def test_small_step_changes_keep_the_inverse_of_w(monkeypatch):
     assert max(factors) <= 1.25 and len(factors) > 20
     assert 1 <= stats.inversions < len(factors)
     assert np.abs(out - ref).max() < 1e-6
+
+
+def _spy_handover(monkeypatch):
+    """Record the pair's points and step handed to the NDF, its warm start,
+    the evaluations of f made before the NDF's first Newton iteration, and
+    the time that iteration steps to."""
+    seen = {"calls": 0}
+    ndf, warm_start, correct = ode._ndf, ode._warm_start, ode._correct
+
+    def counted(f):
+        def wrapped(t, y):
+            seen["calls"] += 1
+            return f(t, y)
+        return wrapped
+
+    def ndf_spy(f, jac, points, h, *args):
+        seen.update(points=list(points), h=h, calls_at_handover=seen["calls"])
+        return ndf(f, jac, points, h, *args)
+
+    def warm_start_spy(*args):
+        seen["start"] = warm_start(*args)
+        return seen["start"]
+
+    def correct_spy(f, t_new, *args):
+        if "first_t" not in seen:
+            seen["first_t"] = t_new
+            seen["calls_at_first_newton"] = seen["calls"]
+        return correct(f, t_new, *args)
+
+    monkeypatch.setattr(ode, "_ndf", ndf_spy)
+    monkeypatch.setattr(ode, "_warm_start", warm_start_spy)
+    monkeypatch.setattr(ode, "_correct", correct_spy)
+    return seen, counted
+
+
+@pytest.mark.parametrize("rtol", [1e-6, 1e-8])
+def test_ndf_starts_warm_from_the_pairs_steps(monkeypatch, rtol):
+    # the NDF starts from the pair's last points on at most its last step,
+    # above order 1, and without evaluating f at the hand-over
+    y0 = np.array([1.0, 0.5])
+    ts = np.linspace(0.0, 4.0, 9)
+    seen, counted = _spy_handover(monkeypatch)
+    out, stats = integrate(counted(lambda t, y: STIFF_A @ y), 0.0, y0, ts,
+                           rtol=rtol, atol=1e-3 * rtol,
+                           jac=lambda t, y: STIFF_A)
+    points, h = seen["points"], seen["h"]
+    assert len(points) == ode._MAX_ORDER + 1
+    _, order, h_start = seen["start"]
+    assert order > 1 and h_start <= h
+    t = points[-1][0]
+    assert t < seen["first_t"] <= t + h
+    # from as few as four of the points the order rule already goes above 1
+    assert ode._warm_start(points[-4:], h, rtol, 1e-3 * rtol, 1)[1] > 1
+    assert seen["calls_at_first_newton"] == seen["calls_at_handover"]
+    assert stats.nfev == seen["calls"]
+    assert np.abs(out - stiff_exact(ts, y0)).max() < 5 * rtol
+
+
+def test_handover_after_the_first_step_runs_order_1_on_the_pairs_step(
+        monkeypatch):
+    # two points give no second difference to choose an order or a step by
+    y0 = np.array([1.0, 0.5])
+    ts = np.linspace(0.0, 4.0, 9)
+    for kw in both_paths(lambda t, y: STIFF_A):
+        if not kw:
+            continue
+        seen, counted = _spy_handover(monkeypatch)
+        out, stats = integrate(counted(lambda t, y: STIFF_A @ y), 0.0, y0, ts,
+                               rtol=1e-6, atol=1e-9, **kw)
+        assert len(seen["points"]) == 2
+        _, order, h_start = seen["start"]
+        assert order == 1 and h_start == seen["h"]
+        assert seen["first_t"] == seen["points"][-1][0] + seen["h"]
+        assert stats.nfev == seen["calls"]
+        assert np.abs(out - stiff_exact(ts, y0)).max() < 5e-6
