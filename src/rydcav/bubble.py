@@ -380,18 +380,24 @@ class BubbleModel:
     """Precompiled right-hand side for one parameter set and initial state.
 
     The Lindblad generator is the stack [L0; L1; L2; L3] of real blocks in
-    the Hermitian basis, kept as (rows, cols, values) triplets with one
-    entry per nonzero; an evaluation is one ``np.bincount`` of the block
-    products, combined with the cavity-coupling blocks scaled by Re<a>,
-    Im<a> and the nonlinear dark-state block by xi <sigma_RR>, plus the
-    three dense trace rows.  The triplets are gathered from the sparse
-    unit blocks that :func:`_structure` caches once per nmax: L0 is the
-    sum of its six units weighted by the rates and detunings, L1 and L2
-    are theirs times g sqrt(n_b), and L3 is its own.  ``sensitivity``
-    names the parameter paths whose forward sensitivities
-    :meth:`rhs_sensitivity` integrates, from a dense copy of the stack
-    that only such a model makes; the dark-state block is kept when
-    xi != 0 or when one of those parameters moves xi.
+    the Hermitian basis, followed by the three trace rows w_RR, Re w_beta
+    and Im w_beta, all kept as one set of (rows, cols, values) triplets
+    with one entry per nonzero and no dense copy.  An evaluation is one
+    ``np.bincount`` of the entries times the state: its head holds the
+    block products, which the cavity-coupling blocks scaled by Re<a>,
+    Im<a> and the nonlinear dark-state block by xi <sigma_RR> combine
+    into drho/dt, and its tail <sigma_RR> and <beta>.  The triplets are
+    gathered from the sparse unit blocks that :func:`_structure` caches
+    once per nmax: L0 is the sum of its six units weighted by the rates
+    and detunings, L1 and L2 are theirs times g sqrt(n_b), and L3 is its
+    own.  ``sensitivity`` names the parameter paths whose forward
+    sensitivities :meth:`rhs_sensitivity` integrates; such a model also
+    keeps the same triplets once per row of the stacked state, with
+    dL0's entries for the paths that move a rate or detuning.  The
+    dark-state block is kept when xi != 0 or when one of those
+    parameters moves xi.  The only dense rows kept are those of sigma_RR
+    and sigma_SS, for the Jacobian's rank-1 xi term and the sampled
+    populations.
 
     The model lives on the coordinates the run can reach from its initial
     state (``rho0``, default |G, m=0><G, m=0|, and ``a0``): those a chain
@@ -465,47 +471,69 @@ class BubbleModel:
         pos = np.zeros(d * d, dtype=int)
         pos[keep] = np.arange(n)
 
-        def triplets(terms):
-            """(rows, cols, values) of the sum of coefficient times unit
-            block, each term's kept n x n part at row offset block * n, with
-            one entry per nonzero (row, col)."""
-            keys, vals = [], []
+        def entries(terms):
+            """keys row * n + col and values of coefficient times unit block,
+            each term's kept n x n part at row offset block * n."""
             for block, k, c in terms:
                 rows, cols, v = st.units[k]
                 sel = live[rows] & live[cols]
-                keys.append((block * n + pos[rows[sel]]) * n + pos[cols[sel]])
-                vals.append(c * v[sel])
+                yield (block * n + pos[rows[sel]]) * n + pos[cols[sel]], c * v[sel]
+
+        def triplets(parts):
+            """(rows, cols, values) of the summed entries, one per nonzero."""
+            keys, vals = zip(*parts)
             return _merged(np.concatenate(keys), np.concatenate(vals), n)
 
-        def dense(rows, cols, vals, nrows):
-            out = np.zeros((nrows, n))
-            out[rows, cols] = vals
-            return out
-
-        # the stacked generator [L0; L1; L2; L3] as triplets, and the rows
-        # w_RR, Re w_beta, Im w_beta that give rhs_flat its three scalars
-        self._rows, self._cols, self._vals = triplets(terms)
-        self._blocks = self._rows // n
-        # flat position of each entry in the (n + 2) x (n + 2) Jacobian
-        self._jac_index = (self._rows % n) * (n + 2) + self._cols
-        self._w_rows = st.w_rows[:, keep]
-        self._w_rr = self._w_rows[0]
+        # the stacked generator [L0; L1; L2; L3] and after it the rows w_RR,
+        # Re w_beta, Im w_beta, as triplets
+        w_rows = st.w_rows[:, keep]
+        wr, wc = np.nonzero(w_rows)
+        self._rows, self._cols, self._vals = triplets(
+            [*entries(terms), ((nb * n + wr) * n + wc, w_rows[wr, wc])])
+        rows, cols = self._rows, self._cols
+        gen = rows < nb * n
+        # the Jacobian weighs block b by coef[b] and the trace rows by 0,
+        # -prefactor and +prefactor into its cavity rows n, n + 1 and n
+        self._blocks = np.where(gen, rows // n, rows - nb * n + nb)
+        self._jac_index = (np.where(gen, rows % n, n + (rows == nb * n + 1))
+                           * (n + 2) + cols)
+        self._w_rr = w_rows[0]
         self._rr_cols = np.flatnonzero(self._w_rr)
         self._w_ss = st.w_ss[keep]
         self._y0 = np.concatenate((r0[keep], [a0.real, a0.imag]))
         if derivs:
-            # rhs_sensitivity takes one dense product of the stack, with the
-            # w rows last, on all 1 + p rows at once
-            self._stacked = dense(self._rows, self._cols, self._vals, nb * n + 3)
-            self._stacked[nb * n:] = self._w_rows
+            # rhs_sensitivity gathers the triplets once per row j of z, their
+            # columns shifted into that row.  Its bincount, read as rows of
+            # length n + 2, holds row j's block b in row j * nb + b, then
+            # dL0 r of each moved path, then two unit rows that carry the
+            # cavity rows through the coefficient product; after them come
+            # each z row's three trace values and, at weight 1, its <a>
+            q, m, blocks = len(derivs) + 1, n + 2, self._blocks
+            units = q * nb + len(moved) + np.arange(2)
+            self._z_units = units * m + [n, n + 1]
+            tail = self._z_tail = (units[-1] + 1) * m
+            self._z_len = tail + 5 * q
+            copies = np.arange(q)[:, None]
+            z_rows = [np.where(gen, (nb * copies + blocks) * m + rows % n,
+                               tail + 5 * copies + blocks - nb),
+                      tail + 5 * copies + [3, 4]]
+            z_cols = [cols + m * copies, m * copies + [n, n + 1]]
+            z_vals = [np.tile(self._vals, q), np.ones(2 * q)]
+            if moved:
+                dr, dc, dv = triplets(entries(dl0_terms))
+                z_rows.append((q * nb + dr // n) * m + dr % n)
+                z_cols.append(dc)
+                z_vals.append(dv)
+            self._z_rows, self._z_cols, self._z_vals = (
+                np.concatenate(a, axis=None) for a in (z_rows, z_cols, z_vals))
             self._dscalars = derivs
             # L1, L2 scale with g sqrt(n_b): their derivative rescales L1 r, L2 r
             self._dg = [ds.g_nb / sc.g_nb if ds.g_nb else 0.0 for ds in derivs]
             self._gain = sc.gain
             self._dgain = np.array([ds.gain for ds in derivs])
-            self._dl0_rows = np.array(moved, dtype=int) + 1
-            self._dl0 = (dense(*triplets(dl0_terms), len(moved) * n)
-                         if moved else None)
+            # the state row takes no dL0 r, path k's row its own if it moved
+            self._dl0_coef = [[float(k == j) for j in moved]
+                              for k in range(-1, len(derivs))]
 
     # --- state layout: y[:nrho] = coefficients of rho on the model's
     #     Hermitian basis elements (its npop populations first),
@@ -515,20 +543,19 @@ class BubbleModel:
         """The model's initial state vector (``rho0`` and ``a0``)."""
         return self._y0.copy()
 
-    def _products(self, r) -> np.ndarray:
-        """The block products L_b r, shape (blocks, n), from the triplets."""
-        n = self.nrho
-        return np.bincount(self._rows, self._vals * r[self._cols],
-                           minlength=self._nblocks * n).reshape(-1, n)
+    def _products(self, y) -> np.ndarray:
+        """The block products L_b r, then w_RR . r, Re w_beta . r and
+        Im w_beta . r: one ``np.bincount`` of the triplets."""
+        return np.bincount(self._rows, self._vals * y[self._cols],
+                           minlength=self._nblocks * self.nrho + 3)
 
     def rhs_flat(self, t, y):
         n, nb = self.nrho, self._nblocks
-        r = y[:n]
-        prods = self._products(r)
+        prods = self._products(y)
         ar, ai = y[n:].tolist()
-        rr, beta_re, beta_im = (self._w_rows @ r).tolist()
+        rr, beta_re, beta_im = prods[nb * n:].tolist()
         out = np.empty(n + 2)
-        out[:n] = [1.0, ar, ai, self.xi_a * rr][:nb] @ prods
+        out[:n] = [1.0, ar, ai, self.xi_a * rr][:nb] @ prods[:nb * n].reshape(nb, n)
         out[n] = -self.gamma_c_a * ar - self.dc_a * ai + self.prefactor_a * beta_im
         out[n + 1] = (self.dc_a * ar - self.gamma_c_a * ai
                       - self.prefactor_a * beta_re - self.alpha_a)
@@ -544,62 +571,60 @@ class BubbleModel:
         df/dtheta_k the L1, L2 and L3 parts only rescale products of r the
         state row has anyway, dL0 r is one more product (only for a
         parameter that moves a rate or detuning), and the cavity part is a
-        map of the state's cavity values.  One product of the stacked
-        blocks with the rows [r, s_r...] serves every row.
+        map of the state's cavity values.  One ``np.bincount`` over the
+        triplets gathered once per row of z gives every block product, the
+        dL0 products, and each row's trace values and cavity amplitude.
+        Read as rows of length n + 2, its products end in two unit rows, so
+        one coefficient product assembles every row of the output, its
+        cavity values included.
         """
         n, nb, p = self.nrho, self._nblocks, len(self.sensitivity)
-        zz = z.reshape(1 + p, n + 2)                     # rows y, s_1 .. s_p
-        rs = zz[:, :n]
-        allprods = rs @ self._stacked.T
-        prods = allprods[:, :nb * n].reshape(-1, n)      # row nb*j + i: L_i on row j
-        (ar, ai), *s_cav = zz[:, n:].tolist()
-        (rr, beta_re, beta_im), *s_w = allprods[:, nb * n:].tolist()
+        prods = np.bincount(self._z_rows, self._z_vals * z[self._z_cols],
+                            minlength=self._z_len)
+        prods[self._z_units] = 1.0
+        (rr, beta_re, beta_im, ar, ai), *tails = prods[self._z_tail:].reshape(
+            1 + p, 5).tolist()
         xi, gc, dc, pf = self.xi_a, self.gamma_c_a, self.dc_a, self.prefactor_a
         own = [1.0, ar, ai, xi * rr][:nb]                # every row, on its own blocks
         pad = [0.0] * nb
-        coef = [own + pad * p]
-        cavity = [[-gc * ar - dc * ai + pf * beta_im,
-                   dc * ar - gc * ai - pf * beta_re - self.alpha_a]]
-        for k, ((s_ar, s_ai), (s_rr, s_bre, s_bim), dg, d) in enumerate(
-                zip(s_cav, s_w, self._dg, self._dscalars)):
-            # J's cross terms and df/dtheta_k, on the blocks of r
+        no_dl0, *dl0s = self._dl0_coef
+        coef = own + pad * p + no_dl0 + [-gc * ar - dc * ai + pf * beta_im,
+                                         dc * ar - gc * ai - pf * beta_re - self.alpha_a]
+        for k, ((s_rr, s_bre, s_bim, s_ar, s_ai), dg, d, dl0) in enumerate(
+                zip(tails, self._dg, self._dscalars, dl0s)):
+            # J's cross terms and df/dtheta_k on the blocks of r, dL0 r if the
+            # path moves a rate or detuning, and the cavity rows
             cross = [0.0, s_ar + dg * ar, s_ai + dg * ai, xi * s_rr + d.xi * rr][:nb]
-            coef.append(cross + pad * k + own + pad * (p - 1 - k))
-            cavity.append([
+            coef += cross + pad * k + own + pad * (p - 1 - k) + dl0 + [
                 -gc * s_ar - dc * s_ai + pf * s_bim
                 - d.gamma_c * ar - d.delta_c * ai + d.prefactor * beta_im,
                 dc * s_ar - gc * s_ai - pf * s_bre
-                + d.delta_c * ar - d.gamma_c * ai - d.prefactor * beta_re - d.alpha])
-        out = np.empty_like(zz)
-        out[:, :n] = np.array(coef) @ prods
-        if self._dl0 is not None:
-            out[self._dl0_rows, :n] += (self._dl0 @ rs[0]).reshape(-1, n)
-        out[:, n:] = cavity
-        return out.reshape(-1)
+                + d.delta_c * ar - d.gamma_c * ai - d.prefactor * beta_re - d.alpha]
+        return np.dot(np.array(coef).reshape(1 + p, -1),
+                      prods[:self._z_tail].reshape(-1, n + 2)).reshape(-1)
 
     def jacobian(self, y) -> np.ndarray:
         """Exact Jacobian df/dy of :meth:`rhs_flat` at y, ``size`` square.
 
         J_rr = L0 + Re<a> L1 + Im<a> L2 + xi (w_RR . r) L3 + xi (L3 r) w_RR^T,
         the columns L1 r and L2 r for (Re, Im)<a>, the cavity rows
-        +-prefactor w_beta and the 2 x 2 cavity map.
+        +-prefactor w_beta and the 2 x 2 cavity map.  One ``bincount`` of
+        the weighted triplets gives J_rr's blocks and the cavity rows.
         """
         n, nb, size = self.nrho, self._nblocks, self.size
-        r, ar, ai = y[:n], y[n], y[n + 1]
-        w_rr, w_beta_re, w_beta_im = self._w_rows
-        coef = np.array([1.0, ar, ai, self.xi_a * (w_rr @ r)][:nb])
+        prods = self._products(y)
+        pf = self.prefactor_a
+        coef = np.array([1.0, y[n], y[n + 1], self.xi_a * prods[nb * n]][:nb]
+                        + [0.0, -pf, pf])
         # astype: bincount counts in ints when there is no entry at all
         jac = np.bincount(self._jac_index, coef[self._blocks] * self._vals,
                           minlength=size * size).reshape(size, size).astype(
                               float, copy=False)
-        prods = self._products(r)
         if self.xi_a != 0.0:   # w_RR is nonzero on the R populations only
-            jac[:n, self._rr_cols] += np.outer(self.xi_a * prods[3],
-                                               w_rr[self._rr_cols])
-        jac[:n, n] = prods[1]
-        jac[:n, n + 1] = prods[2]
-        jac[n, :n] = self.prefactor_a * w_beta_im
-        jac[n + 1, :n] = -self.prefactor_a * w_beta_re
+            jac[:n, self._rr_cols] += np.outer(self.xi_a * prods[3 * n:4 * n],
+                                               self._w_rr[self._rr_cols])
+        jac[:n, n] = prods[n:2 * n]
+        jac[:n, n + 1] = prods[2 * n:3 * n]
         jac[n:, n:] = [[-self.gamma_c_a, -self.dc_a],
                        [self.dc_a, -self.gamma_c_a]]
         return jac
@@ -619,11 +644,14 @@ class BubbleModel:
     def cavity_amplitude(self, y) -> complex:
         return complex(y[self.nrho], y[self.nrho + 1])
 
-    def transmission(self, y) -> float:
+    def transmission(self, y) -> np.ndarray:
+        """gamma_c^2 |<a>|^2 / alpha^2 (0 at alpha = 0) of the state y, or
+        of each row of a matrix of states."""
+        y = np.asarray(y)
         if self.alpha_a == 0.0:
-            return 0.0
-        a = self.cavity_amplitude(y)
-        return self.gamma_c_a**2 * abs(a) ** 2 / self.alpha_a**2
+            return np.zeros(y.shape[:-1])
+        return (self.gamma_c_a**2 * np.hypot(y[..., self.nrho], y[..., self.nrho + 1])**2
+                / self.alpha_a**2)
 
     def trace(self, y) -> float:
         return float(y[: self.npop].sum())  # the populations lead
@@ -742,21 +770,11 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
                                parts=1 + len(model.sensitivity),
                                jac=lambda t, y: model.jacobian(y))
 
-    npts = sample_times.size
-    trans = np.empty(npts)
-    pop_r = np.empty(npts)
-    pop_s = np.empty(npts)
-    terr = np.empty(npts)
-    states = [] if keep_states else None
-    for i in range(npts):
-        y = samples[i].real
-        r = y[: model.nrho]
-        trans[i] = model.transmission(y)
-        pop_r[i] = model._w_rr @ r
-        pop_s[i] = model._w_ss @ r
-        terr[i] = abs(model.trace(y) - 1.0)
-        if keep_states:
-            states.append(model.state_from_flat(y, float(sample_times[i])))
+    ys = samples[:, :model.size].real
+    r = ys[:, :model.nrho]
+    terr = np.abs(ys[:, :model.npop].sum(axis=1) - 1.0)
+    states = ([model.state_from_flat(y, float(t)) for y, t in zip(ys, sample_times)]
+              if keep_states else None)
 
     dT_dtheta = model.transmission_gradient(samples) if model.sensitivity else None
     solver = {"coordinates": model.size, "nfev": stats.nfev,
@@ -770,8 +788,9 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
                stats.rejected, stats.jacobian_evals, stats.inversions)
     meta = {"params": params_to_dict(params), "nmax": nmax, "rtol": rtol,
             "n_b": model.n_b, "solver": solver}
-    return TimeSeries(sample_times, trans, pop_r, pop_s, terr,
-                      metadata=meta, states=states, dT_dtheta=dT_dtheta)
+    return TimeSeries(sample_times, model.transmission(ys), r @ model._w_rr,
+                      r @ model._w_ss, terr, metadata=meta, states=states,
+                      dT_dtheta=dT_dtheta)
 
 
 @dataclass
@@ -984,7 +1003,7 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
             break
         new = np.linalg.norm(res[1:])
         dt *= _PTC_GROWTH if _PTC_GROWTH * new <= old else old / new
-    result = SteadyBubbleResult(model.transmission(y), converged, float(t),
+    result = SteadyBubbleResult(float(model.transmission(y)), converged, float(t),
                                 iterations, float(np.abs(res).max()), verdict)
     _log.debug("bubble steady solve (nmax %d): %d iteration(s) to pseudo-time "
                "%g us, residual %.3g, %s, %s, converged=%s", nmax, iterations,

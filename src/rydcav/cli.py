@@ -17,7 +17,8 @@ import numpy as np
 from . import bubble, fitting, interactions, linear, meanfield
 from .datafiles import config_hash, read_xy_csv, write_csv, write_json
 from .errors import ConfigError, IntegrationError, SingularParameterError, SolverError
-from .params import RydbergLevel, load_config, params_to_dict, set_path, validate
+from .params import (RydbergLevel, load_config, params_to_dict, require_positive,
+                     set_path, validate)
 
 _DEFAULT_FREE_EIT = "cavity.gamma_c,ensemble.cooperativity,drive.omega_cf,rydberg.gamma_r"
 
@@ -70,6 +71,7 @@ def _noise(args, values):
 
 
 def _cmd_linear_scan(args):
+    require_positive("--noise", args.noise, allow_zero=True)
     params = _load_params(args)
     spec = linear.scan_linear(params)
     trans = _noise(args, spec.transmission)
@@ -99,6 +101,7 @@ def _cmd_meanfield_scan(args):
 
 
 def _cmd_bubble_evolve(args):
+    require_positive("--noise", args.noise, allow_zero=True)
     params = _load_params(args)
     series = bubble.evolve(params, t_end=args.t_end, dt=args.dt,
                            nmax=args.nmax, rtol=args.rtol)

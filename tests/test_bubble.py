@@ -11,6 +11,7 @@ from rydcav.bubble import (
     BubbleModel,
     TimeSeries,
     _hermitian_basis,
+    _scalar_derivative,
     _scalars,
     _structure,
     build_operators,
@@ -136,11 +137,12 @@ class TestStructureCache:
             first, second = build(xi=2.0), build(xi=1.0, alpha=1.5)
             assert first.size == second.size
             # the generator triplets, the w rows, the basis columns' entries,
-            # the initial state, and with a sensitivity the dense stack and dL0
-            kept = {"_rows", "_cols", "_vals", "_w_rows", "_rho_index", "_rho_coef",
-                    "_y0"}
+            # the initial state, and with a sensitivity the triplets gathered
+            # per row of z, dL0's entries among them
+            kept = {"_rows", "_cols", "_vals", "_w_rr", "_w_ss", "_rho_index",
+                    "_rho_coef", "_y0"}
             if sensitivity:
-                kept |= {"_stacked", "_dl0"}
+                kept |= {"_z_rows", "_z_cols", "_z_vals"}
             assert kept <= {k for k, v in vars(first).items()
                             if isinstance(v, np.ndarray)}
             before = [arr.copy() for arr in own(second)]
@@ -278,11 +280,15 @@ class TestJacobian:
                                    atol=1e-12 * scale)
 
 
-def dense_reference(model, params, y):
+def dense_reference(model, params, y, sc=None):
     """(f, J) at y from the cache's unit blocks, scattered dense, restricted
-    to the model's coordinates and combined as the model's docstring says."""
+    to the model's coordinates and combined as the model's docstring says.
+
+    Each term of f is linear in one of the scalars ``sc`` (default: those
+    of ``params``), so f at their derivatives in a parameter is df/dtheta.
+    """
     st = _structure(model.nmax)
-    sc = _scalars(params, None)
+    sc = _scalars(params, None) if sc is None else sc
     d, n = model.dim, model.nrho
     # the model's basis columns among the full basis: a 0/1 selection
     select = (dense_basis(d).conj().T
@@ -328,6 +334,27 @@ def test_sparse_generator_matches_the_dense_blocks(nmax, xi, start):
     np.testing.assert_allclose(got_f, f, rtol=0, atol=1e-13 * np.abs(f).max())
     np.testing.assert_allclose(got_jac, jac, rtol=0,
                                atol=1e-13 * np.abs(jac).max())
+
+
+@pytest.mark.parametrize("nmax", range(1, 7))
+@pytest.mark.parametrize("xi", [0.0, 2.0])
+@pytest.mark.parametrize("paths", [("rydberg.xi",), ("drive.omega_cf", "rydberg.xi")],
+                         ids=["xi", "omega_cf-xi"])
+def test_every_sensitivity_row_matches_the_dense_blocks(nmax, xi, paths):
+    # row 0 is f; row k is J s_k + df/dtheta_k, with dL0 r for omega_cf and
+    # the trace rows read from the triplets gathered per row of z
+    p = transient_params(xi=xi)
+    model = BubbleModel(p, nmax=nmax, sensitivity=paths)
+    rng = np.random.default_rng(nmax)
+    z = rng.standard_normal((1 + len(paths), model.size))
+    got = model.rhs_sensitivity(0.0, z.reshape(-1)).reshape(z.shape)
+    f, jac = dense_reference(model, p, z[0])
+    want = [f] + [jac @ s + dense_reference(
+        model, p, z[0], _scalar_derivative(p, None, path))[0]
+        for s, path in zip(z[1:], paths)]
+    for row, ref in zip(got, want, strict=True):
+        np.testing.assert_allclose(row, ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
 
 
 def dense_columns(index, coef, d):
@@ -514,10 +541,13 @@ class TestReduction:
             np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
 
     def test_model_arrays_are_small_at_nmax_6(self):
-        model = BubbleModel(transient_params(), nmax=6)
-        total = sum(v.nbytes for v in vars(model).values()
-                    if isinstance(v, np.ndarray))
-        assert total < 0.25e6
+        # a dense copy of the stacked generator alone would be 1.9 MB
+        for sensitivity, bound in (((), 0.25e6),
+                                   (("rydberg.xi", "drive.omega_cf"), 0.5e6)):
+            model = BubbleModel(transient_params(), nmax=6, sensitivity=sensitivity)
+            total = sum(v.nbytes for v in vars(model).values()
+                        if isinstance(v, np.ndarray))
+            assert total < bound
 
     def test_initial_state_round_trips(self):
         rho = np.zeros((9, 9))
@@ -543,6 +573,25 @@ class TestEvolve:
             assert st.trace_error < 1e-10
             assert st.hermiticity_error < 1e-12
             assert st.min_eigenvalue > -1e-9
+
+    @pytest.mark.parametrize("alpha", [0.0, 3.0])
+    def test_sampled_columns_match_the_kept_states(self, alpha):
+        # evolve takes the columns from the sample matrix at once; a loop
+        # over the kept states gives them again, summed in another order
+        p = transient_params(alpha=alpha, xi=2.0)
+        series = evolve(p, t_end=8.0, dt=1.0, nmax=3, keep_states=True)
+        ops = build_operators(3)
+        gain = 0.0 if alpha == 0.0 else (p.cavity.gamma_c / alpha) ** 2
+        want = np.array([[gain * abs(st.a) ** 2,
+                          np.trace(ops.sigma_RR @ st.rho).real,
+                          np.trace(ops.sigma_SS @ st.rho).real,
+                          abs(np.trace(st.rho).real - 1.0)]
+                         for st in series.states])
+        if alpha:
+            assert want[:, 0].max() > 0.1 and want[:, 2].max() > 1e-3
+        got = np.column_stack((series.transmission, series.pop_R, series.pop_S,
+                               series.trace_error))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=2e-15)
 
     def test_weak_drive_matches_linear_formula(self):
         p = weak_drive_params()

@@ -411,3 +411,24 @@ def test_read_xy_csv_with_weights(tmp_path):
     x, y, w = read_xy_csv(f)
     np.testing.assert_allclose(x, [1.0, 2.0])
     np.testing.assert_allclose(w, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("command", [["linear-scan"], [
+    "bubble-evolve", "--t-end", "4", "--dt", "1", "--nmax", "2"]],
+    ids=["linear-scan", "bubble-evolve"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+def test_bad_noise_exits_1_without_output(tmp_path, capsys, monkeypatch, command,
+                                          value):
+    def no_model(*args, **kwargs):
+        raise AssertionError("model evaluated")
+
+    monkeypatch.setattr(BubbleModel, "rhs_flat", no_model)
+    monkeypatch.setattr(cli.linear, "scan_linear", no_model)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out.csv"
+    rc = main([command[0], "--config", str(cfg), "--out", str(out),
+               *command[1:], "--noise", value])
+    assert rc == 1
+    assert f"--noise must be >= 0 and finite, got {float(value)!r}" \
+        in capsys.readouterr().err
+    assert not out.exists()
