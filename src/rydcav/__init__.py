@@ -23,7 +23,6 @@ from .bubble import (
 from .errors import ConfigError, IntegrationError, SingularParameterError, SolverError
 from .fitting import FitProblem, FitResult, XiEstimate, fit, fit_xi_series
 from .interactions import (
-    InteractionSummary,
     atoms_per_bubble,
     blockade_volume,
     c6_d,
@@ -63,8 +62,7 @@ __all__ = [
     "evolve", "steady_transmission_bubble",
     "ConfigError", "IntegrationError", "SingularParameterError", "SolverError",
     "FitProblem", "FitResult", "XiEstimate", "fit", "fit_xi_series",
-    "InteractionSummary", "atoms_per_bubble", "blockade_volume", "c6_d",
-    "c6_s", "kappa",
+    "atoms_per_bubble", "blockade_volume", "c6_d", "c6_s", "kappa",
     "Spectrum", "scan_linear", "transmission_linear",
     "MeanFieldSolution", "NonlinearSpectrum", "scan_meanfield",
     "solve_self_consistent", "steady_residual", "transmission_meanfield",

@@ -29,9 +29,12 @@ the Hermitian subspace) and halves the integration cost.  Only the basis
 elements the dynamics can reach from the initial state are kept (see
 :class:`BubbleModel`): from the empty cavity with all atoms in |G, 0> the
 dark state S never gains a coherence with G or R, and with xi = 0 it stays
-empty, so at nmax = 6 the state vector y = [r, Re<a>, Im<a>] has 247
-coordinates (198 at xi = 0) instead of 21^2 + 2 = 443.  The populations
-lead r, so Tr rho is the sum of its first entries.
+empty.  Each quadrature of <a> is reached on its own: on resonance
+(Delta_e = Delta_r = Delta_c = 0) the drive only moves Im<a>, so Re<a> and
+the coordinates only it would drive stay 0.  At nmax = 6 the state vector
+y = [r, Re<a>, Im<a>] has 135 coordinates on resonance (107 at xi = 0) and
+247 (198) detuned, instead of 21^2 + 2 = 443.  The populations lead r, so
+Tr rho is the sum of its first entries.
 
 Everything but six rates and detunings, g sqrt(n_b) and xi is the same
 for every model at one nmax: the operators, the Hermitian basis, the
@@ -405,12 +408,18 @@ class BubbleModel:
     The chain may pass through every unit block the run can switch on: the
     units of L0 with a nonzero rate or detuning, the dark-state block when
     it is kept, the units that the derivative of L0 for a sensitivity
-    weights, and the cavity-coupling blocks unless <a> stays 0 (alpha = 0,
-    a0 = 0, no sensitivity moves alpha and <beta> vanishes on what the
-    rest reaches).  No entry leads out of that set, so every other
+    weights, and each quadrature's cavity-coupling block, L1 for Re<a> and
+    L2 for Im<a>, once that quadrature can leave 0.  Re<a> can when a0 has
+    a real part, when Im<beta> is nonzero on what the chain reaches, or
+    through Delta_c from Im<a>; Im<a> can when alpha != 0, when a0 has an
+    imaginary part, when Re<beta> is nonzero on what the chain reaches, or
+    through Delta_c from Re<a>.  A sensitivity that moves alpha or Delta_c
+    counts as alpha or Delta_c does.  The closure and the two tests repeat
+    until neither changes.  No entry leads out of that set, so every other
     coordinate stays zero along the run and is dropped; from the empty
-    cavity the dark state S has no coherence with G or R, and with xi = 0
-    it stays empty.
+    cavity the dark state S has no coherence with G or R, with xi = 0 it
+    stays empty, and on resonance Re<a> (which keeps its place in y) stays
+    0, with every coordinate only L1 would reach.
     """
 
     def __init__(self, params: PhysicalParams, nmax: int = DEFAULT_NMAX,
@@ -454,11 +463,20 @@ class BubbleModel:
                   + basis.b.conj() * rho0[basis.q]).real
         a0 = complex(a0)
         switched = {k for _, k, c in terms + dl0_terms if c != 0.0}
-        live = _closure([st.units[k] for k in sorted(switched - {_L1, _L2})],
-                        r0 != 0.0)
-        if (self.alpha_a != 0.0 or a0 != 0.0 or any(ds.alpha for ds in derivs)
-                or np.any(st.w_rows[1:, live] != 0.0)):   # <a> can leave 0
-            live = _closure([st.units[k] for k in sorted(switched)], live)
+        driven = self.alpha_a != 0.0 or any(ds.alpha for ds in derivs)
+        coupled = self.dc_a != 0.0 or any(ds.delta_c for ds in derivs)
+        live, cavity = r0 != 0.0, None
+        while True:   # can Re<a>, Im<a> leave 0 on what the chain reaches?
+            beta_re, beta_im = np.any(st.w_rows[1:, live] != 0.0, axis=1)
+            re = bool(a0.real != 0.0 or beta_im)
+            im = bool(driven or a0.imag != 0.0 or beta_re)
+            if coupled:   # Delta_c turns each quadrature into the other
+                re = im = re or im
+            if (re, im) == cavity:
+                break
+            cavity = re, im
+            live = _closure([st.units[k] for k in sorted(switched)
+                             if {_L1: re, _L2: im}.get(k, True)], live)
 
         keep = np.flatnonzero(live)
         n = self.nrho = keep.size                  # rho coordinates
@@ -801,7 +819,9 @@ class SteadyBubbleResult:
     ``t_max``; ``newton_iterations`` counts its iterations; ``residual`` is
     the max-norm of the bordered residual (f(y) with its first row replaced
     by Tr rho - 1) at the state whose transmission is reported; ``verdict``
-    says how the solve ended (``"stable"`` for an accepted root).
+    says how the solve ended (``"stable"`` for an accepted root);
+    ``coordinates`` is the length of the model's state vector, the
+    coordinates the solve and its verdict cover.
     """
 
     transmission: float
@@ -810,6 +830,7 @@ class SteadyBubbleResult:
     newton_iterations: int
     residual: float
     verdict: str
+    coordinates: int
 
 
 #: absolute tolerance of the steady solve's steps
@@ -840,8 +861,8 @@ def _bordered_residual(model: BubbleModel, y) -> np.ndarray:
     The population rows of f sum to zero (the trace is conserved), so one
     of them is redundant; the trace condition takes its place.  On the
     model's coordinates, which leave out any sector nothing enters (S when
-    xi = 0), Tr rho is the one conserved quantity, so the fixed point is
-    isolated.
+    xi = 0, Re<a> and its sector on resonance), Tr rho is the one conserved
+    quantity, so the fixed point is isolated.
     """
     f = model.rhs_flat(0.0, y)
     f[0] = model.trace(y) - 1.0
@@ -949,9 +970,10 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
 
     Each iteration solves (I/dt - J) d = f(y), with the first row replaced
     by Tr rho = 1 and J the exact Jacobian, on the coordinates the model
-    keeps (the dark state S is dropped when xi = 0), which leaves Tr rho as
-    the one conserved quantity (Kelley & Keyes, SIAM J. Numer. Anal. 35,
-    508, 1998).  dt starts at 0.05 us and grows by switched evolution
+    keeps (the dark state S is dropped when xi = 0, Re<a> and its sector on
+    resonance; :class:`BubbleModel`), which leaves Tr rho as the one
+    conserved quantity (Kelley & Keyes, SIAM J. Numer. Anal. 35, 508,
+    1998).  dt starts at 0.05 us and grows by switched evolution
     relaxation, dt <- dt |f_old| / |f_new| on the rows after the first, at
     most tenfold per step, so the first steps follow an implicit-Euler
     trajectory of the dynamics and the last ones are Newton steps.  Once the
@@ -964,8 +986,10 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
 
     The result is ``converged`` only when that root is a density matrix
     (no eigenvalue below -1e-8) and stable: every eigenvalue of the
-    Jacobian except the trace mode has Re < -1e-9 rad/us.  A stable root
-    is usually shown so by a few squarings of the Crank-Nicolson
+    Jacobian except the trace mode has Re < -1e-9 rad/us.  The verdict
+    covers the model's coordinates (``coordinates`` of the result): a
+    perturbation into a sector the model drops is not tested.  A stable
+    root is usually shown so by a few squarings of the Crank-Nicolson
     propagator of that Jacobian (:func:`_certify_stable`); the eigenvalues
     are computed only when they prove nothing.  A root with an eigenvalue
     within 1e-9 rad/us of the imaginary axis is rejected as marginal, one
@@ -976,10 +1000,10 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
     of the last finite iterate; the loop is deterministic and a root is a
     fixed point of every later step, so there is nothing to retry.
 
-    Each call logs one DEBUG record on the ``rydcav`` logger: the
-    iterations, pseudo-time and residual, whether the certificate or the
-    eigenvalues decided the stability and after how many squarings, and
-    the verdict.
+    Each call logs one DEBUG record on the ``rydcav`` logger: the model's
+    coordinates, the iterations, pseudo-time and residual, whether the
+    certificate or the eigenvalues decided the stability and after how many
+    squarings, and the verdict.
     """
     require_positive("t_max", t_max)
     require_positive("rtol", rtol, allow_zero=True)
@@ -1004,8 +1028,10 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
         new = np.linalg.norm(res[1:])
         dt *= _PTC_GROWTH if _PTC_GROWTH * new <= old else old / new
     result = SteadyBubbleResult(float(model.transmission(y)), converged, float(t),
-                                iterations, float(np.abs(res).max()), verdict)
-    _log.debug("bubble steady solve (nmax %d): %d iteration(s) to pseudo-time "
-               "%g us, residual %.3g, %s, %s, converged=%s", nmax, iterations,
-               t, result.residual, decided, verdict, converged)
+                                iterations, float(np.abs(res).max()), verdict,
+                                model.size)
+    _log.debug("bubble steady solve (nmax %d, %d coordinates): %d iteration(s) "
+               "to pseudo-time %g us, residual %.3g, %s, %s, converged=%s", nmax,
+               model.size, iterations, t, result.residual, decided, verdict,
+               converged)
     return result

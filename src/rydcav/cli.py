@@ -126,7 +126,8 @@ def _cmd_bubble_steady(args):
     payload = {"transmission": result.transmission,
                "converged": result.converged, "t_final_us": result.t_final,
                "newton_iterations": result.newton_iterations,
-               "residual": result.residual, "verdict": result.verdict}
+               "residual": result.residual, "verdict": result.verdict,
+               "coordinates": result.coordinates}
     meta = _meta(args, params, {"nmax": args.nmax, "rtol": args.rtol,
                                 "t_max": args.t_max})
     write_json(args.out, payload, meta)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularParameterError
@@ -135,20 +133,3 @@ def atoms_per_bubble(atom_number: int, v_b: complex, volume: float) -> float:
     raw = atom_number * abs(v_b) / volume
     return min(max(raw, 1.0), float(atom_number))
 
-
-@dataclass(frozen=True)
-class InteractionSummary:
-    c6: float              # GHz.um^6
-    v_b: complex           # um^3
-    kappa: complex         # MHz
-    n_b: float             # atoms per bubble
-    bubble_count: float    # N / n_b
-
-
-def summarize(params: PhysicalParams, delta_p: float | None = None) -> InteractionSummary:
-    """Interaction quantities at the given probe detuning, from :func:`blockade`."""
-    v_b, kap = blockade(params, delta_p)
-    n = params.ensemble.atom_number
-    n_b = atoms_per_bubble(n, v_b, params.ensemble.cloud_volume)
-    return InteractionSummary(c6=c6_coefficient(params.rydberg), v_b=v_b,
-                              kappa=kap, n_b=n_b, bubble_count=n / n_b)

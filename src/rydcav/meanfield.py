@@ -74,10 +74,6 @@ def photon_rate_to_alpha(rate, gamma_c: float):
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
-def alpha_to_photon_rate(alpha: float, gamma_c: float) -> float:
-    return alpha * alpha / gamma_c
-
-
 @dataclass(frozen=True)
 class _Grid:
     """Constants of the chain on a grid of n points.

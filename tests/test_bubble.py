@@ -504,6 +504,7 @@ class TestReduction:
         assert series.metadata["solver"]["coordinates"] < d * d + 2
         rho = np.array([st.rho for st in series.states])
         a = np.array([st.a for st in series.states])
+        assert np.all(a.real == 0.0)         # on resonance Re<a> never moves
         self.assert_matches(p, nmax, rho, a, series.transmission)
 
     @pytest.mark.parametrize("nmax, kw", [(2, dict(alpha=0.0)), (3, dict(xi=2.0))],
@@ -518,11 +519,43 @@ class TestReduction:
         a = np.array([model.cavity_amplitude(row) for row in y])
         self.assert_matches(p, nmax, rho, a, [model.transmission(row) for row in y])
 
-    @pytest.mark.parametrize("nmax, xi, size", [(2, 2.0, 47), (2, 0.0, 38),
-                                                (4, 2.0, 127), (4, 0.0, 102),
-                                                (6, 2.0, 247), (6, 0.0, 198)])
-    def test_reachable_coordinate_count(self, nmax, xi, size):
-        assert BubbleModel(transient_params(xi=xi), nmax=nmax).size == size
+    @pytest.mark.parametrize("nmax, xi, delta_p, size", [
+        (2, 2.0, 0.0, 29), (2, 0.0, 0.0, 23), (4, 2.0, 0.0, 72),
+        (4, 0.0, 0.0, 57), (6, 2.0, 0.0, 135), (6, 0.0, 0.0, 107),
+        (2, 2.0, 1.5, 47), (2, 0.0, 1.5, 38), (4, 2.0, 1.5, 127),
+        (4, 0.0, 1.5, 102), (6, 2.0, 1.5, 247), (6, 0.0, 1.5, 198)])
+    def test_reachable_coordinate_count(self, nmax, xi, delta_p, size):
+        # on resonance Re<a> and the sector only it drives stay 0
+        model = BubbleModel(transient_params(xi=xi, delta_p=delta_p), nmax=nmax)
+        assert model.size == size
+
+    @pytest.mark.parametrize("path, size", [
+        ("rydberg.xi", 72), ("drive.alpha", 72), ("cavity.gamma_c", 72),
+        ("ensemble.cooperativity", 72), ("drive.omega_cf", 72),
+        ("drive.delta_p", 127), ("drive.delta_cf", 127),
+        ("cavity.delta_bg", 127)])
+    def test_sensitivity_coordinate_count(self, path, size):
+        # a path that moves a detuning reaches Re<a> through its sensitivity
+        model = BubbleModel(transient_params(), nmax=4, sensitivity=(path,))
+        assert model.size == size
+
+    @pytest.mark.parametrize("kw, a0, size", [
+        (dict(), 0.4, 82), (dict(), 0.3j, 48),
+        (dict(delta_cf=1.0), 0.0, 82), (dict(delta_bg=1.0), 0.0, 82)],
+        ids=["a0-real", "a0-imag", "delta-cf", "delta-bg"])
+    def test_each_source_of_re_a_matches_full_space(self, kw, a0, size):
+        # Re<a> set at t = 0, or driven through Delta_r or Delta_c, reaches
+        # every coordinate; an imaginary a0 only moves Im<a>
+        p = transient_params(**kw)
+        model = BubbleModel(p, nmax=3, a0=a0)
+        assert model.size == size
+        y, _ = integrate(model.rhs_flat, 0.0, model.initial_flat(), self.TIMES,
+                         rtol=1e-12, atol=1e-14)
+        if size == 48:                       # the resonant set
+            assert np.all(y[:, model.nrho] == 0.0)
+        rho = np.array([model.rho_matrix(row) for row in y])
+        a = np.array([model.cavity_amplitude(row) for row in y])
+        self.assert_matches(p, 3, rho, a, model.transmission(y))
 
     @pytest.mark.parametrize("nmax", range(1, 7))
     def test_rho_matrix_is_the_dense_basis_product(self, nmax, rng):
@@ -704,7 +737,7 @@ class TestEvolve:
         series = evolve(transient_params(), t_end=8.0, dt=1.0, nmax=2)
         solver = series.metadata["solver"]
         assert solver["nfev"] == calls
-        assert solver["coordinates"] == 47
+        assert solver["coordinates"] == 29
         assert solver["jacobian_evals"] >= 1 and solver["inversions"] >= 1
         assert solver["max_trace_drift"] == series.trace_error.max() < 1e-6
 
@@ -862,6 +895,32 @@ class TestParameterSensitivity:
         scale = np.abs(exact).max()
         assert scale > 1e-2
         np.testing.assert_allclose(exact, central, rtol=0, atol=1e-5 * scale)
+
+    def test_state_sensitivity_at_zero_drive(self):
+        # at alpha = 0 the state never leaves |G, 0>; only the sensitivity
+        # to alpha moves Im<a>, and with it the coherences it drives
+        p = transient_params(xi=1.1, alpha=0.0)
+        model = BubbleModel(p, nmax=2, sensitivity=("drive.alpha",))
+        z, _ = integrate(model.rhs_sensitivity, 0.0,
+                         np.concatenate((model.initial_flat(),
+                                         np.zeros(model.size))),
+                         TestReduction.TIMES, rtol=1e-10, atol=1e-12)
+        exact = np.array([np.append(model.rho_matrix(row[model.size:]),
+                                    model.cavity_amplitude(row[model.size:]))
+                          for row in z])
+
+        def state(alpha):
+            series = evolve(set_path(p, "drive.alpha", alpha), t_end=8.0,
+                            dt=1.0, nmax=2, rtol=1e-10, atol=1e-12,
+                            keep_states=True)
+            return np.array([np.append(st.rho, st.a) for st in series.states])
+
+        h = 1e-3
+        central = (state(h) - state(-h)) / (2 * h)
+        scale = np.abs(exact[:, :-1]).max()
+        assert scale > 1e-3
+        np.testing.assert_allclose(exact, central, rtol=0,
+                                   atol=1e-5 * np.abs(exact).max())
 
     def test_probe_detuning_column_off_resonance(self):
         # at delta_p = 0 the column vanishes by symmetry; off resonance it
@@ -1049,19 +1108,47 @@ class TestStabilityCertificate:
         monkeypatch.setattr(bubble, "_verdict", record)
         for params, kw in cases:
             assert steady_transmission_bubble(params, **kw).converged
-        return [bubble._restricted_jacobian(m, y) for m, y in found]
+        return found
 
     def test_agrees_with_the_eigenvalues_on_the_benchmark_roots(self,
                                                                 monkeypatch):
         import rydcav.bubble as bubble
 
-        restricted = self.roots(monkeypatch, benchmark_steady_cases())
-        assert len(restricted) == 11
-        for matrix in restricted:
+        found = self.roots(monkeypatch, benchmark_steady_cases())
+        assert len(found) == 11
+        for model, y in found:
+            matrix = bubble._restricted_jacobian(model, y)
             growth = np.linalg.eigvals(matrix).real.max()
             certified, squarings = bubble._certify_stable(matrix)
             assert certified == (growth < -bubble._MARGINAL)
             assert certified and 1 <= squarings <= 13
+
+    def test_resonant_roots_are_stable_in_the_full_space(self, monkeypatch, rng):
+        # on resonance the solve and its certificate see only the sector
+        # the model keeps; embedded in every coordinate, each root is
+        # still stable against perturbations into the dropped sector
+        import rydcav.bubble as bubble
+
+        cases = [transient_params(xi=0.0), transient_params(xi=2.0),
+                 make_params(n=60, omega_cf=8.0, alpha=8.0)]
+        found = self.roots(monkeypatch, [(p, dict(nmax=4)) for p in cases])
+        assert len(found) == 3
+        for params, (model, y) in zip(cases, found):
+            d = model.dim
+            assert model.size < d * d + 2
+            full = BubbleModel(params, nmax=4, rho0=random_density_matrix(d, rng))
+            assert full.size == d * d + 2
+            rho, a = model.rho_matrix(y), model.cavity_amplitude(y)
+            basis = _hermitian_basis(d)
+            r = (basis.a.conj() * rho.reshape(-1)[basis.p]
+                 + basis.b.conj() * rho.reshape(-1)[basis.q]).real
+            y_full = np.concatenate((r, [a.real, a.imag]))
+            np.testing.assert_allclose(full.rho_matrix(y_full), rho, atol=1e-15)
+            # the root of the kept sector is a root of the full space
+            assert np.abs(full.rhs_flat(0.0, y_full)).max() < 1e-12
+            growth = np.linalg.eigvals(
+                bubble._restricted_jacobian(full, y_full)).real.max()
+            assert growth < -bubble._MARGINAL
 
     def test_stable_solve_needs_no_eigenvalues(self, monkeypatch, caplog):
         def no_eigvals(*args, **kw):
@@ -1156,6 +1243,9 @@ class TestLogging:
         assert len(records) == 1
         assert records[0].levelno == logging.DEBUG
         message = records[0].getMessage()
+        assert result.coordinates == BubbleModel(weak_drive_params(), nmax=1).size
+        assert message.startswith(
+            f"bubble steady solve (nmax 1, {result.coordinates} coordinates): ")
         assert (f"{result.newton_iterations} iteration(s) to pseudo-time "
                 f"{result.t_final:g} us, residual {result.residual:.3g}"
                 in message)
@@ -1170,7 +1260,7 @@ class TestLogging:
         assert records[0].levelno == logging.DEBUG
         solver = series.metadata["solver"]
         assert records[0].getMessage() == (
-            f"bubble evolve (nmax 2, 47 coordinates) to t = 4 us: "
+            f"bubble evolve (nmax 2, 29 coordinates) to t = 4 us: "
             f"{solver['nfev']} rhs evaluations, {solver['accepted_steps']} "
             f"accepted and {solver['rejected_steps']} rejected steps, "
             f"{solver['jacobian_evals']} Jacobian evaluations, "

@@ -262,8 +262,10 @@ class TestBubbleCommands:
         assert doc["newton_iterations"] >= 1
         assert doc["residual"] < 1e-12
         assert doc["verdict"] == "stable"
+        assert doc["coordinates"] == 23      # nmax 2, xi = 0, on resonance
         assert set(doc) == {"transmission", "converged", "t_final_us",
-                            "newton_iterations", "residual", "verdict", "_meta"}
+                            "newton_iterations", "residual", "verdict",
+                            "coordinates", "_meta"}
         assert {k: doc["_meta"][k] for k in ("nmax", "rtol", "t_max")} == {
             "nmax": 2, "rtol": 1e-8, "t_max": 500.0}
         assert not {"window", "threshold"} & set(doc["_meta"])

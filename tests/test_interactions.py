@@ -13,7 +13,6 @@ from rydcav.interactions import (
     c6_d,
     c6_s,
     kappa,
-    summarize,
 )
 from rydcav.params import RydbergLevel
 
@@ -180,21 +179,20 @@ class TestAtomsPerBubble:
         with pytest.raises(ValueError):
             atoms_per_bubble(10, 1 + 0j, 0.0)
 
-
-class TestSummary:
     def test_partition_identity(self, paper_params):
-        s = summarize(paper_params)
-        n = paper_params.ensemble.atom_number
-        assert s.n_b * s.bubble_count == pytest.approx(n, rel=1e-9)
-        assert abs(s.v_b) >= 0.0
+        ens = paper_params.ensemble
+        v_b, _ = blockade(paper_params)
+        n_b = atoms_per_bubble(ens.atom_number, v_b, ens.cloud_volume)
+        assert 1.0 < n_b < ens.atom_number     # unclamped at this scale
+        assert n_b * ens.cloud_volume == pytest.approx(
+            ens.atom_number * abs(v_b), rel=1e-12)
 
     def test_override_propagates(self):
         p = make_params(c6_override=0.0)
-        s = summarize(p)
-        assert s.c6 == 0.0
-        assert s.v_b == 0j
-        assert s.kappa == 0j
-        assert s.n_b == 1.0
+        assert c6_coefficient(p.rydberg) == 0.0
+        assert blockade(p) == (0j, 0j)
+        assert atoms_per_bubble(p.ensemble.atom_number, 0j,
+                                p.ensemble.cloud_volume) == 1.0
 
 
 class TestBlockadeGrid:

@@ -8,7 +8,6 @@ from rydcav import meanfield
 from rydcav.errors import SingularParameterError, SolverError
 from rydcav.linear import transmission_linear
 from rydcav.meanfield import (
-    alpha_to_photon_rate,
     photon_rate_to_alpha,
     scan_meanfield,
     solve_self_consistent,
@@ -393,8 +392,12 @@ class TestScan:
                                       rel=1e-9)
 
     def test_rate_alpha_round_trip(self):
-        assert alpha_to_photon_rate(photon_rate_to_alpha(7.3, 10.0), 10.0) \
-            == pytest.approx(7.3, rel=1e-12)
+        # R = alpha^2 / gamma_c, for a scalar and elementwise for an array
+        assert photon_rate_to_alpha(7.3, 10.0) ** 2 / 10.0 == pytest.approx(
+            7.3, rel=1e-12)
+        rates = np.array([0.0, 0.5, 7.3, 140.0])
+        np.testing.assert_allclose(photon_rate_to_alpha(rates, 10.0) ** 2 / 10.0,
+                                   rates, rtol=1e-12, atol=0)
 
     def test_failed_points_flagged_and_isolated(self, paper_params):
         from dataclasses import replace
