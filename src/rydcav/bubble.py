@@ -63,10 +63,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import interactions
-from .errors import IntegrationError
+from .errors import IntegrationError, SolverError
 from .ode import integrate
-from .params import (PhysicalParams, get_path, params_to_dict, require_positive,
-                     set_path, to_angular)
+from .params import (FLOAT_PATHS, PhysicalParams, get_path, params_to_dict,
+                     require_positive, to_angular)
 
 _log = logging.getLogger(__name__)
 
@@ -182,7 +182,8 @@ class _Scalars(NamedTuple):
     are fixed matrices times ``g_nb`` and the dark-state block L3 is
     multiplied by ``xi``; the cavity rows and the transmission gain
     gamma_c^2 / alpha^2 are scalars too.  ``n_b`` is the number of atoms
-    per bubble.
+    per bubble.  The same tuple of (p,) rows holds the derivatives of the
+    scalars in p parameters (:func:`_scalar_rows`).
     """
 
     delta_r: float
@@ -226,26 +227,76 @@ def _scalars(params: PhysicalParams, n_b: float | None) -> _Scalars:
         gain=0.0 if alpha_a == 0.0 else gc_a**2 / alpha_a**2, n_b=n_b)
 
 
-#: relative step of the scalars' central difference
-_SCALAR_STEP = float(np.finfo(float).eps ** (1 / 3))
+def _scalar_rows(params: PhysicalParams, n_b: float | None, sc: _Scalars,
+                 paths) -> _Scalars:
+    """d(model scalars)/d(parameter) for every path at once, in closed form.
 
-
-def _scalar_derivative(params: PhysicalParams, n_b: float | None,
-                       path: str) -> _Scalars:
-    """d(model scalars)/d(parameter at ``path``), by a central difference.
-
-    The scalars are closed-form functions of the parameters (n_b through
-    the blockade volume unless given), so there is no integrator noise and
-    the O(h^2) difference can take an eps^(1/3) step.
+    ``sc`` are the model's scalars at ``params``.  Each field becomes a (p,)
+    row whose entry k is its derivative per unit of the parameter at
+    ``paths[k]``.  The detunings, rates, Omega, xi, gamma_c and alpha are
+    2 pi times unit rows (gamma_s takes gamma_r's row when it follows
+    gamma_r); (g sqrt(n_b))^2 = 2 gamma_e gamma_c C n_b / N moves by
+    (2/N) d(gamma_e gamma_c C n_b); the prefactor is (N / n_b) g sqrt(n_b)
+    and the gain gamma_c^2 / alpha^2, whose row is 0 at alpha = 0, as the
+    gain is.  n_b = N |V_b| / V moves by
+    dn_b = n_b (Re(conj(V_b) dV_b) / |V_b|^2 - dV / V), with dV_b from
+    :func:`rydcav.interactions.blockade_derivative`, unless it is given,
+    clamped to [1, N] or no path moves an input of the blockade chain.  A path that is not a float parameter, or whose
+    value is None, raises ValueError naming it; one that moves
+    (g sqrt(n_b))^2 where g sqrt(n_b) = 0, which goes there as the square
+    root of the parameter, raises SolverError naming it.
     """
-    theta = float(get_path(params, path))
-    h = _SCALAR_STEP * max(abs(theta), 1e-2)
-    up, down = theta + h, theta - h
+    if not paths:
+        return _Scalars(*np.zeros((len(_Scalars._fields), 0)))
+    bad = [p for p in paths if p not in FLOAT_PATHS or get_path(params, p) is None]
+    if bad:
+        raise ValueError(f"no derivative of the bubble model in "
+                         f"{', '.join(map(repr, bad))}: not a float parameter")
 
-    def at(value):
-        return np.array(_scalars(set_path(params, path, value), n_b))
+    def unit(name):
+        return np.array([float(path == name) for path in paths])
 
-    return _Scalars(*((at(up) - at(down)) / (up - down)))
+    ens, zero = params.ensemble, np.zeros(len(paths))
+    d_dp, d_dcf = unit("drive.delta_p"), unit("drive.delta_cf")
+    d_om, d_alpha = unit("drive.omega_cf"), unit("drive.alpha")
+    d_ge, d_gc = unit("ensemble.gamma_e"), unit("cavity.gamma_c")
+    d_gr, d_volume = unit("rydberg.gamma_r"), unit("ensemble.cloud_volume")
+    d_c6 = unit("rydberg.c6_override")
+    dn_b = zero
+    if n_b is None and np.any((d_dp, d_dcf, d_ge, d_gr, d_om, d_c6, d_volume)):
+        v_b, kap = interactions.blockade(params)
+        if sc.n_b == ens.atom_number * abs(v_b) / ens.cloud_volume:   # not clamped
+            D_e, D_r, _ = params.complex_detunings()
+            dv_b, _ = interactions.blockade_derivative(
+                params, D_e, D_r, params.drive.omega_cf, v_b, kap,
+                d_dp + 1j * d_ge, d_dp + d_dcf + 1j * d_gr, d_om, d_c6, d_volume)
+            dn_b = sc.n_b * ((v_b.conjugate() * dv_b).real / abs(v_b) ** 2
+                             - d_volume / ens.cloud_volume)
+    # (g sqrt(n_b))^2 = 2 gamma_e gamma_c C n_b / N, in rad/us
+    d_g2 = (2.0 / ens.atom_number) * (
+        to_angular(d_ge * sc.gamma_c + sc.gamma_e * d_gc) * ens.cooperativity * sc.n_b
+        + sc.gamma_e * sc.gamma_c * (unit("ensemble.cooperativity") * sc.n_b
+                                     + ens.cooperativity * dn_b))
+    if sc.g_nb == 0.0:
+        moving = [p for p, d in zip(paths, d_g2) if d != 0.0]
+        if moving:
+            raise SolverError(f"dT/d{moving[0]} has no value at g sqrt(n_b) = 0, "
+                              f"where it goes as the square root of {moving[0]}")
+        d_g = zero
+    else:
+        d_g = 0.5 * d_g2 / sc.g_nb
+    d_gs = d_gr if params.rydberg.gamma_s is None else unit("rydberg.gamma_s")
+    d_gain = zero
+    if sc.alpha != 0.0:
+        d_gain = 2.0 * sc.gain * to_angular(d_gc / sc.gamma_c - d_alpha / sc.alpha)
+    return _Scalars(
+        delta_r=to_angular(d_dp + d_dcf), delta_e=to_angular(d_dp),
+        omega=to_angular(d_om), gamma_e=to_angular(d_ge),
+        gamma_r=to_angular(d_gr), gamma_s=to_angular(d_gs), g_nb=d_g,
+        xi=to_angular(unit("rydberg.xi")), gamma_c=to_angular(d_gc),
+        delta_c=to_angular(d_dp - unit("cavity.delta_bg")),
+        prefactor=(ens.atom_number / sc.n_b) * (d_g - sc.g_nb * dn_b / sc.n_b),
+        alpha=to_angular(d_alpha), gain=d_gain, n_b=dn_b)
 
 
 def _merged(keys, vals, n: int):
@@ -438,12 +489,12 @@ class BubbleModel:
         self.g_nb_a = sc.g_nb
         self.prefactor_a = sc.prefactor
         self.sensitivity = tuple(sensitivity)
-        derivs = [_scalar_derivative(params, n_b, path)
-                  for path in self.sensitivity]
+        derivs = [_Scalars(*ds) for ds in               # one per path
+                  zip(*_scalar_rows(params, n_b, sc, self.sensitivity))]
 
-        # (block of the stack, unit, coefficient); dL0 is L0 at the
-        # differenced rates and detunings, so only parameters that move one
-        # of them need its product
+        # (block of the stack, unit, coefficient); dL0 is L0 at the rows
+        # of the rates and detunings, so only parameters that move one of
+        # them need its product
         terms = [(0, k, sc[k]) for k in range(6)]
         terms += [(1, _L1, sc.g_nb), (2, _L2, sc.g_nb)]
         if self.xi_a != 0.0 or any(ds.xi != 0.0 for ds in derivs):
@@ -748,7 +799,11 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     and each sensitivity's own RMS norm, so the sensitivities never loosen
     the control of the state.  One inverse of W = I - c J, J of the state
     alone, serves the state and every sensitivity (the simultaneous
-    corrector of CVODES).
+    corrector of CVODES).  The source terms df/dtheta_k are exact
+    (:func:`_scalar_rows`).  Before any step, a path that is not a float
+    parameter (:data:`rydcav.params.FLOAT_PATHS`) or whose value is None
+    raises ValueError, and one that moves the coupling where g sqrt(n_b) = 0
+    (the cooperativity at C = 0) raises SolverError.
 
     ``metadata["solver"]`` records the run's work: the model's
     ``coordinates`` (the length of y), the right-hand-side evaluations

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bubble, linear, meanfield
 from .errors import ConfigError, IntegrationError, SingularParameterError, SolverError
-from .params import PhysicalParams, get_path, set_paths
+from .params import FLOAT_PATHS, PhysicalParams, get_path, set_paths
 
 MODELS = ("linear_eit", "meanfield", "bubble_transient")
 
@@ -42,7 +42,6 @@ _DEFAULT_BOUNDS = {
     "length": (1e-12, np.inf),
     "cloud_volume": (1e-12, np.inf),
 }
-_UNFITTABLE = {"n", "series", "atom_number"}
 
 _log = logging.getLogger(__name__)
 
@@ -83,11 +82,12 @@ class FitProblem:
 
     The box constraints ``lower``/``upper`` come from :func:`default_bounds`
     and must contain the initial guess, one finite value per free
-    parameter; the free paths must be distinct and the weights positive
-    and finite.  ``model_options`` passes ``nmax``, ``rtol`` and ``atol``
-    to the bubble transient and holds no other key.  The mean-field curve is
-    solved by continuation in data order, so its ``x`` must be strictly
-    increasing or strictly decreasing (a down-sweep).  The problem keeps
+    parameter; the free paths must be distinct float parameters
+    (:data:`rydcav.params.FLOAT_PATHS`) with a value, and the weights
+    positive and finite.  ``model_options`` passes ``nmax``, ``rtol`` and
+    ``atol`` to the bubble transient and holds no other key.  The mean-field
+    curve is solved by continuation in data order, so its ``x`` must be
+    strictly increasing or strictly decreasing (a down-sweep).  The problem keeps
     what the Jacobian at its last evaluation needs: the parameters, the
     solved populations of a mean-field curve, and the Jacobian and
     integrator counts (``metadata["solver"]``) of a bubble transient, which
@@ -118,10 +118,11 @@ class FitProblem:
         if len(set(self.free)) < len(self.free):
             raise ValueError(f"free parameters must be distinct, got {self.free}")
         for path in self.free:
-            name = path.partition(".")[2]
-            if name in _UNFITTABLE:
-                raise ValueError(f"parameter '{path}' cannot be fitted")
-            if get_path(self.base_params, path) is None:
+            value = get_path(self.base_params, path)   # KeyError if unknown
+            if path not in FLOAT_PATHS:
+                raise ValueError(f"parameter '{path}' cannot be fitted: not a "
+                                 f"float parameter")
+            if value is None:
                 raise ValueError(f"parameter '{path}' has no base value")
         if self.x.size < 2 * len(self.free):
             raise ValueError("need at least 2 data points per free parameter")

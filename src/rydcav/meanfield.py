@@ -46,7 +46,7 @@ import numpy as np
 from . import interactions
 from .errors import SingularParameterError, SolverError
 from .linear import eit_factors
-from .params import PhysicalParams, ScanSpec, params_to_dict
+from .params import FLOAT_PATHS, PhysicalParams, ScanSpec, params_to_dict
 
 _DRX_FLOOR = 1e-300
 
@@ -129,16 +129,6 @@ def _grid(params: PhysicalParams, delta_p=None, alpha=None,
     return _Grid(n, *cols, params.drive.omega_cf, gc, coop, g_root_n)
 
 
-#: the parameters the constants of a grid at given detunings depend on
-_CHAIN_INPUTS = ("ensemble.gamma_e", "rydberg.gamma_r", "cavity.gamma_c",
-                 "drive.delta_cf", "cavity.delta_bg", "ensemble.cooperativity",
-                 "drive.omega_cf", "drive.alpha", "rydberg.c6_override",
-                 "ensemble.cloud_volume")
-#: the other float parameters: no constant of such a grid depends on them
-_OUTSIDE_CHAIN = ("cavity.length", "cavity.finesse", "rydberg.gamma_s",
-                  "rydberg.xi", "drive.delta_p")
-
-
 def _grid_derivative(params: PhysicalParams, paths, g: _Grid) -> _Grid:
     """d(constant)/d(parameter) of every constant of the grid ``g`` of ``params``.
 
@@ -146,12 +136,12 @@ def _grid_derivative(params: PhysicalParams, paths, g: _Grid) -> _Grid:
     vary over the grid, whose column k is its derivative per unit of the
     parameter at ``paths[k]``, in closed form.  D_e, D_r, D_c, alpha,
     Omega, gamma_c and coop_term = 2 gamma_c gamma_e C are linear maps or
-    products of single parameters, so their rows are unit or zero rows of
-    the chain's inputs (:data:`_CHAIN_INPUTS`); kappa and V_b follow by the
-    chain rule (:func:`_blockade_derivative`).  A path that is not a float
-    parameter raises ValueError naming it.
+    products of single parameters, so their rows are unit or zero rows over
+    the float parameters (:data:`rydcav.params.FLOAT_PATHS`); kappa and V_b
+    follow by the chain rule (:func:`rydcav.interactions.blockade_derivative`).
+    A path that is not a float parameter raises ValueError naming it.
     """
-    unknown = [p for p in paths if p not in _CHAIN_INPUTS + _OUTSIDE_CHAIN]
+    unknown = [p for p in paths if p not in FLOAT_PATHS]
     if unknown:
         raise ValueError(f"no derivative of the mean-field chain in "
                          f"{', '.join(map(repr, unknown))}: not a float parameter")
@@ -168,40 +158,11 @@ def _grid_derivative(params: PhysicalParams, paths, g: _Grid) -> _Grid:
     d_coop = 2.0 * (ens.gamma_e * ens.cooperativity * d_gc
                     + gc * ens.cooperativity * d_ge
                     + gc * ens.gamma_e * unit("ensemble.cooperativity"))
-    dv_b, dkappa = _blockade_derivative(params, g, dD_e, dD_r, d_omega,
-                                        unit("rydberg.c6_override"),
-                                        unit("ensemble.cloud_volume"))
+    dv_b, dkappa = interactions.blockade_derivative(
+        params, g.D_e, g.D_r, g.omega, g.v_b, g.kappa, dD_e, dD_r, d_omega,
+        unit("rydberg.c6_override"), unit("ensemble.cloud_volume"))
     return _Grid(g.n, dD_e, dD_r, dD_c, dkappa, dv_b, unit("drive.alpha"),
                  d_omega, d_gc, d_coop, 0.5 * d_coop / g.g_root_n)
-
-
-def _blockade_derivative(params: PhysicalParams, g: _Grid, dD_e, dD_r, d_omega,
-                         d_c6, d_volume):
-    """(dV_b, dkappa) of the grid ``g`` from the rows of D_e, D_r, Omega, C6, V.
-
-    With the dressed shift s = Omega^2 / (4 (D_e + D_r - Omega^2 / (4 D_e))),
-    V_b = P sqrt(1e3 C6 / (D_e - s)) and kappa = 2 V_b (s - D_r) / (V - V_b)
-    (:mod:`rydcav.interactions`), so dV_b = V_b (dC6 / C6 - d(D_e - s) /
-    (D_e - s)) / 2.  A grid without blockade (C6 = 0, or the linear chain)
-    keeps kappa = V_b = 0 under every parameter but C6, and gets zero rows;
-    at C6 = 0 kappa goes as sqrt(C6), and its derivative in C6 has no value.
-    """
-    if np.ndim(g.v_b) == 0 and g.v_b == 0:
-        return 0j * d_c6, 0j * d_c6
-    D_e, D_r, omega = g.D_e, g.D_r, g.omega
-    s = ds = 0.0
-    if omega != 0:
-        q = omega * omega / (4.0 * D_e)
-        inner = D_e + D_r - q
-        s = omega * omega / (4.0 * inner)
-        dq = (0.5 * omega * d_omega - q * dD_e) / D_e
-        ds = (0.5 * omega * d_omega - s * (dD_e + dD_r - dq)) / inner
-    c6 = interactions.c6_coefficient(params.rydberg)
-    dv_b = 0.5 * g.v_b * (d_c6 / c6 - (dD_e - ds) / (D_e - s))
-    rest = params.ensemble.cloud_volume - g.v_b
-    dkappa = (2.0 * (dv_b * (s - D_r) + g.v_b * (ds - dD_r))
-              - g.kappa * (d_volume - dv_b)) / rest
-    return dv_b, dkappa
 
 
 def _amplitudes(g: _Grid, x):
@@ -460,17 +421,6 @@ def transmission_from_solution(params: PhysicalParams, sol: MeanFieldSolution,
 def transmission_meanfield(params: PhysicalParams, delta_p=None,
                            x_seed: float = 0.0) -> float:
     return solve_self_consistent(params, x_seed=x_seed, delta_p=delta_p).transmission
-
-
-def dynamical_residual(params: PhysicalParams, sol: MeanFieldSolution,
-                       delta_p=None) -> float:
-    """Norm of the three zeroed dynamical equations at a solution."""
-    g = _grid(params, delta_p)
-    a, b, c = sol.a, sol.b, sol.c
-    r1 = g.D_c * a - g.g_root_n * b - g.alpha
-    r2 = g.D_e * b - g.g_root_n * a - 0.5 * g.omega * c
-    r3 = g.D_r * c - 0.5 * g.omega * b - g.kappa * (abs(c) ** 2) * c
-    return math.sqrt(abs(r1) ** 2 + abs(r2) ** 2 + abs(r3) ** 2)
 
 
 def transmission_curve(params: PhysicalParams, delta_ps, return_x: bool = False):

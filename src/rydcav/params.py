@@ -224,6 +224,13 @@ _SECTIONS: dict[str, type] = {
 
 _INT_FIELDS = {"atom_number", "n", "npoints"}
 
+#: the path of every float parameter of the physics: the fields of the four
+#: physics sections but the integers and ``series``.  Only these can be
+#: fitted or differentiated
+FLOAT_PATHS = tuple(f"{section}.{f.name}" for section, cls in _SECTIONS.items()
+                    if section != "scan" for f in fields(cls)
+                    if f.name not in _INT_FIELDS and f.name != "series")
+
 
 def _coerce(section: str, name: str, value: Any, errs: list[str]):
     if value is None:

@@ -10,16 +10,14 @@ import numpy as np
 from conftest import make_params
 
 
-def _oracle_chain(params, delta_p):
-    """(A, B, K^2) with |<c>|^2 = K^2 / |A + B x|^2, from the eliminated chain."""
+def _oracle_constants(params, delta_p):
+    """(D_e, D_r, D_c, kappa, 2 gamma_c gamma_e C) at one probe detuning."""
     from rydcav.interactions import blockade_volume, c6_coefficient, kappa
 
     ge = params.ensemble.gamma_e
     gc = params.cavity.gamma_c
     gr = params.rydberg.gamma_r
     om = params.drive.omega_cf
-    coop = params.ensemble.cooperativity
-    alpha = params.drive.alpha
     D_e = complex(delta_p, ge)
     D_r = complex(delta_p + params.drive.delta_cf, gr)
     D_c = complex(delta_p - params.cavity.delta_bg, gc)
@@ -29,10 +27,29 @@ def _oracle_chain(params, delta_p):
     else:
         v_b = blockade_volume(D_e, D_r, om, c6)
         kap = kappa(D_e, D_r, om, v_b, params.ensemble.cloud_volume)
-    coop2 = 2 * gc * ge * coop
+    return D_e, D_r, D_c, kap, 2 * gc * ge * params.ensemble.cooperativity
+
+
+def _oracle_chain(params, delta_p):
+    """(A, B, K^2) with |<c>|^2 = K^2 / |A + B x|^2, from the eliminated chain."""
+    D_e, D_r, D_c, kap, coop2 = _oracle_constants(params, delta_p)
+    om = params.drive.omega_cf
     m = D_e * D_c - coop2
-    k_const = (om / 2.0) * np.sqrt(coop2) * alpha
+    k_const = (om / 2.0) * np.sqrt(coop2) * params.drive.alpha
     return D_r * m - om**2 * D_c / 4.0, -kap * m, k_const**2
+
+
+def dynamical_residual(params, sol, delta_p):
+    """Norm of the three zeroed dynamical equations at a mean-field solution:
+    D_c a = gN b + alpha, D_e b = gN a + (Omega/2) c and
+    (D_r - kappa |c|^2) c = (Omega/2) b, with gN = g sqrt(N)."""
+    D_e, D_r, D_c, kap, coop2 = _oracle_constants(params, delta_p)
+    g_root_n, om = np.sqrt(coop2), params.drive.omega_cf
+    a, b, c = sol.a, sol.b, sol.c
+    r1 = D_c * a - g_root_n * b - params.drive.alpha
+    r2 = D_e * b - g_root_n * a - 0.5 * om * c
+    r3 = D_r * c - 0.5 * om * b - kap * abs(c) ** 2 * c
+    return float(np.sqrt(abs(r1) ** 2 + abs(r2) ** 2 + abs(r3) ** 2))
 
 
 def oracle_excitation(params, delta_p, x):

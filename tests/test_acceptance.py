@@ -17,11 +17,11 @@ from rydcav.fitting import FitProblem, fit, fit_xi_series
 from rydcav.interactions import c6_d, c6_s
 from rydcav.linear import transmission_linear
 from rydcav.meanfield import photon_rate_to_alpha, transmission_meanfield
-from rydcav.meanfield import dynamical_residual, solve_self_consistent
+from rydcav.meanfield import solve_self_consistent
 from rydcav.params import linewidth_from_geometry, params_to_dict, set_paths
 
 from conftest import make_params
-from oracles import oracle_roots, random_paper_scale_params
+from oracles import dynamical_residual, oracle_roots, random_paper_scale_params
 
 
 @contextmanager

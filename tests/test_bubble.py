@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,16 +12,18 @@ from rydcav.bubble import (
     BubbleModel,
     TimeSeries,
     _hermitian_basis,
-    _scalar_derivative,
+    _scalar_rows,
+    _Scalars,
     _scalars,
     _structure,
     build_operators,
     evolve,
     steady_transmission_bubble,
 )
+from rydcav.errors import SolverError
 from rydcav.linear import transmission_linear
 from rydcav.ode import integrate
-from rydcav.params import get_path, set_path
+from rydcav.params import FLOAT_PATHS, ScanSpec, get_path, set_path
 
 from conftest import make_params
 
@@ -342,16 +345,17 @@ def test_sparse_generator_matches_the_dense_blocks(nmax, xi, start):
                          ids=["xi", "omega_cf-xi"])
 def test_every_sensitivity_row_matches_the_dense_blocks(nmax, xi, paths):
     # row 0 is f; row k is J s_k + df/dtheta_k, with dL0 r for omega_cf and
-    # the trace rows read from the triplets gathered per row of z
+    # the trace rows read from the triplets gathered per row of z.  df/dtheta_k
+    # is f at the model's own scalar rows: this checks how the triplets are
+    # assembled, TestScalarRows the rows themselves
     p = transient_params(xi=xi)
     model = BubbleModel(p, nmax=nmax, sensitivity=paths)
     rng = np.random.default_rng(nmax)
     z = rng.standard_normal((1 + len(paths), model.size))
     got = model.rhs_sensitivity(0.0, z.reshape(-1)).reshape(z.shape)
     f, jac = dense_reference(model, p, z[0])
-    want = [f] + [jac @ s + dense_reference(
-        model, p, z[0], _scalar_derivative(p, None, path))[0]
-        for s, path in zip(z[1:], paths)]
+    want = [f] + [jac @ s + dense_reference(model, p, z[0], ds)[0]
+                  for s, ds in zip(z[1:], model._dscalars, strict=True)]
     for row, ref in zip(got, want, strict=True):
         np.testing.assert_allclose(row, ref, rtol=0,
                                    atol=1e-13 * np.abs(ref).max())
@@ -937,6 +941,103 @@ class TestParameterSensitivity:
             alone = evolve(p, sensitivity=(path,), **TIGHT).dT_dtheta[:, 0]
             np.testing.assert_allclose(together[:, k], alone, rtol=0,
                                        atol=1e-7 * np.abs(alone).max())
+
+
+def detuned_params(**kw):
+    return transient_params(delta_p=1.5, delta_cf=0.3, **kw)
+
+
+#: (params, n_b) of each case of the scalar rows
+_ROW_CASES = {
+    "detuned": (detuned_params(), None),
+    "gamma_s-follows-gamma_r": (detuned_params(gamma_s=None), None),
+    "c6-override": (detuned_params(c6_override=-5000.0), None),
+    "n_b-given": (detuned_params(), 3.0),
+    "n_b-clamped": (detuned_params(c6_override=0.0), None),
+    "alpha-zero": (detuned_params(alpha=0.0), None),
+}
+
+
+def scalar_richardson(params, n_b, path, rel=1e-3):
+    """Richardson-extrapolated central difference of the model's scalars in
+    ``path``, with steps h = rel max(|theta|, 1) and h/2."""
+    theta = get_path(params, path)
+    h = rel * max(abs(theta), 1.0)
+
+    def central(step):
+        up, down = (np.array(_scalars(set_path(params, path, v), n_b))
+                    for v in (theta + step, theta - step))
+        return (up - down) / (2.0 * step)
+
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+class TestScalarRows:
+    """The closed-form derivatives of the model's scalars, every path at once."""
+
+    @pytest.mark.parametrize("case", sorted(_ROW_CASES))
+    def test_rows_match_richardson(self, case):
+        # every float parameter with a value is differentiated; one that is
+        # None (gamma_s following gamma_r, C6 from the series) is refused
+        p, n_b = _ROW_CASES[case]
+        sc = _scalars(p, n_b)
+        paths = [path for path in FLOAT_PATHS if get_path(p, path) is not None]
+        for path in sorted(set(FLOAT_PATHS) - set(paths)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path!r}: not a float parameter")):
+                _scalar_rows(p, n_b, sc, (path,))
+        rows = _scalar_rows(p, n_b, sc, paths)
+        ref = np.column_stack([scalar_richardson(p, n_b, path) for path in paths])
+        for name, got, want in zip(_Scalars._fields, rows, ref, strict=True):
+            assert got.shape == (len(paths),)
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-8 * np.abs(want).max(), err_msg=name)
+        # a path's column does not depend on the other paths asked for
+        for k, path in enumerate(paths):
+            np.testing.assert_array_equal(
+                np.array(_scalar_rows(p, n_b, sc, (path,)))[:, 0],
+                np.array(rows)[:, k], err_msg=path)
+
+    def test_cases_reach_each_branch(self):
+        assert _scalars(*_ROW_CASES["n_b-clamped"]).n_b == 1.0
+        assert _scalars(*_ROW_CASES["alpha-zero"]).gain == 0.0
+        p, _ = _ROW_CASES["detuned"]
+        assert 1.0 < _scalars(p, None).n_b < p.ensemble.atom_number
+
+    @pytest.mark.parametrize("path, kw", [
+        ("rydberg.n", {}), ("ensemble.atom_number", {}), ("rydberg.series", {}),
+        ("scan.start", dict(scan=ScanSpec(0.0, 1.0, 2))),
+        ("rydberg.gamma_s", dict(gamma_s=None)), ("rydberg.c6_override", {}),
+    ])
+    def test_path_that_is_no_float_parameter_fails_before_the_run(self, path, kw):
+        # a difference in n spanned n = 84 -> 85 (set_path truncates it); a
+        # None value has no step to take
+        p = transient_params(**kw)
+        assert get_path(p, "rydberg.c6_override") is None   # C6 from the series
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path!r}: not a float parameter")):
+            evolve(p, t_end=2.0, dt=1.0, nmax=2,
+                   sensitivity=("rydberg.xi", path))
+
+    def test_coupling_path_at_zero_coupling_raises(self):
+        # g sqrt(n_b) goes as sqrt(C): at C = 0 its derivative in C has no value
+        p = transient_params(cooperativity=0.0)
+        with pytest.raises(SolverError,
+                           match=r"dT/densemble\.cooperativity .* g sqrt\(n_b\) = 0"):
+            evolve(p, t_end=2.0, dt=1.0, nmax=2,
+                   sensitivity=("drive.alpha", "ensemble.cooperativity"))
+
+    def test_paths_that_leave_zero_coupling_at_zero_keep_zero_rows(self):
+        p = transient_params(cooperativity=0.0, delta_p=1.5)
+        paths = ("drive.alpha", "cavity.gamma_c", "ensemble.gamma_e",
+                 "drive.delta_p", "ensemble.cloud_volume")
+        sc = _scalars(p, None)
+        assert sc.g_nb == 0.0
+        rows = _scalar_rows(p, None, sc, paths)
+        assert not rows.g_nb.any() and not rows.prefactor.any()
+        assert rows.n_b.any()   # n_b moves, but g sqrt(n_b) stays 0
+        series = evolve(p, t_end=4.0, dt=1.0, nmax=2, sensitivity=paths)
+        assert np.isfinite(series.dT_dtheta).all()
 
 
 class TestSteady:

@@ -15,6 +15,7 @@ from rydcav.fitting import (
     poisson_weights,
 )
 from rydcav.linear import transmission_linear
+from rydcav.params import ScanSpec
 
 from conftest import make_params
 
@@ -174,9 +175,15 @@ class TestValidation:
                        base_params=make_params(), free=("cavity.gamma_c",))
 
     def test_unfittable_parameter(self):
-        with pytest.raises(ValueError):
-            FitProblem(x=np.arange(10.0), y=np.ones(10), model="linear_eit",
-                       base_params=make_params(), free=("ensemble.atom_number",))
+        # a path with a value that is not a float parameter of the physics
+        # fails when the problem is built, not at its first Jacobian
+        params = make_params(scan=ScanSpec(-5.0, 5.0, 11))
+        for path in ("ensemble.atom_number", "scan.start"):
+            for model in ("linear_eit", "meanfield"):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"'{path}' cannot be fitted: not a float parameter")):
+                    FitProblem(x=np.arange(10.0), y=np.ones(10), model=model,
+                               base_params=params, free=(path,))
 
     def test_unknown_path(self):
         with pytest.raises(KeyError):

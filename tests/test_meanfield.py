@@ -15,10 +15,11 @@ from rydcav.meanfield import (
     transmission_curve,
     transmission_meanfield,
 )
-from rydcav.params import ScanSpec
+from rydcav.params import FLOAT_PATHS, ScanSpec
 
 from conftest import make_params
 from oracles import (
+    dynamical_residual,
     follow_branch_loop,
     oracle_cubic,
     oracle_excitation,
@@ -76,12 +77,12 @@ class TestSolver:
             p = random_paper_scale_params(rng)
             dp = float(rng.uniform(-10, 10))
             sol = solve_self_consistent(p, delta_p=dp)
-            assert meanfield.dynamical_residual(p, sol, delta_p=dp) \
+            assert dynamical_residual(p, sol, delta_p=dp) \
                 < 1e-9 * (p.drive.alpha + 1.0)
         # and on the paper-scale set
         p = make_params(alpha=4.0)
         sol = solve_self_consistent(p, delta_p=2.0)
-        assert meanfield.dynamical_residual(p, sol, delta_p=2.0) \
+        assert dynamical_residual(p, sol, delta_p=2.0) \
             < 1e-9 * (p.drive.alpha + 1.0)
 
     def test_x_increases_with_alpha(self):
@@ -482,15 +483,6 @@ class TestScan:
         assert spec.header == "delta_p_mhz,transmission,x,root_count"
 
 
-# every fittable path of the closed-form models (fitting._UNFITTABLE left
-# out); gamma_s and c6_override are set so that they have a value to move
-_FITTABLE = ("cavity.length", "cavity.finesse", "cavity.gamma_c", "cavity.delta_bg",
-             "ensemble.cooperativity", "ensemble.gamma_e", "ensemble.cloud_volume",
-             "rydberg.gamma_r", "rydberg.gamma_s", "rydberg.xi",
-             "rydberg.c6_override", "drive.delta_p", "drive.delta_cf",
-             "drive.omega_cf", "drive.alpha")
-
-
 def _bistable_params(**updates):
     # S n=60 at 100 photons/us: 12 of the 401 detunings have three roots
     kw = dict(n=60, omega_cf=8.0, delta_cf=-10.0,
@@ -501,6 +493,8 @@ def _bistable_params(**updates):
 
 _GRIDS = {
     # (params, grid, relative step of the Richardson reference)
+    # gamma_s and c6_override are set so that every float parameter has a
+    # value to move
     "plain": (make_params(alpha=2.0, gamma_s=0.1, c6_override=-300.0),
               np.linspace(-30.0, 30.0, 201), 1e-3),
     # near a fold the curve's higher derivatives are large, so the
@@ -544,9 +538,9 @@ class TestTransmissionJacobian:
 
             def curve(q):
                 return transmission_linear(q, grid)
-        jac = meanfield.transmission_jacobian(p, grid, _FITTABLE, x=x)
-        assert jac.shape == (grid.size, len(_FITTABLE))
-        for k, path in enumerate(_FITTABLE):
+        jac = meanfield.transmission_jacobian(p, grid, FLOAT_PATHS, x=x)
+        assert jac.shape == (grid.size, len(FLOAT_PATHS))
+        for k, path in enumerate(FLOAT_PATHS):
             ref = _richardson(curve, p, path, rel)
             # a path outside the model gives a column of exact zeros
             np.testing.assert_allclose(jac[:, k], ref, rtol=0,
