@@ -65,7 +65,7 @@ import numpy as np
 from . import interactions
 from .errors import IntegrationError, SolverError
 from .ode import integrate
-from .params import (FLOAT_PATHS, PhysicalParams, get_path, params_to_dict,
+from .params import (PhysicalParams, params_to_dict, require_float_paths,
                      require_positive, to_angular)
 
 _log = logging.getLogger(__name__)
@@ -241,17 +241,15 @@ def _scalar_rows(params: PhysicalParams, n_b: float | None, sc: _Scalars,
     gain is.  n_b = N |V_b| / V moves by
     dn_b = n_b (Re(conj(V_b) dV_b) / |V_b|^2 - dV / V), with dV_b from
     :func:`rydcav.interactions.blockade_derivative`, unless it is given,
-    clamped to [1, N] or no path moves an input of the blockade chain.  A path that is not a float parameter, or whose
-    value is None, raises ValueError naming it; one that moves
-    (g sqrt(n_b))^2 where g sqrt(n_b) = 0, which goes there as the square
-    root of the parameter, raises SolverError naming it.
+    clamped to [1, N] or no path moves an input of the blockade chain.  A
+    path that is not a float parameter, or whose value is None, raises
+    ValueError naming it (:func:`rydcav.params.require_float_paths`); one
+    that moves (g sqrt(n_b))^2 where g sqrt(n_b) = 0, which goes there as
+    the square root of the parameter, raises SolverError naming it.
     """
     if not paths:
         return _Scalars(*np.zeros((len(_Scalars._fields), 0)))
-    bad = [p for p in paths if p not in FLOAT_PATHS or get_path(params, p) is None]
-    if bad:
-        raise ValueError(f"no derivative of the bubble model in "
-                         f"{', '.join(map(repr, bad))}: not a float parameter")
+    require_float_paths(params, paths, "the bubble model")
 
     def unit(name):
         return np.array([float(path == name) for path in paths])
@@ -850,15 +848,12 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
               if keep_states else None)
 
     dT_dtheta = model.transmission_gradient(samples) if model.sensitivity else None
-    solver = {"coordinates": model.size, "nfev": stats.nfev,
-              "accepted_steps": stats.accepted, "rejected_steps": stats.rejected,
-              "jacobian_evals": stats.jacobian_evals,
-              "inversions": stats.inversions, "max_trace_drift": float(terr.max())}
+    solver = {"coordinates": model.size, **stats._asdict(),
+              "max_trace_drift": float(terr.max())}
     _log.debug("bubble evolve (nmax %d, %d coordinates) to t = %g us: "
                "%d rhs evaluations, %d accepted and %d rejected steps, "
                "%d Jacobian evaluations, %d inversions",
-               nmax, model.size, sample_times[-1], stats.nfev, stats.accepted,
-               stats.rejected, stats.jacobian_evals, stats.inversions)
+               nmax, model.size, sample_times[-1], *stats)
     meta = {"params": params_to_dict(params), "nmax": nmax, "rtol": rtol,
             "n_b": model.n_b, "solver": solver}
     return TimeSeries(sample_times, model.transmission(ys), r @ model._w_rr,

@@ -23,9 +23,8 @@ import numpy as np
 
 from . import bubble, linear, meanfield
 from .errors import ConfigError, IntegrationError, SingularParameterError, SolverError
+from .ode import IntegrationStats
 from .params import FLOAT_PATHS, PhysicalParams, get_path, set_paths
-
-MODELS = ("linear_eit", "meanfield", "bubble_transient")
 
 #: default box constraints by field name; rates that sit in denominators
 #: get a small positive floor
@@ -45,18 +44,12 @@ _DEFAULT_BOUNDS = {
 
 _log = logging.getLogger(__name__)
 
-#: the integrator counts of ``evolve(...).metadata["solver"]`` that a
-#: bubble-transient fit sums over its model runs
-_SOLVER_COUNTS = ("nfev", "accepted_steps", "rejected_steps",
-                  "jacobian_evals", "inversions")
+#: the integrator counts of ``evolve(...).metadata["solver"]`` that a fit
+#: sums over the model runs that report them
+_SOLVER_COUNTS = IntegrationStats._fields
 
 #: the keys ``model_options`` may hold, passed on to the bubble transient
 _MODEL_OPTIONS = ("nmax", "rtol", "atol")
-
-#: where each model's Jacobian comes from
-_JACOBIAN_SOURCES = {"linear_eit": "closed-form",
-                     "meanfield": "implicit-differentiation",
-                     "bubble_transient": "forward-sensitivity"}
 
 
 def default_bounds(path: str) -> tuple[float, float]:
@@ -76,6 +69,36 @@ def _check_model_options(options: dict) -> None:
                          f"expected {', '.join(_MODEL_OPTIONS)}")
 
 
+def _run_linear(problem: FitProblem, params: PhysicalParams):
+    return (np.asarray(linear.transmission_linear(params, problem.x)),
+            lambda: meanfield.transmission_jacobian(params, problem.x, problem.free),
+            None)
+
+
+def _run_meanfield(problem: FitProblem, params: PhysicalParams):
+    curve = meanfield.transmission_curve(params, problem.x)
+    return curve.transmission, lambda: curve.jacobian(problem.free), None
+
+
+def _run_transient(problem: FitProblem, params: PhysicalParams):
+    opts = problem.model_options
+    series = bubble.evolve(params, t_end=float(problem.x[-1]),
+                           nmax=opts.get("nmax", bubble.DEFAULT_NMAX),
+                           rtol=opts.get("rtol", 1e-6), atol=opts.get("atol", 1e-9),
+                           sample_times=problem.x, sensitivity=problem.free)
+    return (series.transmission, lambda: series.dT_dtheta,
+            series.metadata["solver"])
+
+
+#: every forward model by name: (run, where its Jacobian comes from).
+#: ``run(problem, params)`` returns (curve, jacobian, solver): ``jacobian()``
+#: gives the curve's Jacobian in the free parameters from that run alone,
+#: and ``solver`` holds the run's integrator counts, or None
+MODELS = {"linear_eit": (_run_linear, "closed-form"),
+          "meanfield": (_run_meanfield, "implicit-differentiation"),
+          "bubble_transient": (_run_transient, "forward-sensitivity")}
+
+
 @dataclass
 class FitProblem:
     """Data, model selector and free-parameter description for one fit.
@@ -87,11 +110,11 @@ class FitProblem:
     positive and finite.  ``model_options`` passes ``nmax``, ``rtol`` and
     ``atol`` to the bubble transient and holds no other key.  The mean-field
     curve is solved by continuation in data order, so its ``x`` must be
-    strictly increasing or strictly decreasing (a down-sweep).  The problem keeps
-    what the Jacobian at its last evaluation needs: the parameters, the
-    solved populations of a mean-field curve, and the Jacobian and
-    integrator counts (``metadata["solver"]``) of a bubble transient, which
-    is run with the forward sensitivities of every free parameter.
+    strictly increasing or strictly decreasing (a down-sweep).  The problem
+    keeps what its last model run handed back (:data:`MODELS`): the call
+    that gives the run's Jacobian, and the integrator counts
+    (``metadata["solver"]``) of a bubble transient, which is run with the
+    forward sensitivities of every free parameter.
     """
 
     x: np.ndarray
@@ -155,63 +178,39 @@ class FitProblem:
         self.lower, self.upper = np.array([default_bounds(p) for p in self.free]).T
         if np.any(self.initial < self.lower) or np.any(self.initial > self.upper):
             raise ValueError("bounds must contain the initial guess")
-        # (theta, parameters, what the Jacobian needs, solver counts) of
-        # the last evaluation
-        self._last_run = None
+        # (theta, jacobian, solver counts) of the last model run
+        self._last_run = (None, None, None)
 
     @property
     def jacobian_source(self) -> str:
         """How the model's evaluation yields its Jacobian: "closed-form"
         (linear spectrum), "implicit-differentiation" (mean-field curve)
         or "forward-sensitivity" (bubble transient)."""
-        return _JACOBIAN_SOURCES[self.model]
+        return MODELS[self.model][1]
 
     def params_at(self, theta) -> PhysicalParams:
         return set_paths(self.base_params, dict(zip(self.free, theta)))
 
     def model_curve(self, theta) -> np.ndarray:
-        p = self.params_at(theta)
-        kept, solver = None, None
-        if self.model == "linear_eit":
-            curve = np.asarray(linear.transmission_linear(p, self.x))
-        elif self.model == "meanfield":
-            curve, *kept = meanfield._curve(p, self.x)   # kept: x and the grid
-        else:
-            opts = self.model_options
-            series = bubble.evolve(
-                p,
-                t_end=float(self.x[-1]),
-                nmax=opts.get("nmax", bubble.DEFAULT_NMAX),
-                rtol=opts.get("rtol", 1e-6),
-                atol=opts.get("atol", 1e-9),
-                sample_times=self.x,
-                sensitivity=self.free,
-            )
-            curve, kept, solver = (series.transmission, series.dT_dtheta,
-                                   series.metadata["solver"])
-        self._last_run = (np.array(theta, dtype=float), p, kept, solver)
+        curve, jacobian, solver = MODELS[self.model][0](self, self.params_at(theta))
+        self._last_run = (np.array(theta, dtype=float), jacobian, solver)
         return curve
 
     def exact_jacobian(self, theta) -> np.ndarray:
         """Model Jacobian at theta from the evaluation at theta.
 
-        Uses what the last :meth:`model_curve` call kept when it ran at
-        theta, so a residual and its Jacobian cost one model run; runs the
-        model otherwise.  The bubble transient's Jacobian is the one its
-        run integrated; the closed-form models' is computed here, from the
-        parameters and, for the mean field, the solved populations on the
-        grid of constants the solve built
+        Calls the Jacobian the last :meth:`model_curve` call kept when it
+        ran at theta, so a residual and its Jacobian cost one model run;
+        runs the model otherwise.  The bubble transient's Jacobian is the
+        one its run integrated; the closed-form models' is computed at the
+        call: the mean field's on the grid of constants and the populations
+        its curve solved (:meth:`rydcav.meanfield.MeanFieldCurve.jacobian`),
+        the linear spectrum's from the parameters
         (:func:`rydcav.meanfield.transmission_jacobian`).
         """
-        if self._last_run is None or not np.array_equal(self._last_run[0], theta):
+        if not np.array_equal(self._last_run[0], theta):
             self.model_curve(theta)
-        _, params, kept, _ = self._last_run
-        if self.model == "bubble_transient":
-            return kept
-        if self.model == "meanfield":
-            x, grid = kept
-            return meanfield._jacobian(params, grid, self.x, self.free, x)
-        return meanfield.transmission_jacobian(params, self.x, self.free)
+        return self._last_run[1]()
 
 
 @dataclass
@@ -305,10 +304,10 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
     the run that gave its residual (:meth:`FitProblem.exact_jacobian`),
     with no further run, so ``model_evals`` counts the residuals and a
     rejected trial costs one run.  ``jacobian_source`` names where the
-    Jacobian came from.  A bubble-transient fit's ``solver`` sums the
-    integrator counts of its runs (``nfev``, ``accepted_steps``,
+    Jacobian came from.  ``solver`` sums the integrator counts of the runs
+    that report them, a bubble transient's (``nfev``, ``accepted_steps``,
     ``rejected_steps``, ``jacobian_evals``, ``inversions``); it stays None
-    for the other models.  Each fit logs one DEBUG record on
+    for the closed-form models.  Each fit logs one DEBUG record on
     ``rydcav.fitting``.
     """
     w = problem.weights if problem.weights is not None else np.ones_like(problem.y)
@@ -316,17 +315,16 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
     lo, hi = problem.lower, problem.upper
     source = problem.jacobian_source
     evals = 0
-    solver = (dict.fromkeys(_SOLVER_COUNTS, 0)
-              if problem.model == "bubble_transient" else None)
+    solver = {}
 
     def model(theta):
         nonlocal evals
         evals += 1
         curve = problem.model_curve(theta)
-        if solver is not None:
-            run = problem._last_run[3]
+        counts = problem._last_run[2]
+        if counts is not None:
             for key in _SOLVER_COUNTS:
-                solver[key] += run[key]
+                solver[key] = solver.get(key, 0) + counts[key]
         return curve
 
     def residuals(theta):
@@ -411,7 +409,7 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
         objective_history=history,
         model_evals=evals,
         jacobian_source=source,
-        solver=solver,
+        solver=solver or None,
     )
 
 

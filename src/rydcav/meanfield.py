@@ -46,7 +46,7 @@ import numpy as np
 from . import interactions
 from .errors import SingularParameterError, SolverError
 from .linear import eit_factors
-from .params import FLOAT_PATHS, PhysicalParams, ScanSpec, params_to_dict
+from .params import PhysicalParams, ScanSpec, params_to_dict, require_float_paths
 
 _DRX_FLOOR = 1e-300
 
@@ -139,12 +139,10 @@ def _grid_derivative(params: PhysicalParams, paths, g: _Grid) -> _Grid:
     products of single parameters, so their rows are unit or zero rows over
     the float parameters (:data:`rydcav.params.FLOAT_PATHS`); kappa and V_b
     follow by the chain rule (:func:`rydcav.interactions.blockade_derivative`).
-    A path that is not a float parameter raises ValueError naming it.
+    A path that is not a float parameter, or whose value is None, raises
+    ValueError naming it (:func:`rydcav.params.require_float_paths`).
     """
-    unknown = [p for p in paths if p not in FLOAT_PATHS]
-    if unknown:
-        raise ValueError(f"no derivative of the mean-field chain in "
-                         f"{', '.join(map(repr, unknown))}: not a float parameter")
+    require_float_paths(params, paths, "the mean-field chain")
 
     def unit(name):
         return np.array([float(path == name) for path in paths])
@@ -423,25 +421,49 @@ def transmission_meanfield(params: PhysicalParams, delta_p=None,
     return solve_self_consistent(params, x_seed=x_seed, delta_p=delta_p).transmission
 
 
-def transmission_curve(params: PhysicalParams, delta_ps, return_x: bool = False):
+@dataclass(frozen=True, eq=False)
+class MeanFieldCurve:
+    """Mean-field transmission along an ordered grid of probe detunings.
+
+    ``x`` holds the populations the continuation picked, and the curve
+    keeps the grid of constants its solve built, on which
+    :meth:`jacobian` differentiates it.
+    """
+
+    params: PhysicalParams
+    delta_p: np.ndarray
+    transmission: np.ndarray
+    x: np.ndarray
+    _grid: _Grid = field(repr=False)
+
+    def jacobian(self, paths) -> np.ndarray:
+        """dT/dtheta_k at each detuning, (n, p), per unit of the parameter at
+        ``paths[k]``, along the branch the solve followed.
+
+        The root moves by implicit differentiation of the steady-state
+        cubic, so nothing is solved again; the chain's constants are
+        differentiated in closed form on the curve's grid
+        (:func:`_grid_derivative`).  A path that is not a float parameter,
+        or whose value is None, raises ValueError; a derivative that is not
+        finite, as at a fold of the steady state, or in C6 at C6 = 0,
+        raises SolverError.
+        """
+        return _jacobian(self.params, self._grid, self.delta_p, paths, self.x)
+
+
+def transmission_curve(params: PhysicalParams, delta_ps) -> MeanFieldCurve:
     """Mean-field transmission at each detuning of an ordered grid.
 
     Continuation in x along the grid, seeded at the dark (x = 0) solution;
     used by the fitting module, which needs arbitrary (non-uniform) grids.
-    With ``return_x`` it returns (transmission, x), the populations that
-    :func:`transmission_jacobian` differentiates.  A failed point raises; a
-    non-finite detuning raises ValueError.
+    The curve carries the populations it solved and its own derivative,
+    :meth:`MeanFieldCurve.jacobian`.  A failed point raises; a non-finite
+    detuning raises ValueError.
     """
-    t, x, _ = _curve(params, delta_ps)
-    return (t, x) if return_x else t
-
-
-def _curve(params: PhysicalParams, delta_ps):
-    """(transmission, x, grid) of :func:`transmission_curve`: the grid is
-    the one :func:`_jacobian` takes the curve's derivative on."""
-    g = _grid(params, np.asarray(delta_ps, dtype=float))
+    delta_ps = np.asarray(delta_ps, dtype=float)
+    g = _grid(params, delta_ps)
     s = _solve(g)
-    return s.transmission, s.x, g
+    return MeanFieldCurve(params, delta_ps, s.transmission, s.x, g)
 
 
 def _chain_derivative(g: _Grid, dg: _Grid, x) -> np.ndarray:
@@ -483,32 +505,28 @@ def _chain_derivative(g: _Grid, dg: _Grid, x) -> np.ndarray:
     return 2.0 * (u.conjugate() * du).real
 
 
-def transmission_jacobian(params: PhysicalParams, delta_ps, paths,
-                          x=None) -> np.ndarray:
-    """dT/dtheta_k at each detuning, (n, p), per unit of the parameter at
-    ``paths[k]``.
+def transmission_jacobian(params: PhysicalParams, delta_ps, paths) -> np.ndarray:
+    """dT/dtheta_k of the linear spectrum at each detuning, (n, p), per unit
+    of the parameter at ``paths[k]``.
 
-    With ``x``, the populations ``transmission_curve(params, delta_ps,
-    return_x=True)`` picked, it is the mean-field curve's derivative along
-    the branch that solve followed: the root moves by implicit
-    differentiation of the steady-state cubic, so nothing is solved again.
-    With ``x=None`` it is the linear spectrum's derivative, the same chain
-    at kappa = 0 and x = 0 (the identity of acceptance criterion 3).  The
-    chain's constants are differentiated in closed form on the one grid at
-    the parameters (:func:`_grid_derivative`).  A path that is not a float
-    parameter raises ValueError; a derivative that is not finite, as at a
-    fold of the steady state, or in C6 at C6 = 0, raises SolverError.
+    It is the mean-field chain at kappa = 0 and x = 0 (the identity of
+    acceptance criterion 3), with the constants differentiated in closed
+    form on the one grid at the parameters (:func:`_grid_derivative`).  The
+    mean-field curve's own derivative is :meth:`MeanFieldCurve.jacobian`.
+    A path that is not a float parameter, or whose value is None, raises
+    ValueError; a derivative that is not finite raises SolverError.
     """
     delta_ps = np.asarray(delta_ps, dtype=float)
-    return _jacobian(params, _grid(params, delta_ps, interacting=x is not None),
-                     delta_ps, paths, x)
+    return _jacobian(params, _grid(params, delta_ps, interacting=False),
+                     delta_ps, paths, None)
 
 
 def _jacobian(params: PhysicalParams, g: _Grid, delta_ps, paths, x) -> np.ndarray:
-    """:func:`transmission_jacobian` on the grid ``g`` already built at
-    ``params`` and ``delta_ps`` (with the blockade where ``x`` is given)."""
+    """dT/dtheta on the grid ``g`` already built at ``params`` and
+    ``delta_ps``: along the picked populations ``x`` of a mean-field curve,
+    or, with ``x=None``, of the linear chain."""
     if x is not None:
-        x = np.asarray(x, dtype=float).reshape(-1, 1)
+        x = x.reshape(-1, 1)
         if ("rydberg.c6_override" in paths
                 and interactions.c6_coefficient(params.rydberg) == 0):
             raise SolverError("dT/drydberg.c6_override has no value at C6 = 0, "

@@ -126,8 +126,8 @@ class IntegrationStats(NamedTuple):
     inversions of W are 0 without ``jac``."""
 
     nfev: int
-    accepted: int
-    rejected: int
+    accepted_steps: int
+    rejected_steps: int
     jacobian_evals: int = 0
     inversions: int = 0
 

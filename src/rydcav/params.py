@@ -232,6 +232,16 @@ FLOAT_PATHS = tuple(f"{section}.{f.name}" for section, cls in _SECTIONS.items()
                     if f.name not in _INT_FIELDS and f.name != "series")
 
 
+def require_float_paths(params: PhysicalParams, paths, what: str) -> None:
+    """ValueError naming every path of ``paths`` that is not a float
+    parameter (:data:`FLOAT_PATHS`) or whose value in ``params`` is None:
+    "no derivative of ``what`` in ...: not a float parameter"."""
+    bad = [p for p in paths if p not in FLOAT_PATHS or get_path(params, p) is None]
+    if bad:
+        raise ValueError(f"no derivative of {what} in "
+                         f"{', '.join(map(repr, bad))}: not a float parameter")
+
+
 def _coerce(section: str, name: str, value: Any, errs: list[str]):
     if value is None:
         return None
@@ -319,11 +329,18 @@ def get_path(params: PhysicalParams, path: str) -> Any:
 
 
 def set_path(params: PhysicalParams, path: str, value: Any) -> PhysicalParams:
-    """Return a new bundle with one field replaced (not re-validated)."""
+    """Return a new bundle with one field replaced (not re-validated).
+
+    An integer field takes only an int, as in a config file: any other
+    value, a float or a bool included, raises ConfigError.
+    """
     section, _, name = path.partition(".")
     get_path(params, path)  # raises on unknown paths
     if name in _INT_FIELDS:
-        value = int(value)
+        errs: list[str] = []
+        _coerce(section, name, value, errs)
+        if errs:
+            raise ConfigError(errs)
     elif name != "series" and value is not None:
         value = float(value)
     return replace(params, **{section: replace(getattr(params, section), **{name: value})})

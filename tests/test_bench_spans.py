@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rydcav import interactions, meanfield
+from rydcav import fitting, interactions, meanfield
 from rydcav.params import ScanSpec
 
 from conftest import make_params
@@ -44,3 +44,25 @@ def test_install_then_remove_restores_every_name():
     for name, fn in originals.items():
         owner = interactions if name == "blockade_volume" else meanfield
         assert getattr(owner, name) is fn
+
+
+def test_mean_field_fit_solves_are_booked_to_meanfield():
+    # each model run of a mean-field fit calls the wrapped curve, so its
+    # solve is meanfield time, not fitting time
+    grid = np.linspace(-30.0, 30.0, 201)
+    p = make_params(alpha=float(np.sqrt(80.0)))
+    problem = fitting.FitProblem(
+        x=grid, y=meanfield.transmission_curve(p, grid).transmission,
+        model="meanfield", base_params=p,
+        free=("drive.omega_cf", "ensemble.cooperativity"),
+        initial=np.array([4.4, 4.6]))
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        res = fitting.fit(problem)
+    finally:
+        tracer.remove()
+    assert res.converged
+    assert tracer.count["meanfield.transmission_curve"] == res.model_evals
+    assert tracer.layer_self["meanfield"] > 0.0

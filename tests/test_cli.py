@@ -52,6 +52,14 @@ class TestValidateCommand:
         assert rc == 1
         assert "cavity.gamma_c" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item", ["rydberg.n=84.9", "ensemble.atom_number=true"])
+    def test_non_integer_override_of_an_integer_field(self, config_path, capsys,
+                                                      item):
+        rc = main(["validate", "--config", str(config_path), "--override", item])
+        assert rc == 1
+        path = item.partition("=")[0]
+        assert f"error: {path} must be an integer" in capsys.readouterr().err
+
     def test_unknown_override_key(self, config_path, capsys):
         rc = main(["validate", "--config", str(config_path),
                    "--override", "cavity.nope=3"])

@@ -1,5 +1,6 @@
 import logging
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -383,7 +384,7 @@ class TestBubbleTransient:
         grid = np.linspace(-10.0, 10.0, 41)
         from rydcav.meanfield import transmission_curve
 
-        y = transmission_curve(p, grid)
+        y = transmission_curve(p, grid).transmission
         prob = FitProblem(x=grid, y=y, model="meanfield", base_params=p,
                           free=("ensemble.cooperativity",),
                           initial=np.array([4.0]))
@@ -417,7 +418,7 @@ class TestClosedFormJacobians:
 
         grid = np.linspace(-30.0, 30.0, 201)
         p = make_params(alpha=float(np.sqrt(80.0)))
-        y = meanfield.transmission_curve(p, grid)
+        y = meanfield.transmission_curve(p, grid).transmission
         monkeypatch.setattr(fitting, "jacobian", no_differences)
         monkeypatch.setattr(meanfield, "_solve", counted)
         prob = FitProblem(x=grid, y=y, model="meanfield", base_params=p,
@@ -451,7 +452,7 @@ class TestClosedFormJacobians:
 
         grid = np.linspace(-30.0, 30.0, 201)
         p = make_params(alpha=float(np.sqrt(80.0)))
-        prob = FitProblem(x=grid, y=meanfield.transmission_curve(p, grid),
+        prob = FitProblem(x=grid, y=meanfield.transmission_curve(p, grid).transmission,
                           model=model, base_params=p, free=EIT_FREE)
         theta = prob.initial
         prob.model_curve(theta)
@@ -482,22 +483,23 @@ class TestClosedFormJacobians:
         theta = prob.initial * 1.01
         jac = prob.exact_jacobian(theta)
         p = prob.params_at(theta)
-        _, x = meanfield.transmission_curve(p, grid, return_x=True)
         np.testing.assert_array_equal(
-            jac, meanfield.transmission_jacobian(p, grid, prob.free, x=x))
+            jac, meanfield.transmission_curve(p, grid).jacobian(prob.free))
 
+    # c6_override and gamma_s are None here: C6 from the series, gamma_s
+    # following gamma_r
     @pytest.mark.parametrize("path", ["ensemble.atom_number", "rydberg.n",
-                                      "drive.omega"])
+                                      "drive.omega", "rydberg.c6_override",
+                                      "rydberg.gamma_s"])
     def test_jacobian_in_a_path_that_is_no_float_parameter_raises(self, path):
         from rydcav import meanfield
 
         grid = np.linspace(-30.0, 30.0, 21)
         p = make_params(alpha=2.0)
-        _, x = meanfield.transmission_curve(p, grid, return_x=True)
-        for kept in (x, None):
+        for jacobian in (meanfield.transmission_curve(p, grid).jacobian,
+                         partial(meanfield.transmission_jacobian, p, grid)):
             with pytest.raises(ValueError, match=re.escape(repr(path))):
-                meanfield.transmission_jacobian(p, grid, ("drive.alpha", path),
-                                                x=kept)
+                jacobian(("drive.alpha", path))
 
     def test_fit_from_the_zero_cooperativity_bound(self):
         # the difference step below C = 0 leaves the physical range, where
@@ -505,7 +507,7 @@ class TestClosedFormJacobians:
         from rydcav.meanfield import transmission_curve
 
         grid = np.linspace(-20.0, 20.0, 81)
-        y = transmission_curve(make_params(alpha=2.0), grid)
+        y = transmission_curve(make_params(alpha=2.0), grid).transmission
         for model in ("meanfield", "linear_eit"):
             if model == "linear_eit":
                 y = transmission_linear(make_params(), grid)
@@ -521,11 +523,11 @@ class TestClosedFormJacobians:
 
         grid = np.linspace(0.0, 20.0, 401)
         prob = bistable_problem(grid, np.zeros(401))
-        y = transmission_curve(prob.base_params, grid)
+        y = transmission_curve(prob.base_params, grid).transmission
         perm = rng.permutation(grid.size)
         # continuation in the shuffled order lands on other branches
         shuffled = np.empty_like(y)
-        shuffled[perm] = transmission_curve(prob.base_params, grid[perm])
+        shuffled[perm] = transmission_curve(prob.base_params, grid[perm]).transmission
         assert np.max(np.abs(shuffled - y)) > 1.0
         k = int(np.flatnonzero(np.sign(np.diff(grid[perm]))
                                != np.sign(grid[perm][1] - grid[perm][0]))[0]) + 1

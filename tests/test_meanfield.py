@@ -1,5 +1,6 @@
 import logging
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ class TestGridKernel:
     def test_kappa_zero_is_linear_bit_for_bit(self, rng):
         p = make_params(c6_override=0.0, alpha=2.0, scan=ScanSpec(-30.0, 30.0, 201))
         grid = np.sort(rng.uniform(-30.0, 30.0, 57))
-        np.testing.assert_array_equal(transmission_curve(p, grid),
+        np.testing.assert_array_equal(transmission_curve(p, grid).transmission,
                                       transmission_linear(p, grid))
         np.testing.assert_array_equal(scan_meanfield(p).transmission,
                                       transmission_linear(p, p.scan.values()))
@@ -371,7 +372,7 @@ class TestScan:
         rev = scan_meanfield(replace(paper_params, scan=ScanSpec(15.0, -15.0, 61)))
         # reverse by scanning the mirrored grid (kappa depends on detuning)
         grid = p.scan.values()
-        t_rev = transmission_curve(paper_params, grid[::-1])[::-1]
+        t_rev = transmission_curve(paper_params, grid[::-1]).transmission[::-1]
         unique = (fwd.root_count == 1)
         np.testing.assert_allclose(fwd.transmission[unique],
                                    t_rev[unique], rtol=1e-6)
@@ -529,16 +530,16 @@ class TestTransmissionJacobian:
     def test_every_column_matches_richardson(self, grid_name, model):
         p, grid, rel = _GRIDS[grid_name]
         if model == "meanfield":
-            _, x = transmission_curve(p, grid, return_x=True)
+            jacobian = transmission_curve(p, grid).jacobian
 
             def curve(q):
-                return transmission_curve(q, grid)
+                return transmission_curve(q, grid).transmission
         else:
-            x = None
+            jacobian = partial(meanfield.transmission_jacobian, p, grid)
 
             def curve(q):
                 return transmission_linear(q, grid)
-        jac = meanfield.transmission_jacobian(p, grid, FLOAT_PATHS, x=x)
+        jac = jacobian(FLOAT_PATHS)
         assert jac.shape == (grid.size, len(FLOAT_PATHS))
         for k, path in enumerate(FLOAT_PATHS):
             ref = _richardson(curve, p, path, rel)
@@ -549,9 +550,8 @@ class TestTransmissionJacobian:
 
     def test_zero_columns(self):
         p, grid, _ = _GRIDS["plain"]
-        _, x = transmission_curve(p, grid, return_x=True)
         zero = ("drive.delta_p", "rydberg.xi", "rydberg.gamma_s", "cavity.length")
-        assert not meanfield.transmission_jacobian(p, grid, zero, x=x).any()
+        assert not transmission_curve(p, grid).jacobian(zero).any()
         linear_zero = zero + ("drive.alpha", "rydberg.c6_override",
                               "ensemble.cloud_volume")
         assert not meanfield.transmission_jacobian(p, grid, linear_zero).any()
@@ -564,16 +564,16 @@ class TestTransmissionJacobian:
         paths = ("drive.delta_cf", "cavity.delta_bg")
         assert p.drive.delta_cf == p.cavity.delta_bg == 0.0
         if model == "meanfield":
-            _, x = transmission_curve(p, grid, return_x=True)
+            jacobian = transmission_curve(p, grid).jacobian
 
             def curve(q):
-                return transmission_curve(q, grid)
+                return transmission_curve(q, grid).transmission
         else:
-            x = None
+            jacobian = partial(meanfield.transmission_jacobian, p, grid)
 
             def curve(q):
                 return transmission_linear(q, grid)
-        jac = meanfield.transmission_jacobian(p, grid, paths, x=x)
+        jac = jacobian(paths)
         for k, path in enumerate(paths):
             ref = _richardson(curve, p, path, 1e-3)
             np.testing.assert_allclose(jac[:, k], ref, rtol=0,
@@ -585,9 +585,9 @@ class TestTransmissionJacobian:
         p = make_params(alpha=2.0, c6_override=0.0)
         grid = np.linspace(-20.0, 20.0, 81)
         paths = ("drive.omega_cf", "rydberg.c6_override")
-        _, x = transmission_curve(p, grid, return_x=True)
+        curve = transmission_curve(p, grid)
         with pytest.raises(SolverError, match=r"rydberg\.c6_override.*C6 = 0") as err:
-            meanfield.transmission_jacobian(p, grid, paths, x=x)
+            curve.jacobian(paths)
         assert "fold" not in str(err.value)
         # the linear spectrum does not depend on C6
         jac = meanfield.transmission_jacobian(p, grid, paths)
@@ -598,9 +598,8 @@ class TestTransmissionJacobian:
         grid = np.linspace(-20.0, 20.0, 81)
         paths = ("cavity.gamma_c", "ensemble.cooperativity", "drive.omega_cf",
                  "rydberg.gamma_r")
-        _, x = transmission_curve(p, grid, return_x=True)
         np.testing.assert_allclose(
-            meanfield.transmission_jacobian(p, grid, paths, x=x),
+            transmission_curve(p, grid).jacobian(paths),
             meanfield.transmission_jacobian(p, grid, paths), rtol=1e-12, atol=0)
 
     def test_fold_raises_naming_the_detuning(self):
@@ -615,14 +614,16 @@ class TestTransmissionJacobian:
         p = _bistable_params(alpha=float(np.sqrt(k2 / (16.0 * g.coop_term))))
         *_, coeffs = meanfield._cubic(meanfield._grid(p, 10.0))
         assert abs(np.polyval(coeffs, x_f)) <= 1e-9 * abs(coeffs[3])
-        _, (x_9,) = transmission_curve(p, [9.0], return_x=True)
+        (x_9,) = transmission_curve(p, [9.0]).x
+        # the solve at 10 MHz picks another root: hand the curve the fold's
+        curve = replace(transmission_curve(p, [9.0, 10.0]), x=np.array([x_9, x_f]))
         with pytest.raises(SolverError, match=r"delta_p = 10 MHz \(a fold"):
-            meanfield.transmission_jacobian(p, [9.0, 10.0], ("drive.alpha",),
-                                            x=[x_9, x_f])
+            curve.jacobian(("drive.alpha",))
 
     def test_curve_returns_the_populations_it_solved(self):
         p, grid, _ = _GRIDS["bistable"]
-        t, x = transmission_curve(p, grid, return_x=True)
-        np.testing.assert_array_equal(t, transmission_curve(p, grid))
+        curve = transmission_curve(p, grid)
+        t, x = curve.transmission, curve.x
+        np.testing.assert_array_equal(t, transmission_curve(p, grid).transmission)
         scan = scan_meanfield(p, ScanSpec(0.0, 20.0, 401))
         np.testing.assert_array_equal(x, scan.x)

@@ -90,9 +90,9 @@ def test_no_repeated_evaluations():
     assert calls > 100
     assert len(seen) == calls
     assert stats.nfev == calls
-    assert stats.accepted > 0 and stats.rejected >= 0
+    assert stats.accepted_steps > 0 and stats.rejected_steps >= 0
     # the first stage and the initial-step probe, then six stages a step
-    assert stats.nfev == 2 + 6 * (stats.accepted + stats.rejected)
+    assert stats.nfev == 2 + 6 * (stats.accepted_steps + stats.rejected_steps)
     assert stats.jacobian_evals == stats.inversions == 0
 
 
@@ -246,7 +246,7 @@ def test_short_ndf_steps_hand_the_run_back(monkeypatch):
 
     def spy(*args):
         stats, t, y, isample = ndf(*args)
-        spans.append((args[2][-1][0], t, stats.accepted))  # the pair's last t
+        spans.append((args[2][-1][0], t, stats.accepted_steps))  # the pair's last t
         return stats, t, y, isample
 
     monkeypatch.setattr(ode, "_ndf", spy)
@@ -271,7 +271,7 @@ def test_conserved_functional_holds_at_interpolated_samples():
     ts = np.arange(0.0, 20.0, 0.0137)
     out, stats = integrate(lambda t, y: rates @ y, 0.0, y0, ts, rtol=1e-8,
                            atol=1e-12, jac=lambda t, y: rates)
-    assert stats.accepted < ts.size / 2   # most samples fall inside a step
+    assert stats.accepted_steps < ts.size / 2   # most samples fall inside a step
     assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-13
 
 
@@ -297,7 +297,7 @@ def test_sensitivity_part_never_loosens_the_state_control():
     c = np.linalg.solve(STIFF_V, y0)
     s_exact = np.array([STIFF_V @ (STIFF_LAMBDA * t * np.exp(STIFF_LAMBDA * t) * c)
                         for t in ts])
-    assert stats.accepted >= plain_stats.accepted
+    assert stats.accepted_steps >= plain_stats.accepted_steps
     assert np.abs(z[:, :2] - exact).max() <= np.abs(plain - exact).max()
     assert np.abs(z[:, 2:] - s_exact).max() < 5 * kw["rtol"]
 

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -212,6 +214,17 @@ class TestPaths:
         p2 = set_path(paper_params, "drive.alpha", 2.5)
         assert get_path(p2, "drive.alpha") == 2.5
         assert get_path(paper_params, "drive.alpha") == 1.0  # original untouched
+
+    @pytest.mark.parametrize("path", ["rydberg.n", "ensemble.atom_number",
+                                      "scan.npoints"])
+    @pytest.mark.parametrize("value", [84.9, 85.0, True, "85"])
+    def test_integer_field_takes_only_an_int(self, paper_params, path, value):
+        # a float was truncated: rydberg.n = 84.9 ran n = 84
+        p = replace(paper_params, scan=ScanSpec(-5.0, 5.0, 11))
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)} must be an "
+                                              f"integer$"):
+            set_path(p, path, value)
+        assert get_path(set_path(p, path, 85), path) == 85
 
     def test_unknown_path(self, paper_params):
         with pytest.raises(KeyError):
