@@ -755,10 +755,6 @@ class TimeSeries:
 
     header = "t_us,transmission,pop_R,pop_S,trace_error"
 
-    def rows(self):
-        return zip(self.t, self.transmission, self.pop_R, self.pop_S,
-                   self.trace_error)
-
 
 _TRACE_ABORT = 1e-6
 #: evolve integrates at this fraction of its rtol and atol.  At the full
@@ -786,8 +782,8 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     samples are interpolated from its backward-difference polynomial, which
     keeps Tr rho at every sample as the steps do.  Without ``sample_times``
     the samples are 0, dt, ..., t_end, so ``t_end`` must be a whole
-    multiple of ``dt``.  ``rtol`` must be finite and > 0 and ``atol``
-    finite and >= 0, else ValueError with the value given.
+    multiple of ``dt``.  ``rtol`` and ``atol`` must be finite and > 0,
+    else ValueError with the value given.
 
     ``sensitivity`` names parameter paths theta_k (``"rydberg.xi"``,
     ``"drive.alpha"``, ...).  Their forward sensitivities s_k = dy/dtheta_k
@@ -811,7 +807,7 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     Each call logs the counts in one DEBUG record on the ``rydcav`` logger.
     """
     rtol = require_positive("rtol", rtol)
-    atol = require_positive("atol", atol, allow_zero=True)
+    atol = require_positive("atol", atol)
     if sample_times is None:
         t_end = require_positive("t_end", t_end)
         dt = require_positive("dt", dt)

@@ -1,8 +1,14 @@
 """Command-line front end: scans, evolutions, fits and C6 lookup.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 solver or
-integrator failure.  All outputs are deterministic for identical inputs
-and seeds.
+The table commands (``linear-scan``, ``meanfield-scan``, ``bubble-evolve``)
+write their columns as CSV rows under the result's ``header`` or, with
+``--format json``, as JSON lists keyed by the header's names; the others
+write JSON or print to stdout.  ``--seed`` seeds ``--noise`` and exists
+only where that does.
+
+Exit codes: 0 success (or ``--help``), 1 usage, configuration, validation
+or file error, 2 solver or integrator failure.  All outputs are
+deterministic for identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -23,13 +29,11 @@ from .params import (RydbergLevel, load_config, params_to_dict, require_positive
 _DEFAULT_FREE_EIT = "cavity.gamma_c,ensemble.cooperativity,drive.omega_cf,rydberg.gamma_r"
 
 
-def _add_common(sub, config_required=True):
-    sub.add_argument("--config", required=config_required, help="JSON config file")
+def _add_common(sub):
+    sub.add_argument("--config", required=True, help="JSON config file")
     sub.add_argument("--out", help="output file (default: stdout)")
     sub.add_argument("--override", nargs="*", default=(), metavar="KEY=VAL",
                      help="config overrides, e.g. drive.alpha=0.5")
-    sub.add_argument("--seed", type=int, default=0, help="noise seed")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _load_params(args):
@@ -50,16 +54,22 @@ def _load_params(args):
 
 
 def _meta(args, params, extra=None):
-    meta = {"config_hash": config_hash(params_to_dict(params)), "seed": args.seed}
+    meta = {"config_hash": config_hash(params_to_dict(params))}
+    if "seed" in args:
+        meta["seed"] = args.seed
     meta.update(extra or {})
     return meta
 
 
-def _emit_table(args, header, rows, meta, json_payload):
+def _emit_table(args, header, columns, meta, **extra):
+    """Write ``columns`` as CSV rows under ``header``, or as JSON lists
+    keyed by the header's names, with ``extra`` beside them."""
     if args.format == "json":
-        write_json(args.out, json_payload, meta)
+        lists = {name: col.tolist()
+                 for name, col in zip(header.split(","), columns)}
+        write_json(args.out, {**lists, **extra}, meta)
     else:
-        write_csv(args.out, header, rows, meta)
+        write_csv(args.out, header, zip(*columns), meta)
 
 
 def _noise(args, values):
@@ -74,29 +84,24 @@ def _cmd_linear_scan(args):
     require_positive("--noise", args.noise, allow_zero=True)
     params = _load_params(args)
     spec = linear.scan_linear(params)
-    trans = _noise(args, spec.transmission)
     meta = _meta(args, params, {"noise": args.noise} if args.noise else None)
-    payload = {"delta_p_mhz": list(spec.delta_p), "transmission": list(trans)}
-    _emit_table(args, spec.header, zip(spec.delta_p, trans), meta, payload)
+    _emit_table(args, spec.header,
+                (spec.delta_p, _noise(args, spec.transmission)), meta)
     return 0
 
 
 def _cmd_meanfield_scan(args):
     params = _load_params(args)
     spec = meanfield.scan_meanfield(params, variable=args.variable)
+    failed = int(spec.failed.sum())
     # counts and deterministic floats only, so the output stays byte-identical
     meta = _meta(args, params, {"variable": args.variable,
-                                "failed_points": int(spec.failed.sum()),
+                                "failed_points": failed,
                                 "worst_residual": spec.metadata["worst_residual"],
                                 "root_counts": spec.metadata["root_counts"]})
-    payload = {
-        spec.axis_name: list(spec.axis),
-        "transmission": list(spec.transmission),
-        "x": list(spec.x),
-        "root_count": [int(c) for c in spec.root_count],
-        "failed_points": int(spec.failed.sum()),
-    }
-    _emit_table(args, spec.header, spec.rows(), meta, payload)
+    _emit_table(args, spec.header,
+                (spec.axis, spec.transmission, spec.x, spec.root_count), meta,
+                failed_points=failed)
     return 0
 
 
@@ -105,17 +110,14 @@ def _cmd_bubble_evolve(args):
     params = _load_params(args)
     series = bubble.evolve(params, t_end=args.t_end, dt=args.dt,
                            nmax=args.nmax, rtol=args.rtol)
-    trans = _noise(args, series.transmission)
     # the solver's counts and trace drift, never its times, keep the
     # output deterministic
     meta = _meta(args, params, {"nmax": args.nmax, "rtol": args.rtol,
                                 **series.metadata["solver"],
                                 **({"noise": args.noise} if args.noise else {})})
-    rows = zip(series.t, trans, series.pop_R, series.pop_S, series.trace_error)
-    payload = {"t_us": list(series.t), "transmission": list(trans),
-               "pop_R": list(series.pop_R), "pop_S": list(series.pop_S),
-               "trace_error": list(series.trace_error)}
-    _emit_table(args, series.header, rows, meta, payload)
+    _emit_table(args, series.header,
+                (series.t, _noise(args, series.transmission), series.pop_R,
+                 series.pop_S, series.trace_error), meta)
     return 0
 
 
@@ -183,22 +185,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("linear-scan", help="linear EIT transmission spectrum")
     _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--noise", type=float, default=0.0,
                    help="additive Gaussian noise fraction for synthetic fixtures")
+    p.add_argument("--seed", type=int, default=0, help="noise seed")
     p.set_defaults(func=_cmd_linear_scan)
 
     p = subs.add_parser("meanfield-scan", help="nonlinear mean-field spectrum")
     _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--variable", choices=("delta_p", "rate"), default="delta_p")
     p.set_defaults(func=_cmd_meanfield_scan)
 
     p = subs.add_parser("bubble-evolve", help="time evolution of the bubble model")
     _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--t-end", type=float, default=40.0, help="end time (us)")
     p.add_argument("--dt", type=float, default=0.5, help="sampling step (us)")
     p.add_argument("--nmax", type=int, default=bubble.DEFAULT_NMAX)
     p.add_argument("--rtol", type=float, default=1e-8)
     p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=0, help="noise seed")
     p.set_defaults(func=_cmd_bubble_evolve)
 
     p = subs.add_parser("bubble-steady",
@@ -252,14 +259,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 is the
+        # solver's code here
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except ConfigError as exc:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, IntegrationError, SingularParameterError) as exc:

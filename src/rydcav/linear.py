@@ -78,9 +78,6 @@ class Spectrum:
         if np.any(self.transmission < 0):
             raise ValueError("transmission must be >= 0 at every point")
 
-    def rows(self):
-        return zip(self.delta_p, self.transmission)
-
     header = "delta_p_mhz,transmission"
 
 

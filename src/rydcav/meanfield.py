@@ -559,14 +559,9 @@ class NonlinearSpectrum:
         if np.any(self.transmission[~self.failed] < 0):
             raise ValueError("transmission must be >= 0")
 
-    header_suffix = "transmission,x,root_count"
-
     @property
     def header(self) -> str:
-        return f"{self.axis_name},{self.header_suffix}"
-
-    def rows(self):
-        return zip(self.axis, self.transmission, self.x, self.root_count)
+        return f"{self.axis_name},transmission,x,root_count"
 
 
 def scan_meanfield(params: PhysicalParams, scan: ScanSpec | None = None,

@@ -170,10 +170,9 @@ def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
 
     ``t_samples`` must be strictly increasing and >= t0; a sample exactly at
     t0 returns the initial state.  ``sample_callback(t, y)`` is invoked as
-    each sample is recorded and may raise to abort.  ``rtol`` must be
-    finite and > 0, ``atol`` finite and >= 0, and every time finite
-    (ValueError).  Raises IntegrationError on a non-finite step or
-    step-size underflow.
+    each sample is recorded and may raise to abort.  ``rtol`` and ``atol``
+    must be finite and > 0, and every time finite (ValueError).  Raises
+    IntegrationError on a non-finite step or step-size underflow.
 
     The error of a step is the RMS of err / (atol + rtol |y|).  When y is
     ``parts`` equal parts, such as a state followed by its sensitivities,
@@ -189,7 +188,7 @@ def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
     its samples (see the module docstring).
     """
     rtol = require_positive("rtol", rtol)
-    atol = require_positive("atol", atol, allow_zero=True)
+    atol = require_positive("atol", atol)
     t_samples = np.asarray(t_samples, dtype=float)
     if t_samples.ndim != 1 or t_samples.size == 0:
         raise ValueError("need at least one sample time")

@@ -703,7 +703,8 @@ class TestEvolve:
 
     @pytest.mark.parametrize("kw", [{"rtol": float("nan")}, {"rtol": -1.0},
                                     {"atol": float("nan")},
-                                    {"sample_times": [0.0, float("nan"), 2.0]}])
+                                    {"sample_times": [0.0, float("nan"), 2.0]},
+                                    {"atol": 0.0}])
     def test_bad_tolerance_or_sample_time_rejected_before_any_step(
             self, kw, monkeypatch):
         def no_rhs(*args):
@@ -718,7 +719,7 @@ class TestEvolve:
         # names the caller's value, not the quartered one
         with pytest.raises(ValueError, match="rtol must be > 0 and finite, got -1$"):
             evolve(weak_drive_params(), t_end=2.0, nmax=2, rtol=-1)
-        with pytest.raises(ValueError, match="atol must be >= 0 and finite, got -2$"):
+        with pytest.raises(ValueError, match="atol must be > 0 and finite, got -2$"):
             evolve(weak_drive_params(), t_end=2.0, nmax=2, atol=-2)
 
     def test_metadata_snapshot(self):

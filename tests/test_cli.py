@@ -442,3 +442,63 @@ def test_bad_noise_exits_1_without_output(tmp_path, capsys, monkeypatch, command
     assert f"--noise must be >= 0 and finite, got {float(value)!r}" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: rydcav")
+
+
+# --format exists only on the table commands and --seed only beside --noise
+@pytest.mark.parametrize("argv", [
+    ["linear-scan"],
+    ["bubble-steady", "--config", "cfg.json", "--format", "json"],
+    ["fit-eit", "--config", "cfg.json", "--data", "d.csv", "--format", "json"],
+    ["fit-transient", "--config", "cfg.json", "--data", "d.csv", "--format", "csv"],
+    ["meanfield-scan", "--config", "cfg.json", "--seed", "3"],
+    ["bubble-steady", "--config", "cfg.json", "--seed", "3"],
+    ["fit-eit", "--config", "cfg.json", "--data", "d.csv", "--seed", "3"],
+    ["fit-transient", "--config", "cfg.json", "--data", "d.csv", "--seed", "3"],
+])
+def test_usage_error_exits_1(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage: rydcav")
+
+
+@pytest.mark.parametrize("command", [["linear-scan", "--out", "{dir}"],
+                                     ["fit-eit", "--data", "{dir}"]],
+                         ids=["out", "data"])
+def test_directory_in_place_of_a_file_exits_1(tmp_path, capsys, command):
+    cfg = write_config(tmp_path)
+    rc = main([command[0], "--config", str(cfg),
+               *(a.format(dir=tmp_path) for a in command[1:])])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _csv_columns(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    names = lines[0].split(",")
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    return dict(zip(names, map(list, zip(*rows))))
+
+
+@pytest.mark.parametrize("command, extra", [
+    (["linear-scan", "--noise", "0.02", "--seed", "9"], set()),
+    (["meanfield-scan", "--override", "scan.npoints=21"], {"failed_points"}),
+    (["meanfield-scan", "--variable", "rate", "--override", "scan.start=0.5",
+      "scan.stop=30", "scan.npoints=7"], {"failed_points"}),
+    (["bubble-evolve", "--t-end", "3", "--dt", "1", "--nmax", "2",
+      "--noise", "0.01", "--seed", "9"], set()),
+], ids=["linear-scan", "meanfield-scan", "meanfield-rate", "bubble-evolve"])
+def test_csv_and_json_carry_the_same_columns(tmp_path, command, extra):
+    cfg = write_config(tmp_path)
+    csv, js = tmp_path / "out.csv", tmp_path / "out.json"
+    for out, fmt in ((csv, "csv"), (js, "json")):
+        assert main([command[0], "--config", str(cfg), "--out", str(out),
+                     "--format", fmt, *command[1:]]) == 0
+    columns = _csv_columns(csv)
+    doc = json.loads(js.read_text())
+    assert set(doc) == set(columns) | extra | {"_meta"}
+    for name, column in columns.items():
+        assert doc[name] == column

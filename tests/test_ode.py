@@ -150,6 +150,7 @@ def test_invalid_sample_times():
 @pytest.mark.parametrize("kw", [
     {"rtol": float("nan")}, {"rtol": 0.0}, {"rtol": -1.0}, {"rtol": float("inf")},
     {"atol": float("nan")}, {"atol": -1e-12}, {"atol": float("inf")},
+    {"atol": 0.0},
 ])
 def test_invalid_tolerances_rejected_before_any_evaluation(kw):
     def f(t, y):
