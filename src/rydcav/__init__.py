@@ -35,7 +35,6 @@ from .meanfield import (
     NonlinearSpectrum,
     scan_meanfield,
     solve_self_consistent,
-    steady_residual,
     transmission_meanfield,
 )
 from .params import (
@@ -45,7 +44,6 @@ from .params import (
     PhysicalParams,
     RydbergLevel,
     ScanSpec,
-    cloud_volume_gaussian,
     linewidth_from_geometry,
     load_config,
     params_from_dict,
@@ -65,9 +63,9 @@ __all__ = [
     "atoms_per_bubble", "blockade_volume", "c6_d", "c6_s", "kappa",
     "Spectrum", "scan_linear", "transmission_linear",
     "MeanFieldSolution", "NonlinearSpectrum", "scan_meanfield",
-    "solve_self_consistent", "steady_residual", "transmission_meanfield",
+    "solve_self_consistent", "transmission_meanfield",
     "CavityParams", "DriveParams", "EnsembleParams", "PhysicalParams",
-    "RydbergLevel", "ScanSpec", "cloud_volume_gaussian",
+    "RydbergLevel", "ScanSpec",
     "linewidth_from_geometry", "load_config", "params_from_dict",
     "params_to_dict", "to_angular", "validate",
 ]

@@ -4,7 +4,10 @@ The table commands (``linear-scan``, ``meanfield-scan``, ``bubble-evolve``)
 write their columns as CSV rows under the result's ``header`` or, with
 ``--format json``, as JSON lists keyed by the header's names; the others
 write JSON or print to stdout.  ``--seed`` seeds ``--noise`` and exists
-only where that does.
+only where that does; the output records it only when there is noise.
+An ``--override`` value is checked and converted as the same value in a
+config file is.  An ``--out`` that is a directory, or whose directory does
+not exist, is refused before the config is read.
 
 Exit codes: 0 success (or ``--help``), 1 usage, configuration, validation
 or file error, 2 solver or integrator failure.  All outputs are
@@ -17,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -55,7 +59,7 @@ def _load_params(args):
 
 def _meta(args, params, extra=None):
     meta = {"config_hash": config_hash(params_to_dict(params))}
-    if "seed" in args:
+    if getattr(args, "noise", 0.0):
         meta["seed"] = args.seed
     meta.update(extra or {})
     return meta
@@ -265,6 +269,11 @@ def main(argv=None) -> int:
         # argparse exits 0 after --help and 2 on a usage error; 2 is the
         # solver's code here
         return 1 if exc.code else 0
+    out = getattr(args, "out", None)
+    if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        print(f"error: cannot write --out {out}: it is a directory or its "
+              "directory does not exist", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -51,15 +51,24 @@ _SOLVER_COUNTS = IntegrationStats._fields
 #: the keys ``model_options`` may hold, passed on to the bubble transient
 _MODEL_OPTIONS = ("nmax", "rtol", "atol")
 
+#: :func:`fit` stops after this many iterations, or where the largest
+#: component of the weighted gradient J^T r falls below _GTOL
+_MAX_ITER = 100
+_GTOL = 1e-12
+
+#: :func:`poisson_weights` weighs a count below this as this count, so a
+#: zero count gets a finite weight
+_POISSON_FLOOR = 1e-6
+
 
 def default_bounds(path: str) -> tuple[float, float]:
     name = path.partition(".")[2]
     return _DEFAULT_BOUNDS.get(name, (-np.inf, np.inf))
 
 
-def poisson_weights(y, floor: float = 1e-6) -> np.ndarray:
-    """w = 1 / max(y, floor), for photon-counting data."""
-    return 1.0 / np.maximum(np.asarray(y, dtype=float), floor)
+def poisson_weights(y) -> np.ndarray:
+    """w = 1 / max(y, 1e-6), for photon-counting data."""
+    return 1.0 / np.maximum(np.asarray(y, dtype=float), _POISSON_FLOOR)
 
 
 def _check_model_options(options: dict) -> None:
@@ -290,8 +299,8 @@ def _covariance(jac_w, ssr, dof):
     return cov, ci
 
 
-def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
-        xtol: float = 1e-8, gtol: float = 1e-12) -> FitResult:
+def fit(problem: FitProblem, ftol: float = 1e-10,
+        xtol: float = 1e-8) -> FitResult:
     """Levenberg-Marquardt trust-region minimization of the fit problem.
 
     The damping parameter follows Nielsen's gain-ratio update; trial steps
@@ -299,7 +308,8 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
     steps is recorded in ``objective_history`` (monotonically decreasing by
     construction).  The fit stops when a step is below ``xtol``, when the
     objective of an accepted or a rejected trial changes by less than
-    ``ftol`` relative, or when the gradient is below ``gtol``.  Each model
+    ``ftol`` relative, or when the largest component of the gradient is
+    below 1e-12; it stops unconverged after 100 iterations.  Each model
     run gives one residual; the Jacobian at an accepted point comes from
     the run that gave its residual (:meth:`FitProblem.exact_jacobian`),
     with no further run, so ``model_evals`` counts the residuals and a
@@ -351,7 +361,7 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
     message = "max_iter reached"
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         try:
             delta = np.linalg.solve(a + mu * np.eye(theta.size), -g)
         except np.linalg.LinAlgError:
@@ -377,7 +387,7 @@ def fit(problem: FitProblem, max_iter: int = 100, ftol: float = 1e-10,
                 break
             a = jac_r.T @ jac_r
             g = jac_r.T @ r
-            if float(np.max(np.abs(g))) < gtol:
+            if float(np.max(np.abs(g))) < _GTOL:
                 converged, message = True, "gradient tolerance reached"
                 break
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)

@@ -182,20 +182,6 @@ def _amplitudes(g: _Grid, x):
     return a, b, c, branch, denom, singular
 
 
-def steady_residual(params: PhysicalParams, x, delta_p=None):
-    """F(x) - x; its roots are the self-consistent steady states.
-
-    Accepts a scalar or an array of x values (x >= 0).
-    """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        *_, c, _, _, singular = _amplitudes(_grid(params, delta_p), x)
-    if singular.any():
-        raise SingularParameterError("singular denominator in the steady-state chain")
-    res = (np.abs(c) ** 2 - x).reshape(x.shape)
-    return float(res) if res.ndim == 0 else res
-
-
 @dataclass
 class MeanFieldSolution:
     a: complex

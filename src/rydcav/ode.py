@@ -3,8 +3,8 @@ handing over to a stiff variable-order NDF/BDF when the Jacobian is given.
 
 :func:`integrate` is the one entry point.  Both integrators share its
 boundary checks, the error norm (the RMS of err / (atol + rtol |y|), per
-part when y is a state followed by its sensitivities), the sample
-callback and the :class:`IntegrationStats` of a run.
+part when y is a state followed by its sensitivities) and the
+:class:`IntegrationStats` of a run.
 
 The explicit step is an embedded Dormand-Prince 5(4) pair: the 5th-order
 solution propagates, the difference to the embedded 4th-order solution
@@ -163,15 +163,14 @@ def _initial_step(f, t0, y0, f0, rtol, atol):
 
 
 def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
-              atol: float = 1e-10, sample_callback=None, parts: int = 1,
+              atol: float = 1e-10, parts: int = 1,
               jac=None) -> tuple[np.ndarray, IntegrationStats]:
     """Integrate dy/dt = f(t, y); return the state at each sample time and
     the run's :class:`IntegrationStats`.
 
     ``t_samples`` must be strictly increasing and >= t0; a sample exactly at
-    t0 returns the initial state.  ``sample_callback(t, y)`` is invoked as
-    each sample is recorded and may raise to abort.  ``rtol`` and ``atol``
-    must be finite and > 0, and every time finite (ValueError).  Raises
+    t0 returns the initial state.  ``rtol`` and ``atol`` must be finite
+    and > 0, and every time finite (ValueError).  Raises
     IntegrationError on a non-finite step or step-size underflow.
 
     The error of a step is the RMS of err / (atol + rtol |y|).  When y is
@@ -200,24 +199,22 @@ def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
     dtype = np.result_type(np.asarray(y0).dtype, np.float64)
     y = np.array(y0, dtype=dtype)
     out = np.empty((t_samples.size, y.size), dtype=dtype)
-    isample = _record_due(float(t0), y, t_samples, 0, out, sample_callback)
+    isample = _record_due(float(t0), y, t_samples, 0, out)
     if isample == t_samples.size:
         return out, IntegrationStats(0, 0, 0)
     radius = None
     if jac is not None:
         radius = _spectral_radius(jac(t0, y[:y.size // parts]))
     stats, points, h, isample = _dopri5(f, float(t0), y, t_samples, isample,
-                                        out, rtol, atol, sample_callback,
-                                        parts, radius)
+                                        out, rtol, atol, parts, radius)
     stats = stats._replace(jacobian_evals=int(jac is not None))
     if isample < t_samples.size:      # stability holds the pair's step
         stiff, t, y, isample = _ndf(f, jac, points, h, t_samples, isample, out,
-                                    rtol, atol, sample_callback, parts, radius)
+                                    rtol, atol, parts, radius)
         stats = IntegrationStats(*(a + b for a, b in zip(stats, stiff)))
         if isample < t_samples.size:  # the NDF's steps stayed short
             rest, _, _, isample = _dopri5(f, t, y, t_samples, isample, out,
-                                          rtol, atol, sample_callback, parts,
-                                          None)
+                                          rtol, atol, parts, None)
             stats = IntegrationStats(*(a + b for a, b in zip(stats, rest)))
     return out, stats
 
@@ -227,19 +224,16 @@ def _due(t_sample, t):
     return t_sample - t <= _SNAP * max(1.0, abs(t_sample))
 
 
-def _record_due(t, y, t_samples, isample, out, sample_callback):
+def _record_due(t, y, t_samples, isample, out):
     """Record y at every sample from ``isample`` on that t has reached;
     return the index of the next sample."""
     while isample < t_samples.size and _due(t_samples[isample], t):
         out[isample] = y
-        if sample_callback is not None:
-            sample_callback(t_samples[isample], y)
         isample += 1
     return isample
 
 
-def _dopri5(f, t, y, t_samples, isample, out, rtol, atol, sample_callback,
-            parts, radius):
+def _dopri5(f, t, y, t_samples, isample, out, rtol, atol, parts, radius):
     """Dormand-Prince steps to the last sample, or, given the spectral
     ``radius`` of the Jacobian, until stability holds the step; returns
     (stats, points, h, index of the next sample): ``points`` holds the last
@@ -281,8 +275,7 @@ def _dopri5(f, t, y, t_samples, isample, out, rtol, atol, sample_callback,
             t += h_try
             y = y_new
             points.append((t, y))
-            isample = _record_due(t, y, t_samples, isample, out,
-                                  sample_callback)
+            isample = _record_due(t, y, t_samples, isample, out)
             k[0] = k[6]  # row copy: a rejected next step must not overwrite it
             factor = _MAX_FACTOR if err == 0 else min(
                 _MAX_FACTOR, _SAFETY * err ** -exponent)
@@ -390,8 +383,8 @@ def _warm_start(points, h, rtol, atol, parts):
     return diffs, int(orders[best]), h
 
 
-def _ndf(f, jac, points, h, t_samples, isample, out, rtol, atol,
-         sample_callback, parts, radius):
+def _ndf(f, jac, points, h, t_samples, isample, out, rtol, atol, parts,
+         radius):
     """NDF steps from the last of the pair's accepted ``points`` (t, y), on
     at most its last step h (:func:`_warm_start`), to the last sample, or
     until _HANDBACK_STEPS accepted steps average less than half the pair's
@@ -475,8 +468,6 @@ def _ndf(f, jac, points, h, t_samples, isample, out, rtol, atol,
                 s = (ts - t) / h + np.arange(order)
                 out[isample] = y + np.cumprod(s / np.arange(1, order + 1)) \
                     @ diffs[1:order + 1]
-            if sample_callback is not None:
-                sample_callback(ts, out[isample])
             isample += 1
         window_steps += 1
         if window_steps == _HANDBACK_STEPS:

@@ -45,16 +45,6 @@ def linewidth_from_geometry(length: float, finesse: float) -> float:
     return _SPEED_OF_LIGHT / (2.0 * length * finesse) / 1e6
 
 
-def cloud_volume_gaussian(sigma_radial: float, sigma_z: float) -> float:
-    """Effective volume (um^3) of a Gaussian cloud, (2 pi)^(3/2) s_r^2 s_z.
-
-    Optional helper; the cloud volume is normally a direct config input.
-    """
-    if sigma_radial <= 0 or sigma_z <= 0:
-        raise ValueError("cloud radii must be > 0")
-    return TWO_PI ** 1.5 * sigma_radial**2 * sigma_z
-
-
 @dataclass(frozen=True)
 class CavityParams:
     length: float = 0.066       # m
@@ -112,12 +102,6 @@ class PhysicalParams:
     rydberg: RydbergLevel = RydbergLevel()
     drive: DriveParams = DriveParams()
     scan: ScanSpec | None = None
-
-    @property
-    def g_root_n(self) -> float:
-        """Collective coupling g sqrt(N) = sqrt(2 gamma_e gamma_c C), MHz."""
-        e, c = self.ensemble, self.cavity
-        return math.sqrt(2.0 * e.gamma_e * c.gamma_c * e.cooperativity)
 
     def detunings(self, delta_p: float | None = None) -> tuple[float, float, float]:
         """(Delta_e, Delta_r, Delta_c) in MHz for a probe detuning.
@@ -331,18 +315,16 @@ def get_path(params: PhysicalParams, path: str) -> Any:
 def set_path(params: PhysicalParams, path: str, value: Any) -> PhysicalParams:
     """Return a new bundle with one field replaced (not re-validated).
 
-    An integer field takes only an int, as in a config file: any other
-    value, a float or a bool included, raises ConfigError.
+    The value is coerced as in a config file: an integer field takes only
+    an int, a number field only an int or a float (bools and strings
+    refused), each converted to float; a refused value raises ConfigError.
     """
     section, _, name = path.partition(".")
     get_path(params, path)  # raises on unknown paths
-    if name in _INT_FIELDS:
-        errs: list[str] = []
-        _coerce(section, name, value, errs)
-        if errs:
-            raise ConfigError(errs)
-    elif name != "series" and value is not None:
-        value = float(value)
+    errs: list[str] = []
+    value = _coerce(section, name, value, errs)
+    if errs:
+        raise ConfigError(errs)
     return replace(params, **{section: replace(getattr(params, section), **{name: value})})
 
 

@@ -20,7 +20,7 @@ from rydcav.bubble import (
     evolve,
     steady_transmission_bubble,
 )
-from rydcav.errors import SolverError
+from rydcav.errors import IntegrationError, SolverError
 from rydcav.linear import transmission_linear
 from rydcav.ode import integrate
 from rydcav.params import FLOAT_PATHS, ScanSpec, get_path, set_path
@@ -745,6 +745,30 @@ class TestEvolve:
         assert solver["coordinates"] == 29
         assert solver["jacobian_evals"] >= 1 and solver["inversions"] >= 1
         assert solver["max_trace_drift"] == series.trace_error.max() < 1e-6
+
+    @pytest.mark.parametrize("drift", [2e-6, 1e-7])
+    def test_trace_drift_beyond_1e_6_raises_naming_the_sample(self, monkeypatch,
+                                                              drift):
+        # the integrator keeps Tr rho to rounding; the drift is added to the
+        # first population of the sample at t = 3 us
+        import rydcav.bubble as bubble
+
+        def drifting(*args, **kwargs):
+            samples, stats = integrate(*args, **kwargs)
+            samples[3, 0] += drift
+            return samples, stats
+
+        monkeypatch.setattr(bubble, "integrate", drifting)
+        run = dict(t_end=5.0, dt=1.0, nmax=2)
+        if drift > 1e-6:
+            with pytest.raises(IntegrationError,
+                               match=r"^trace drift 2e-06 exceeds 1e-06 at t=3 us$"):
+                evolve(transient_params(), **run)
+        else:
+            series = evolve(transient_params(), **run)
+            assert series.trace_error[3] == pytest.approx(drift, rel=1e-6)
+            assert series.metadata["solver"]["max_trace_drift"] == \
+                series.trace_error[3]
 
     @pytest.mark.parametrize("nmax", [4, 6])
     def test_stiff_transient_matches_a_tight_explicit_reference(self, nmax):

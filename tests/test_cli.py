@@ -60,6 +60,14 @@ class TestValidateCommand:
         path = item.partition("=")[0]
         assert f"error: {path} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item", ["drive.alpha=true", 'drive.alpha="2.5"'])
+    def test_non_number_override_of_a_number_field(self, config_path, capsys,
+                                                   item):
+        # a config file refuses both values, so an override does too
+        rc = main(["validate", "--config", str(config_path), "--override", item])
+        assert rc == 1
+        assert "error: drive.alpha must be a number" in capsys.readouterr().err
+
     def test_unknown_override_key(self, config_path, capsys):
         rc = main(["validate", "--config", str(config_path),
                    "--override", "cavity.nope=3"])
@@ -107,6 +115,16 @@ class TestLinearScan:
               "--noise", "0.02", "--seed", "6"])
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_seed_without_noise_changes_nothing(self, config_path, tmp_path, fmt):
+        outs = [tmp_path / f"seed{seed}.{fmt}" for seed in (0, 5)]
+        for seed, out in zip((0, 5), outs):
+            assert main(["linear-scan", "--config", str(config_path),
+                         "--out", str(out), "--format", fmt,
+                         "--seed", str(seed)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert b"seed" not in outs[0].read_bytes()
 
 
 class TestOverrides:
@@ -474,6 +492,21 @@ def test_directory_in_place_of_a_file_exits_1(tmp_path, capsys, command):
                *(a.format(dir=tmp_path) for a in command[1:])])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("out", ["{dir}", "{dir}/missing/x.csv"],
+                         ids=["directory", "missing-parent"])
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, out):
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolve ran")
+
+    monkeypatch.setattr(cli.bubble, "evolve", no_evolve)
+    out = out.format(dir=tmp_path)
+    rc = main(["bubble-evolve", "--config", str(write_config(tmp_path)),
+               "--nmax", "2", "--t-end", "2", "--dt", "1", "--out", out])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}")
+    assert not (tmp_path / "missing").exists()
 
 
 def _csv_columns(path):

@@ -123,7 +123,7 @@ class TestEngineProperties:
         # the sums inside J^T J and J^T r
         perm = rng.permutation(y.size)
         free = ("cavity.gamma_c", "ensemble.cooperativity")
-        tight = dict(xtol=1e-13, ftol=1e-15, gtol=1e-13)
+        tight = dict(xtol=1e-13, ftol=1e-15)
         res_a = fit(FitProblem(x=grid, y=noisy, model="linear_eit",
                                base_params=make_params(), free=free), **tight)
         res_b = fit(FitProblem(x=grid[perm], y=noisy[perm], model="linear_eit",

@@ -12,7 +12,6 @@ from rydcav.meanfield import (
     photon_rate_to_alpha,
     scan_meanfield,
     solve_self_consistent,
-    steady_residual,
     transmission_curve,
     transmission_meanfield,
 )
@@ -30,13 +29,6 @@ from oracles import (
 
 
 class TestResidual:
-    def test_dark_cavity(self, paper_params):
-        from dataclasses import replace
-
-        p = replace(paper_params,
-                    drive=replace(paper_params.drive, alpha=0.0))
-        assert steady_residual(p, 0.0) == 0.0
-
     def test_kappa_zero_reduces_to_linear(self):
         p = make_params(c6_override=0.0, alpha=2.0)
         sol = solve_self_consistent(p, delta_p=1.5)
@@ -47,9 +39,11 @@ class TestResidual:
 
     def test_residual_matches_oracle_map(self, paper_params):
         xs = np.linspace(0.0, 50.0, 7)
-        got = steady_residual(paper_params, xs, delta_p=0.0)
-        want = oracle_excitation(paper_params, 0.0, xs) - xs
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        *_, c, _, _, singular = meanfield._amplitudes(
+            meanfield._grid(paper_params, 0.0), xs)
+        assert not singular.any()
+        want = oracle_excitation(paper_params, 0.0, xs)
+        np.testing.assert_allclose(np.abs(c) ** 2, want, rtol=1e-9, atol=1e-12)
 
     def test_root_against_dense_scan(self, paper_params):
         sol = solve_self_consistent(paper_params, delta_p=0.0)
@@ -146,8 +140,9 @@ class TestBistableWindow:
         (a, b, c, d), count = oracle_cubic(p, 10.0)
         assert count == 3
         assert solve_self_consistent(p).root_count == 3
-        # the grid kernel's candidates at this one point (F(0) is the residual at 0)
-        roots = meanfield._fixed_points(meanfield._grid(p), steady_residual(p, 0.0))[0]
+        # the grid kernel's candidates at this one point, given F(0)
+        f0 = oracle_excitation(p, 10.0, 0.0)
+        roots = meanfield._fixed_points(meanfield._grid(p), f0)[0]
         roots = roots[~np.isnan(roots)]
         assert len(roots) == 3
         for x in roots:

@@ -107,23 +107,6 @@ def test_sample_times_hit_exactly():
         np.testing.assert_allclose(out[:, 0].real, ts, atol=1e-12)
 
 
-def test_sample_callback_invoked_and_aborts():
-    def f(t, y):
-        return -y
-
-    def cb(t, y):
-        seen.append(t)
-        if t > 0.5:
-            raise IntegrationError("abort requested")
-
-    for kw in both_paths():
-        seen = []
-        with pytest.raises(IntegrationError, match="abort requested"):
-            integrate(f, 0.0, np.array([1.0 + 0j]), [0.2, 0.4, 1.0, 2.0],
-                      rtol=1e-8, sample_callback=cb, **kw)
-        assert seen == [0.2, 0.4, 1.0]
-
-
 def test_step_underflow_raises():
     # finite-time blow-up: y' = y^2, y(0) = 1 diverges at t = 1
     def f(t, y):

@@ -19,13 +19,13 @@ from rydcav.params import (
     PhysicalParams,
     RydbergLevel,
     ScanSpec,
-    cloud_volume_gaussian,
     get_path,
     linewidth_from_geometry,
     load_config,
     params_from_dict,
     params_to_dict,
     set_path,
+    set_paths,
     to_angular,
     validate,
 )
@@ -143,13 +143,6 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_cloud_volume_gaussian():
-    v = cloud_volume_gaussian(35.0, 35.0)
-    assert v == pytest.approx((2 * math.pi) ** 1.5 * 35.0**3, rel=1e-12)
-    with pytest.raises(ValueError):
-        cloud_volume_gaussian(0.0, 1.0)
-
-
 def test_gamma_s_defaults_to_gamma_r():
     level = RydbergLevel(gamma_r=0.3)
     assert level.gamma_s_eff == 0.3
@@ -164,11 +157,6 @@ def test_detuning_wiring():
     assert De == complex(0.0, 3.0)
     assert Dr == complex(-1.5, 0.2)
     assert Dc == complex(-0.7, 10.0)
-
-
-def test_g_root_n():
-    p = make_params(gamma_e=3.0, gamma_c=10.0, cooperativity=5.0)
-    assert p.g_root_n == pytest.approx(math.sqrt(300.0), rel=1e-15)
 
 
 class TestConfigTree:
@@ -225,6 +213,20 @@ class TestPaths:
                                               f"integer$"):
             set_path(p, path, value)
         assert get_path(set_path(p, path, 85), path) == 85
+
+    @pytest.mark.parametrize("value", [True, "2.5"])
+    def test_number_field_takes_only_a_number(self, paper_params, value):
+        # as in a config file, neither a bool nor a string is a number
+        with pytest.raises(ConfigError, match=r"^drive\.alpha must be a number$"):
+            set_path(paper_params, "drive.alpha", value)
+
+    def test_number_field_converts_to_float(self, paper_params):
+        # a fit's set_paths hands over numpy floats, which are floats
+        p = set_paths(paper_params, {"drive.alpha": np.float64(2.5),
+                                     "cavity.gamma_c": 7})
+        for path, value in (("drive.alpha", 2.5), ("cavity.gamma_c", 7.0)):
+            assert type(get_path(p, path)) is float
+            assert get_path(p, path) == value
 
     def test_unknown_path(self, paper_params):
         with pytest.raises(KeyError):
