@@ -31,8 +31,8 @@ from .interactions import (
 )
 from .linear import Spectrum, scan_linear, transmission_linear
 from .meanfield import (
+    MeanFieldCurve,
     MeanFieldSolution,
-    NonlinearSpectrum,
     scan_meanfield,
     solve_self_consistent,
     transmission_meanfield,
@@ -62,7 +62,7 @@ __all__ = [
     "FitProblem", "FitResult", "XiEstimate", "fit", "fit_xi_series",
     "atoms_per_bubble", "blockade_volume", "c6_d", "c6_s", "kappa",
     "Spectrum", "scan_linear", "transmission_linear",
-    "MeanFieldSolution", "NonlinearSpectrum", "scan_meanfield",
+    "MeanFieldCurve", "MeanFieldSolution", "scan_meanfield",
     "solve_self_consistent", "transmission_meanfield",
     "CavityParams", "DriveParams", "EnsembleParams", "PhysicalParams",
     "RydbergLevel", "ScanSpec",

@@ -65,8 +65,8 @@ import numpy as np
 from . import interactions
 from .errors import IntegrationError, SolverError
 from .ode import integrate
-from .params import (PhysicalParams, params_to_dict, require_float_paths,
-                     require_positive, to_angular)
+from .params import (PhysicalParams, is_integer, params_to_dict,
+                     require_float_paths, require_positive, to_angular)
 
 _log = logging.getLogger(__name__)
 
@@ -92,10 +92,11 @@ class BubbleOperators:
 
 
 def _check_nmax(nmax) -> int:
-    """``nmax`` itself if it is an int >= 1 (not a bool), else ValueError."""
-    if isinstance(nmax, bool) or not isinstance(nmax, int) or nmax < 1:
+    """``nmax`` as an int if it is an integer >= 1 (numpy integers included,
+    bools not; :func:`rydcav.params.is_integer`), else ValueError."""
+    if not is_integer(nmax) or nmax < 1:
         raise ValueError(f"nmax must be an int >= 1, got {nmax!r}")
-    return nmax
+    return int(nmax)
 
 
 def build_operators(nmax: int) -> BubbleOperators:
@@ -474,9 +475,9 @@ class BubbleModel:
     def __init__(self, params: PhysicalParams, nmax: int = DEFAULT_NMAX,
                  n_b: float | None = None, sensitivity=(),
                  rho0: np.ndarray | None = None, a0: complex = 0.0):
-        st = _structure(_check_nmax(nmax))
+        self.nmax = nmax = _check_nmax(nmax)
+        st = _structure(nmax)
         self.params = params
-        self.nmax = nmax
         d = self.dim = st.ops.dim
         sc = _scalars(params, n_b)
         self.n_b = sc.n_b
@@ -847,8 +848,8 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     _log.debug("bubble evolve (nmax %d, %d coordinates) to t = %g us: "
                "%d rhs evaluations, %d accepted and %d rejected steps, "
                "%d Jacobian evaluations, %d inversions",
-               nmax, model.size, sample_times[-1], *stats)
-    meta = {"params": params_to_dict(params), "nmax": nmax, "rtol": rtol,
+               model.nmax, model.size, sample_times[-1], *stats)
+    meta = {"params": params_to_dict(params), "nmax": model.nmax, "rtol": rtol,
             "n_b": model.n_b, "solver": solver}
     return TimeSeries(sample_times, model.transmission(ys), r @ model._w_rr,
                       r @ model._w_ss, terr, metadata=meta, states=states,

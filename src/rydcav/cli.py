@@ -96,15 +96,15 @@ def _cmd_linear_scan(args):
 
 def _cmd_meanfield_scan(args):
     params = _load_params(args)
-    spec = meanfield.scan_meanfield(params, variable=args.variable)
-    failed = int(spec.failed.sum())
+    curve = meanfield.scan_meanfield(params, variable=args.variable)
+    failed = int(curve.failed.sum())
     # counts and deterministic floats only, so the output stays byte-identical
     meta = _meta(args, params, {"variable": args.variable,
                                 "failed_points": failed,
-                                "worst_residual": spec.metadata["worst_residual"],
-                                "root_counts": spec.metadata["root_counts"]})
-    _emit_table(args, spec.header,
-                (spec.axis, spec.transmission, spec.x, spec.root_count), meta,
+                                "worst_residual": curve.worst_residual,
+                                "root_counts": curve.root_counts})
+    _emit_table(args, curve.header,
+                (curve.axis, curve.transmission, curve.x, curve.root_count), meta,
                 failed_points=failed)
     return 0
 

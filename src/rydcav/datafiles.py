@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
+from .params import is_integer
 
 
 def canonical_json(tree) -> str:
@@ -29,7 +30,7 @@ def config_hash(tree: dict) -> str:
 
 
 def format_number(v) -> str:
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+    if is_integer(v):
         return str(v)
     return repr(float(v))
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import bubble, linear, meanfield
 from .errors import ConfigError, IntegrationError, SingularParameterError, SolverError
 from .ode import IntegrationStats
-from .params import FLOAT_PATHS, PhysicalParams, get_path, set_paths
+from .params import FLOAT_PATHS, PhysicalParams, get_path, require_positive, set_paths
 
 #: default box constraints by field name; rates that sit in denominators
 #: get a small positive floor
@@ -72,10 +72,18 @@ def poisson_weights(y) -> np.ndarray:
 
 
 def _check_model_options(options: dict) -> None:
+    """ValueError unless every key of ``options`` is a model option and
+    its value one the bubble transient takes: ``nmax`` an integer >= 1,
+    ``rtol`` and ``atol`` finite and > 0."""
     unknown = sorted(set(options) - set(_MODEL_OPTIONS))
     if unknown:
         raise ValueError(f"unknown model option(s) {unknown}; "
                          f"expected {', '.join(_MODEL_OPTIONS)}")
+    if "nmax" in options:
+        bubble._check_nmax(options["nmax"])
+    for key in ("rtol", "atol"):
+        if key in options:
+            require_positive(key, options[key])
 
 
 def _run_linear(problem: FitProblem, params: PhysicalParams):
@@ -117,7 +125,8 @@ class FitProblem:
     parameter; the free paths must be distinct float parameters
     (:data:`rydcav.params.FLOAT_PATHS`) with a value, and the weights
     positive and finite.  ``model_options`` passes ``nmax``, ``rtol`` and
-    ``atol`` to the bubble transient and holds no other key.  The mean-field
+    ``atol`` to the bubble transient and holds no other key; its values are
+    checked here, as the transient would check them.  The mean-field
     curve is solved by continuation in data order, so its ``x`` must be
     strictly increasing or strictly decreasing (a down-sweep).  The problem
     keeps what its last model run handed back (:data:`MODELS`): the call
@@ -212,9 +221,10 @@ class FitProblem:
         ran at theta, so a residual and its Jacobian cost one model run;
         runs the model otherwise.  The bubble transient's Jacobian is the
         one its run integrated; the closed-form models' is computed at the
-        call: the mean field's on the grid of constants and the populations
-        its curve solved (:meth:`rydcav.meanfield.MeanFieldCurve.jacobian`),
-        the linear spectrum's from the parameters
+        call: the mean field's by the curve its run solved along the data's
+        detunings, on that curve's grid of constants and populations
+        (:meth:`rydcav.meanfield.MeanFieldCurve.jacobian`), the linear
+        spectrum's from the parameters
         (:func:`rydcav.meanfield.transmission_jacobian`).
         """
         if not np.array_equal(self._last_run[0], theta):
@@ -439,7 +449,7 @@ def fit_xi_series(entries, params_by_n, model_options: dict | None = None,
     ``entries`` is a list of (n, TimeSeries); ``params_by_n`` maps each n to
     its parameter bundle.  Entries whose fit fails are flagged
     (converged=False, xi=NaN) without affecting the others; an unknown
-    ``model_options`` key is a ValueError before any fit.
+    ``model_options`` key or a bad value is a ValueError before any fit.
     """
     opts = dict(model_options or {})
     _check_model_options(opts)

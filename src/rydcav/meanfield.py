@@ -23,7 +23,10 @@ and each root's residual and singular-denominator test.  So every
 coexisting branch is found.  The one sequential step is the continuation
 along the grid: each point takes the root nearest the x of the last point
 solved, O(1) work per point, and reports how many fixed points coexist.
-A single solve is a grid of one point.
+A single solve is a grid of one point.  A solve along an axis, probe
+detuning or photon rate, gives one :class:`MeanFieldCurve`: the flagged
+scan of :func:`scan_meanfield` and the raising fit model of
+:func:`transmission_curve` are that curve.
 
 The derivative of a curve with respect to the parameters reuses the solve:
 the picked root x* of P(x) = |B|^2 x^3 + 2 Re(A B*) x^2 + |A|^2 x - K^2
@@ -32,7 +35,8 @@ shifted detuning D_r - kappa x*.  At kappa = 0 and x = 0 the same chain is
 the linear spectrum's derivative.  The chain's constants are differentiated
 in closed form on the grid already built: all but kappa and V_b are linear
 maps or products of single parameters, and those two follow by the chain
-rule through the dressed two-photon shift.
+rule through the dressed two-photon shift.  On a rate axis delta_p is a
+parameter and alpha = sqrt(gamma_c R) moves with gamma_c.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 from . import interactions
 from .errors import SingularParameterError, SolverError
 from .linear import eit_factors
-from .params import PhysicalParams, ScanSpec, params_to_dict, require_float_paths
+from .params import PhysicalParams, ScanSpec, require_float_paths
 
 _DRX_FLOOR = 1e-300
 
@@ -56,6 +60,10 @@ _RESIDUAL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 #: dP/dx at a root within this many ulps of the sum of its terms is 0
 _FOLD_ULPS = 8.0
+
+#: each axis of a curve: its header name, and how a message names a point
+_AXES = {"delta_p": ("delta_p_mhz", "delta_p = {:g} MHz"),
+         "rate": ("photon_rate_per_us", "photon rate = {:g} photons/us")}
 
 _log = logging.getLogger(__name__)
 
@@ -129,8 +137,10 @@ def _grid(params: PhysicalParams, delta_p=None, alpha=None,
     return _Grid(n, *cols, params.drive.omega_cf, gc, coop, g_root_n)
 
 
-def _grid_derivative(params: PhysicalParams, paths, g: _Grid) -> _Grid:
-    """d(constant)/d(parameter) of every constant of the grid ``g`` of ``params``.
+def _grid_derivative(params: PhysicalParams, paths, g: _Grid,
+                     variable: str) -> _Grid:
+    """d(constant)/d(parameter) of every constant of the grid ``g`` of
+    ``params`` along an axis of ``variable`` (see :class:`MeanFieldCurve`).
 
     Each constant becomes an (n, p) array, or a (p,) row where it does not
     vary over the grid, whose column k is its derivative per unit of the
@@ -139,6 +149,9 @@ def _grid_derivative(params: PhysicalParams, paths, g: _Grid) -> _Grid:
     products of single parameters, so their rows are unit or zero rows over
     the float parameters (:data:`rydcav.params.FLOAT_PATHS`); kappa and V_b
     follow by the chain rule (:func:`rydcav.interactions.blockade_derivative`).
+    The axis is no parameter: on a detuning grid the delta_p rows are 0; on
+    a rate grid delta_p moves D_e, D_r and D_c by unit rows, and
+    alpha = sqrt(gamma_c R) moves only with gamma_c, by alpha / (2 gamma_c).
     A path that is not a float parameter, or whose value is None, raises
     ValueError naming it (:func:`rydcav.params.require_float_paths`).
     """
@@ -149,9 +162,12 @@ def _grid_derivative(params: PhysicalParams, paths, g: _Grid) -> _Grid:
 
     ens, gc = params.ensemble, params.cavity.gamma_c
     d_gc, d_ge = unit("cavity.gamma_c"), unit("ensemble.gamma_e")
-    dD_e = 1j * d_ge
-    dD_r = unit("drive.delta_cf") + 1j * unit("rydberg.gamma_r")
-    dD_c = 1j * d_gc - unit("cavity.delta_bg")
+    rate = variable == "rate"   # then delta_p is a parameter, alpha the axis
+    d_dp = unit("drive.delta_p") if rate else 0.0
+    dD_e = d_dp + 1j * d_ge
+    dD_r = d_dp + unit("drive.delta_cf") + 1j * unit("rydberg.gamma_r")
+    dD_c = d_dp + 1j * d_gc - unit("cavity.delta_bg")
+    d_alpha = 0.5 * g.alpha / gc * d_gc if rate else unit("drive.alpha")
     d_omega = unit("drive.omega_cf")
     d_coop = 2.0 * (ens.gamma_e * ens.cooperativity * d_gc
                     + gc * ens.cooperativity * d_ge
@@ -159,7 +175,7 @@ def _grid_derivative(params: PhysicalParams, paths, g: _Grid) -> _Grid:
     dv_b, dkappa = interactions.blockade_derivative(
         params, g.D_e, g.D_r, g.omega, g.v_b, g.kappa, dD_e, dD_r, d_omega,
         unit("rydberg.c6_override"), unit("ensemble.cloud_volume"))
-    return _Grid(g.n, dD_e, dD_r, dD_c, dkappa, dv_b, unit("drive.alpha"),
+    return _Grid(g.n, dD_e, dD_r, dD_c, dkappa, dv_b, d_alpha,
                  d_omega, d_gc, d_coop, 0.5 * d_coop / g.g_root_n)
 
 
@@ -409,47 +425,105 @@ def transmission_meanfield(params: PhysicalParams, delta_p=None,
 
 @dataclass(frozen=True, eq=False)
 class MeanFieldCurve:
-    """Mean-field transmission along an ordered grid of probe detunings.
+    """Mean-field transmission along an ordered axis: probe detunings
+    (``variable="delta_p"``, MHz), or probe photon rates (``"rate"``,
+    photons/us) at the detuning of ``params``.
 
-    ``x`` holds the populations the continuation picked, and the curve
-    keeps the grid of constants its solve built, on which
-    :meth:`jacobian` differentiates it.
+    One solve by continuation along the axis gives each point's population
+    ``x`` (the root it took), ``transmission``, ``root_count`` (how many
+    fixed points coexist there) and ``residual`` |F(x) - x|.  A ``failed``
+    point holds NaN and root count 0.  The curve keeps the grid of
+    constants its solve built, on which :meth:`jacobian` differentiates it.
     """
 
     params: PhysicalParams
-    delta_p: np.ndarray
+    variable: str
+    axis: np.ndarray
     transmission: np.ndarray
     x: np.ndarray
+    root_count: np.ndarray
+    residual: np.ndarray
+    failed: np.ndarray
     _grid: _Grid = field(repr=False)
 
+    @property
+    def header(self) -> str:
+        return f"{_AXES[self.variable][0]},transmission,x,root_count"
+
+    @property
+    def root_counts(self) -> dict[str, int]:
+        """How many solved points had each number of coexisting roots."""
+        counts, freq = np.unique(self.root_count[~self.failed], return_counts=True)
+        return {str(k): int(f) for k, f in zip(counts, freq)}
+
+    @property
+    def worst_residual(self) -> float:
+        """The largest residual of the solved points, 0 if there are none."""
+        return float(np.max(self.residual[~self.failed], initial=0.0))
+
     def jacobian(self, paths) -> np.ndarray:
-        """dT/dtheta_k at each detuning, (n, p), per unit of the parameter at
-        ``paths[k]``, along the branch the solve followed.
+        """dT/dtheta_k at each point of the axis, (n, p), per unit of the
+        parameter at ``paths[k]``, along the branch the solve followed.
 
         The root moves by implicit differentiation of the steady-state
         cubic, so nothing is solved again; the chain's constants are
         differentiated in closed form on the curve's grid
-        (:func:`_grid_derivative`).  A path that is not a float parameter,
-        or whose value is None, raises ValueError; a derivative that is not
-        finite, as at a fold of the steady state, or in C6 at C6 = 0,
-        raises SolverError.
+        (:func:`_grid_derivative`).  The axis is no parameter: along delta_p
+        the ``drive.delta_p`` column is 0, along the rate ``drive.alpha``'s.
+        A path that is not a float parameter, or whose value is None,
+        raises ValueError; a derivative that is not finite, as at a fold of
+        the steady state or a failed point of a scan, or in C6 at C6 = 0,
+        raises SolverError naming the point.
         """
-        return _jacobian(self.params, self._grid, self.delta_p, paths, self.x)
+        return _jacobian(self.params, self._grid, self.variable, self.axis,
+                         paths, self.x)
+
+
+def _curve(params: PhysicalParams, variable: str, axis,
+           flag_failures: bool) -> MeanFieldCurve:
+    """The curve of ``params`` along ``axis``, seeded at the dark (x = 0)
+    solution; a failed point raises unless ``flag_failures``."""
+    axis = np.asarray(axis, dtype=float)
+    g = (_grid(params, delta_p=axis) if variable == "delta_p" else
+         _grid(params, alpha=photon_rate_to_alpha(axis, params.cavity.gamma_c)))
+    s = _solve(g, flag_failures=flag_failures)
+    return MeanFieldCurve(params, variable, axis, s.transmission, s.x,
+                          s.root_count, s.residual, s.failed, g)
 
 
 def transmission_curve(params: PhysicalParams, delta_ps) -> MeanFieldCurve:
     """Mean-field transmission at each detuning of an ordered grid.
 
-    Continuation in x along the grid, seeded at the dark (x = 0) solution;
-    used by the fitting module, which needs arbitrary (non-uniform) grids.
-    The curve carries the populations it solved and its own derivative,
-    :meth:`MeanFieldCurve.jacobian`.  A failed point raises; a non-finite
-    detuning raises ValueError.
+    Used by the fitting module, which needs arbitrary (non-uniform) grids.
+    The first failed point in grid order raises; a non-finite detuning
+    raises ValueError.
     """
-    delta_ps = np.asarray(delta_ps, dtype=float)
-    g = _grid(params, delta_ps)
-    s = _solve(g)
-    return MeanFieldCurve(params, delta_ps, s.transmission, s.x, g)
+    return _curve(params, "delta_p", delta_ps, flag_failures=False)
+
+
+def scan_meanfield(params: PhysicalParams, scan: ScanSpec | None = None,
+                   variable: str = "delta_p") -> MeanFieldCurve:
+    """Sweep probe detuning or photon rate with x-continuation.
+
+    ``variable="delta_p"`` scans the probe (kappa is re-evaluated at every
+    point); ``variable="rate"`` scans the probe photon rate R at fixed
+    detuning, mapping R to alpha = sqrt(gamma_c R).  A non-finite scan
+    range raises ValueError.  Points where the solver fails are flagged
+    and the scan continues.  The scan logs its root counts and worst
+    residual in one DEBUG record on ``rydcav.meanfield``.
+    """
+    if variable not in _AXES:
+        raise ValueError("variable must be 'delta_p' or 'rate'")
+    scan = scan if scan is not None else params.scan
+    if scan is None:
+        raise ValueError("no scan specified")
+    if not (math.isfinite(scan.start) and math.isfinite(scan.stop)):
+        raise ValueError("scan start and stop must be finite")
+    curve = _curve(params, variable, scan.values(), flag_failures=True)
+    _log.debug("mean-field %s scan, %d points: %d failed, root counts %s, "
+               "worst residual %.3g", variable, curve.axis.size,
+               int(curve.failed.sum()), curve.root_counts, curve.worst_residual)
+    return curve
 
 
 def _chain_derivative(g: _Grid, dg: _Grid, x) -> np.ndarray:
@@ -504,13 +578,14 @@ def transmission_jacobian(params: PhysicalParams, delta_ps, paths) -> np.ndarray
     """
     delta_ps = np.asarray(delta_ps, dtype=float)
     return _jacobian(params, _grid(params, delta_ps, interacting=False),
-                     delta_ps, paths, None)
+                     "delta_p", delta_ps, paths, None)
 
 
-def _jacobian(params: PhysicalParams, g: _Grid, delta_ps, paths, x) -> np.ndarray:
-    """dT/dtheta on the grid ``g`` already built at ``params`` and
-    ``delta_ps``: along the picked populations ``x`` of a mean-field curve,
-    or, with ``x=None``, of the linear chain."""
+def _jacobian(params: PhysicalParams, g: _Grid, variable: str, axis, paths,
+              x) -> np.ndarray:
+    """dT/dtheta on the grid ``g`` already built at ``params`` along ``axis``
+    of ``variable``: along the picked populations ``x`` of a mean-field
+    curve, or, with ``x=None``, of the linear chain."""
     if x is not None:
         x = x.reshape(-1, 1)
         if ("rydberg.c6_override" in paths
@@ -518,75 +593,12 @@ def _jacobian(params: PhysicalParams, g: _Grid, delta_ps, paths, x) -> np.ndarra
             raise SolverError("dT/drydberg.c6_override has no value at C6 = 0, "
                               "where kappa goes as sqrt(C6)")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        jac = _chain_derivative(g, _grid_derivative(params, paths, g), x)
+        jac = _chain_derivative(g, _grid_derivative(params, paths, g, variable), x)
     bad = ~np.isfinite(jac)
     if bad.any():
         i, k = np.argwhere(bad)[0]
-        where = "" if x is None else " (a fold of the steady state)"
-        raise SolverError(f"dT/d{paths[k]} is not finite at delta_p = "
-                          f"{delta_ps[i]:g} MHz{where}")
+        where = ("" if x is None else " (a failed point)" if np.isnan(x[i, 0])
+                 else " (a fold of the steady state)")
+        raise SolverError(f"dT/d{paths[k]} is not finite at "
+                          f"{_AXES[variable][1].format(axis[i])}{where}")
     return jac
-
-
-@dataclass
-class NonlinearSpectrum:
-    """Mean-field transmission scan with per-point diagnostics."""
-
-    axis: np.ndarray
-    transmission: np.ndarray
-    x: np.ndarray
-    root_count: np.ndarray
-    failed: np.ndarray
-    axis_name: str = "delta_p_mhz"
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.axis = np.asarray(self.axis, dtype=float)
-        if np.any(self.transmission[~self.failed] < 0):
-            raise ValueError("transmission must be >= 0")
-
-    @property
-    def header(self) -> str:
-        return f"{self.axis_name},transmission,x,root_count"
-
-
-def scan_meanfield(params: PhysicalParams, scan: ScanSpec | None = None,
-                   variable: str = "delta_p") -> NonlinearSpectrum:
-    """Sweep probe detuning or photon rate with x-continuation.
-
-    ``variable="delta_p"`` scans the probe (kappa is re-evaluated at every
-    point); ``variable="rate"`` scans the probe photon rate R at fixed
-    detuning, mapping R to alpha = sqrt(gamma_c R).  A non-finite scan
-    range raises ValueError.  Points where the solver fails are flagged
-    and the scan continues.  ``metadata`` records the largest residual
-    |F(x) - x| of the solved points (``worst_residual``) and how many of
-    them had each number of coexisting roots (``root_counts``), and the
-    scan logs both in one DEBUG record on ``rydcav.meanfield``.
-    """
-    if variable not in ("delta_p", "rate"):
-        raise ValueError("variable must be 'delta_p' or 'rate'")
-    scan = scan if scan is not None else params.scan
-    if scan is None:
-        raise ValueError("no scan specified")
-    if not (math.isfinite(scan.start) and math.isfinite(scan.stop)):
-        raise ValueError("scan start and stop must be finite")
-    grid = scan.values()
-    if variable == "delta_p":
-        g = _grid(params, delta_p=grid)
-    else:
-        g = _grid(params, alpha=photon_rate_to_alpha(grid, params.cavity.gamma_c))
-    s = _solve(g, flag_failures=True)
-
-    solved = ~s.failed
-    counts, freq = np.unique(s.root_count[solved], return_counts=True)
-    root_counts = {str(k): int(f) for k, f in zip(counts, freq)}
-    worst = float(np.max(s.residual[solved], initial=0.0))
-    _log.debug("mean-field %s scan, %d points: %d failed, root counts %s, "
-               "worst residual %.3g", variable, grid.size, int(s.failed.sum()),
-               root_counts, worst)
-    axis_name = "delta_p_mhz" if variable == "delta_p" else "photon_rate_per_us"
-    return NonlinearSpectrum(grid, s.transmission, s.x, s.root_count, s.failed,
-                             axis_name=axis_name,
-                             metadata={"params": params_to_dict(params),
-                                       "worst_residual": worst,
-                                       "root_counts": root_counts})

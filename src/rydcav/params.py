@@ -130,6 +130,12 @@ def _finite(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer; False for a bool, a float and
+    anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check(errors: list[str], cond: bool, message: str) -> None:
     if not cond:
         errors.append(message)
@@ -162,7 +168,7 @@ def validate(params: PhysicalParams) -> PhysicalParams:
     _check(errs, _finite(cav.gamma_c) and cav.gamma_c > 0, "cavity.gamma_c must be > 0")
     _check(errs, _finite(cav.delta_bg), "cavity.delta_bg must be finite")
 
-    _check(errs, isinstance(ens.atom_number, int) and ens.atom_number >= 1,
+    _check(errs, is_integer(ens.atom_number) and ens.atom_number >= 1,
            "ensemble.atom_number must be an integer >= 1")
     _check(errs, _finite(ens.cooperativity) and ens.cooperativity >= 0,
            "ensemble.cooperativity must be >= 0")
@@ -170,7 +176,7 @@ def validate(params: PhysicalParams) -> PhysicalParams:
     _check(errs, _finite(ens.cloud_volume) and ens.cloud_volume > 0,
            "ensemble.cloud_volume must be > 0")
 
-    _check(errs, isinstance(ryd.n, int) and ryd.n >= 5, "rydberg.n must be an integer >= 5")
+    _check(errs, is_integer(ryd.n) and ryd.n >= 5, "rydberg.n must be an integer >= 5")
     _check(errs, ryd.series in ("S", "D"), "rydberg.series must be 'S' or 'D'")
     _check(errs, _finite(ryd.gamma_r) and ryd.gamma_r >= 0, "rydberg.gamma_r must be >= 0")
     _check(errs, ryd.gamma_s is None or (_finite(ryd.gamma_s) and ryd.gamma_s >= 0),
@@ -188,7 +194,7 @@ def validate(params: PhysicalParams) -> PhysicalParams:
         sc = params.scan
         _check(errs, _finite(sc.start) and _finite(sc.stop) and sc.start < sc.stop,
                "scan.start must be < scan.stop")
-        _check(errs, isinstance(sc.npoints, int) and sc.npoints >= 2,
+        _check(errs, is_integer(sc.npoints) and sc.npoints >= 2,
                "scan.npoints must be an integer >= 2")
 
     if errs:
@@ -232,10 +238,10 @@ def _coerce(section: str, name: str, value: Any, errs: list[str]):
     if name == "series":
         return value
     if name in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_integer(value):
             errs.append(f"{section}.{name} must be an integer")
             return value
-        return value
+        return int(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errs.append(f"{section}.{name} must be a number")
         return value
@@ -316,8 +322,9 @@ def set_path(params: PhysicalParams, path: str, value: Any) -> PhysicalParams:
     """Return a new bundle with one field replaced (not re-validated).
 
     The value is coerced as in a config file: an integer field takes only
-    an int, a number field only an int or a float (bools and strings
-    refused), each converted to float; a refused value raises ConfigError.
+    an integer (:func:`is_integer`), stored as an int, and a number field
+    only an int or a float, stored as a float (bools and strings refused);
+    a refused value raises ConfigError.
     """
     section, _, name = path.partition(".")
     get_path(params, path)  # raises on unknown paths

@@ -88,8 +88,8 @@ class TestOperators:
         np.testing.assert_allclose(ops.sigma_GR @ ops.sigma_RG, ops.sigma_GS @ ops.sigma_SG)
 
 
-@pytest.mark.parametrize("nmax", [True, 2.5, "3", 0],
-                         ids=["bool", "float", "str", "zero"])
+@pytest.mark.parametrize("nmax", [True, 2.5, "3", 0, 2.0],
+                         ids=["bool", "float", "str", "zero", "whole-float"])
 def test_nmax_other_than_a_positive_int_rejected(nmax, monkeypatch):
     # checked before the cache: True would otherwise build nmax 1, and 2.5
     # or "3" fail inside range()
@@ -106,6 +106,16 @@ def test_nmax_other_than_a_positive_int_rejected(nmax, monkeypatch):
                   lambda: steady_transmission_bubble(p, nmax=nmax)):
         with pytest.raises(ValueError, match="nmax must be an int >= 1"):
             build()
+
+
+def test_numpy_integer_nmax_runs_as_the_int():
+    p = weak_drive_params()
+    want = evolve(p, t_end=2.0, dt=1.0, nmax=2)
+    got = evolve(p, t_end=2.0, dt=1.0, nmax=np.int64(2))
+    for name in ("t", "transmission", "pop_R", "pop_S", "trace_error"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.metadata == want.metadata and type(got.metadata["nmax"]) is int
+    assert type(BubbleModel(p, nmax=np.int64(2)).nmax) is int
 
 
 def cached_arrays(nmax):

@@ -4,9 +4,12 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rydcav import fitting
+from rydcav import bubble, fitting
 from rydcav.bubble import evolve
+from rydcav.errors import IntegrationError, SolverError
 from rydcav.fitting import (
     FitProblem,
     XiEstimate,
@@ -253,9 +256,59 @@ class TestValidation:
                           model_options={"nmax": 2, "nmx": 2})
 
 
+    @pytest.mark.parametrize("options", [{"rtol": -1}, {"nmax": 2.0}, {"nmax": 0},
+                                         {"atol": float("nan")}],
+                             ids=["negative-rtol", "float-nmax", "zero-nmax",
+                                  "nan-atol"])
+    def test_bad_model_option_value_rejected_before_any_run(self, options,
+                                                            monkeypatch):
+        # a value the transient refuses was flagged per level as xi = NaN
+        runs = []
+        monkeypatch.setattr(bubble, "evolve", lambda *a, **k: runs.append(a))
+        (key,) = options
+        t = np.linspace(0.0, 2.0, 5)
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            FitProblem(x=t, y=np.ones(5), model="bubble_transient",
+                       base_params=transient_params(), free=("rydberg.xi",),
+                       model_options=options)
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            fit_xi_series([(85, None), (60, None)],
+                          {85: transient_params(), 60: transient_params()},
+                          model_options=options)
+        assert runs == []
+
+
 def transient_params(xi=2.0):
     return make_params(n=85, series="D", gamma_r=0.05, gamma_s=0.002,
                        xi=xi, alpha=3.0)
+
+
+_SHORT = evolve(transient_params(), t_end=2.0, dt=0.5, nmax=2, rtol=1e-6)
+
+_TOLERANCES = st.one_of(
+    st.sampled_from([0.0, -1.0, -1e-6, float("nan"), float("inf"), True]),
+    st.floats(1e-6, 1e-2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(options=st.fixed_dictionaries({}, optional={
+    "nmax": st.sampled_from([-1, 0, 1, 2, 1.0, 2.0, 1.5, True, False,
+                             np.int64(2), np.int32(1), "2"]),
+    "rtol": _TOLERANCES, "atol": _TOLERANCES}))
+def test_model_options_fail_at_construction_or_not_at_all(options):
+    # a bad value raises when the problem is built, never from a model run
+    try:
+        prob = FitProblem(x=_SHORT.t, y=_SHORT.transmission,
+                          model="bubble_transient", base_params=transient_params(),
+                          free=("rydberg.xi",), model_options=options)
+    except ValueError:
+        return
+    try:
+        prob.model_curve(prob.initial)
+    except ValueError as exc:
+        pytest.fail(f"{options} passed FitProblem, but the run refused it: {exc}")
+    except (IntegrationError, SolverError):
+        pass   # the run failed, not its options
 
 
 class TestBubbleTransient:

@@ -15,7 +15,7 @@ from rydcav.meanfield import (
     transmission_curve,
     transmission_meanfield,
 )
-from rydcav.params import FLOAT_PATHS, ScanSpec
+from rydcav.params import FLOAT_PATHS, ScanSpec, get_path
 
 from conftest import make_params
 from oracles import (
@@ -381,7 +381,7 @@ class TestScan:
 
         p = replace(paper_params, scan=ScanSpec(0.5, 40.0, 9))
         spec = scan_meanfield(p, variable="rate")
-        assert spec.axis_name == "photon_rate_per_us"
+        assert spec.header.split(",")[0] == "photon_rate_per_us"
         for rate, t in zip(spec.axis, spec.transmission):
             alpha = photon_rate_to_alpha(float(rate), 10.0)
             p_i = make_params(alpha=alpha)
@@ -407,6 +407,9 @@ class TestScan:
         assert spec.failed.sum() == 1
         assert np.isnan(spec.transmission[2])
         assert np.isfinite(spec.transmission[[0, 1, 3, 4]]).all()
+        # the flagged curve has no derivative there, and says why
+        with pytest.raises(SolverError, match=r"delta_p = 0 MHz \(a failed point\)$"):
+            spec.jacobian(("drive.omega_cf",))
 
     def test_rate_scan_at_a_singular_detuning_flags_every_point(self):
         # undamped, with the control tuned so that the blockade chain is
@@ -459,9 +462,9 @@ class TestScan:
         caplog.set_level(logging.DEBUG, logger="rydcav")
         p = make_params(**TestGridKernel.BISTABLE)
         spec = scan_meanfield(p, ScanSpec(97.0, 102.0, 51), variable="rate")
-        counts = spec.metadata["root_counts"]
+        counts = spec.root_counts
         assert counts == {"1": 20, "3": 31}
-        worst = spec.metadata["worst_residual"]
+        worst = spec.worst_residual
         assert 0.0 <= worst <= 1e-10 * max(1.0, spec.x.max())
         records = [r for r in caplog.records if r.name.startswith("rydcav")]
         assert len(records) == 1
@@ -615,10 +618,54 @@ class TestTransmissionJacobian:
         with pytest.raises(SolverError, match=r"delta_p = 10 MHz \(a fold"):
             curve.jacobian(("drive.alpha",))
 
+    def test_fold_on_the_rate_axis_raises_naming_the_rate(self):
+        # the same double root at delta_p = 10 MHz, reached along the rate:
+        # K^2 = (Omega/2)^2 coop gamma_c R, with Omega = 8 MHz
+        p = _bistable_params(delta_p=10.0)
+        g = meanfield._grid(p)
+        _, A, B, (c3, c2, c1, _) = meanfield._cubic(g)
+        x_f = (-2.0 * c2 + np.sqrt(4.0 * c2 * c2 - 12.0 * c3 * c1)) / (6.0 * c3)
+        for _ in range(3):
+            x_f -= ((3.0 * c3 * x_f + 2.0 * c2) * x_f + c1) / (6.0 * c3 * x_f + 2.0 * c2)
+        rate_f = float(x_f * abs(A + B * x_f) ** 2 / (16.0 * g.coop_term * 10.0))
+        scan = scan_meanfield(p, ScanSpec(rate_f - 1.0, rate_f, 2), variable="rate")
+        assert not scan.failed.any() and scan.axis[-1] == rate_f
+        curve = replace(scan, x=np.array([scan.x[0], x_f]))
+        with pytest.raises(SolverError,
+                           match=rf"photon rate = {rate_f:g} photons/us \(a fold"):
+            curve.jacobian(("drive.omega_cf",))
+
+    def test_rate_axis_columns_match_richardson(self):
+        # along the rate, delta_p is a parameter and alpha = sqrt(gamma_c R)
+        # moves with gamma_c; the drive.alpha column is 0
+        p = make_params(n=60, delta_p=2.0)
+        spec = ScanSpec(0.5, 40.0, 120)
+
+        def curve(q):
+            return scan_meanfield(q, spec, variable="rate").transmission
+
+        paths = [path for path in FLOAT_PATHS if get_path(p, path) is not None]
+        jac = scan_meanfield(p, spec, variable="rate").jacobian(paths)
+        assert jac.shape == (120, len(paths))
+        for k, path in enumerate(paths):
+            ref = _richardson(curve, p, path, 1e-3)
+            np.testing.assert_allclose(jac[:, k], ref, rtol=0,
+                                       atol=1e-6 * np.abs(ref).max(), err_msg=path)
+        moved = {path for k, path in enumerate(paths) if jac[:, k].any()}
+        assert {"drive.delta_p", "cavity.gamma_c"} <= moved
+        assert "drive.alpha" not in moved
+
     def test_curve_returns_the_populations_it_solved(self):
+        # the fit's curve and the flagged scan are one curve of one solve
         p, grid, _ = _GRIDS["bistable"]
         curve = transmission_curve(p, grid)
         t, x = curve.transmission, curve.x
         np.testing.assert_array_equal(t, transmission_curve(p, grid).transmission)
         scan = scan_meanfield(p, ScanSpec(0.0, 20.0, 401))
         np.testing.assert_array_equal(x, scan.x)
+        for name in ("axis", "transmission", "root_count", "residual", "failed"):
+            np.testing.assert_array_equal(getattr(curve, name), getattr(scan, name),
+                                          err_msg=name)
+        assert (curve.variable, curve.header) == (scan.variable, scan.header)
+        assert curve.root_counts == scan.root_counts == {"1": 389, "3": 12}
+        assert curve.worst_residual == scan.worst_residual

@@ -31,6 +31,7 @@ from rydcav.params import (
 )
 
 import rydcav
+from rydcav.datafiles import config_hash
 from conftest import make_params
 
 
@@ -205,7 +206,9 @@ class TestPaths:
 
     @pytest.mark.parametrize("path", ["rydberg.n", "ensemble.atom_number",
                                       "scan.npoints"])
-    @pytest.mark.parametrize("value", [84.9, 85.0, True, "85"])
+    @pytest.mark.parametrize("value", [
+        84.9, 85.0, True, "85", pytest.param(np.float64(85.0), id="np.float64"),
+        pytest.param(np.True_, id="np.True_")])
     def test_integer_field_takes_only_an_int(self, paper_params, path, value):
         # a float was truncated: rydberg.n = 84.9 ran n = 84
         p = replace(paper_params, scan=ScanSpec(-5.0, 5.0, 11))
@@ -213,6 +216,20 @@ class TestPaths:
                                               f"integer$"):
             set_path(p, path, value)
         assert get_path(set_path(p, path, 85), path) == 85
+
+    @pytest.mark.parametrize("path", ["rydberg.n", "ensemble.atom_number",
+                                      "scan.npoints"])
+    def test_integer_field_stores_a_numpy_integer_as_an_int(self, paper_params, path):
+        # a numpy integer is an integer, stored as the int a config file
+        # gives, so the bundle stays JSON-serialisable
+        p = replace(paper_params, scan=ScanSpec(-5.0, 5.0, 11))
+        got, want = set_path(p, path, np.int64(85)), set_path(p, path, 85)
+        assert got == want and type(get_path(got, path)) is int
+        assert validate(got) is got
+        assert config_hash(params_to_dict(got)) == config_hash(params_to_dict(want))
+        # validate takes one that a bundle was built with
+        direct = replace(p, rydberg=replace(p.rydberg, n=np.int64(85)))
+        assert validate(direct) is direct
 
     @pytest.mark.parametrize("value", [True, "2.5"])
     def test_number_field_takes_only_a_number(self, paper_params, value):
