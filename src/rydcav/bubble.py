@@ -429,6 +429,52 @@ def _closure(units, live: np.ndarray) -> np.ndarray:
         live = grown
 
 
+def _coefficient_map(sc: _Scalars, derivs, nb: int, moved) -> tuple:
+    """(B, b0): :meth:`BubbleModel.rhs_sensitivity`'s coefficients are
+    B @ tail + b0, for the tail of its ``bincount``.
+
+    Row j of the stacked state z = [y, s_1, ..., s_p] is a combination of
+    the bincount's rows of length n + 2: the ``nb`` block products of each
+    row of z, the dL0 products of the ``moved`` paths, and the two unit
+    rows that carry the cavity rows.  Every coefficient is affine in the
+    tail, the values <sigma_RR>, Re w_beta . r, Im w_beta . r, Re<a> and
+    Im<a> of each row of z, with constants from the scalars ``sc`` and
+    their derivatives ``derivs``.  Row j takes its own blocks at the
+    state's (1, Re<a>, Im<a>, xi <sigma_RR>) and the cavity rows of its own
+    values.  A sensitivity row also takes the blocks of r at J's cross
+    terms plus df/dtheta's, (s_ar + dg Re<a>, s_ai + dg Im<a>,
+    xi s_RR + dxi <sigma_RR>) with dg the relative derivative of
+    g sqrt(n_b), its own dL0 product at weight 1 if its path moved L0,
+    and the cavity rows' derivative at the state's values, -dalpha
+    included.  B is (1 + p) ncol x 5 (1 + p), ncol the bincount's rows.
+    """
+    q = len(derivs) + 1
+    ncol = q * nb + len(moved) + 2
+    B = np.zeros((q, ncol, q, 5))
+    b0 = np.zeros((q, ncol))
+    rr, b_re, b_im, a_re, a_im = range(5)
+    # the weights of blocks 1.. of the stack: L1, L2 and, when kept, L3
+    for j in range(q):
+        b0[j, j * nb] = 1.0
+        for col, value, w in [(1, a_re, 1.0), (2, a_im, 1.0), (3, rr, sc.xi)][:nb - 1]:
+            B[j, j * nb + col, 0, value] = w
+        B[j, -2, j, [a_re, a_im, b_im]] = -sc.gamma_c, -sc.delta_c, sc.prefactor
+        B[j, -1, j, [a_re, a_im, b_re]] = sc.delta_c, -sc.gamma_c, -sc.prefactor
+    b0[0, -1] = -sc.alpha
+    for j, ds in enumerate(derivs, 1):
+        dg = ds.g_nb / sc.g_nb if ds.g_nb else 0.0     # L1, L2 scale with g sqrt(n_b)
+        for col, value, w, dw in [(1, a_re, 1.0, dg), (2, a_im, 1.0, dg),
+                                  (3, rr, sc.xi, ds.xi)][:nb - 1]:
+            B[j, col, j, value] = w
+            B[j, col, 0, value] = dw
+        B[j, -2, 0, [a_re, a_im, b_im]] = -ds.gamma_c, -ds.delta_c, ds.prefactor
+        B[j, -1, 0, [a_re, a_im, b_re]] = ds.delta_c, -ds.gamma_c, -ds.prefactor
+        b0[j, -1] = -ds.alpha
+        if j - 1 in moved:
+            b0[j, q * nb + moved.index(j - 1)] = 1.0
+    return B.reshape(q * ncol, 5 * q), b0.reshape(-1)
+
+
 class BubbleModel:
     """Precompiled right-hand side for one parameter set and initial state.
 
@@ -446,7 +492,9 @@ class BubbleModel:
     own.  ``sensitivity`` names the parameter paths whose forward
     sensitivities :meth:`rhs_sensitivity` integrates; such a model also
     keeps the same triplets once per row of the stacked state, with
-    dL0's entries for the paths that move a rate or detuning.  The
+    dL0's entries for the paths that move a rate or detuning, and the
+    affine map that gives every coefficient of its product
+    (:func:`_coefficient_map`).  The
     dark-state block is kept when xi != 0 or when one of those
     parameters moves xi.  The only dense rows kept are those of sigma_RR
     and sigma_SS, for the Jacobian's rank-1 xi term and the sampled
@@ -594,14 +642,9 @@ class BubbleModel:
                 z_vals.append(dv)
             self._z_rows, self._z_cols, self._z_vals = (
                 np.concatenate(a, axis=None) for a in (z_rows, z_cols, z_vals))
-            self._dscalars = derivs
-            # L1, L2 scale with g sqrt(n_b): their derivative rescales L1 r, L2 r
-            self._dg = [ds.g_nb / sc.g_nb if ds.g_nb else 0.0 for ds in derivs]
             self._gain = sc.gain
             self._dgain = np.array([ds.gain for ds in derivs])
-            # the state row takes no dL0 r, path k's row its own if it moved
-            self._dl0_coef = [[float(k == j) for j in moved]
-                              for k in range(-1, len(derivs))]
+            self._B, self._b0 = _coefficient_map(sc, derivs, nb, moved)
 
     # --- state layout: y[:nrho] = coefficients of rho on the model's
     #     Hermitian basis elements (its npop populations first),
@@ -642,34 +685,19 @@ class BubbleModel:
         map of the state's cavity values.  One ``np.bincount`` over the
         triplets gathered once per row of z gives every block product, the
         dL0 products, and each row's trace values and cavity amplitude.
-        Read as rows of length n + 2, its products end in two unit rows, so
-        one coefficient product assembles every row of the output, its
-        cavity values included.
+        Every coefficient that combines those products is affine in these
+        5 (1 + p) tail values, so the model builds the map once
+        (:func:`_coefficient_map`) and a call reads the coefficients as
+        B @ tail + b0.  Read as rows of length n + 2, the products end in
+        two unit rows, so one coefficient product assembles every row of
+        the output, its cavity values included.
         """
-        n, nb, p = self.nrho, self._nblocks, len(self.sensitivity)
         prods = np.bincount(self._z_rows, self._z_vals * z[self._z_cols],
                             minlength=self._z_len)
         prods[self._z_units] = 1.0
-        (rr, beta_re, beta_im, ar, ai), *tails = prods[self._z_tail:].reshape(
-            1 + p, 5).tolist()
-        xi, gc, dc, pf = self.xi_a, self.gamma_c_a, self.dc_a, self.prefactor_a
-        own = [1.0, ar, ai, xi * rr][:nb]                # every row, on its own blocks
-        pad = [0.0] * nb
-        no_dl0, *dl0s = self._dl0_coef
-        coef = own + pad * p + no_dl0 + [-gc * ar - dc * ai + pf * beta_im,
-                                         dc * ar - gc * ai - pf * beta_re - self.alpha_a]
-        for k, ((s_rr, s_bre, s_bim, s_ar, s_ai), dg, d, dl0) in enumerate(
-                zip(tails, self._dg, self._dscalars, dl0s)):
-            # J's cross terms and df/dtheta_k on the blocks of r, dL0 r if the
-            # path moves a rate or detuning, and the cavity rows
-            cross = [0.0, s_ar + dg * ar, s_ai + dg * ai, xi * s_rr + d.xi * rr][:nb]
-            coef += cross + pad * k + own + pad * (p - 1 - k) + dl0 + [
-                -gc * s_ar - dc * s_ai + pf * s_bim
-                - d.gamma_c * ar - d.delta_c * ai + d.prefactor * beta_im,
-                dc * s_ar - gc * s_ai - pf * s_bre
-                + d.delta_c * ar - d.gamma_c * ai - d.prefactor * beta_re - d.alpha]
-        return np.dot(np.array(coef).reshape(1 + p, -1),
-                      prods[:self._z_tail].reshape(-1, n + 2)).reshape(-1)
+        coef = self._B @ prods[self._z_tail:] + self._b0
+        return np.dot(coef.reshape(len(self.sensitivity) + 1, -1),
+                      prods[:self._z_tail].reshape(-1, self.nrho + 2)).reshape(-1)
 
     def jacobian(self, y) -> np.ndarray:
         """Exact Jacobian df/dy of :meth:`rhs_flat` at y, ``size`` square.

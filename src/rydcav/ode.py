@@ -133,17 +133,30 @@ class IntegrationStats(NamedTuple):
 
 
 def _norm(scaled, parts):
-    """Largest of the parts' RMS norms of an already scaled vector."""
+    """Largest of the parts' RMS norms of an already scaled vector; NaN if
+    any part is NaN."""
     size = scaled.size // parts
     if parts == 1:
         return math.sqrt(np.vdot(scaled, scaled).real / size)
-    return math.sqrt(max(np.vdot(part, part).real
-                         for part in scaled.reshape(parts, size)) / size)
+    worst = 0.0
+    for part in scaled.reshape(parts, size):
+        square = np.vdot(part, part).real
+        if square > worst or square != square:   # a NaN stays
+            worst = square
+    return math.sqrt(worst / size)
 
 
 def _error_norm(err, y_old, y_new, rtol, atol, parts):
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
     return _norm(err / scale, parts)
+
+
+def _step_factor(err, order):
+    """err ** (-1 / (order + 1)), the step factor an error estimate allows
+    at ``order``; inf at err = 0.  It takes numpy's power: with numpy's
+    SIMD loops, Python's ``**`` rounds some values to a different last
+    bit, and the step sequence follows every bit of the factor."""
+    return math.inf if err == 0.0 else float(np.power(err, -1.0 / (order + 1)))
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol):
@@ -176,7 +189,8 @@ def integrate(f, t0: float, y0: np.ndarray, t_samples, rtol: float = 1e-8,
     The error of a step is the RMS of err / (atol + rtol |y|).  When y is
     ``parts`` equal parts, such as a state followed by its sensitivities,
     it is the largest of the parts' RMS norms (as in CVODES), so adding
-    parts never loosens the control of the first.
+    parts never loosens the control of the first; a NaN in any part is a
+    non-finite step.
 
     Without ``jac`` the explicit Dormand-Prince pair runs; it hits every
     sample exactly and evaluates f at most once per distinct (t, y).
@@ -371,16 +385,14 @@ def _warm_start(points, h, rtol, atol, parts):
     diffs[:m] = _differences(points, h)
     if m < 3:
         return diffs, 1, h
-    orders = np.arange(1, m - 1)
-    with np.errstate(divide="ignore"):
-        factors = np.array([
-            _error_norm(_NDF_ERROR[q] * diffs[q + 1], y, y, rtol, atol, parts)
-            for q in orders]) ** (-1.0 / (orders + 1))
-    best = int(np.argmax(factors))
-    if factors[best] < 1.0:
-        h *= _SAFETY * factors[best]
+    factors = {q: _step_factor(_error_norm(_NDF_ERROR[q] * diffs[q + 1], y, y,
+                                           rtol, atol, parts), q)
+               for q in range(1, m - 1)}
+    order = max(factors, key=factors.get)
+    if factors[order] < 1.0:
+        h *= _SAFETY * factors[order]
         diffs[:m] = _differences(points, h)
-    return diffs, int(orders[best]), h
+    return diffs, order, h
 
 
 def _ndf(f, jac, points, h, t_samples, isample, out, rtol, atol, parts,
@@ -458,8 +470,10 @@ def _ndf(f, jac, points, h, t_samples, isample, out, rtol, atol, parts,
         t, y = t_new, y_new
         diffs[order + 2] = d - diffs[order + 1]
         diffs[order + 1] = d
-        for i in range(order, -1, -1):
-            diffs[i] += diffs[i + 1]
+        # diffs[i] += diffs[i + 1] from i = order down to 0: one running sum
+        # (np.cumsum's) over the rows in reverse, added in the loop's order
+        upward = diffs[order + 1::-1]
+        np.add.accumulate(upward, axis=0, out=upward)
         while isample < n and _due(t_samples[isample], t):
             ts = t_samples[isample]
             if t - ts <= _SNAP * max(1.0, abs(ts)):
@@ -477,16 +491,17 @@ def _ndf(f, jac, points, h, t_samples, isample, out, rtol, atol, parts,
 
         if equal_steps < order + 1:
             continue
-        # order k-1, k, k+1: the step factor each allows; take the largest
-        with np.errstate(divide="ignore"):
-            factors = np.array([
-                _error_norm(_NDF_ERROR[order - 1] * diffs[order], y, y, rtol,
-                            atol, parts) if order > 1 else np.inf,
-                err,
-                _error_norm(_NDF_ERROR[order + 1] * diffs[order + 2], y, y,
-                            rtol, atol, parts) if order < _MAX_ORDER else np.inf,
-            ]) ** (-1.0 / (order + np.arange(3)))
-        best = int(np.argmax(factors))
+        # order k-1, k, k+1: the step factor each allows (0 for an order
+        # out of range); take the largest, the lowest order on a tie
+        factors = [
+            _step_factor(_error_norm(_NDF_ERROR[order - 1] * diffs[order], y, y,
+                                     rtol, atol, parts), order - 1)
+            if order > 1 else 0.0,
+            _step_factor(err, order),
+            _step_factor(_error_norm(_NDF_ERROR[order + 1] * diffs[order + 2], y,
+                                     y, rtol, atol, parts), order + 1)
+            if order < _MAX_ORDER else 0.0]
+        best = max(range(3), key=factors.__getitem__)
         factor = min(_NDF_MAX_FACTOR, safety * factors[best])
         if best == 1 and 1.0 <= factor < _NDF_KEEP_GROWTH:
             equal_steps = 0     # keep h, the order and the inverse of W
@@ -512,7 +527,7 @@ def _correct(f, t_new, y_pred, psi, c, w_inv, gain, scale, parts, tol):
     correction's norm, is below ``tol``, and fails when the rate reaches 1
     or the remaining iterations cannot get below ``tol``.
     """
-    d = np.zeros_like(y_pred)
+    d = 0.0
     y = y_pred
     last = None
     for k in range(_NEWTON_MAXITER):

@@ -144,9 +144,12 @@ def _check(errors: list[str], cond: bool, message: str) -> None:
 def require_positive(name: str, value, allow_zero: bool = False) -> float:
     """``value`` as a float; ValueError unless it is finite and > 0.
 
-    ``allow_zero`` admits 0.  The comparisons are written so that NaN
-    fails them.
+    ``allow_zero`` admits 0.  A bool (numpy's included) and a string are
+    refused, although ``float`` takes both.  The comparisons are written
+    so that NaN fails them.
     """
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     v = float(value)
     if not (math.isfinite(v) and (v >= 0.0 if allow_zero else v > 0.0)):
         bound = ">= 0" if allow_zero else "> 0"

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydcav.bubble import (
     BubbleModel,
@@ -151,11 +153,11 @@ class TestStructureCache:
             assert first.size == second.size
             # the generator triplets, the w rows, the basis columns' entries,
             # the initial state, and with a sensitivity the triplets gathered
-            # per row of z, dL0's entries among them
+            # per row of z, dL0's entries among them, and the coefficient map
             kept = {"_rows", "_cols", "_vals", "_w_rr", "_w_ss", "_rho_index",
                     "_rho_coef", "_y0"}
             if sensitivity:
-                kept |= {"_z_rows", "_z_cols", "_z_vals"}
+                kept |= {"_z_rows", "_z_cols", "_z_vals", "_B", "_b0"}
             assert kept <= {k for k, v in vars(first).items()
                             if isinstance(v, np.ndarray)}
             before = [arr.copy() for arr in own(second)]
@@ -351,21 +353,24 @@ def test_sparse_generator_matches_the_dense_blocks(nmax, xi, start):
 
 @pytest.mark.parametrize("nmax", range(1, 7))
 @pytest.mark.parametrize("xi", [0.0, 2.0])
-@pytest.mark.parametrize("paths", [("rydberg.xi",), ("drive.omega_cf", "rydberg.xi")],
-                         ids=["xi", "omega_cf-xi"])
+@pytest.mark.parametrize("paths", [("rydberg.xi",), ("drive.omega_cf", "rydberg.xi"),
+                                   ("drive.alpha", "drive.delta_p", "rydberg.xi")],
+                         ids=["xi", "omega_cf-xi", "alpha-delta_p-xi"])
 def test_every_sensitivity_row_matches_the_dense_blocks(nmax, xi, paths):
     # row 0 is f; row k is J s_k + df/dtheta_k, with dL0 r for omega_cf and
-    # the trace rows read from the triplets gathered per row of z.  df/dtheta_k
-    # is f at the model's own scalar rows: this checks how the triplets are
-    # assembled, TestScalarRows the rows themselves
+    # delta_p, the coefficient map's offset -dalpha and its Delta_c terms,
+    # and the trace rows read from the triplets gathered per row of z.  df/dtheta_k
+    # is f at the scalar rows the model is built from: this checks how the
+    # triplets and the coefficient map are assembled, TestScalarRows the rows
     p = transient_params(xi=xi)
     model = BubbleModel(p, nmax=nmax, sensitivity=paths)
     rng = np.random.default_rng(nmax)
     z = rng.standard_normal((1 + len(paths), model.size))
     got = model.rhs_sensitivity(0.0, z.reshape(-1)).reshape(z.shape)
     f, jac = dense_reference(model, p, z[0])
-    want = [f] + [jac @ s + dense_reference(model, p, z[0], ds)[0]
-                  for s, ds in zip(z[1:], model._dscalars, strict=True)]
+    rows = _scalar_rows(p, None, _scalars(p, None), paths)
+    want = [f] + [jac @ s + dense_reference(model, p, z[0], _Scalars(*ds))[0]
+                  for s, ds in zip(z[1:], zip(*rows), strict=True)]
     for row, ref in zip(got, want, strict=True):
         np.testing.assert_allclose(row, ref, rtol=0,
                                    atol=1e-13 * np.abs(ref).max())
@@ -714,7 +719,7 @@ class TestEvolve:
     @pytest.mark.parametrize("kw", [{"rtol": float("nan")}, {"rtol": -1.0},
                                     {"atol": float("nan")},
                                     {"sample_times": [0.0, float("nan"), 2.0]},
-                                    {"atol": 0.0}])
+                                    {"atol": 0.0}, {"rtol": True}])
     def test_bad_tolerance_or_sample_time_rejected_before_any_step(
             self, kw, monkeypatch):
         def no_rhs(*args):
@@ -1164,8 +1169,10 @@ class TestSteady:
                 steady_transmission_bubble(weak_drive_params(), nmax=1, **bad)
 
     def test_nan_threshold_rejected(self):
-        # NaN compares false with everything, so a `<= 0` check lets it pass
-        for bad in ({"t_max": float("nan")}, {"t_max": float("inf")}):
+        # NaN compares false with everything, so a `<= 0` check lets it
+        # pass; float() takes True as 1.0
+        for bad in ({"t_max": float("nan")}, {"t_max": float("inf")},
+                    {"t_max": True}):
             with pytest.raises(ValueError):
                 steady_transmission_bubble(weak_drive_params(), nmax=1, **bad)
 
@@ -1184,6 +1191,77 @@ class TestSteady:
                                             rtol=0.0)
         assert result.converged
         assert result.verdict == "stable"
+
+
+# --- keyword arguments: refused before any evaluation, or the call runs -------
+
+# no number (float() takes each), or no positive finite one
+_NOT_POSITIVE = [True, False, np.bool_(True), "1e-3", "2", float("nan"),
+                 np.float64("nan"), float("inf"), 0, 0.0, np.int64(0), -1,
+                 np.float64(-0.5)]
+_NOT_NMAX = [True, 2.0, 1.5, "2", 0, np.int64(0), -1, float("nan")]
+
+
+def _is_positive(value, allow_zero=False):
+    if isinstance(value, (bool, np.bool_, str)):
+        return False
+    v = float(value)
+    return np.isfinite(v) and (v >= 0.0 if allow_zero else v > 0.0)
+
+
+def _is_nmax(value):
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= 1)
+
+
+def _run_counting_rhs(call, valid):
+    """``call()``: with ``valid`` it returns after evaluating the
+    right-hand side; without, it raises ValueError before the first
+    evaluation."""
+    calls = []
+    rhs = BubbleModel.rhs_flat
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BubbleModel, "rhs_flat",
+                   lambda self, t, y: calls.append(t) or rhs(self, t, y))
+        if valid:
+            call()
+            assert calls
+        else:
+            with pytest.raises(ValueError):
+                call()
+            assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(kw=st.fixed_dictionaries({}, optional={
+    "rtol": st.sampled_from([1e-6, np.float64(1e-4), 1e-3] + _NOT_POSITIVE),
+    "atol": st.sampled_from([1e-8, np.float64(1e-6)] + _NOT_POSITIVE),
+    "t_end": st.sampled_from([1.0, 2, np.float64(2.0), np.int64(1)] + _NOT_POSITIVE),
+    "dt": st.sampled_from([0.5, 1, np.float64(0.5), np.int64(1)] + _NOT_POSITIVE),
+    "nmax": st.sampled_from([1, 2, np.int64(2)] + _NOT_NMAX)}))
+def test_evolve_refuses_a_bad_keyword_before_any_evaluation(kw):
+    # every valid t_end here is a whole multiple of every valid dt
+    valid = (all(_is_positive(v) for k, v in kw.items() if k != "nmax")
+             and _is_nmax(kw.get("nmax", 1)))
+    kw = {"t_end": 1.0, "nmax": 2, **kw}
+    _run_counting_rhs(lambda: evolve(transient_params(), **kw), valid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kw=st.fixed_dictionaries({}, optional={
+    "t_max": st.sampled_from([500.0, np.float64(50.0), np.int64(100), 1]
+                             + _NOT_POSITIVE),
+    "rtol": st.sampled_from([1e-8, np.float64(1e-6)] + _NOT_POSITIVE),
+    "nmax": st.sampled_from([1, 2, np.int64(2)] + _NOT_NMAX),
+    "n_b": st.sampled_from([1.0, np.float64(3.0), np.int64(2), 25] + _NOT_POSITIVE)}))
+def test_steady_solve_refuses_a_bad_keyword_before_any_evaluation(kw):
+    # rtol may be 0
+    valid = (all(_is_positive(v, allow_zero=k == "rtol") for k, v in kw.items()
+                 if k != "nmax")
+             and _is_nmax(kw.get("nmax", 1)))
+    kw = {"nmax": 2, **kw}
+    _run_counting_rhs(lambda: steady_transmission_bubble(weak_drive_params(), **kw),
+                      valid)
 
 
 class SyntheticRoot:

@@ -257,9 +257,10 @@ class TestValidation:
 
 
     @pytest.mark.parametrize("options", [{"rtol": -1}, {"nmax": 2.0}, {"nmax": 0},
-                                         {"atol": float("nan")}],
+                                         {"atol": float("nan")}, {"rtol": True},
+                                         {"rtol": "1e-3"}, {"atol": True}],
                              ids=["negative-rtol", "float-nmax", "zero-nmax",
-                                  "nan-atol"])
+                                  "nan-atol", "bool-rtol", "str-rtol", "bool-atol"])
     def test_bad_model_option_value_rejected_before_any_run(self, options,
                                                             monkeypatch):
         # a value the transient refuses was flagged per level as xi = NaN

@@ -166,6 +166,21 @@ def test_non_finite_step_raises():
             integrate(f, 0.0, np.array([1.0]), [2.0], rtol=1e-8, **kw)
 
 
+def test_nan_in_a_later_part_raises():
+    # the error norm is the largest of the parts' norms; a NaN in the
+    # sensitivity part alone must not hide behind the finite state part
+    def f(t, y):
+        dy = -y
+        if t > 0.3:
+            dy[2:] = np.nan
+        return dy
+
+    for kw in both_paths():
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate(f, 0.0, np.array([1.0, 2.0, 1.0, 2.0]), [1.0], rtol=1e-8,
+                      parts=2, **kw)
+
+
 def test_non_finite_initial_state_raises():
     for kw in both_paths():
         with pytest.raises(IntegrationError, match="non-finite"):
