@@ -42,8 +42,13 @@ trace rows and the generator's nine unit blocks in that basis (L0 per
 unit of each rate and detuning, the cavity-coupling blocks per unit of
 g sqrt(n_b), the dark-state block).  :func:`_structure` builds them once
 per nmax from the operators' nonzeros, keeps the blocks as sparse (rows,
-cols, values) triplets and marks every array read-only; a model build
-then only weights and scatters the entries it keeps.
+cols, values) triplets and marks every array read-only.  Which
+coordinates a model keeps, and where each unit entry lands in its
+triplets, depend on its structure alone: which unit blocks it switches
+on, the support of its initial state and where its terms go.
+:func:`_layout` derives them once per structure and caches them the same
+way, so a build only weights the laid-out unit entries, sums them with one
+``np.bincount`` and drops the sums that are exactly 0.
 
 On request the forward sensitivities s_k = dy/dtheta_k of that state
 vector with respect to named parameters theta_k are integrated next to it
@@ -242,10 +247,10 @@ def _scalar_rows(params: PhysicalParams, n_b: float | None, sc: _Scalars,
     gain is.  n_b = N |V_b| / V moves by
     dn_b = n_b (Re(conj(V_b) dV_b) / |V_b|^2 - dV / V), with dV_b from
     :func:`rydcav.interactions.blockade_derivative`, unless it is given,
-    clamped to [1, N] or no path moves an input of the blockade chain.  A
-    path that is not a float parameter, or whose value is None, raises
-    ValueError naming it (:func:`rydcav.params.require_float_paths`); one
-    that moves (g sqrt(n_b))^2 where g sqrt(n_b) = 0, which goes there as
+    clamped to [1, N] or no path moves an input of the blockade chain.
+    ``paths`` pass :func:`rydcav.params.require_float_paths` (ValueError
+    naming a path that is not a float parameter or whose value is None,
+    KeyError for an unknown one); a path that moves (g sqrt(n_b))^2 where g sqrt(n_b) = 0, which goes there as
     the square root of the parameter, raises SolverError naming it.
     """
     if not paths:
@@ -429,6 +434,138 @@ def _closure(units, live: np.ndarray) -> np.ndarray:
         live = grown
 
 
+class _Sum(NamedTuple):
+    """The layout of a weighted sum of unit blocks on the kept coordinates.
+
+    Term t adds ``counts[t]`` entries: ``values`` holds every term's kept
+    unit entries in order, and entry e goes to sum ``inverse[e]``, which
+    lies at (``rows``, ``cols``) of the sum, sorted by row and then column.
+    """
+
+    values: np.ndarray
+    counts: np.ndarray
+    inverse: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+    def sums(self, coefs) -> np.ndarray:
+        """The sum at each position for term weights ``coefs``; each adds
+        its terms' products in term order, as :func:`_merged` does."""
+        return np.bincount(self.inverse, np.repeat(coefs, self.counts) * self.values,
+                           self.rows.size)
+
+
+class _Layout(NamedTuple):
+    """What a model's structure alone fixes; see :func:`_layout`.
+
+    ``keep`` are the kept basis coordinates, ``npop`` how many of them are
+    populations, ``rho_index`` and ``rho_coef`` their entries in vec(rho),
+    ``w_rr`` and ``w_ss`` the rows of sigma_RR and sigma_SS on them and
+    ``rr_cols`` where w_RR is nonzero.  ``stack`` lays out the stacked
+    generator and the three trace rows (its last term, at weight 1), with
+    ``blocks`` and ``jac_index`` per position (:meth:`BubbleModel.jacobian`),
+    and ``dl0`` dL0 for each moved path, or is None when none moves.
+    """
+
+    keep: np.ndarray
+    npop: int
+    rho_index: np.ndarray
+    rho_coef: np.ndarray
+    w_rr: np.ndarray
+    rr_cols: np.ndarray
+    w_ss: np.ndarray
+    stack: _Sum
+    blocks: np.ndarray
+    jac_index: np.ndarray
+    dl0: _Sum | None
+
+
+#: the layouts cached per process.  A key is one structure, and a run
+#: uses few; an entry takes 0.01-0.2 MB at nmax 2-6
+_LAYOUT_CACHE = 32
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE)
+def _layout(nmax: int, switched: tuple, driven: bool, coupled: bool,
+            a0_re: bool, a0_im: bool, support: bytes, dark: bool,
+            nmoved: int) -> _Layout:
+    """The coordinates a model reaches and the layout of its triplets.
+
+    They depend on the structure alone: the unit blocks ``switched`` on,
+    whether alpha (``driven``) and Delta_c (``coupled``) can move <a>,
+    whether a0 has a real and an imaginary part, the support of the
+    initial rho (``support``, packed bits of r0 != 0), whether the stack
+    keeps the dark-state block L3 (``dark``) and how many paths move L0
+    (``nmoved``); see :class:`BubbleModel`.  A build weights the unit
+    entries laid out here and drops the sums that are exactly 0, which
+    depend on the values.  Every array is read-only.
+    """
+    st = _structure(nmax)
+    d = st.ops.dim
+    live = np.unpackbits(np.frombuffer(support, np.uint8), count=d * d).astype(bool)
+    cavity = None
+    while True:   # can Re<a>, Im<a> leave 0 on what the chain reaches?
+        beta_re, beta_im = np.any(st.w_rows[1:, live] != 0.0, axis=1)
+        re = bool(a0_re or beta_im)
+        im = bool(driven or a0_im or beta_re)
+        if coupled:   # Delta_c turns each quadrature into the other
+            re = im = re or im
+        if (re, im) == cavity:
+            break
+        cavity = re, im
+        live = _closure([st.units[k] for k in switched
+                         if {_L1: re, _L2: im}.get(k, True)], live)
+
+    keep = np.flatnonzero(live)
+    n = keep.size
+    pos = np.zeros(d * d, dtype=int)
+    pos[keep] = np.arange(n)
+    # each unit's entries on the kept coordinates
+    kept = []
+    for rows, cols, v in st.units:
+        sel = live[rows] & live[cols]
+        kept.append((pos[rows[sel]], pos[cols[sel]], v[sel]))
+
+    def summed(terms, extra=()):
+        """The _Sum of unit ``k`` at row offset ``block`` * n for each
+        (block, k) of ``terms``, then the (keys, values) of ``extra``."""
+        parts = [((block * n + kept[k][0]) * n + kept[k][1], kept[k][2])
+                 for block, k in terms] + list(extra)
+        keys, inverse = np.unique(np.concatenate([p[0] for p in parts]),
+                                  return_inverse=True)
+        return _Sum(np.concatenate([p[1] for p in parts]),
+                    np.array([p[0].size for p in parts]),
+                    inverse, keys // n, keys % n)
+
+    # the stacked generator [L0; L1; L2; L3] and after it the rows w_RR,
+    # Re w_beta, Im w_beta
+    nb = 4 if dark else 3
+    w_rows = st.w_rows[:, keep]
+    wr, wc = np.nonzero(w_rows)
+    stack = summed([(0, k) for k in range(6)] + [(1, _L1), (2, _L2)]
+                   + [(3, _L3)] * dark,
+                   [((nb * n + wr) * n + wc, w_rows[wr, wc])])
+    rows, cols = stack.rows, stack.cols
+    gen = rows < nb * n
+    # the Jacobian weighs block b by coef[b] and the trace rows by 0,
+    # -prefactor and +prefactor into its cavity rows n, n + 1 and n
+    lay = _Layout(
+        keep=keep, npop=int(np.count_nonzero(live[:d])),   # populations lead
+        # the kept basis columns' entries: coordinate k adds a[k] y[k] at
+        # p[k] of vec(rho) and b[k] y[k] at q[k]
+        rho_index=np.concatenate((st.basis.p[keep], st.basis.q[keep])),
+        rho_coef=np.concatenate((st.basis.a[keep], st.basis.b[keep])),
+        w_rr=w_rows[0], rr_cols=np.flatnonzero(w_rows[0]), w_ss=st.w_ss[keep],
+        stack=stack, blocks=np.where(gen, rows // n, rows - nb * n + nb),
+        jac_index=np.where(gen, rows % n, n + (rows == nb * n + 1)) * (n + 2) + cols,
+        dl0=summed([(j, k) for j in range(nmoved) for k in range(6)])
+        if nmoved else None)
+    for arr in [lay.keep, lay.rho_index, lay.rho_coef, lay.w_rr, lay.rr_cols,
+                lay.w_ss, *stack, lay.blocks, lay.jac_index, *(lay.dl0 or ())]:
+        arr.setflags(write=False)
+    return lay
+
+
 def _coefficient_map(sc: _Scalars, derivs, nb: int, moved) -> tuple:
     """(B, b0): :meth:`BubbleModel.rhs_sensitivity`'s coefficients are
     B @ tail + b0, for the tail of its ``bincount``.
@@ -486,17 +623,21 @@ class BubbleModel:
     block products, which the cavity-coupling blocks scaled by Re<a>,
     Im<a> and the nonlinear dark-state block by xi <sigma_RR> combine
     into drho/dt, and its tail <sigma_RR> and <beta>.  The triplets are
-    gathered from the sparse unit blocks that :func:`_structure` caches
+    weighted sums of the sparse unit blocks that :func:`_structure` caches
     once per nmax: L0 is the sum of its six units weighted by the rates
     and detunings, L1 and L2 are theirs times g sqrt(n_b), and L3 is its
-    own.  ``sensitivity`` names the parameter paths whose forward
-    sensitivities :meth:`rhs_sensitivity` integrates; such a model also
-    keeps the same triplets once per row of the stacked state, with
-    dL0's entries for the paths that move a rate or detuning, and the
-    affine map that gives every coefficient of its product
-    (:func:`_coefficient_map`).  The
-    dark-state block is kept when xi != 0 or when one of those
-    parameters moves xi.  The only dense rows kept are those of sigma_RR
+    own.  The kept coordinates and the layout of those sums come from
+    :func:`_layout`, cached once per structure (the reachable set below
+    and the placement of the terms); a build weights the laid-out entries,
+    adds them in one ``np.bincount`` and keeps the nonzero sums, so an
+    entry that cancels at the model's values (Delta_r = -Delta_e) is
+    dropped, and it copies every array it keeps.  ``sensitivity`` names
+    the parameter paths whose forward sensitivities :meth:`rhs_sensitivity`
+    integrates; such a model also keeps the same triplets once per row of
+    the stacked state, with dL0's entries for the paths that move a rate
+    or detuning, and the affine map that gives every coefficient of its
+    product (:func:`_coefficient_map`).  The dark-state block is kept
+    when xi != 0 or when one of those parameters moves xi.  The only dense rows kept are those of sigma_RR
     and sigma_SS, for the Jacobian's rank-1 xi term and the sampled
     populations.
 
@@ -524,6 +665,8 @@ class BubbleModel:
                  n_b: float | None = None, sensitivity=(),
                  rho0: np.ndarray | None = None, a0: complex = 0.0):
         self.nmax = nmax = _check_nmax(nmax)
+        self.sensitivity = require_float_paths(params, sensitivity,
+                                               "the bubble model")
         st = _structure(nmax)
         self.params = params
         d = self.dim = st.ops.dim
@@ -535,21 +678,18 @@ class BubbleModel:
         self.dc_a = sc.delta_c
         self.g_nb_a = sc.g_nb
         self.prefactor_a = sc.prefactor
-        self.sensitivity = tuple(sensitivity)
         derivs = [_Scalars(*ds) for ds in               # one per path
                   zip(*_scalar_rows(params, n_b, sc, self.sensitivity))]
 
-        # (block of the stack, unit, coefficient); dL0 is L0 at the rows
-        # of the rates and detunings, so only parameters that move one of
-        # them need its product
-        terms = [(0, k, sc[k]) for k in range(6)]
-        terms += [(1, _L1, sc.g_nb), (2, _L2, sc.g_nb)]
-        if self.xi_a != 0.0 or any(ds.xi != 0.0 for ds in derivs):
-            terms.append((3, _L3, 1.0))
-        nb = self._nblocks = terms[-1][0] + 1
+        # the weights of the stack's terms, (block, unit) as in _layout,
+        # and of the trace rows; dL0 is L0 at the rows of the rates and
+        # detunings, so only parameters that move one of them need its
+        # product
+        dark = bool(self.xi_a != 0.0 or any(ds.xi != 0.0 for ds in derivs))
+        coefs = [*sc[:6], sc.g_nb, sc.g_nb] + [1.0] * dark + [1.0]
+        nb = self._nblocks = 3 + dark
         moved = [k for k, ds in enumerate(derivs) if any(ds[:6])]
-        dl0_terms = [(j, k, derivs[m][k]) for j, m in enumerate(moved)
-                     for k in range(6)]
+        dl0_coefs = [derivs[m][k] for m in moved for k in range(6)]
 
         basis = st.basis
         if rho0 is None:
@@ -560,63 +700,33 @@ class BubbleModel:
             r0 = (basis.a.conj() * rho0[basis.p]
                   + basis.b.conj() * rho0[basis.q]).real
         a0 = complex(a0)
-        switched = {k for _, k, c in terms + dl0_terms if c != 0.0}
-        driven = self.alpha_a != 0.0 or any(ds.alpha for ds in derivs)
-        coupled = self.dc_a != 0.0 or any(ds.delta_c for ds in derivs)
-        live, cavity = r0 != 0.0, None
-        while True:   # can Re<a>, Im<a> leave 0 on what the chain reaches?
-            beta_re, beta_im = np.any(st.w_rows[1:, live] != 0.0, axis=1)
-            re = bool(a0.real != 0.0 or beta_im)
-            im = bool(driven or a0.imag != 0.0 or beta_re)
-            if coupled:   # Delta_c turns each quadrature into the other
-                re = im = re or im
-            if (re, im) == cavity:
-                break
-            cavity = re, im
-            live = _closure([st.units[k] for k in sorted(switched)
-                             if {_L1: re, _L2: im}.get(k, True)], live)
+        term_units = [*range(6), _L1, _L2, _L3][:nb + 5]
+        switched = {k for k, c in zip(term_units, coefs) if c != 0.0}
+        switched.update(k for m in moved for k in range(6) if derivs[m][k] != 0.0)
+        lay = _layout(
+            nmax, tuple(sorted(switched)),
+            bool(self.alpha_a != 0.0 or any(ds.alpha for ds in derivs)),
+            bool(self.dc_a != 0.0 or any(ds.delta_c for ds in derivs)),
+            a0.real != 0.0, a0.imag != 0.0, np.packbits(r0 != 0.0).tobytes(),
+            dark, len(moved))
 
-        keep = np.flatnonzero(live)
-        n = self.nrho = keep.size                  # rho coordinates
-        self.npop = int(np.count_nonzero(live[:d]))  # populations lead
+        n = self.nrho = lay.keep.size              # rho coordinates
+        self.npop = lay.npop                       # populations lead
         self.size = n + 2                          # state-vector length
-        # the kept basis columns' entries: coordinate k adds a[k] y[k] at
-        # p[k] of vec(rho) and b[k] y[k] at q[k]
-        self._rho_index = np.concatenate((basis.p[keep], basis.q[keep]))
-        self._rho_coef = np.concatenate((basis.a[keep], basis.b[keep]))
-        pos = np.zeros(d * d, dtype=int)
-        pos[keep] = np.arange(n)
-
-        def entries(terms):
-            """keys row * n + col and values of coefficient times unit block,
-            each term's kept n x n part at row offset block * n."""
-            for block, k, c in terms:
-                rows, cols, v = st.units[k]
-                sel = live[rows] & live[cols]
-                yield (block * n + pos[rows[sel]]) * n + pos[cols[sel]], c * v[sel]
-
-        def triplets(parts):
-            """(rows, cols, values) of the summed entries, one per nonzero."""
-            keys, vals = zip(*parts)
-            return _merged(np.concatenate(keys), np.concatenate(vals), n)
-
+        self._rho_index = lay.rho_index.copy()
+        self._rho_coef = lay.rho_coef.copy()
         # the stacked generator [L0; L1; L2; L3] and after it the rows w_RR,
-        # Re w_beta, Im w_beta, as triplets
-        w_rows = st.w_rows[:, keep]
-        wr, wc = np.nonzero(w_rows)
-        self._rows, self._cols, self._vals = triplets(
-            [*entries(terms), ((nb * n + wr) * n + wc, w_rows[wr, wc])])
-        rows, cols = self._rows, self._cols
-        gen = rows < nb * n
-        # the Jacobian weighs block b by coef[b] and the trace rows by 0,
-        # -prefactor and +prefactor into its cavity rows n, n + 1 and n
-        self._blocks = np.where(gen, rows // n, rows - nb * n + nb)
-        self._jac_index = (np.where(gen, rows % n, n + (rows == nb * n + 1))
-                           * (n + 2) + cols)
-        self._w_rr = w_rows[0]
-        self._rr_cols = np.flatnonzero(self._w_rr)
-        self._w_ss = st.w_ss[keep]
-        self._y0 = np.concatenate((r0[keep], [a0.real, a0.imag]))
+        # Re w_beta, Im w_beta, as triplets, one per nonzero
+        sums = lay.stack.sums(coefs)
+        nonzero = sums != 0.0
+        self._rows, self._cols = lay.stack.rows[nonzero], lay.stack.cols[nonzero]
+        self._vals = sums[nonzero]
+        self._blocks = lay.blocks[nonzero]
+        self._jac_index = lay.jac_index[nonzero]
+        self._w_rr = lay.w_rr.copy()
+        self._rr_cols = lay.rr_cols.copy()
+        self._w_ss = lay.w_ss.copy()
+        self._y0 = np.concatenate((r0[lay.keep], [a0.real, a0.imag]))
         if derivs:
             # rhs_sensitivity gathers the triplets once per row j of z, their
             # columns shifted into that row.  Its bincount, read as rows of
@@ -625,6 +735,8 @@ class BubbleModel:
             # cavity rows through the coefficient product; after them come
             # each z row's three trace values and, at weight 1, its <a>
             q, m, blocks = len(derivs) + 1, n + 2, self._blocks
+            rows, cols = self._rows, self._cols
+            gen = rows < nb * n
             units = q * nb + len(moved) + np.arange(2)
             self._z_units = units * m + [n, n + 1]
             tail = self._z_tail = (units[-1] + 1) * m
@@ -636,10 +748,12 @@ class BubbleModel:
             z_cols = [cols + m * copies, m * copies + [n, n + 1]]
             z_vals = [np.tile(self._vals, q), np.ones(2 * q)]
             if moved:
-                dr, dc, dv = triplets(entries(dl0_terms))
+                dv = lay.dl0.sums(dl0_coefs)
+                nonzero = dv != 0.0
+                dr = lay.dl0.rows[nonzero]
                 z_rows.append((q * nb + dr // n) * m + dr % n)
-                z_cols.append(dc)
-                z_vals.append(dv)
+                z_cols.append(lay.dl0.cols[nonzero])
+                z_vals.append(dv[nonzero])
             self._z_rows, self._z_cols, self._z_vals = (
                 np.concatenate(a, axis=None) for a in (z_rows, z_cols, z_vals))
             self._gain = sc.gain
@@ -824,10 +938,13 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
     the control of the state.  One inverse of W = I - c J, J of the state
     alone, serves the state and every sensitivity (the simultaneous
     corrector of CVODES).  The source terms df/dtheta_k are exact
-    (:func:`_scalar_rows`).  Before any step, a path that is not a float
-    parameter (:data:`rydcav.params.FLOAT_PATHS`) or whose value is None
-    raises ValueError, and one that moves the coupling where g sqrt(n_b) = 0
-    (the cooperativity at C = 0) raises SolverError.
+    (:func:`_scalar_rows`).  Before any step, a bare string, a path given
+    twice, or a path that is not a float parameter
+    (:data:`rydcav.params.FLOAT_PATHS`) or whose value is None raises
+    ValueError, an unknown path KeyError
+    (:func:`rydcav.params.require_float_paths`), and a path that moves the
+    coupling where g sqrt(n_b) = 0 (the cooperativity at C = 0) raises
+    SolverError.
 
     ``metadata["solver"]`` records the run's work: the model's
     ``coordinates`` (the length of y), the right-hand-side evaluations

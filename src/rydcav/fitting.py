@@ -24,7 +24,8 @@ import numpy as np
 from . import bubble, linear, meanfield
 from .errors import ConfigError, IntegrationError, SingularParameterError, SolverError
 from .ode import IntegrationStats
-from .params import FLOAT_PATHS, PhysicalParams, get_path, require_positive, set_paths
+from .params import (PhysicalParams, get_path, require_float_paths,
+                     require_positive, set_paths)
 
 #: default box constraints by field name; rates that sit in denominators
 #: get a small positive floor
@@ -122,10 +123,12 @@ class FitProblem:
 
     The box constraints ``lower``/``upper`` come from :func:`default_bounds`
     and must contain the initial guess, one finite value per free
-    parameter; the free paths must be distinct float parameters
-    (:data:`rydcav.params.FLOAT_PATHS`) with a value, and the weights
-    positive and finite.  ``model_options`` passes ``nmax``, ``rtol`` and
-    ``atol`` to the bubble transient and holds no other key; its values are
+    parameter; the free paths must be a sequence of distinct float
+    parameters (:data:`rydcav.params.FLOAT_PATHS`) with a value
+    (:func:`rydcav.params.require_float_paths`: ValueError, or KeyError for
+    an unknown path), and the weights positive and finite.
+    ``model_options`` passes ``nmax``, ``rtol`` and ``atol`` to the bubble
+    transient and holds no other key; its values are
     checked here, as the transient would check them.  The mean-field
     curve is solved by continuation in data order, so its ``x`` must be
     strictly increasing or strictly decreasing (a down-sweep).  The problem
@@ -153,18 +156,10 @@ class FitProblem:
             raise ValueError("x and y must be 1-d arrays of equal length")
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise ValueError("x and y must be finite")
-        self.free = tuple(self.free)
+        self.free = require_float_paths(self.base_params, self.free,
+                                        f"the {self.model} model")
         if not self.free:
             raise ValueError("at least one free parameter required")
-        if len(set(self.free)) < len(self.free):
-            raise ValueError(f"free parameters must be distinct, got {self.free}")
-        for path in self.free:
-            value = get_path(self.base_params, path)   # KeyError if unknown
-            if path not in FLOAT_PATHS:
-                raise ValueError(f"parameter '{path}' cannot be fitted: not a "
-                                 f"float parameter")
-            if value is None:
-                raise ValueError(f"parameter '{path}' has no base value")
         if self.x.size < 2 * len(self.free):
             raise ValueError("need at least 2 data points per free parameter")
         if self.model == "meanfield":

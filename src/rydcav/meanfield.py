@@ -152,8 +152,9 @@ def _grid_derivative(params: PhysicalParams, paths, g: _Grid,
     The axis is no parameter: on a detuning grid the delta_p rows are 0; on
     a rate grid delta_p moves D_e, D_r and D_c by unit rows, and
     alpha = sqrt(gamma_c R) moves only with gamma_c, by alpha / (2 gamma_c).
-    A path that is not a float parameter, or whose value is None, raises
-    ValueError naming it (:func:`rydcav.params.require_float_paths`).
+    ``paths`` pass :func:`rydcav.params.require_float_paths` (ValueError
+    naming a path that is not a float parameter or whose value is None,
+    KeyError for an unknown one).
     """
     require_float_paths(params, paths, "the mean-field chain")
 
@@ -471,7 +472,7 @@ class MeanFieldCurve:
         (:func:`_grid_derivative`).  The axis is no parameter: along delta_p
         the ``drive.delta_p`` column is 0, along the rate ``drive.alpha``'s.
         A path that is not a float parameter, or whose value is None,
-        raises ValueError; a derivative that is not finite, as at a fold of
+        raises ValueError, an unknown path KeyError; a derivative that is not finite, as at a fold of
         the steady state or a failed point of a scan, or in C6 at C6 = 0,
         raises SolverError naming the point.
         """
@@ -574,7 +575,8 @@ def transmission_jacobian(params: PhysicalParams, delta_ps, paths) -> np.ndarray
     form on the one grid at the parameters (:func:`_grid_derivative`).  The
     mean-field curve's own derivative is :meth:`MeanFieldCurve.jacobian`.
     A path that is not a float parameter, or whose value is None, raises
-    ValueError; a derivative that is not finite raises SolverError.
+    ValueError, an unknown path KeyError; a derivative that is not finite
+    raises SolverError.
     """
     delta_ps = np.asarray(delta_ps, dtype=float)
     return _jacobian(params, _grid(params, delta_ps, interacting=False),

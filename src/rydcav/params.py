@@ -225,14 +225,30 @@ FLOAT_PATHS = tuple(f"{section}.{f.name}" for section, cls in _SECTIONS.items()
                     if f.name not in _INT_FIELDS and f.name != "series")
 
 
-def require_float_paths(params: PhysicalParams, paths, what: str) -> None:
-    """ValueError naming every path of ``paths`` that is not a float
-    parameter (:data:`FLOAT_PATHS`) or whose value in ``params`` is None:
-    "no derivative of ``what`` in ...: not a float parameter"."""
-    bad = [p for p in paths if p not in FLOAT_PATHS or get_path(params, p) is None]
+def require_float_paths(params: PhysicalParams, paths, what: str) -> tuple[str, ...]:
+    """``paths`` as a tuple, once each is known to be a distinct float
+    parameter (:data:`FLOAT_PATHS`) with a value in ``params``.
+
+    A bare string ("parameter paths of ``what`` must be a sequence ...") and
+    a path given more than once ("... must be distinct ...") raise
+    ValueError, an unknown path KeyError (:func:`get_path`), and every path
+    that is not a float parameter or whose value is None ValueError naming
+    it: "no derivative of ``what`` in ...: not a float parameter".
+    """
+    if isinstance(paths, str):
+        raise ValueError(f"parameter paths of {what} must be a sequence, not "
+                         f"the string {paths!r}")
+    paths = tuple(paths)
+    repeated = [p for k, p in enumerate(paths) if p in paths[:k]]
+    if repeated:
+        raise ValueError(f"parameter paths of {what} must be distinct, got "
+                         f"{', '.join(map(repr, dict.fromkeys(repeated)))} "
+                         f"more than once")
+    bad = [p for p in paths if get_path(params, p) is None or p not in FLOAT_PATHS]
     if bad:
         raise ValueError(f"no derivative of {what} in "
                          f"{', '.join(map(repr, bad))}: not a float parameter")
+    return paths
 
 
 def _coerce(section: str, name: str, value: Any, errs: list[str]):

@@ -23,6 +23,7 @@ from rydcav.bubble import (
     steady_transmission_bubble,
 )
 from rydcav.errors import IntegrationError, SolverError
+from rydcav.fitting import FitProblem
 from rydcav.linear import transmission_linear
 from rydcav.ode import integrate
 from rydcav.params import FLOAT_PATHS, ScanSpec, get_path, set_path
@@ -120,19 +121,60 @@ def test_numpy_integer_nmax_runs_as_the_int():
     assert type(BubbleModel(p, nmax=np.int64(2)).nmax) is int
 
 
-def cached_arrays(nmax):
+def arrays_in(entry):
+    """Every array of a cache entry, its nested tuples included."""
+    for v in entry:
+        if isinstance(v, tuple):
+            yield from arrays_in(v)
+        elif isinstance(v, np.ndarray):
+            yield v
+
+
+def cached_arrays(nmax, layouts=()):
+    """The arrays of the structure cached at ``nmax`` and of ``layouts``."""
     st = _structure(nmax)
     ops = [v for v in vars(st.ops).values() if isinstance(v, np.ndarray)]
     assert len(ops) == 9
     triplets = [arr for unit in st.units for arr in unit]
-    return ops + [*st.basis, st.w_rows, st.w_ss] + triplets
+    return (ops + [*st.basis, st.w_rows, st.w_ss] + triplets
+            + [arr for lay in layouts for arr in arrays_in(lay)])
+
+
+def built_layouts(monkeypatch, build):
+    """The layouts the models made by ``build()`` looked up."""
+    import rydcav.bubble as bubble
+
+    found, lookup = [], bubble._layout
+    monkeypatch.setattr(bubble, "_layout",
+                        lambda *key: found.append(lookup(*key)) or found[-1])
+    build()
+    monkeypatch.setattr(bubble, "_layout", lookup)
+    return found
+
+
+def fresh_layout_cache(monkeypatch):
+    """An empty layout cache in place of the process's own."""
+    import functools
+
+    import rydcav.bubble as bubble
+
+    cache = functools.lru_cache(maxsize=bubble._LAYOUT_CACHE)(bubble._layout.__wrapped__)
+    monkeypatch.setattr(bubble, "_layout", cache)
+    return cache
 
 
 class TestStructureCache:
-    """The operator algebra shared by every model at one nmax."""
+    """The operator algebra shared by every model at one nmax, and the
+    layouts shared by every model of one structure."""
 
-    def test_cached_arrays_are_read_only(self):
-        for arr in cached_arrays(2):
+    def test_cached_arrays_are_read_only(self, monkeypatch):
+        # a plain model, and one whose sensitivities lay out dL0
+        layouts = built_layouts(monkeypatch, lambda: (
+            BubbleModel(transient_params(), nmax=2),
+            BubbleModel(transient_params(delta_p=1.5), nmax=2,
+                        sensitivity=("drive.delta_p", "rydberg.xi"))))
+        assert len(layouts) == 2 and layouts[1].dl0 is not None
+        for arr in cached_arrays(2, layouts):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[0]
         # the public constructor still hands out fresh, writable arrays
@@ -140,16 +182,21 @@ class TestStructureCache:
         assert ops.beta is not _structure(2).ops.beta
         assert ops.beta.flags.writeable
 
-    def test_models_share_no_mutable_state(self):
+    def test_models_share_no_mutable_state(self, monkeypatch):
         def own(model):
             return [v for v in vars(model).values() if isinstance(v, np.ndarray)]
 
-        for sensitivity in ((), ("rydberg.xi", "drive.omega_cf")):
+        for sensitivity in ((), ("rydberg.xi", "drive.omega_cf"),
+                            ("drive.delta_p", "rydberg.xi")):
             def build(**kw):
                 return BubbleModel(transient_params(**kw), nmax=2,
                                    sensitivity=sensitivity)
 
-            first, second = build(xi=2.0), build(xi=1.0, alpha=1.5)
+            models = []
+            layouts = built_layouts(monkeypatch, lambda: models.extend(
+                (build(xi=2.0), build(xi=1.0, alpha=1.5))))
+            first, second = models
+            assert layouts[0] is layouts[1]   # one structure, one layout
             assert first.size == second.size
             # the generator triplets, the w rows, the basis columns' entries,
             # the initial state, and with a sensitivity the triplets gathered
@@ -163,7 +210,8 @@ class TestStructureCache:
             before = [arr.copy() for arr in own(second)]
             for arr in own(first) + own(second):
                 assert arr.flags.writeable
-                assert not any(np.shares_memory(arr, c) for c in cached_arrays(2))
+                assert not any(np.shares_memory(arr, c)
+                               for c in cached_arrays(2, layouts))
             for arr in own(first):
                 assert not any(np.shares_memory(arr, o) for o in own(second))
                 arr[...] = 0
@@ -205,6 +253,84 @@ class TestStructureCache:
         evolve(weak_drive_params(), t_end=1.0, dt=1.0, nmax=2)
         steady_transmission_bubble(weak_drive_params(), nmax=2)
         assert calls == built
+
+    def test_reachable_set_is_closed_only_for_a_new_layout(self, monkeypatch):
+        import rydcav.bubble as bubble
+
+        cache = fresh_layout_cache(monkeypatch)
+        closures = []
+        closure = bubble._closure
+        monkeypatch.setattr(bubble, "_closure",
+                            lambda *a: closures.append(1) or closure(*a))
+        rho0 = random_density_matrix(9, np.random.default_rng(0))
+        # (build, whether its layout is new): other values of the same
+        # rates, detunings and drive share the structure, and with it the
+        # layout; xi = 0, a detuning, a coherent rho0, a0 or a path that
+        # moves L0 each change it
+        builds = [
+            (dict(), True), (dict(xi=1.0, alpha=1.5), False),
+            (dict(xi=0.0), True), (dict(xi=0.0, alpha=0.5), False),
+            (dict(delta_p=1.5), True), (dict(delta_p=-0.7, xi=3.0), False),
+            (dict(rho0=rho0), True), (dict(rho0=rho0, xi=1.0), False),
+            (dict(a0=0.1j), True), (dict(a0=0.3j, alpha=1.0), False),
+            (dict(sensitivity=("drive.delta_p",)), True),
+            (dict(sensitivity=("drive.delta_p", "rydberg.xi"), xi=1.0), False),
+            (dict(), False)]
+        for k, (kw, new) in enumerate(builds):
+            before = len(closures)
+            model_kw = {key: kw.pop(key) for key in ("rho0", "a0", "sensitivity")
+                        if key in kw}
+            BubbleModel(transient_params(**kw), nmax=2, **model_kw)
+            assert (len(closures) > before) == new, k
+        news = sum(new for _, new in builds)
+        assert cache.cache_info()[:2] == (len(builds) - news, news)   # hits, misses
+
+    @pytest.mark.parametrize("case", [
+        "resonant", "detuned", "xi-zero", "moves-L0", "xi-path", "rho0",
+        "complex-a0", "cancellation"])
+    def test_a_cache_hit_builds_the_fresh_model_bit_for_bit(self, monkeypatch, case):
+        rho0 = random_density_matrix(9, np.random.default_rng(1))
+        rho0[0, 1] += 0.05j                       # a coherence, kept Hermitian
+        rho0[1, 0] -= 0.05j
+        # (parameters, model keywords), and other values of the same
+        # structure that make the cache entry first
+        kw, model_kw, other = {
+            "resonant": ({}, {}, dict(xi=1.0)),
+            "detuned": (dict(delta_p=1.5), {}, dict(delta_p=-2.0)),
+            "xi-zero": (dict(xi=0.0, delta_p=1.0), {}, dict(xi=0.0, delta_p=0.3)),
+            "moves-L0": (dict(delta_p=1.0), dict(sensitivity=("drive.delta_p",)),
+                         dict(delta_p=0.5, alpha=1.0)),
+            "xi-path": ({}, dict(sensitivity=("rydberg.xi", "drive.alpha")),
+                        dict(xi=0.5)),
+            "rho0": (dict(delta_p=1.0), dict(rho0=rho0), dict(delta_p=2.0)),
+            "complex-a0": ({}, dict(a0=0.2 - 0.1j, sensitivity=("rydberg.xi",)),
+                           dict(alpha=1.0)),
+            # delta_r = -delta_e: their unit blocks' shared entries cancel
+            # exactly, which the entry made at other values keeps
+            "cancellation": (dict(delta_p=1.0, delta_cf=-2.0), {},
+                             dict(delta_p=1.0, delta_cf=-1.5)),
+        }[case]
+        cache = fresh_layout_cache(monkeypatch)
+        first = BubbleModel(transient_params(**other), nmax=2, **model_kw)
+        hit = BubbleModel(transient_params(**kw), nmax=2, **model_kw)
+        assert cache.cache_info()[:2] == (1, 1)
+        fresh_layout_cache(monkeypatch)
+        fresh = BubbleModel(transient_params(**kw), nmax=2, **model_kw)
+        if case == "cancellation":
+            assert hit._vals.size < first._vals.size
+        for name in ("_rows", "_cols", "_vals", "_y0", "_rho_index"):
+            np.testing.assert_array_equal(getattr(hit, name), getattr(fresh, name),
+                                          err_msg=name, strict=True)
+        y = fresh.initial_flat() + 0.01 * np.cos(np.arange(fresh.size))
+        for f in ("rhs_flat", "jacobian", "rhs_sensitivity"):
+            if f == "rhs_sensitivity" and not fresh.sensitivity:
+                continue
+            z = y if f != "rhs_sensitivity" else np.concatenate(
+                [y] + [0.02 * np.sin(np.arange(fresh.size) + j)
+                       for j in range(len(fresh.sensitivity))])
+            args = (z,) if f == "jacobian" else (0.0, z)
+            got, want = getattr(hit, f)(*args), getattr(fresh, f)(*args)
+            assert got.tobytes() == want.tobytes(), f
 
     def test_cold_build_holds_no_superoperator(self):
         # one complex d^2 x d^2 array at nmax 6 (d = 21) is 16 d^4 bytes,
@@ -1214,20 +1340,21 @@ def _is_nmax(value):
             and value >= 1)
 
 
-def _run_counting_rhs(call, valid):
+def _run_counting_rhs(call, valid, errors=ValueError):
     """``call()``: with ``valid`` it returns after evaluating the
-    right-hand side; without, it raises ValueError before the first
-    evaluation."""
+    right-hand side (``rhs_flat`` or ``rhs_sensitivity``); without, it
+    raises ``errors`` before the first evaluation."""
     calls = []
-    rhs = BubbleModel.rhs_flat
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(BubbleModel, "rhs_flat",
-                   lambda self, t, y: calls.append(t) or rhs(self, t, y))
+        for name in ("rhs_flat", "rhs_sensitivity"):
+            mp.setattr(BubbleModel, name,
+                       lambda self, t, y, rhs=getattr(BubbleModel, name):
+                       calls.append(t) or rhs(self, t, y))
         if valid:
             call()
             assert calls
         else:
-            with pytest.raises(ValueError):
+            with pytest.raises(errors):
                 call()
             assert calls == []
 
@@ -1262,6 +1389,44 @@ def test_steady_solve_refuses_a_bad_keyword_before_any_evaluation(kw):
     kw = {"nmax": 2, **kw}
     _run_counting_rhs(lambda: steady_transmission_bubble(weak_drive_params(), **kw),
                       valid)
+
+
+#: float paths, paths that name an integer, no parameter or no field of
+#: these parameters, and one whose value is None
+_SOME_PATHS = st.sampled_from(FLOAT_PATHS + ("rydberg.n", "bogus.x", "scan.start",
+                                             "drive.omega"))
+_PATH_TUPLES = st.one_of(
+    st.lists(_SOME_PATHS, max_size=3).map(tuple),
+    st.lists(_SOME_PATHS, min_size=1, max_size=2).map(lambda p: (*p, p[0])),
+    st.sampled_from(["rydberg.xi", "", "drive.alpha"]))
+
+
+def _paths_valid(params, paths):
+    """Whether ``paths`` is a tuple of distinct float paths with values."""
+    return (not isinstance(paths, str) and len(set(paths)) == len(paths)
+            and all(p in FLOAT_PATHS and get_path(params, p) is not None
+                    for p in paths))
+
+
+@settings(max_examples=40, deadline=None)
+@given(paths=_PATH_TUPLES)
+def test_sensitivity_paths_are_checked_before_any_evaluation(paths):
+    # rydberg.c6_override is None here: C6 comes from the series
+    p = transient_params()
+    assert get_path(p, "rydberg.c6_override") is None
+    valid = _paths_valid(p, paths)
+    _run_counting_rhs(lambda: evolve(p, t_end=2.0, dt=0.5, nmax=2,
+                                     sensitivity=paths),
+                      valid, (ValueError, KeyError))
+
+    def fit_run():
+        x = np.linspace(0.0, 2.0, 9)
+        problem = FitProblem(x=x, y=np.zeros(9), model="bubble_transient",
+                             base_params=p, free=paths, model_options={"nmax": 2})
+        problem.model_curve(problem.initial)
+
+    # a fit needs at least one free path
+    _run_counting_rhs(fit_run, valid and bool(paths), (ValueError, KeyError))
 
 
 class SyntheticRoot:

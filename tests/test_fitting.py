@@ -185,7 +185,7 @@ class TestValidation:
         for path in ("ensemble.atom_number", "scan.start"):
             for model in ("linear_eit", "meanfield"):
                 with pytest.raises(ValueError, match=re.escape(
-                        f"'{path}' cannot be fitted: not a float parameter")):
+                        f"model in {path!r}: not a float parameter")):
                     FitProblem(x=np.arange(10.0), y=np.ones(10), model=model,
                                base_params=params, free=(path,))
 
@@ -230,7 +230,8 @@ class TestValidation:
                        initial=[5.5, bad])
 
     def test_duplicate_free_paths_rejected(self):
-        with pytest.raises(ValueError, match="free parameters must be distinct"):
+        with pytest.raises(ValueError, match=re.escape(
+                "must be distinct, got 'cavity.gamma_c' more than once")):
             FitProblem(x=np.arange(10.0), y=np.ones(10), model="linear_eit",
                        base_params=make_params(),
                        free=("cavity.gamma_c", "drive.omega_cf", "cavity.gamma_c"))
@@ -550,9 +551,11 @@ class TestClosedFormJacobians:
 
         grid = np.linspace(-30.0, 30.0, 21)
         p = make_params(alpha=2.0)
+        # drive.omega names no parameter at all: a KeyError, as from get_path
+        error = KeyError if path == "drive.omega" else ValueError
         for jacobian in (meanfield.transmission_curve(p, grid).jacobian,
                          partial(meanfield.transmission_jacobian, p, grid)):
-            with pytest.raises(ValueError, match=re.escape(repr(path))):
+            with pytest.raises(error, match=re.escape(repr(path))):
                 jacobian(("drive.alpha", path))
 
     def test_fit_from_the_zero_cooperativity_bound(self):
