@@ -66,14 +66,14 @@ def _meta(args, params, extra=None):
 
 
 def _emit_table(args, header, columns, meta, **extra):
-    """Write ``columns`` as CSV rows under ``header``, or as JSON lists
+    """Write ``columns`` as a CSV table under ``header``, or as JSON lists
     keyed by the header's names, with ``extra`` beside them."""
     if args.format == "json":
         lists = {name: col.tolist()
                  for name, col in zip(header.split(","), columns)}
         write_json(args.out, {**lists, **extra}, meta)
     else:
-        write_csv(args.out, header, zip(*columns), meta)
+        write_csv(args.out, header, columns, meta)
 
 
 def _noise(args, values):

@@ -2,9 +2,10 @@
 
 Output files start with comment lines carrying the package version, a hash
 of the generating configuration and any run metadata (seed, noise level),
-so re-running with identical inputs yields byte-identical files.  Numbers
-are written with repr (shortest round-trip), '.' decimal separator and
-'\n' line endings, independent of locale.
+so re-running with identical inputs yields byte-identical files.  A CSV
+table is written column by column: an integer column as integers, every
+other column as the repr (shortest round-trip) of each value's float,
+with '.' decimal separator and '\n' line endings, independent of locale.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .params import is_integer
 
 
 def canonical_json(tree) -> str:
@@ -27,12 +27,6 @@ def canonical_json(tree) -> str:
 def config_hash(tree: dict) -> str:
     """Short stable hash of a configuration tree."""
     return hashlib.sha256(canonical_json(tree).encode()).hexdigest()[:12]
-
-
-def format_number(v) -> str:
-    if is_integer(v):
-        return str(v)
-    return repr(float(v))
 
 
 def meta_lines(meta: dict) -> list[str]:
@@ -48,11 +42,20 @@ def _emit(path, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def write_csv(path, header: str, rows, meta: dict | None = None) -> None:
+def _column_text(column):
+    """The values of one column as text: an integer column's as integers,
+    any other column's (bools included) as the repr of their floats."""
+    col = np.asarray(column)
+    if col.dtype.kind in "iu":
+        return map(str, col.tolist())
+    return map(repr, col.astype(float, copy=False).tolist())
+
+
+def write_csv(path, header: str, columns, meta: dict | None = None) -> None:
+    """Write ``columns`` as the rows of a table under ``header``."""
     lines = meta_lines(meta or {})
     lines.append(header)
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
+    lines.extend(map(",".join, zip(*map(_column_text, columns))))
     _emit(path, "\n".join(lines) + "\n")
 
 

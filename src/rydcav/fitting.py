@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bubble, linear, meanfield
-from .errors import ConfigError, IntegrationError, SingularParameterError, SolverError
+from .errors import IntegrationError, SingularParameterError, SolverError
 from .ode import IntegrationStats
 from .params import (PhysicalParams, get_path, require_float_paths,
                      require_positive, set_paths)
@@ -323,8 +323,11 @@ def fit(problem: FitProblem, ftol: float = 1e-10,
     that report them, a bubble transient's (``nfev``, ``accepted_steps``,
     ``rejected_steps``, ``jacobian_evals``, ``inversions``); it stays None
     for the closed-form models.  Each fit logs one DEBUG record on
-    ``rydcav.fitting``.
+    ``rydcav.fitting``.  ``ftol`` and ``xtol`` must be finite and >= 0, or
+    it is a ValueError before any model run.
     """
+    ftol = require_positive("ftol", ftol, allow_zero=True)
+    xtol = require_positive("xtol", xtol, allow_zero=True)
     w = problem.weights if problem.weights is not None else np.ones_like(problem.y)
     sqrt_w = np.sqrt(w)
     lo, hi = problem.lower, problem.upper
@@ -444,10 +447,14 @@ def fit_xi_series(entries, params_by_n, model_options: dict | None = None,
     ``entries`` is a list of (n, TimeSeries); ``params_by_n`` maps each n to
     its parameter bundle.  Entries whose fit fails are flagged
     (converged=False, xi=NaN) without affecting the others; an unknown
-    ``model_options`` key or a bad value is a ValueError before any fit.
+    ``model_options`` key, a bad value of one or a bad ``ftol`` or
+    ``xtol`` is a ValueError before any fit.
     """
     opts = dict(model_options or {})
     _check_model_options(opts)
+    for name in ("ftol", "xtol"):
+        if name in fit_kwargs:
+            require_positive(name, fit_kwargs[name], allow_zero=True)
 
     def run(entry):
         n, series = entry
@@ -461,7 +468,7 @@ def fit_xi_series(entries, params_by_n, model_options: dict | None = None,
             return XiEstimate(n, float(res.best_fit[0]), float(res.ci95[0]),
                               res.converged, res.residual_norm)
         except (SolverError, IntegrationError, SingularParameterError,
-                ConfigError, ValueError):
+                ValueError):
             return XiEstimate(n, float("nan"), float("nan"), False,
                               float("nan"))
 

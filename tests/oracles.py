@@ -2,8 +2,11 @@
 
 Everything here is written from the eliminated closed-form chain directly,
 separate from the production code paths, so solver and oracle cannot share
-a bug.
+a bug.  The CSV reference writes a table one value at a time, row by row,
+where ``datafiles.write_csv`` formats whole columns.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -136,3 +139,24 @@ def follow_branch_loop(roots, residual, singular, x_seed, flag_failures):
         picks.append(j)
         seed = r[j]
     return np.array(picks, dtype=int)
+
+
+def format_number(v) -> str:
+    """One table value as text: an integer as an integer, anything else
+    (a bool included) as the repr of its float."""
+    from rydcav.params import is_integer
+
+    if is_integer(v):
+        return str(v)
+    return repr(float(v))
+
+
+def write_csv_rows(path, header, rows, meta=None) -> None:
+    """The row-wise CSV writer: each value through ``format_number``."""
+    from rydcav.datafiles import meta_lines
+
+    lines = meta_lines(meta or {})
+    lines.append(header)
+    for row in rows:
+        lines.append(",".join(format_number(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -279,6 +279,30 @@ class TestValidation:
                           model_options=options)
         assert runs == []
 
+    @pytest.mark.parametrize("value", [True, "1e-6", float("nan"), -1.0,
+                                       float("inf")],
+                             ids=["bool", "str", "nan", "negative", "inf"])
+    @pytest.mark.parametrize("name", ["xtol", "ftol"])
+    def test_bad_tolerance_rejected_before_any_run(self, name, value,
+                                                   monkeypatch):
+        # xtol=True stopped a fit at its start, "converged"; a string was a
+        # TypeError after a model run; NaN and negative values went through
+        runs = []
+        monkeypatch.setattr(bubble, "evolve", lambda *a, **k: runs.append(a))
+        t = np.linspace(0.0, 2.0, 5)
+        prob = FitProblem(x=t, y=np.ones(5), model="bubble_transient",
+                          base_params=transient_params(), free=("rydberg.xi",),
+                          model_options={"nmax": 2})
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fit(prob, **{name: value})
+        # a series stops before its first level instead of flagging each
+        # level as xi = NaN
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fit_xi_series([(85, None), (60, None)],
+                          {85: transient_params(), 60: transient_params()},
+                          model_options={"nmax": 2}, **{name: value})
+        assert runs == []
+
 
 def transient_params(xi=2.0):
     return make_params(n=85, series="D", gamma_r=0.05, gamma_s=0.002,

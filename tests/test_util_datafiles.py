@@ -1,16 +1,47 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import write_csv_rows
 from rydcav.datafiles import (
     canonical_json,
     config_hash,
-    format_number,
     read_xy_csv,
     write_csv,
     write_json,
 )
+
+#: signed zeros, NaN, infinities, subnormals and the ends of the range
+_SPECIAL = (0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+            -2.5e-310, 1e300, -1e300)
+_SPECIAL32 = tuple(float(np.float32(v)) for v in
+                   (0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e-45,
+                    -2.5e-40, 3e38, -3e38))
+_ELEMENTS = {
+    "float64": st.floats(allow_nan=False) | st.sampled_from(_SPECIAL),
+    "float32": st.floats(width=32) | st.sampled_from(_SPECIAL32),
+    "int64": st.integers(-2**63, 2**63 - 1),
+    "int32": st.integers(-2**31, 2**31 - 1),
+    "uint8": st.integers(0, 255),
+    "bool": st.booleans(),
+}
+
+
+@st.composite
+def _tables(draw, dtypes=st.sampled_from(sorted(_ELEMENTS)), min_rows=0,
+            min_columns=1, max_columns=5):
+    """A header and its columns of one length, each of one dtype."""
+    nrows = draw(st.integers(min_rows, 12))
+    kinds = draw(st.lists(dtypes, min_size=min_columns, max_size=max_columns))
+    columns = [draw(hnp.arrays(np.dtype(kind), nrows, elements=_ELEMENTS[kind]))
+               for kind in kinds]
+    return ",".join(f"c{i}" for i in range(len(columns))), columns
 
 
 class TestDataFiles:
@@ -21,19 +52,26 @@ class TestDataFiles:
         assert config_hash(a) == config_hash(b)
         assert len(config_hash(a)) == 12
 
-    def test_format_number_round_trip(self):
-        for v in (0.1, 1.0 / 3.0, 1e-300, -42.5, float("nan")):
-            s = format_number(v)
+    def test_numbers_round_trip_through_the_text(self, tmp_path):
+        path = tmp_path / "out.csv"
+        floats = [0.1, 1.0 / 3.0, 1e-300, -42.5, float("nan")]
+        write_csv(path, "v,i,j",
+                  (np.array(floats), [7] * 5, np.full(5, 7, dtype=np.int64)))
+        lines = [line for line in path.read_text().splitlines()
+                 if not line.startswith("#")]
+        assert lines[0] == "v,i,j"
+        for line, v in zip(lines[1:], floats, strict=True):
+            s, i, j = line.split(",")
             if v == v:
                 assert float(s) == v
             else:
                 assert s == "nan"
-        assert format_number(7) == format_number(np.int64(7)) == "7"
+            assert i == j == "7"
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "out.csv"
-        rows = [(0.5, 1.0 / 7.0), (1.5, 2.0 / 7.0)]
-        write_csv(path, "x,y", rows, meta={"seed": 3})
+        columns = ([0.5, 1.5], [1.0 / 7.0, 2.0 / 7.0])
+        write_csv(path, "x,y", columns, meta={"seed": 3})
         x, y, w = read_xy_csv(path)
         np.testing.assert_array_equal(x, [0.5, 1.5])
         np.testing.assert_array_equal(y, [1.0 / 7.0, 2.0 / 7.0])
@@ -42,6 +80,32 @@ class TestDataFiles:
         assert text.startswith("# rydcav ")
         assert "# seed=3" in text
         assert text.endswith("\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=_tables(), meta=st.sampled_from((None, {"seed": 3})))
+    def test_columns_write_the_bytes_of_the_row_wise_writer(self, table, meta):
+        header, columns = table
+        with tempfile.TemporaryDirectory() as tmp:
+            fast, rows = Path(tmp, "columns.csv"), Path(tmp, "rows.csv")
+            write_csv(fast, header, columns, meta)
+            write_csv_rows(rows, header, zip(*columns), meta)
+            assert fast.read_bytes() == rows.read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=_tables(dtypes=st.just("float64"), min_rows=1,
+                         min_columns=2, max_columns=3))
+    def test_float_columns_read_back_bit_for_bit(self, table):
+        header, columns = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "table.csv")
+            write_csv(path, header, columns)
+            back = read_xy_csv(path)
+        if len(columns) == 2:
+            assert back[2] is None
+            back = back[:2]
+        for got, want in zip(back, columns, strict=True):
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
     def test_write_json_meta(self, tmp_path):
         path = tmp_path / "out.json"
