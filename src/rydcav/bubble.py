@@ -42,19 +42,22 @@ trace rows and the generator's nine unit blocks in that basis (L0 per
 unit of each rate and detuning, the cavity-coupling blocks per unit of
 g sqrt(n_b), the dark-state block).  :func:`_structure` builds them once
 per nmax from the operators' nonzeros, keeps the blocks as sparse (rows,
-cols, values) triplets and marks every array read-only.  Which
-coordinates a model keeps, and where each unit entry lands in its
-triplets, depend on its structure alone: which unit blocks it switches
-on, the support of its initial state and where its terms go.
-:func:`_layout` derives them once per structure and caches them the same
-way, so a build only weights the laid-out unit entries, sums them with one
-``np.bincount`` and drops the sums that are exactly 0.
+cols, values) triplets and marks every array read-only.
 
-On request the forward sensitivities s_k = dy/dtheta_k of that state
-vector with respect to named parameters theta_k are integrated next to it
-(ds_k/dt = J s_k + df/dtheta_k, J the exact Jacobian of the right-hand
-side, built from the same generator blocks), which gives the exact
-derivatives dT/dtheta_k of the sampled transmission from one run.
+A model integrates the stacked state z = [y, s_1, ..., s_p]: the state
+vector y and its forward sensitivities s_k = dy/dtheta_k with respect to
+named parameters theta_k (ds_k/dt = J s_k + df/dtheta_k, J the exact
+Jacobian of the right-hand side, built from the same generator blocks),
+which give the exact derivatives dT/dtheta_k of the sampled transmission
+from one run.  A plain model is the case p = 0, so one right-hand side,
+:meth:`BubbleModel.rhs_flat`, serves every run.  Which coordinates a
+model keeps, where each unit entry lands in its gather and where each
+scalar lands in its coefficient map depend on its structure alone: which
+unit blocks it switches on, the support of its initial state, which
+parameters move L0 and how many rows z has.  :func:`_layout` derives
+them once per structure and caches them the same way, so a build only
+weights the laid-out unit entries, sums them with one ``np.bincount``,
+drops the sums that are exactly 0 and copies what it keeps.
 """
 
 from __future__ import annotations
@@ -106,7 +109,8 @@ def _check_nmax(nmax) -> int:
 
 def build_operators(nmax: int) -> BubbleOperators:
     """Operator matrices of dimension 3 (nmax + 1), basis |m> x |s>."""
-    dim = 3 * (_check_nmax(nmax) + 1)
+    nmax = _check_nmax(nmax)
+    dim = 3 * (nmax + 1)
     k = np.arange(dim)                         # k = 3 m + s
 
     def internal(i, j):
@@ -250,11 +254,12 @@ def _scalar_rows(params: PhysicalParams, n_b: float | None, sc: _Scalars,
     clamped to [1, N] or no path moves an input of the blockade chain.
     ``paths`` pass :func:`rydcav.params.require_float_paths` (ValueError
     naming a path that is not a float parameter or whose value is None,
-    KeyError for an unknown one); a path that moves (g sqrt(n_b))^2 where g sqrt(n_b) = 0, which goes there as
-    the square root of the parameter, raises SolverError naming it.
+    KeyError for an unknown one); a path that moves (g sqrt(n_b))^2 where
+    g sqrt(n_b) = 0, which goes there as the square root of the parameter,
+    raises SolverError naming it.
     """
     if not paths:
-        return _Scalars(*np.zeros((len(_Scalars._fields), 0)))
+        return _Scalars(*[np.zeros(0)] * len(_Scalars._fields))
     require_float_paths(params, paths, "the bubble model")
 
     def unit(name):
@@ -435,24 +440,19 @@ def _closure(units, live: np.ndarray) -> np.ndarray:
 
 
 class _Sum(NamedTuple):
-    """The layout of a weighted sum of unit blocks on the kept coordinates.
-
-    Term t adds ``counts[t]`` entries: ``values`` holds every term's kept
-    unit entries in order, and entry e goes to sum ``inverse[e]``, which
-    lies at (``rows``, ``cols``) of the sum, sorted by row and then column.
-    """
+    """A weighted sum of unit entries into ``size`` positions: entry e
+    holds ``values[e]``, takes the weight at ``weight[e]`` and goes to
+    position ``inverse[e]``; the entries come term by term."""
 
     values: np.ndarray
-    counts: np.ndarray
+    weight: np.ndarray
     inverse: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
+    size: int
 
-    def sums(self, coefs) -> np.ndarray:
-        """The sum at each position for term weights ``coefs``; each adds
+    def sums(self, weights) -> np.ndarray:
+        """The sum at each position for the array ``weights``; each adds
         its terms' products in term order, as :func:`_merged` does."""
-        return np.bincount(self.inverse, np.repeat(coefs, self.counts) * self.values,
-                           self.rows.size)
+        return np.bincount(self.inverse, weights[self.weight] * self.values, self.size)
 
 
 class _Layout(NamedTuple):
@@ -461,10 +461,13 @@ class _Layout(NamedTuple):
     ``keep`` are the kept basis coordinates, ``npop`` how many of them are
     populations, ``rho_index`` and ``rho_coef`` their entries in vec(rho),
     ``w_rr`` and ``w_ss`` the rows of sigma_RR and sigma_SS on them and
-    ``rr_cols`` where w_RR is nonzero.  ``stack`` lays out the stacked
-    generator and the three trace rows (its last term, at weight 1), with
-    ``blocks`` and ``jac_index`` per position (:meth:`BubbleModel.jacobian`),
-    and ``dl0`` dL0 for each moved path, or is None when none moves.
+    ``rr_cols`` where w_RR is nonzero.  ``gather`` sums the unit entries
+    into the entries of :meth:`BubbleModel.rhs_flat`'s ``bincount``, which
+    lie at (``z_rows``, ``z_cols``).  Row 0's stack comes first, with
+    ``blocks`` and ``jac_index`` per entry (:meth:`BubbleModel.jacobian`);
+    ``units`` are the bincount's two unit entries, ``tail`` where its tail
+    values start, and ``coefficients`` the slots of the coefficient map
+    (:func:`_coefficient_map`).
     """
 
     keep: np.ndarray
@@ -474,35 +477,42 @@ class _Layout(NamedTuple):
     w_rr: np.ndarray
     rr_cols: np.ndarray
     w_ss: np.ndarray
-    stack: _Sum
+    gather: _Sum
+    z_rows: np.ndarray
+    z_cols: np.ndarray
     blocks: np.ndarray
     jac_index: np.ndarray
-    dl0: _Sum | None
+    units: np.ndarray
+    tail: int
+    coefficients: tuple
 
 
 #: the layouts cached per process.  A key is one structure, and a run
-#: uses few; an entry takes 0.01-0.2 MB at nmax 2-6
+#: uses few; an entry takes 0.01-0.2 MB for a plain model at nmax 2-6 and
+#: up to 0.5 MB with two sensitivity paths
 _LAYOUT_CACHE = 32
 
 
 @functools.lru_cache(maxsize=_LAYOUT_CACHE)
 def _layout(nmax: int, switched: tuple, driven: bool, coupled: bool,
-            a0_re: bool, a0_im: bool, support: bytes, dark: bool,
-            nmoved: int) -> _Layout:
-    """The coordinates a model reaches and the layout of its triplets.
+            a0_re: bool, a0_im: bool, support: bytes, moved: tuple,
+            q: int) -> _Layout:
+    """The coordinates a model reaches and the layout of its gather.
 
     They depend on the structure alone: the unit blocks ``switched`` on,
     whether alpha (``driven``) and Delta_c (``coupled``) can move <a>,
     whether a0 has a real and an imaginary part, the support of the
-    initial rho (``support``, packed bits of r0 != 0), whether the stack
-    keeps the dark-state block L3 (``dark``) and how many paths move L0
-    (``nmoved``); see :class:`BubbleModel`.  A build weights the unit
-    entries laid out here and drops the sums that are exactly 0, which
-    depend on the values.  Every array is read-only.
+    initial rho (``support``, the bytes of r0 != 0), which paths move L0
+    (``moved``) and the rows q = 1 + p of the stacked state; see
+    :class:`BubbleModel`.  The stack keeps the unit blocks switched on,
+    the dark-state block L3 among them when the model keeps it.  A build
+    weights the unit entries laid out here and drops the entries whose
+    sums are exactly 0, which depend on the values.  Every array is
+    read-only.
     """
     st = _structure(nmax)
     d = st.ops.dim
-    live = np.unpackbits(np.frombuffer(support, np.uint8), count=d * d).astype(bool)
+    live = np.frombuffer(support, bool)
     cavity = None
     while True:   # can Re<a>, Im<a> leave 0 on what the chain reaches?
         beta_re, beta_im = np.any(st.w_rows[1:, live] != 0.0, axis=1)
@@ -518,37 +528,52 @@ def _layout(nmax: int, switched: tuple, driven: bool, coupled: bool,
 
     keep = np.flatnonzero(live)
     n = keep.size
+    m = n + 2
     pos = np.zeros(d * d, dtype=int)
     pos[keep] = np.arange(n)
-    # each unit's entries on the kept coordinates
-    kept = []
-    for rows, cols, v in st.units:
-        sel = live[rows] & live[cols]
-        kept.append((pos[rows[sel]], pos[cols[sel]], v[sel]))
-
-    def summed(terms, extra=()):
-        """The _Sum of unit ``k`` at row offset ``block`` * n for each
-        (block, k) of ``terms``, then the (keys, values) of ``extra``."""
-        parts = [((block * n + kept[k][0]) * n + kept[k][1], kept[k][2])
-                 for block, k in terms] + list(extra)
-        keys, inverse = np.unique(np.concatenate([p[0] for p in parts]),
-                                  return_inverse=True)
-        return _Sum(np.concatenate([p[1] for p in parts]),
-                    np.array([p[0].size for p in parts]),
-                    inverse, keys // n, keys % n)
-
-    # the stacked generator [L0; L1; L2; L3] and after it the rows w_RR,
-    # Re w_beta, Im w_beta
-    nb = 4 if dark else 3
+    nb = 4 if _L3 in switched else 3
+    top = nb * n + 5                       # the stack's rows
     w_rows = st.w_rows[:, keep]
     wr, wc = np.nonzero(w_rows)
-    stack = summed([(0, k) for k in range(6)] + [(1, _L1), (2, _L2)]
-                   + [(3, _L3)] * dark,
-                   [((nb * n + wr) * n + wc, w_rows[wr, wc])])
-    rows, cols = stack.rows, stack.cols
-    gen = rows < nb * n
-    # the Jacobian weighs block b by coef[b] and the trace rows by 0,
-    # -prefactor and +prefactor into its cavity rows n, n + 1 and n
+
+    def unit(row, k):
+        """Unit k's entries on the kept coordinates from row ``row`` on, as
+        (keys row * m + col, values)."""
+        rows, cols, v = st.units[k]
+        sel = live[rows] & live[cols]
+        return (row + pos[rows[sel]]) * m + pos[cols[sel]], v[sel]
+
+    # the stack: the generator [L0; L1; L2; L3] of the units switched on
+    # and its five tail rows w_RR, Re w_beta, Im w_beta and the unit rows
+    # that read Re<a>, Im<a>.  The gather holds it once per row j of z,
+    # from row j * top on, and then dL0 of each moved path; one term per
+    # part, in this order, with the index of its weight in the build's
+    # weights: unit k's k, the tail rows' 9, path i's dL0 unit k's
+    # 10 + 6 i + k
+    stack = ([(*unit({_L1: n, _L2: 2 * n, _L3: 3 * n}.get(k, 0), k), k)
+              for k in switched]
+             + [(np.concatenate(((nb * n + wr) * m + wc,
+                                 (top - 2 + np.arange(2)) * m + [n, n + 1])),
+                 np.concatenate((w_rows[wr, wc], [1.0, 1.0])), 9)])
+    parts = ([(j * top * m + keys, v, w) for j in range(q) for keys, v, w in stack]
+             + [(*unit(q * top + i * n, k), 10 + 6 * i + k)
+                for i in range(len(moved)) for k in range(6)])
+    keys, inverse = np.unique(np.concatenate([p[0] for p in parts]),
+                              return_inverse=True)
+    rows, c = keys // m, keys % m
+    j, r = np.divmod(rows, top)            # row j of z, row r of its stack
+    dl0 = rows - q * top                   # path i's row r of dL0 at i * n + r
+    gen = r < nb * n
+    # read as rows of length m, the bincount holds row j's block b in row
+    # j * nb + b, then dL0 r of each moved path, then two unit rows that
+    # carry the cavity rows through the coefficient product; after them,
+    # from ``tail`` on, each z row's five tail values
+    units = q * nb + len(moved) + np.arange(2)
+    tail = int(units[-1] + 1) * m
+    nstack = int(np.searchsorted(rows, top))
+    r0, c0, gen0 = r[:nstack], c[:nstack], gen[:nstack]
+    # the Jacobian weighs block b by coef[b] and the tail rows by 0,
+    # -prefactor, +prefactor, 0 and 0 into its cavity row n, n + 1, n, n, n
     lay = _Layout(
         keep=keep, npop=int(np.count_nonzero(live[:d])),   # populations lead
         # the kept basis columns' entries: coordinate k adds a[k] y[k] at
@@ -556,90 +581,129 @@ def _layout(nmax: int, switched: tuple, driven: bool, coupled: bool,
         rho_index=np.concatenate((st.basis.p[keep], st.basis.q[keep])),
         rho_coef=np.concatenate((st.basis.a[keep], st.basis.b[keep])),
         w_rr=w_rows[0], rr_cols=np.flatnonzero(w_rows[0]), w_ss=st.w_ss[keep],
-        stack=stack, blocks=np.where(gen, rows // n, rows - nb * n + nb),
-        jac_index=np.where(gen, rows % n, n + (rows == nb * n + 1)) * (n + 2) + cols,
-        dl0=summed([(j, k) for j in range(nmoved) for k in range(6)])
-        if nmoved else None)
-    for arr in [lay.keep, lay.rho_index, lay.rho_coef, lay.w_rr, lay.rr_cols,
-                lay.w_ss, *stack, lay.blocks, lay.jac_index, *(lay.dl0 or ())]:
-        arr.setflags(write=False)
+        gather=_Sum(np.concatenate([p[1] for p in parts]),
+                    np.repeat([p[2] for p in parts], [p[0].size for p in parts]),
+                    inverse, keys.size),
+        z_rows=np.where(dl0 >= 0, (q * nb + dl0 // n) * m + dl0 % n,
+                        np.where(gen, (nb * j + r // n) * m + r % n,
+                                 tail + 5 * j + r - nb * n)),
+        z_cols=np.where(dl0 >= 0, c, c + m * j),
+        blocks=np.where(gen0, r0 // n, r0 - nb * n + nb),
+        jac_index=np.where(gen0, r0 % n, n + (r0 == nb * n + 1)) * m + c0,
+        units=units * m + [n, n + 1], tail=tail,
+        coefficients=_coefficient_map(q, nb, moved))
+    for arr in (*lay, *lay.gather, *lay.coefficients):
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
     return lay
 
 
-def _coefficient_map(sc: _Scalars, derivs, nb: int, moved) -> tuple:
-    """(B, b0): :meth:`BubbleModel.rhs_sensitivity`'s coefficients are
+def _coefficient_map(q: int, nb: int, moved: tuple) -> tuple:
+    """(B, b0) as slots of :func:`_coefficient_values`: with each entry the
+    value at its slot, :meth:`BubbleModel.rhs_flat`'s coefficients are
     B @ tail + b0, for the tail of its ``bincount``.
 
     Row j of the stacked state z = [y, s_1, ..., s_p] is a combination of
     the bincount's rows of length n + 2: the ``nb`` block products of each
-    row of z, the dL0 products of the ``moved`` paths, and the two unit
-    rows that carry the cavity rows.  Every coefficient is affine in the
-    tail, the values <sigma_RR>, Re w_beta . r, Im w_beta . r, Re<a> and
-    Im<a> of each row of z, with constants from the scalars ``sc`` and
-    their derivatives ``derivs``.  Row j takes its own blocks at the
+    of the q rows of z, the dL0 products of the ``moved`` paths, and the
+    two unit rows that carry the cavity rows.  Every coefficient is affine
+    in the tail, the values <sigma_RR>, Re w_beta . r, Im w_beta . r,
+    Re<a> and Im<a> of each row of z, with constants from the model's
+    scalars and their derivatives.  Row j takes its own blocks at the
     state's (1, Re<a>, Im<a>, xi <sigma_RR>) and the cavity rows of its own
     values.  A sensitivity row also takes the blocks of r at J's cross
     terms plus df/dtheta's, (s_ar + dg Re<a>, s_ai + dg Im<a>,
     xi s_RR + dxi <sigma_RR>) with dg the relative derivative of
     g sqrt(n_b), its own dL0 product at weight 1 if its path moved L0,
     and the cavity rows' derivative at the state's values, -dalpha
-    included.  B is (1 + p) ncol x 5 (1 + p), ncol the bincount's rows.
+    included.  B is q ncol x 5 q, ncol the bincount's rows.
     """
-    q = len(derivs) + 1
     ncol = q * nb + len(moved) + 2
-    B = np.zeros((q, ncol, q, 5))
-    b0 = np.zeros((q, ncol))
+    B = np.zeros((q * ncol, 5 * q), dtype=int)   # slot 0 holds 0, slot 1 holds 1
+    b0 = np.zeros(q * ncol, dtype=int)
     rr, b_re, b_im, a_re, a_im = range(5)
-    # the weights of blocks 1.. of the stack: L1, L2 and, when kept, L3
+    re, im = ncol - 2, ncol - 1            # the unit rows of Re<a> and Im<a>
+    # blocks 1.. of the stack, L1, L2 and, when kept, L3, and the tail
+    # value that weighs each
+    blocks = [(1, a_re), (2, a_im), (3, rr)][:nb - 1]
+
+    def slot(k, f):
+        """Value f of z row k in :func:`_coefficient_values`: the weights
+        of L1, L2 and L3 at 0-2, then -gamma_c, -Delta_c, prefactor,
+        Delta_c, -prefactor and -alpha."""
+        return 2 + 9 * k + f
+
+    def cavity(j, k, s):
+        """Row j's cavity rows at z row k's tail, weighted by z row s's
+        values: -gamma_c Re<a> - Delta_c Im<a> + prefactor Im w_beta . r
+        and Delta_c Re<a> - gamma_c Im<a> - prefactor Re w_beta . r."""
+        for row, value, f in [(re, a_re, 3), (re, a_im, 4), (re, b_im, 5),
+                              (im, a_re, 6), (im, a_im, 3), (im, b_re, 7)]:
+            B[j * ncol + row, 5 * k + value] = slot(s, f)
+
     for j in range(q):
-        b0[j, j * nb] = 1.0
-        for col, value, w in [(1, a_re, 1.0), (2, a_im, 1.0), (3, rr, sc.xi)][:nb - 1]:
-            B[j, j * nb + col, 0, value] = w
-        B[j, -2, j, [a_re, a_im, b_im]] = -sc.gamma_c, -sc.delta_c, sc.prefactor
-        B[j, -1, j, [a_re, a_im, b_re]] = sc.delta_c, -sc.gamma_c, -sc.prefactor
-    b0[0, -1] = -sc.alpha
-    for j, ds in enumerate(derivs, 1):
-        dg = ds.g_nb / sc.g_nb if ds.g_nb else 0.0     # L1, L2 scale with g sqrt(n_b)
-        for col, value, w, dw in [(1, a_re, 1.0, dg), (2, a_im, 1.0, dg),
-                                  (3, rr, sc.xi, ds.xi)][:nb - 1]:
-            B[j, col, j, value] = w
-            B[j, col, 0, value] = dw
-        B[j, -2, 0, [a_re, a_im, b_im]] = -ds.gamma_c, -ds.delta_c, ds.prefactor
-        B[j, -1, 0, [a_re, a_im, b_re]] = ds.delta_c, -ds.gamma_c, -ds.prefactor
-        b0[j, -1] = -ds.alpha
+        b0[j * ncol + j * nb] = 1
+        for col, value in blocks:
+            B[j * ncol + j * nb + col, value] = slot(0, col - 1)
+        cavity(j, j, 0)
+        b0[j * ncol + im] = slot(j, 8)               # -alpha, or -dalpha
+    for j in range(1, q):
+        for col, value in blocks:
+            B[j * ncol + col, 5 * j + value] = slot(0, col - 1)
+            B[j * ncol + col, value] = slot(j, col - 1)
+        cavity(j, 0, j)
         if j - 1 in moved:
-            b0[j, q * nb + moved.index(j - 1)] = 1.0
-    return B.reshape(q * ncol, 5 * q), b0.reshape(-1)
+            b0[j * ncol + q * nb + moved.index(j - 1)] = 1
+    return B, b0
+
+
+def _coefficient_values(sc: _Scalars, derivs) -> np.ndarray:
+    """What the slots of :func:`_coefficient_map` hold: 0, 1, and for each
+    row of z its weights of L1, L2 and L3 and of its cavity rows.  The
+    state's are 1, 1 and xi, a path's dg, dg and dxi with dg the relative
+    derivative of g sqrt(n_b); then -gamma_c, -Delta_c, prefactor,
+    Delta_c, -prefactor and -alpha, or their derivatives."""
+    values = [0.0, 1.0]
+    rows = [(1.0, sc.xi, sc)] + [(ds.g_nb / sc.g_nb if ds.g_nb else 0.0, ds.xi, ds)
+                                 for ds in derivs]
+    for g, xi, s in rows:
+        values += [g, g, xi, -s.gamma_c, -s.delta_c, s.prefactor, s.delta_c,
+                   -s.prefactor, -s.alpha]
+    return np.array(values)
 
 
 class BubbleModel:
     """Precompiled right-hand side for one parameter set and initial state.
 
-    The Lindblad generator is the stack [L0; L1; L2; L3] of real blocks in
-    the Hermitian basis, followed by the three trace rows w_RR, Re w_beta
-    and Im w_beta, all kept as one set of (rows, cols, values) triplets
-    with one entry per nonzero and no dense copy.  An evaluation is one
-    ``np.bincount`` of the entries times the state: its head holds the
-    block products, which the cavity-coupling blocks scaled by Re<a>,
-    Im<a> and the nonlinear dark-state block by xi <sigma_RR> combine
-    into drho/dt, and its tail <sigma_RR> and <beta>.  The triplets are
-    weighted sums of the sparse unit blocks that :func:`_structure` caches
-    once per nmax: L0 is the sum of its six units weighted by the rates
-    and detunings, L1 and L2 are theirs times g sqrt(n_b), and L3 is its
-    own.  The kept coordinates and the layout of those sums come from
-    :func:`_layout`, cached once per structure (the reachable set below
-    and the placement of the terms); a build weights the laid-out entries,
-    adds them in one ``np.bincount`` and keeps the nonzero sums, so an
-    entry that cancels at the model's values (Delta_r = -Delta_e) is
-    dropped, and it copies every array it keeps.  ``sensitivity`` names
-    the parameter paths whose forward sensitivities :meth:`rhs_sensitivity`
-    integrates; such a model also keeps the same triplets once per row of
-    the stacked state, with dL0's entries for the paths that move a rate
-    or detuning, and the affine map that gives every coefficient of its
-    product (:func:`_coefficient_map`).  The dark-state block is kept
-    when xi != 0 or when one of those parameters moves xi.  The only dense rows kept are those of sigma_RR
-    and sigma_SS, for the Jacobian's rank-1 xi term and the sampled
-    populations.
+    The model integrates the stacked state z = [y, s_1, ..., s_p]: the
+    state y and, for each parameter path theta_k of ``sensitivity``, its
+    forward sensitivity s_k = dy/dtheta_k, so q = 1 + p rows, and q = 1
+    for a plain model.  The Lindblad generator is the stack [L0; L1; L2;
+    L3] of real blocks in the Hermitian basis, followed by five tail rows
+    (w_RR, Re w_beta and Im w_beta, and the unit rows that read Re<a> and
+    Im<a>), kept as sparse (row, column, value) entries with one entry
+    per nonzero and no dense copy.  The entries are weighted sums of the
+    sparse unit blocks that :func:`_structure` caches once per nmax: L0
+    is the sum of its six units weighted by the rates and detunings, L1
+    and L2 are theirs times g sqrt(n_b), and L3 is its own.  The model
+    gathers the stack once per row of z, with its columns shifted into
+    that row, and then dL0's entries for the paths that move a rate or
+    detuning.  :meth:`rhs_flat`, the one right-hand side of every run, is
+    one ``np.bincount`` of that gather times z and one small coefficient
+    product for all q rows, whose coefficients are affine in the
+    bincount's tail (:func:`_coefficient_map`); :meth:`jacobian` takes the
+    block products from row 0's entries, which come first.  One cached
+    layout (:func:`_layout`) holds all that the model's structure fixes:
+    the reachable set below, where each weighted unit entry lands in the
+    gather, and the coefficient map's slots.  A build weights the
+    laid-out unit entries, adds them in one ``np.bincount``, keeps the
+    entries whose sums are not exactly 0, so an entry that cancels at the
+    model's values (Delta_r = -Delta_e) is dropped, fills the coefficient
+    map's slots with its values, and copies every array it keeps.  The
+    dark-state block is kept when xi != 0 or when a path of
+    ``sensitivity`` moves xi.  The only dense rows kept are those of
+    sigma_RR and sigma_SS, for the Jacobian's rank-1 xi term and the
+    sampled populations.
 
     The model lives on the coordinates the run can reach from its initial
     state (``rho0``, default |G, m=0><G, m=0|, and ``a0``): those a chain
@@ -678,18 +742,23 @@ class BubbleModel:
         self.dc_a = sc.delta_c
         self.g_nb_a = sc.g_nb
         self.prefactor_a = sc.prefactor
-        derivs = [_Scalars(*ds) for ds in               # one per path
-                  zip(*_scalar_rows(params, n_b, sc, self.sensitivity))]
+        rows = _scalar_rows(params, n_b, sc, self.sensitivity)
+        derivs = [_Scalars(*ds) for ds in zip(*rows)]   # one per path
 
-        # the weights of the stack's terms, (block, unit) as in _layout,
-        # and of the trace rows; dL0 is L0 at the rows of the rates and
+        # the weight of each unit block in the stack, L3's 1 (xi weighs its
+        # product), the tail rows' 1 and dL0's of each moved path, as
+        # _layout indexes them.  dL0 is L0 at the rows of the rates and
         # detunings, so only parameters that move one of them need its
-        # product
+        # product.  The units switched on are those of the stack with a
+        # nonzero weight (L3 when it is kept) and those dL0 weighs
         dark = bool(self.xi_a != 0.0 or any(ds.xi != 0.0 for ds in derivs))
-        coefs = [*sc[:6], sc.g_nb, sc.g_nb] + [1.0] * dark + [1.0]
         nb = self._nblocks = 3 + dark
         moved = [k for k, ds in enumerate(derivs) if any(ds[:6])]
-        dl0_coefs = [derivs[m][k] for m in moved for k in range(6)]
+        weights = ([*sc[:6], sc.g_nb, sc.g_nb, 1.0, 1.0]
+                   + [derivs[m][k] for m in moved for k in range(6)])
+        dl0_units = {k for m in moved for k in range(6) if derivs[m][k] != 0.0}
+        switched = tuple(k for k in range(nb + 5)
+                         if weights[k] != 0.0 or k in dl0_units)
 
         basis = st.basis
         if rho0 is None:
@@ -700,65 +769,40 @@ class BubbleModel:
             r0 = (basis.a.conj() * rho0[basis.p]
                   + basis.b.conj() * rho0[basis.q]).real
         a0 = complex(a0)
-        term_units = [*range(6), _L1, _L2, _L3][:nb + 5]
-        switched = {k for k, c in zip(term_units, coefs) if c != 0.0}
-        switched.update(k for m in moved for k in range(6) if derivs[m][k] != 0.0)
+        q = len(derivs) + 1
         lay = _layout(
-            nmax, tuple(sorted(switched)),
+            nmax, switched,
             bool(self.alpha_a != 0.0 or any(ds.alpha for ds in derivs)),
             bool(self.dc_a != 0.0 or any(ds.delta_c for ds in derivs)),
-            a0.real != 0.0, a0.imag != 0.0, np.packbits(r0 != 0.0).tobytes(),
-            dark, len(moved))
+            a0.real != 0.0, a0.imag != 0.0, (r0 != 0.0).tobytes(),
+            tuple(moved), q)
 
         n = self.nrho = lay.keep.size              # rho coordinates
         self.npop = lay.npop                       # populations lead
         self.size = n + 2                          # state-vector length
         self._rho_index = lay.rho_index.copy()
         self._rho_coef = lay.rho_coef.copy()
-        # the stacked generator [L0; L1; L2; L3] and after it the rows w_RR,
-        # Re w_beta, Im w_beta, as triplets, one per nonzero
-        sums = lay.stack.sums(coefs)
-        nonzero = sums != 0.0
-        self._rows, self._cols = lay.stack.rows[nonzero], lay.stack.cols[nonzero]
-        self._vals = sums[nonzero]
-        self._blocks = lay.blocks[nonzero]
-        self._jac_index = lay.jac_index[nonzero]
         self._w_rr = lay.w_rr.copy()
         self._rr_cols = lay.rr_cols.copy()
         self._w_ss = lay.w_ss.copy()
-        self._y0 = np.concatenate((r0[lay.keep], [a0.real, a0.imag]))
-        if derivs:
-            # rhs_sensitivity gathers the triplets once per row j of z, their
-            # columns shifted into that row.  Its bincount, read as rows of
-            # length n + 2, holds row j's block b in row j * nb + b, then
-            # dL0 r of each moved path, then two unit rows that carry the
-            # cavity rows through the coefficient product; after them come
-            # each z row's three trace values and, at weight 1, its <a>
-            q, m, blocks = len(derivs) + 1, n + 2, self._blocks
-            rows, cols = self._rows, self._cols
-            gen = rows < nb * n
-            units = q * nb + len(moved) + np.arange(2)
-            self._z_units = units * m + [n, n + 1]
-            tail = self._z_tail = (units[-1] + 1) * m
-            self._z_len = tail + 5 * q
-            copies = np.arange(q)[:, None]
-            z_rows = [np.where(gen, (nb * copies + blocks) * m + rows % n,
-                               tail + 5 * copies + blocks - nb),
-                      tail + 5 * copies + [3, 4]]
-            z_cols = [cols + m * copies, m * copies + [n, n + 1]]
-            z_vals = [np.tile(self._vals, q), np.ones(2 * q)]
-            if moved:
-                dv = lay.dl0.sums(dl0_coefs)
-                nonzero = dv != 0.0
-                dr = lay.dl0.rows[nonzero]
-                z_rows.append((q * nb + dr // n) * m + dr % n)
-                z_cols.append(lay.dl0.cols[nonzero])
-                z_vals.append(dv[nonzero])
-            self._z_rows, self._z_cols, self._z_vals = (
-                np.concatenate(a, axis=None) for a in (z_rows, z_cols, z_vals))
-            self._gain = sc.gain
-            self._dgain = np.array([ds.gain for ds in derivs])
-            self._B, self._b0 = _coefficient_map(sc, derivs, nb, moved)
+        self._y0 = np.zeros(n + 2)
+        self._y0[:n] = r0[lay.keep]
+        self._y0[n:] = a0.real, a0.imag
+        # the gather's entries: the stack's once per row of z (row 0's
+        # first), its tail rows at weight 1, then dL0's
+        vals = lay.gather.sums(np.array(weights))
+        nonzero = vals != 0.0
+        self._z_rows, self._z_cols = lay.z_rows[nonzero], lay.z_cols[nonzero]
+        self._z_vals = vals[nonzero]
+        row0 = nonzero[:lay.blocks.size]
+        self._blocks, self._jac_index = lay.blocks[row0], lay.jac_index[row0]
+        self._z_units = lay.units.copy()
+        self._z_tail = lay.tail
+        self._gain = sc.gain
+        self._dgain = rows.gain
+        values = _coefficient_values(sc, derivs)
+        B, b0 = lay.coefficients
+        self._B, self._b0 = values[B], values[b0]
 
     # --- state layout: y[:nrho] = coefficients of rho on the model's
     #     Hermitian basis elements (its npop populations first),
@@ -768,73 +812,57 @@ class BubbleModel:
         """The model's initial state vector (``rho0`` and ``a0``)."""
         return self._y0.copy()
 
-    def _products(self, y) -> np.ndarray:
-        """The block products L_b r, then w_RR . r, Re w_beta . r and
-        Im w_beta . r: one ``np.bincount`` of the triplets."""
-        return np.bincount(self._rows, self._vals * y[self._cols],
-                           minlength=self._nblocks * self.nrho + 3)
-
-    def rhs_flat(self, t, y):
-        n, nb = self.nrho, self._nblocks
-        prods = self._products(y)
-        ar, ai = y[n:].tolist()
-        rr, beta_re, beta_im = prods[nb * n:].tolist()
-        out = np.empty(n + 2)
-        out[:n] = [1.0, ar, ai, self.xi_a * rr][:nb] @ prods[:nb * n].reshape(nb, n)
-        out[n] = -self.gamma_c_a * ar - self.dc_a * ai + self.prefactor_a * beta_im
-        out[n + 1] = (self.dc_a * ar - self.gamma_c_a * ai
-                      - self.prefactor_a * beta_re - self.alpha_a)
-        return out
-
-    def rhs_sensitivity(self, t, z):
+    def rhs_flat(self, t, z):
         """Right-hand side of the stacked state z = [y, s_1, ..., s_p].
 
-        s_k = dy/dtheta_k for the k-th path of ``sensitivity``, and
-        ds_k/dt = J s_k + df/dtheta_k.  J s_k collects the block products
-        of s_r, the cavity columns s_ar L1 r and s_ai L2 r, the rank-1 term
-        xi (w_RR . s_r) L3 r and the cavity rows applied to s_k.  In
-        df/dtheta_k the L1, L2 and L3 parts only rescale products of r the
-        state row has anyway, dL0 r is one more product (only for a
-        parameter that moves a rate or detuning), and the cavity part is a
-        map of the state's cavity values.  One ``np.bincount`` over the
-        triplets gathered once per row of z gives every block product, the
-        dL0 products, and each row's trace values and cavity amplitude.
-        Every coefficient that combines those products is affine in these
-        5 (1 + p) tail values, so the model builds the map once
-        (:func:`_coefficient_map`) and a call reads the coefficients as
-        B @ tail + b0.  Read as rows of length n + 2, the products end in
-        two unit rows, so one coefficient product assembles every row of
-        the output, its cavity values included.
+        Row 0 is f(y).  s_k = dy/dtheta_k for the k-th path of
+        ``sensitivity``, and ds_k/dt = J s_k + df/dtheta_k.  J s_k collects
+        the block products of s_r, the cavity columns s_ar L1 r and
+        s_ai L2 r, the rank-1 term xi (w_RR . s_r) L3 r and the cavity rows
+        applied to s_k.  In df/dtheta_k the L1, L2 and L3 parts only
+        rescale products of r the state row has anyway, dL0 r is one more
+        product (only for a parameter that moves a rate or detuning), and
+        the cavity part is a map of the state's cavity values.  One
+        ``np.bincount`` over the stack gathered once per row of z gives
+        every block product, the dL0 products, and each row's trace values
+        and cavity amplitude.  Every coefficient that combines those
+        products is affine in these 5 (1 + p) tail values, so the layout
+        maps them once (:func:`_coefficient_map`) and a call reads the
+        coefficients as B @ tail + b0.  Read as rows of length n + 2, the
+        products end in two unit rows, so one coefficient product
+        assembles every row of the output, its cavity values included.
         """
-        prods = np.bincount(self._z_rows, self._z_vals * z[self._z_cols],
-                            minlength=self._z_len)
+        # each row's <a> entries come last and are never 0: no minlength
+        prods = np.bincount(self._z_rows, self._z_vals * z[self._z_cols])
         prods[self._z_units] = 1.0
         coef = self._B @ prods[self._z_tail:] + self._b0
         return np.dot(coef.reshape(len(self.sensitivity) + 1, -1),
                       prods[:self._z_tail].reshape(-1, self.nrho + 2)).reshape(-1)
 
     def jacobian(self, y) -> np.ndarray:
-        """Exact Jacobian df/dy of :meth:`rhs_flat` at y, ``size`` square.
+        """Exact Jacobian df/dy of :meth:`rhs_flat`'s row 0 at y, ``size``
+        square.
 
         J_rr = L0 + Re<a> L1 + Im<a> L2 + xi (w_RR . r) L3 + xi (L3 r) w_RR^T,
         the columns L1 r and L2 r for (Re, Im)<a>, the cavity rows
-        +-prefactor w_beta and the 2 x 2 cavity map.  One ``bincount`` of
-        the weighted triplets gives J_rr's blocks and the cavity rows.
+        +-prefactor w_beta and the 2 x 2 cavity map.  The block products
+        and <sigma_RR> come from one ``bincount`` of row 0's entries of the
+        gather, and one more of the same entries, weighted, gives J_rr's
+        blocks and the cavity rows.
         """
         n, nb, size = self.nrho, self._nblocks, self.size
-        prods = self._products(y)
+        k = self._blocks.size
+        prods = np.bincount(self._z_rows[:k], self._z_vals[:k] * y[self._z_cols[:k]])
         pf = self.prefactor_a
-        coef = np.array([1.0, y[n], y[n + 1], self.xi_a * prods[nb * n]][:nb]
-                        + [0.0, -pf, pf])
-        # astype: bincount counts in ints when there is no entry at all
-        jac = np.bincount(self._jac_index, coef[self._blocks] * self._vals,
-                          minlength=size * size).reshape(size, size).astype(
-                              float, copy=False)
+        coef = np.array([1.0, y[n], y[n + 1], self.xi_a * prods[self._z_tail]][:nb]
+                        + [0.0, -pf, pf, 0.0, 0.0])
+        jac = np.bincount(self._jac_index, coef[self._blocks] * self._z_vals[:k],
+                          minlength=size * size).reshape(size, size)
         if self.xi_a != 0.0:   # w_RR is nonzero on the R populations only
-            jac[:n, self._rr_cols] += np.outer(self.xi_a * prods[3 * n:4 * n],
+            jac[:n, self._rr_cols] += np.outer(self.xi_a * prods[3 * size:3 * size + n],
                                                self._w_rr[self._rr_cols])
-        jac[:n, n] = prods[n:2 * n]
-        jac[:n, n + 1] = prods[2 * n:3 * n]
+        jac[:n, n] = prods[size:size + n]
+        jac[:n, n + 1] = prods[2 * size:2 * size + n]
         jac[n:, n:] = [[-self.gamma_c_a, -self.dc_a],
                        [self.dc_a, -self.gamma_c_a]]
         return jac
@@ -967,11 +995,10 @@ def evolve(params: PhysicalParams, t_end: float, dt: float = 0.5,
 
     model = BubbleModel(params, nmax=nmax, n_b=n_b, sensitivity=sensitivity)
 
-    rhs, y0 = model.rhs_flat, model.initial_flat()
-    if model.sensitivity:   # samples are [y, s_1..]; y leads
-        rhs = model.rhs_sensitivity
-        y0 = np.concatenate((y0, np.zeros(len(model.sensitivity) * y0.size)))
-    samples, stats = integrate(rhs, 0.0, y0, sample_times,
+    # samples are [y, s_1, ...]; y leads and every s_k starts at 0
+    y0 = np.concatenate((model.initial_flat(),
+                         np.zeros(len(model.sensitivity) * model.size)))
+    samples, stats = integrate(model.rhs_flat, 0.0, y0, sample_times,
                                rtol=_STIFF_TOL_SCALE * rtol,
                                atol=_STIFF_TOL_SCALE * atol,
                                parts=1 + len(model.sensitivity),

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bubble, fitting, interactions, linear, meanfield
-from .datafiles import config_hash, read_xy_csv, write_csv, write_json
+from .datafiles import config_hash, read_xy_csv, table_names, write_csv, write_json
 from .errors import ConfigError, IntegrationError, SingularParameterError, SolverError
 from .params import (RydbergLevel, load_config, params_to_dict, require_positive,
                      set_path, validate)
@@ -67,10 +67,12 @@ def _meta(args, params, extra=None):
 
 def _emit_table(args, header, columns, meta, **extra):
     """Write ``columns`` as a CSV table under ``header``, or as JSON lists
-    keyed by the header's names, with ``extra`` beside them."""
+    keyed by the header's names, with ``extra`` beside them; either way
+    :func:`rydcav.datafiles.table_names` refuses a table of the wrong
+    shape first."""
     if args.format == "json":
         lists = {name: col.tolist()
-                 for name, col in zip(header.split(","), columns)}
+                 for name, col in zip(table_names(header, columns), columns)}
         write_json(args.out, {**lists, **extra}, meta)
     else:
         write_csv(args.out, header, columns, meta)

@@ -51,8 +51,22 @@ def _column_text(column):
     return map(repr, col.astype(float, copy=False).tolist())
 
 
+def table_names(header: str, columns) -> list[str]:
+    """The names of ``header``, once the sequence ``columns`` holds one
+    column per name, all of one length; else ValueError giving the name
+    count and the column lengths."""
+    names = header.split(",")
+    lengths = [len(col) for col in columns]
+    if len(lengths) != len(names) or len(set(lengths)) > 1:
+        raise ValueError(f"a table under {len(names)} names needs one column per "
+                         f"name, all of one length; got columns of lengths {lengths}")
+    return names
+
+
 def write_csv(path, header: str, columns, meta: dict | None = None) -> None:
-    """Write ``columns`` as the rows of a table under ``header``."""
+    """Write ``columns`` as the rows of a table under ``header``
+    (:func:`table_names` checks its shape first)."""
+    table_names(header, columns)
     lines = meta_lines(meta or {})
     lines.append(header)
     lines.extend(map(",".join, zip(*map(_column_text, columns))))

@@ -119,6 +119,7 @@ def test_numpy_integer_nmax_runs_as_the_int():
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert got.metadata == want.metadata and type(got.metadata["nmax"]) is int
     assert type(BubbleModel(p, nmax=np.int64(2)).nmax) is int
+    assert type(build_operators(np.int64(2)).nmax) is int
 
 
 def arrays_in(entry):
@@ -173,7 +174,9 @@ class TestStructureCache:
             BubbleModel(transient_params(), nmax=2),
             BubbleModel(transient_params(delta_p=1.5), nmax=2,
                         sensitivity=("drive.delta_p", "rydberg.xi"))))
-        assert len(layouts) == 2 and layouts[1].dl0 is not None
+        # the second gather holds dL0's entries after the stack's three copies
+        assert len(layouts) == 2
+        assert layouts[1].gather.size > 3 * layouts[1].blocks.size
         for arr in cached_arrays(2, layouts):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[0]
@@ -198,13 +201,12 @@ class TestStructureCache:
             first, second = models
             assert layouts[0] is layouts[1]   # one structure, one layout
             assert first.size == second.size
-            # the generator triplets, the w rows, the basis columns' entries,
-            # the initial state, and with a sensitivity the triplets gathered
-            # per row of z, dL0's entries among them, and the coefficient map
-            kept = {"_rows", "_cols", "_vals", "_w_rr", "_w_ss", "_rho_index",
+            # the triplets gathered per row of z, dL0's entries among them,
+            # row 0's blocks and Jacobian positions, the coefficient map, the
+            # w rows, the basis columns' entries and the initial state
+            kept = {"_z_rows", "_z_cols", "_z_vals", "_blocks", "_jac_index",
+                    "_z_units", "_B", "_b0", "_w_rr", "_w_ss", "_rho_index",
                     "_rho_coef", "_y0"}
-            if sensitivity:
-                kept |= {"_z_rows", "_z_cols", "_z_vals", "_B", "_b0"}
             assert kept <= {k for k, v in vars(first).items()
                             if isinstance(v, np.ndarray)}
             before = [arr.copy() for arr in own(second)]
@@ -265,8 +267,9 @@ class TestStructureCache:
         rho0 = random_density_matrix(9, np.random.default_rng(0))
         # (build, whether its layout is new): other values of the same
         # rates, detunings and drive share the structure, and with it the
-        # layout; xi = 0, a detuning, a coherent rho0, a0 or a path that
-        # moves L0 each change it
+        # layout; xi = 0, a detuning, a coherent rho0, a0, a path that
+        # moves L0 or one more path (a row of the stacked state) each
+        # change it
         builds = [
             (dict(), True), (dict(xi=1.0, alpha=1.5), False),
             (dict(xi=0.0), True), (dict(xi=0.0, alpha=0.5), False),
@@ -274,7 +277,8 @@ class TestStructureCache:
             (dict(rho0=rho0), True), (dict(rho0=rho0, xi=1.0), False),
             (dict(a0=0.1j), True), (dict(a0=0.3j, alpha=1.0), False),
             (dict(sensitivity=("drive.delta_p",)), True),
-            (dict(sensitivity=("drive.delta_p", "rydberg.xi"), xi=1.0), False),
+            (dict(sensitivity=("drive.delta_p", "rydberg.xi"), xi=1.0), True),
+            (dict(sensitivity=("drive.delta_p", "rydberg.xi"), alpha=1.5), False),
             (dict(), False)]
         for k, (kw, new) in enumerate(builds):
             before = len(closures)
@@ -317,18 +321,14 @@ class TestStructureCache:
         fresh_layout_cache(monkeypatch)
         fresh = BubbleModel(transient_params(**kw), nmax=2, **model_kw)
         if case == "cancellation":
-            assert hit._vals.size < first._vals.size
-        for name in ("_rows", "_cols", "_vals", "_y0", "_rho_index"):
+            assert hit._z_vals.size < first._z_vals.size
+        for name in ("_z_rows", "_z_cols", "_z_vals", "_B", "_b0", "_y0", "_rho_index"):
             np.testing.assert_array_equal(getattr(hit, name), getattr(fresh, name),
                                           err_msg=name, strict=True)
         y = fresh.initial_flat() + 0.01 * np.cos(np.arange(fresh.size))
-        for f in ("rhs_flat", "jacobian", "rhs_sensitivity"):
-            if f == "rhs_sensitivity" and not fresh.sensitivity:
-                continue
-            z = y if f != "rhs_sensitivity" else np.concatenate(
-                [y] + [0.02 * np.sin(np.arange(fresh.size) + j)
-                       for j in range(len(fresh.sensitivity))])
-            args = (z,) if f == "jacobian" else (0.0, z)
+        z = np.concatenate([y] + [0.02 * np.sin(np.arange(fresh.size) + j)
+                                  for j in range(len(fresh.sensitivity))])
+        for f, args in (("rhs_flat", (0.0, z)), ("jacobian", (y,))):
             got, want = getattr(hit, f)(*args), getattr(fresh, f)(*args)
             assert got.tobytes() == want.tobytes(), f
 
@@ -457,7 +457,8 @@ def dense_reference(model, params, y, sc=None):
 def test_sparse_generator_matches_the_dense_blocks(nmax, xi, start):
     # rhs_flat and jacobian take their products from the model's triplets;
     # a dense sum of the cached unit blocks on the same coordinates agrees.
-    # Undriven, |G, 0> is stationary and the model has no entry at all
+    # Undriven, |G, 0> is stationary and the model has no generator entry
+    # at all: its gather holds only the two entries that read <a>
     p = transient_params(xi=xi, alpha=0.0 if start == "undriven" else 3.0)
     rng = np.random.default_rng(nmax)
     kw = {"a0": dict(a0=0.3 - 0.2j),
@@ -467,7 +468,7 @@ def test_sparse_generator_matches_the_dense_blocks(nmax, xi, start):
     if start == "rho0":
         assert model.size == model.dim**2 + 2
     if start == "undriven":
-        assert model._vals.size == 0
+        assert model._z_vals.size == 2
     y = rng.standard_normal(model.size)
     f, jac = dense_reference(model, p, y)
     got_f, got_jac = model.rhs_flat(0.0, y), model.jacobian(y)
@@ -492,7 +493,7 @@ def test_every_sensitivity_row_matches_the_dense_blocks(nmax, xi, paths):
     model = BubbleModel(p, nmax=nmax, sensitivity=paths)
     rng = np.random.default_rng(nmax)
     z = rng.standard_normal((1 + len(paths), model.size))
-    got = model.rhs_sensitivity(0.0, z.reshape(-1)).reshape(z.shape)
+    got = model.rhs_flat(0.0, z.reshape(-1)).reshape(z.shape)
     f, jac = dense_reference(model, p, z[0])
     rows = _scalar_rows(p, None, _scalars(p, None), paths)
     want = [f] + [jac @ s + dense_reference(model, p, z[0], _Scalars(*ds))[0]
@@ -989,7 +990,7 @@ class TestXiSensitivity:
         model = BubbleModel(transient_params(xi=1.1), nmax=2, sensitivity=paths)
         n = model.size
         y0 = model.initial_flat()
-        z, _ = integrate(model.rhs_sensitivity, 0.0,
+        z, _ = integrate(model.rhs_flat, 0.0,
                          np.concatenate((y0, np.zeros(3 * n))),
                          np.arange(1.0, 17.0), rtol=1e-10, atol=1e-12)
         for k in range(1, 4):
@@ -998,13 +999,21 @@ class TestXiSensitivity:
             assert np.abs(s_r[:, :model.npop].sum(axis=1)).max() < 1e-12
 
     def test_rhs_state_half_equals_rhs_flat(self, rng):
+        # row 0 of a sensitivity model's kernel is a plain model's f, at
+        # every nmax, resonant and detuned
         paths = ("rydberg.xi", "drive.omega_cf")
-        model = BubbleModel(transient_params(xi=1.1), nmax=2, sensitivity=paths)
-        z = rng.standard_normal(3 * model.size)
-        out = model.rhs_sensitivity(0.0, z)
-        want = model.rhs_flat(0.0, z[:model.size])
-        np.testing.assert_allclose(out[:model.size], want, rtol=1e-12,
-                                   atol=1e-12 * np.abs(want).max())
+        for nmax in range(1, 7):
+            for delta_p in (0.0, 1.5):
+                p = transient_params(xi=1.1, delta_p=delta_p)
+                model = BubbleModel(p, nmax=nmax, sensitivity=paths)
+                plain = BubbleModel(p, nmax=nmax)
+                assert model.size == plain.size
+                z = rng.standard_normal(3 * model.size)
+                out = model.rhs_flat(0.0, z)
+                want = plain.rhs_flat(0.0, z[:plain.size])
+                np.testing.assert_allclose(out[:model.size], want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max(),
+                                           err_msg=f"nmax {nmax}, delta_p {delta_p}")
 
     @pytest.mark.parametrize("xi", [0.0, 1.1, 2.3])
     def test_augmented_run_keeps_the_plain_accuracy(self, xi):
@@ -1048,7 +1057,7 @@ class TestParameterSensitivity:
         # even in omega_cf, so the state, not dT, shows whether it is kept
         p = transient_params(xi=1.1, omega_cf=0.0)
         model = BubbleModel(p, nmax=2, sensitivity=("drive.omega_cf",))
-        z, _ = integrate(model.rhs_sensitivity, 0.0,
+        z, _ = integrate(model.rhs_flat, 0.0,
                          np.concatenate((model.initial_flat(),
                                          np.zeros(model.size))),
                          TestReduction.TIMES, rtol=1e-10, atol=1e-12)
@@ -1071,7 +1080,7 @@ class TestParameterSensitivity:
         # to alpha moves Im<a>, and with it the coherences it drives
         p = transient_params(xi=1.1, alpha=0.0)
         model = BubbleModel(p, nmax=2, sensitivity=("drive.alpha",))
-        z, _ = integrate(model.rhs_sensitivity, 0.0,
+        z, _ = integrate(model.rhs_flat, 0.0,
                          np.concatenate((model.initial_flat(),
                                          np.zeros(model.size))),
                          TestReduction.TIMES, rtol=1e-10, atol=1e-12)
@@ -1342,14 +1351,13 @@ def _is_nmax(value):
 
 def _run_counting_rhs(call, valid, errors=ValueError):
     """``call()``: with ``valid`` it returns after evaluating the
-    right-hand side (``rhs_flat`` or ``rhs_sensitivity``); without, it
-    raises ``errors`` before the first evaluation."""
+    right-hand side ``rhs_flat``; without, it raises ``errors`` before the
+    first evaluation."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("rhs_flat", "rhs_sensitivity"):
-            mp.setattr(BubbleModel, name,
-                       lambda self, t, y, rhs=getattr(BubbleModel, name):
-                       calls.append(t) or rhs(self, t, y))
+        rhs = BubbleModel.rhs_flat
+        mp.setattr(BubbleModel, "rhs_flat",
+                   lambda self, t, y: calls.append(t) or rhs(self, t, y))
         if valid:
             call()
             assert calls

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -106,6 +108,33 @@ class TestDataFiles:
         for got, want in zip(back, columns, strict=True):
             assert got.dtype == np.float64
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("header, columns, lengths", [
+        ("a,b", ([1, 2, 3], [0.5]), "[3, 1]"),       # zip would write 1,0.5
+        ("a,b,c", ([1.5, 2.5],), "[2]"),             # one column, three names
+        ("a", ([1.0], [2.0]), "[1, 1]"),
+    ])
+    def test_a_table_of_the_wrong_shape_is_refused(self, tmp_path, capsys, header,
+                                                   columns, lengths):
+        match = rf"{header.count(',') + 1} names.* lengths {re.escape(lengths)}"
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=match):
+            write_csv(path, header, columns)
+        assert not path.exists()
+        with pytest.raises(ValueError, match=match):
+            write_csv(None, header, columns)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_cli_table_of_the_wrong_shape_is_refused(self, tmp_path, fmt):
+        # both branches of a table command's writer check the same shape
+        from rydcav.cli import _emit_table
+
+        path = tmp_path / f"out.{fmt}"
+        with pytest.raises(ValueError, match=r"2 names.* lengths \[3, 1\]"):
+            _emit_table(argparse.Namespace(format=fmt, out=path), "a,b",
+                        (np.arange(3.0), np.array([0.5])), {})
+        assert not path.exists()
 
     def test_write_json_meta(self, tmp_path):
         path = tmp_path / "out.json"
