@@ -213,12 +213,18 @@ class _Scalars(NamedTuple):
 
 
 def _scalars(params: PhysicalParams, n_b: float | None) -> _Scalars:
-    """The model's scalars; n_b comes from the blockade volume unless given."""
+    """The model's scalars; n_b comes from the blockade volume unless given.
+
+    Only V_b is needed for n_b, so kappa, which the bubble model never
+    reads, is not computed (nor can its V = V_b singularity raise here).
+    """
     ens, ryd, drv, cav = (params.ensemble, params.rydberg, params.drive,
                           params.cavity)
     if n_b is None:
-        n_b = interactions.atoms_per_bubble(
-            ens.atom_number, interactions.blockade(params)[0], ens.cloud_volume)
+        D_e, D_r, _ = params.complex_detunings()
+        v_b = interactions.blockade_volume(D_e, D_r, drv.omega_cf,
+                                           interactions.c6_coefficient(ryd))
+        n_b = interactions.atoms_per_bubble(ens.atom_number, v_b, ens.cloud_volume)
     n_b = require_positive("n_b", n_b)
     ge_a = to_angular(ens.gamma_e)
     gc_a = to_angular(cav.gamma_c)
@@ -1033,7 +1039,9 @@ class SteadyBubbleResult:
     """Steady bubble-model transmission and how the solve ended.
 
     ``t_final`` is the pseudo-time (us) the continuation reached, at most
-    ``t_max``; ``newton_iterations`` counts its iterations; ``residual`` is
+    ``t_max``, and 0 when Newton from the empty cavity settled and no
+    continuation ran; ``newton_iterations`` counts every iteration of the
+    solve, the Newton start's and the continuation's; ``residual`` is
     the max-norm of the bordered residual (f(y) with its first row replaced
     by Tr rho - 1) at the state whose transmission is reported; ``verdict``
     says how the solve ended (``"stable"`` for an accepted root);
@@ -1181,25 +1189,30 @@ def _verdict(model: BubbleModel, y) -> tuple[bool, str, str]:
 def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
                                nmax: int = DEFAULT_NMAX, rtol: float = 1e-8,
                                n_b: float | None = None) -> SteadyBubbleResult:
-    """Steady transmission: the fixed point of the model that pseudo-transient
-    continuation reaches from the empty cavity with all atoms in the ground
-    state.
+    """Steady transmission: the fixed point of the model that Newton's
+    method, or else pseudo-transient continuation, reaches from the empty
+    cavity with all atoms in the ground state.
 
-    Each iteration solves (I/dt - J) d = f(y), with the first row replaced
+    Each iteration solves (s I - J) d = f(y), with the first row replaced
     by Tr rho = 1 and J the exact Jacobian, on the coordinates the model
     keeps (the dark state S is dropped when xi = 0, Re<a> and its sector on
     resonance; :class:`BubbleModel`), which leaves Tr rho as the one
-    conserved quantity (Kelley & Keyes, SIAM J. Numer. Anal. 35, 508,
-    1998).  dt starts at 0.05 us and grows by switched evolution
-    relaxation, dt <- dt |f_old| / |f_new| on the rows after the first, at
-    most tenfold per step, so the first steps follow an implicit-Euler
-    trajectory of the dynamics and the last ones are Newton steps.  Once the
-    summed pseudo-time reaches ``t_max`` (us) the I/dt term is dropped:
-    the remaining iterations are plain Newton.  The solve stops at a step
-    below 1e-10 + ``rtol`` |y| in every component.  Nothing proves that
-    the root is the fixed point the evolution would settle on if the model
-    had several; the tests compare it with long evolutions at weak and
-    strong drive.
+    conserved quantity.  The solve starts with Newton steps (s = 0) from
+    the empty cavity.  If a Newton step does not lower the norm of the
+    residual's rows after the first, or its matrix is singular, or the step
+    is not finite, or the root it settles on is rejected (below), the solve
+    starts over from the empty cavity with pseudo-transient continuation
+    (Kelley & Keyes, SIAM J. Numer. Anal. 35, 508, 1998): s = 1/dt, dt
+    starts at 0.05 us and grows by switched evolution relaxation,
+    dt <- dt |f_old| / |f_new| on the rows after the first, at most
+    tenfold per step, so the first steps follow an implicit-Euler
+    trajectory of the dynamics and the last ones are Newton steps.  Once
+    the summed pseudo-time reaches ``t_max`` (us) the I/dt term is dropped:
+    the remaining iterations are plain Newton.  Either phase stops at a
+    step below 1e-10 + ``rtol`` |y| in every component.  Nothing proves
+    that the root is the fixed point the evolution would settle on if the
+    model had several; the tests compare it with long evolutions at weak
+    and strong drive.
 
     The result is ``converged`` only when that root is a density matrix
     (no eigenvalue below -1e-8) and stable: every eigenvalue of the
@@ -1211,11 +1224,12 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
     are computed only when they prove nothing.  A root with an eigenvalue
     within 1e-9 rad/us of the imaginary axis is rejected as marginal, one
     beyond it as unstable; the solve never integrates the dynamics.
-    ``rtol`` must be finite and >= 0, else ValueError before any work.  A
-    rejected root, a singular matrix, a non-finite step or 100 iterations
-    without a root end the solve with converged=False and the transmission
-    of the last finite iterate; the loop is deterministic and a root is a
-    fixed point of every later step, so there is nothing to retry.
+    ``rtol`` must be finite and >= 0, else ValueError before any work.  In
+    the continuation, a rejected root, a singular matrix or a non-finite
+    step ends the solve, as do 100 iterations in all (the Newton start's
+    included) without a root, with converged=False and the transmission of
+    the last finite iterate; the loop is deterministic and a root is a
+    fixed point of every later step, so there is nothing more to retry.
 
     Each call logs one DEBUG record on the ``rydcav`` logger: the model's
     coordinates, the iterations, pseudo-time and residual, whether the
@@ -1225,25 +1239,34 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
     require_positive("t_max", t_max)
     require_positive("rtol", rtol, allow_zero=True)
     model = BubbleModel(params, nmax=nmax, n_b=n_b)
-    y = model.initial_flat()
-    res = _bordered_residual(model, y)
-    t, dt = 0.0, _PTC_DT0
-    converged = False
-    verdict = f"no root in {_PTC_MAXITER} iterations"
+    start = model.initial_flat()
+    first = _bordered_residual(model, start)
+    y, res, t, dt = start, first, 0.0, _PTC_DT0
+    continuing = converged = False
     decided = "stability not tested"
     for iterations in range(1, _PTC_MAXITER + 1):
-        step = _ptc_step(model, y, res, 1.0 / dt if t < t_max else 0.0)
+        step = _ptc_step(model, y, res, 1.0 / dt if continuing and t < t_max else 0.0)
         if step is None or not np.isfinite(step).all():
             verdict = "singular matrix" if step is None else "non-finite step"
+        else:
+            if continuing:
+                t = min(t + dt, t_max)
+            y = y + step
+            old, res = np.linalg.norm(res[1:]), _bordered_residual(model, y)
+            new = np.linalg.norm(res[1:])
+            if np.all(np.abs(step) <= _STEADY_ATOL + rtol * np.abs(y)):
+                converged, verdict, decided = _verdict(model, y)
+            elif continuing or new < old:
+                dt *= _PTC_GROWTH if _PTC_GROWTH * new <= old else old / new
+                continue
+        if converged or continuing:
             break
-        t = min(t + dt, t_max)
-        y = y + step
-        old, res = np.linalg.norm(res[1:]), _bordered_residual(model, y)
-        if np.all(np.abs(step) <= _STEADY_ATOL + rtol * np.abs(y)):
-            converged, verdict, decided = _verdict(model, y)
-            break
-        new = np.linalg.norm(res[1:])
-        dt *= _PTC_GROWTH if _PTC_GROWTH * new <= old else old / new
+        # Newton from the empty cavity stalled or found no stable state:
+        # start over on the continuation
+        y, res, dt, continuing = start, first, _PTC_DT0, True
+        decided = "stability not tested"
+    else:
+        verdict = f"no root in {_PTC_MAXITER} iterations"
     result = SteadyBubbleResult(float(model.transmission(y)), converged, float(t),
                                 iterations, float(np.abs(res).max()), verdict,
                                 model.size)

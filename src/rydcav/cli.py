@@ -215,12 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bubble_evolve)
 
     p = subs.add_parser("bubble-steady",
-                         help="steady bubble-model transmission (pseudo-transient "
-                              "continuation to the fixed point)")
+                         help="steady bubble-model transmission (Newton from the "
+                              "empty cavity; pseudo-transient continuation to the "
+                              "fixed point where Newton stalls)")
     _add_common(p)
     p.add_argument("--t-max", type=float, default=500.0,
-                   help="pseudo-time (us) after which the continuation "
-                        "takes plain Newton steps")
+                   help="pseudo-time (us) after which the continuation, run "
+                        "only where the Newton start stalls, takes plain "
+                        "Newton steps")
     p.add_argument("--nmax", type=int, default=bubble.DEFAULT_NMAX)
     p.add_argument("--rtol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_bubble_steady)

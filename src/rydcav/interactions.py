@@ -4,8 +4,9 @@ The S- and D-series C6 coefficients follow the standard rubidium
 parametrizations (GHz.um^6, for the pair potential written as -C6/r^6).
 The complex blockade volume V_b and the mean-field interaction constant
 kappa are evaluated from the complex detunings D_e, D_r of the EIT ladder
-(:func:`blockade` derives both from a parameter bundle, for every model,
-and :func:`blockade_derivative` their derivatives in closed form).
+(:func:`blockade` derives both from a parameter bundle, and
+:func:`blockade_derivative` their derivatives in closed form; the bubble
+model's n_b needs V_b alone).
 Scalar detunings go through Python complex arithmetic; arrays of them, as a
 mean-field grid passes, through numpy, elementwise, with NaN where the
 chain is singular so that such a point fails alone.  kappa enters the
@@ -114,8 +115,10 @@ def blockade(params: PhysicalParams, delta_p=None):
     """(V_b, kappa) at the given probe detuning; (0, 0) without interactions.
 
     The one derivation C6 -> V_b -> kappa from a parameter bundle, shared by
-    the mean-field model (kappa) and the bubble model (n_b from V_b).  An
-    array of detunings gives arrays, NaN where the chain is singular.
+    the mean-field model (kappa) and the bubble model's parameter
+    derivatives (n_b from V_b); a bubble build, which needs no kappa, calls
+    :func:`blockade_volume` alone.  An array of detunings gives arrays, NaN
+    where the chain is singular.
     """
     c6 = c6_coefficient(params.rydberg)
     if c6 == 0:

@@ -1256,9 +1256,33 @@ class TestSteady:
         assert result.transmission == pytest.approx(series.transmission[-1],
                                                     rel=1e-5)
 
+    def test_weak_drive_roots_settle_in_the_newton_start(self):
+        # the benchmark's weak-drive roots: Newton from the empty cavity
+        # reaches each in 3 iterations, and no continuation runs
+        for params, kw in benchmark_steady_cases()[:8]:
+            result = steady_transmission_bubble(params, **kw)
+            assert result.converged
+            assert result.t_final == 0.0
+            assert result.newton_iterations <= 4
+            assert result.transmission == pytest.approx(
+                transmission_linear(params), rel=1e-6)
+
+    def test_stalled_newton_start_restarts_the_continuation(self):
+        # at alpha = 100 a Newton step from the empty cavity raises the
+        # residual, so the solve starts over in pseudo-time
+        p = transient_params(alpha=100.0)
+        result = steady_transmission_bubble(p, nmax=2)
+        series = evolve(p, t_end=600.0, dt=600.0, nmax=2)
+        assert result.converged
+        assert result.t_final > 0.0
+        assert result.residual < 1e-12
+        assert result.transmission == pytest.approx(series.transmission[-1],
+                                                    rel=1e-5)
+
     def test_singular_jacobian_evolves_to_t_max(self, monkeypatch):
-        # with J = 0 every continuation step is an explicit-Euler step, which
-        # crawls (0.44 us of pseudo-time in 100 iterations here), so t_max
+        # with J = 0 the Newton start's matrix is singular, and every
+        # continuation step after it is an explicit-Euler step, which
+        # crawls (0.43 us of pseudo-time in 99 iterations here), so t_max
         # is one the steps reach; the Newton matrix after it is singular
         def singular(model, y):
             return np.zeros((model.size, model.size))
@@ -1271,15 +1295,27 @@ class TestSteady:
         assert result.verdict == "singular matrix"
         assert np.isfinite(result.transmission)
 
-    def test_absorbing_dark_state_fails_within_the_iteration_cap(self):
+    def test_absorbing_dark_state_fails_within_the_iteration_cap(
+            self, monkeypatch):
         # with no decay out of S the root (everything in S) is degenerate
-        # and the dynamics reach it only as a power law
+        # and the dynamics reach it only as a power law; the cap counts the
+        # Newton start and the continuation together
         import rydcav.bubble as bubble
 
+        shifts = []
+        step = bubble._ptc_step
+
+        def record(model, y, res, shift):
+            shifts.append(shift)
+            return step(model, y, res, shift)
+
+        monkeypatch.setattr(bubble, "_ptc_step", record)
         result = steady_transmission_bubble(transient_params(gamma_s=0.0),
                                             nmax=2)
         assert not result.converged
-        assert result.newton_iterations <= bubble._PTC_MAXITER
+        assert len(shifts) == result.newton_iterations <= bubble._PTC_MAXITER
+        assert shifts[0] == 0.0 and max(shifts) > 0.0
+        assert result.t_final > 0.0
 
     def test_root_that_is_not_a_state_is_rejected(self, monkeypatch, caplog):
         import rydcav.bubble as bubble
@@ -1684,6 +1720,26 @@ def test_collective_coupling_constants():
     want_g = np.sqrt(2 * (two_pi * 3) * (two_pi * 10) * 5.0 * 25.0 / 10_000)
     assert model.g_nb_a == pytest.approx(want_g, rel=1e-12)
     assert model.prefactor_a == pytest.approx((10_000 / 25.0) * want_g, rel=1e-12)
+
+
+@pytest.mark.parametrize("c6", [None, 0.0], ids=["series-c6", "c6-zero"])
+def test_a_build_computes_no_kappa(monkeypatch, c6):
+    # n_b needs the blockade volume alone; kappa, which the bubble model
+    # never reads, has a singularity of its own at V = V_b
+    import rydcav.interactions as interactions
+
+    p = transient_params(c6_override=c6)
+    want = interactions.atoms_per_bubble(
+        p.ensemble.atom_number, interactions.blockade(p)[0],
+        p.ensemble.cloud_volume)
+
+    def no_kappa(*args, **kw):
+        raise AssertionError("kappa computed")
+
+    monkeypatch.setattr(interactions, "kappa", no_kappa)
+    assert BubbleModel(p, nmax=2).n_b == want
+    series = evolve(p, t_end=1.0, dt=0.5, nmax=2)
+    assert np.isfinite(series.transmission).all()
 
 
 def test_n_b_computed_from_interactions_when_not_given():
