@@ -279,12 +279,13 @@ def _scalar_rows(params: PhysicalParams, n_b: float | None, sc: _Scalars,
     d_c6 = unit("rydberg.c6_override")
     dn_b = zero
     if n_b is None and np.any((d_dp, d_dcf, d_ge, d_gr, d_om, d_c6, d_volume)):
-        v_b, kap = interactions.blockade(params)
+        D_e, D_r, _ = params.complex_detunings()
+        v_b = interactions.blockade_volume(D_e, D_r, params.drive.omega_cf,
+                                           interactions.c6_coefficient(params.rydberg))
         if sc.n_b == ens.atom_number * abs(v_b) / ens.cloud_volume:   # not clamped
-            D_e, D_r, _ = params.complex_detunings()
-            dv_b, _ = interactions.blockade_derivative(
-                params, D_e, D_r, params.drive.omega_cf, v_b, kap,
-                d_dp + 1j * d_ge, d_dp + d_dcf + 1j * d_gr, d_om, d_c6, d_volume)
+            dv_b, *_ = interactions.blockade_derivative(
+                params, D_e, D_r, params.drive.omega_cf, v_b,
+                d_dp + 1j * d_ge, d_dp + d_dcf + 1j * d_gr, d_om, d_c6)
             dn_b = sc.n_b * ((v_b.conjugate() * dv_b).real / abs(v_b) ** 2
                              - d_volume / ens.cloud_volume)
     # (g sqrt(n_b))^2 = 2 gamma_e gamma_c C n_b / N, in rad/us

@@ -4,9 +4,9 @@ The S- and D-series C6 coefficients follow the standard rubidium
 parametrizations (GHz.um^6, for the pair potential written as -C6/r^6).
 The complex blockade volume V_b and the mean-field interaction constant
 kappa are evaluated from the complex detunings D_e, D_r of the EIT ladder
-(:func:`blockade` derives both from a parameter bundle, and
-:func:`blockade_derivative` their derivatives in closed form; the bubble
-model's n_b needs V_b alone).
+(:func:`blockade` derives both from a parameter bundle for the mean field,
+and :func:`blockade_derivative` gives V_b's derivative in closed form; the
+bubble model's n_b needs V_b alone, and computes no kappa).
 Scalar detunings go through Python complex arithmetic; arrays of them, as a
 mean-field grid passes, through numpy, elementwise, with NaN where the
 chain is singular so that such a point fails alone.  kappa enters the
@@ -114,9 +114,8 @@ def kappa(D_e, D_r, omega_cf: float, v_b, volume: float):
 def blockade(params: PhysicalParams, delta_p=None):
     """(V_b, kappa) at the given probe detuning; (0, 0) without interactions.
 
-    The one derivation C6 -> V_b -> kappa from a parameter bundle, shared by
-    the mean-field model (kappa) and the bubble model's parameter
-    derivatives (n_b from V_b); a bubble build, which needs no kappa, calls
+    The one derivation C6 -> V_b -> kappa from a parameter bundle, for the
+    mean-field model; the bubble model, which needs no kappa, calls
     :func:`blockade_volume` alone.  An array of detunings gives arrays, NaN
     where the chain is singular.
     """
@@ -130,22 +129,23 @@ def blockade(params: PhysicalParams, delta_p=None):
         return v_b, kappa(D_e, D_r, omega, v_b, params.ensemble.cloud_volume)
 
 
-def blockade_derivative(params: PhysicalParams, D_e, D_r, omega, v_b, kap,
-                        dD_e, dD_r, d_omega, d_c6, d_volume):
-    """(dV_b, dkappa) at (V_b, kappa) of :func:`blockade` from the rows of
-    D_e, D_r, Omega, C6 and V.
+def blockade_derivative(params: PhysicalParams, D_e, D_r, omega, v_b,
+                        dD_e, dD_r, d_omega, d_c6):
+    """(dV_b, s, ds) at V_b of :func:`blockade_volume` from the rows of D_e,
+    D_r, Omega and C6, with the dressed two-photon shift s and its row ds,
+    from which the mean field differentiates kappa = 2 V_b (s - D_r) / (V - V_b).
 
-    D_e, D_r, V_b and kappa are the chain's values, scalars or columns; each
-    row holds the derivative of one input per unit of each parameter.  With
-    the dressed shift s = Omega^2 / (4 (D_e + D_r - Omega^2 / (4 D_e))),
-    V_b = P sqrt(1e3 C6 / (D_e - s)) and kappa = 2 V_b (s - D_r) / (V - V_b),
-    so dV_b = V_b (dC6 / C6 - d(D_e - s) / (D_e - s)) / 2.  Without blockade
-    (V_b = 0: C6 = 0, or a chain that leaves it out) kappa = V_b = 0 under
-    every parameter but C6, and the rows are zero; at C6 = 0 both go as
-    sqrt(C6), and their derivative in C6 has no value.
+    D_e, D_r and V_b are the chain's values, scalars or columns; each row
+    holds the derivative of one input per unit of each parameter.  With
+    s = Omega^2 / (4 (D_e + D_r - Omega^2 / (4 D_e))) and
+    V_b = P sqrt(1e3 C6 / (D_e - s)), dV_b = V_b (dC6 / C6 - d(D_e - s) / (D_e - s)) / 2.
+    No kappa is computed.  Without blockade (V_b = 0: C6 = 0, or a chain
+    that leaves it out) V_b and kappa are 0 under every parameter but C6,
+    and the rows are zero; at C6 = 0 both go as sqrt(C6), and their
+    derivative in C6 has no value.
     """
     if np.ndim(v_b) == 0 and v_b == 0:
-        return 0j * d_c6, 0j * d_c6
+        return 0j * d_c6, 0.0, 0.0
     s = ds = 0.0
     if omega != 0:
         q = omega * omega / (4.0 * D_e)
@@ -154,11 +154,7 @@ def blockade_derivative(params: PhysicalParams, D_e, D_r, omega, v_b, kap,
         dq = (0.5 * omega * d_omega - q * dD_e) / D_e
         ds = (0.5 * omega * d_omega - s * (dD_e + dD_r - dq)) / inner
     c6 = c6_coefficient(params.rydberg)
-    dv_b = 0.5 * v_b * (d_c6 / c6 - (dD_e - ds) / (D_e - s))
-    rest = params.ensemble.cloud_volume - v_b
-    dkappa = (2.0 * (dv_b * (s - D_r) + v_b * (ds - dD_r))
-              - kap * (d_volume - dv_b)) / rest
-    return dv_b, dkappa
+    return 0.5 * v_b * (d_c6 / c6 - (dD_e - ds) / (D_e - s)), s, ds
 
 
 def atoms_per_bubble(atom_number: int, v_b: complex, volume: float) -> float:

@@ -20,12 +20,19 @@ constants of the chain, the cubic's coefficients, all its real roots in
 closed form (Cardano or the trigonometric form, by the sign of the
 discriminant, NaN-padded to three per point), one Newton polish of each,
 and each root's residual and singular-denominator test.  So every
-coexisting branch is found.  The one sequential step is the continuation
-along the grid: each point takes the root nearest the x of the last point
-solved, O(1) work per point, and reports how many fixed points coexist.
-A single solve is a grid of one point.  A solve along an axis, probe
-detuning or photon rate, gives one :class:`MeanFieldCurve`: the flagged
-scan of :func:`scan_meanfield` and the raising fit model of
+coexisting branch is found.  The continuation along the grid picks the
+roots by array passes too: a one-root point takes its root, and each run
+of consecutive three-root points takes one outer root, the lower or the
+upper, never the middle one (the unstable branch between the two folds of
+optical bistability): the one nearest, at the run's first point, the x of
+the last point solved.  So a sweep stays on the outer branch it enters a
+bistable window on until that branch ends at a fold; where a grid steps
+into a window coarsely, the nearer outer root need not be the branch an
+adiabatic sweep would be on.  Only the runs, not the points, are visited
+one by one.  Each point reports how many fixed points coexist there.  A
+single solve is a grid of one point, under the same rule.  A solve along
+an axis, probe detuning or photon rate, gives one :class:`MeanFieldCurve`:
+the flagged scan of :func:`scan_meanfield` and the raising fit model of
 :func:`transmission_curve` are that curve.
 
 The derivative of a curve with respect to the parameters reuses the solve:
@@ -147,8 +154,9 @@ def _grid_derivative(params: PhysicalParams, paths, g: _Grid,
     parameter at ``paths[k]``, in closed form.  D_e, D_r, D_c, alpha,
     Omega, gamma_c and coop_term = 2 gamma_c gamma_e C are linear maps or
     products of single parameters, so their rows are unit or zero rows over
-    the float parameters (:data:`rydcav.params.FLOAT_PATHS`); kappa and V_b
-    follow by the chain rule (:func:`rydcav.interactions.blockade_derivative`).
+    the float parameters (:data:`rydcav.params.FLOAT_PATHS`); V_b follows by
+    the chain rule (:func:`rydcav.interactions.blockade_derivative`), and
+    kappa = 2 V_b (s - D_r) / (V - V_b) from V_b and the dressed shift s.
     The axis is no parameter: on a detuning grid the delta_p rows are 0; on
     a rate grid delta_p moves D_e, D_r and D_c by unit rows, and
     alpha = sqrt(gamma_c R) moves only with gamma_c, by alpha / (2 gamma_c).
@@ -173,9 +181,13 @@ def _grid_derivative(params: PhysicalParams, paths, g: _Grid,
     d_coop = 2.0 * (ens.gamma_e * ens.cooperativity * d_gc
                     + gc * ens.cooperativity * d_ge
                     + gc * ens.gamma_e * unit("ensemble.cooperativity"))
-    dv_b, dkappa = interactions.blockade_derivative(
-        params, g.D_e, g.D_r, g.omega, g.v_b, g.kappa, dD_e, dD_r, d_omega,
-        unit("rydberg.c6_override"), unit("ensemble.cloud_volume"))
+    dv_b, s, ds = interactions.blockade_derivative(
+        params, g.D_e, g.D_r, g.omega, g.v_b, dD_e, dD_r, d_omega,
+        unit("rydberg.c6_override"))
+    # kappa = 2 V_b (s - D_r) / (V - V_b)
+    dkappa = ((2.0 * (dv_b * (s - g.D_r) + g.v_b * (ds - dD_r))
+               - g.kappa * (unit("ensemble.cloud_volume") - dv_b))
+              / (ens.cloud_volume - g.v_b))
     return _Grid(g.n, dD_e, dD_r, dD_c, dkappa, dv_b, d_alpha,
                  d_omega, d_gc, d_coop, 0.5 * d_coop / g.g_root_n)
 
@@ -206,7 +218,7 @@ class MeanFieldSolution:
     c: complex
     x: float
     residual: float
-    branch_id: int
+    branch_id: int   # the root taken, in increasing order: 0, or 0 or 2 of 3
     root_count: int = 1
     blockaded_fraction: float = 0.0  # x |V_b| / V diagnostic
     transmission: float = math.nan   # gamma_c^2 |<a>|^2 / alpha^2
@@ -285,65 +297,40 @@ def _fixed_points(g: _Grid, f0):
                            (g.n, 3))
 
 
-def _pick(roots, residual, singular, seed: float) -> int:
-    """Index of the root nearest ``seed`` among one point's candidates.
-
-    Raises SingularParameterError or SolverError when that root does not
-    solve x = F(x); the residual test fails on NaN.
-    """
-    j = 0
-    if roots[1] == roots[1]:  # three roots; the padding is NaN
-        dist = [abs(r - seed) for r in roots]
-        j = dist.index(min(dist))
-    if singular[j]:
-        raise SingularParameterError("singular denominator in the steady-state chain")
-    if not residual[j] <= _RESIDUAL_TOL * max(1.0, roots[j]):
-        raise SolverError(f"root refinement stalled: residual {residual[j]:g} "
-                          f"at x={roots[j]:g}")
-    return j
-
-
 def _follow_branch(roots, residual, singular, x_seed: float,
                    flag_failures: bool) -> np.ndarray:
     """Index of the root each point of the grid takes, in grid order.
 
-    Continuation in x: each point takes the root nearest the last solved
-    x, starting from ``x_seed``.  A failed point raises, the first in grid
-    order, or, with ``flag_failures``, gets index -1 and keeps the seed.
-    Where the cubic has one real root there is nothing to choose, so those
-    points are checked as arrays; only the three-root points go through
-    :func:`_pick` one by one, each seeded from the root of the last solved
-    point before it.
+    A one-root point takes its root.  Each maximal run of consecutive
+    three-root points takes one outer root, index 0 or 2, never the middle
+    one (the unstable branch between the two folds): the outer root
+    nearest, at the run's first point, the x of the last solved point
+    before the run, or ``x_seed``.  So a sweep stays on the outer branch
+    it enters a bistable window on until that branch ends at a fold.  The
+    picked roots are tested as arrays; a failed point raises, the first in
+    grid order, or, with ``flag_failures``, gets index -1 and seeds no run.
     """
-    n = roots.shape[0]
     three = roots[:, 1] == roots[:, 1]   # the padding is NaN
-    # _pick's test on root 0; fmax, like max(1.0, x), passes over a NaN x
-    bad = ~three & (singular[:, 0] | ~(
-        residual[:, 0] <= _RESIDUAL_TOL * np.fmax(1.0, roots[:, 0])))
-    picks = np.where(bad, -1, 0)
-    stop = n
-    if bad.any() and not flag_failures:
-        stop = int(np.argmax(bad))
-    # the last solved one-root point at or before each point, -1 if none
-    last_one = np.maximum.accumulate(np.where(three | bad, -1, np.arange(n)))
-    last_three, x_three = -1, x_seed
-    for i in np.flatnonzero(three[:stop]).tolist():
-        j_one = last_one[i]
-        seed = roots[j_one, 0] if j_one > last_three else x_three
-        try:
-            j = _pick(roots[i].tolist(), residual[i].tolist(),
-                      singular[i].tolist(), seed)
-        except (SolverError, SingularParameterError):
-            if not flag_failures:
-                raise
-            picks[i] = -1
-            continue
-        picks[i] = j
-        last_three, x_three = i, roots[i, j]
-    if stop < n:   # the first failed point is a one-root point
-        _pick(roots[stop].tolist(), residual[stop].tolist(),
-              singular[stop].tolist(), 0.0)
-    return picks
+    # fmax, like max(1.0, x), passes over a NaN x
+    bad = singular | ~(residual <= _RESIDUAL_TOL * np.fmax(1.0, roots))
+    picks = np.zeros(roots.shape[0], dtype=int)
+    failed = bad[:, 0].copy()
+    edges = np.zeros(three.size + 2, bool)   # a one-root point at either end
+    edges[1:-1] = three
+    for start, stop in np.flatnonzero(edges[1:] != edges[:-1]).reshape(-1, 2).tolist():
+        solved = np.flatnonzero(~failed[:start])
+        seed = roots[solved[-1], picks[solved[-1]]] if solved.size else x_seed
+        j = 2 if abs(roots[start, 2] - seed) < abs(roots[start, 0] - seed) else 0
+        picks[start:stop] = j
+        failed[start:stop] = bad[start:stop, j]
+    if failed.any() and not flag_failures:
+        i = int(np.argmax(failed))
+        j = picks[i]
+        if singular[i, j]:
+            raise SingularParameterError("singular denominator in the steady-state chain")
+        raise SolverError(f"root refinement stalled: residual {residual[i, j]:g} "
+                          f"at x={roots[i, j]:g}")
+    return np.where(failed, -1, picks)
 
 
 @dataclass
@@ -384,11 +371,12 @@ def _solve(g: _Grid, x_seed: float = 0.0, flag_failures: bool = False) -> _Solve
 
 def solve_self_consistent(params: PhysicalParams, x_seed: float = 0.0,
                           delta_p=None) -> MeanFieldSolution:
-    """Self-consistent steady state, following the branch nearest x_seed.
+    """Self-consistent steady state, on the branch nearest x_seed.
 
-    When the steady-state cubic has three real roots (bistability) the one
-    closest to the seed is returned and root_count reports how many there
-    are; the choice mirrors an adiabatic experimental sweep.  The solution
+    When the steady-state cubic has three real roots (bistability) the
+    outer root, lower or upper, closest to the seed is returned, never the
+    middle one, and root_count reports how many there are: a grid of one
+    point under the continuation rule of a sweep.  The solution
     carries its transmission, as :func:`transmission_from_solution` gives it.
     A non-finite detuning raises ValueError.
     """

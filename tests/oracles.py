@@ -120,17 +120,32 @@ def random_paper_scale_params(rng, series="S", **fixed):
 
 
 def follow_branch_loop(roots, residual, singular, x_seed, flag_failures):
-    """The per-point continuation that ``meanfield._follow_branch`` replaced:
-    every point of the grid through ``meanfield._pick``, in grid order,
-    each seeded from the last solved root."""
-    from rydcav import meanfield
+    """The continuation of ``meanfield._follow_branch``, one point at a time.
+
+    A one-root point takes its root.  A three-root point takes the outer
+    root (index 0 or 2) its run of consecutive three-root points took; the
+    run's first point takes the one nearest the last solved x, starting
+    from ``x_seed``.  A picked root that is singular or whose residual
+    exceeds 1e-10 max(1, x) fails the point: it raises, or, with
+    ``flag_failures``, gets index -1 and leaves the seed as it was.
+    """
     from rydcav.errors import SingularParameterError, SolverError
 
-    seed = x_seed
-    picks = []
+    seed, run, picks = x_seed, None, []
     for r, res, sing in zip(roots.tolist(), residual.tolist(), singular.tolist()):
+        if r[1] != r[1]:   # one root; the padding is NaN
+            j, run = 0, None
+        else:
+            if run is None:
+                run = 2 if abs(r[2] - seed) < abs(r[0] - seed) else 0
+            j = run
         try:
-            j = meanfield._pick(r, res, sing, seed)
+            if sing[j]:
+                raise SingularParameterError(
+                    "singular denominator in the steady-state chain")
+            if not res[j] <= 1e-10 * max(1.0, r[j]):
+                raise SolverError(f"root refinement stalled: residual {res[j]:g} "
+                                  f"at x={r[j]:g}")
         except (SolverError, SingularParameterError):
             if not flag_failures:
                 raise

@@ -1740,6 +1740,11 @@ def test_a_build_computes_no_kappa(monkeypatch, c6):
     assert BubbleModel(p, nmax=2).n_b == want
     series = evolve(p, t_end=1.0, dt=0.5, nmax=2)
     assert np.isfinite(series.transmission).all()
+    # nor does a sensitivity build along a path that moves the blockade chain
+    for path in ("drive.omega_cf", "drive.delta_p"):
+        assert BubbleModel(p, nmax=2, sensitivity=(path,)).n_b == want
+        series = evolve(p, t_end=1.0, dt=0.5, nmax=2, sensitivity=(path,))
+        assert np.isfinite(series.dT_dtheta).all()
 
 
 def test_n_b_computed_from_interactions_when_not_given():

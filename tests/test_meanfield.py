@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rydcav import meanfield
 from rydcav.errors import SingularParameterError, SolverError
@@ -104,9 +106,9 @@ class TestSolver:
             solve_self_consistent(p)
 
     def test_nan_residual_fails_the_point(self, paper_params, monkeypatch):
-        nan3 = [float("nan")] * 3
+        nan3 = np.full((1, 3), np.nan)
         with pytest.raises(SolverError, match="residual nan"):
-            meanfield._pick(nan3, nan3, [False] * 3, 0.0)
+            meanfield._follow_branch(nan3, nan3, np.zeros((1, 3), bool), 0.0, False)
 
         real = meanfield._fixed_points
 
@@ -251,15 +253,23 @@ class TestGridKernel:
 
 
 class TestFollowBranch:
-    """The continuation that checks one-root points as arrays against the
-    per-point loop it replaced (``oracles.follow_branch_loop``), on the
-    bistable S n=60 rate scans across both turning points."""
+    """The array continuation against the per-point loop of the same rule
+    (``oracles.follow_branch_loop``) on the bistable S n=60 case: rate
+    scans across both turning points, and probe-detuning up-sweeps on
+    which the root nearest the last x was the middle one."""
 
     SCANS = [(97.0, 102.0), (98.165, 98.175), (101.285, 101.295)]
+    # (photon rate, points, start, stop) of delta_p scans; the first is the
+    # 41-point up-sweep at 110 photons/us, whose x at delta_p = 10 MHz lies
+    # nearest the middle root of its one three-root point, delta_p = 10.5
+    DETUNING_SCANS = [(110.0, 41, 0.0, 20.0), (100.0, 321, 0.0, 20.0),
+                      (110.0, 161, 0.0, 20.0), (120.0, 81, 0.0, 20.0),
+                      (140.0, 321, -30.0, 30.0), (110.0, 161, -30.0, 30.0)]
 
     @staticmethod
-    def _inputs(monkeypatch, rates, x_seed):
-        # what _solve hands _follow_branch for an up or a down sweep
+    def _inputs(monkeypatch, x_seed, rates=None, rate=None, delta_ps=None):
+        # what _solve hands _follow_branch for a sweep of the rate at
+        # delta_p = 10 MHz, or of delta_p at one rate
         p = make_params(n=60, omega_cf=8.0, delta_cf=-10.0, delta_p=10.0)
         seen = []
         real = meanfield._follow_branch
@@ -270,8 +280,11 @@ class TestFollowBranch:
 
         with monkeypatch.context() as mp:
             mp.setattr(meanfield, "_follow_branch", spy)
-            alpha = photon_rate_to_alpha(rates, 10.0)
-            meanfield._solve(meanfield._grid(p, alpha=alpha), x_seed=x_seed)
+            if delta_ps is None:
+                g = meanfield._grid(p, alpha=photon_rate_to_alpha(rates, 10.0))
+            else:
+                g = meanfield._grid(_with_rate(p, rate), delta_p=delta_ps)
+            meanfield._solve(g, x_seed=x_seed)
         ((roots, residual, singular, seed, _),) = seen
         return roots, residual, singular, seed
 
@@ -282,8 +295,8 @@ class TestFollowBranch:
         rates = np.linspace(*scan, 101)
         if down:
             rates = rates[::-1]
-        roots, residual, singular, seed = self._inputs(monkeypatch, rates,
-                                                       1e6 if down else 0.0)
+        roots, residual, singular, seed = self._inputs(monkeypatch,
+                                                       1e6 if down else 0.0, rates)
         three = ~np.isnan(roots[:, 1])
         assert three.any() and not three.all()
         picks = meanfield._follow_branch(roots, residual, singular, seed,
@@ -294,13 +307,32 @@ class TestFollowBranch:
         # the up sweep stays on the low branch, the down sweep on the high one
         assert set(picks[three].tolist()) == ({2} if down else {0})
 
+    @pytest.mark.parametrize("rate, npoints, start, stop", DETUNING_SCANS)
+    def test_detuning_sweep_takes_no_middle_root(self, monkeypatch, rate, npoints,
+                                                 start, stop):
+        delta_ps = ScanSpec(start, stop, npoints).values()
+        roots, residual, singular, seed = self._inputs(
+            monkeypatch, 0.0, rate=rate, delta_ps=delta_ps)
+        three = ~np.isnan(roots[:, 1])
+        picks = meanfield._follow_branch(roots, residual, singular, seed, False)
+        np.testing.assert_array_equal(
+            picks, follow_branch_loop(roots, residual, singular, seed, False))
+        assert three.any() and set(picks[three].tolist()) <= {0, 2}
+        # the root nearest the last solved x is the middle one somewhere
+        x = roots[np.arange(picks.size), picks]
+        last = np.concatenate(([seed], x[:-1]))
+        nearest = np.nanargmin(np.abs(roots - last[:, None]), axis=1)
+        assert (nearest[three] == 1).any()
+        if npoints == 41:
+            assert delta_ps[three].tolist() == [10.5]
+
     @pytest.mark.parametrize("first", ["three-root", "one-root"])
     def test_first_failing_point_raises(self, monkeypatch, first):
         # a three-root point whose root stalls and a singular one-root
         # point: whichever comes first in grid order raises, as in the loop;
         # flagged, both fail and the seed carries past them
         roots, residual, singular, seed = self._inputs(
-            monkeypatch, np.linspace(97.0, 102.0, 101), 0.0)
+            monkeypatch, 0.0, np.linspace(97.0, 102.0, 101))
         residual, singular = residual.copy(), singular.copy()
         three = np.flatnonzero(~np.isnan(roots[:, 1]))
         one = np.flatnonzero(np.isnan(roots[:, 1]))
@@ -320,6 +352,68 @@ class TestFollowBranch:
         np.testing.assert_array_equal(
             picks, follow_branch_loop(roots, residual, singular, seed, True))
         assert picks[i1] == picks[i3] == -1 and np.count_nonzero(picks < 0) == 2
+
+    @pytest.mark.parametrize("x_seed, want", [(0.0, [0, -1, 0]), (10.0, [2, -1, 2])])
+    def test_a_failed_point_seeds_no_run(self, x_seed, want):
+        # two runs of one three-root point around a one-root point whose
+        # root, nearest the other outer root of the second run, fails
+        roots = np.array([[1.0, 5.0, 9.0],
+                          [9.0 if x_seed == 0.0 else 1.5, np.nan, np.nan],
+                          [2.0, 5.0, 8.0]])
+        residual = np.zeros((3, 3))
+        residual[1] = np.inf
+        singular = np.zeros((3, 3), bool)
+        for follow in (meanfield._follow_branch, follow_branch_loop):
+            np.testing.assert_array_equal(
+                follow(roots, residual, singular, x_seed, True), want)
+            with pytest.raises(SolverError, match=r"residual inf at x=(9|1\.5)$"):
+                follow(roots, residual, singular, x_seed, False)
+
+
+_BISTABLE = make_params(n=60, omega_cf=8.0, delta_cf=-10.0, delta_p=10.0)
+
+
+class TestOuterBranch:
+    """No sweep of the bistable S n=60 case, along either axis, in either
+    direction, takes the middle root at a three-root point, nor does a
+    single solve seeded exactly on it."""
+
+    @staticmethod
+    def _assert_outer(s):
+        three = s.root_count == 3
+        assert not s.failed.any()
+        assert set(s.branch_id[three].tolist()) <= {0, 2}
+
+    @settings(max_examples=60, deadline=None)
+    @given(rate=st.floats(80.0, 400.0), npoints=st.integers(2, 321),
+           low=st.floats(-30.0, 10.0), high=st.floats(10.5, 30.0),
+           down=st.booleans())
+    def test_detuning_sweeps(self, rate, npoints, low, high, down):
+        grid = ScanSpec(*((high, low) if down else (low, high)), npoints).values()
+        self._assert_outer(meanfield._solve(
+            meanfield._grid(_with_rate(_BISTABLE, rate), delta_p=grid)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(delta_p=st.floats(9.5, 11.5), npoints=st.integers(2, 321),
+           low=st.floats(80.0, 98.0), high=st.floats(101.5, 400.0),
+           down=st.booleans())
+    def test_rate_sweeps(self, delta_p, npoints, low, high, down):
+        rates = ScanSpec(*((high, low) if down else (low, high)), npoints).values()
+        p = replace(_BISTABLE, drive=replace(_BISTABLE.drive, delta_p=delta_p))
+        self._assert_outer(meanfield._solve(
+            meanfield._grid(p, alpha=photon_rate_to_alpha(rates, 10.0))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rate=st.floats(98.2, 101.28))
+    def test_single_solve_seeded_at_the_middle_root(self, rate):
+        p = _with_rate(_BISTABLE, rate)
+        g = meanfield._grid(p)
+        c0 = meanfield._amplitudes(g, 0.0)[2]
+        roots = meanfield._fixed_points(g, np.abs(c0) ** 2)[0]
+        assume(roots[1] == roots[1])
+        sol = solve_self_consistent(p, x_seed=float(roots[1]))
+        assert sol.root_count == 3 and sol.branch_id in (0, 2)
+        assert sol.x == roots[sol.branch_id]
 
 
 class TestTransmission:
