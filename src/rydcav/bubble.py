@@ -743,6 +743,7 @@ class BubbleModel:
         d = self.dim = st.ops.dim
         sc = _scalars(params, n_b)
         self.n_b = sc.n_b
+        self.n_bubbles = params.ensemble.atom_number / sc.n_b
         self.xi_a = sc.xi
         self.alpha_a = sc.alpha
         self.gamma_c_a = sc.gamma_c
@@ -1040,9 +1041,10 @@ class SteadyBubbleResult:
     """Steady bubble-model transmission and how the solve ended.
 
     ``t_final`` is the pseudo-time (us) the continuation reached, at most
-    ``t_max``, and 0 when Newton from the empty cavity settled and no
-    continuation ran; ``newton_iterations`` counts every iteration of the
-    solve, the Newton start's and the continuation's; ``residual`` is
+    ``t_max``, and 0 when the start from the empty cavity settled and no
+    continuation ran; ``newton_iterations`` counts every step the solve
+    computed: the start's chord steps, an undone one included, its Newton
+    steps and the continuation's; ``residual`` is
     the max-norm of the bordered residual (f(y) with its first row replaced
     by Tr rho - 1) at the state whose transmission is reported; ``verdict``
     says how the solve ended (``"stable"`` for an accepted root);
@@ -1061,6 +1063,9 @@ class SteadyBubbleResult:
 
 #: absolute tolerance of the steady solve's steps
 _STEADY_ATOL = 1e-10
+#: a chord step settles the root only when it meets the step test with its
+#: tolerance scaled by this factor: chord steps converge only linearly
+_CHORD_TOL = 0.01
 #: first pseudo-time step (us) of the continuation
 _PTC_DT0 = 0.05
 #: largest growth of the pseudo-time step in one iteration
@@ -1095,36 +1100,120 @@ def _bordered_residual(model: BubbleModel, y) -> np.ndarray:
     return f
 
 
-def _ptc_step(model: BubbleModel, y, res, shift: float):
+def _bordered_matrix(model: BubbleModel, y, shift: float) -> np.ndarray:
+    """J - shift I at y with row 0 replaced by the trace functional (ones on
+    the populations): the matrix of every step of the solve."""
+    mat = model.jacobian(y)
+    mat[0] = 0.0
+    mat[0, :model.npop] = 1.0
+    diag = np.arange(1, model.size)
+    mat[diag, diag] -= shift
+    return mat
+
+
+class _Blocks(NamedTuple):
+    """The diagonal blocks of a matrix's nonzero pattern as a padded stack;
+    see :func:`_blocks`."""
+
+    entries: np.ndarray
+    slots: np.ndarray
+    padding: np.ndarray
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE)
+def _blocks(pattern: bytes, n: int) -> _Blocks:
+    """Where the entries of an n-square matrix with the packed nonzero
+    ``pattern`` lie in a stack of its diagonal blocks.
+
+    The blocks are the connected components of the pattern's graph (row i
+    and column j joined by a nonzero entry (i, j) or (j, i)), so a
+    permutation makes the matrix block diagonal, and its inverse is the
+    same permutation of the blocks' inverses.  Each block is padded with
+    the identity to the largest one's size, which leaves its inverse the
+    block's inverse.  ``entries`` are the flat indices of the entries within
+    a block, ``slots`` their flat indices in the stack and ``padding`` the
+    stack with the padding's identity and zeros elsewhere; every array is
+    read-only.  Models of one layout mostly share a pattern, so as many
+    patterns are cached as layouts.
+    """
+    bits = np.unpackbits(np.frombuffer(pattern, np.uint8), count=n * n)
+    reach = bits.reshape(n, n).astype(bool)
+    reach = (reach | reach.T | np.eye(n, dtype=bool)).astype(np.float32)
+    while True:   # paths twice as long, until no row reaches further
+        longer = (reach @ reach > 0.0).astype(np.float32)
+        if np.array_equal(longer, reach):
+            break
+        reach = longer
+    # each index's block is the first index it reaches
+    _, block = np.unique(reach.argmax(axis=1), return_inverse=True)
+    sizes = np.bincount(block)
+    side = int(sizes.max())
+    order = np.argsort(block, kind="stable")
+    place = np.empty(n, dtype=int)
+    place[order] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rows, cols = np.nonzero(block[:, None] == block[None, :])
+    slots = (block[rows] * side + place[rows]) * side + place[cols]
+    padding = np.zeros((sizes.size, side, side))
+    padding[:, np.arange(side), np.arange(side)] = 1.0
+    padding.reshape(-1)[slots] = 0.0
+    blocks = _Blocks(rows * n + cols, slots, padding)
+    for a in blocks:
+        a.flags.writeable = False
+    return blocks
+
+
+def _block_inverse(mat) -> np.ndarray:
+    """The inverse of ``mat`` from one ``np.linalg.inv`` of the stack of its
+    diagonal blocks (:func:`_blocks`); LinAlgError if it is singular."""
+    blocks = _blocks(np.packbits(mat != 0.0).tobytes(), len(mat))
+    stack = blocks.padding.copy()
+    stack.reshape(-1)[blocks.slots] = mat.reshape(-1)[blocks.entries]
+    inverse = np.zeros(mat.size)
+    inverse[blocks.entries] = np.linalg.inv(stack).reshape(-1)[blocks.slots]
+    return inverse.reshape(mat.shape)
+
+
+def _ptc_step(model: BubbleModel, y, res, shift: float, inverse=None):
     """The step d of (shift I - J) d = f(y) on the bordered system, or None
     if its matrix is singular.
 
     Row 0 is the trace condition Tr(rho + d) = 1 instead (``res`` is the
     bordered residual at y); J is the exact Jacobian.  shift = 1/dt makes
     the step one implicit-Euler step of length dt, shift = 0 a Newton step.
+    Given ``inverse``, the inverse of the Newton matrix at another point
+    (the empty cavity's), the step is the chord step -inverse @ res, and
+    no matrix is built or solved.
     """
-    mat = model.jacobian(y)
-    mat[0] = 0.0
-    mat[0, :model.npop] = 1.0
-    diag = np.arange(1, model.size)
-    mat[diag, diag] -= shift
+    if inverse is not None:
+        return -(inverse @ res)
     try:
-        return np.linalg.solve(mat, -res)
+        return np.linalg.solve(_bordered_matrix(model, y, shift), -res)
     except np.linalg.LinAlgError:
         return None
 
 
 def _restricted_jacobian(model: BubbleModel, y) -> np.ndarray:
-    """J at y restricted to the hyperplane u . v = 0 of the trace functional.
+    """J at y restricted to the hyperplane u . v = 0 of the trace functional,
+    in cavity-balanced coordinates.
 
     u (ones on the populations) is a left null vector of J, so the
     hyperplane is invariant and carries every eigenvalue but the trace
     mode's.  In the coordinates after the first, with v_0 = -sum of the
     other populations, the restriction is J[1:, 1:] - J[1:, 0] u[1:]^T.
+    The two cavity coordinates are then scaled by s = sqrt(N/n_b): their
+    rows, which carry (N/n_b) g sqrt(n_b), are divided by s and their
+    columns, which carry g sqrt(n_b), multiplied by s, so the coupling
+    between the cavity and the bubble is reciprocal.  That is a similarity
+    with a diagonal matrix: the spectrum, all that the verdict reads, is
+    the restriction's, while the 1-norm the certificate must outlast is
+    smaller.
     """
     jac = model.jacobian(y)
     restricted = jac[1:, 1:]
     restricted[:, :model.npop - 1] -= jac[1:, :1]
+    s = math.sqrt(model.n_bubbles)
+    restricted[-2:, :-2] /= s
+    restricted[:-2, -2:] *= s
     return restricted
 
 
@@ -1140,6 +1229,15 @@ def _certify_stable(restricted) -> tuple[bool, int]:
     _CERT_BLOWUP or is not finite; then nothing is proved.  So a marginal
     or unstable mode is never certified, nor is a stable one that does not
     halve within the horizon.
+
+    ``restricted`` comes in the cavity-balanced coordinates of
+    :func:`_restricted_jacobian`, a diagonal similarity D^-1 R D of the
+    plain restriction.  C and its powers are then D^-1 C^(2^k) D: the same
+    spectra, so a power of 1-norm at most 1/2 proves rho(C) < 1 as before,
+    and the verdict is the plain restriction's.  Only the norms change:
+    the cavity rows no longer carry the factor N/n_b, which the squarings
+    of the plain C had to outlast, so the powers usually reach 1/2 in
+    fewer squarings.
     """
     diag = np.diag_indices(len(restricted))
     shifted = (-0.5 * _PTC_DT0) * restricted
@@ -1160,6 +1258,10 @@ def _certify_stable(restricted) -> tuple[bool, int]:
         squarings += 1
 
 
+#: what the verdict says decided the stability of a root it did not test
+_UNTESTED = "stability not tested"
+
+
 def _verdict(model: BubbleModel, y) -> tuple[bool, str, str]:
     """(accepted, verdict, what decided the stability) for the root y.
 
@@ -1174,7 +1276,7 @@ def _verdict(model: BubbleModel, y) -> tuple[bool, str, str]:
     lowest = float(np.linalg.eigvalsh(model.rho_matrix(y)).min())
     if lowest < -_PSD_TOL:
         return (False, f"not a state (min eigenvalue of rho = {lowest:.3g})",
-                "stability not tested")
+                _UNTESTED)
     restricted = _restricted_jacobian(model, y)
     certified, squarings = _certify_stable(restricted)
     if certified:
@@ -1190,30 +1292,40 @@ def _verdict(model: BubbleModel, y) -> tuple[bool, str, str]:
 def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
                                nmax: int = DEFAULT_NMAX, rtol: float = 1e-8,
                                n_b: float | None = None) -> SteadyBubbleResult:
-    """Steady transmission: the fixed point of the model that Newton's
-    method, or else pseudo-transient continuation, reaches from the empty
-    cavity with all atoms in the ground state.
+    """Steady transmission: the fixed point of the model that chord and
+    Newton steps, or else pseudo-transient continuation, reach from the
+    empty cavity with all atoms in the ground state.
 
     Each iteration solves (s I - J) d = f(y), with the first row replaced
     by Tr rho = 1 and J the exact Jacobian, on the coordinates the model
     keeps (the dark state S is dropped when xi = 0, Re<a> and its sector on
     resonance; :class:`BubbleModel`), which leaves Tr rho as the one
-    conserved quantity.  The solve starts with Newton steps (s = 0) from
-    the empty cavity.  If a Newton step does not lower the norm of the
-    residual's rows after the first, or its matrix is singular, or the step
-    is not finite, or the root it settles on is rejected (below), the solve
-    starts over from the empty cavity with pseudo-transient continuation
+    conserved quantity.  The solve starts with chord steps from the empty
+    cavity (Kelley, Iterative Methods for Linear and Nonlinear Equations,
+    SIAM 1995, section 5.4): the Newton matrix there (s = 0) is inverted
+    once, block by block (:func:`_block_inverse`), and every chord step takes
+    that inverse in place of the current Newton matrix's.  A chord step
+    must at least halve the norm of the residual's rows after the first:
+    with that contraction the remaining error is at most the step.  As
+    chord steps converge only linearly, a chord step settles the root only
+    when it is below 1/100 of the step test's tolerance (below).  A chord
+    step that does not halve the residual is undone, and Newton steps
+    (s = 0, a fresh Jacobian each) go on from the iterate before it.  If
+    a Newton step does not lower the norm of the residual's rows after the
+    first, or its matrix is singular, or the step is not finite, or the
+    root the start settles on is rejected (below), the solve starts over
+    from the empty cavity with pseudo-transient continuation
     (Kelley & Keyes, SIAM J. Numer. Anal. 35, 508, 1998): s = 1/dt, dt
     starts at 0.05 us and grows by switched evolution relaxation,
     dt <- dt |f_old| / |f_new| on the rows after the first, at most
     tenfold per step, so the first steps follow an implicit-Euler
     trajectory of the dynamics and the last ones are Newton steps.  Once
     the summed pseudo-time reaches ``t_max`` (us) the I/dt term is dropped:
-    the remaining iterations are plain Newton.  Either phase stops at a
-    step below 1e-10 + ``rtol`` |y| in every component.  Nothing proves
-    that the root is the fixed point the evolution would settle on if the
-    model had several; the tests compare it with long evolutions at weak
-    and strong drive.
+    the remaining iterations are plain Newton.  Newton and continuation
+    steps stop at a step below 1e-10 + ``rtol`` |y| in every component.
+    Nothing proves that the root is the fixed point the evolution would
+    settle on if the model had several; the tests compare it with long
+    evolutions at weak and strong drive.
 
     The result is ``converged`` only when that root is a density matrix
     (no eigenvalue below -1e-8) and stable: every eigenvalue of the
@@ -1227,52 +1339,76 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
     beyond it as unstable; the solve never integrates the dynamics.
     ``rtol`` must be finite and >= 0, else ValueError before any work.  In
     the continuation, a rejected root, a singular matrix or a non-finite
-    step ends the solve, as do 100 iterations in all (the Newton start's
-    included) without a root, with converged=False and the transmission of
+    step ends the solve, as do 100 iterations in all (the start's included)
+    without a root, with converged=False and the transmission of
     the last finite iterate; the loop is deterministic and a root is a
     fixed point of every later step, so there is nothing more to retry.
 
     Each call logs one DEBUG record on the ``rydcav`` logger: the model's
-    coordinates, the iterations, pseudo-time and residual, whether the
-    certificate or the eigenvalues decided the stability and after how many
-    squarings, and the verdict.
+    coordinates, the iterations, pseudo-time and residual, the chord steps
+    kept, whether Newton took over from them, the matrix inverses and LU
+    solves the solve cost, whether the certificate or the eigenvalues
+    decided the stability and after how many squarings, and the verdict.
     """
     require_positive("t_max", t_max)
     require_positive("rtol", rtol, allow_zero=True)
     model = BubbleModel(params, nmax=nmax, n_b=n_b)
     start = model.initial_flat()
     first = _bordered_residual(model, start)
+    try:
+        inverse = _block_inverse(_bordered_matrix(model, start, 0.0))
+    except np.linalg.LinAlgError:
+        inverse = None
     y, res, t, dt = start, first, 0.0, _PTC_DT0
     continuing = converged = False
-    decided = "stability not tested"
+    took_over = inverse is None
+    inverses, chords, solves = 1, 0, 0
+    decided = _UNTESTED
     for iterations in range(1, _PTC_MAXITER + 1):
-        step = _ptc_step(model, y, res, 1.0 / dt if continuing and t < t_max else 0.0)
-        if step is None or not np.isfinite(step).all():
+        chord = inverse is not None
+        step = _ptc_step(model, y, res, 1.0 / dt if continuing and t < t_max else 0.0,
+                         inverse)
+        solves += not chord
+        finite = step is not None and np.isfinite(step).all()
+        if finite:
+            trial = y + step
+            trial_res = _bordered_residual(model, trial)
+            old, new = np.linalg.norm(res[1:]), np.linalg.norm(trial_res[1:])
+            small = np.all(np.abs(step) <= (_CHORD_TOL if chord else 1.0)
+                           * (_STEADY_ATOL + rtol * np.abs(trial)))
+        if chord and not (finite and new <= 0.5 * old):
+            # the chord step does not halve the residual: undo it, and
+            # Newton steps go on from y
+            inverse, took_over = None, True
+            continue
+        chords += chord
+        if not finite:
             verdict = "singular matrix" if step is None else "non-finite step"
         else:
             if continuing:
                 t = min(t + dt, t_max)
-            y = y + step
-            old, res = np.linalg.norm(res[1:]), _bordered_residual(model, y)
-            new = np.linalg.norm(res[1:])
-            if np.all(np.abs(step) <= _STEADY_ATOL + rtol * np.abs(y)):
+            y, res = trial, trial_res
+            if small:
                 converged, verdict, decided = _verdict(model, y)
             elif continuing or new < old:
                 dt *= _PTC_GROWTH if _PTC_GROWTH * new <= old else old / new
                 continue
+        inverses += decided != _UNTESTED
         if converged or continuing:
             break
-        # Newton from the empty cavity stalled or found no stable state:
-        # start over on the continuation
-        y, res, dt, continuing = start, first, _PTC_DT0, True
-        decided = "stability not tested"
+        # the start stalled or found no stable state: start over on the
+        # continuation
+        y, res, dt, continuing, inverse = start, first, _PTC_DT0, True, None
+        decided = _UNTESTED
     else:
         verdict = f"no root in {_PTC_MAXITER} iterations"
     result = SteadyBubbleResult(float(model.transmission(y)), converged, float(t),
                                 iterations, float(np.abs(res).max()), verdict,
                                 model.size)
     _log.debug("bubble steady solve (nmax %d, %d coordinates): %d iteration(s) "
-               "to pseudo-time %g us, residual %.3g, %s, %s, converged=%s", nmax,
-               model.size, iterations, t, result.residual, decided, verdict,
-               converged)
+               "to pseudo-time %g us, residual %.3g, %d chord step(s), Newton "
+               "took over: %s, %d inverse(s) and %d LU solve(s), %s, %s, "
+               "converged=%s", nmax, model.size, iterations, t, result.residual,
+               chords, "yes" if took_over else "no", inverses, solves, decided,
+               verdict, converged)
     return result

@@ -38,8 +38,6 @@ _DEFAULT_BOUNDS = {
     "cooperativity": (0.0, np.inf),
     "omega_cf": (0.0, np.inf),
     "alpha": (0.0, np.inf),
-    "finesse": (1e-9, np.inf),
-    "length": (1e-12, np.inf),
     "cloud_volume": (1e-12, np.inf),
 }
 

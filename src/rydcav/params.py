@@ -217,12 +217,18 @@ _SECTIONS: dict[str, type] = {
 
 _INT_FIELDS = {"atom_number", "n", "npoints"}
 
+#: the fields no model reads: validated, but never fitted or differentiated
+_UNREAD_PATHS = ("cavity.length", "cavity.finesse")
+
 #: the path of every float parameter of the physics: the fields of the four
-#: physics sections but the integers and ``series``.  Only these can be
-#: fitted or differentiated
-FLOAT_PATHS = tuple(f"{section}.{f.name}" for section, cls in _SECTIONS.items()
-                    if section != "scan" for f in fields(cls)
-                    if f.name not in _INT_FIELDS and f.name != "series")
+#: physics sections but the integers, ``series`` and the fields no model
+#: reads (``cavity.length`` and ``cavity.finesse``, whose derivative would be
+#: 0 everywhere).  Only these can be fitted or differentiated
+FLOAT_PATHS = tuple(
+    path for path in (f"{section}.{f.name}" for section, cls in _SECTIONS.items()
+                      if section != "scan" for f in fields(cls)
+                      if f.name not in _INT_FIELDS and f.name != "series")
+    if path not in _UNREAD_PATHS)
 
 
 def require_float_paths(params: PhysicalParams, paths, what: str) -> tuple[str, ...]:
@@ -233,7 +239,8 @@ def require_float_paths(params: PhysicalParams, paths, what: str) -> tuple[str, 
     a path given more than once ("... must be distinct ...") raise
     ValueError, an unknown path KeyError (:func:`get_path`), and every path
     that is not a float parameter or whose value is None ValueError naming
-    it: "no derivative of ``what`` in ...: not a float parameter".
+    it: "no derivative of ``what`` in ...: not a float parameter that a
+    model reads".
     """
     if isinstance(paths, str):
         raise ValueError(f"parameter paths of {what} must be a sequence, not "
@@ -247,7 +254,8 @@ def require_float_paths(params: PhysicalParams, paths, what: str) -> tuple[str, 
     bad = [p for p in paths if get_path(params, p) is None or p not in FLOAT_PATHS]
     if bad:
         raise ValueError(f"no derivative of {what} in "
-                         f"{', '.join(map(repr, bad))}: not a float parameter")
+                         f"{', '.join(map(repr, bad))}: not a float parameter "
+                         f"that a model reads")
     return paths
 
 

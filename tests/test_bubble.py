@@ -1267,6 +1267,83 @@ class TestSteady:
             assert result.transmission == pytest.approx(
                 transmission_linear(params), rel=1e-6)
 
+    def test_weak_drive_root_costs_two_inverses_and_no_lu_solve(
+            self, monkeypatch, caplog):
+        # the chord start inverts the empty cavity's Newton matrix and the
+        # stability certificate its propagator's matrix; no step solves
+        calls = {"inv": 0, "solve": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(np.linalg, name)):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        caplog.set_level(logging.DEBUG, logger="rydcav")
+        for params, kw in benchmark_steady_cases()[:8]:
+            calls.update(inv=0, solve=0)
+            result = steady_transmission_bubble(params, **kw)
+            assert result.converged
+            assert calls == {"inv": 2, "solve": 0}
+            assert (f"{result.newton_iterations} chord step(s), Newton took over: "
+                    f"no, 2 inverse(s) and 0 LU solve(s)"
+                    in caplog.records[-1].getMessage())
+
+    @pytest.mark.parametrize("alpha, xi", [(15.0, 2.0), (15.0, 5.0), (40.0, 0.5),
+                                           (40.0, 2.0), (40.0, 5.0)])
+    def test_strong_off_resonance_roots_match_the_continuation(
+            self, monkeypatch, alpha, xi):
+        # strong drives 1.5 MHz off resonance, where the start hands over
+        # to Newton and Newton may stall: the solve ends as the continuation
+        # alone does
+        import rydcav.bubble as bubble
+
+        params = transient_params(delta_p=1.5, alpha=alpha, xi=xi)
+        result = steady_transmission_bubble(params, nmax=3)
+        step = bubble._ptc_step
+
+        def continuation_only(model, y, res, shift, inverse=None):
+            # every step of the start fails, so the solve starts over in
+            # pseudo-time
+            if shift == 0.0 and not shifts:
+                return None
+            shifts.append(shift)
+            return step(model, y, res, shift, inverse)
+
+        shifts = []
+        monkeypatch.setattr(bubble, "_ptc_step", continuation_only)
+        reference = steady_transmission_bubble(params, nmax=3)
+        assert reference.t_final > 0.0 and shifts[0] > 0.0
+        assert (result.converged, result.verdict) == (reference.converged,
+                                                     reference.verdict)
+        assert result.converged
+        assert result.transmission == pytest.approx(reference.transmission,
+                                                     rel=1e-10)
+
+    def test_a_chord_step_that_does_not_contract_hands_over_to_newton(
+            self, monkeypatch, caplog):
+        # on resonance at alpha = 3 the third chord step does not halve the
+        # residual: it is undone, and Newton steps settle the root without
+        # the continuation
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: calls.append(1) or solve(*args))
+        caplog.set_level(logging.DEBUG, logger="rydcav")
+        p = transient_params()
+        result = steady_transmission_bubble(p, nmax=2)
+        assert calls
+        assert result.converged
+        assert result.t_final == 0.0
+        assert result.residual < 1e-12
+        message = caplog.records[-1].getMessage()
+        assert (f"2 chord step(s), Newton took over: yes, 2 inverse(s) and "
+                f"{len(calls)} LU solve(s)" in message)
+        # the undone step counts as an iteration
+        assert result.newton_iterations == 2 + 1 + len(calls)
+        series = evolve(p, t_end=600.0, dt=600.0, nmax=2)
+        assert result.transmission == pytest.approx(series.transmission[-1],
+                                                    rel=1e-5)
+
     def test_stalled_newton_start_restarts_the_continuation(self):
         # at alpha = 100 a Newton step from the empty cavity raises the
         # residual, so the solve starts over in pseudo-time
@@ -1305,9 +1382,9 @@ class TestSteady:
         shifts = []
         step = bubble._ptc_step
 
-        def record(model, y, res, shift):
+        def record(model, y, res, shift, inverse=None):
             shifts.append(shift)
-            return step(model, y, res, shift)
+            return step(model, y, res, shift, inverse)
 
         monkeypatch.setattr(bubble, "_ptc_step", record)
         result = steady_transmission_bubble(transient_params(gamma_s=0.0),
@@ -1320,7 +1397,7 @@ class TestSteady:
     def test_root_that_is_not_a_state_is_rejected(self, monkeypatch, caplog):
         import rydcav.bubble as bubble
 
-        def to_negative_population(model, y, res, shift):
+        def to_negative_population(model, y, res, shift, inverse=None):
             rho = np.zeros((model.dim, model.dim))
             rho[0, 0], rho[1, 1] = 1.5, -0.5
             return BubbleModel(model.params, nmax=model.nmax,
@@ -1476,10 +1553,12 @@ def test_sensitivity_paths_are_checked_before_any_evaluation(paths):
 class SyntheticRoot:
     """A stand-in model whose restricted Jacobian at y = 0 is ``restricted``.
 
-    Column 0 of J is zero, so the restriction is J[1:, 1:].
+    Column 0 of J is zero, so the restriction is J[1:, 1:].  It has no
+    cavity: with one bubble the cavity-balancing scale sqrt(N/n_b) is 1.
     """
 
     npop = 2
+    n_bubbles = 1.0
 
     def __init__(self, restricted):
         self.jac = np.zeros((len(restricted) + 1,) * 2)
@@ -1516,6 +1595,53 @@ def benchmark_steady_cases():
     return cases + [(transient_params(), dict(nmax=nmax)) for nmax in (2, 4, 6)]
 
 
+@pytest.mark.parametrize("case", range(5))
+def test_block_inverse_inverts_the_empty_cavity_newton_matrix(case):
+    # at the empty cavity the Newton matrix falls apart into blocks, and
+    # the chord start inverts them as one stack
+    import rydcav.bubble as bubble
+
+    params, kw = [benchmark_steady_cases()[0], (transient_params(), dict(nmax=2)),
+                  (transient_params(), dict(nmax=6)),
+                  (transient_params(delta_p=1.5, alpha=40.0), dict(nmax=3)),
+                  (make_params(n=60, omega_cf=8.0, alpha=8.0), dict(nmax=3))][case]
+    model = BubbleModel(params, **kw)
+    mat = bubble._bordered_matrix(model, model.initial_flat(), 0.0)
+    blocks = bubble._blocks(np.packbits(mat != 0.0).tobytes(), len(mat))
+    assert len(blocks.padding) > 1
+    want = np.linalg.inv(mat)
+    np.testing.assert_allclose(bubble._block_inverse(mat), want, rtol=0,
+                               atol=1e-13 * np.abs(want).max())
+
+
+def test_block_inverse_of_a_permuted_block_diagonal_matrix(rng):
+    import rydcav.bubble as bubble
+
+    sizes = [5, 1, 3, 5]
+    mat = np.zeros((14, 14))
+    start = 0
+    for n in sizes:
+        mat[start:start + n, start:start + n] = (rng.standard_normal((n, n))
+                                                 + 4.0 * np.eye(n))
+        start += n
+    perm = rng.permutation(14)
+    mat = mat[np.ix_(perm, perm)]
+    blocks = bubble._blocks(np.packbits(mat != 0.0).tobytes(), 14)
+    assert blocks.padding.shape == (4, 5, 5)
+    assert not any(a.flags.writeable for a in blocks)
+    np.testing.assert_allclose(bubble._block_inverse(mat) @ mat, np.eye(14),
+                               rtol=0, atol=1e-13)
+    # a dense matrix is one block
+    dense = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
+    np.testing.assert_allclose(bubble._block_inverse(dense), np.linalg.inv(dense),
+                               rtol=1e-13)
+    # a singular block makes the matrix singular
+    mat[perm[:5], :] = 0.0
+    mat[np.ix_(perm[:5], perm[:5])] = 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        bubble._block_inverse(mat)
+
+
 class TestStabilityCertificate:
     @staticmethod
     def roots(monkeypatch, cases):
@@ -1541,10 +1667,28 @@ class TestStabilityCertificate:
         assert len(found) == 11
         for model, y in found:
             matrix = bubble._restricted_jacobian(model, y)
-            growth = np.linalg.eigvals(matrix).real.max()
+            eigenvalues = np.linalg.eigvals(matrix)
+            growth = eigenvalues.real.max()
             certified, squarings = bubble._certify_stable(matrix)
             assert certified == (growth < -bubble._MARGINAL)
             assert certified and 1 <= squarings <= 13
+            # the cavity-balanced matrix is a similarity of the plain
+            # restriction, which needs at least as many squarings
+            jac = model.jacobian(y)
+            plain = jac[1:, 1:] - np.outer(jac[1:, 0], np.arange(len(jac) - 1)
+                                           < model.npop - 1)
+            s = np.sqrt(model.n_bubbles)
+            assert s > 1.0
+            np.testing.assert_allclose(plain[-2:, :-2], s * matrix[-2:, :-2],
+                                       rtol=1e-15)
+            np.testing.assert_allclose(plain[:-2, -2:], matrix[:-2, -2:] / s,
+                                       rtol=1e-15)
+            unbalanced_certified, unbalanced = bubble._certify_stable(plain)
+            assert unbalanced_certified and squarings <= unbalanced
+            scale = np.abs(eigenvalues).max()
+            np.testing.assert_allclose(np.sort_complex(np.linalg.eigvals(plain)),
+                                       np.sort_complex(eigenvalues), rtol=0,
+                                       atol=1e-12 * scale)
 
     def test_resonant_roots_are_stable_in_the_full_space(self, monkeypatch, rng):
         # on resonance the solve and its certificate see only the sector

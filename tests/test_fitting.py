@@ -1,3 +1,4 @@
+import json
 import logging
 import re
 from functools import partial
@@ -19,7 +20,7 @@ from rydcav.fitting import (
     poisson_weights,
 )
 from rydcav.linear import transmission_linear
-from rydcav.params import ScanSpec
+from rydcav.params import ScanSpec, params_to_dict
 
 from conftest import make_params
 
@@ -188,6 +189,42 @@ class TestValidation:
                         f"model in {path!r}: not a float parameter")):
                     FitProblem(x=np.arange(10.0), y=np.ones(10), model=model,
                                base_params=params, free=(path,))
+
+    @pytest.mark.parametrize("path", ["cavity.length", "cavity.finesse"])
+    def test_fields_no_model_reads_are_refused_before_any_run(
+            self, path, tmp_path, monkeypatch, capsys):
+        # no model reads the cavity's length or finesse, so their column of
+        # every Jacobian would be 0: a fit, the CLI and each Jacobian refuse
+        # them, naming the path, before any model run
+        from rydcav import cli, meanfield
+
+        def no_run(*args, **kw):
+            raise AssertionError("a model ran")
+
+        params = make_params(scan=ScanSpec(-5.0, 5.0, 11))
+        grid = np.linspace(-5.0, 5.0, 11)
+        curve = meanfield.transmission_curve(params, grid)
+        x, y = grid, transmission_linear(params, grid)
+        monkeypatch.setattr(fitting, "fit", no_run)
+        monkeypatch.setattr(bubble.BubbleModel, "rhs_flat", no_run)
+        refused = re.escape(f"in {path!r}: not a float parameter that a model reads")
+        for model in fitting.MODELS:
+            with pytest.raises(ValueError, match=refused):
+                FitProblem(x=x, y=y, model=model, base_params=params, free=(path,))
+        for jacobian in (partial(meanfield.transmission_jacobian, params, grid),
+                         curve.jacobian,
+                         lambda paths: bubble.BubbleModel(params, nmax=1,
+                                                          sensitivity=paths)):
+            with pytest.raises(ValueError, match=refused):
+                jacobian(("drive.alpha", path))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params_to_dict(params)))
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+        assert cli.main(["fit-eit", "--config", str(cfg), "--data", str(data),
+                         "--free", path, "--out", str(tmp_path / "fit.json")]) == 1
+        assert re.search(refused, capsys.readouterr().err)
+        assert not (tmp_path / "fit.json").exists()
 
     def test_unknown_path(self):
         with pytest.raises(KeyError):
