@@ -474,7 +474,11 @@ class _Layout(NamedTuple):
     ``blocks`` and ``jac_index`` per entry (:meth:`BubbleModel.jacobian`);
     ``units`` are the bincount's two unit entries, ``tail`` where its tail
     values start, and ``coefficients`` the slots of the coefficient map
-    (:func:`_coefficient_map`).
+    (:func:`_coefficient_map`).  ``sector`` labels each coordinate of y
+    with |N_ket - N_bra|, the difference of the excitation numbers
+    N = m + [s != G] of its basis element's ket and bra, and the two
+    cavity coordinates with 1; the Newton matrix at the empty cavity is
+    block diagonal in these sectors (:func:`_blocks`).
     """
 
     keep: np.ndarray
@@ -492,9 +496,11 @@ class _Layout(NamedTuple):
     units: np.ndarray
     tail: int
     coefficients: tuple
+    sector: np.ndarray
 
 
-#: the layouts cached per process.  A key is one structure, and a run
+#: the layouts cached per process, and as many block stacks of their
+#: sector labels (:func:`_blocks`).  A key is one structure, and a run
 #: uses few; an entry takes 0.01-0.2 MB for a plain model at nmax 2-6 and
 #: up to 0.5 MB with two sensitivity paths
 _LAYOUT_CACHE = 32
@@ -581,6 +587,7 @@ def _layout(nmax: int, switched: tuple, driven: bool, coupled: bool,
     r0, c0, gen0 = r[:nstack], c[:nstack], gen[:nstack]
     # the Jacobian weighs block b by coef[b] and the tail rows by 0,
     # -prefactor, +prefactor, 0 and 0 into its cavity row n, n + 1, n, n, n
+    ket, bra = (i // 3 + (i % 3 != _G) for i in np.divmod(st.basis.p[keep], d))
     lay = _Layout(
         keep=keep, npop=int(np.count_nonzero(live[:d])),   # populations lead
         # the kept basis columns' entries: coordinate k adds a[k] y[k] at
@@ -598,7 +605,8 @@ def _layout(nmax: int, switched: tuple, driven: bool, coupled: bool,
         blocks=np.where(gen0, r0 // n, r0 - nb * n + nb),
         jac_index=np.where(gen0, r0 % n, n + (r0 == nb * n + 1)) * m + c0,
         units=units * m + [n, n + 1], tail=tail,
-        coefficients=_coefficient_map(q, nb, moved))
+        coefficients=_coefficient_map(q, nb, moved),
+        sector=np.concatenate((np.abs(ket - bra), [1, 1])))
     for arr in (*lay, *lay.gather, *lay.coefficients):
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
@@ -811,6 +819,7 @@ class BubbleModel:
         values = _coefficient_values(sc, derivs)
         B, b0 = lay.coefficients
         self._B, self._b0 = values[B], values[b0]
+        self._sector = lay.sector.copy()
 
     # --- state layout: y[:nrho] = coefficients of rho on the model's
     #     Hermitian basis elements (its npop populations first),
@@ -1112,7 +1121,7 @@ def _bordered_matrix(model: BubbleModel, y, shift: float) -> np.ndarray:
 
 
 class _Blocks(NamedTuple):
-    """The diagonal blocks of a matrix's nonzero pattern as a padded stack;
+    """The diagonal blocks of a matrix, one per sector, as a padded stack;
     see :func:`_blocks`."""
 
     entries: np.ndarray
@@ -1121,31 +1130,32 @@ class _Blocks(NamedTuple):
 
 
 @functools.lru_cache(maxsize=_LAYOUT_CACHE)
-def _blocks(pattern: bytes, n: int) -> _Blocks:
-    """Where the entries of an n-square matrix with the packed nonzero
-    ``pattern`` lie in a stack of its diagonal blocks.
+def _blocks(labels: bytes) -> _Blocks:
+    """Where the entries of a square matrix that is block diagonal in the
+    sectors ``labels`` (the bytes of an int array, a label per index) lie
+    in a stack of its diagonal blocks.
 
-    The blocks are the connected components of the pattern's graph (row i
-    and column j joined by a nonzero entry (i, j) or (j, i)), so a
-    permutation makes the matrix block diagonal, and its inverse is the
-    same permutation of the blocks' inverses.  Each block is padded with
-    the identity to the largest one's size, which leaves its inverse the
-    block's inverse.  ``entries`` are the flat indices of the entries within
-    a block, ``slots`` their flat indices in the stack and ``padding`` the
-    stack with the padding's identity and zeros elsewhere; every array is
-    read-only.  Models of one layout mostly share a pattern, so as many
-    patterns are cached as layouts.
+    The bordered Newton matrix at the empty cavity is block diagonal in
+    the sectors of :class:`_Layout`: every term of L0 conserves the
+    excitation number N = m + [s != G] (the weak U(1) symmetry of Buca &
+    Prosen, New J. Phys. 14, 073007, 2012), so it maps a coherence of
+    N_ket - N_bra = k to coherences of the same k, and the Hermitian basis
+    pairs k with -k.  The Jacobian's other blocks are weighted by <a> and
+    by xi <sigma_RR>, and its rank-1 dark-state term is L3 r, all 0 at
+    <a> = 0 and rho = |G, 0><G, 0|.  What is left of the cavity, the
+    columns L1 r and L2 r, the rows that read <beta> and the 2 x 2
+    cavity map, lies in |k| = 1, and the trace row, in place of a
+    population's row, in k = 0.  The inverse of such a matrix is the
+    stack of its blocks' inverses.  Each block is padded with the
+    identity to the largest one's size, which leaves its inverse the
+    block's inverse.  ``entries`` are the flat indices of the entries
+    within a block, ``slots`` their flat indices in the stack and
+    ``padding`` the stack with the padding's identity and zeros
+    elsewhere; every array is read-only.  A model's labels are its
+    layout's, so as many stacks are cached as layouts.
     """
-    bits = np.unpackbits(np.frombuffer(pattern, np.uint8), count=n * n)
-    reach = bits.reshape(n, n).astype(bool)
-    reach = (reach | reach.T | np.eye(n, dtype=bool)).astype(np.float32)
-    while True:   # paths twice as long, until no row reaches further
-        longer = (reach @ reach > 0.0).astype(np.float32)
-        if np.array_equal(longer, reach):
-            break
-        reach = longer
-    # each index's block is the first index it reaches
-    _, block = np.unique(reach.argmax(axis=1), return_inverse=True)
+    _, block = np.unique(np.frombuffer(labels, int), return_inverse=True)
+    n = block.size
     sizes = np.bincount(block)
     side = int(sizes.max())
     order = np.argsort(block, kind="stable")
@@ -1162,10 +1172,11 @@ def _blocks(pattern: bytes, n: int) -> _Blocks:
     return blocks
 
 
-def _block_inverse(mat) -> np.ndarray:
-    """The inverse of ``mat`` from one ``np.linalg.inv`` of the stack of its
-    diagonal blocks (:func:`_blocks`); LinAlgError if it is singular."""
-    blocks = _blocks(np.packbits(mat != 0.0).tobytes(), len(mat))
+def _block_inverse(mat, sector) -> np.ndarray:
+    """The inverse of ``mat``, block diagonal in the sectors ``sector``,
+    from one ``np.linalg.inv`` of the stack of its diagonal blocks
+    (:func:`_blocks`); LinAlgError if it is singular."""
+    blocks = _blocks(sector.tobytes())
     stack = blocks.padding.copy()
     stack.reshape(-1)[blocks.slots] = mat.reshape(-1)[blocks.entries]
     inverse = np.zeros(mat.size)
@@ -1303,12 +1314,16 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
     conserved quantity.  The solve starts with chord steps from the empty
     cavity (Kelley, Iterative Methods for Linear and Nonlinear Equations,
     SIAM 1995, section 5.4): the Newton matrix there (s = 0) is inverted
-    once, block by block (:func:`_block_inverse`), and every chord step takes
-    that inverse in place of the current Newton matrix's.  A chord step
-    must at least halve the norm of the residual's rows after the first:
-    with that contraction the remaining error is at most the step.  As
-    chord steps converge only linearly, a chord step settles the root only
-    when it is below 1/100 of the step test's tolerance (below).  A chord
+    once, block by block (:func:`_block_inverse`), and every chord step
+    takes that inverse in place of the current Newton matrix's.  The
+    blocks are the sectors |N_ket - N_bra| of the excitation number
+    N = m + [s != G]: every term of L0 conserves N, and at the empty
+    cavity the cavity pair joins only |k| = 1 (:func:`_blocks`).  The
+    model's layout labels its coordinates with their sectors.  A chord
+    step must at least halve the norm of the residual's rows after the
+    first: with that contraction the remaining error is at most the step.
+    As chord steps converge only linearly, a chord step settles the root
+    only when it is below 1/100 of the step test's tolerance (below).  A chord
     step that does not halve the residual is undone, and Newton steps
     (s = 0, a fresh Jacobian each) go on from the iterate before it.  If
     a Newton step does not lower the norm of the residual's rows after the
@@ -1356,13 +1371,13 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
     start = model.initial_flat()
     first = _bordered_residual(model, start)
     try:
-        inverse = _block_inverse(_bordered_matrix(model, start, 0.0))
+        inverse = _block_inverse(_bordered_matrix(model, start, 0.0), model._sector)
     except np.linalg.LinAlgError:
         inverse = None
     y, res, t, dt = start, first, 0.0, _PTC_DT0
     continuing = converged = False
     took_over = inverse is None
-    inverses, chords, solves = 1, 0, 0
+    inverses, chords, solves = int(not took_over), 0, 0
     decided = _UNTESTED
     for iterations in range(1, _PTC_MAXITER + 1):
         chord = inverse is not None

@@ -215,14 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bubble_evolve)
 
     p = subs.add_parser("bubble-steady",
-                         help="steady bubble-model transmission (Newton from the "
-                              "empty cavity; pseudo-transient continuation to the "
+                         help="steady bubble-model transmission (chord steps "
+                              "on the empty cavity's inverted Newton matrix, "
+                              "Newton where a chord step does not halve the "
+                              "residual, pseudo-transient continuation to the "
                               "fixed point where Newton stalls)")
     _add_common(p)
     p.add_argument("--t-max", type=float, default=500.0,
                    help="pseudo-time (us) after which the continuation, run "
-                        "only where the Newton start stalls, takes plain "
-                        "Newton steps")
+                        "only where the chord and Newton start stalls, takes "
+                        "plain Newton steps")
     p.add_argument("--nmax", type=int, default=bubble.DEFAULT_NMAX)
     p.add_argument("--rtol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_bubble_steady)

@@ -99,10 +99,15 @@ def kappa(D_e, D_r, omega_cf: float, v_b, volume: float):
     """Mean-field interaction constant (complex, MHz; elementwise for arrays).
 
     kappa = 2 (V_b / (V - V_b)) (s - D_r) with s the dressed two-photon
-    shift.  The overall sign is fixed so that on two-photon resonance, with
-    the principal-branch V_b, Im(kappa) <= 0: the interaction then acts on
-    the Rydberg coherence as saturable extra damping plus a line shift,
-    never as gain, which is what a blockade must do.
+    shift.  The overall sign is fixed so that Im(kappa) <= 0 at
+    delta_p = delta_cf = 0 with the principal-branch V_b (kappa =
+    0.0034 - 0.0034i for S n=60 at Omega_cf 8 MHz): the interaction then
+    acts on the Rydberg coherence as saturable extra damping plus a line
+    shift, never as gain, which is what a blockade must do.  On two-photon
+    resonance elsewhere the sign is not shown: in the bistable S n=60 case
+    (Omega_cf 8, delta_cf -10 MHz) at delta_p = 10 MHz, kappa = 0.0020 +
+    0.0023i (V_b = 117.5 + 562.4i um^3).  The general case is ROADMAP
+    item 2.
     """
     D_e, D_r = _complex(D_e), _complex(D_r)
     if np.ndim(v_b) == 0 and v_b == 0:

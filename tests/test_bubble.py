@@ -203,10 +203,11 @@ class TestStructureCache:
             assert first.size == second.size
             # the triplets gathered per row of z, dL0's entries among them,
             # row 0's blocks and Jacobian positions, the coefficient map, the
-            # w rows, the basis columns' entries and the initial state
+            # w rows, the basis columns' entries, the initial state and the
+            # coordinates' sectors
             kept = {"_z_rows", "_z_cols", "_z_vals", "_blocks", "_jac_index",
                     "_z_units", "_B", "_b0", "_w_rr", "_w_ss", "_rho_index",
-                    "_rho_coef", "_y0"}
+                    "_rho_coef", "_y0", "_sector"}
             assert kept <= {k for k, v in vars(first).items()
                             if isinstance(v, np.ndarray)}
             before = [arr.copy() for arr in own(second)]
@@ -1394,6 +1395,16 @@ class TestSteady:
         assert shifts[0] == 0.0 and max(shifts) > 0.0
         assert result.t_final > 0.0
 
+    def test_singular_start_counts_no_inverse(self, caplog):
+        # the empty cavity's Newton matrix is singular with no decay out of
+        # S, so the start forms no inverse and Newton steps take over
+        caplog.set_level(logging.DEBUG, logger="rydcav")
+        result = steady_transmission_bubble(transient_params(gamma_s=0.0), nmax=2)
+        assert not result.converged
+        assert (f"0 chord step(s), Newton took over: yes, 0 inverse(s) and "
+                f"{result.newton_iterations} LU solve(s), stability not tested"
+                in caplog.records[-1].getMessage())
+
     def test_root_that_is_not_a_state_is_rejected(self, monkeypatch, caplog):
         import rydcav.bubble as bubble
 
@@ -1597,8 +1608,9 @@ def benchmark_steady_cases():
 
 @pytest.mark.parametrize("case", range(5))
 def test_block_inverse_inverts_the_empty_cavity_newton_matrix(case):
-    # at the empty cavity the Newton matrix falls apart into blocks, and
-    # the chord start inverts them as one stack
+    # at the empty cavity the Newton matrix falls apart into one block per
+    # excitation-difference sector, and the chord start inverts them as
+    # one stack
     import rydcav.bubble as bubble
 
     params, kw = [benchmark_steady_cases()[0], (transient_params(), dict(nmax=2)),
@@ -1607,10 +1619,44 @@ def test_block_inverse_inverts_the_empty_cavity_newton_matrix(case):
                   (make_params(n=60, omega_cf=8.0, alpha=8.0), dict(nmax=3))][case]
     model = BubbleModel(params, **kw)
     mat = bubble._bordered_matrix(model, model.initial_flat(), 0.0)
-    blocks = bubble._blocks(np.packbits(mat != 0.0).tobytes(), len(mat))
-    assert len(blocks.padding) > 1
+    blocks = bubble._blocks(model._sector.tobytes())
+    sizes = np.bincount(model._sector)
+    assert blocks.padding.shape == (sizes.size, sizes.max(), sizes.max())
+    assert sizes.size > 1
+    if case == 0:   # a weak-drive root of the benchmark, |k| = 0..5
+        assert sizes.tolist() == [18, 34, 24, 16, 8, 2]
     want = np.linalg.inv(mat)
-    np.testing.assert_allclose(bubble._block_inverse(mat), want, rtol=0,
+    np.testing.assert_allclose(bubble._block_inverse(mat, model._sector), want,
+                               rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+EMPTY_CAVITY_CASES = {"resonant": {}, "delta_p 1.5": dict(delta_p=1.5),
+                      "xi 0": dict(xi=0.0), "omega 0": dict(omega_cf=0.0),
+                      "gamma_s 0": dict(gamma_s=0.0), "delta_bg 1": dict(delta_bg=1.0),
+                      "alpha 0": dict(alpha=0.0), "alpha 100": dict(alpha=100.0)}
+
+
+@pytest.mark.parametrize("case", EMPTY_CAVITY_CASES)
+@pytest.mark.parametrize("nmax", range(1, 7))
+def test_empty_cavity_newton_matrix_is_block_diagonal_in_the_sectors(nmax, case):
+    # at the empty cavity no entry of the Newton matrix joins two
+    # excitation-difference sectors, so the block inverse is the inverse
+    import rydcav.bubble as bubble
+
+    model = BubbleModel(transient_params(**EMPTY_CAVITY_CASES[case]), nmax=nmax)
+    mat = bubble._bordered_matrix(model, model.initial_flat(), 0.0)
+    sector = model._sector
+    assert sector.shape == (model.size,) and sector[-2:].tolist() == [1, 1]
+    rows, cols = np.nonzero(mat)
+    assert np.array_equal(sector[rows], sector[cols])
+    if case == "gamma_s 0":   # nothing leaves the dark state
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(mat)
+        with pytest.raises(np.linalg.LinAlgError):
+            bubble._block_inverse(mat, sector)
+        return
+    want = np.linalg.inv(mat)
+    np.testing.assert_allclose(bubble._block_inverse(mat, sector), want, rtol=0,
                                atol=1e-13 * np.abs(want).max())
 
 
@@ -1626,20 +1672,25 @@ def test_block_inverse_of_a_permuted_block_diagonal_matrix(rng):
         start += n
     perm = rng.permutation(14)
     mat = mat[np.ix_(perm, perm)]
-    blocks = bubble._blocks(np.packbits(mat != 0.0).tobytes(), 14)
+    # any four distinct labels, in the permuted order
+    sector = np.repeat([3, 0, 7, 1], sizes)[perm]
+    blocks = bubble._blocks(sector.tobytes())
     assert blocks.padding.shape == (4, 5, 5)
-    assert not any(a.flags.writeable for a in blocks)
-    np.testing.assert_allclose(bubble._block_inverse(mat) @ mat, np.eye(14),
-                               rtol=0, atol=1e-13)
-    # a dense matrix is one block
+    assert bubble._blocks(sector.tobytes()) is blocks
+    for a in blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    np.testing.assert_allclose(bubble._block_inverse(mat, sector) @ mat,
+                               np.eye(14), rtol=0, atol=1e-13)
+    # one label makes a dense matrix one block
     dense = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
-    np.testing.assert_allclose(bubble._block_inverse(dense), np.linalg.inv(dense),
-                               rtol=1e-13)
+    np.testing.assert_allclose(bubble._block_inverse(dense, np.zeros(6, int)),
+                               np.linalg.inv(dense), rtol=1e-13)
     # a singular block makes the matrix singular
     mat[perm[:5], :] = 0.0
     mat[np.ix_(perm[:5], perm[:5])] = 1.0
     with pytest.raises(np.linalg.LinAlgError):
-        bubble._block_inverse(mat)
+        bubble._block_inverse(mat, sector)
 
 
 class TestStabilityCertificate:
