@@ -33,8 +33,12 @@ empty.  Each quadrature of <a> is reached on its own: on resonance
 (Delta_e = Delta_r = Delta_c = 0) the drive only moves Im<a>, so Re<a> and
 the coordinates only it would drive stay 0.  At nmax = 6 the state vector
 y = [r, Re<a>, Im<a>] has 135 coordinates on resonance (107 at xi = 0) and
-247 (198) detuned, instead of 21^2 + 2 = 443.  The populations lead r, so
-Tr rho is the sum of its first entries.
+247 (198) detuned, instead of 21^2 + 2 = 443.  r is ordered by the
+excitation-difference sector |N_ket - N_bra| of each basis element
+(N = m + [s != G]): sector 0 first, its populations leading, so Tr rho is
+the sum of the first entries of r, then |k| = 2, 3, ..., and |k| = 1 last,
+next to the cavity pair.  At the empty cavity the Newton matrix of the
+steady solve is then block diagonal in contiguous slices, one per sector.
 
 Everything but six rates and detunings, g sqrt(n_b) and xi is the same
 for every model at one nmax: the operators, the Hermitian basis, the
@@ -474,11 +478,12 @@ class _Layout(NamedTuple):
     ``blocks`` and ``jac_index`` per entry (:meth:`BubbleModel.jacobian`);
     ``units`` are the bincount's two unit entries, ``tail`` where its tail
     values start, and ``coefficients`` the slots of the coefficient map
-    (:func:`_coefficient_map`).  ``sector`` labels each coordinate of y
-    with |N_ket - N_bra|, the difference of the excitation numbers
-    N = m + [s != G] of its basis element's ket and bra, and the two
-    cavity coordinates with 1; the Newton matrix at the empty cavity is
-    block diagonal in these sectors (:func:`_blocks`).
+    (:func:`_coefficient_map`).  ``keep`` runs by sector |N_ket - N_bra|,
+    the difference of the excitation numbers N = m + [s != G] of its basis
+    element's ket and bra (:func:`_layout`), and y's slice of sector i
+    spans ``edges[i]:edges[i + 1]``; the last slice, |k| = 1, ends with the
+    two cavity coordinates.  The Newton matrix at the empty cavity is block
+    diagonal in these slices (:func:`_block_inverse`).
     """
 
     keep: np.ndarray
@@ -496,13 +501,12 @@ class _Layout(NamedTuple):
     units: np.ndarray
     tail: int
     coefficients: tuple
-    sector: np.ndarray
+    edges: tuple
 
 
-#: the layouts cached per process, and as many block stacks of their
-#: sector labels (:func:`_blocks`).  A key is one structure, and a run
-#: uses few; an entry takes 0.01-0.2 MB for a plain model at nmax 2-6 and
-#: up to 0.5 MB with two sensitivity paths
+#: the layouts cached per process.  A key is one structure, and a run uses
+#: few; an entry takes 0.01-0.2 MB for a plain model at nmax 2-6 and up to
+#: 0.5 MB with two sensitivity paths
 _LAYOUT_CACHE = 32
 
 
@@ -522,6 +526,14 @@ def _layout(nmax: int, switched: tuple, driven: bool, coupled: bool,
     weights the unit entries laid out here and drops the entries whose
     sums are exactly 0, which depend on the values.  Every array is
     read-only.
+
+    The kept coordinates come in order of their sector |k| = |N_ket -
+    N_bra|, in basis order within one: k = 0, led by the populations,
+    then |k| = 2, 3, ..., and |k| = 1 last, so that the cavity pair at
+    y[n], y[n + 1] closes its slice.  Every term of L0 conserves N, and at
+    the empty cavity the rest of the Jacobian couples only the cavity
+    pair and |k| = 1 (:func:`_block_inverse`), so there the Newton matrix
+    is block diagonal in these contiguous slices.
     """
     st = _structure(nmax)
     d = st.ops.dim
@@ -539,7 +551,13 @@ def _layout(nmax: int, switched: tuple, driven: bool, coupled: bool,
         live = _closure([st.units[k] for k in switched
                          if {_L1: re, _L2: im}.get(k, True)], live)
 
+    # each basis element's sector |N_ket - N_bra| as its rank in y, with
+    # |k| = 1 ranked last (see above)
+    ket, bra = (i // 3 + (i % 3 != _G) for i in np.divmod(st.basis.p, d))
+    rank = np.abs(ket - bra)
+    rank[rank == 1] = d
     keep = np.flatnonzero(live)
+    keep = keep[np.argsort(rank[keep], kind="stable")]
     n = keep.size
     m = n + 2
     pos = np.zeros(d * d, dtype=int)
@@ -587,7 +605,6 @@ def _layout(nmax: int, switched: tuple, driven: bool, coupled: bool,
     r0, c0, gen0 = r[:nstack], c[:nstack], gen[:nstack]
     # the Jacobian weighs block b by coef[b] and the tail rows by 0,
     # -prefactor, +prefactor, 0 and 0 into its cavity row n, n + 1, n, n, n
-    ket, bra = (i // 3 + (i % 3 != _G) for i in np.divmod(st.basis.p[keep], d))
     lay = _Layout(
         keep=keep, npop=int(np.count_nonzero(live[:d])),   # populations lead
         # the kept basis columns' entries: coordinate k adds a[k] y[k] at
@@ -606,7 +623,8 @@ def _layout(nmax: int, switched: tuple, driven: bool, coupled: bool,
         jac_index=np.where(gen0, r0 % n, n + (r0 == nb * n + 1)) * m + c0,
         units=units * m + [n, n + 1], tail=tail,
         coefficients=_coefficient_map(q, nb, moved),
-        sector=np.concatenate((np.abs(ket - bra), [1, 1])))
+        edges=(0, *(np.flatnonzero(np.diff(rank[keep], append=d)) + 1).tolist(),
+               n + 2))
     for arr in (*lay, *lay.gather, *lay.coefficients):
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
@@ -718,7 +736,11 @@ class BubbleModel:
     dark-state block is kept when xi != 0 or when a path of
     ``sensitivity`` moves xi.  The only dense rows kept are those of
     sigma_RR and sigma_SS, for the Jacobian's rank-1 xi term and the
-    sampled populations.
+    sampled populations.  The layout orders the kept coordinates by
+    excitation-difference sector (k = 0 with its populations first, then
+    |k| = 2, 3, ... and |k| = 1 beside the cavity pair), so the steady
+    solve's Newton matrix at the empty cavity is block diagonal in
+    contiguous slices (:func:`_block_inverse`).
 
     The model lives on the coordinates the run can reach from its initial
     state (``rho0``, default |G, m=0><G, m=0|, and ``a0``): those a chain
@@ -819,10 +841,10 @@ class BubbleModel:
         values = _coefficient_values(sc, derivs)
         B, b0 = lay.coefficients
         self._B, self._b0 = values[B], values[b0]
-        self._sector = lay.sector.copy()
+        self._edges = lay.edges
 
     # --- state layout: y[:nrho] = coefficients of rho on the model's
-    #     Hermitian basis elements (its npop populations first),
+    #     Hermitian basis elements by sector (its npop populations first),
     #     y[nrho] = Re<a>, y[nrho+1] = Im<a> --------------------------------
 
     def initial_flat(self) -> np.ndarray:
@@ -1120,23 +1142,13 @@ def _bordered_matrix(model: BubbleModel, y, shift: float) -> np.ndarray:
     return mat
 
 
-class _Blocks(NamedTuple):
-    """The diagonal blocks of a matrix, one per sector, as a padded stack;
-    see :func:`_blocks`."""
-
-    entries: np.ndarray
-    slots: np.ndarray
-    padding: np.ndarray
-
-
-@functools.lru_cache(maxsize=_LAYOUT_CACHE)
-def _blocks(labels: bytes) -> _Blocks:
-    """Where the entries of a square matrix that is block diagonal in the
-    sectors ``labels`` (the bytes of an int array, a label per index) lie
-    in a stack of its diagonal blocks.
+def _block_inverse(mat, edges) -> np.ndarray:
+    """The inverse of ``mat``, block diagonal in the slices between
+    consecutive ``edges``, from ``np.linalg.inv`` of each diagonal slice;
+    LinAlgError if one is singular.
 
     The bordered Newton matrix at the empty cavity is block diagonal in
-    the sectors of :class:`_Layout`: every term of L0 conserves the
+    the sector slices of :class:`_Layout`: every term of L0 conserves the
     excitation number N = m + [s != G] (the weak U(1) symmetry of Buca &
     Prosen, New J. Phys. 14, 073007, 2012), so it maps a coherence of
     N_ket - N_bra = k to coherences of the same k, and the Hermitian basis
@@ -1144,44 +1156,13 @@ def _blocks(labels: bytes) -> _Blocks:
     by xi <sigma_RR>, and its rank-1 dark-state term is L3 r, all 0 at
     <a> = 0 and rho = |G, 0><G, 0|.  What is left of the cavity, the
     columns L1 r and L2 r, the rows that read <beta> and the 2 x 2
-    cavity map, lies in |k| = 1, and the trace row, in place of a
-    population's row, in k = 0.  The inverse of such a matrix is the
-    stack of its blocks' inverses.  Each block is padded with the
-    identity to the largest one's size, which leaves its inverse the
-    block's inverse.  ``entries`` are the flat indices of the entries
-    within a block, ``slots`` their flat indices in the stack and
-    ``padding`` the stack with the padding's identity and zeros
-    elsewhere; every array is read-only.  A model's labels are its
-    layout's, so as many stacks are cached as layouts.
+    cavity map, lies in |k| = 1, whose slice the cavity pair closes, and
+    the trace row, in place of a population's row, in k = 0.
     """
-    _, block = np.unique(np.frombuffer(labels, int), return_inverse=True)
-    n = block.size
-    sizes = np.bincount(block)
-    side = int(sizes.max())
-    order = np.argsort(block, kind="stable")
-    place = np.empty(n, dtype=int)
-    place[order] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    rows, cols = np.nonzero(block[:, None] == block[None, :])
-    slots = (block[rows] * side + place[rows]) * side + place[cols]
-    padding = np.zeros((sizes.size, side, side))
-    padding[:, np.arange(side), np.arange(side)] = 1.0
-    padding.reshape(-1)[slots] = 0.0
-    blocks = _Blocks(rows * n + cols, slots, padding)
-    for a in blocks:
-        a.flags.writeable = False
-    return blocks
-
-
-def _block_inverse(mat, sector) -> np.ndarray:
-    """The inverse of ``mat``, block diagonal in the sectors ``sector``,
-    from one ``np.linalg.inv`` of the stack of its diagonal blocks
-    (:func:`_blocks`); LinAlgError if it is singular."""
-    blocks = _blocks(sector.tobytes())
-    stack = blocks.padding.copy()
-    stack.reshape(-1)[blocks.slots] = mat.reshape(-1)[blocks.entries]
-    inverse = np.zeros(mat.size)
-    inverse[blocks.entries] = np.linalg.inv(stack).reshape(-1)[blocks.slots]
-    return inverse.reshape(mat.shape)
+    inverse = np.zeros_like(mat)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        inverse[lo:hi, lo:hi] = np.linalg.inv(mat[lo:hi, lo:hi])
+    return inverse
 
 
 def _ptc_step(model: BubbleModel, y, res, shift: float, inverse=None):
@@ -1318,8 +1299,9 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
     takes that inverse in place of the current Newton matrix's.  The
     blocks are the sectors |N_ket - N_bra| of the excitation number
     N = m + [s != G]: every term of L0 conserves N, and at the empty
-    cavity the cavity pair joins only |k| = 1 (:func:`_blocks`).  The
-    model's layout labels its coordinates with their sectors.  A chord
+    cavity the cavity pair joins only |k| = 1.  The model's layout orders
+    its coordinates by sector, so each block is a contiguous diagonal
+    slice of the matrix and is inverted in place.  A chord
     step must at least halve the norm of the residual's rows after the
     first: with that contraction the remaining error is at most the step.
     As chord steps converge only linearly, a chord step settles the root
@@ -1371,7 +1353,7 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
     start = model.initial_flat()
     first = _bordered_residual(model, start)
     try:
-        inverse = _block_inverse(_bordered_matrix(model, start, 0.0), model._sector)
+        inverse = _block_inverse(_bordered_matrix(model, start, 0.0), model._edges)
     except np.linalg.LinAlgError:
         inverse = None
     y, res, t, dt = start, first, 0.0, _PTC_DT0

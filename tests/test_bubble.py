@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from rydcav.bubble import (
     BubbleModel,
@@ -203,13 +204,14 @@ class TestStructureCache:
             assert first.size == second.size
             # the triplets gathered per row of z, dL0's entries among them,
             # row 0's blocks and Jacobian positions, the coefficient map, the
-            # w rows, the basis columns' entries, the initial state and the
-            # coordinates' sectors
+            # w rows, the basis columns' entries and the initial state; the
+            # edges of the sectors' slices are an immutable tuple
             kept = {"_z_rows", "_z_cols", "_z_vals", "_blocks", "_jac_index",
                     "_z_units", "_B", "_b0", "_w_rr", "_w_ss", "_rho_index",
-                    "_rho_coef", "_y0", "_sector"}
+                    "_rho_coef", "_y0"}
             assert kept <= {k for k, v in vars(first).items()
                             if isinstance(v, np.ndarray)}
+            assert type(first._edges) is tuple and first._edges == second._edges
             before = [arr.copy() for arr in own(second)]
             for arr in own(first) + own(second):
                 assert arr.flags.writeable
@@ -621,7 +623,9 @@ def full_space_reference(params, nmax, times, a0=0.0):
 
     y0 = np.zeros(d * d + 1, dtype=complex)
     y0[0], y0[-1] = 1.0, a0
-    out, _ = integrate(f, 0.0, y0, times, rtol=1e-12, atol=1e-14)
+    # scipy's DOP853, not the integrator of the model under test
+    out = solve_ivp(f, (times[0], times[-1]), y0, method="DOP853", rtol=1e-12,
+                    atol=1e-14, t_eval=times).y.T
     return out[:, :-1].reshape(-1, d, d), out[:, -1]
 
 
@@ -705,15 +709,20 @@ class TestReduction:
         self.assert_matches(p, 3, rho, a, model.transmission(y))
 
     @pytest.mark.parametrize("nmax", range(1, 7))
-    def test_rho_matrix_is_the_dense_basis_product(self, nmax, rng):
+    def test_rho_matrix_is_the_dense_basis_product(self, nmax, rng, monkeypatch):
         d = build_operators(nmax).dim
         for kw in ({}, dict(rho0=random_density_matrix(d, rng), a0=0.3 - 0.2j)):
-            model = BubbleModel(transient_params(), nmax=nmax, **kw)
+            models = []
+            (lay,) = built_layouts(monkeypatch, lambda: models.append(
+                BubbleModel(transient_params(), nmax=nmax, **kw)))
+            (model,) = models
             n = model.nrho
             cols = dense_columns(model._rho_index, model._rho_coef, d)
-            if kw:   # a full-rank state reaches every coordinate
+            if kw:   # a full-rank state reaches every coordinate, in the
+                # layout's order
                 assert n == d * d
-                np.testing.assert_array_equal(cols, dense_basis(d))
+                assert np.array_equal(np.sort(lay.keep), np.arange(n))
+                np.testing.assert_array_equal(cols, dense_basis(d)[:, lay.keep])
             y = rng.standard_normal(model.size)
             want = (cols @ y[:n]).reshape(d, d)
             got = model.rho_matrix(y)
@@ -1270,8 +1279,11 @@ class TestSteady:
 
     def test_weak_drive_root_costs_two_inverses_and_no_lu_solve(
             self, monkeypatch, caplog):
-        # the chord start inverts the empty cavity's Newton matrix and the
-        # stability certificate its propagator's matrix; no step solves
+        # the chord start inverts the empty cavity's Newton matrix, one
+        # slice per sector (|k| = 0, 2, 3, 4, 5 and 1), and the stability
+        # certificate its propagator's matrix; no step solves
+        import rydcav.bubble as bubble
+
         calls = {"inv": 0, "solve": 0}
         for name in calls:
             def counted(*args, _name=name, _f=getattr(np.linalg, name)):
@@ -1279,12 +1291,24 @@ class TestSteady:
                 return _f(*args)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        slices = []
+        block_inverse = bubble._block_inverse
+
+        def counted_block_inverse(mat, edges):
+            before = calls["inv"]
+            inverse = block_inverse(mat, edges)
+            slices.append((calls["inv"] - before, np.diff(edges).tolist()))
+            return inverse
+
+        monkeypatch.setattr(bubble, "_block_inverse", counted_block_inverse)
         caplog.set_level(logging.DEBUG, logger="rydcav")
         for params, kw in benchmark_steady_cases()[:8]:
             calls.update(inv=0, solve=0)
+            slices.clear()
             result = steady_transmission_bubble(params, **kw)
             assert result.converged
-            assert calls == {"inv": 2, "solve": 0}
+            assert slices == [(6, [18, 24, 16, 8, 2, 34])]
+            assert calls == {"inv": 6 + 1, "solve": 0}
             assert (f"{result.newton_iterations} chord step(s), Newton took over: "
                     f"no, 2 inverse(s) and 0 LU solve(s)"
                     in caplog.records[-1].getMessage())
@@ -1606,30 +1630,6 @@ def benchmark_steady_cases():
     return cases + [(transient_params(), dict(nmax=nmax)) for nmax in (2, 4, 6)]
 
 
-@pytest.mark.parametrize("case", range(5))
-def test_block_inverse_inverts_the_empty_cavity_newton_matrix(case):
-    # at the empty cavity the Newton matrix falls apart into one block per
-    # excitation-difference sector, and the chord start inverts them as
-    # one stack
-    import rydcav.bubble as bubble
-
-    params, kw = [benchmark_steady_cases()[0], (transient_params(), dict(nmax=2)),
-                  (transient_params(), dict(nmax=6)),
-                  (transient_params(delta_p=1.5, alpha=40.0), dict(nmax=3)),
-                  (make_params(n=60, omega_cf=8.0, alpha=8.0), dict(nmax=3))][case]
-    model = BubbleModel(params, **kw)
-    mat = bubble._bordered_matrix(model, model.initial_flat(), 0.0)
-    blocks = bubble._blocks(model._sector.tobytes())
-    sizes = np.bincount(model._sector)
-    assert blocks.padding.shape == (sizes.size, sizes.max(), sizes.max())
-    assert sizes.size > 1
-    if case == 0:   # a weak-drive root of the benchmark, |k| = 0..5
-        assert sizes.tolist() == [18, 34, 24, 16, 8, 2]
-    want = np.linalg.inv(mat)
-    np.testing.assert_allclose(bubble._block_inverse(mat, model._sector), want,
-                               rtol=0, atol=1e-13 * np.abs(want).max())
-
-
 EMPTY_CAVITY_CASES = {"resonant": {}, "delta_p 1.5": dict(delta_p=1.5),
                       "xi 0": dict(xi=0.0), "omega 0": dict(omega_cf=0.0),
                       "gamma_s 0": dict(gamma_s=0.0), "delta_bg 1": dict(delta_bg=1.0),
@@ -1639,58 +1639,41 @@ EMPTY_CAVITY_CASES = {"resonant": {}, "delta_p 1.5": dict(delta_p=1.5),
 @pytest.mark.parametrize("case", EMPTY_CAVITY_CASES)
 @pytest.mark.parametrize("nmax", range(1, 7))
 def test_empty_cavity_newton_matrix_is_block_diagonal_in_the_sectors(nmax, case):
-    # at the empty cavity no entry of the Newton matrix joins two
-    # excitation-difference sectors, so the block inverse is the inverse
+    # the layout orders the coordinates by excitation-difference sector
+    # |N_ket - N_bra|, 0 first with the populations leading, then 2, 3, ...
+    # and 1 last with the cavity pair; at the empty cavity no entry of the
+    # Newton matrix leaves its sector's slice, so the slices' inverses
+    # make the inverse
     import rydcav.bubble as bubble
 
     model = BubbleModel(transient_params(**EMPTY_CAVITY_CASES[case]), nmax=nmax)
+    edges = model._edges
+    assert edges[0] == 0 and edges[-1] == model.size
+    assert np.all(np.diff(edges) > 0)
+    # each coordinate's sector from its basis element's entry of vec(rho)
+    n, d = model.nrho, model.dim
+    ket, bra = (i // 3 + (i % 3 != 0) for i in np.divmod(model._rho_index, d))
+    sector = np.append(np.abs(ket - bra)[:n], [1, 1])
+    slices = [sector[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+    assert all(np.all(s == s[0]) for s in slices)
+    order = [int(s[0]) for s in slices]
+    assert order == [0, *range(2, len(order)), 1]
+    populations = model._rho_index[:n] == model._rho_index[n:]
+    assert np.all(populations[:model.npop]) and not np.any(populations[model.npop:])
     mat = bubble._bordered_matrix(model, model.initial_flat(), 0.0)
-    sector = model._sector
-    assert sector.shape == (model.size,) and sector[-2:].tolist() == [1, 1]
-    rows, cols = np.nonzero(mat)
-    assert np.array_equal(sector[rows], sector[cols])
+    inside = np.zeros(mat.shape, bool)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        inside[lo:hi, lo:hi] = True
+    assert np.all(mat[~inside] == 0.0)
     if case == "gamma_s 0":   # nothing leaves the dark state
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(mat)
         with pytest.raises(np.linalg.LinAlgError):
-            bubble._block_inverse(mat, sector)
+            bubble._block_inverse(mat, edges)
         return
     want = np.linalg.inv(mat)
-    np.testing.assert_allclose(bubble._block_inverse(mat, sector), want, rtol=0,
+    np.testing.assert_allclose(bubble._block_inverse(mat, edges), want, rtol=0,
                                atol=1e-13 * np.abs(want).max())
-
-
-def test_block_inverse_of_a_permuted_block_diagonal_matrix(rng):
-    import rydcav.bubble as bubble
-
-    sizes = [5, 1, 3, 5]
-    mat = np.zeros((14, 14))
-    start = 0
-    for n in sizes:
-        mat[start:start + n, start:start + n] = (rng.standard_normal((n, n))
-                                                 + 4.0 * np.eye(n))
-        start += n
-    perm = rng.permutation(14)
-    mat = mat[np.ix_(perm, perm)]
-    # any four distinct labels, in the permuted order
-    sector = np.repeat([3, 0, 7, 1], sizes)[perm]
-    blocks = bubble._blocks(sector.tobytes())
-    assert blocks.padding.shape == (4, 5, 5)
-    assert bubble._blocks(sector.tobytes()) is blocks
-    for a in blocks:
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = a[0]
-    np.testing.assert_allclose(bubble._block_inverse(mat, sector) @ mat,
-                               np.eye(14), rtol=0, atol=1e-13)
-    # one label makes a dense matrix one block
-    dense = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
-    np.testing.assert_allclose(bubble._block_inverse(dense, np.zeros(6, int)),
-                               np.linalg.inv(dense), rtol=1e-13)
-    # a singular block makes the matrix singular
-    mat[perm[:5], :] = 0.0
-    mat[np.ix_(perm[:5], perm[:5])] = 1.0
-    with pytest.raises(np.linalg.LinAlgError):
-        bubble._block_inverse(mat, sector)
 
 
 class TestStabilityCertificate:
@@ -1757,9 +1740,11 @@ class TestStabilityCertificate:
             full = BubbleModel(params, nmax=4, rho0=random_density_matrix(d, rng))
             assert full.size == d * d + 2
             rho, a = model.rho_matrix(y), model.cavity_amplitude(y)
-            basis = _hermitian_basis(d)
-            r = (basis.a.conj() * rho.reshape(-1)[basis.p]
-                 + basis.b.conj() * rho.reshape(-1)[basis.q]).real
+            # rho's coefficients on the full model's basis columns, in its
+            # layout's order
+            n, index, coef = full.nrho, full._rho_index, full._rho_coef
+            r = (coef[:n].conj() * rho.reshape(-1)[index[:n]]
+                 + coef[n:].conj() * rho.reshape(-1)[index[n:]]).real
             y_full = np.concatenate((r, [a.real, a.imag]))
             np.testing.assert_allclose(full.rho_matrix(y_full), rho, atol=1e-15)
             # the root of the kept sector is a root of the full space
