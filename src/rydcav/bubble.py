@@ -482,8 +482,10 @@ class _Layout(NamedTuple):
     the difference of the excitation numbers N = m + [s != G] of its basis
     element's ket and bra (:func:`_layout`), and y's slice of sector i
     spans ``edges[i]:edges[i + 1]``; the last slice, |k| = 1, ends with the
-    two cavity coordinates.  The Newton matrix at the empty cavity is block
-    diagonal in these slices (:func:`_block_inverse`).
+    two cavity coordinates.  The steady solve's Newton matrix at the empty
+    cavity (:func:`_deflated_jacobian`) is block diagonal in these slices,
+    its rank-1 trace term on the populations included, as they lead the
+    k = 0 slice (:func:`_block_inverse`).
     """
 
     keep: np.ndarray
@@ -759,7 +761,8 @@ class BubbleModel:
     coordinate stays zero along the run and is dropped; from the empty
     cavity the dark state S has no coherence with G or R, with xi = 0 it
     stays empty, and on resonance Re<a> (which keeps its place in y) stays
-    0, with every coordinate only L1 would reach.
+    0, with every coordinate only L1 would reach.  A ``rho0`` that is not
+    dim x dim, dim = 3 (nmax + 1), raises ValueError naming both shapes.
     """
 
     def __init__(self, params: PhysicalParams, nmax: int = DEFAULT_NMAX,
@@ -803,9 +806,11 @@ class BubbleModel:
             r0 = np.zeros(d * d)
             r0[0] = 1.0                            # |G, m=0>
         else:
-            rho0 = np.asarray(rho0, complex).reshape(-1)
-            r0 = (basis.a.conj() * rho0[basis.p]
-                  + basis.b.conj() * rho0[basis.q]).real
+            rho0 = np.asarray(rho0, complex)
+            if rho0.shape != (d, d):
+                raise ValueError(f"rho0 is {rho0.shape}, not {(d, d)}, at nmax {nmax}")
+            r0 = (basis.a.conj() * rho0.flat[basis.p]
+                  + basis.b.conj() * rho0.flat[basis.q]).real
         a0 = complex(a0)
         q = len(derivs) + 1
         lay = _layout(
@@ -823,9 +828,7 @@ class BubbleModel:
         self._w_rr = lay.w_rr.copy()
         self._rr_cols = lay.rr_cols.copy()
         self._w_ss = lay.w_ss.copy()
-        self._y0 = np.zeros(n + 2)
-        self._y0[:n] = r0[lay.keep]
-        self._y0[n:] = a0.real, a0.imag
+        self._y0 = np.concatenate((r0[lay.keep], [a0.real, a0.imag]))
         # the gather's entries: the stack's once per row of z (row 0's
         # first), its tail rows at weight 1, then dL0's
         vals = lay.gather.sums(np.array(weights))
@@ -948,7 +951,12 @@ class BubbleModel:
 
 @dataclass
 class TimeSeries:
-    """Sampled bubble evolution: transmission plus state diagnostics."""
+    """Sampled bubble evolution: transmission plus state diagnostics.
+
+    The sample times ``t`` must be finite and strictly increasing, and each
+    column, ``dT_dtheta`` included, must have one row per sample time;
+    else ValueError at construction.
+    """
 
     t: np.ndarray
     transmission: np.ndarray
@@ -960,8 +968,12 @@ class TimeSeries:
     dT_dtheta: np.ndarray | None = None  # (samples, p); evolve(sensitivity=paths)
 
     def __post_init__(self):
-        if np.any(np.diff(self.t) <= 0):
-            raise ValueError("sample times must be strictly increasing")
+        if not (np.all(np.isfinite(self.t)) and np.all(np.diff(self.t) > 0)):
+            raise ValueError("sample times must be finite and strictly increasing")
+        for name in ("transmission", "pop_R", "pop_S", "trace_error", "dT_dtheta"):
+            rows = getattr(self, name)
+            if rows is not None and len(rows) != len(self.t):
+                raise ValueError(f"{name} has {len(rows)} rows for {len(self.t)} times")
 
     header = "t_us,transmission,pop_R,pop_S,trace_error"
 
@@ -1075,10 +1087,11 @@ class SteadyBubbleResult:
     ``t_max``, and 0 when the start from the empty cavity settled and no
     continuation ran; ``newton_iterations`` counts every step the solve
     computed: the start's chord steps, an undone one included, its Newton
-    steps and the continuation's; ``residual`` is
-    the max-norm of the bordered residual (f(y) with its first row replaced
-    by Tr rho - 1) at the state whose transmission is reported; ``verdict``
-    says how the solve ended (``"stable"`` for an accepted root);
+    steps and the continuation's; ``residual`` is the max-norm of the
+    solve's residual F(y) = f(y) - (sigma / n_pop) u (Tr rho - 1), u the
+    ones on the populations and sigma = 40 rad/us (``_deflated_residual``),
+    at the state whose transmission is reported; ``verdict`` says how the
+    solve ended (``"stable"`` for an accepted root);
     ``coordinates`` is the length of the model's state vector, the
     coordinates the solve and its verdict cover.
     """
@@ -1099,6 +1112,11 @@ _STEADY_ATOL = 1e-10
 _CHORD_TOL = 0.01
 #: first pseudo-time step (us) of the continuation
 _PTC_DT0 = 0.05
+#: the rate sigma (rad/us) at which the steady solve's residual pulls
+#: Tr rho to 1 (:func:`_deflated_residual`): its Jacobian's trace mode
+#: has the eigenvalue -sigma, which the certificate's Crank-Nicolson step
+#: of _PTC_DT0 maps to 0 (:func:`_certify_stable`)
+_TRACE_DECAY = 2.0 / _PTC_DT0
 #: largest growth of the pseudo-time step in one iteration
 _PTC_GROWTH = 10.0
 #: iterations after which the continuation counts as failed
@@ -1117,28 +1135,38 @@ _CERT_HORIZON = 400.0
 _CERT_BLOWUP = 1e150
 
 
-def _bordered_residual(model: BubbleModel, y) -> np.ndarray:
-    """f(y) with its first row replaced by Tr rho - 1.
+def _deflated_residual(model: BubbleModel, y) -> np.ndarray:
+    """F(y) = f(y) - (sigma / n_pop) u (Tr rho - 1), the residual the steady
+    solve zeroes, with u the ones on the populations and sigma =
+    _TRACE_DECAY.
 
-    The population rows of f sum to zero (the trace is conserved), so one
-    of them is redundant; the trace condition takes its place.  On the
-    model's coordinates, which leave out any sector nothing enters (S when
-    xi = 0, Re<a> and its sector on resonance), Tr rho is the one conserved
+    The population rows of f sum to zero (u . f = 0: the trace is
+    conserved), so f alone has a line of roots; the trace term, spread over
+    the population rows, picks the one with Tr rho = 1.  On the model's
+    coordinates, which leave out any sector nothing enters (S when xi = 0,
+    Re<a> and its sector on resonance), Tr rho is the one conserved
     quantity, so the fixed point is isolated.
     """
     f = model.rhs_flat(0.0, y)
-    f[0] = model.trace(y) - 1.0
+    f[:model.npop] -= _TRACE_DECAY / model.npop * (model.trace(y) - 1.0)
     return f
 
 
-def _bordered_matrix(model: BubbleModel, y, shift: float) -> np.ndarray:
-    """J - shift I at y with row 0 replaced by the trace functional (ones on
-    the populations): the matrix of every step of the solve."""
+def _deflated_jacobian(model: BubbleModel, y, shift: float = 0.0) -> np.ndarray:
+    """J~ - shift I at y, the matrix of every step of the solve, where J~ =
+    J - (sigma / n_pop) u u^T is the Jacobian of :func:`_deflated_residual`.
+
+    u is a left null vector of J (u^T J = 0), so J~ is J with the trace
+    mode deflated (Wielandt): u^T J~ = -sigma u^T, and on the hyperplane
+    u . v = 0, which carries every other eigenvalue, J~ acts as J does.
+    J~ thus has J's spectrum with the trace eigenvalue moved from 0 to
+    -sigma.  As u . f = 0, a Newton step d of J~ d = -F has u . d =
+    -(Tr rho - 1) and J d = -f, the Newton step of f on the trace
+    condition.
+    """
     mat = model.jacobian(y)
-    mat[0] = 0.0
-    mat[0, :model.npop] = 1.0
-    diag = np.arange(1, model.size)
-    mat[diag, diag] -= shift
+    mat[:model.npop, :model.npop] -= _TRACE_DECAY / model.npop
+    mat.flat[::model.size + 1] -= shift
     return mat
 
 
@@ -1147,17 +1175,17 @@ def _block_inverse(mat, edges) -> np.ndarray:
     consecutive ``edges``, from ``np.linalg.inv`` of each diagonal slice;
     LinAlgError if one is singular.
 
-    The bordered Newton matrix at the empty cavity is block diagonal in
-    the sector slices of :class:`_Layout`: every term of L0 conserves the
-    excitation number N = m + [s != G] (the weak U(1) symmetry of Buca &
-    Prosen, New J. Phys. 14, 073007, 2012), so it maps a coherence of
-    N_ket - N_bra = k to coherences of the same k, and the Hermitian basis
-    pairs k with -k.  The Jacobian's other blocks are weighted by <a> and
-    by xi <sigma_RR>, and its rank-1 dark-state term is L3 r, all 0 at
-    <a> = 0 and rho = |G, 0><G, 0|.  What is left of the cavity, the
-    columns L1 r and L2 r, the rows that read <beta> and the 2 x 2
-    cavity map, lies in |k| = 1, whose slice the cavity pair closes, and
-    the trace row, in place of a population's row, in k = 0.
+    The Newton matrix at the empty cavity (:func:`_deflated_jacobian`) is
+    block diagonal in the sector slices of :class:`_Layout`: every term of
+    L0 conserves the excitation number N = m + [s != G] (the weak U(1)
+    symmetry of Buca & Prosen, New J. Phys. 14, 073007, 2012), so it maps a
+    coherence of N_ket - N_bra = k to coherences of the same k, and the
+    Hermitian basis pairs k with -k.  The Jacobian's other blocks are
+    weighted by <a> and by xi <sigma_RR>, and its rank-1 dark-state term
+    is L3 r, all 0 at <a> = 0 and rho = |G, 0><G, 0|.  What is left of the
+    cavity, the columns L1 r and L2 r, the rows that read <beta> and the
+    2 x 2 cavity map, lies in |k| = 1, whose slice the cavity pair closes,
+    and the rank-1 trace term, on the populations, in k = 0.
     """
     inverse = np.zeros_like(mat)
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -1166,12 +1194,13 @@ def _block_inverse(mat, edges) -> np.ndarray:
 
 
 def _ptc_step(model: BubbleModel, y, res, shift: float, inverse=None):
-    """The step d of (shift I - J) d = f(y) on the bordered system, or None
-    if its matrix is singular.
+    """The step d of (shift I - J~) d = F(y), or None if its matrix is
+    singular.
 
-    Row 0 is the trace condition Tr(rho + d) = 1 instead (``res`` is the
-    bordered residual at y); J is the exact Jacobian.  shift = 1/dt makes
-    the step one implicit-Euler step of length dt, shift = 0 a Newton step.
+    ``res`` is the residual F at y and J~ its Jacobian
+    (:func:`_deflated_jacobian`), from the exact Jacobian of f.  shift =
+    1/dt makes the step one implicit-Euler step of length dt, shift = 0 a
+    Newton step.
     Given ``inverse``, the inverse of the Newton matrix at another point
     (the empty cavity's), the step is the chord step -inverse @ res, and
     no matrix is built or solved.
@@ -1179,60 +1208,37 @@ def _ptc_step(model: BubbleModel, y, res, shift: float, inverse=None):
     if inverse is not None:
         return -(inverse @ res)
     try:
-        return np.linalg.solve(_bordered_matrix(model, y, shift), -res)
+        return np.linalg.solve(_deflated_jacobian(model, y, shift), -res)
     except np.linalg.LinAlgError:
         return None
 
 
-def _restricted_jacobian(model: BubbleModel, y) -> np.ndarray:
-    """J at y restricted to the hyperplane u . v = 0 of the trace functional,
-    in cavity-balanced coordinates.
+def _certify_stable(jac) -> tuple[bool, int]:
+    """(proved, squarings): whether every eigenvalue of ``jac`` is shown to
+    have Re < -_MARGINAL, and how many squarings that took.
 
-    u (ones on the populations) is a left null vector of J, so the
-    hyperplane is invariant and carries every eigenvalue but the trace
-    mode's.  In the coordinates after the first, with v_0 = -sum of the
-    other populations, the restriction is J[1:, 1:] - J[1:, 0] u[1:]^T.
-    The two cavity coordinates are then scaled by s = sqrt(N/n_b): their
-    rows, which carry (N/n_b) g sqrt(n_b), are divided by s and their
-    columns, which carry g sqrt(n_b), multiplied by s, so the coupling
-    between the cavity and the bubble is reciprocal.  That is a similarity
-    with a diagonal matrix: the spectrum, all that the verdict reads, is
-    the restriction's, while the 1-norm the certificate must outlast is
-    smaller.
+    C = 2 (I - (h/2) R)^-1 - I with R = jac + _MARGINAL I and h = _PTC_DT0
+    is the Crank-Nicolson propagator of R over one step h; it maps Re mu < 0
+    exactly onto |c| < 1.  As rho(C)^(2^k) <= ||C^(2^k)||, a power with
+    1-norm at most 1/2 proves rho(C) < 1.  C is squared until one does, or
+    until the powers span _CERT_HORIZON or their norm passes _CERT_BLOWUP
+    or is not finite; then nothing is proved.  So a marginal or unstable
+    mode is never certified, nor is a stable one that does not halve
+    within the horizon.  The steady solve's ``jac`` is the deflated
+    Jacobian (:func:`_deflated_jacobian`), whose trace mode sits at
+    -2/h = -_TRACE_DECAY: C maps it to 0 up to the margin, so it costs no
+    squaring.
+
+    :func:`_verdict` passes ``jac`` in cavity-balanced coordinates, a
+    diagonal similarity D^-1 J~ D of the deflated Jacobian.  C and its
+    powers are then D^-1 C^(2^k) D: the same spectra, so a power of 1-norm
+    at most 1/2 proves rho(C) < 1 as before, and the verdict is the plain
+    matrix's.  Only the norms change: the cavity rows no longer carry the
+    factor N/n_b, which the squarings of the plain C had to outlast, so
+    the powers usually reach 1/2 in fewer squarings.
     """
-    jac = model.jacobian(y)
-    restricted = jac[1:, 1:]
-    restricted[:, :model.npop - 1] -= jac[1:, :1]
-    s = math.sqrt(model.n_bubbles)
-    restricted[-2:, :-2] /= s
-    restricted[:-2, -2:] *= s
-    return restricted
-
-
-def _certify_stable(restricted) -> tuple[bool, int]:
-    """(proved, squarings): whether every eigenvalue of ``restricted`` is
-    shown to have Re < -_MARGINAL, and how many squarings that took.
-
-    C = 2 (I - (h/2) R)^-1 - I with R = restricted + _MARGINAL I and
-    h = _PTC_DT0 is the Crank-Nicolson propagator of R over one step h; it
-    maps Re mu < 0 exactly onto |c| < 1.  As rho(C)^(2^k) <= ||C^(2^k)||,
-    a power with 1-norm at most 1/2 proves rho(C) < 1.  C is squared until
-    one does, or until the powers span _CERT_HORIZON or their norm passes
-    _CERT_BLOWUP or is not finite; then nothing is proved.  So a marginal
-    or unstable mode is never certified, nor is a stable one that does not
-    halve within the horizon.
-
-    ``restricted`` comes in the cavity-balanced coordinates of
-    :func:`_restricted_jacobian`, a diagonal similarity D^-1 R D of the
-    plain restriction.  C and its powers are then D^-1 C^(2^k) D: the same
-    spectra, so a power of 1-norm at most 1/2 proves rho(C) < 1 as before,
-    and the verdict is the plain restriction's.  Only the norms change:
-    the cavity rows no longer carry the factor N/n_b, which the squarings
-    of the plain C had to outlast, so the powers usually reach 1/2 in
-    fewer squarings.
-    """
-    diag = np.diag_indices(len(restricted))
-    shifted = (-0.5 * _PTC_DT0) * restricted
+    diag = np.diag_indices(len(jac))
+    shifted = (-0.5 * _PTC_DT0) * jac
     shifted[diag] += 1.0 - 0.5 * _PTC_DT0 * _MARGINAL
     try:
         power = 2.0 * np.linalg.inv(shifted)
@@ -1258,23 +1264,33 @@ def _verdict(model: BubbleModel, y) -> tuple[bool, str, str]:
     """(accepted, verdict, what decided the stability) for the root y.
 
     The root must be a state (no eigenvalue of rho below -_PSD_TOL) and
-    stable: every eigenvalue of the restricted Jacobian
-    (:func:`_restricted_jacobian`) must have Re < -_MARGINAL.  The
-    certificate of :func:`_certify_stable` shows this for a stable root in
-    a few matrix products; only when it proves nothing are the eigenvalues
-    computed.  A root with an eigenvalue within _MARGINAL of the imaginary
-    axis or beyond it is rejected.
+    stable: every eigenvalue of the Jacobian but the trace mode must have
+    Re < -_MARGINAL.  The deflated Jacobian (:func:`_deflated_jacobian`)
+    has exactly these eigenvalues besides -_TRACE_DECAY for the trace
+    mode.  Its two cavity coordinates are scaled by s = sqrt(N/n_b): their
+    rows, which carry (N/n_b) g sqrt(n_b), are divided by s and their
+    columns, which carry g sqrt(n_b), multiplied by s, so the coupling
+    between the cavity and the bubble is reciprocal.  That is a similarity
+    with a diagonal matrix: the spectrum, all that the verdict reads, is
+    kept, while the 1-norm the certificate must outlast is smaller.  The
+    certificate of :func:`_certify_stable` shows stability for a stable
+    root in a few matrix products; only when it proves nothing are the
+    eigenvalues computed.  A root with an eigenvalue within _MARGINAL of
+    the imaginary axis or beyond it is rejected.
     """
     lowest = float(np.linalg.eigvalsh(model.rho_matrix(y)).min())
     if lowest < -_PSD_TOL:
         return (False, f"not a state (min eigenvalue of rho = {lowest:.3g})",
                 _UNTESTED)
-    restricted = _restricted_jacobian(model, y)
-    certified, squarings = _certify_stable(restricted)
+    jac = _deflated_jacobian(model, y)
+    s = math.sqrt(model.n_bubbles)
+    jac[-2:, :-2] /= s
+    jac[:-2, -2:] *= s
+    certified, squarings = _certify_stable(jac)
     if certified:
         return True, "stable", f"stability certified in {squarings} squarings"
     decided = f"stability from the eigenvalues after {squarings} squarings"
-    growth = float(np.linalg.eigvals(restricted).real.max())
+    growth = float(np.linalg.eigvals(jac).real.max())
     if growth < -_MARGINAL:
         return True, "stable", decided
     kind = "unstable" if growth > _MARGINAL else "marginal"
@@ -1288,20 +1304,24 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
     Newton steps, or else pseudo-transient continuation, reach from the
     empty cavity with all atoms in the ground state.
 
-    Each iteration solves (s I - J) d = f(y), with the first row replaced
-    by Tr rho = 1 and J the exact Jacobian, on the coordinates the model
+    Each iteration solves (s I - J~) d = F(y) on the coordinates the model
     keeps (the dark state S is dropped when xi = 0, Re<a> and its sector on
     resonance; :class:`BubbleModel`), which leaves Tr rho as the one
-    conserved quantity.  The solve starts with chord steps from the empty
-    cavity (Kelley, Iterative Methods for Linear and Nonlinear Equations,
-    SIAM 1995, section 5.4): the Newton matrix there (s = 0) is inverted
-    once, block by block (:func:`_block_inverse`), and every chord step
-    takes that inverse in place of the current Newton matrix's.  The
-    blocks are the sectors |N_ket - N_bra| of the excitation number
-    N = m + [s != G]: every term of L0 conserves N, and at the empty
-    cavity the cavity pair joins only |k| = 1.  The model's layout orders
-    its coordinates by sector, so each block is a contiguous diagonal
-    slice of the matrix and is inverted in place.  A chord
+    conserved quantity.  F = f - (sigma / n_pop) u (Tr rho - 1), with u the
+    ones on the populations and sigma = 2 / 0.05 us = 40 rad/us, has the
+    root of f on Tr rho = 1, and its Jacobian J~ = J - (sigma / n_pop) u
+    u^T, with J the exact Jacobian, is J with the trace mode's eigenvalue
+    moved from 0 to -sigma (:func:`_deflated_jacobian`): one matrix serves
+    the steps and the stability verdict.  The solve starts with chord
+    steps from the empty cavity (Kelley, Iterative Methods for Linear and
+    Nonlinear Equations, SIAM 1995, section 5.4): the Newton matrix there
+    (s = 0) is inverted once, block by block (:func:`_block_inverse`), and
+    every chord step takes that inverse in place of the current Newton
+    matrix's.  The blocks are the sectors |N_ket - N_bra| of the
+    excitation number N = m + [s != G]: every term of L0 conserves N, and
+    at the empty cavity the cavity pair joins only |k| = 1.  The model's
+    layout orders its coordinates by sector, so each block is a contiguous
+    diagonal slice of the matrix and is inverted in place.  A chord
     step must at least halve the norm of the residual's rows after the
     first: with that contraction the remaining error is at most the step.
     As chord steps converge only linearly, a chord step settles the root
@@ -1330,8 +1350,9 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
     covers the model's coordinates (``coordinates`` of the result): a
     perturbation into a sector the model drops is not tested.  A stable
     root is usually shown so by a few squarings of the Crank-Nicolson
-    propagator of that Jacobian (:func:`_certify_stable`); the eigenvalues
-    are computed only when they prove nothing.  A root with an eigenvalue
+    propagator of J~ in cavity-balanced coordinates (:func:`_verdict`,
+    :func:`_certify_stable`); the eigenvalues of the same matrix are
+    computed only when they prove nothing.  A root with an eigenvalue
     within 1e-9 rad/us of the imaginary axis is rejected as marginal, one
     beyond it as unstable; the solve never integrates the dynamics.
     ``rtol`` must be finite and >= 0, else ValueError before any work.  In
@@ -1351,9 +1372,9 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
     require_positive("rtol", rtol, allow_zero=True)
     model = BubbleModel(params, nmax=nmax, n_b=n_b)
     start = model.initial_flat()
-    first = _bordered_residual(model, start)
+    first = _deflated_residual(model, start)
     try:
-        inverse = _block_inverse(_bordered_matrix(model, start, 0.0), model._edges)
+        inverse = _block_inverse(_deflated_jacobian(model, start), model._edges)
     except np.linalg.LinAlgError:
         inverse = None
     y, res, t, dt = start, first, 0.0, _PTC_DT0
@@ -1369,7 +1390,7 @@ def steady_transmission_bubble(params: PhysicalParams, *, t_max: float = 500.0,
         finite = step is not None and np.isfinite(step).all()
         if finite:
             trial = y + step
-            trial_res = _bordered_residual(model, trial)
+            trial_res = _deflated_residual(model, trial)
             old, new = np.linalg.norm(res[1:]), np.linalg.norm(trial_res[1:])
             small = np.all(np.abs(step) <= (_CHORD_TOL if chord else 1.0)
                            * (_STEADY_ATOL + rtol * np.abs(trial)))

@@ -3,7 +3,9 @@
 Everything here is written from the eliminated closed-form chain directly,
 separate from the production code paths, so solver and oracle cannot share
 a bug.  The CSV reference writes a table one value at a time, row by row,
-where ``datafiles.write_csv`` formats whole columns.
+where ``datafiles.write_csv`` formats whole columns.  The bordered steady
+bubble system imposes Tr rho = 1 by replacing a row, where the solve
+deflates the trace mode instead.
 """
 
 from pathlib import Path
@@ -175,3 +177,36 @@ def write_csv_rows(path, header, rows, meta=None) -> None:
     for row in rows:
         lines.append(",".join(format_number(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def bordered_residual(model, y):
+    """f(y) of a bubble model with row 0 replaced by Tr rho - 1.
+
+    The population rows of f sum to zero, so one of them is redundant and
+    the trace condition takes its place."""
+    f = model.rhs_flat(0.0, y)
+    f[0] = model.trace(y) - 1.0
+    return f
+
+
+def bordered_matrix(model, y, shift):
+    """J - shift I at y with row 0 replaced by the trace functional (ones on
+    the populations, no shift): the step of (shift I - J) d = f on rows
+    1..n keeps Tr(rho + d) = 1."""
+    mat = model.jacobian(y)
+    mat[0] = 0.0
+    mat[0, :model.npop] = 1.0
+    diag = np.arange(1, model.size)
+    mat[diag, diag] -= shift
+    return mat
+
+
+def restricted_jacobian(model, y):
+    """J at y restricted to the trace-free hyperplane u . v = 0, u the ones
+    on the populations, in the coordinates after the first: with v_0 = -sum
+    of the other populations it is J[1:, 1:] - J[1:, 0] u[1:]^T.  It has
+    every eigenvalue of J but the trace mode's."""
+    jac = model.jacobian(y)
+    restricted = jac[1:, 1:]
+    restricted[:, :model.npop - 1] -= jac[1:, :1]
+    return restricted

@@ -30,6 +30,7 @@ from rydcav.ode import integrate
 from rydcav.params import FLOAT_PATHS, ScanSpec, get_path, set_path
 
 from conftest import make_params
+from oracles import bordered_matrix, bordered_residual, restricted_jacobian
 
 
 def weak_drive_params(**kw):
@@ -1586,18 +1587,22 @@ def test_sensitivity_paths_are_checked_before_any_evaluation(paths):
 
 
 class SyntheticRoot:
-    """A stand-in model whose restricted Jacobian at y = 0 is ``restricted``.
+    """A stand-in model whose Jacobian at y = 0 has the spectrum of
+    ``hidden`` besides the trace mode.
 
-    Column 0 of J is zero, so the restriction is J[1:, 1:].  It has no
-    cavity: with one bubble the cavity-balancing scale sqrt(N/n_b) is 1.
+    Coordinate 0 is its one population, and row and column 0 of J are
+    zero, so the deflated Jacobian is ``hidden`` beside -2/h at (0, 0): its
+    spectrum is the hidden one plus -2/h.  It has no cavity: with one
+    bubble the cavity-balancing scale sqrt(N/n_b) is 1.
     """
 
-    npop = 2
+    npop = 1
     n_bubbles = 1.0
 
-    def __init__(self, restricted):
-        self.jac = np.zeros((len(restricted) + 1,) * 2)
-        self.jac[1:, 1:] = restricted
+    def __init__(self, hidden):
+        self.size = len(hidden) + 1
+        self.jac = np.zeros((self.size,) * 2)
+        self.jac[1:, 1:] = hidden
 
     def rho_matrix(self, y):
         return np.eye(2) / 2
@@ -1660,7 +1665,7 @@ def test_empty_cavity_newton_matrix_is_block_diagonal_in_the_sectors(nmax, case)
     assert order == [0, *range(2, len(order)), 1]
     populations = model._rho_index[:n] == model._rho_index[n:]
     assert np.all(populations[:model.npop]) and not np.any(populations[model.npop:])
-    mat = bubble._bordered_matrix(model, model.initial_flat(), 0.0)
+    mat = bubble._deflated_jacobian(model, model.initial_flat())
     inside = np.zeros(mat.shape, bool)
     for lo, hi in zip(edges[:-1], edges[1:]):
         inside[lo:hi, lo:hi] = True
@@ -1674,6 +1679,77 @@ def test_empty_cavity_newton_matrix_is_block_diagonal_in_the_sectors(nmax, case)
     want = np.linalg.inv(mat)
     np.testing.assert_allclose(bubble._block_inverse(mat, edges), want, rtol=0,
                                atol=1e-13 * np.abs(want).max())
+
+
+def test_deflated_residual_pulls_the_trace_to_one():
+    # F = f - (sigma / n_pop) u (Tr rho - 1) with sigma = 2 / _PTC_DT0: off
+    # Tr rho = 1 each population row moves by the same amount, no other row
+    import rydcav.bubble as bubble
+
+    model = BubbleModel(transient_params(), nmax=2)
+    y = 1.25 * model.initial_flat()
+    change = bubble._deflated_residual(model, y) - model.rhs_flat(0.0, y)
+    want = np.zeros(model.size)
+    want[:model.npop] = -(2.0 / bubble._PTC_DT0) / model.npop * 0.25
+    np.testing.assert_allclose(change, want, rtol=1e-15, atol=0)
+
+
+def test_deflated_steps_and_spectrum_match_the_bordered_system(monkeypatch):
+    # the bordered system (row 0 replaced by the trace functional,
+    # tests/oracles.py) is the reference: on Tr rho = 1 its chord, Newton
+    # and continuation steps equal the deflated ones, and the deflated
+    # Jacobian has the trace-free restriction's spectrum plus -2/h
+    import rydcav.bubble as bubble
+
+    iterates = []
+    step = bubble._ptc_step
+
+    def record(model, y, res, shift, inverse=None):
+        iterates.append((model, y.copy()))
+        return step(model, y, res, shift, inverse)
+
+    monkeypatch.setattr(bubble, "_ptc_step", record)
+    cases = benchmark_steady_cases()[:8] + [
+        (transient_params(delta_p=1.5, alpha=40.0, xi=2.0), dict(nmax=3))]
+    for params, kw in cases:
+        start = len(iterates)
+        assert steady_transmission_bubble(params, **kw).converged
+        model = iterates[start][0]
+        empty = model.initial_flat()
+        chord = bubble._block_inverse(bubble._deflated_jacobian(model, empty),
+                                      model._edges)
+        bordered_chord = np.linalg.inv(bordered_matrix(model, empty, 0.0))
+        for _, y in iterates[start:]:
+            # both residuals on Tr rho = 1, which the iterates keep to
+            # rounding: the bordered one with row 0 = 0, and F, which is f
+            # there.  The population rows of a computed f sum to 0 only up
+            # to the rounding of the large terms that cancel in them, which
+            # near the root is the size of f; row 0 is set so that they sum
+            # to 0 up to f's own rounding, and the steps differ only by the
+            # solves'
+            bordered_res = bordered_residual(model, y)
+            assert abs(bordered_res[0]) < 1e-15
+            bordered_res[0] = 0.0
+            res = bordered_res.copy()
+            res[0] = -res[1:model.npop].sum()
+            steps = [(-(chord @ res), -(bordered_chord @ bordered_res))]
+            for shift in (0.0, 1.0 / bubble._PTC_DT0):
+                steps.append((step(model, y, res, shift),
+                              np.linalg.solve(bordered_matrix(model, y, shift),
+                                              -bordered_res)))
+            for got, want in steps:
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-12 * np.abs(want).max())
+            got = np.linalg.eigvals(bubble._deflated_jacobian(model, y))
+            want = np.append(np.linalg.eigvals(restricted_jacobian(model, y)),
+                             -2.0 / bubble._PTC_DT0)
+            # nearest partners both ways: the empty cavity's spectrum is
+            # degenerate, so sorting pairs them badly
+            distance = np.abs(got[:, None] - want[None, :])
+            assert len(got) == len(want)
+            assert max(distance.min(axis=0).max(), distance.min(axis=1).max()) \
+                <= 1e-12 * np.abs(want).max()
+    assert len(iterates) > 8 * 3
 
 
 class TestStabilityCertificate:
@@ -1697,27 +1773,31 @@ class TestStabilityCertificate:
                                                                 monkeypatch):
         import rydcav.bubble as bubble
 
+        certified_matrices = []
+        certify = bubble._certify_stable
+        monkeypatch.setattr(bubble, "_certify_stable", lambda jac: (
+            certified_matrices.append(jac.copy()) or certify(jac)))
         found = self.roots(monkeypatch, benchmark_steady_cases())
-        assert len(found) == 11
-        for model, y in found:
-            matrix = bubble._restricted_jacobian(model, y)
+        assert len(found) == 11 == len(certified_matrices)
+        for (model, y), matrix in zip(found, certified_matrices):
             eigenvalues = np.linalg.eigvals(matrix)
             growth = eigenvalues.real.max()
-            certified, squarings = bubble._certify_stable(matrix)
+            certified, squarings = certify(matrix)
             assert certified == (growth < -bubble._MARGINAL)
             assert certified and 1 <= squarings <= 13
-            # the cavity-balanced matrix is a similarity of the plain
-            # restriction, which needs at least as many squarings
-            jac = model.jacobian(y)
-            plain = jac[1:, 1:] - np.outer(jac[1:, 0], np.arange(len(jac) - 1)
-                                           < model.npop - 1)
+            # the verdict certifies the deflated Jacobian in cavity-balanced
+            # coordinates, a diagonal similarity of the plain one, which
+            # needs at least as many squarings
+            plain = bubble._deflated_jacobian(model, y)
             s = np.sqrt(model.n_bubbles)
             assert s > 1.0
+            np.testing.assert_array_equal(plain[:-2, :-2], matrix[:-2, :-2])
+            np.testing.assert_array_equal(plain[-2:, -2:], matrix[-2:, -2:])
             np.testing.assert_allclose(plain[-2:, :-2], s * matrix[-2:, :-2],
                                        rtol=1e-15)
             np.testing.assert_allclose(plain[:-2, -2:], matrix[:-2, -2:] / s,
                                        rtol=1e-15)
-            unbalanced_certified, unbalanced = bubble._certify_stable(plain)
+            unbalanced_certified, unbalanced = certify(plain)
             assert unbalanced_certified and squarings <= unbalanced
             scale = np.abs(eigenvalues).max()
             np.testing.assert_allclose(np.sort_complex(np.linalg.eigvals(plain)),
@@ -1750,7 +1830,7 @@ class TestStabilityCertificate:
             # the root of the kept sector is a root of the full space
             assert np.abs(full.rhs_flat(0.0, y_full)).max() < 1e-12
             growth = np.linalg.eigvals(
-                bubble._restricted_jacobian(full, y_full)).real.max()
+                bubble._deflated_jacobian(full, y_full)).real.max()
             assert growth < -bubble._MARGINAL
 
     def test_stable_solve_needs_no_eigenvalues(self, monkeypatch, caplog):
@@ -1779,11 +1859,11 @@ class TestStabilityCertificate:
         import rydcav.bubble as bubble
 
         model = SyntheticRoot(hidden_spectrum(eigenvalues))
-        restricted = bubble._restricted_jacobian(model, None)
-        certified, squarings = bubble._certify_stable(restricted)
+        jac = bubble._deflated_jacobian(model, None)
+        assert jac[0, 0] == -2.0 / bubble._PTC_DT0
+        certified, squarings = bubble._certify_stable(jac)
         assert not certified
-        y = np.zeros(len(restricted) + 1)
-        ok, got, decided = bubble._verdict(model, y)
+        ok, got, decided = bubble._verdict(model, np.zeros(model.size))
         assert (ok, got[:len(verdict)]) == (accepted, verdict)
         assert decided == (f"stability from the eigenvalues after "
                            f"{squarings} squarings")
@@ -1878,6 +1958,36 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2),
                        np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize("bad, match", [
+        # NaN compares false with everything, so an ordering test alone
+        # lets it pass
+        (dict(t=np.array([0.0, np.nan, 2.0])), "finite"),
+        (dict(t=np.array([0.0, 1.0, np.inf])), "finite"),
+        (dict(transmission=np.zeros(2)), "transmission has 2 rows for 3 times"),
+        (dict(pop_R=np.zeros(4)), "pop_R has 4 rows for 3 times"),
+        (dict(pop_S=np.zeros(2)), "pop_S has 2 rows"),
+        (dict(trace_error=np.zeros(0)), "trace_error has 0 rows"),
+        (dict(dT_dtheta=np.zeros((2, 1))), "dT_dtheta has 2 rows for 3 times"),
+    ], ids=["nan-time", "inf-time", "short-transmission", "long-pop_R",
+            "short-pop_S", "empty-trace_error", "short-dT_dtheta"])
+    def test_refused_at_construction(self, bad, match):
+        columns = dict(t=np.arange(3.0), transmission=np.zeros(3),
+                       pop_R=np.zeros(3), pop_S=np.zeros(3),
+                       trace_error=np.zeros(3), dT_dtheta=np.zeros((3, 2)))
+        TimeSeries(**columns)
+        with pytest.raises(ValueError, match=match):
+            TimeSeries(**{**columns, **bad})
+
+
+def test_rho0_must_be_the_model_density_matrix_shape():
+    # a 12 x 12 rho0 at nmax 2 (dim 9) would be read at the wrong entries
+    with pytest.raises(ValueError, match=re.escape("rho0 is (12, 12), not (9, 9)")):
+        BubbleModel(transient_params(), nmax=2, rho0=np.eye(12) / 12)
+    with pytest.raises(ValueError, match=re.escape("rho0 is (81,), not (9, 9)")):
+        BubbleModel(transient_params(), nmax=2, rho0=np.eye(9).reshape(-1))
+    model = BubbleModel(transient_params(), nmax=2, rho0=np.eye(9) / 9)
+    assert model.trace(model.initial_flat()) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_model_reconstruction_round_trip(rng):
