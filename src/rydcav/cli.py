@@ -27,8 +27,8 @@ import numpy as np
 from . import bubble, fitting, interactions, linear, meanfield
 from .datafiles import config_hash, read_xy_csv, table_names, write_csv, write_json
 from .errors import ConfigError, IntegrationError, SingularParameterError, SolverError
-from .params import (RydbergLevel, load_config, params_to_dict, require_positive,
-                     set_path, validate)
+from .params import (PhysicalParams, RydbergLevel, load_config, params_to_dict,
+                     require_positive, set_path, validate)
 
 _DEFAULT_FREE_EIT = "cavity.gamma_c,ensemble.cooperativity,drive.omega_cf,rydberg.gamma_r"
 
@@ -172,7 +172,10 @@ def _cmd_fit_transient(args):
 
 
 def _cmd_c6(args):
-    value = interactions.c6_coefficient(RydbergLevel(n=args.n, series=args.series))
+    # the level is checked as a config's is
+    level = validate(PhysicalParams(
+        rydberg=RydbergLevel(n=args.n, series=args.series))).rydberg
+    value = interactions.c6_coefficient(level)
     print(f"{value:g} GHz.um6")
     return 0
 

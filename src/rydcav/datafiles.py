@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -83,8 +84,9 @@ def read_xy_csv(path):
     """Read data columns x, y and optional weights from a CSV file.
 
     Comment lines (#) are skipped, and so is the first other line when it
-    is not numeric (the header); any later non-numeric row, or a numeric
-    row without a y column, is an error naming its line.
+    is not numeric and its first field does not begin like a number (the
+    header); any other non-numeric row, or a numeric row without a y
+    column, is an error naming its line.
     A third column is interpreted as per-point weights only when rows have
     exactly three columns (wider files carry diagnostics, not weights).
     """
@@ -99,7 +101,7 @@ def read_xy_csv(path):
             try:
                 vals = [float(p) for p in line.split(",")]
             except ValueError:
-                if header_allowed:
+                if header_allowed and not re.match(r"[+-]?\.?\d", line):
                     continue
                 raise ValueError(f"{path}:{lineno}: non-numeric data row "
                                  f"{line!r}") from None

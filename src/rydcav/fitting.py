@@ -66,8 +66,18 @@ def default_bounds(path: str) -> tuple[float, float]:
 
 
 def poisson_weights(y) -> np.ndarray:
-    """w = 1 / max(y, 1e-6), for photon-counting data."""
-    return 1.0 / np.maximum(np.asarray(y, dtype=float), _POISSON_FLOOR)
+    """w = 1 / max(y, 1e-6), for photon-counting data.
+
+    A count is never negative: a y below 0 (or NaN) raises ValueError
+    naming the first such row, counted from 0, instead of weighing it as
+    the floor's million.
+    """
+    y = np.asarray(y, dtype=float)
+    bad = np.flatnonzero(~(y >= 0.0))
+    if bad.size:
+        raise ValueError(f"poisson weighting needs counts >= 0; row {bad[0]} "
+                         f"has y = {y[bad[0]]:g}")
+    return 1.0 / np.maximum(y, _POISSON_FLOOR)
 
 
 def _check_model_options(options: dict) -> None:

@@ -7,7 +7,10 @@ the lower transition and a control field coupling to the Rydberg level, is
     B = D_e - Omega_cf^2 / (4 D_r),
 
 with D_k = Delta_k + i gamma_k for k = e, r, c.  An empty resonant cavity
-(C = 0, Omega = 0, Delta_c = 0) gives T = 1.
+(C = 0, Omega = 0, Delta_c = 0) gives T = 1.  The chain is singular where
+T is not finite: at D_r = 0 with Omega != 0 (gamma_r = 0 on two-photon
+resonance), where B is infinite and T is 0/0, and where the denominator
+vanishes.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import numpy as np
 
 from .errors import SingularParameterError
 from .params import PhysicalParams, ScanSpec, params_to_dict
-
-_SINGULAR_FLOOR = 1e-300
 
 
 def eit_factors(D_e, D_r, D_c, omega_cf, coop_term):
@@ -40,9 +41,9 @@ def eit_factors(D_e, D_r, D_c, omega_cf, coop_term):
 def transmission_linear(params: PhysicalParams, delta_p=None):
     """Linear cavity transmission at one probe detuning (or an array).
 
-    Raises SingularParameterError if the denominator vanishes, which is
-    only reachable with zero damping everywhere, and ValueError for a
-    non-finite detuning.
+    Raises SingularParameterError where the chain is singular, T not
+    finite at some detuning (see the module docstring), and ValueError for
+    a non-finite detuning.
     """
     D_e, D_r, D_c = params.complex_detunings(0.0)
     dp = params.drive.delta_p if delta_p is None else delta_p
@@ -53,10 +54,11 @@ def transmission_linear(params: PhysicalParams, delta_p=None):
 
     gc = params.cavity.gamma_c
     coop = 2.0 * gc * params.ensemble.gamma_e * params.ensemble.cooperativity
-    branch, denom = eit_factors(D_e, D_r, D_c, params.drive.omega_cf, coop)
-    if np.any(np.abs(denom) < _SINGULAR_FLOOR):
-        raise SingularParameterError("transmission denominator vanished (zero damping)")
-    t = np.abs(gc * branch / denom) ** 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        branch, denom = eit_factors(D_e, D_r, D_c, params.drive.omega_cf, coop)
+        t = np.abs(gc * branch / denom) ** 2
+    if not np.isfinite(t).all():
+        raise SingularParameterError("singular transmission chain: T is not finite")
     return float(t) if t.ndim == 0 else t
 
 

@@ -14,13 +14,17 @@ cavity transmission is T = gamma_c^2 |<a>|^2 / alpha^2, which reduces to
 the linear formula for kappa = 0 or alpha -> 0.
 
 Since F(x) = K^2 / |A + B x|^2 for complex constants A, B and real K, the
-fixed points are the real roots of a cubic in x, at most three.  Every
-solve runs on a grid of (delta_p, alpha) points at once, as arrays: the
-constants of the chain, the cubic's coefficients, all its real roots in
-closed form (Cardano or the trigonometric form, by the sign of the
-discriminant, NaN-padded to three per point), one Newton polish of each,
-and each root's residual and singular-denominator test.  So every
-coexisting branch is found.  The continuation along the grid picks the
+fixed points are the real roots of a cubic in x, at most three; where
+kappa = 0 or K = 0 the one fixed point is F(0) = K^2 / |A|^2, the ratio of
+the cubic's last two coefficients.  Every solve runs on a grid of
+(delta_p, alpha) points at once, as arrays: the constants of the chain,
+the cubic's coefficients, all its real roots in closed form (Cardano or
+the trigonometric form, by the sign of the discriminant, NaN-padded to
+three per point), one Newton polish of each, and the chain evaluated
+once, at the roots, for each root's residual and singular-denominator
+test.  So every coexisting branch is found, and a point fails only where
+the chain is singular at its own root or the root does not solve
+x = F(x).  The continuation along the grid picks the
 roots by array passes too: a one-root point takes its root, and each run
 of consecutive three-root points takes one outer root, the lower or the
 upper, never the middle one (the unstable branch between the two folds of
@@ -275,7 +279,7 @@ def _cubic(g: _Grid):
     return m, A, B, (abs(B) ** 2, 2.0 * (A * B.conjugate()).real, abs(A) ** 2, -K2)
 
 
-def _fixed_points(g: _Grid, f0):
+def _fixed_points(g: _Grid):
     """All fixed points of F at each point, (n, 3), increasing, NaN-padded.
 
     With m = D_e D_c - coop_term the chain gives F(x) = K^2 / |A + B x|^2,
@@ -285,13 +289,16 @@ def _fixed_points(g: _Grid, f0):
         |B|^2 x^3 + 2 Re(A B*) x^2 + |A|^2 x - K^2 = 0.
 
     The cubic equals x |A + B x|^2 - K^2 <= -K^2 for x <= 0, so every real
-    root is positive.  Where F vanishes or does not depend on x (kappa = 0)
-    its one fixed point is f0 = F(0).
+    root is positive.  Where F vanishes (K = 0) or does not depend on x
+    (kappa = 0) its one fixed point is F(0) = K^2 / |A|^2, the ratio of the
+    cubic's last two coefficients, so the chain is never evaluated here.
     """
     *_, coeffs = _cubic(g)
+    c1, c0 = coeffs[2:]
     # both forms are evaluated everywhere, and kappa = 0 leaves no cubic
     with np.errstate(divide="ignore", invalid="ignore"):
         roots = _newton_polish(coeffs, _cubic_roots(*coeffs))
+        f0 = np.where(c0 == 0.0, 0.0, -c0 / c1)   # F = 0 at K = 0, even at A = 0
     closed = (f0 == 0.0) | (g.kappa == 0)
     return np.broadcast_to(np.where(closed, np.where(_FIRST, f0, np.nan), roots),
                            (g.n, 3))
@@ -349,14 +356,17 @@ class _Solved:
 
 
 def _solve(g: _Grid, x_seed: float = 0.0, flag_failures: bool = False) -> _Solved:
-    """Steady state at every point of the grid, one branch by continuation."""
+    """Steady state at every point of the grid, one branch by continuation.
+
+    The chain is evaluated once, at the roots of :func:`_fixed_points`; a
+    point fails only where the chain is singular at the root it takes or
+    that root does not solve x = F(x) (:func:`_follow_branch`).
+    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        *_, c0, _, _, singular0 = _amplitudes(g, 0.0)
-        roots = _fixed_points(g, np.abs(c0) ** 2)
+        roots = _fixed_points(g)
         a, b, c, branch, denom, singular = _amplitudes(g, roots)
         residual = np.abs(np.abs(c) ** 2 - roots)
         t = np.abs(g.gamma_c * branch / denom) ** 2
-    singular |= singular0
     picks = _follow_branch(roots, residual, singular, x_seed, flag_failures)
     failed = picks < 0
     at = (np.arange(picks.size), np.maximum(picks, 0))

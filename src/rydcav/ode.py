@@ -374,17 +374,16 @@ def _warm_start(points, h, rtol, atol, parts):
 
     diffs[0] = y, diffs[j] = the j-th backward difference on steps of h of
     the polynomial through the points; the rows beyond hold the next
-    differences for the order choice.  The order is the q = 1.. whose
-    estimate |_NDF_ERROR[q] diffs[q + 1]| allows the longest step (order
-    1 from fewer than three points); h shrinks to _SAFETY times that step
-    if it is shorter, and never grows.
+    differences for the order choice.  The order is the q = 1..m - 2 whose
+    estimate |_NDF_ERROR[q] diffs[q + 1]| allows the longest step; h
+    shrinks to _SAFETY times that step if it is shorter, and never grows.
+    The m points must be at least three: :func:`_dopri5` hands over after
+    _STIFF_STEPS accepted steps, so it always holds _MAX_ORDER + 1.
     """
     m = len(points)
     y = points[-1][1]
     diffs = np.zeros((_MAX_ORDER + 3, y.size), dtype=y.dtype)
     diffs[:m] = _differences(points, h)
-    if m < 3:
-        return diffs, 1, h
     factors = {q: _step_factor(_error_norm(_NDF_ERROR[q] * diffs[q + 1], y, y,
                                            rtol, atol, parts), q)
                for q in range(1, m - 1)}

@@ -40,6 +40,13 @@ class TestC6Command:
         assert main(["c6", "--series", "D", "--n", "56"]) == 0
         assert capsys.readouterr().out.strip() == "45 GHz.um6"
 
+    @pytest.mark.parametrize("n", ["4", "0", "-3"])
+    def test_level_below_5_refused_as_in_a_config(self, capsys, n):
+        assert main(["c6", "--series", "S", "--n", n]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip() == "error: rydberg.n must be an integer >= 5"
+
 
 class TestValidateCommand:
     def test_good_config(self, config_path, capsys):
@@ -419,6 +426,18 @@ class TestFitCommands:
         assert err.startswith("error: ")
         assert f"{bad}:3" in err
 
+
+    @pytest.mark.parametrize("command", ["fit-eit", "fit-transient"])
+    def test_poisson_weighting_refuses_a_negative_row(self, tmp_path, capsys,
+                                                      command):
+        cfg = write_config(tmp_path)
+        data = tmp_path / "noisy.csv"
+        data.write_text("x,y\n0.0,1.0\n1.0,0.0\n2.0,-0.01\n3.0,0.5\n")
+        rc = main([command, "--config", str(cfg), "--data", str(data),
+                   "--weighting", "poisson", "--out", str(tmp_path / "fit.json")])
+        assert rc == 1
+        assert "row 2 has y = -0.01" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
 
     def test_fit_eit_malformed_data_row(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -86,6 +86,13 @@ class TestLinearRoundTrip:
             hits += (np.abs(res.best_fit - EIT_TRUTH) <= res.ci95)
         assert np.all(hits >= 8)
 
+    def test_poisson_weights_floor_a_zero_count_and_refuse_a_negative(self):
+        np.testing.assert_array_equal(poisson_weights([1.0, 0.0, 0.5]),
+                                      [1.0, 1e6, 2.0])
+        for y, row in (([1.0, 0.0, -0.01, 0.5], 2), ([np.nan, 1.0], 0)):
+            with pytest.raises(ValueError, match=f"row {row} has y"):
+                poisson_weights(y)
+
     def test_poisson_weighted_fit(self, clean_spectrum, rng):
         _, y = clean_spectrum
         noisy = np.maximum(y + 0.005 * rng.standard_normal(y.size), 1e-4)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,3 +142,14 @@ def test_singular_parameters_raise():
                     cooperativity=0.0, omega_cf=0.0)
     with pytest.raises(SingularParameterError):
         transmission_linear(p, 0.0)
+
+
+@pytest.mark.parametrize("delta_p", [0.0, [-1.0, 0.0, 1.0]])
+def test_ideal_eit_on_two_photon_resonance_raises(delta_p):
+    # gamma_r = 0 and delta_p = -delta_cf: D_r = 0, so B = D_e - Omega^2 /
+    # (4 D_r) is infinite and T is 0/0, never a NaN handed back
+    p = make_params(gamma_r=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularParameterError, match="not finite"):
+            transmission_linear(p, delta_p)

@@ -60,6 +60,14 @@ class TestSolver:
         assert sol.x == 0.0
         assert sol.a == 0j and sol.b == 0j and sol.c == 0j
 
+    def test_no_control_at_d_r_zero_is_dark(self):
+        # Omega = 0 and D_r = 0: K = A = 0, so F vanishes and its one fixed
+        # point is x = 0, not the cubic's 0/0
+        p = make_params(omega_cf=0.0, gamma_r=0.0)
+        sol = solve_self_consistent(p, delta_p=0.0)
+        assert sol.x == 0.0 and sol.root_count == 1
+        assert sol.transmission == transmission_linear(p, 0.0)
+
     def test_randomized_oracle_agreement(self, rng):
         for _ in range(20):
             p = random_paper_scale_params(rng)
@@ -112,8 +120,8 @@ class TestSolver:
 
         real = meanfield._fixed_points
 
-        def nan_at_2(g, f0):
-            roots = np.array(real(g, f0))
+        def nan_at_2(g):
+            roots = np.array(real(g))
             roots[2] = np.nan
             return roots
 
@@ -142,9 +150,8 @@ class TestBistableWindow:
         (a, b, c, d), count = oracle_cubic(p, 10.0)
         assert count == 3
         assert solve_self_consistent(p).root_count == 3
-        # the grid kernel's candidates at this one point, given F(0)
-        f0 = oracle_excitation(p, 10.0, 0.0)
-        roots = meanfield._fixed_points(meanfield._grid(p), f0)[0]
+        # the grid kernel's candidates at this one point
+        roots = meanfield._fixed_points(meanfield._grid(p))[0]
         roots = roots[~np.isnan(roots)]
         assert len(roots) == 3
         for x in roots:
@@ -407,9 +414,7 @@ class TestOuterBranch:
     @given(rate=st.floats(98.2, 101.28))
     def test_single_solve_seeded_at_the_middle_root(self, rate):
         p = _with_rate(_BISTABLE, rate)
-        g = meanfield._grid(p)
-        c0 = meanfield._amplitudes(g, 0.0)[2]
-        roots = meanfield._fixed_points(g, np.abs(c0) ** 2)[0]
+        roots = meanfield._fixed_points(meanfield._grid(p))[0]
         assume(roots[1] == roots[1])
         sol = solve_self_consistent(p, x_seed=float(roots[1]))
         assert sol.root_count == 3 and sol.branch_id in (0, 2)
@@ -494,16 +499,45 @@ class TestScan:
         from dataclasses import replace
 
         # with gamma_r = 0 the Rydberg detuning D_r vanishes on two-photon
-        # resonance, the middle point (delta_p = 0), and only there
+        # resonance, the middle point (delta_p = 0), and only there; at
+        # C6 = 0 the shift kappa x is 0 too, so the chain at the root is the
+        # linear one, whose B = D_e - Omega^2 / (4 D_r) is 0/0 there
         p = replace(paper_params, scan=ScanSpec(-5.0, 5.0, 5),
-                    rydberg=replace(paper_params.rydberg, gamma_r=0.0))
+                    rydberg=replace(paper_params.rydberg, gamma_r=0.0,
+                                    c6_override=0.0))
         spec = scan_meanfield(p)
         assert spec.failed.sum() == 1
         assert np.isnan(spec.transmission[2])
         assert np.isfinite(spec.transmission[[0, 1, 3, 4]]).all()
+        with pytest.raises(SingularParameterError):
+            solve_self_consistent(p, delta_p=0.0)
         # the flagged curve has no derivative there, and says why
         with pytest.raises(SolverError, match=r"delta_p = 0 MHz \(a failed point\)$"):
             spec.jacobian(("drive.omega_cf",))
+
+    def test_ideal_eit_blockade_solves_on_two_photon_resonance(self, paper_params):
+        # the same scan with the series C6: at delta_p = 0 D_r = 0 but the
+        # root shifts the chain to D_r - kappa x != 0, so no point fails
+        p = replace(paper_params, scan=ScanSpec(-5.0, 5.0, 5),
+                    rydberg=replace(paper_params.rydberg, gamma_r=0.0))
+        spec = scan_meanfield(p)
+        assert not spec.failed.any()
+        sol = solve_self_consistent(p, delta_p=0.0)
+        for x in (spec.x[2], sol.x):
+            assert min(abs(x - r) for r in oracle_roots(p, 0.0)) < 1e-8
+        assert dynamical_residual(p, sol, delta_p=0.0) < 1e-9
+
+    def test_one_chain_evaluation_per_solve(self, paper_params, monkeypatch):
+        calls = []
+        real = meanfield._amplitudes
+
+        def counting(g, x):
+            calls.append(np.shape(x))
+            return real(g, x)
+
+        monkeypatch.setattr(meanfield, "_amplitudes", counting)
+        scan_meanfield(paper_params, ScanSpec(-5.0, 5.0, 7))
+        assert calls == [(7, 3)]
 
     def test_rate_scan_at_a_singular_detuning_flags_every_point(self):
         # undamped, with the control tuned so that the blockade chain is
@@ -520,8 +554,8 @@ class TestScan:
         # solve x = F(x) at the second point, a NaN one at the fourth
         real = meanfield._fixed_points
 
-        def broken(g, f0):
-            roots = np.array(real(g, f0))
+        def broken(g):
+            roots = np.array(real(g))
             roots[1] = [5.0, np.nan, np.nan]
             roots[3] = np.nan
             return roots

@@ -12,12 +12,13 @@ def decay_jac(t, y):
 
 def both_paths(jac=decay_jac):
     """Keyword sets for the explicit pair alone and for the NDF, which here
-    takes over after the pair's first accepted step whatever the
-    Jacobian (the loop body runs inside that setting)."""
+    takes over after the pair's second accepted step, from the fewest
+    points its start takes (three), whatever the Jacobian (the loop body
+    runs inside that setting)."""
     yield {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ode, "_STIFF_H_LAMBDA", -1.0)
-        mp.setattr(ode, "_STIFF_STEPS", 1)
+        mp.setattr(ode, "_STIFF_STEPS", 2)
         yield {"jac": jac}
 
 
@@ -302,11 +303,12 @@ def test_sensitivity_part_never_loosens_the_state_control():
 
 
 def test_small_step_changes_keep_the_inverse_of_w(monkeypatch):
-    # a nonlinear stiff problem on the NDF alone, whose step may grow by at
-    # most 1.25 per change: W^-1 is renewed only once c = h / alpha_k has
-    # moved more than 30% from the c it was built with, so there are fewer
-    # inversions than changes of h, and the corrections scaled for the
-    # stale c still give the tight explicit reference
+    # a nonlinear stiff problem on the NDF after two steps of the pair,
+    # whose step may grow by at most 1.25 per change: W^-1 is renewed only
+    # once c = h / alpha_k has moved more than 30% from the c it was built
+    # with, so there are fewer inversions than changes of h, and the
+    # corrections scaled for the stale c still give the tight explicit
+    # reference
     def f(t, y):
         return np.array([-1e3 * (y[0] - y[1] ** 2), -y[1] + 0.1 * y[0]])
 
@@ -317,7 +319,7 @@ def test_small_step_changes_keep_the_inverse_of_w(monkeypatch):
     ts = np.linspace(0.0, 6.0, 13)
     ref, _ = integrate(f, 0.0, y0, ts, rtol=1e-12, atol=1e-14)
     monkeypatch.setattr(ode, "_STIFF_H_LAMBDA", -1.0)
-    monkeypatch.setattr(ode, "_STIFF_STEPS", 1)
+    monkeypatch.setattr(ode, "_STIFF_STEPS", 2)
     monkeypatch.setattr(ode, "_NDF_MAX_FACTOR", 1.25)
     monkeypatch.setattr(ode, "_NDF_KEEP_GROWTH", 1.0)
     factors = []
@@ -390,9 +392,9 @@ def test_ndf_starts_warm_from_the_pairs_steps(monkeypatch, rtol):
     assert np.abs(out - stiff_exact(ts, y0)).max() < 5 * rtol
 
 
-def test_handover_after_the_first_step_runs_order_1_on_the_pairs_step(
-        monkeypatch):
-    # two points give no second difference to choose an order or a step by
+def test_handover_from_three_points_runs_order_1(monkeypatch):
+    # three points give one second difference: order 1 is the only order
+    # to choose, on at most the pair's last step
     y0 = np.array([1.0, 0.5])
     ts = np.linspace(0.0, 4.0, 9)
     for kw in both_paths(lambda t, y: STIFF_A):
@@ -401,9 +403,10 @@ def test_handover_after_the_first_step_runs_order_1_on_the_pairs_step(
         seen, counted = _spy_handover(monkeypatch)
         out, stats = integrate(counted(lambda t, y: STIFF_A @ y), 0.0, y0, ts,
                                rtol=1e-6, atol=1e-9, **kw)
-        assert len(seen["points"]) == 2
+        assert len(seen["points"]) == 3
         _, order, h_start = seen["start"]
-        assert order == 1 and h_start == seen["h"]
-        assert seen["first_t"] == seen["points"][-1][0] + seen["h"]
+        assert order == 1 and h_start <= seen["h"]
+        t = seen["points"][-1][0]
+        assert t < seen["first_t"] <= t + seen["h"]
         assert stats.nfev == seen["calls"]
         assert np.abs(out - stiff_exact(ts, y0)).max() < 5e-6

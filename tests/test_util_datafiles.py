@@ -155,6 +155,14 @@ class TestDataFiles:
         with pytest.raises(ValueError, match=f"{path}:3"):
             read_xy_csv(path)
 
+    @pytest.mark.parametrize("text", ["0.5,1.0,\n1.5,2.0\n2.5,3.0\n",
+                                      "0.5;1.0\n1.5,2.0\n2.5,3.0\n"])
+    def test_a_malformed_first_data_row_is_no_header(self, tmp_path, text):
+        path = tmp_path / "headerless.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"{path}:1: non-numeric"):
+            read_xy_csv(path)
+
     def test_only_the_first_line_may_be_a_header(self, tmp_path):
         path = tmp_path / "two_headers.csv"
         path.write_text("# c\nx,y\nx_unit,y_unit\n1.0,2.0\n")
