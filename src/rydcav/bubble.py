@@ -196,7 +196,8 @@ class _Scalars(NamedTuple):
     are fixed matrices times ``g_nb`` and the dark-state block L3 is
     multiplied by ``xi``; the cavity rows and the transmission gain
     gamma_c^2 / alpha^2 are scalars too.  ``n_b`` is the number of atoms
-    per bubble.  The same tuple of (p,) rows holds the derivatives of the
+    per bubble and ``v_b`` the blockade volume it comes from (NaN where
+    n_b is given).  The same tuple of (p,) rows holds the derivatives of the
     scalars in p parameters (:func:`_scalar_rows`).
     """
 
@@ -214,22 +215,31 @@ class _Scalars(NamedTuple):
     alpha: float
     gain: float
     n_b: float
+    v_b: complex
 
 
 def _scalars(params: PhysicalParams, n_b: float | None) -> _Scalars:
     """The model's scalars; n_b comes from the blockade volume unless given.
 
     Only V_b is needed for n_b, so kappa, which the bubble model never
-    reads, is not computed (nor can its V = V_b singularity raise here).
+    reads, is not computed (nor can its V = V_b singularity fail here).
+    Where the blockade chain is singular V_b is NaN, and
+    :func:`rydcav.interactions.atoms_per_bubble` raises
+    SingularParameterError.  A given n_b must lie in [1, N], the range a
+    computed one is clamped to; ValueError otherwise.
     """
     ens, ryd, drv, cav = (params.ensemble, params.rydberg, params.drive,
                           params.cavity)
+    v_b = complex("nan")
     if n_b is None:
         D_e, D_r, _ = params.complex_detunings()
         v_b = interactions.blockade_volume(D_e, D_r, drv.omega_cf,
                                            interactions.c6_coefficient(ryd))
         n_b = interactions.atoms_per_bubble(ens.atom_number, v_b, ens.cloud_volume)
     n_b = require_positive("n_b", n_b)
+    if not 1.0 <= n_b <= ens.atom_number:
+        raise ValueError(f"n_b must lie in [1, N] = [1, {ens.atom_number}] "
+                         f"atoms per bubble, got {n_b:g}")
     ge_a = to_angular(ens.gamma_e)
     gc_a = to_angular(cav.gamma_c)
     de_a, dr_a, dc_a = (to_angular(v) for v in params.detunings())
@@ -244,7 +254,7 @@ def _scalars(params: PhysicalParams, n_b: float | None) -> _Scalars:
         gamma_s=to_angular(ryd.gamma_s_eff), g_nb=g_nb_a,
         xi=to_angular(ryd.xi), gamma_c=gc_a, delta_c=dc_a,
         prefactor=(ens.atom_number / n_b) * g_nb_a, alpha=alpha_a,
-        gain=0.0 if alpha_a == 0.0 else gc_a**2 / alpha_a**2, n_b=n_b)
+        gain=0.0 if alpha_a == 0.0 else gc_a**2 / alpha_a**2, n_b=n_b, v_b=v_b)
 
 
 def _scalar_rows(params: PhysicalParams, n_b: float | None, sc: _Scalars,
@@ -261,7 +271,8 @@ def _scalar_rows(params: PhysicalParams, n_b: float | None, sc: _Scalars,
     gain is.  n_b = N |V_b| / V moves by
     dn_b = n_b (Re(conj(V_b) dV_b) / |V_b|^2 - dV / V), with dV_b from
     :func:`rydcav.interactions.blockade_derivative`, unless it is given,
-    clamped to [1, N] or no path moves an input of the blockade chain.
+    clamped to a bound of [1, N] or no path moves an input of the blockade
+    chain.
     ``paths`` pass :func:`rydcav.params.require_float_paths` (ValueError
     naming a path that is not a float parameter or whose value is None,
     KeyError for an unknown one); a path that moves (g sqrt(n_b))^2 where
@@ -281,17 +292,15 @@ def _scalar_rows(params: PhysicalParams, n_b: float | None, sc: _Scalars,
     d_ge, d_gc = unit("ensemble.gamma_e"), unit("cavity.gamma_c")
     d_gr, d_volume = unit("rydberg.gamma_r"), unit("ensemble.cloud_volume")
     d_c6 = unit("rydberg.c6_override")
-    dn_b = zero
-    if n_b is None and np.any((d_dp, d_dcf, d_ge, d_gr, d_om, d_c6, d_volume)):
+    dn_b, dv_b = zero, 0j * zero
+    if (n_b is None and 1.0 < sc.n_b < ens.atom_number   # computed, not clamped
+            and np.any((d_dp, d_dcf, d_ge, d_gr, d_om, d_c6, d_volume))):
         D_e, D_r, _ = params.complex_detunings()
-        v_b = interactions.blockade_volume(D_e, D_r, params.drive.omega_cf,
-                                           interactions.c6_coefficient(params.rydberg))
-        if sc.n_b == ens.atom_number * abs(v_b) / ens.cloud_volume:   # not clamped
-            dv_b, *_ = interactions.blockade_derivative(
-                params, D_e, D_r, params.drive.omega_cf, v_b,
-                d_dp + 1j * d_ge, d_dp + d_dcf + 1j * d_gr, d_om, d_c6)
-            dn_b = sc.n_b * ((v_b.conjugate() * dv_b).real / abs(v_b) ** 2
-                             - d_volume / ens.cloud_volume)
+        dv_b, *_ = interactions.blockade_derivative(
+            params, D_e, D_r, params.drive.omega_cf, sc.v_b,
+            d_dp + 1j * d_ge, d_dp + d_dcf + 1j * d_gr, d_om, d_c6)
+        dn_b = sc.n_b * ((sc.v_b.conjugate() * dv_b).real / abs(sc.v_b) ** 2
+                         - d_volume / ens.cloud_volume)
     # (g sqrt(n_b))^2 = 2 gamma_e gamma_c C n_b / N, in rad/us
     d_g2 = (2.0 / ens.atom_number) * (
         to_angular(d_ge * sc.gamma_c + sc.gamma_e * d_gc) * ens.cooperativity * sc.n_b
@@ -316,7 +325,7 @@ def _scalar_rows(params: PhysicalParams, n_b: float | None, sc: _Scalars,
         xi=to_angular(unit("rydberg.xi")), gamma_c=to_angular(d_gc),
         delta_c=to_angular(d_dp - unit("cavity.delta_bg")),
         prefactor=(ens.atom_number / sc.n_b) * (d_g - sc.g_nb * dn_b / sc.n_b),
-        alpha=to_angular(d_alpha), gain=d_gain, n_b=dn_b)
+        alpha=to_angular(d_alpha), gain=d_gain, n_b=dn_b, v_b=dv_b)
 
 
 def _merged(keys, vals, n: int):

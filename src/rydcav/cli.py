@@ -5,6 +5,7 @@ write their columns as CSV rows under the result's ``header`` or, with
 ``--format json``, as JSON lists keyed by the header's names; the others
 write JSON or print to stdout.  ``--seed`` seeds ``--noise`` and exists
 only where that does; the output records it only when there is noise.
+A negative ``--noise`` or ``--seed`` is refused before the config is read.
 An ``--override`` value is checked and converted as the same value in a
 config file is.  An ``--out`` that is a directory, or whose directory does
 not exist, is refused before the config is read.
@@ -78,6 +79,14 @@ def _emit_table(args, header, columns, meta, **extra):
         write_csv(args.out, header, columns, meta)
 
 
+def _check_noise(args):
+    """Refuse a negative or non-finite ``--noise`` and a negative ``--seed``
+    before the config is read."""
+    require_positive("--noise", args.noise, allow_zero=True)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+
+
 def _noise(args, values):
     if not args.noise:
         return values
@@ -87,7 +96,7 @@ def _noise(args, values):
 
 
 def _cmd_linear_scan(args):
-    require_positive("--noise", args.noise, allow_zero=True)
+    _check_noise(args)
     params = _load_params(args)
     spec = linear.scan_linear(params)
     meta = _meta(args, params, {"noise": args.noise} if args.noise else None)
@@ -112,7 +121,7 @@ def _cmd_meanfield_scan(args):
 
 
 def _cmd_bubble_evolve(args):
-    require_positive("--noise", args.noise, allow_zero=True)
+    _check_noise(args)
     params = _load_params(args)
     series = bubble.evolve(params, t_end=args.t_end, dt=args.dt,
                            nmax=args.nmax, rtol=args.rtol)

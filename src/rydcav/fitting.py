@@ -134,7 +134,10 @@ class FitProblem:
     parameter; the free paths must be a sequence of distinct float
     parameters (:data:`rydcav.params.FLOAT_PATHS`) with a value
     (:func:`rydcav.params.require_float_paths`: ValueError, or KeyError for
-    an unknown path), and the weights positive and finite.
+    an unknown path), and the weights positive and finite (ValueError
+    naming the first bad row, counted from 0).  ``drive.delta_p`` is the
+    data's axis of the linear and mean-field spectra, and free only for the
+    bubble transient, whose axis is time.
     ``model_options`` passes ``nmax``, ``rtol`` and ``atol`` to the bubble
     transient and holds no other key; its values are
     checked here, as the transient would check them.  The mean-field
@@ -168,6 +171,9 @@ class FitProblem:
                                         f"the {self.model} model")
         if not self.free:
             raise ValueError("at least one free parameter required")
+        if "drive.delta_p" in self.free and self.model != "bubble_transient":
+            raise ValueError(f"'drive.delta_p' is the data's axis of the "
+                             f"{self.model} model, not a free parameter")
         if self.x.size < 2 * len(self.free):
             raise ValueError("need at least 2 data points per free parameter")
         if self.model == "meanfield":
@@ -180,11 +186,13 @@ class FitProblem:
                     f"continuation follows the data order): row {k} "
                     f"(x = {self.x[k]:g}) breaks the order of the rows before it")
         if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if (self.weights.shape != self.y.shape
-                    or not np.all(np.isfinite(self.weights) & (self.weights > 0))):
-                raise ValueError("weights must be positive, finite and match "
-                                 "the data")
+            w = self.weights = np.asarray(self.weights, dtype=float)
+            what = "weights must be positive, finite and match the data:"
+            if w.shape != self.y.shape:
+                raise ValueError(f"{what} {w.size} weights for {self.y.size} rows")
+            bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+            if bad.size:
+                raise ValueError(f"{what} row {bad[0]} has weight {w[bad[0]]:g}")
         if self.initial is None:
             self.initial = np.array([float(get_path(self.base_params, p))
                                      for p in self.free])

@@ -7,17 +7,20 @@ kappa are evaluated from the complex detunings D_e, D_r of the EIT ladder
 (:func:`blockade` derives both from a parameter bundle for the mean field,
 and :func:`blockade_derivative` gives V_b's derivative in closed form; the
 bubble model's n_b needs V_b alone, and computes no kappa).
-Scalar detunings go through Python complex arithmetic; arrays of them, as a
-mean-field grid passes, through numpy, elementwise, with NaN where the
-chain is singular so that such a point fails alone.  kappa enters the
-Rydberg coherence as an intensity-dependent complex shift
-D_r -> D_r - kappa * |<c>|^2.
+A scalar detuning and an array of them, as a mean-field grid passes, go
+through the same numpy expressions, so a scalar gives the bits of the
+array element at its detuning.  The rule for a singular chain is one: a
+quantity whose magnitude falls below the chain floor becomes NaN inside
+the chain, for every shape, and each model raises where the chain it
+reads is NaN (:func:`atoms_per_bubble` for the bubble model; the mean
+field fails the point).  kappa enters the Rydberg coherence as an
+intensity-dependent complex shift D_r -> D_r - kappa * |<c>|^2.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+
 import numpy as np
 
 from .errors import SingularParameterError
@@ -29,6 +32,9 @@ _VB_PREFACTOR = math.sqrt(2.0) * math.pi**2 / 3.0
 #: C6 is specified in GHz.um^6; the detunings it is divided by are in MHz
 _GHZ_TO_MHZ = 1e3
 
+#: a denominator of the chain below this magnitude is a zero: it catches
+#: the rounding-level zeros (-8.9e-16 where the dressed denominator
+#: vanishes) that a finiteness test would pass
 _CHAIN_FLOOR = 1e-12
 
 
@@ -50,32 +56,19 @@ def c6_coefficient(level: RydbergLevel) -> float:
     return c6_s(level.n) if level.series == "S" else c6_d(level.n)
 
 
-def _complex(z):
-    """A Python complex for a scalar, a complex array for an array."""
-    return complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
-
-
-def _nonzero(z, message: str):
-    """``z`` where |z| reaches the chain floor.
-
-    Below it a scalar raises SingularParameterError and an array element
-    becomes NaN.
-    """
-    small = np.abs(z) < _CHAIN_FLOOR
-    if np.ndim(z) == 0:
-        if small:
-            raise SingularParameterError(message)
-        return z
-    return np.where(small, np.nan, z)
+def _nonzero(z):
+    """``z``, NaN where |z| is below the chain floor."""
+    return np.where(np.abs(z) < _CHAIN_FLOOR, np.nan, z)
 
 
 def _dressed_shift(D_e, D_r, omega_cf: float):
-    """Control-dressed two-photon shift Omega^2 / (4 (D_e + D_r - Omega^2/(4 D_e)))."""
+    """Control-dressed two-photon shift Omega^2 / (4 (D_e + D_r - Omega^2/(4 D_e))).
+
+    NaN where D_e or the dressed denominator is below the chain floor.
+    """
     if omega_cf == 0:
         return 0j
-    D_e = _nonzero(D_e, "D_e vanishes inside the dressed-shift chain")
-    inner = _nonzero(D_e + D_r - omega_cf * omega_cf / (4.0 * D_e),
-                     "dressed two-photon denominator vanishes")
+    inner = _nonzero(D_e + D_r - omega_cf * omega_cf / (4.0 * _nonzero(D_e)))
     return omega_cf * omega_cf / (4.0 * inner)
 
 
@@ -84,22 +77,22 @@ def blockade_volume(D_e, D_r, omega_cf: float, c6: float):
 
     V_b = (sqrt(2) pi^2 / 3) sqrt(C6 / (D_e - s)) with s the dressed
     two-photon shift; the square root is taken on the principal branch, so
-    Re(V_b) >= 0.  The physical blockade size is |V_b|.
+    Re(V_b) >= 0.  The physical blockade size is |V_b|.  NaN where the
+    chain is singular.
     """
-    D_e, D_r = _complex(D_e), _complex(D_r)
     if c6 == 0:
         return 0j
-    shifted = _nonzero(D_e - _dressed_shift(D_e, D_r, omega_cf),
-                       "blockade-volume denominator vanishes")
-    ratio = c6 * _GHZ_TO_MHZ / shifted
-    return _VB_PREFACTOR * (cmath.sqrt(ratio) if np.ndim(ratio) == 0 else np.sqrt(ratio))
+    with np.errstate(invalid="ignore"):   # arithmetic on the NaN of a singular point
+        shifted = _nonzero(D_e - _dressed_shift(D_e, D_r, omega_cf))
+        return _VB_PREFACTOR * np.sqrt(c6 * _GHZ_TO_MHZ / shifted)
 
 
 def kappa(D_e, D_r, omega_cf: float, v_b, volume: float):
     """Mean-field interaction constant (complex, MHz; elementwise for arrays).
 
     kappa = 2 (V_b / (V - V_b)) (s - D_r) with s the dressed two-photon
-    shift.  The overall sign is fixed so that Im(kappa) <= 0 at
+    shift, 0 at V_b = 0 and NaN where the chain is singular (V = V_b among
+    them).  The overall sign is fixed so that Im(kappa) <= 0 at
     delta_p = delta_cf = 0 with the principal-branch V_b (kappa =
     0.0034 - 0.0034i for S n=60 at Omega_cf 8 MHz): the interaction then
     acts on the Rydberg coherence as saturable extra damping plus a line
@@ -109,11 +102,11 @@ def kappa(D_e, D_r, omega_cf: float, v_b, volume: float):
     0.0023i (V_b = 117.5 + 562.4i um^3).  The general case is ROADMAP
     item 2.
     """
-    D_e, D_r = _complex(D_e), _complex(D_r)
-    if np.ndim(v_b) == 0 and v_b == 0:
-        return 0j
-    rest = _nonzero(volume - v_b, "cloud volume equals blockade volume")
-    return 2.0 * (v_b / rest) * (_dressed_shift(D_e, D_r, omega_cf) - D_r)
+    with np.errstate(invalid="ignore"):   # arithmetic on the NaN of a singular point
+        rest = _nonzero(volume - v_b)
+        # the ufunc, not *: numpy's scalar complex product rounds
+        # differently from its array loop
+        return np.multiply(2.0 * (v_b / rest), _dressed_shift(D_e, D_r, omega_cf) - D_r)
 
 
 def blockade(params: PhysicalParams, delta_p=None):
@@ -121,17 +114,17 @@ def blockade(params: PhysicalParams, delta_p=None):
 
     The one derivation C6 -> V_b -> kappa from a parameter bundle, for the
     mean-field model; the bubble model, which needs no kappa, calls
-    :func:`blockade_volume` alone.  An array of detunings gives arrays, NaN
-    where the chain is singular.
+    :func:`blockade_volume` alone.  A scalar detuning gives numpy complex
+    scalars, an array of them arrays; each is NaN where the chain is
+    singular.
     """
     c6 = c6_coefficient(params.rydberg)
     if c6 == 0:
         return 0j, 0j
     D_e, D_r, _ = params.complex_detunings(delta_p)
     omega = params.drive.omega_cf
-    with np.errstate(invalid="ignore"):  # arithmetic on the NaN of a singular point
-        v_b = blockade_volume(D_e, D_r, omega, c6)
-        return v_b, kappa(D_e, D_r, omega, v_b, params.ensemble.cloud_volume)
+    v_b = blockade_volume(D_e, D_r, omega, c6)
+    return v_b, kappa(D_e, D_r, omega, v_b, params.ensemble.cloud_volume)
 
 
 def blockade_derivative(params: PhysicalParams, D_e, D_r, omega, v_b,
@@ -149,7 +142,7 @@ def blockade_derivative(params: PhysicalParams, D_e, D_r, omega, v_b,
     and the rows are zero; at C6 = 0 both go as sqrt(C6), and their
     derivative in C6 has no value.
     """
-    if np.ndim(v_b) == 0 and v_b == 0:
+    if not np.any(v_b):
         return 0j * d_c6, 0.0, 0.0
     s = ds = 0.0
     if omega != 0:
@@ -163,9 +156,17 @@ def blockade_derivative(params: PhysicalParams, D_e, D_r, omega, v_b,
 
 
 def atoms_per_bubble(atom_number: int, v_b: complex, volume: float) -> float:
-    """n_b = N |V_b| / V, clamped to [1, N] for bubble-model use."""
+    """n_b = N |V_b| / V, clamped to [1, N] for bubble-model use.
+
+    A |V_b| that is NaN or infinite, a singular blockade chain, raises
+    SingularParameterError before the clamp, which would pass it on as 1
+    or N.
+    """
     if volume <= 0:
         raise ValueError("volume must be > 0")
-    raw = atom_number * abs(v_b) / volume
-    return min(max(raw, 1.0), float(atom_number))
+    size = abs(v_b)
+    if not math.isfinite(size):
+        raise SingularParameterError(f"blockade volume {v_b} is not finite: "
+                                     "the blockade chain is singular")
+    return float(min(max(atom_number * size / volume, 1.0), atom_number))
 

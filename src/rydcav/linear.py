@@ -45,12 +45,10 @@ def transmission_linear(params: PhysicalParams, delta_p=None):
     finite at some detuning (see the module docstring), and ValueError for
     a non-finite detuning.
     """
-    D_e, D_r, D_c = params.complex_detunings(0.0)
-    dp = params.drive.delta_p if delta_p is None else delta_p
-    dp = np.asarray(dp, dtype=float)
+    dp = np.asarray(params.drive.delta_p if delta_p is None else delta_p, dtype=float)
     if not np.isfinite(dp).all():
         raise ValueError("probe detuning must be finite")
-    D_e, D_r, D_c = D_e + dp, D_r + dp, D_c + dp
+    D_e, D_r, D_c = params.complex_detunings(dp)
 
     gc = params.cavity.gamma_c
     coop = 2.0 * gc * params.ensemble.gamma_e * params.ensemble.cooperativity

@@ -21,10 +21,12 @@ the cubic's last two coefficients.  Every solve runs on a grid of
 the cubic's coefficients, all its real roots in closed form (Cardano or
 the trigonometric form, by the sign of the discriminant, NaN-padded to
 three per point), one Newton polish of each, and the chain evaluated
-once, at the roots, for each root's residual and singular-denominator
-test.  So every coexisting branch is found, and a point fails only where
-the chain is singular at its own root or the root does not solve
-x = F(x).  The continuation along the grid picks the
+once, at the roots, for each root's residual.  So every coexisting branch
+is found.  The chain is singular where it is not finite: the blockade
+chain leaves kappa NaN where one of its denominators vanishes, and the
+steady-state chain at a finite root is not finite where one of its own
+does.  A point fails only where the chain is singular, or where the root
+does not solve x = F(x).  The continuation along the grid picks the
 roots by array passes too: a one-root point takes its root, and each run
 of consecutive three-root points takes one outer root, the lower or the
 upper, never the middle one (the unstable branch between the two folds of
@@ -62,8 +64,6 @@ from . import interactions
 from .errors import SingularParameterError, SolverError
 from .linear import eit_factors
 from .params import PhysicalParams, ScanSpec, require_float_paths
-
-_DRX_FLOOR = 1e-300
 
 #: a root is accepted when |F(x) - x| <= _RESIDUAL_TOL * max(1, x)
 _RESIDUAL_TOL = 1e-10
@@ -121,9 +121,10 @@ def _grid(params: PhysicalParams, delta_p=None, alpha=None,
 
     Each is a scalar or a 1-d array (the two broadcast against each other)
     and defaults to the value in ``params``.  A non-finite value raises
-    ValueError.  Where the blockade chain is singular kappa is NaN, which
-    fails the point.  ``interacting=False`` leaves the blockade out
-    (kappa = V_b = 0): the linear chain.
+    ValueError.  Where the blockade chain is singular kappa is NaN
+    (:mod:`rydcav.interactions`), which fails the point.
+    ``interacting=False`` leaves the blockade out (kappa = V_b = 0): the
+    linear chain.
     """
     dp = params.drive.delta_p if delta_p is None else delta_p
     alpha = params.drive.alpha if alpha is None else alpha
@@ -132,12 +133,7 @@ def _grid(params: PhysicalParams, delta_p=None, alpha=None,
     if not np.isfinite(alpha).all():
         raise ValueError("feeding amplitude alpha must be finite")
     D_e, D_r, D_c = params.complex_detunings(dp)
-    v_b = kap = 0j
-    if interacting:
-        try:
-            v_b, kap = interactions.blockade(params, dp)
-        except SingularParameterError:  # at the one detuning of the grid
-            v_b = kap = complex("nan")
+    v_b, kap = interactions.blockade(params, dp) if interacting else (0j, 0j)
     cols = [np.asarray(v) for v in (D_e, D_r, D_c, kap, v_b, alpha)]
     n = max((v.size for v in cols if v.ndim), default=1)
     cols = [v[()] if v.ndim == 0 else v.reshape(-1, 1) for v in cols]
@@ -197,22 +193,14 @@ def _grid_derivative(params: PhysicalParams, paths, g: _Grid,
 
 
 def _amplitudes(g: _Grid, x):
-    """(a, b, c, branch, denom, singular) at population x, broadcast on the grid.
-
-    ``singular`` marks where a denominator of the chain vanishes; the
-    values there are not finite.
-    """
+    """(a, b, c, branch, denom) at population x, broadcast on the grid;
+    not finite where a denominator of the chain vanishes."""
     Drx = g.D_r - g.kappa * x
     branch, denom = eit_factors(g.D_e, Drx, g.D_c, g.omega, g.coop_term)
-    singular = (np.abs(denom) < _DRX_FLOOR) | np.isnan(g.kappa)
     a = g.alpha * branch / denom
     b = g.g_root_n * g.alpha / denom
-    if g.omega == 0:
-        c = np.zeros_like(b)
-    else:
-        singular |= np.abs(Drx) < _DRX_FLOOR
-        c = 0.5 * g.omega * b / Drx
-    return a, b, c, branch, denom, singular
+    c = np.zeros_like(b) if g.omega == 0 else 0.5 * g.omega * b / Drx
+    return a, b, c, branch, denom
 
 
 @dataclass
@@ -358,15 +346,19 @@ class _Solved:
 def _solve(g: _Grid, x_seed: float = 0.0, flag_failures: bool = False) -> _Solved:
     """Steady state at every point of the grid, one branch by continuation.
 
-    The chain is evaluated once, at the roots of :func:`_fixed_points`; a
-    point fails only where the chain is singular at the root it takes or
-    that root does not solve x = F(x) (:func:`_follow_branch`).
+    The chain is evaluated once, at the roots of :func:`_fixed_points`.  A
+    root is singular where kappa is NaN, or where it is finite and the
+    chain at it is not; a point fails only where the root it takes is
+    singular or does not solve x = F(x) (:func:`_follow_branch`).  So a NaN
+    root at a finite kappa fails on its residual.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         roots = _fixed_points(g)
-        a, b, c, branch, denom, singular = _amplitudes(g, roots)
+        a, b, c, branch, denom = _amplitudes(g, roots)
         residual = np.abs(np.abs(c) ** 2 - roots)
         t = np.abs(g.gamma_c * branch / denom) ** 2
+    chain = np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(t)
+    singular = np.isnan(g.kappa) | (np.isfinite(roots) & ~chain)
     picks = _follow_branch(roots, residual, singular, x_seed, flag_failures)
     failed = picks < 0
     at = (np.arange(picks.size), np.maximum(picks, 0))
@@ -407,14 +399,16 @@ def transmission_from_solution(params: PhysicalParams, sol: MeanFieldSolution,
 
     Evaluated as |gamma_c B / (B D_c - 2 gamma_c gamma_e C)|^2 at the solved
     x, which equals the ratio above for alpha > 0 and is its alpha -> 0
-    limit otherwise (the linear formula at x = 0).
+    limit otherwise (the linear formula at x = 0).  Where T is not finite,
+    the chain is singular and SingularParameterError is raised.
     """
     g = _grid(params, delta_p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, _, _, branch, denom, singular = _amplitudes(g, sol.x)
-    if singular.any():
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        *_, branch, denom = _amplitudes(g, sol.x)
+        t = np.abs(g.gamma_c * branch / denom) ** 2
+    if not np.isfinite(t).all():
         raise SingularParameterError("singular denominator in the steady-state chain")
-    return float(np.abs(g.gamma_c * branch / denom) ** 2)
+    return float(t)
 
 
 def transmission_meanfield(params: PhysicalParams, delta_p=None,

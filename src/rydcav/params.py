@@ -119,11 +119,8 @@ class PhysicalParams:
         Complex numbers for one probe detuning; complex arrays, elementwise,
         for an array of them.
         """
-        de, dr, dc = self.detunings(delta_p)
         gammas = (self.ensemble.gamma_e, self.rydberg.gamma_r, self.cavity.gamma_c)
-        if np.ndim(de):
-            return tuple(d + 1j * g for d, g in zip((de, dr, dc), gammas))
-        return tuple(complex(d, g) for d, g in zip((de, dr, dc), gammas))
+        return tuple(d + 1j * g for d, g in zip(self.detunings(delta_p), gammas))
 
 
 def _finite(x) -> bool:

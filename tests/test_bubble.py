@@ -23,7 +23,7 @@ from rydcav.bubble import (
     evolve,
     steady_transmission_bubble,
 )
-from rydcav.errors import IntegrationError, SolverError
+from rydcav.errors import IntegrationError, SingularParameterError, SolverError
 from rydcav.fitting import FitProblem
 from rydcav.linear import transmission_linear
 from rydcav.ode import integrate
@@ -850,6 +850,19 @@ class TestEvolve:
         with pytest.raises(ValueError, match="n_b must be > 0"):
             evolve(weak_drive_params(), t_end=2.0, dt=1.0, nmax=2, n_b=n_b)
 
+    @pytest.mark.parametrize("n_b", [0.01, 0.999, 10_000.5, 1e9])
+    def test_bubble_size_outside_one_to_n_rejected(self, n_b):
+        # [1, N] is the range a computed n_b is clamped to; below 1 atom,
+        # or above the N = 10,000 of the cloud, is no bubble
+        p = make_params(n=85, series="D", alpha=0.05)
+        msg = re.escape("n_b must lie in [1, N] = [1, 10000]")
+        with pytest.raises(ValueError, match=msg):
+            steady_transmission_bubble(p, nmax=2, n_b=n_b)
+        with pytest.raises(ValueError, match=msg):
+            evolve(p, t_end=2.0, dt=1.0, nmax=2, n_b=n_b)
+        for edge in (1.0, 10_000.0):
+            assert BubbleModel(p, nmax=2, n_b=edge).n_b == edge
+
     def test_infinite_t_end_rejected(self):
         with pytest.raises(ValueError, match="t_end must be > 0 and finite"):
             evolve(weak_drive_params(), t_end=float("inf"), dt=1.0, nmax=2)
@@ -1174,8 +1187,13 @@ class TestScalarRows:
                 _scalar_rows(p, n_b, sc, (path,))
         rows = _scalar_rows(p, n_b, sc, paths)
         ref = np.column_stack([scalar_richardson(p, n_b, path) for path in paths])
+        follows = n_b is None and 1.0 < sc.n_b < p.ensemble.atom_number
         for name, got, want in zip(_Scalars._fields, rows, ref, strict=True):
             assert got.shape == (len(paths),)
+            if name == "v_b" and not follows:
+                # V_b is differentiated only where n_b follows it
+                np.testing.assert_array_equal(got, 0.0)
+                continue
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-8 * np.abs(want).max(), err_msg=name)
         # a path's column does not depend on the other paths asked for
@@ -2035,6 +2053,26 @@ def test_a_build_computes_no_kappa(monkeypatch, c6):
         assert BubbleModel(p, nmax=2, sensitivity=(path,)).n_b == want
         series = evolve(p, t_end=1.0, dt=0.5, nmax=2, sensitivity=(path,))
         assert np.isfinite(series.dT_dtheta).all()
+
+
+@pytest.mark.parametrize("kw", [
+    dict(gamma_e=0.0, gamma_r=0.0, delta_p=2.0, omega_cf=np.sqrt(32.0)),
+    dict(n=60, gamma_e=0.0)], ids=["dressed-denominator-zero", "gamma_e-zero-resonant"])
+def test_a_singular_blockade_chain_fails_every_build(kw):
+    # the chain leaves V_b NaN there (the dressed denominator rounds to
+    # -8.9e-16, D_e is 0), and n_b raises rather than clamp it
+    from rydcav.meanfield import solve_self_consistent
+
+    p = make_params(**kw)
+    builds = (lambda: BubbleModel(p, nmax=2),
+              lambda: BubbleModel(p, nmax=2, sensitivity=("drive.delta_p",)),
+              lambda: evolve(p, t_end=1.0, dt=0.5, nmax=2),
+              lambda: steady_transmission_bubble(p, nmax=2))
+    for build in builds:
+        with pytest.raises(SingularParameterError, match="blockade chain is singular"):
+            build()
+    with pytest.raises(SingularParameterError):
+        solve_self_consistent(p)
 
 
 def test_n_b_computed_from_interactions_when_not_given():

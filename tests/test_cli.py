@@ -439,6 +439,19 @@ class TestFitCommands:
         assert "row 2 has y = -0.01" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
+    def test_fit_eit_refuses_the_detuning_as_a_free_path(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n=60)
+        data = tmp_path / "spectrum.csv"
+        assert main(["linear-scan", "--config", str(cfg), "--out", str(data),
+                     "--override", "scan.npoints=41"]) == 0
+        for flag in ((), ("--nonlinear",)):
+            rc = main(["fit-eit", "--config", str(cfg), "--data", str(data),
+                       "--free", "drive.delta_p,cavity.gamma_c", *flag,
+                       "--out", str(tmp_path / "fit.json")])
+            assert rc == 1
+            assert "'drive.delta_p' is the data's axis" in capsys.readouterr().err
+            assert not (tmp_path / "fit.json").exists()
+
     def test_fit_eit_malformed_data_row(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         bad = tmp_path / "malformed.csv"
@@ -478,6 +491,24 @@ def test_bad_noise_exits_1_without_output(tmp_path, capsys, monkeypatch, command
     assert rc == 1
     assert f"--noise must be >= 0 and finite, got {float(value)!r}" \
         in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["linear-scan"], [
+    "bubble-evolve", "--t-end", "4", "--dt", "1", "--nmax", "2"]],
+    ids=["linear-scan", "bubble-evolve"])
+@pytest.mark.parametrize("noise", ["0.1", "0"])
+def test_negative_seed_exits_1_before_the_config_is_read(tmp_path, capsys,
+                                                        monkeypatch, command, noise):
+    def no_config(*args, **kwargs):
+        raise AssertionError("config read")
+
+    monkeypatch.setattr(cli, "load_config", no_config)
+    out = tmp_path / "out.csv"
+    rc = main([command[0], "--config", str(tmp_path / "cfg.json"), "--out", str(out),
+               *command[1:], "--noise", noise, "--seed", "-5"])
+    assert rc == 1
+    assert "--seed must be >= 0, got -5" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -289,6 +289,46 @@ class TestValidation:
                        base_params=make_params(), free=("cavity.gamma_c",),
                        weights=weights)
 
+    @pytest.mark.parametrize("bad, row", [(np.nan, 4), (0.0, 7), (-2.0, 0),
+                                          (np.inf, 9)])
+    def test_bad_weight_named_by_row(self, bad, row):
+        weights = np.ones(10)
+        weights[row] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"weights must be positive, finite and match the data: "
+                f"row {row} has weight {bad:g}")):
+            FitProblem(x=np.arange(10.0), y=np.ones(10), model="linear_eit",
+                       base_params=make_params(), free=("cavity.gamma_c",),
+                       weights=weights)
+        with pytest.raises(ValueError, match=re.escape(
+                "weights must be positive, finite and match the data: "
+                "9 weights for 10 rows")):
+            FitProblem(x=np.arange(10.0), y=np.ones(10), model="linear_eit",
+                       base_params=make_params(), free=("cavity.gamma_c",),
+                       weights=np.ones(9))
+
+    @pytest.mark.parametrize("model", ["linear_eit", "meanfield"])
+    def test_the_data_axis_is_no_free_parameter(self, model, monkeypatch):
+        # the spectra are curves in delta_p: their delta_p column is 0, and
+        # a fit that frees it ends where it began
+        def no_run(*args):
+            raise AssertionError("model evaluated")
+
+        monkeypatch.setitem(fitting.MODELS, model, (no_run, "none"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"'drive.delta_p' is the data's axis of the {model} model")):
+            FitProblem(x=np.linspace(-20.0, 20.0, 41), y=np.ones(41),
+                       model=model, base_params=make_params(n=60),
+                       free=("cavity.gamma_c", "drive.delta_p"))
+
+    def test_the_transient_keeps_delta_p_free(self):
+        # its axis is time
+        problem = FitProblem(x=np.arange(1.0, 11.0), y=np.ones(10),
+                             model="bubble_transient",
+                             base_params=transient_params(),
+                             free=("drive.delta_p",))
+        assert problem.free == ("drive.delta_p",)
+
     def test_unknown_model_option_rejected(self):
         with pytest.raises(ValueError, match=r"unknown model option\(s\) \['nmx'\]"):
             FitProblem(x=np.arange(10.0), y=np.ones(10),

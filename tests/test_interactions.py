@@ -1,9 +1,8 @@
-import cmath
-
 import mpmath
 import numpy as np
 import pytest
 
+from rydcav.bubble import BubbleModel
 from rydcav.errors import SingularParameterError
 from rydcav.interactions import (
     atoms_per_bubble,
@@ -14,9 +13,11 @@ from rydcav.interactions import (
     c6_s,
     kappa,
 )
+from rydcav.meanfield import solve_self_consistent
 from rydcav.params import RydbergLevel
 
 from conftest import make_params
+from oracles import random_paper_scale_params
 
 mpmath.mp.dps = 50
 
@@ -116,9 +117,15 @@ class TestBlockadeVolume:
             assert jumps.max() < 0.05 * np.abs(vals).max()
 
     def test_singular_chain_raises(self):
-        # control tuned so the dressed two-photon denominator vanishes
+        # control tuned so the dressed two-photon denominator vanishes: the
+        # chain gives NaN, and each model that reads it raises
+        assert np.isnan(blockade_volume(2.0 + 0j, 2.0 + 0j, np.sqrt(32.0), -140.0))
+        p = make_params(gamma_e=0.0, gamma_r=0.0, delta_p=2.0,
+                        omega_cf=np.sqrt(32.0))
         with pytest.raises(SingularParameterError):
-            blockade_volume(2.0 + 0j, 2.0 + 0j, np.sqrt(32.0), -140.0)
+            BubbleModel(p, nmax=1)
+        with pytest.raises(SingularParameterError):
+            solve_self_consistent(p)
 
 
 class TestKappa:
@@ -161,8 +168,19 @@ class TestKappa:
 
     def test_volume_singularity(self):
         v_b = 100.0 + 0j
+        assert np.isnan(kappa(self.D_E, self.D_R, self.OMEGA, v_b, 100.0))
+        # undamped and undressed, with C6 / delta_p > 0, V_b is real; a
+        # cloud of that volume leaves kappa NaN, so the mean field raises,
+        # while the bubble model, which reads no kappa, builds with n_b = N
+        p = make_params(gamma_e=0.0, gamma_r=0.0, delta_p=-2.0, omega_cf=0.0)
+        v_b, _ = blockade(p)
+        assert v_b.imag == 0.0
+        p = make_params(gamma_e=0.0, gamma_r=0.0, delta_p=-2.0, omega_cf=0.0,
+                        cloud_volume=float(v_b.real))
+        assert np.isnan(blockade(p)[1])
         with pytest.raises(SingularParameterError):
-            kappa(self.D_E, self.D_R, self.OMEGA, v_b, 100.0)
+            solve_self_consistent(p)
+        assert BubbleModel(p, nmax=1).n_b == p.ensemble.atom_number
 
 
 class TestAtomsPerBubble:
@@ -178,6 +196,13 @@ class TestAtomsPerBubble:
     def test_bad_volume(self):
         with pytest.raises(ValueError):
             atoms_per_bubble(10, 1 + 0j, 0.0)
+
+    @pytest.mark.parametrize("v_b", [complex("nan"), complex("inf"),
+                                     np.complex128(complex(1.0, np.inf))])
+    def test_singular_blockade_volume_raises_before_the_clamp(self, v_b):
+        # clamped, a NaN would pass on as 1 or N and an infinity as N
+        with pytest.raises(SingularParameterError, match="not finite"):
+            atoms_per_bubble(10_000, v_b, 1e6)
 
     def test_partition_identity(self, paper_params):
         ens = paper_params.ensemble
@@ -209,8 +234,28 @@ class TestBlockadeGrid:
         # undamped, with the control tuned so that the dressed two-photon
         # denominator vanishes at delta_p = 2 only
         p = make_params(gamma_e=0.0, gamma_r=0.0, omega_cf=np.sqrt(32.0))
-        with pytest.raises(SingularParameterError):
-            blockade(p, 2.0)
+        assert all(np.isnan(v) for v in blockade(p, 2.0))
         v_b, kap = blockade(p, np.array([1.0, 2.0, 3.0]))
         assert np.isnan(v_b[1]) and np.isnan(kap[1])
         assert np.isfinite(v_b[[0, 2]]).all() and np.isfinite(kap[[0, 2]]).all()
+        # the models raise there, and only there
+        at = make_params(gamma_e=0.0, gamma_r=0.0, omega_cf=np.sqrt(32.0),
+                         delta_p=2.0)
+        with pytest.raises(SingularParameterError):
+            BubbleModel(at, nmax=1)
+        with pytest.raises(SingularParameterError):
+            solve_self_consistent(at)
+        solve_self_consistent(p, delta_p=1.0)
+
+    def test_scalar_is_the_array_element_bit_for_bit(self):
+        # one numpy expression for every shape: a scalar detuning reads the
+        # bits of the array element at it
+        rng = np.random.default_rng(7)
+        for k in range(200):
+            p = random_paper_scale_params(rng, series="SD"[k % 2])
+            grid = rng.uniform(-30.0, 30.0, 9)
+            v_b, kap = blockade(p, grid)
+            for i, dp in enumerate(grid.tolist()):
+                v1, k1 = blockade(p, dp)
+                assert (v1, k1) == (v_b[i], kap[i]), (k, dp)
+                assert isinstance(v1, np.complex128)

@@ -41,9 +41,8 @@ class TestResidual:
 
     def test_residual_matches_oracle_map(self, paper_params):
         xs = np.linspace(0.0, 50.0, 7)
-        *_, c, _, _, singular = meanfield._amplitudes(
-            meanfield._grid(paper_params, 0.0), xs)
-        assert not singular.any()
+        _, _, c, *_ = meanfield._amplitudes(meanfield._grid(paper_params, 0.0), xs)
+        assert np.isfinite(c).all()
         want = oracle_excitation(paper_params, 0.0, xs)
         np.testing.assert_allclose(np.abs(c) ** 2, want, rtol=1e-9, atol=1e-12)
 
